@@ -1,7 +1,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-vm bench-smp bench-smoke bench-guard ci
+.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick ci
 
 all: build
 
@@ -69,41 +69,14 @@ smp:
 golden-update:
 	$(GO) test ./internal/experiments -run TestGolden -update
 
-# Cold/warm checkpoint-store wall-clock comparison (writes BENCH_pr2.json
-# at the repo root), then the full go benchmark suite.
+# The benchmark harness (bench/README.md): every workload and the
+# per-layer ledger into bench/out/result.json. bench-quick is the same
+# path at smoke-test size (~8 s). `go run ./bench -compare A.json B.json`
+# is the regression verdict between two results.
 bench:
-	$(GO) run ./cmd/ckptbench -o BENCH_pr2.json
-	$(GO) test -run '^$$' -bench . -benchmem .
+	$(GO) run ./bench
 
-# Interpreter throughput report: MIPS for fast / event / detail modes
-# and an end-to-end RunAll sweep, vs the recorded pre-batching baseline
-# (writes BENCH_pr3.json at the repo root).
-bench-vm:
-	$(GO) run ./cmd/vmbench -o BENCH_pr3.json
-
-# Parallel-SMP wall-clock speedup report: sequential vs parallel
-# schedule for a 4-guest system in fast mode (writes BENCH_pr10.json at
-# the repo root). The -min-speedup guard arms itself only on hosts with
-# at least as many CPUs as guests.
-bench-smp:
-	$(GO) run ./cmd/smpbench -guests 4 -min-speedup 1.5 -o BENCH_pr10.json
-
-# Bounded benchmark sanity pass for CI: tiny scale, one iteration, and
-# the ckptbench/vmbench reports to stdout instead of files.
-bench-smoke:
-	$(GO) run ./cmd/ckptbench -scale 2000 -bench gzip,mcf -o -
-	$(GO) run ./cmd/vmbench -time 200ms -runs 1 -o -
-	REPRO_SCALE=500 $(GO) test -run '^$$' \
-		-bench 'BenchmarkRunner(Cold|Warm)Cache|BenchmarkSnapshotEncode|BenchmarkVM(Fast|Event)Mode|BenchmarkRunAllEndToEnd' -benchtime 1x .
-
-# Throughput regression guard: re-measure the interpreter and fail if
-# any mode lands more than 15% below the latest recorded BENCH report.
-# vmbench disarms the guard itself on starved hosts (GOMAXPROCS < 2),
-# the same gate the sweep smoke test uses, because one-core shared
-# runners produce throughput noise far beyond real regression signal.
-BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_pr*.json)))
-bench-guard:
-	$(GO) run ./cmd/vmbench -time 500ms -runs 2 -o - \
-		-baseline-file $(BENCH_BASELINE) -max-regress 15 >/dev/null
+bench-quick:
+	$(GO) run ./bench -quick
 
 ci: vet build race fuzz-smoke diffcheck

@@ -23,10 +23,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/sampling"
 	"repro/internal/smp"
@@ -289,209 +287,6 @@ func BenchmarkAblationTCSize(b *testing.B) {
 		}
 		return nil
 	})
-}
-
-// BenchmarkVMFastMode measures the raw functional-simulation rate (the
-// substrate the whole study rests on).
-func BenchmarkVMFastMode(b *testing.B) {
-	spec, _ := workload.ByName("gzip")
-	img, _ := workload.BuildScaled(spec, 20_000)
-	m := vm.New(vm.Config{})
-	m.Load(img)
-	b.ResetTimer()
-	var executed uint64
-	for i := 0; i < b.N; i++ {
-		n := m.Run(100_000, nil)
-		if n == 0 {
-			m = vm.New(vm.Config{})
-			m.Load(img)
-			n = m.Run(100_000, nil)
-		}
-		executed += n
-	}
-	b.SetBytes(0)
-	b.ReportMetric(float64(executed)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-}
-
-// BenchmarkVMEventMode measures the event-generating rate with a cheap
-// batched consumer: the tax every instrumented mode (warming, BBV
-// profiling, tracing) pays on top of fast mode, and the directly
-// optimised path of the batched event pipeline.
-func BenchmarkVMEventMode(b *testing.B) {
-	spec, _ := workload.ByName("gzip")
-	img, _ := workload.BuildScaled(spec, 20_000)
-	m := vm.New(vm.Config{})
-	m.Load(img)
-	sink := &vm.CountingSink{}
-	b.ResetTimer()
-	var executed uint64
-	for i := 0; i < b.N; i++ {
-		n := m.Run(100_000, sink)
-		if n == 0 {
-			m = vm.New(vm.Config{})
-			m.Load(img)
-			n = m.Run(100_000, sink)
-		}
-		executed += n
-	}
-	b.ReportMetric(float64(executed)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-}
-
-// benchEventObs drives event mode through core.Session — the layer the
-// observability instrumentation hooks — with or without a metrics
-// registry and transition trace attached. The On/Off pair bounds the
-// obs layer's event-mode overhead (budget: under 2%).
-func benchEventObs(b *testing.B, withObs bool) {
-	spec, _ := workload.ByName("gzip")
-	newS := func() *core.Session {
-		opts := core.Options{Scale: 20_000}
-		if withObs {
-			opts.Obs = obs.NewRegistry()
-			opts.Trace = obs.NewTransitionTrace(obs.DefaultTraceCap)
-		}
-		return core.NewSession(spec, opts)
-	}
-	s := newS()
-	sink := &vm.CountingSink{}
-	b.ResetTimer()
-	var executed uint64
-	for i := 0; i < b.N; i++ {
-		n := s.RunEvents(100_000, sink)
-		if n == 0 {
-			s = newS()
-			n = s.RunEvents(100_000, sink)
-		}
-		executed += n
-	}
-	b.ReportMetric(float64(executed)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-}
-
-func BenchmarkVMEventModeObsOff(b *testing.B) { benchEventObs(b, false) }
-
-func BenchmarkVMEventModeObsOn(b *testing.B) { benchEventObs(b, true) }
-
-// BenchmarkRunAllEndToEnd measures a whole evaluation sweep — full
-// timing plus Dynamic Sampling over two benchmarks — through the real
-// Runner, capturing the blended fast/warm/detail instruction rate an
-// actual reproduction run experiences.
-func BenchmarkRunAllEndToEnd(b *testing.B) {
-	policies := []sampling.Policy{
-		sampling.FullTiming{},
-		sampling.NewDynamic(vm.MetricCPU, 300, 1, 0),
-	}
-	var executed uint64
-	for i := 0; i < b.N; i++ {
-		// A fresh Runner per iteration defeats result memoisation; the
-		// checkpoint store defaults to in-memory and starts cold.
-		r := experiments.NewRunner(experiments.Options{
-			Scale:      benchScale(),
-			Benchmarks: []string{"gzip", "mcf"},
-		})
-		results, err := r.RunAll(policies)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, byPolicy := range results {
-			for _, res := range byPolicy {
-				executed += res.Instructions
-			}
-		}
-	}
-	b.ReportMetric(float64(executed)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-}
-
-// BenchmarkTimingDetail measures the detailed-simulation rate.
-func BenchmarkTimingDetail(b *testing.B) {
-	spec, _ := workload.ByName("gzip")
-	img, _ := workload.BuildScaled(spec, 20_000)
-	m := vm.New(vm.Config{})
-	m.Load(img)
-	coreModel := timing.NewCore(timing.DefaultConfig())
-	b.ResetTimer()
-	var executed uint64
-	for i := 0; i < b.N; i++ {
-		n := m.Run(100_000, coreModel)
-		if n == 0 {
-			m = vm.New(vm.Config{})
-			m.Load(img)
-			n = m.Run(100_000, coreModel)
-		}
-		executed += n
-	}
-	b.ReportMetric(float64(executed)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-}
-
-// ---- Checkpoint store: cold vs warm evaluation sweeps. ----
-
-// ckptPolicies is the sweep used by the cold/warm cache benchmarks:
-// several Dynamic configurations whose functional prefixes overlap, so
-// checkpoints deposited by one policy warm-start the others.
-func ckptPolicies() []sampling.Policy {
-	return []sampling.Policy{
-		sampling.NewDynamic(vm.MetricCPU, 300, 1, 0),
-		sampling.NewDynamic(vm.MetricCPU, 500, 1, 0),
-		sampling.NewDynamic(vm.MetricEXC, 300, 1, 0),
-	}
-}
-
-func ckptRunner(store *ckpt.Store) *experiments.Runner {
-	return experiments.NewRunner(experiments.Options{
-		Scale:      benchScale(),
-		Benchmarks: []string{"gzip", "mcf"},
-		CkptStore:  store,
-		CkptStride: 1,
-	})
-}
-
-// BenchmarkRunnerColdCache measures a full policy sweep against an empty
-// checkpoint store: every run pays for its own functional fast-forwards
-// (minus intra-sweep sharing) and deposits as it goes.
-func BenchmarkRunnerColdCache(b *testing.B) {
-	policies := ckptPolicies()
-	for i := 0; i < b.N; i++ {
-		if _, err := ckptRunner(ckpt.NewMemory()).RunAll(policies); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunnerWarmCache measures the same sweep against a store
-// primed by a previous identical sweep, as when re-running an evaluation
-// after a policy tweak: fast-forwards become checkpoint restores. The
-// cache-equivalence tests pin that the results are bit-identical either
-// way; BENCH_pr2.json records the ratio (acceptance floor: 2x).
-func BenchmarkRunnerWarmCache(b *testing.B) {
-	policies := ckptPolicies()
-	store := ckpt.NewMemory()
-	if _, err := ckptRunner(store).RunAll(policies); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// A fresh Runner each iteration defeats the Runner's own result
-		// memoisation; only the checkpoint store is warm.
-		if _, err := ckptRunner(store).RunAll(policies); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSnapshotEncode measures the serialized-snapshot encode rate
-// (the disk store's write path).
-func BenchmarkSnapshotEncode(b *testing.B) {
-	spec, _ := workload.ByName("gzip")
-	img, _ := workload.BuildScaled(spec, 20_000)
-	m := vm.New(vm.Config{})
-	m.Load(img)
-	m.Run(500_000, nil)
-	snap := m.Snapshot()
-	b.SetBytes(snap.SizeBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := snap.WriteTo(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // ---- Extensions beyond the paper's evaluation. ----

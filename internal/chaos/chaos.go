@@ -38,6 +38,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/jsonl"
 	"repro/internal/sweep"
 )
 
@@ -281,30 +282,6 @@ func (r *scheduleResult) nonVacuous(plan faults.Plan, inj *faults.Injector) erro
 	return nil
 }
 
-// tearWAL shears up to n bytes off the WAL tail, clamped so damage
-// never reaches past the start of the final line: earlier entries were
-// acknowledged single write()s, which a process kill cannot lose — the
-// tear models the ack-before-fsync window of a *host* crash, where at
-// most the last entry is torn or dropped.
-func tearWAL(path string, n int) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	lastLine := 0
-	if i := bytes.LastIndexByte(data[:len(data)-1], '\n'); i >= 0 {
-		lastLine = i + 1
-	}
-	size := len(data) - n
-	if size < lastLine {
-		size = lastLine
-	}
-	return os.Truncate(path, int64(size))
-}
-
 // runSchedule executes one schedule: a full distributed sweep with the
 // injector's kills applied — coordinator incarnations killed at WAL
 // offsets and restarted from the log, workers killed at deliveries —
@@ -428,7 +405,7 @@ supervise:
 			addStats(coord.Stats())
 			res.coordKills++
 			if tear := inj.WALTearBytes(int(res.coordKills)); tear > 0 {
-				if err := tearWAL(walPath, tear); err != nil {
+				if err := jsonl.Tear(walPath, tear); err != nil {
 					return nil, fmt.Errorf("tearing wal: %w", err)
 				}
 				res.tears++

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/jsonl"
 )
 
 // TestSchedulePlanDeterministic pins the schedule generator's contract:
@@ -68,7 +69,7 @@ func TestTearWAL(t *testing.T) {
 	}
 
 	p := write()
-	if err := tearWAL(p, 5); err != nil {
+	if err := jsonl.Tear(p, 5); err != nil {
 		t.Fatal(err)
 	}
 	got := read(p)
@@ -79,7 +80,7 @@ func TestTearWAL(t *testing.T) {
 	// A huge tear must stop at the start of the final line, keeping every
 	// earlier entry intact.
 	p = write()
-	if err := tearWAL(p, 10_000); err != nil {
+	if err := jsonl.Tear(p, 10_000); err != nil {
 		t.Fatal(err)
 	}
 	got = read(p)
@@ -96,7 +97,7 @@ func TestTearWAL(t *testing.T) {
 	if err := os.WriteFile(p, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := tearWAL(p, 64); err != nil {
+	if err := jsonl.Tear(p, 64); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -119,8 +119,8 @@ const maxWriteFails = 3
 // than one per lookup for the rest of the sweep.
 const maxRemoteFails = 3
 
-// Stats counts store activity; cmd/ckptbench reports them in
-// BENCH_pr2.json.
+// Stats counts store activity; /v1/status serves them and the bench
+// harness reports them as its ckpt.* metrics.
 type Stats struct {
 	Hits          uint64 // exact-key lookups served (memory or disk)
 	Misses        uint64 // exact-key lookups that found nothing

@@ -1,24 +1,20 @@
 package experiments
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 
+	"repro/internal/jsonl"
 	"repro/internal/sampling"
 	"repro/internal/simpoint"
 )
 
-// The run journal is an append-only JSONL file under the output
+// The run journal is an internal/jsonl append log under the output
 // directory: one header line identifying the run, then one record per
 // completed measurement or SimPoint analysis. A crashed or SIGINT'd
-// RunAll leaves at worst a torn final line; replay stops at the first
-// unparsable line, the file is truncated back to the last good record,
-// and the resumed run re-executes only what is missing. Failures are
-// never journaled — a resumed run retries failed cells from scratch.
+// RunAll leaves at worst a torn final line, which jsonl drops on the
+// next open, and the resumed run re-executes only what is missing.
+// Failures are never journaled — a resumed run retries failed cells
+// from scratch.
 //
 // Byte-identity across resume is free by construction: records hold
 // sampling.Result / simpoint.Analysis values whose fields round-trip
@@ -65,116 +61,49 @@ type JournalSink interface {
 	Append(rec JournalRecord) error
 }
 
-// journal appends records to the run journal. Safe for concurrent use;
-// each record is written with a single Write so concurrent appends
-// never interleave and a crash tears at most the final line.
-type journal struct {
-	mu     sync.Mutex
-	f      *os.File
-	closed bool
+func journalHeader(scale int) JournalRecord {
+	return JournalRecord{Kind: "header", Version: JournalVersion, Scale: scale}
 }
 
-// rotateName picks the backup name a superseded journal is renamed to:
-// path+".stale" when free, else the first free path+".stale.N". Earlier
-// rotations are never overwritten — a sweep that flip-flops between
-// scales keeps one numbered backup per flip for forensics.
-func rotateName(path string) string {
-	name := path + ".stale"
-	for n := 1; ; n++ {
-		if _, err := os.Lstat(name); os.IsNotExist(err) {
-			return name
+// journalReplay is the journal's replay visitor: the header must name
+// this run (same scale and format version, else the file is foreign),
+// and of the records only measurements and analyses are resumable.
+func journalReplay(scale int, records *[]JournalRecord) jsonl.Visit {
+	return func(line []byte, first bool) error {
+		var rec JournalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
 		}
-		name = fmt.Sprintf("%s.stale.%d", path, n)
+		switch {
+		case first:
+			if rec.Kind != "header" || rec.Version != JournalVersion || rec.Scale != scale {
+				return jsonl.ErrForeign
+			}
+		case rec.Kind == "result" || rec.Kind == "analysis":
+			*records = append(*records, rec)
+		}
+		return nil
 	}
 }
 
-// openJournal opens (or creates) the journal at path, replays its valid
-// prefix, and returns the journal positioned for appends plus the
-// replayed records. A header mismatch (different scale or format
-// version) rotates the old file to a numbered .stale backup and starts
-// fresh; a torn or corrupt tail is truncated away. Only unrecoverable
-// I/O errors are returned — callers degrade to journal-less operation.
-func openJournal(path string, scale int) (*journal, []JournalRecord, error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, nil, err
-		}
-	}
-	records, goodBytes, err := replayJournal(path, scale)
+// openJournal opens (or creates) the journal at path for a run at the
+// given scale and returns it positioned for appends, plus the replayed
+// records. A journal of a different run is rotated aside and a fresh
+// one gets its header. Only unrecoverable I/O errors are returned —
+// callers degrade to journal-less operation.
+func openJournal(path string, scale int) (*jsonl.Log, []JournalRecord, error) {
+	var records []JournalRecord
+	j, fresh, err := jsonl.Open(path, journalReplay(scale, &records))
 	if err != nil {
 		return nil, nil, err
 	}
-	if records == nil && goodBytes < 0 {
-		// Valid file for a different run: keep it for forensics, start
-		// a fresh journal.
-		os.Rename(path, rotateName(path))
-		goodBytes = 0
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Drop the torn tail before appending: an append after a partial
-	// final line would corrupt the first new record too.
-	if err := f.Truncate(goodBytes); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if _, err := f.Seek(goodBytes, 0); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	j := &journal{f: f}
-	if goodBytes == 0 {
-		if err := j.append(JournalRecord{Kind: "header", Version: JournalVersion, Scale: scale}); err != nil {
-			f.Close()
+	if fresh {
+		if err := j.Append(journalHeader(scale)); err != nil {
+			j.Kill()
 			return nil, nil, err
 		}
 	}
 	return j, records, nil
-}
-
-// replayJournal parses the journal's valid prefix. Returns the replayed
-// measurement records and the byte offset of the end of the last good
-// line. A missing file is (nil, 0, nil). A file whose header names a
-// different run returns goodBytes = -1 as the rotate signal.
-func replayJournal(path string, scale int) ([]JournalRecord, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, nil
-		}
-		return nil, 0, err
-	}
-	defer f.Close()
-	var (
-		records   []JournalRecord
-		goodBytes int64
-		sawHeader bool
-	)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // traces make long lines
-	for sc.Scan() {
-		line := sc.Bytes()
-		var rec JournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break // torn or corrupt tail: everything after is discarded
-		}
-		if !sawHeader {
-			if rec.Kind != "header" || rec.Version != JournalVersion || rec.Scale != scale {
-				return nil, -1, nil
-			}
-			sawHeader = true
-		} else if rec.Kind == "result" || rec.Kind == "analysis" {
-			records = append(records, rec)
-		}
-		goodBytes += int64(len(line)) + 1
-	}
-	if !sawHeader {
-		// Empty file or torn header: treat as fresh.
-		return nil, 0, nil
-	}
-	return records, goodBytes, nil
 }
 
 // ReadJournal replays the valid prefix of the journal at path for a run
@@ -183,93 +112,28 @@ func replayJournal(path string, scale int) ([]JournalRecord, int64, error) {
 // records. The sweep coordinator uses this to pre-complete cells whose
 // results survived an earlier, interrupted sweep.
 func ReadJournal(path string, scale int) ([]JournalRecord, error) {
-	records, goodBytes, err := replayJournal(path, scale)
-	if err != nil {
+	var records []JournalRecord
+	if _, err := jsonl.Read(path, journalReplay(scale, &records)); err != nil {
 		return nil, err
-	}
-	if goodBytes < 0 {
-		return nil, nil
 	}
 	return records, nil
 }
 
 // WriteJournalFile atomically writes a complete journal (header plus
-// the given records, in order) to path: temp file, fsync, rename, so a
-// crash never leaves a half-merged journal under a live name. The sweep
-// coordinator's journal-merge step uses this to fold per-worker record
-// streams into the canonical run journal.
+// the given records, in order) to path, so a crash never leaves a
+// half-merged journal under a live name. The sweep coordinator's
+// journal-merge step uses this to fold per-worker record streams into
+// the canonical run journal.
 func WriteJournalFile(path string, scale int, records []JournalRecord) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+	return jsonl.WriteFile(path, func(enc *json.Encoder) error {
+		if err := enc.Encode(journalHeader(scale)); err != nil {
 			return err
 		}
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	enc := json.NewEncoder(w) // Encode appends exactly one '\n' per record
-	if err := enc.Encode(JournalRecord{Kind: "header", Version: JournalVersion, Scale: scale}); err != nil {
-		return fail(err)
-	}
-	for _, rec := range records {
-		if err := enc.Encode(rec); err != nil {
-			return fail(err)
+		for _, rec := range records {
+			if err := enc.Encode(rec); err != nil {
+				return err
+			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return nil
-}
-
-// append writes one record as a single line. Errors are returned but
-// the journal stays usable; a failed append costs durability for that
-// record only (the measurement is still in memory).
-func (j *journal) append(rec JournalRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("journal closed")
-	}
-	_, err = j.f.Write(data)
-	return err
-}
-
-// close flushes and closes the journal; later appends fail cleanly
-// (overrun measurement goroutines may outlive RunAll).
-func (j *journal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
 		return nil
-	}
-	j.closed = true
-	if err := j.f.Sync(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
+	})
 }

@@ -57,11 +57,12 @@ func TestJournalResumeTornAtArbitraryOffsets(t *testing.T) {
 		t.Fatalf("journal has no records beyond the header (%d bytes)", len(data))
 	}
 
+	// Torn-header and torn-first-record files are internal/jsonl's
+	// cases (TestReplayOpenAppend); here the offsets are the ones where
+	// the journal's own header and record rules decide what re-executes.
 	offsets := []int{
 		0,                           // vanished journal: full cold re-run
-		headerEnd / 2,               // torn header: starts fresh
 		headerEnd,                   // header only
-		headerEnd + 1,               // first record torn at its first byte
 		(headerEnd + len(data)) / 2, // torn mid-file
 		len(data) - 1,               // final newline lost: last record torn
 		len(data),                   // clean shutdown: nothing to re-execute
@@ -316,10 +317,10 @@ func TestJournalDoubleRotationKeepsBackups(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := JournalRecord{Kind: "analysis", Bench: fmt.Sprintf("run-%d", scale)}
-		if err := j.append(rec); err != nil {
+		if err := j.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.close(); err != nil {
+		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,4 +349,138 @@ func TestJournalDoubleRotationKeepsBackups(t *testing.T) {
 	writeRun(4000)
 	assertRun(path+".stale.2", 3000)
 	assertRun(path, 4000)
+}
+
+// TestJournalLostFinalNewlineResumes is the regression pin for the
+// unterminated-tail rule: a journal that lost only its last '\n' used
+// to be "truncated" one byte past its end — extended with a NUL that
+// glued the next append onto the unterminated record, so every later
+// resume stopped there and lost everything appended since.
+func TestJournalLostFinalNewlineResumes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	const scale = 1000
+	recs := make([]JournalRecord, 4)
+	for i := range recs {
+		recs[i] = JournalRecord{Kind: "analysis", Bench: fmt.Sprintf("b%d", i)}
+	}
+	if err := WriteJournalFile(path, scale, recs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j, replayed, err := openJournal(path, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) == 0 || len(replayed) > 2 {
+		t.Fatalf("resume replayed %d records, want 1 or 2", len(replayed))
+	}
+	// The resumed run re-executes whatever did not replay, then goes on.
+	for _, rec := range recs[len(replayed):] {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j, replayed, err = openJournal(path, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	read, err := ReadJournal(path, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]JournalRecord{"openJournal": replayed, "ReadJournal": read} {
+		if len(got) != len(recs) {
+			t.Fatalf("%s replayed %d of %d records", name, len(got), len(recs))
+		}
+		for i := range got {
+			if got[i].Bench != recs[i].Bench {
+				t.Fatalf("%s record %d = %q, want %q", name, i, got[i].Bench, recs[i].Bench)
+			}
+		}
+	}
+	if data, _ = os.ReadFile(path); bytes.IndexByte(data, 0) >= 0 {
+		t.Fatalf("journal contains a NUL byte: %q", data)
+	}
+}
+
+// TestJournalFromParentCommitResumes pins on-disk compatibility: the
+// fixture was written by the pre-internal/jsonl journal code (a run,
+// its metrics snapshot, then a resumed run). It must replay the same
+// records, and a resumed append must extend it byte for byte the way
+// the old code did — no header rewrite, no version bump.
+func TestJournalFromParentCommitResumes(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent_journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const scale = 50_000
+	want := []string{"analysis gzip ", "result gzip SimPoint", "result gzip Stratified", "result mcf Full timing"}
+	check := func(name string, recs []JournalRecord) {
+		t.Helper()
+		var got []string
+		for _, r := range recs {
+			got = append(got, r.Kind+" "+r.Bench+" "+r.Policy)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s replayed %q, want %q", name, got, want)
+		}
+	}
+	read, err := ReadJournal(path, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ReadJournal", read)
+	if read[1].Result.EstIPC != 1.0471975511965976 || read[2].Result.CPIInterval == nil {
+		t.Fatalf("result payloads did not round-trip: %+v %+v", read[1].Result, read[2].Result)
+	}
+
+	j, replayed, err := openJournal(path, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("openJournal", replayed)
+	if err := j.Append(JournalRecord{Kind: "analysis", Bench: "swim"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := string(fixture) + `{"kind":"analysis","bench":"swim"}` + "\n"; string(got) != want {
+		t.Fatalf("resumed journal diverges from the parent format:\n%s", got)
+	}
+	if _, err := os.Stat(path + ".stale"); err == nil {
+		t.Fatal("parent-commit journal was rotated aside")
+	}
+
+	// Re-merging the replayed records reproduces the fixture minus its
+	// non-resumable metrics line: WriteJournalFile bytes are unchanged.
+	merged := filepath.Join(t.TempDir(), "merged.jsonl")
+	if err := WriteJournalFile(merged, scale, read); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(fixture, []byte("\n"))
+	wantMerged := bytes.Join(append(append([][]byte(nil), lines[:4]...), lines[5:]...), nil)
+	if got, _ := os.ReadFile(merged); !bytes.Equal(got, wantMerged) {
+		t.Fatalf("WriteJournalFile bytes changed:\n%s", got)
+	}
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/jsonl"
 	"repro/internal/obs"
 	"repro/internal/sampling"
 	"repro/internal/simpoint"
@@ -144,7 +145,7 @@ type Runner struct {
 	inflight   map[string]*sync.WaitGroup // bench+"\x00"+policyKey
 	failures   map[string]*CellFailure    // bench+"\x00"+policyKey
 	executions int
-	jr         *journal
+	jr         *jsonl.Log
 	sem        chan struct{}
 
 	// progMu serializes Options.Progress writes: progress lines are
@@ -267,7 +268,7 @@ func (r *Runner) Close() error {
 	if r.jr == nil {
 		return nil
 	}
-	return r.jr.close()
+	return r.jr.Close()
 }
 
 // appendRecord fans one journal record out to every configured
@@ -276,7 +277,7 @@ func (r *Runner) Close() error {
 // only — the measurement is still in memory.
 func (r *Runner) appendRecord(rec JournalRecord) {
 	if r.jr != nil {
-		if err := r.jr.append(rec); err == nil {
+		if err := r.jr.Append(rec); err == nil {
 			r.ob.appends.Inc()
 		}
 	}

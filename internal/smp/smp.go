@@ -382,7 +382,7 @@ func (s *System) DynamicSample(metric vm.Metric, sensitivityPct float64, interva
 // shared-L2 summary as a deterministic text artifact. Floats carry
 // both a readable decimal and an exact hexadecimal rendering, so a
 // byte-compare of two reports is a bit-compare of the runs; the
-// equivalence harness and cmd/smpbench both render through here.
+// equivalence harness (internal/check) renders through here.
 func (s *System) Report(ests []Estimate) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "smp system: %d guests, quantum %d\n", len(s.guests), s.cfg.Quantum)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/jsonl"
 	"repro/internal/obs"
 )
 
@@ -54,8 +55,7 @@ type cellState struct {
 	done       bool
 	leaseID    uint64 // 0 = not currently leased
 	expiry     time.Time
-	granted    time.Time // when the current lease was issued
-	deliveries int       // times leased so far
+	deliveries int // times leased so far
 }
 
 // Coordinator is the sweep's single point of truth: the lease state
@@ -80,11 +80,7 @@ type Coordinator struct {
 	epoch uint64
 	// wal, when non-nil, makes every lease grant, record append, and
 	// completion durable before it is acknowledged.
-	wal *wal
-	// durSum/durN accumulate lease-grant→completion durations for the
-	// /v1/status autoscaling hints.
-	durSum time.Duration
-	durN   int
+	wal *jsonl.Log
 }
 
 // CoordStats counts coordinator activity; the equivalence harness
@@ -162,7 +158,7 @@ func NewWALCoordinator(cfg Config, walPath string, prior []experiments.JournalRe
 
 // newCoordinator is the shared builder behind both constructors.
 func newCoordinator(cfg Config, prior []experiments.JournalRecord, reg *obs.Registry,
-	w *wal, st walState) (*Coordinator, error) {
+	w *jsonl.Log, st walState) (*Coordinator, error) {
 	cfg.setDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
@@ -239,7 +235,7 @@ func (c *Coordinator) CheckEpoch(epoch uint64) error {
 // not call back into the coordinator.
 func (c *Coordinator) SetWALHook(fn func(n uint64)) {
 	if c.wal != nil {
-		c.wal.setHook(fn)
+		c.wal.SetHook(fn)
 	}
 }
 
@@ -248,7 +244,7 @@ func (c *Coordinator) SetWALHook(fn func(n uint64)) {
 // The object must be abandoned; a successor may reopen the WAL path.
 func (c *Coordinator) Kill() {
 	if c.wal != nil {
-		c.wal.kill()
+		c.wal.Kill()
 	}
 }
 
@@ -258,7 +254,7 @@ func (c *Coordinator) CloseWAL() error {
 	if c.wal == nil {
 		return nil
 	}
-	return c.wal.close()
+	return c.wal.Close()
 }
 
 // logWAL appends one entry when a WAL is attached; the zero error of an
@@ -267,7 +263,7 @@ func (c *Coordinator) logWAL(e walEntry) error {
 	if c.wal == nil {
 		return nil
 	}
-	if err := c.wal.append(e); err != nil {
+	if err := c.wal.Append(e); err != nil {
 		c.stats.WALErrors++
 		return fmt.Errorf("%w: %v", ErrWAL, err)
 	}
@@ -322,7 +318,6 @@ func (c *Coordinator) Claim(worker string, now time.Time) (lease *Lease, done bo
 		c.nextID++
 		st.leaseID = c.nextID
 		st.expiry = now.Add(c.cfg.LeaseTTL)
-		st.granted = now
 		delivery := st.deliveries
 		st.deliveries++
 		c.leases[st.leaseID] = st
@@ -429,10 +424,6 @@ func (c *Coordinator) Complete(id uint64, recs []experiments.JournalRecord, now 
 	c.stats.Done++
 	c.stats.Completions++
 	c.ob.completions.Inc()
-	if !st.granted.IsZero() {
-		c.durSum += now.Sub(st.granted)
-		c.durN++
-	}
 	c.gaugesLocked()
 	return nil
 }
@@ -489,44 +480,6 @@ func (c *Coordinator) Stats() CoordStats {
 	st := c.stats
 	st.Leased = len(c.leases)
 	return st
-}
-
-// Autoscale is the /v1/status hint block: a point-in-time queue/
-// throughput summary an external scaler can act on without
-// understanding lease mechanics. Field names are wire format — the
-// JSON-shape test in http_test.go pins them.
-type Autoscale struct {
-	Pending          int     `json:"pending"`           // cells neither done nor leased
-	Leased           int     `json:"leased"`            // cells currently leased out
-	Completed        int     `json:"completed"`         // cells done
-	MeanCellSeconds  float64 `json:"mean_cell_seconds"` // mean grant→completion duration; 0 until the first completion
-	SuggestedWorkers int     `json:"suggested_workers"` // 0 once the sweep is finished
-}
-
-// AutoscaleHints computes the /v1/status autoscaling block. The
-// suggestion is deliberately simple: enough workers to drain the
-// remaining cells in about four grant→completion rounds, clamped to
-// [1, remaining] — cells are coarse units, and provisioning past the
-// remaining count only burns leases.
-func (c *Coordinator) AutoscaleHints() Autoscale {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a := Autoscale{
-		Pending:   c.stats.Cells - c.stats.Done - len(c.leases),
-		Leased:    len(c.leases),
-		Completed: c.stats.Done,
-	}
-	if c.durN > 0 {
-		a.MeanCellSeconds = c.durSum.Seconds() / float64(c.durN)
-	}
-	if remaining := c.stats.Cells - c.stats.Done; remaining > 0 {
-		suggested := (remaining + 3) / 4
-		if suggested < 1 {
-			suggested = 1
-		}
-		a.SuggestedWorkers = suggested
-	}
-	return a
 }
 
 // Merged folds the accepted records into canonical journal order: for

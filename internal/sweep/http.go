@@ -177,9 +177,8 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	st := struct {
 		Coordinator CoordStats  `json:"coordinator"`
-		Autoscale   Autoscale   `json:"autoscale"`
 		Ckpt        *ckpt.Stats `json:"ckpt,omitempty"`
-	}{Coordinator: s.coord.Stats(), Autoscale: s.coord.AutoscaleHints()}
+	}{Coordinator: s.coord.Stats()}
 	if s.store != nil {
 		cs := s.store.Stats()
 		st.Ckpt = &cs

@@ -11,88 +11,82 @@ import (
 	"time"
 )
 
-// TestStatusAutoscaleShape pins the /v1/status wire shape external
-// autoscalers consume: the autoscale block exists, carries exactly the
-// documented keys, and its numbers track the lease state machine.
-// Key-set equality (not subset) makes any rename or removal a test
-// failure — the shape is an API.
-func TestStatusAutoscaleShape(t *testing.T) {
+// TestStatusShape pins the /v1/status wire shape: exactly the
+// coordinator counter block (plus "ckpt" when a store is attached),
+// carrying exactly the CoordStats keys, with numbers that track the
+// lease state machine. Key-set equality (not subset) makes any rename
+// or removal a test failure — the shape is an API.
+func TestStatusShape(t *testing.T) {
 	coord := NewCoordinator(testConfig(), nil, nil)
 	ts := httptest.NewServer(NewServer(coord, nil, nil, nil).Handler())
 	defer ts.Close()
 
-	fetch := func() map[string]json.RawMessage {
+	keys := func(raw json.RawMessage) []string {
+		t.Helper()
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, 0, len(m))
+		for k := range m {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return out
+	}
+	fetch := func() (json.RawMessage, CoordStats) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/v1/status")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var top map[string]json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&top); err != nil {
+		var body json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 			t.Fatal(err)
 		}
-		return top
-	}
-
-	top := fetch()
-	for _, key := range []string{"coordinator", "autoscale"} {
-		if _, ok := top[key]; !ok {
-			t.Fatalf("/v1/status missing %q: %v", key, top)
+		var top struct {
+			Coordinator CoordStats `json:"coordinator"`
 		}
+		if err := json.Unmarshal(body, &top); err != nil {
+			t.Fatal(err)
+		}
+		return body, top.Coordinator
 	}
 
-	var auto map[string]json.RawMessage
-	if err := json.Unmarshal(top["autoscale"], &auto); err != nil {
+	body, st := fetch()
+	if got, want := keys(body), []string{"coordinator"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("/v1/status keys = %v, want %v (the shape is an API)", got, want)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(body, &top); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]string, 0, len(auto))
-	for k := range auto {
-		got = append(got, k)
-	}
-	sort.Strings(got)
-	want := []string{"completed", "leased", "mean_cell_seconds", "pending", "suggested_workers"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("autoscale keys = %v, want %v (the shape is an API)", got, want)
-	}
-
-	var a Autoscale
-	if err := json.Unmarshal(top["autoscale"], &a); err != nil {
-		t.Fatal(err)
+	want := []string{"Cells", "Claims", "Completions", "Done", "DupRecords", "Epoch", "EpochDrops", "Leased",
+		"Records", "Reissues", "Replayed", "Restored", "StaleDrops", "WALErrors"}
+	if got := keys(top["coordinator"]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("coordinator keys = %v, want %v (the shape is an API)", got, want)
 	}
 	cells := len(testConfig().Cells())
-	if a.Pending != cells || a.Leased != 0 || a.Completed != 0 {
-		t.Fatalf("fresh sweep autoscale = %+v, want %d pending", a, cells)
-	}
-	if a.SuggestedWorkers < 1 || a.SuggestedWorkers > cells {
-		t.Fatalf("suggested workers %d outside [1, %d]", a.SuggestedWorkers, cells)
-	}
-	if a.MeanCellSeconds != 0 {
-		t.Fatalf("mean duration %v before any completion", a.MeanCellSeconds)
+	if st.Cells != cells || st.Done != 0 || st.Leased != 0 || st.Epoch != 1 {
+		t.Fatalf("fresh sweep status = %+v, want %d cells, none done", st, cells)
 	}
 
-	// Drive one cell through grant → completion with a synthetic clock
-	// and watch the hints move.
+	// Drive one cell through grant → completion and watch the counters
+	// move.
 	t0 := time.Unix(1000, 0)
 	lease, _ := coord.Claim("w", t0)
 	if lease == nil {
 		t.Fatal("no lease")
 	}
+	if _, st = fetch(); st.Leased != 1 || st.Claims != 1 {
+		t.Fatalf("after one claim: %+v", st)
+	}
 	if err := coord.Complete(lease.ID, recordsFor(lease.Cell), t0.Add(2*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	var after Autoscale
-	if err := json.Unmarshal(fetch()["autoscale"], &after); err != nil {
-		t.Fatal(err)
-	}
-	if after.Completed != 1 || after.Pending != cells-1 {
-		t.Fatalf("after one completion: %+v", after)
-	}
-	if after.MeanCellSeconds != 2.0 {
-		t.Fatalf("mean cell seconds = %v, want 2", after.MeanCellSeconds)
-	}
-	if after.SuggestedWorkers > cells-1 {
-		t.Fatalf("suggested %d workers for %d remaining cells", after.SuggestedWorkers, cells-1)
+	if _, st = fetch(); st.Done != 1 || st.Completions != 1 || st.Leased != 0 {
+		t.Fatalf("after one completion: %+v", st)
 	}
 }
 

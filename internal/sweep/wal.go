@@ -1,14 +1,10 @@
 package sweep
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"repro/internal/experiments"
+	"repro/internal/jsonl"
 )
 
 // The coordinator write-ahead log makes the lease service crash-safe:
@@ -19,11 +15,9 @@ import (
 // the per-cell delivery counts, and the lease-ID high-water mark, and
 // re-leases only what is genuinely unfinished.
 //
-// The file reuses the run journal's torn-tail discipline
-// (internal/experiments): each entry is one JSON line written with a
-// single Write, replay stops at the first unparsable line, and the tail
-// past it is truncated before new appends. A crash therefore tears at
-// most the final entry; everything acknowledged before it survives.
+// The file is an internal/jsonl append log, like the run journal: a
+// crash tears at most the final entry, and everything acknowledged
+// before it survives.
 //
 // Each coordinator incarnation opens the WAL by appending an "epoch"
 // entry whose number is one past the largest epoch already present.
@@ -45,10 +39,10 @@ type walEntry struct {
 	Scale   int    `json:"scale,omitempty"`
 	Epoch   uint64 `json:"epoch,omitempty"`
 
-	Lease    uint64                      `json:"lease,omitempty"`
-	Cell     *Cell                       `json:"cell,omitempty"`
-	Delivery int                         `json:"delivery,omitempty"`
-	Record   *experiments.JournalRecord  `json:"record,omitempty"`
+	Lease    uint64                     `json:"lease,omitempty"`
+	Cell     *Cell                      `json:"cell,omitempty"`
+	Delivery int                        `json:"delivery,omitempty"`
+	Record   *experiments.JournalRecord `json:"record,omitempty"`
 }
 
 // walState is everything a restarted coordinator rebuilds from replay.
@@ -58,140 +52,60 @@ type walState struct {
 	completed  []Cell                      // cells with a completion entry
 	deliveries map[Cell]int                // grants per cell, across all epochs
 	nextID     uint64                      // lease-ID high-water mark
-	entries    int                         // valid entries replayed
 }
 
-// wal appends coordinator state transitions durably. Safe for
-// concurrent use. Appends after Kill fail, modelling SIGKILL: the dead
-// incarnation cannot corrupt the file its successor replays.
-type wal struct {
-	mu     sync.Mutex
-	f      *os.File
-	killed bool
-	n      uint64       // entries appended by this incarnation
-	hook   func(uint64) // called (outside mu) after each durable append
-}
-
-// openWAL opens (or creates) the coordinator WAL at path, replays its
-// valid prefix, truncates any torn tail, and appends the epoch entry
-// for this incarnation (replayed epoch + 1). A file belonging to a
-// different run — format version or scale mismatch — is rotated to a
-// .stale backup exactly like the run journal, and the WAL starts fresh.
-func openWAL(path string, scale int) (*wal, walState, error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, walState{}, err
-		}
-	}
-	st, goodBytes, err := replayWAL(path, scale)
+// openWAL opens (or creates) the coordinator WAL at path, replays it,
+// and appends the epoch entry for this incarnation (replayed epoch +
+// 1). A WAL of a different run — format version or scale mismatch — is
+// rotated aside and this one starts fresh.
+func openWAL(path string, scale int) (*jsonl.Log, walState, error) {
+	st := walState{deliveries: make(map[Cell]int)}
+	w, _, err := jsonl.Open(path, st.fold(scale))
 	if err != nil {
 		return nil, walState{}, err
 	}
-	if goodBytes < 0 {
-		// Valid WAL for a different run: keep for forensics, start fresh.
-		os.Rename(path, walRotateName(path))
-		st = walState{deliveries: make(map[Cell]int)}
-		goodBytes = 0
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, walState{}, err
-	}
-	// Drop the torn tail before appending, or the first new entry would
-	// be corrupted too.
-	if err := f.Truncate(goodBytes); err != nil {
-		f.Close()
-		return nil, walState{}, err
-	}
-	if _, err := f.Seek(goodBytes, 0); err != nil {
-		f.Close()
-		return nil, walState{}, err
-	}
-	w := &wal{f: f}
 	st.epoch++
-	if err := w.append(walEntry{Kind: "epoch", Version: walVersion, Scale: scale, Epoch: st.epoch}); err != nil {
-		f.Close()
+	if err := w.Append(walEntry{Kind: "epoch", Version: walVersion, Scale: scale, Epoch: st.epoch}); err != nil {
+		w.Kill()
 		return nil, walState{}, err
 	}
 	return w, st, nil
 }
 
-// walRotateName picks the backup name a superseded WAL is renamed to.
-func walRotateName(path string) string {
-	name := path + ".stale"
-	for n := 1; ; n++ {
-		if _, err := os.Lstat(name); os.IsNotExist(err) {
-			return name
-		}
-		name = fmt.Sprintf("%s.stale.%d", path, n)
-	}
-}
-
-// replayWAL parses the WAL's valid prefix into the recovered state and
-// the byte offset of the end of the last good line. A missing file is a
-// fresh state at offset 0. A first entry naming a different run returns
-// goodBytes = -1 as the rotate signal. Unparsable or torn lines end the
-// replay; out-of-protocol but parsable entries (unknown kinds, grants
+// fold returns the replay visitor that folds WAL entries into st. The
+// first entry must be an epoch entry naming this run, else the file is
+// foreign. Out-of-protocol but parsable entries (unknown kinds, grants
 // without cells) are skipped rather than fatal — the WAL is an append
 // path for exactly one writer, so damage beyond a torn tail means the
 // operator copied files around, and salvaging the parsable prefix beats
 // refusing to start.
-func replayWAL(path string, scale int) (walState, int64, error) {
-	st := walState{deliveries: make(map[Cell]int)}
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return st, 0, nil
+func (st *walState) fold(scale int) jsonl.Visit {
+	grants := make(map[uint64]Cell) // live (granted, not yet completed) leases
+	completed := make(map[Cell]bool)
+	complete := func(cell Cell) {
+		if !completed[cell] {
+			completed[cell] = true
+			st.completed = append(st.completed, cell)
 		}
-		return st, 0, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return st, 0, err
-	}
-
-	var (
-		goodBytes int64
-		sawEpoch  bool
-		grants    = make(map[uint64]Cell) // live (ungranted-yet-uncompleted) leases
-		completed = make(map[Cell]bool)
-	)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if goodBytes+int64(len(line))+1 > fi.Size() {
-			// Final line unterminated: even if it parses, treat it as
-			// torn — the writer emits whole '\n'-terminated lines, so an
-			// unterminated tail is by definition a partial (host-crash)
-			// write, and keeping it would glue the next append onto it.
-			break
-		}
+	return func(line []byte, first bool) error {
 		var e walEntry
 		if err := json.Unmarshal(line, &e); err != nil {
-			break // torn tail: everything after is discarded
+			return err
 		}
-		if !sawEpoch {
-			if e.Kind != "epoch" || e.Version != walVersion || e.Scale != scale {
-				return walState{}, -1, nil
-			}
-			sawEpoch = true
+		if first && (e.Kind != "epoch" || e.Version != walVersion || e.Scale != scale) {
+			return jsonl.ErrForeign
 		}
 		switch e.Kind {
 		case "epoch":
-			if e.Epoch > st.epoch {
-				st.epoch = e.Epoch
-			}
+			st.epoch = max(st.epoch, e.Epoch)
 			// A new epoch orphans every live lease of the previous one.
-			grants = make(map[uint64]Cell)
+			clear(grants)
 		case "grant":
 			if e.Cell != nil {
 				grants[e.Lease] = *e.Cell
 				st.deliveries[*e.Cell]++
-				if e.Lease > st.nextID {
-					st.nextID = e.Lease
-				}
+				st.nextID = max(st.nextID, e.Lease)
 			}
 		case "expire":
 			delete(grants, e.Lease)
@@ -202,86 +116,11 @@ func replayWAL(path string, scale int) (walState, int64, error) {
 		case "complete":
 			if cell, ok := grants[e.Lease]; ok {
 				delete(grants, e.Lease)
-				if !completed[cell] {
-					completed[cell] = true
-					st.completed = append(st.completed, cell)
-				}
-			} else if e.Cell != nil && !completed[*e.Cell] {
-				completed[*e.Cell] = true
-				st.completed = append(st.completed, *e.Cell)
+				complete(cell)
+			} else if e.Cell != nil {
+				complete(*e.Cell)
 			}
 		}
-		st.entries++
-		goodBytes += int64(len(line)) + 1
-	}
-	if !sawEpoch {
-		// Empty file or torn first line: treat as fresh.
-		return walState{deliveries: make(map[Cell]int)}, 0, nil
-	}
-	return st, goodBytes, nil
-}
-
-// append writes one entry as a single line, then (outside the lock)
-// reports the entry count to the kill hook. A non-nil error means the
-// entry is NOT durable and the caller must not acknowledge the
-// operation it logs.
-func (w *wal) append(e walEntry) error {
-	data, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	w.mu.Lock()
-	if w.killed {
-		w.mu.Unlock()
-		return fmt.Errorf("sweep: wal killed")
-	}
-	if _, err := w.f.Write(data); err != nil {
-		w.mu.Unlock()
-		return err
-	}
-	w.n++
-	n, hook := w.n, w.hook
-	w.mu.Unlock()
-	if hook != nil {
-		hook(n)
-	}
-	return nil
-}
-
-// setHook installs the chaos harness's per-append callback; n is the
-// number of entries this incarnation has appended. The hook runs after
-// the entry is durable and must not call back into the coordinator.
-func (w *wal) setHook(fn func(uint64)) {
-	w.mu.Lock()
-	w.hook = fn
-	w.mu.Unlock()
-}
-
-// kill simulates SIGKILL: the file handle closes without sync and every
-// later append fails. The successor incarnation may then reopen the
-// path safely — the two can never interleave writes.
-func (w *wal) kill() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.killed {
-		return
-	}
-	w.killed = true
-	w.f.Close()
-}
-
-// close flushes and closes the WAL at clean shutdown.
-func (w *wal) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.killed {
 		return nil
 	}
-	w.killed = true
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
 }

@@ -4,10 +4,21 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/jsonl"
 )
+
+// replayWAL folds the WAL at path read-only, the way openWAL replays it,
+// and returns the state plus the length of the valid prefix.
+func replayWAL(path string, scale int) (walState, int64, error) {
+	st := walState{deliveries: make(map[Cell]int)}
+	good, err := jsonl.Read(path, st.fold(scale))
+	return st, good, err
+}
 
 // walCoord opens a WAL-backed coordinator for the standard test config
 // against path.
@@ -304,5 +315,62 @@ func TestWALGrantRevertedOnAppendFailure(t *testing.T) {
 	}
 	if !strings.Contains(ErrWAL.Error(), "wal") {
 		t.Fatal("sanity")
+	}
+}
+
+// TestWALFromParentCommitResumes pins on-disk compatibility: the
+// fixture was written by the pre-internal/jsonl WAL code across two
+// killed incarnations (three completed cells, and one whose record
+// arrived but whose lease then expired and was re-granted). It must fold to
+// the same state and be extended with exactly the next epoch entry.
+func TestWALFromParentCommitResumes(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "coord.wal")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, good, err := replayWAL(path, testConfig().Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if good != int64(len(fixture)) {
+		t.Fatalf("valid prefix %d of %d bytes", good, len(fixture))
+	}
+	wantDone := []Cell{{"gzip", "Full timing"}, {"gzip", "SMARTS"}, {"gzip", "SimPoint*"}}
+	if !reflect.DeepEqual(st.completed, wantDone) {
+		t.Fatalf("completed = %v, want %v", st.completed, wantDone)
+	}
+	wantDeliveries := map[Cell]int{wantDone[0]: 1, wantDone[1]: 1, wantDone[2]: 2, {"gzip", "CPU-300-1M-∞"}: 2}
+	if st.epoch != 2 || st.nextID != 6 || len(st.records) != 6 || !reflect.DeepEqual(st.deliveries, wantDeliveries) {
+		t.Fatalf("folded state = epoch %d nextID %d records %d deliveries %v",
+			st.epoch, st.nextID, len(st.records), st.deliveries)
+	}
+
+	c := walCoord(t, path)
+	// The fourth cell's record set survived without its completion
+	// entry: done, but counted as replayed rather than restored.
+	if s := c.Stats(); c.Epoch() != 3 || s.Restored != 3 || s.Replayed != 1 || s.Done != 4 || s.Records != 6 {
+		t.Fatalf("restarted coordinator: epoch %d stats %+v", c.Epoch(), s)
+	}
+	lease, _ := c.Claim("w", time.Unix(1000, 0))
+	if lease == nil || lease.ID != 7 || lease.Cell != c.cells[4] || lease.Delivery != 0 {
+		t.Fatalf("first lease after restart = %+v", lease)
+	}
+	if err := c.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(fixture) +
+		`{"kind":"epoch","version":1,"scale":2000,"epoch":3}` + "\n" +
+		`{"kind":"grant","epoch":3,"lease":7,"cell":{"bench":"gzip","policy":"Strat-K6-n48-s17"}}` + "\n"
+	if string(got) != want {
+		t.Fatalf("resumed WAL diverges from the parent format:\n%s", got[len(fixture):])
 	}
 }
