@@ -171,3 +171,82 @@ func TestBadGeometryPanics(t *testing.T) {
 	}()
 	New(Config{GshareEntries: 1000})
 }
+
+// TestDigestPinsPredictorState: equal streams give equal digests, and
+// each component of the state — counters, history, BTB, RAS contents,
+// RAS top, statistics — moves the digest on its own.
+func TestDigestPinsPredictorState(t *testing.T) {
+	a, b := New(Config{}), New(Config{})
+	if a.Digest() != b.Digest() {
+		t.Fatal("fresh identical predictors have different digests")
+	}
+	feed := func(p *Predictor) {
+		for i := uint64(0); i < 500; i++ {
+			p.OnBranch(0x1000+i%7*8, i%3 == 0)
+			if i%11 == 0 {
+				p.OnCall(0x2000 + i*8)
+				p.OnTarget(0x3000+i%5*8, 0x4000+i%2*64)
+			}
+			if i%13 == 0 {
+				p.OnReturn(0x2000 + i*8)
+			}
+		}
+	}
+	feed(a)
+	feed(b)
+	if a.Digest() != b.Digest() {
+		t.Fatal("identical streams produced different digests")
+	}
+	base := a.Digest()
+	for name, mutate := range map[string]func(p *Predictor){
+		"counter":    func(p *Predictor) { p.counters[5] ^= 1 },
+		"history":    func(p *Predictor) { p.history ^= 1 },
+		"btb tag":    func(p *Predictor) { p.btbTags[9]++ },
+		"btb target": func(p *Predictor) { p.btbTargets[9]++ },
+		"ras entry":  func(p *Predictor) { p.ras[3]++ },
+		"ras top":    func(p *Predictor) { p.rasTop = (p.rasTop + 1) % len(p.ras) },
+		"stats":      func(p *Predictor) { p.stats.Returns++ },
+	} {
+		p := New(Config{})
+		feed(p)
+		mutate(p)
+		if p.Digest() == base {
+			t.Errorf("digest blind to %s", name)
+		}
+	}
+}
+
+// TestRASWrapMatchesModulo checks the stack pointer against the modular
+// definition — top = (top ± 1) mod depth — through long unbalanced
+// call/return runs that wrap in both directions, for depths that are
+// and are not powers of two.
+func TestRASWrapMatchesModulo(t *testing.T) {
+	for _, depth := range []int{1, 3, 16} {
+		p := New(Config{RASEntries: depth})
+		ref := make([]uint64, depth)
+		top := 0
+		x := uint64(depth)
+		for i := 0; i < 5000; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			// Runs of calls, then runs of returns, lengths up to 40.
+			if (x>>40)%80 < 40 == (i/50%2 == 0) {
+				ra := x >> 8
+				p.OnCall(ra)
+				ref[top] = ra
+				top = (top + 1) % depth
+			} else {
+				top = (top - 1 + depth) % depth
+				want := ref[top]
+				if x&1 == 0 {
+					want++ // a return that must mispredict
+				}
+				if got := p.OnReturn(want); got != (want != ref[top]) {
+					t.Fatalf("depth %d step %d: mispredicted=%v, want %v", depth, i, got, want != ref[top])
+				}
+			}
+			if p.rasTop != top {
+				t.Fatalf("depth %d step %d: rasTop %d, want %d", depth, i, p.rasTop, top)
+			}
+		}
+	}
+}

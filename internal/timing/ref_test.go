@@ -1,45 +1,42 @@
 package timing
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
+
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/vm"
 )
 
-// fuKind indexes the functional-unit pools.
-type fuKind int
-
-const (
-	fuInt fuKind = iota
-	fuMem
-	fuFP
-	numFU
-)
-
-// Core is the out-of-order core timing model. It consumes the VM's
-// instruction event stream (it implements vm.Sink) and advances a cycle
-// model; interval IPC is read through Markers.
-type Core struct {
+// refCore is the timing model's oracle: the straightforward per-event
+// formulation of the detail model (one method call per pipeline stage,
+// every index wrapped with %, the isa predicates called directly, a
+// linear scan for the earliest-free functional unit), on its own cache,
+// TLB and predictor instances. The production Core processes batches
+// with its state in locals; the differential tests in diff_test.go feed
+// both the same events and require equal state after every batch.
+//
+// Keep this body obvious. It is the definition the batch body is
+// checked against, so it must never share an optimisation with it.
+type refCore struct {
 	cfg  Config
 	pred *branch.Predictor
 
 	l1i, l1d, l2      *cache.Cache
 	itlb, dtlb, l2tlb *cache.TLB
 
-	// Fetch state.
 	fetchCursor   uint64
 	fetchedInCyc  int
 	lastFetchLine uint64
 
-	// Retirement state.
 	retireCycle  uint64
 	retiredInCyc int
 
-	// Register scoreboard: cycle at which each register's value is ready.
 	regReady [isa.NumRegs]uint64
 
-	// Occupancy rings: cycle at which the entry frees.
 	rob     []uint64
 	robIdx  int
 	loadQ   []uint64
@@ -47,10 +44,8 @@ type Core struct {
 	storeQ  []uint64
 	stIdx   int
 
-	// Functional-unit pools: next-free cycle per unit.
 	fu [numFU][]uint64
 
-	// Counters.
 	instrs      uint64
 	loads       uint64
 	stores      uint64
@@ -59,14 +54,12 @@ type Core struct {
 	byClass     [isa.NumClasses]uint64
 }
 
-// NewCore builds a core with the given configuration (zero Config fields
-// are not defaulted; use DefaultConfig).
-func NewCore(cfg Config) *Core {
+func newRefCore(cfg Config) *refCore {
 	l2 := cfg.SharedL2
 	if l2 == nil {
 		l2 = cache.New(cfg.L2)
 	}
-	c := &Core{
+	c := &refCore{
 		cfg:    cfg,
 		pred:   branch.New(branch.Default()),
 		l1i:    cache.New(cfg.L1I),
@@ -86,79 +79,7 @@ func NewCore(cfg Config) *Core {
 	return c
 }
 
-// Config returns the core configuration.
-func (c *Core) Config() Config { return c.cfg }
-
-// Predictor exposes the branch predictor (for statistics).
-func (c *Core) Predictor() *branch.Predictor { return c.pred }
-
-// CacheStats returns (L1I, L1D, L2) statistics.
-func (c *Core) CacheStats() (l1i, l1d, l2 cache.Stats) {
-	return c.l1i.Stats(), c.l1d.Stats(), c.l2.Stats()
-}
-
-// TLBStats returns (ITLB, DTLB, L2TLB) statistics.
-func (c *Core) TLBStats() (itlb, dtlb, l2tlb cache.Stats) {
-	return c.itlb.Stats(), c.dtlb.Stats(), c.l2tlb.Stats()
-}
-
-// Marker is a point in simulated time.
-type Marker struct {
-	Cycles uint64
-	Instrs uint64
-}
-
-// Marker returns the current simulated position.
-func (c *Core) Marker() Marker { return Marker{Cycles: c.retireCycle, Instrs: c.instrs} }
-
-// IPC returns instructions per cycle between two markers (0 if no cycles
-// elapsed).
-func IPC(from, to Marker) float64 {
-	dc := to.Cycles - from.Cycles
-	di := to.Instrs - from.Instrs
-	if dc == 0 {
-		return 0
-	}
-	return float64(di) / float64(dc)
-}
-
-// Mispredicts returns the cumulative full-penalty redirect count.
-func (c *Core) Mispredicts() uint64 { return c.mispredicts }
-
-// Snapshot is the timing-visible state of a core at one instant: the
-// simulated clock, every retirement counter, the statistics and
-// replacement-state digests of each cache and TLB level, and the branch
-// predictor's state digest. It is a
-// comparable value, so two cores that consumed observationally
-// identical event streams — against identical shared-L2 schedules —
-// have equal Snapshots. The SMP equivalence harness compares parallel
-// and sequential schedules through this surface; any divergence in
-// cycle accounting, cache contents, or replacement order shows up as a
-// field difference.
-type Snapshot struct {
-	Cycles      uint64
-	Instrs      uint64
-	Loads       uint64
-	Stores      uint64
-	Mispredicts uint64
-	Flushes     uint64
-	ByClass     [isa.NumClasses]uint64
-
-	L1I, L1D, L2      cache.Stats
-	ITLB, DTLB, L2TLB cache.Stats
-
-	// Digests cover tag state and LRU order, not just counters. L2 is
-	// the shared cache's digest when the core was built with one, so a
-	// multi-core snapshot set pins the interleaved shared-L2 schedule.
-	L1IDigest, L1DDigest, L2Digest      uint64
-	ITLBDigest, DTLBDigest, L2TLBDigest uint64
-	// PredDigest covers the predictor's counters, history, BTB, RAS and
-	// statistics (branch.Predictor.Digest).
-	PredDigest uint64
-}
-
-// Snapshot captures the core's timing-visible state.
-func (c *Core) Snapshot() Snapshot {
+func (c *refCore) Snapshot() Snapshot {
 	return Snapshot{
 		Cycles:      c.retireCycle,
 		Instrs:      c.instrs,
@@ -183,16 +104,9 @@ func (c *Core) Snapshot() Snapshot {
 	}
 }
 
-// ClassCounts returns the cumulative retired-instruction counts by
-// instruction class (the power model's activity factors).
-func (c *Core) ClassCounts() [isa.NumClasses]uint64 { return c.byClass }
-
-// Instructions returns the cumulative instruction count seen in detail.
-func (c *Core) Instructions() uint64 { return c.instrs }
-
 // dmemLatency computes a load's total latency through DTLB and the data
 // cache hierarchy.
-func (c *Core) dmemLatency(addr uint64) int {
+func (c *refCore) dmemLatency(addr uint64) int {
 	lat := c.cfg.L1Lat
 	if !c.dtlb.Access(addr) {
 		if c.l2tlb.Access(addr) {
@@ -213,7 +127,7 @@ func (c *Core) dmemLatency(addr uint64) int {
 
 // ifetch charges instruction-fetch latency when the fetch stream crosses
 // into a new cache line.
-func (c *Core) ifetch(pc uint64) {
+func (c *refCore) ifetch(pc uint64) {
 	line := pc >> 6
 	if line == c.lastFetchLine {
 		return
@@ -242,7 +156,7 @@ func (c *Core) ifetch(pc uint64) {
 
 // issueOn picks the earliest-free unit in a pool and occupies it from
 // the issue cycle for busy cycles. It returns the issue cycle.
-func (c *Core) issueOn(pool fuKind, ready uint64, busy int) uint64 {
+func (c *refCore) issueOn(pool fuKind, ready uint64, busy int) uint64 {
 	units := c.fu[pool]
 	best := 0
 	for i := 1; i < len(units); i++ {
@@ -258,20 +172,8 @@ func (c *Core) issueOn(pool fuKind, ready uint64, busy int) uint64 {
 	return issue
 }
 
-// OnEvents processes a batch of retired instructions in full detail.
-// It implements vm.BatchSink, so a Core handed to vm.Machine.Run
-// receives events in slices rather than one virtual call per
-// instruction; the model itself is strictly per-instruction, so the
-// result is identical to per-event delivery.
-func (c *Core) OnEvents(evs []vm.Event) {
-	for i := range evs {
-		c.OnEvent(&evs[i])
-	}
-}
-
-// OnEvent processes one retired instruction in full detail. It
-// implements vm.Sink, so a Core can be handed directly to vm.Machine.Run.
-func (c *Core) OnEvent(ev *vm.Event) {
+// OnEvent processes one retired instruction in full detail.
+func (c *refCore) OnEvent(ev *vm.Event) {
 	cfg := &c.cfg
 
 	// --- Fetch ---
@@ -420,25 +322,9 @@ func (c *Core) OnEvent(ev *vm.Event) {
 	c.byClass[ev.Class]++
 }
 
-// warmSink adapts the core to functional-warming mode: caches, TLBs and
-// branch predictor are updated from the event stream, but no cycles are
-// modelled. This is what SMARTS does between sampling units.
-type warmSink struct{ c *Core }
-
-// WarmSink returns a vm.Sink that performs functional warming only.
-// The returned sink also implements vm.BatchSink for batched delivery.
-func (c *Core) WarmSink() vm.Sink { return warmSink{c} }
-
-// OnEvents warms from a batch of events.
-func (w warmSink) OnEvents(evs []vm.Event) {
-	for i := range evs {
-		w.OnEvent(&evs[i])
-	}
-}
-
-// OnEvent updates stateful structures without timing.
-func (w warmSink) OnEvent(ev *vm.Event) {
-	c := w.c
+// warm is the reference functional-warming body: stateful structures
+// are updated from the event, no cycles are modelled.
+func (c *refCore) warm(ev *vm.Event) {
 	line := ev.PC >> 6
 	if line != c.lastFetchLine {
 		c.lastFetchLine = line
@@ -472,4 +358,48 @@ func (w warmSink) OnEvent(ev *vm.Event) {
 	case isa.ClassSys:
 		c.lastFetchLine = ^uint64(0)
 	}
+}
+
+// sortedUnits returns a pool's free times in ascending order. Which
+// unit holds which free time is not timing-visible — an instruction
+// takes the earliest-free unit — so pools compare as multisets.
+func sortedUnits(u []uint64) []uint64 {
+	s := append([]uint64(nil), u...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s
+}
+
+// diffState compares everything the model carries from one event to the
+// next: the Snapshot surface plus the pipeline state Snapshot does not
+// export (fetch cursor, scoreboard, occupancy rings, unit pools). It
+// returns "" when the core and the reference agree.
+func diffState(c *Core, r *refCore) string {
+	if cs, rs := c.Snapshot(), r.Snapshot(); cs != rs {
+		return fmt.Sprintf("snapshot:\n core %+v\n ref  %+v", cs, rs)
+	}
+	type scalar struct {
+		name      string
+		core, ref interface{}
+	}
+	for _, s := range []scalar{
+		{"fetchCursor", c.fetchCursor, r.fetchCursor},
+		{"fetchedInCyc", c.fetchedInCyc, r.fetchedInCyc},
+		{"lastFetchLine", c.lastFetchLine, r.lastFetchLine},
+		{"retiredInCyc", c.retiredInCyc, r.retiredInCyc},
+		{"regReady", c.regReady, r.regReady},
+		{"rob", c.rob, r.rob},
+		{"robIdx", c.robIdx, r.robIdx},
+		{"loadQ", c.loadQ, r.loadQ},
+		{"loadIdx", c.loadIdx, r.loadIdx},
+		{"storeQ", c.storeQ, r.storeQ},
+		{"stIdx", c.stIdx, r.stIdx},
+		{"fu[int]", sortedUnits(c.fu[fuInt]), sortedUnits(r.fu[fuInt])},
+		{"fu[mem]", sortedUnits(c.fu[fuMem]), sortedUnits(r.fu[fuMem])},
+		{"fu[fp]", sortedUnits(c.fu[fuFP]), sortedUnits(r.fu[fuFP])},
+	} {
+		if !reflect.DeepEqual(s.core, s.ref) {
+			return fmt.Sprintf("%s: core %v, ref %v", s.name, s.core, s.ref)
+		}
+	}
+	return ""
 }
