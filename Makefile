@@ -1,7 +1,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick ci
+.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick bench-pair profile-detail ci
 
 all: build
 
@@ -60,9 +60,10 @@ chaos:
 # settings, on the fast, timed, and DynamicSample paths. The race leg
 # re-runs the smp/timing/cache suites and the harness under the race
 # detector to prove the rendezvous and shared-L2 replay pipeline are
-# data-race free.
+# data-race free; the timing/cache/branch suites include the reference-
+# model differential and property tests.
 smp:
-	$(GO) test -race -count=1 ./internal/smp ./internal/timing ./internal/cache
+	$(GO) test -race -count=1 ./internal/smp ./internal/timing ./internal/cache ./internal/branch
 	$(GO) test -race -count=1 -timeout 20m ./internal/check -run TestSMPEquivalence
 	$(GO) run ./cmd/diffcheck -n 0 -mode lockstep -smp
 
@@ -78,5 +79,23 @@ bench:
 
 bench-quick:
 	$(GO) run ./bench -quick
+
+# Paired runs of the working tree against a git ref, alternating order
+# (scripts/bench-pair.sh): per-side median and quartiles and the win
+# count for every end-to-end metric of one workload.
+#   make bench-pair REF=HEAD~1 WORKLOAD=detail_full [PAIRS=10] [SEED=1]
+REF      ?= HEAD
+WORKLOAD ?= detail_full
+PAIRS    ?= 10
+SEED     ?= 1
+bench-pair:
+	bash scripts/bench-pair.sh $(REF) $(WORKLOAD) $(PAIRS) $(SEED)
+
+# CPU profile of full timing on one benchmark: where detail mode's wall
+# goes, timing.Core.OnEvents against event generation in vm.run.
+#   go tool pprof -top detail.prof
+profile-detail:
+	$(GO) run ./cmd/dynsim -bench swim -policy full -cpuprofile detail.prof
+	@echo "wrote detail.prof"
 
 ci: vet build race fuzz-smoke diffcheck

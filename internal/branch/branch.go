@@ -3,6 +3,8 @@
 // return address stack, with the Table 1 geometry as defaults.
 package branch
 
+import "fmt"
+
 // Config describes the predictor complex.
 type Config struct {
 	// GshareEntries is the number of 2-bit counters (16K in Table 1).
@@ -58,7 +60,9 @@ type Predictor struct {
 	stats Stats
 }
 
-// New builds a predictor; zero-value fields take Table 1 defaults.
+// New builds a predictor; zero-value fields take Table 1 defaults. It
+// panics, naming the field, on a negative size or a table size that is
+// not a power of two.
 func New(cfg Config) *Predictor {
 	def := Default()
 	if cfg.GshareEntries == 0 {
@@ -73,8 +77,20 @@ func New(cfg Config) *Predictor {
 	if cfg.RASEntries == 0 {
 		cfg.RASEntries = def.RASEntries
 	}
-	if cfg.GshareEntries&(cfg.GshareEntries-1) != 0 || cfg.BTBEntries&(cfg.BTBEntries-1) != 0 {
-		panic("branch: table sizes must be powers of two")
+	for _, f := range []struct {
+		name string
+		v    int
+		pow2 bool
+	}{
+		{"GshareEntries", cfg.GshareEntries, true}, {"HistoryBits", cfg.HistoryBits, false},
+		{"BTBEntries", cfg.BTBEntries, true}, {"RASEntries", cfg.RASEntries, false},
+	} {
+		if f.v <= 0 {
+			panic(fmt.Sprintf("branch: bad config: %s = %d, must be positive", f.name, f.v))
+		}
+		if f.pow2 && f.v&(f.v-1) != 0 {
+			panic(fmt.Sprintf("branch: bad config: %s = %d, must be a power of two", f.name, f.v))
+		}
 	}
 	return &Predictor{
 		cfg:        cfg,
@@ -166,12 +182,17 @@ func (p *Predictor) OnTarget(pc, target uint64) (mispredicted bool) {
 // OnCall records a call's return address on the RAS.
 func (p *Predictor) OnCall(returnPC uint64) {
 	p.ras[p.rasTop] = returnPC
-	p.rasTop = (p.rasTop + 1) % len(p.ras)
+	if p.rasTop++; p.rasTop == len(p.ras) {
+		p.rasTop = 0
+	}
 }
 
 // OnReturn predicts a return via the RAS and reports misprediction.
 func (p *Predictor) OnReturn(target uint64) (mispredicted bool) {
-	p.rasTop = (p.rasTop - 1 + len(p.ras)) % len(p.ras)
+	if p.rasTop == 0 {
+		p.rasTop = len(p.ras)
+	}
+	p.rasTop--
 	p.stats.Returns++
 	if p.ras[p.rasTop] != target {
 		p.stats.ReturnMiss++

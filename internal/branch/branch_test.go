@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -248,5 +249,34 @@ func TestRASWrapMatchesModulo(t *testing.T) {
 				t.Fatalf("depth %d step %d: rasTop %d, want %d", depth, i, p.rasTop, top)
 			}
 		}
+	}
+}
+
+// TestNewRejectsBadConfig: negative sizes and non-power-of-two tables
+// panic in New, naming the field; zero still means the Table 1 default.
+func TestNewRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"GshareEntries", Config{GshareEntries: -16}},
+		{"GshareEntries", Config{GshareEntries: 1000}},
+		{"HistoryBits", Config{HistoryBits: -1}},
+		{"BTBEntries", Config{BTBEntries: -2}},
+		{"BTBEntries", Config{BTBEntries: 48}},
+		{"RASEntries", Config{RASEntries: -1}},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.field) {
+					t.Errorf("%+v: panic %q does not name %s", tc.cfg, msg, tc.field)
+				}
+			}()
+			New(tc.cfg)
+		}()
+	}
+	if p := New(Config{}); len(p.ras) != Default().RASEntries {
+		t.Fatalf("zero RASEntries gave a %d-entry stack, want the default %d", len(p.ras), Default().RASEntries)
 	}
 }

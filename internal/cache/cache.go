@@ -77,21 +77,28 @@ func (c *Cache) Stats() Stats { return c.stats }
 // both allocate). It returns whether the access hit.
 func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineShift
-	set := line & c.setMask
-	tag := line>>0 + 1 // full line number as tag (+1 so 0 = invalid)
-	base := int(set) * c.ways
+	tag := line + 1 // full line number as tag (+1 so 0 = invalid)
+	base := int(line&c.setMask) * c.ways
 	ways := c.tags[base : base+c.ways]
-	for i, t := range ways {
-		if t == tag {
-			// Move to MRU position.
-			copy(ways[1:i+1], ways[:i])
+	if ways[0] == tag {
+		// Already MRU, the common case: nothing to reorder.
+		c.stats.Hits++
+		return true
+	}
+	// One pass: every way the search passes is shifted one step towards
+	// LRU as it goes, so a hit at i has already moved [0,i) to [1,i] and
+	// a miss has already dropped the last way.
+	prev := ways[0]
+	for i := 1; i < len(ways); i++ {
+		cur := ways[i]
+		ways[i] = prev
+		if cur == tag {
 			ways[0] = tag
 			c.stats.Hits++
 			return true
 		}
+		prev = cur
 	}
-	// Miss: evict LRU (last position).
-	copy(ways[1:], ways[:c.ways-1])
 	ways[0] = tag
 	c.stats.Misses++
 	return false
@@ -163,7 +170,6 @@ type TLBConfig struct {
 type TLB struct {
 	cfg   TLBConfig
 	inner *Cache
-	stats Stats
 }
 
 // NewTLB builds a TLB from config.
@@ -188,17 +194,11 @@ func NewTLB(cfg TLBConfig) *TLB {
 func (t *TLB) Config() TLBConfig { return t.cfg }
 
 // Stats returns the access counters.
-func (t *TLB) Stats() Stats { return t.stats }
+func (t *TLB) Stats() Stats { return t.inner.stats }
 
 // Access looks up the page of addr, allocating on miss, and reports hit.
 func (t *TLB) Access(addr uint64) bool {
-	hit := t.inner.Access(addr >> t.cfg.PageShift)
-	if hit {
-		t.stats.Hits++
-	} else {
-		t.stats.Misses++
-	}
-	return hit
+	return t.inner.Access(addr >> t.cfg.PageShift)
 }
 
 // Contains reports residency without side effects.
@@ -212,8 +212,9 @@ func (t *TLB) Flush() { t.inner.Flush() }
 // Digest returns an FNV-1a hash over the TLB's full entry and
 // replacement state plus its hit/miss counters (see Cache.Digest).
 func (t *TLB) Digest() uint64 {
-	h := t.inner.Digest()
-	// Fold in the TLB-level counters: the inner cache's counters track
-	// the same accesses, but the TLB's own stats are the exported view.
-	return h ^ (t.stats.Hits*0x9e3779b97f4a7c15 + t.stats.Misses)
+	// The counters are folded in a second time, on top of the inner
+	// digest that already covers them: the value predates the TLB
+	// sharing its counters with the inner cache and is kept as it was.
+	st := t.inner.stats
+	return t.inner.Digest() ^ (st.Hits*0x9e3779b97f4a7c15 + st.Misses)
 }

@@ -1,6 +1,8 @@
 package timing
 
 import (
+	"fmt"
+
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/isa"
@@ -60,8 +62,21 @@ type Core struct {
 }
 
 // NewCore builds a core with the given configuration (zero Config fields
-// are not defaulted; use DefaultConfig).
+// are not defaulted; use DefaultConfig). It panics, naming the field, on
+// a width, ring or unit-pool size that is not positive.
 func NewCore(cfg Config) *Core {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Width", cfg.Width}, {"Window", cfg.Window},
+		{"LoadBuf", cfg.LoadBuf}, {"StoreBuf", cfg.StoreBuf},
+		{"IntALU", cfg.IntALU}, {"MemPorts", cfg.MemPorts}, {"FPUs", cfg.FPUs},
+	} {
+		if f.v <= 0 {
+			panic(fmt.Sprintf("timing: bad config: %s = %d, must be positive", f.name, f.v))
+		}
+	}
 	l2 := cfg.SharedL2
 	if l2 == nil {
 		l2 = cache.New(cfg.L2)
@@ -190,9 +205,33 @@ func (c *Core) ClassCounts() [isa.NumClasses]uint64 { return c.byClass }
 // Instructions returns the cumulative instruction count seen in detail.
 func (c *Core) Instructions() uint64 { return c.instrs }
 
+// Operand predicates of every opcode, packed so the hot loop makes one
+// unchecked table load per instruction instead of three isa calls.
+const (
+	opReadsRs1 = 1 << iota
+	opReadsRs2
+	opHasDest
+)
+
+var opFlags = func() (t [256]uint8) {
+	for i := range t {
+		op := isa.Op(i)
+		if op.ReadsRs1() {
+			t[i] |= opReadsRs1
+		}
+		if op.ReadsRs2() {
+			t[i] |= opReadsRs2
+		}
+		if op.HasDest() {
+			t[i] |= opHasDest
+		}
+	}
+	return t
+}()
+
 // dmemLatency computes a load's total latency through DTLB and the data
 // cache hierarchy.
-func (c *Core) dmemLatency(addr uint64) int {
+func (c *Core) dmemLatency(addr uint64) uint64 {
 	lat := c.cfg.L1Lat
 	if !c.dtlb.Access(addr) {
 		if c.l2tlb.Access(addr) {
@@ -208,216 +247,290 @@ func (c *Core) dmemLatency(addr uint64) int {
 			lat += c.cfg.L2HitLat + c.cfg.MemLat
 		}
 	}
-	return lat
+	return uint64(lat)
 }
 
-// ifetch charges instruction-fetch latency when the fetch stream crosses
-// into a new cache line.
-func (c *Core) ifetch(pc uint64) {
-	line := pc >> 6
-	if line == c.lastFetchLine {
-		return
+// issue4 is issue on a four-unit pool. A unit pool is the next-free cycle
+// of each functional unit; issuing takes the earliest-free unit,
+// occupies it from the issue cycle for busy cycles, and returns the
+// issue cycle. Which unit an instruction lands on is not timing-visible
+// — only the multiset of free times is — so the Table 1 pool sizes (4
+// and 2) are unrolled into compare/conditional-move chains with no
+// tie-break to keep; issueN is the scan for any other size. The masks on
+// the final index only tell the compiler it is in range.
+func issue4(u *[4]uint64, ready, busy uint64) uint64 {
+	best, free := 0, u[0]
+	if u[1] < free {
+		best, free = 1, u[1]
 	}
-	c.lastFetchLine = line
-	extra := 0
-	if !c.itlb.Access(pc) {
-		if c.l2tlb.Access(pc) {
-			extra += c.cfg.L2TLBLat
-		} else {
-			extra += c.cfg.L2TLBLat + c.cfg.WalkLat
-		}
+	if u[2] < free {
+		best, free = 2, u[2]
 	}
-	if !c.l1i.Access(pc) {
-		if c.l2.Access(pc) {
-			extra += c.cfg.L2HitLat
-		} else {
-			extra += c.cfg.L2HitLat + c.cfg.MemLat
-		}
+	if u[3] < free {
+		best, free = 3, u[3]
 	}
-	if extra > 0 {
-		c.fetchCursor += uint64(extra)
-		c.fetchedInCyc = 0
+	if free < ready {
+		free = ready
 	}
+	u[best&3] = free + busy
+	return free
 }
 
-// issueOn picks the earliest-free unit in a pool and occupies it from
-// the issue cycle for busy cycles. It returns the issue cycle.
-func (c *Core) issueOn(pool fuKind, ready uint64, busy int) uint64 {
-	units := c.fu[pool]
+func issue2(u *[2]uint64, ready, busy uint64) uint64 {
+	best, free := 0, u[0]
+	if u[1] < free {
+		best, free = 1, u[1]
+	}
+	if free < ready {
+		free = ready
+	}
+	u[best&1] = free + busy
+	return free
+}
+
+func issueN(u []uint64, ready, busy uint64) uint64 {
 	best := 0
-	for i := 1; i < len(units); i++ {
-		if units[i] < units[best] {
+	for i := 1; i < len(u); i++ {
+		if u[i] < u[best] {
 			best = i
 		}
 	}
-	issue := ready
-	if units[best] > issue {
-		issue = units[best]
+	free := u[best]
+	if free < ready {
+		free = ready
 	}
-	units[best] = issue + uint64(busy)
-	return issue
+	u[best] = free + busy
+	return free
 }
 
-// OnEvents processes a batch of retired instructions in full detail.
-// It implements vm.BatchSink, so a Core handed to vm.Machine.Run
-// receives events in slices rather than one virtual call per
-// instruction; the model itself is strictly per-instruction, so the
-// result is identical to per-event delivery.
+// OnEvents processes a batch of retired instructions in full detail;
+// it is the one body of the detail model. It implements vm.BatchSink,
+// so a Core handed to vm.Machine.Run receives events in slices. The
+// model is strictly per-instruction, so how a stream is cut into
+// batches never changes a result.
+//
+// The core's scalar pipeline state lives in locals for the duration of
+// the batch and is written back once at the end: Marker, Snapshot and
+// every other accessor are valid between batches only (DESIGN.md §17).
 func (c *Core) OnEvents(evs []vm.Event) {
+	cfg := &c.cfg
+	var (
+		width      = cfg.Width
+		frontDepth = uint64(cfg.FrontDepth)
+		mispredict = uint64(cfg.MispredictPenalty)
+
+		fetchCursor   = c.fetchCursor
+		fetchedInCyc  = c.fetchedInCyc
+		lastFetchLine = c.lastFetchLine
+		retireCycle   = c.retireCycle
+		retiredInCyc  = c.retiredInCyc
+		robIdx        = c.robIdx
+		loadIdx       = c.loadIdx
+		stIdx         = c.stIdx
+
+		rob      = c.rob
+		loadQ    = c.loadQ
+		storeQ   = c.storeQ
+		regReady = &c.regReady
+		intU     = c.fu[fuInt]
+		memU     = c.fu[fuMem]
+		fpU      = c.fu[fuFP]
+	)
+
 	for i := range evs {
-		c.OnEvent(&evs[i])
+		ev := &evs[i]
+
+		// --- Fetch ---
+		// Crossing into a new cache line charges instruction-fetch
+		// latency through ITLB and the instruction cache hierarchy.
+		if line := ev.PC >> 6; line != lastFetchLine {
+			lastFetchLine = line
+			extra := 0
+			if !c.itlb.Access(ev.PC) {
+				if c.l2tlb.Access(ev.PC) {
+					extra += cfg.L2TLBLat
+				} else {
+					extra += cfg.L2TLBLat + cfg.WalkLat
+				}
+			}
+			if !c.l1i.Access(ev.PC) {
+				if c.l2.Access(ev.PC) {
+					extra += cfg.L2HitLat
+				} else {
+					extra += cfg.L2HitLat + cfg.MemLat
+				}
+			}
+			if extra > 0 {
+				fetchCursor += uint64(extra)
+				fetchedInCyc = 0
+			}
+		}
+		// Window occupancy: this instruction reuses the ROB slot of the
+		// instruction Window positions back; fetch stalls until it retired.
+		if free := rob[robIdx]; free > fetchCursor {
+			fetchCursor = free
+			fetchedInCyc = 0
+		}
+		ready := fetchCursor + frontDepth // dispatch
+		fetchedInCyc++
+		if fetchedInCyc >= width {
+			fetchCursor++
+			fetchedInCyc = 0
+		}
+
+		// --- Ready (operand availability) ---
+		flags := opFlags[ev.Op]
+		if flags&opReadsRs1 != 0 {
+			if r := regReady[ev.Rs1]; r > ready {
+				ready = r
+			}
+		}
+		if flags&opReadsRs2 != 0 {
+			if r := regReady[ev.Rs2]; r > ready {
+				ready = r
+			}
+		}
+
+		// --- Execute ---
+		// The class picks the unit pool, how long the unit stays busy,
+		// and the latency from issue to completion.
+		var (
+			units = intU
+			busy  = uint64(1)
+			lat   = uint64(1)
+			// queue is the load/store buffer entry the instruction holds
+			// until it completes.
+			queue *uint64
+			// redirect: fetch restarts penalty cycles after completion.
+			redirect = false
+			penalty  = mispredict
+		)
+		switch ev.Class {
+		case isa.ClassLoad:
+			queue = &loadQ[loadIdx]
+			if loadIdx++; loadIdx == len(loadQ) {
+				loadIdx = 0
+			}
+			units, lat = memU, c.dmemLatency(ev.MemAddr)
+			c.loads++
+		case isa.ClassStore:
+			// Stores complete once the address is known; the write drains
+			// from the store buffer after retirement.
+			queue = &storeQ[stIdx]
+			if stIdx++; stIdx == len(storeQ) {
+				stIdx = 0
+			}
+			units = memU
+			c.dmemLatency(ev.MemAddr) // warm the hierarchy
+			c.stores++
+		case isa.ClassMul:
+			lat = uint64(cfg.MulLat)
+		case isa.ClassDiv: // unpipelined
+			busy, lat = uint64(cfg.DivLat), uint64(cfg.DivLat)
+		case isa.ClassFP:
+			units, lat = fpU, uint64(cfg.FPLat)
+		case isa.ClassFDiv: // unpipelined
+			units, busy, lat = fpU, uint64(cfg.FDivLat), uint64(cfg.FDivLat)
+		case isa.ClassBranch:
+			if c.pred.OnBranch(ev.PC, ev.Taken) {
+				redirect = true
+				c.mispredicts++
+			} else if ev.Taken {
+				// Correctly predicted taken: fetch-group break.
+				fetchCursor++
+				fetchedInCyc = 0
+			}
+		case isa.ClassJump:
+			switch {
+			case ev.Op == isa.OpJal:
+				c.pred.OnCall(ev.PC + isa.InstBytes)
+			case ev.Op == isa.OpJalr && ev.Rd == isa.RegZero:
+				redirect = c.pred.OnReturn(ev.Target)
+			case ev.Op == isa.OpJalr:
+				c.pred.OnCall(ev.PC + isa.InstBytes)
+				redirect = c.pred.OnTarget(ev.PC, ev.Target)
+			}
+			if redirect {
+				c.mispredicts++
+			} else {
+				fetchCursor++ // taken transfer: fetch-group break
+				fetchedInCyc = 0
+			}
+		case isa.ClassSys, isa.ClassHalt:
+			// Syscalls serialise the pipeline.
+			lat = uint64(cfg.SysLat)
+			redirect, penalty = true, uint64(cfg.SysFlush)
+			c.flushes++
+		}
+		if queue != nil && *queue > ready {
+			ready = *queue
+		}
+
+		// --- Issue ---
+		var issue uint64
+		switch len(units) {
+		case 4:
+			issue = issue4((*[4]uint64)(units), ready, busy)
+		case 2:
+			issue = issue2((*[2]uint64)(units), ready, busy)
+		default:
+			issue = issueN(units, ready, busy)
+		}
+		complete := issue + lat
+		if queue != nil {
+			*queue = complete
+		}
+		if redirect {
+			if f := complete + penalty; f > fetchCursor {
+				fetchCursor = f
+				fetchedInCyc = 0
+			}
+			lastFetchLine = ^uint64(0)
+		}
+
+		// --- Writeback ---
+		if flags&opHasDest != 0 && ev.Rd != isa.RegZero {
+			regReady[ev.Rd] = complete
+		}
+
+		// --- Retire (in order, width-limited) ---
+		rc := complete
+		if rc <= retireCycle {
+			rc = retireCycle
+			retiredInCyc++
+			if retiredInCyc >= width {
+				rc++
+				retireCycle = rc
+				retiredInCyc = 0
+			}
+		} else {
+			retireCycle = rc
+			retiredInCyc = 1
+		}
+		rob[robIdx] = rc
+		if robIdx++; robIdx == len(rob) {
+			robIdx = 0
+		}
+		c.byClass[ev.Class]++
 	}
+
+	c.fetchCursor = fetchCursor
+	c.fetchedInCyc = fetchedInCyc
+	c.lastFetchLine = lastFetchLine
+	c.retireCycle = retireCycle
+	c.retiredInCyc = retiredInCyc
+	c.robIdx = robIdx
+	c.loadIdx = loadIdx
+	c.stIdx = stIdx
+	c.instrs += uint64(len(evs))
 }
 
-// OnEvent processes one retired instruction in full detail. It
-// implements vm.Sink, so a Core can be handed directly to vm.Machine.Run.
+// OnEvent processes one retired instruction: a one-element batch. It
+// implements vm.Sink, so a Core can be handed directly to
+// vm.Machine.Run.
 func (c *Core) OnEvent(ev *vm.Event) {
-	cfg := &c.cfg
-
-	// --- Fetch ---
-	c.ifetch(ev.PC)
-	// Window occupancy: this instruction reuses the ROB slot of the
-	// instruction Window positions back; fetch stalls until it retired.
-	if free := c.rob[c.robIdx]; free > c.fetchCursor {
-		c.fetchCursor = free
-		c.fetchedInCyc = 0
-	}
-	fetch := c.fetchCursor
-	c.fetchedInCyc++
-	if c.fetchedInCyc >= cfg.Width {
-		c.fetchCursor++
-		c.fetchedInCyc = 0
-	}
-
-	// --- Ready (dispatch + operand availability) ---
-	ready := fetch + uint64(cfg.FrontDepth)
-	if ev.Op.ReadsRs1() {
-		if r := c.regReady[ev.Rs1]; r > ready {
-			ready = r
-		}
-	}
-	if ev.Op.ReadsRs2() {
-		if r := c.regReady[ev.Rs2]; r > ready {
-			ready = r
-		}
-	}
-
-	// --- Issue + execute ---
-	var issue, complete uint64
-	redirect := false
-	switch ev.Class {
-	case isa.ClassLoad:
-		if free := c.loadQ[c.loadIdx]; free > ready {
-			ready = free
-		}
-		issue = c.issueOn(fuMem, ready, 1)
-		complete = issue + uint64(c.dmemLatency(ev.MemAddr))
-		c.loadQ[c.loadIdx] = complete
-		c.loadIdx = (c.loadIdx + 1) % cfg.LoadBuf
-		c.loads++
-	case isa.ClassStore:
-		if free := c.storeQ[c.stIdx]; free > ready {
-			ready = free
-		}
-		issue = c.issueOn(fuMem, ready, 1)
-		// Stores complete once the address is known; the write drains
-		// from the store buffer after retirement.
-		c.dmemLatency(ev.MemAddr) // warm the hierarchy
-		complete = issue + 1
-		c.storeQ[c.stIdx] = complete
-		c.stIdx = (c.stIdx + 1) % cfg.StoreBuf
-		c.stores++
-	case isa.ClassMul:
-		issue = c.issueOn(fuInt, ready, 1)
-		complete = issue + uint64(cfg.MulLat)
-	case isa.ClassDiv:
-		issue = c.issueOn(fuInt, ready, cfg.DivLat) // unpipelined
-		complete = issue + uint64(cfg.DivLat)
-	case isa.ClassFP:
-		issue = c.issueOn(fuFP, ready, 1)
-		complete = issue + uint64(cfg.FPLat)
-	case isa.ClassFDiv:
-		issue = c.issueOn(fuFP, ready, cfg.FDivLat) // unpipelined
-		complete = issue + uint64(cfg.FDivLat)
-	case isa.ClassBranch:
-		issue = c.issueOn(fuInt, ready, 1)
-		complete = issue + 1
-		if c.pred.OnBranch(ev.PC, ev.Taken) {
-			redirect = true
-		} else if ev.Taken {
-			// Correctly predicted taken: fetch-group break.
-			c.fetchCursor++
-			c.fetchedInCyc = 0
-		}
-	case isa.ClassJump:
-		issue = c.issueOn(fuInt, ready, 1)
-		complete = issue + 1
-		switch {
-		case ev.Op == isa.OpJal:
-			c.pred.OnCall(ev.PC + isa.InstBytes)
-		case ev.Op == isa.OpJalr && ev.Rd == isa.RegZero:
-			if c.pred.OnReturn(ev.Target) {
-				redirect = true
-			}
-		case ev.Op == isa.OpJalr:
-			c.pred.OnCall(ev.PC + isa.InstBytes)
-			if c.pred.OnTarget(ev.PC, ev.Target) {
-				redirect = true
-			}
-		}
-		if !redirect {
-			c.fetchCursor++ // taken transfer: fetch-group break
-			c.fetchedInCyc = 0
-		}
-	case isa.ClassSys, isa.ClassHalt:
-		issue = c.issueOn(fuInt, ready, 1)
-		complete = issue + uint64(cfg.SysLat)
-		// Syscalls serialise the pipeline.
-		if f := complete + uint64(cfg.SysFlush); f > c.fetchCursor {
-			c.fetchCursor = f
-			c.fetchedInCyc = 0
-		}
-		c.flushes++
-		c.lastFetchLine = ^uint64(0)
-	default: // ClassALU, ClassNop
-		issue = c.issueOn(fuInt, ready, 1)
-		complete = issue + 1
-	}
-
-	if redirect {
-		c.mispredicts++
-		if f := complete + uint64(cfg.MispredictPenalty); f > c.fetchCursor {
-			c.fetchCursor = f
-			c.fetchedInCyc = 0
-		}
-		c.lastFetchLine = ^uint64(0)
-	}
-
-	// --- Writeback ---
-	if ev.Op.HasDest() && ev.Rd != isa.RegZero {
-		c.regReady[ev.Rd] = complete
-	}
-
-	// --- Retire (in order, width-limited) ---
-	rc := complete
-	if rc < c.retireCycle {
-		rc = c.retireCycle
-	}
-	if rc == c.retireCycle {
-		c.retiredInCyc++
-		if c.retiredInCyc >= cfg.Width {
-			rc++
-			c.retireCycle = rc
-			c.retiredInCyc = 0
-		}
-	} else {
-		c.retireCycle = rc
-		c.retiredInCyc = 1
-	}
-	c.rob[c.robIdx] = rc
-	c.robIdx = (c.robIdx + 1) % cfg.Window
-	c.instrs++
-	c.byClass[ev.Class]++
+	one := [1]vm.Event{*ev}
+	c.OnEvents(one[:])
 }
 
 // warmSink adapts the core to functional-warming mode: caches, TLBs and
@@ -429,47 +542,52 @@ type warmSink struct{ c *Core }
 // The returned sink also implements vm.BatchSink for batched delivery.
 func (c *Core) WarmSink() vm.Sink { return warmSink{c} }
 
-// OnEvents warms from a batch of events.
+// OnEvents warms from a batch of events: the one body of the warm
+// model. It walks the same structures in the same order as the detail
+// model, computing no latency.
 func (w warmSink) OnEvents(evs []vm.Event) {
+	c := w.c
+	lastFetchLine := c.lastFetchLine
 	for i := range evs {
-		w.OnEvent(&evs[i])
+		ev := &evs[i]
+		if line := ev.PC >> 6; line != lastFetchLine {
+			lastFetchLine = line
+			if !c.itlb.Access(ev.PC) {
+				c.l2tlb.Access(ev.PC)
+			}
+			if !c.l1i.Access(ev.PC) {
+				c.l2.Access(ev.PC)
+			}
+		}
+		switch ev.Class {
+		case isa.ClassLoad, isa.ClassStore:
+			if !c.dtlb.Access(ev.MemAddr) {
+				c.l2tlb.Access(ev.MemAddr)
+			}
+			if !c.l1d.Access(ev.MemAddr) {
+				c.l2.Access(ev.MemAddr)
+			}
+		case isa.ClassBranch:
+			c.pred.OnBranch(ev.PC, ev.Taken)
+		case isa.ClassJump:
+			switch {
+			case ev.Op == isa.OpJal:
+				c.pred.OnCall(ev.PC + isa.InstBytes)
+			case ev.Op == isa.OpJalr && ev.Rd == isa.RegZero:
+				c.pred.OnReturn(ev.Target)
+			case ev.Op == isa.OpJalr:
+				c.pred.OnCall(ev.PC + isa.InstBytes)
+				c.pred.OnTarget(ev.PC, ev.Target)
+			}
+		case isa.ClassSys:
+			lastFetchLine = ^uint64(0)
+		}
 	}
+	c.lastFetchLine = lastFetchLine
 }
 
-// OnEvent updates stateful structures without timing.
+// OnEvent warms from one event: a one-element batch.
 func (w warmSink) OnEvent(ev *vm.Event) {
-	c := w.c
-	line := ev.PC >> 6
-	if line != c.lastFetchLine {
-		c.lastFetchLine = line
-		if !c.itlb.Access(ev.PC) {
-			c.l2tlb.Access(ev.PC)
-		}
-		if !c.l1i.Access(ev.PC) {
-			c.l2.Access(ev.PC)
-		}
-	}
-	switch ev.Class {
-	case isa.ClassLoad, isa.ClassStore:
-		if !c.dtlb.Access(ev.MemAddr) {
-			c.l2tlb.Access(ev.MemAddr)
-		}
-		if !c.l1d.Access(ev.MemAddr) {
-			c.l2.Access(ev.MemAddr)
-		}
-	case isa.ClassBranch:
-		c.pred.OnBranch(ev.PC, ev.Taken)
-	case isa.ClassJump:
-		switch {
-		case ev.Op == isa.OpJal:
-			c.pred.OnCall(ev.PC + isa.InstBytes)
-		case ev.Op == isa.OpJalr && ev.Rd == isa.RegZero:
-			c.pred.OnReturn(ev.Target)
-		case ev.Op == isa.OpJalr:
-			c.pred.OnCall(ev.PC + isa.InstBytes)
-			c.pred.OnTarget(ev.PC, ev.Target)
-		}
-	case isa.ClassSys:
-		c.lastFetchLine = ^uint64(0)
-	}
+	one := [1]vm.Event{*ev}
+	w.OnEvents(one[:])
 }

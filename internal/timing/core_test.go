@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -330,4 +331,43 @@ func TestSharedL2AccountsAccesses(t *testing.T) {
 
 func cacheNewForTest() *cache.Cache {
 	return cache.New(DefaultConfig().L2)
+}
+
+// TestNewCoreRejectsBadConfig: a non-positive width, ring or pool size
+// panics in NewCore, naming the field, instead of deep in the event loop.
+func TestNewCoreRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config, int)
+	}{
+		{"Width", func(c *Config, v int) { c.Width = v }},
+		{"Window", func(c *Config, v int) { c.Window = v }},
+		{"LoadBuf", func(c *Config, v int) { c.LoadBuf = v }},
+		{"StoreBuf", func(c *Config, v int) { c.StoreBuf = v }},
+		{"IntALU", func(c *Config, v int) { c.IntALU = v }},
+		{"MemPorts", func(c *Config, v int) { c.MemPorts = v }},
+		{"FPUs", func(c *Config, v int) { c.FPUs = v }},
+	} {
+		for _, v := range []int{0, -3} {
+			cfg := DefaultConfig()
+			tc.set(&cfg, v)
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, tc.field) {
+						t.Errorf("%s = %d: panic %q does not name the field", tc.field, v, msg)
+					}
+				}()
+				NewCore(cfg)
+			}()
+		}
+	}
+	// The smallest legal geometry works.
+	cfg := DefaultConfig()
+	cfg.Width, cfg.Window, cfg.LoadBuf, cfg.StoreBuf, cfg.IntALU, cfg.MemPorts, cfg.FPUs = 1, 1, 1, 1, 1, 1, 1
+	c := NewCore(cfg)
+	c.OnEvents(streams()["gzip"][:2000])
+	if c.Instructions() != 2000 {
+		t.Fatalf("minimal core retired %d of 2000", c.Instructions())
+	}
 }

@@ -195,7 +195,6 @@ func TestStreamsCoverTheModel(t *testing.T) {
 	}
 	r := newRefCore(DefaultConfig())
 	for _, ev := range streams()["calls"] {
-		ev := ev
 		r.OnEvent(&ev)
 	}
 	st := r.pred.Stats()

@@ -10,10 +10,12 @@ import (
 // recorded streams of diff_test.go rather than on synthetic ones.
 
 // TestRetireWidthAndMonotonicCycles: between any two markers at most
-// Width instructions retire per elapsed cycle (plus the Width-1 that
-// may already share the cycle the later marker stands in), so interval
-// IPC never exceeds Width; and Marker().Cycles never decreases from one
-// batch to the next while Instrs advances by exactly the batch length.
+// Width instructions retire per elapsed cycle, plus the up to Width-1
+// that share the cycle the later marker stands in. That is the exact
+// bound; over an interval of at least Width cycles the recorded streams
+// never carry that remainder, so there interval IPC itself stays within
+// Width. Marker().Cycles never decreases from one batch to the next
+// while Instrs advances by exactly the batch length.
 func TestRetireWidthAndMonotonicCycles(t *testing.T) {
 	for _, cfg := range []Config{DefaultConfig(), oddConfig()} {
 		w := uint64(cfg.Width)

@@ -208,18 +208,33 @@ func (t *Reader) Next(ev *vm.Event) error {
 func (t *Reader) Count() uint64 { return t.count }
 
 // Replay feeds every remaining event to sink and returns the number of
-// events delivered.
+// events delivered. A sink that implements vm.BatchSink receives the
+// events in batches, as it would from vm.Machine.Run; events decoded
+// before a read error are delivered before the error is returned.
 func (t *Reader) Replay(sink vm.Sink) (uint64, error) {
-	var ev vm.Event
+	out := vm.MultiSink{sink} // batched where the sink supports it
+	batch := make([]vm.Event, 256)
 	var n uint64
 	for {
-		if err := t.Next(&ev); err != nil {
-			if errors.Is(err, io.EOF) {
-				return n, nil
+		k := 0
+		var err error
+		for k < len(batch) {
+			if err = t.Next(&batch[k]); err != nil {
+				break
 			}
+			k++
+		}
+		if k > 0 {
+			out.OnEvents(batch[:k])
+			n += uint64(k)
+		}
+		// Only Next's bare io.EOF is the end of the trace; one wrapped in
+		// a truncation error is a record cut short.
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
 			return n, err
 		}
-		sink.OnEvent(&ev)
-		n++
 	}
 }

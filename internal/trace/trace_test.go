@@ -139,3 +139,37 @@ func TestInvalidOpcodeRejected(t *testing.T) {
 		t.Fatal("invalid opcode must be rejected")
 	}
 }
+
+// TestReplayDeliversUpToTheError: Replay hands events over in batches,
+// to per-event and batch sinks alike, and a trace torn in the middle of
+// a batch still delivers every whole event before the error.
+func TestReplayDeliversUpToTheError(t *testing.T) {
+	const events = 300 // more than one batch
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	for i := 0; i < events; i++ {
+		pc := uint64(0x1000 + 8*i)
+		w.OnEvent(&vm.Event{PC: pc, NextPC: pc + 8, Op: isa.OpAdd, Class: isa.ClassALU})
+	}
+	w.Close()
+	torn := buf.Bytes()[:buf.Len()-1]
+
+	var perEvent, batched uint64
+	sinks := map[string]vm.Sink{
+		"per-event": vm.SinkFunc(func(*vm.Event) { perEvent++ }),
+		"batch":     vm.BatchFunc(func(evs []vm.Event) { batched += uint64(len(evs)) }),
+	}
+	for name, sink := range sinks {
+		r, err := NewReader(bytes.NewReader(torn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := r.Replay(sink)
+		if err == nil || n != events-1 {
+			t.Fatalf("%s sink: replayed %d events with error %v, want %d and a truncation error", name, n, err, events-1)
+		}
+	}
+	if perEvent != events-1 || batched != events-1 {
+		t.Fatalf("delivered %d per event and %d batched, want %d each", perEvent, batched, events-1)
+	}
+}
