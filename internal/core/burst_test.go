@@ -1,0 +1,148 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/ckpt"
+	"repro/internal/hostcost"
+	"repro/internal/obs"
+	"repro/internal/vm"
+	"repro/internal/workload"
+)
+
+// burstModes lists every way a policy can ask the session for a burst:
+// the mode it is observed and charged under, whether it is charged at
+// all, and whether a stored checkpoint may stand in for execution.
+var burstModes = []struct {
+	name    string
+	mode    hostcost.Mode
+	charged bool
+	restore bool
+	run     func(s *Session, n uint64) uint64
+}{
+	{"RunFastFree", hostcost.Fast, false, false, func(s *Session, n uint64) uint64 { return s.RunFastFree(n) }},
+	{"RunFast", hostcost.Fast, true, true, func(s *Session, n uint64) uint64 { return s.RunFast(n) }},
+	{"RunFuncWarm", hostcost.FuncWarm, true, false, func(s *Session, n uint64) uint64 { return s.RunFuncWarm(n) }},
+	{"RunDetailWarm", hostcost.DetailWarm, true, false, func(s *Session, n uint64) uint64 { return s.RunDetailWarm(n) }},
+	{"RunTimed", hostcost.Timing, true, false, func(s *Session, n uint64) uint64 {
+		_, ex := s.RunTimed(n)
+		return ex
+	}},
+	{"RunProfile", hostcost.BBVProfile, true, false, func(s *Session, n uint64) uint64 {
+		return s.RunProfile(n, &vm.CountingSink{})
+	}},
+	{"RunEvents", hostcost.Event, true, false, func(s *Session, n uint64) uint64 {
+		return s.RunEvents(n, &vm.CountingSink{})
+	}},
+}
+
+// TestBurstProtocolPerMode pins what one burst does in every mode, for
+// one burst on the canonical interval grid and one off it: instructions
+// executed, host-cost charge and mode-switch charge, the canonical flag,
+// the checkpoint deposit, and the observed transition and per-mode
+// instruction count. A second session over the same store then checks
+// which modes may satisfy the aligned burst by a restore.
+func TestBurstProtocolPerMode(t *testing.T) {
+	spec, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bm := range burstModes {
+		for _, aligned := range []bool{true, false} {
+			name := bm.name + "/unaligned"
+			if aligned {
+				name = bm.name + "/aligned"
+			}
+			t.Run(name, func(t *testing.T) {
+				store := ckpt.NewMemory()
+				newSession := func() (*Session, *obs.Registry, *obs.TransitionTrace) {
+					reg, tr := obs.NewRegistry(), obs.NewTransitionTrace(8)
+					return NewSession(spec, Options{Scale: 200_000, Ckpt: store, CkptStride: 1, Obs: reg, Trace: tr}), reg, tr
+				}
+				s, reg, tr := newSession()
+				n := s.IntervalLen()
+				if !aligned {
+					n = n/2 + 1
+				}
+				label := bm.mode.String()
+
+				if ex := bm.run(s, n); ex != n || s.Executed() != n {
+					t.Fatalf("ran %d, session at %d, want %d", ex, s.Executed(), n)
+				}
+
+				rep := s.Meter().Report(s.Scale())
+				wantInstr, wantSwitches := uint64(0), uint64(0)
+				if bm.charged {
+					wantInstr = n
+					if bm.mode != hostcost.Fast {
+						wantSwitches = 1
+					}
+				}
+				if rep.Instrs[bm.mode] != wantInstr || rep.TotalInstrs() != wantInstr {
+					t.Errorf("charged %d instructions in %s (%d in total), want %d", rep.Instrs[bm.mode], label, rep.TotalInstrs(), wantInstr)
+				}
+				if rep.Switches != wantSwitches {
+					t.Errorf("charged %d mode switches, want %d", rep.Switches, wantSwitches)
+				}
+
+				if s.canonical != aligned {
+					t.Errorf("canonical = %v after a burst of %d at 0 (interval %d)", s.canonical, n, s.IntervalLen())
+				}
+				if got := store.Contains(s.ckptKey(n)); got != aligned {
+					t.Errorf("checkpoint at %d deposited = %v, want %v", n, got, aligned)
+				}
+				if puts := store.Stats().Puts; (puts == 1) != aligned {
+					t.Errorf("store saw %d puts, aligned = %v", puts, aligned)
+				}
+
+				trs := tr.Snapshot()
+				if len(trs) != 1 || trs[0].From != "init" || trs[0].To != label || trs[0].Instr != 0 {
+					t.Errorf("transitions = %+v, want one init→%s at 0", trs, label)
+				}
+				if got := reg.Counter("vm_instructions_total", "mode", label).Value(); got != n {
+					t.Errorf("vm_instructions_total{mode=%s} = %d, want %d", label, got, n)
+				}
+
+				// The same burst again stays in the mode: no new transition,
+				// and it starts off the grid unless the first one was aligned.
+				bm.run(s, n)
+				if tr.Total() != 1 {
+					t.Errorf("a second burst in %s recorded %d transitions, want 1", label, tr.Total())
+				}
+				if s.canonical != aligned {
+					t.Errorf("canonical = %v after the second burst", s.canonical)
+				}
+
+				if !aligned {
+					return
+				}
+				// A fresh session over the primed store: only a charged
+				// fast burst may be satisfied by a restore, and it must
+				// charge exactly what execution would have.
+				w, wreg, _ := newSession()
+				if ex := bm.run(w, n); ex != n || w.Executed() != n {
+					t.Fatalf("warm-store burst ran %d, session at %d, want %d", ex, w.Executed(), n)
+				}
+				restored := wreg.Counter("ckpt_restores_total").Value() == 1
+				if restored != bm.restore {
+					t.Errorf("satisfied by a restore = %v, want %v", restored, bm.restore)
+				}
+				if got := w.Meter().Report(w.Scale()); got != rep {
+					t.Errorf("warm-store charge diverged:\n got %+v\nwant %+v", got, rep)
+				}
+				if w.Machine().Stats() != firstBurstStats(t, spec, bm.run, n) {
+					t.Errorf("warm-store burst left different VM statistics")
+				}
+			})
+		}
+	}
+}
+
+// firstBurstStats returns the VM statistics after one burst of n on a
+// store-less session.
+func firstBurstStats(t *testing.T, spec workload.Spec, run func(*Session, uint64) uint64, n uint64) vm.Stats {
+	t.Helper()
+	s := NewSession(spec, Options{Scale: 200_000})
+	run(s, n)
+	return s.Machine().Stats()
+}

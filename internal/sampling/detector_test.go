@@ -1,0 +1,234 @@
+package sampling
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/vm"
+	"repro/internal/workload"
+)
+
+// refDetector is Algorithm 1's decision written the obvious way, kept on
+// the test side as the reference the policies are compared against: one
+// call per finished interval with that interval's monitored values.
+type refDetector struct {
+	sens    float64
+	maxFunc int
+	prev    []uint64 // nil until the first interval has been seen
+	numFunc int
+}
+
+// observe returns "arm" (first interval: nothing to compare against),
+// "steady", "detect" or "maxfunc", and for the last two the number of
+// functional intervals that preceded the sample they order.
+func (d *refDetector) observe(vals ...uint64) (decision string, gap int) {
+	prev := d.prev
+	d.prev = append([]uint64(nil), vals...)
+	if prev == nil {
+		return "arm", 0
+	}
+	changed := false
+	for i, v := range vals {
+		diff := v - prev[i]
+		if v < prev[i] {
+			diff = prev[i] - v
+		}
+		den := prev[i]
+		if den == 0 {
+			den = 1
+		}
+		if float64(diff)/float64(den)*100 > d.sens {
+			changed = true
+		}
+	}
+	if changed {
+		gap, d.numFunc = d.numFunc, 0
+		return "detect", gap
+	}
+	d.numFunc++
+	if d.maxFunc > 0 && d.numFunc >= d.maxFunc {
+		gap, d.numFunc = d.numFunc, 0
+		return "maxfunc", gap
+	}
+	return "steady", 0
+}
+
+// detectorCases is the decision table: each row is a series of
+// per-interval monitored values and the decision after each interval.
+// The interval after a "detect" or "maxfunc" is the sample it ordered;
+// its values are compared like any other interval's.
+var detectorCases = []struct {
+	name    string
+	sens    float64
+	maxFunc int
+	series  [][]uint64
+	want    []string
+	gaps    []int // gap of every detect/maxfunc decision, in order
+}{
+	{"first interval never triggers", 10, 0,
+		[][]uint64{{1000}, {1000}}, []string{"arm", "steady"}, nil},
+	{"first interval never triggers, even at max_func 1", 10, 1,
+		[][]uint64{{1000}, {1000}, {1000}}, []string{"arm", "maxfunc", "maxfunc"}, []int{1, 1}},
+	{"increase past S", 100, 0,
+		[][]uint64{{10}, {20}, {41}}, []string{"arm", "steady", "detect"}, []int{1}},
+	{"exactly S is not a change", 100, 0,
+		[][]uint64{{10}, {20}, {0}}, []string{"arm", "steady", "steady"}, nil},
+	{"decrease counts as change", 50, 0,
+		[][]uint64{{100}, {49}, {49}}, []string{"arm", "detect", "steady"}, []int{0}},
+	{"prev == 0 uses denominator 1", 300, 0,
+		[][]uint64{{0}, {3}, {0}, {4}}, []string{"arm", "steady", "steady", "detect"}, []int{2}},
+	{"prev == 0 and now == 0 is steady", 0, 0,
+		[][]uint64{{0}, {0}}, []string{"arm", "steady"}, nil},
+	{"max_func forces on the N-th steady interval", 50, 3,
+		[][]uint64{{8}, {8}, {8}, {8}, {8}, {8}, {8}},
+		[]string{"arm", "steady", "steady", "maxfunc", "steady", "steady", "maxfunc"}, []int{3, 3}},
+	{"the count restarts after a sample", 50, 3,
+		[][]uint64{{8}, {8}, {8}, {80}, {80}, {80}, {80}},
+		[]string{"arm", "steady", "steady", "detect", "steady", "steady", "maxfunc"}, []int{2, 3}},
+	{"max_func 0 never forces", 50, 0,
+		[][]uint64{{8}, {8}, {8}, {8}, {8}, {8}}, []string{"arm", "steady", "steady", "steady", "steady", "steady"}, nil},
+	{"any of N metrics", 100, 0,
+		[][]uint64{{10, 5}, {10, 5}, {10, 11}, {30, 11}, {30, 11}},
+		[]string{"arm", "steady", "detect", "detect", "steady"}, []int{1, 0}},
+	{"back-to-back detections", 10, 2,
+		[][]uint64{{1}, {10}, {100}, {100}}, []string{"arm", "detect", "detect", "steady"}, []int{0, 0}},
+}
+
+func TestDetectorTable(t *testing.T) {
+	t.Parallel()
+	for _, c := range detectorCases {
+		ref := refDetector{sens: c.sens, maxFunc: c.maxFunc}
+		var got []string
+		var gaps []int
+		for _, vals := range c.series {
+			d, gap := ref.observe(vals...)
+			got = append(got, d)
+			if d == "detect" || d == "maxfunc" {
+				gaps = append(gaps, gap)
+			}
+		}
+		if !reflect.DeepEqual(got, c.want) || !reflect.DeepEqual(gaps, c.gaps) {
+			t.Errorf("%s: reference decided %v gaps %v, want %v gaps %v", c.name, got, gaps, c.want, c.gaps)
+		}
+	}
+}
+
+// refDynamic is Dynamic.Run with every decision taken by refDetector:
+// the schedule of session calls around the decision is the paper's
+// (fast interval; on a trigger settle, warm, then one timed interval).
+type refDynamicResult struct {
+	detections []uint64
+	samples    int
+	decisions  map[string]int
+	gapCount   uint64
+	gapSum     float64
+	estIPC     float64
+}
+
+func refDynamic(p Dynamic, s *core.Session) refDynamicResult {
+	interval := s.IntervalLen() * p.IntervalMul
+	metrics := append([]vm.Metric{p.Metric}, p.ExtraMetrics...)
+	det := refDetector{sens: p.SensitivityPct, maxFunc: p.MaxFunc}
+	res := refDynamicResult{decisions: map[string]int{}}
+	var est Estimator
+	timing := false
+	prev := s.Machine().Stats()
+	for idx := uint64(0); !s.Done(); idx++ {
+		if timing {
+			if p.SettleIntervals > 0 {
+				est.Functional(s.RunFast(s.IntervalLen() * uint64(p.SettleIntervals)))
+			}
+			est.Functional(s.RunDetailWarm(s.IntervalLen() * uint64(p.WarmIntervals)))
+			ipc, ex := s.RunTimed(interval)
+			if ex == 0 {
+				break
+			}
+			est.Sample(ipc, ex)
+			res.samples++
+			timing = false
+		} else {
+			ex := s.RunFast(interval)
+			est.Functional(ex)
+			if ex == 0 {
+				break
+			}
+		}
+		delta, now := s.StatsDelta(prev)
+		prev = now
+		vals := make([]uint64, len(metrics))
+		for i, m := range metrics {
+			vals[i] = delta.Value(m)
+		}
+		d, gap := det.observe(vals...)
+		res.decisions[d]++
+		if d == "detect" || d == "maxfunc" {
+			timing = true
+			res.gapCount++
+			res.gapSum += float64(gap)
+		}
+		if d == "detect" {
+			res.detections = append(res.detections, idx)
+		}
+	}
+	res.estIPC = est.IPC()
+	return res
+}
+
+// TestDynamicFollowsReferenceDetector runs Dynamic Sampling and the
+// reference loop over the same benchmarks and requires the same
+// detections at the same intervals, the same number of samples, the
+// same decision counts and gaps, and a bit-identical estimate.
+func TestDynamicFollowsReferenceDetector(t *testing.T) {
+	t.Parallel()
+	policies := []Dynamic{
+		NewDynamic(vm.MetricCPU, 300, 1, 0),
+		NewDynamic(vm.MetricCPU, 300, 1, 3),
+		NewDynamic(vm.MetricEXC, 100, 1, 10),
+		NewDynamic(vm.MetricIO, 100, 10, 2),
+		{Metric: vm.MetricCPU, ExtraMetrics: []vm.Metric{vm.MetricIO, vm.MetricEXC},
+			SensitivityPct: 200, IntervalMul: 1, MaxFunc: 5, WarmIntervals: 1},
+	}
+	for _, bench := range []string{"gzip", "mcf"} {
+		spec, err := workload.ByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range policies {
+			name := fmt.Sprintf("%s/%s", bench, p.Name())
+			reg := obs.NewRegistry()
+			got, err := p.Run(core.NewSession(spec, core.Options{Scale: 50_000, Obs: reg}))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := refDynamic(p, core.NewSession(spec, core.Options{Scale: 50_000}))
+
+			if !reflect.DeepEqual(got.Detections, want.detections) {
+				t.Errorf("%s: detections %v, reference %v", name, got.Detections, want.detections)
+			}
+			if got.Samples != want.samples {
+				t.Errorf("%s: %d samples, reference %d", name, got.Samples, want.samples)
+			}
+			if math.Float64bits(got.EstIPC) != math.Float64bits(want.estIPC) {
+				t.Errorf("%s: estimate %v, reference %v", name, got.EstIPC, want.estIPC)
+			}
+			for _, d := range []string{"detect", "maxfunc", "steady"} {
+				n := reg.Counter("sampling_decisions_total", "policy", p.Name(), "decision", d).Value()
+				if n != uint64(want.decisions[d]) {
+					t.Errorf("%s: %d %s decisions, reference %d", name, n, d, want.decisions[d])
+				}
+			}
+			gaps := reg.Histogram("sampling_functional_gap_intervals", obs.ExpBuckets(1, 2, 10), "policy", p.Name())
+			if gaps.Count() != want.gapCount || gaps.Sum() != want.gapSum {
+				t.Errorf("%s: gap histogram count %d sum %v, reference count %d sum %v",
+					name, gaps.Count(), gaps.Sum(), want.gapCount, want.gapSum)
+			}
+			if want.samples == 0 {
+				t.Errorf("%s: no samples taken; the comparison is vacuous", name)
+			}
+		}
+	}
+}
