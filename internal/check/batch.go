@@ -11,22 +11,20 @@ import (
 
 // BatchSizes is the standard set of event-batch capacities the batch-
 // invariance checks sweep: a degenerate one-event batch, a small prime
-// that never divides chunk or block lengths evenly, the historical
-// per-event path's natural granularity neighbourhood, and a batch far
-// larger than any chunk so every flush comes from a boundary other
-// than batch-full.
+// that never divides chunk or block lengths evenly, a typical capacity,
+// and a batch far larger than any chunk so every flush comes from a
+// boundary other than batch-full.
 var BatchSizes = []int{1, 3, 64, 4096}
 
-// BatchInvariance proves the batched event pipeline is invisible: it
-// runs prog on a reference machine whose sink is forced down the
-// legacy per-event adapter (vm.SinkFunc never implements
-// vm.BatchSink), then re-runs it once per entry in BatchSizes with a
-// natively batched sink, in the same o.Chunk partitioning, comparing
-// complete machine state and delivered event counts at every sync
-// point. Any dependence of architectural state, vm.Stats, or the event
-// stream on the batch capacity — a missed flush before a syscall, an
-// event materialised with post-batch state, a dropped tail at Run
-// return — is reported as a Divergence.
+// BatchInvariance proves the event batch capacity is invisible: it runs
+// prog on a reference machine that delivers one event per flush
+// (EventBatch 1) into a sink that counts event by event, then re-runs it
+// once per entry in BatchSizes into vm.CountingSink, in the same o.Chunk
+// partitioning, comparing complete machine state and delivered event
+// counts at every sync point. Any dependence of architectural state,
+// vm.Stats, or the event stream on the batch capacity — a missed flush
+// before a syscall, an event materialised with post-batch state, a
+// dropped tail at Run return — is reported as a Divergence.
 func BatchInvariance(prog *Program, o Options) (*Divergence, error) {
 	o.setDefaults()
 
@@ -36,26 +34,28 @@ func BatchInvariance(prog *Program, o Options) (*Divergence, error) {
 		count *vm.CountingSink
 		sink  vm.Sink
 	}
-	newRunner := func(label string, batch int, perEvent bool) *runner {
+	newRunner := func(label string, batch int) *runner {
 		cfg := o.VM
 		cfg.EventBatch = batch
 		r := &runner{label: label, m: vm.New(cfg), count: &vm.CountingSink{}}
 		r.m.Load(prog.Image)
-		if perEvent {
-			// SinkFunc deliberately lacks OnEvents, forcing Run through
-			// the perEventSink adapter: this is the legacy delivery
-			// semantics every batched run must match.
-			r.sink = vm.SinkFunc(r.count.OnEvent)
-		} else {
-			r.sink = r.count
-		}
+		r.sink = r.count
 		return r
 	}
 
-	ref := newRunner("per-event", 0, true)
+	// The reference leg shares neither the batching nor the counting
+	// code with the legs under test: every flush carries one event, and
+	// the count is the obvious one.
+	ref := newRunner("per-event", 1)
+	ref.sink = vm.BatchFunc(func(evs []vm.Event) {
+		for i := range evs {
+			ref.count.Total++
+			ref.count.ByClass[evs[i].Class]++
+		}
+	})
 	batched := make([]*runner, len(BatchSizes))
 	for i, bs := range BatchSizes {
-		batched[i] = newRunner(fmt.Sprintf("batch=%d", bs), bs, false)
+		batched[i] = newRunner(fmt.Sprintf("batch=%d", bs), bs)
 	}
 
 	var total uint64
@@ -63,41 +63,28 @@ func BatchInvariance(prog *Program, o Options) (*Divergence, error) {
 		na := ref.m.Run(o.Chunk, ref.sink)
 		total += na
 		for _, r := range batched {
-			nb := r.m.Run(o.Chunk, r.sink)
-			if na != nb {
+			diverged := func(field string, a, b interface{}) (*Divergence, error) {
 				return &Divergence{
 					Check: "batch-invariance", Seed: prog.Seed, Step: step, Instr: total,
-					Field: "instructions executed in chunk (" + ref.label + " vs " + r.label + ")",
-					A:     fmt.Sprint(na), B: fmt.Sprint(nb),
+					Field: field + " (" + ref.label + " vs " + r.label + ")",
+					A:     fmt.Sprint(a), B: fmt.Sprint(b),
 					Window: DisasmWindow(ref.m, ref.m.PC(), 6, 6),
 				}, nil
+			}
+			if nb := r.m.Run(o.Chunk, r.sink); na != nb {
+				return diverged("instructions executed in chunk", na, nb)
 			}
 			sa := capture(ref.m, o.CompareHostStats)
 			sb := capture(r.m, o.CompareHostStats)
 			if field, av, bv, ok := sa.diff(sb); !ok {
-				return &Divergence{
-					Check: "batch-invariance", Seed: prog.Seed, Step: step, Instr: total,
-					Field: field + " (" + ref.label + " vs " + r.label + ")",
-					A:     av, B: bv,
-					Window: DisasmWindow(ref.m, ref.m.PC(), 6, 6),
-				}, nil
+				return diverged(field, av, bv)
 			}
 			if ref.count.Total != r.count.Total {
-				return &Divergence{
-					Check: "batch-invariance", Seed: prog.Seed, Step: step, Instr: total,
-					Field: "events delivered (" + ref.label + " vs " + r.label + ")",
-					A:     fmt.Sprint(ref.count.Total), B: fmt.Sprint(r.count.Total),
-					Window: DisasmWindow(ref.m, ref.m.PC(), 6, 6),
-				}, nil
+				return diverged("events delivered", ref.count.Total, r.count.Total)
 			}
 			for cls := range ref.count.ByClass {
 				if ref.count.ByClass[cls] != r.count.ByClass[cls] {
-					return &Divergence{
-						Check: "batch-invariance", Seed: prog.Seed, Step: step, Instr: total,
-						Field: fmt.Sprintf("class %d events (%s vs %s)", cls, ref.label, r.label),
-						A:     fmt.Sprint(ref.count.ByClass[cls]), B: fmt.Sprint(r.count.ByClass[cls]),
-						Window: DisasmWindow(ref.m, ref.m.PC(), 6, 6),
-					}, nil
+					return diverged(fmt.Sprintf("class %d events", cls), ref.count.ByClass[cls], r.count.ByClass[cls])
 				}
 			}
 		}

@@ -20,7 +20,9 @@ var burstModes = []struct {
 	restore bool
 	run     func(s *Session, n uint64) uint64
 }{
-	{"RunFastFree", hostcost.Fast, false, false, func(s *Session, n uint64) uint64 { return s.RunFastFree(n) }},
+	// The free dispatch walk resumes from the nearest stored checkpoint
+	// rather than through fastHit, and charges nothing either way.
+	{"FastForwardVia", hostcost.Fast, false, true, func(s *Session, n uint64) uint64 { return s.FastForwardVia(nil, s.Executed()+n) }},
 	{"RunFast", hostcost.Fast, true, true, func(s *Session, n uint64) uint64 { return s.RunFast(n) }},
 	{"RunFuncWarm", hostcost.FuncWarm, true, false, func(s *Session, n uint64) uint64 { return s.RunFuncWarm(n) }},
 	{"RunDetailWarm", hostcost.DetailWarm, true, false, func(s *Session, n uint64) uint64 { return s.RunDetailWarm(n) }},
@@ -30,9 +32,6 @@ var burstModes = []struct {
 	}},
 	{"RunProfile", hostcost.BBVProfile, true, false, func(s *Session, n uint64) uint64 {
 		return s.RunProfile(n, &vm.CountingSink{})
-	}},
-	{"RunEvents", hostcost.Event, true, false, func(s *Session, n uint64) uint64 {
-		return s.RunEvents(n, &vm.CountingSink{})
 	}},
 }
 
@@ -116,9 +115,9 @@ func TestBurstProtocolPerMode(t *testing.T) {
 				if !aligned {
 					return
 				}
-				// A fresh session over the primed store: only a charged
-				// fast burst may be satisfied by a restore, and it must
-				// charge exactly what execution would have.
+				// A fresh session over the primed store: only the fast
+				// bursts may be satisfied by a restore, and the charged
+				// one must charge exactly what execution would have.
 				w, wreg, _ := newSession()
 				if ex := bm.run(w, n); ex != n || w.Executed() != n {
 					t.Fatalf("warm-store burst ran %d, session at %d, want %d", ex, w.Executed(), n)

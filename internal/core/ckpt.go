@@ -24,10 +24,9 @@ package core
 //
 // Host-cost accounting stays checkpoint-blind: a transparent fast-mode
 // hit charges the same hostcost.Fast units the skipped execution would
-// have, and FastForwardVia charges nothing, exactly like the
-// RunFastFree dispatch it replaces (callers still model the paper's
-// fixed restore overhead via Meter().ChargeRestore). Tables 1–2 and
-// Figure 2 are therefore byte-identical with the store on, off, or
+// have, and FastForwardVia charges nothing (callers still model the
+// paper's fixed restore overhead via Meter().ChargeRestore). Tables 1–2
+// and Figure 2 are therefore byte-identical with the store on, off, or
 // pre-warmed — the cache-equivalence tests pin this.
 
 import (
@@ -152,11 +151,11 @@ func (s *Session) fastHit(n uint64) bool {
 // caller via Meter().ChargeRestore, store hit or not).
 //
 // store selects an explicit store; nil uses the session's attached
-// store. With no store at all this devolves to exactly RunFastFree's
-// single free run. After a successful restore the session is back on
-// the canonical trajectory (checkpoints are only deposited there), so
-// the remaining gap is walked in base-interval steps, depositing at
-// stride boundaries along the way for later sessions.
+// store. With no store at all this devolves to a single free run to
+// target. After a successful restore the session is back on the
+// canonical trajectory (checkpoints are only deposited there), so the
+// remaining gap is walked in base-interval steps, depositing at stride
+// boundaries along the way for later sessions.
 func (s *Session) FastForwardVia(store *ckpt.Store, target uint64) uint64 {
 	if store == nil {
 		store = s.ckpt
@@ -187,18 +186,15 @@ func (s *Session) FastForwardVia(store *ckpt.Store, target uint64) uint64 {
 		s.canonical = instr%s.interval == 0
 		break
 	}
-	for s.executed < target && !s.machine.Halted() && !s.stopped() {
+	for s.executed < target && !s.machine.Halted() {
 		n := target - s.executed
 		if s.ckpt != nil && s.canonical && !s.feedback &&
 			s.executed%s.interval == 0 && n > s.interval {
 			n = s.interval
 		}
-		s.noteRun(n)
-		ex := s.runObserved(hostcost.Fast, n, nil)
-		if ex == 0 {
+		if s.burst(hostcost.Fast, n, nil, true) == 0 {
 			break
 		}
-		s.maybeDeposit()
 	}
 	return s.executed - start
 }

@@ -85,11 +85,12 @@ func TestSessionNonCanonicalAbstains(t *testing.T) {
 // TestFastForwardViaMatchesFree proves the checkpoint dispatch path is
 // invisible to results: fast-forwarding through a store (depositing on
 // the way, then resuming from it) leaves the session at the same
-// architectural state and charges nothing, exactly like RunFastFree.
+// architectural state and charges nothing, exactly like a store-less
+// session's single free run.
 func TestFastForwardViaMatchesFree(t *testing.T) {
 	ref := ckptSession(t, nil)
 	target := 10 * ref.IntervalLen()
-	ref.RunFastFree(target)
+	ref.FastForwardVia(nil, target)
 	refUnits := ref.Meter().Report(ref.Scale()).Units
 
 	store := ckpt.NewMemory()

@@ -10,8 +10,9 @@
 //	RunTimed       events feed the detailed core, interval IPC measured
 //	RunProfile     events feed a caller-supplied profiler (SimPoint BBVs)
 //
-// Every operation advances the same guest — sampling policies differ
-// only in how they schedule these modes over the instruction budget.
+// Every operation advances the same guest through one burst body
+// (Session.burst) — sampling policies differ only in how they schedule
+// these modes over the instruction budget.
 package core
 
 import (
@@ -270,18 +271,26 @@ func (s *Session) ResetMeter() {
 	s.meter.SetObs(s.opts.Obs)
 }
 
-// RunFastFree executes up to n instructions at full VM speed without
-// charging host cost. It models dispatching to a checkpoint: the paper's
-// SimPoint accounting reaches each simulation point from stored state
-// rather than by re-executing, so only a fixed restore overhead is
-// charged (by the caller, via Meter().ChargeRestore).
-func (s *Session) RunFastFree(n uint64) uint64 {
+// burst is the one body of the burst protocol every mode-switch
+// operation goes through: refuse once the context is cancelled, clamp
+// to the remaining budget, update the canonical-trajectory flag, let a
+// stored checkpoint stand in for a charged fast interval, otherwise run
+// the machine under observation, charge the host cost, and deposit a
+// checkpoint at a canonical stride boundary. free skips the charge and
+// the checkpoint substitution (the dispatch walk of FastForwardVia).
+func (s *Session) burst(mode hostcost.Mode, n uint64, sink vm.Sink, free bool) uint64 {
 	if s.stopped() {
 		return 0
 	}
 	n = s.clamp(n)
 	s.noteRun(n)
-	ex := s.runObserved(hostcost.Fast, n, nil)
+	if mode == hostcost.Fast && !free && s.fastHit(n) {
+		return n
+	}
+	ex := s.runObserved(mode, n, sink)
+	if !free {
+		s.charge(mode, ex)
+	}
 	s.maybeDeposit()
 	return ex
 }
@@ -291,91 +300,35 @@ func (s *Session) RunFastFree(n uint64) uint64 {
 // state is already stored is satisfied by a restore instead of
 // execution (bit-identical state and statistics, identical charge).
 func (s *Session) RunFast(n uint64) uint64 {
-	if s.stopped() {
-		return 0
-	}
-	n = s.clamp(n)
-	s.noteRun(n)
-	if s.fastHit(n) {
-		return n
-	}
-	ex := s.runObserved(hostcost.Fast, n, nil)
-	s.charge(hostcost.Fast, ex)
-	s.maybeDeposit()
-	return ex
+	return s.burst(hostcost.Fast, n, nil, false)
 }
 
 // RunFuncWarm executes up to n instructions with functional warming:
 // the event stream updates caches, TLBs and the branch predictor but no
 // timing is modelled (SMARTS's inter-unit mode).
 func (s *Session) RunFuncWarm(n uint64) uint64 {
-	if s.stopped() {
-		return 0
-	}
-	n = s.clamp(n)
-	s.noteRun(n)
-	ex := s.runObserved(hostcost.FuncWarm, n, s.core.WarmSink())
-	s.charge(hostcost.FuncWarm, ex)
-	s.maybeDeposit()
-	return ex
+	return s.burst(hostcost.FuncWarm, n, s.core.WarmSink(), false)
 }
 
 // RunDetailWarm executes up to n instructions through the detailed core
 // without recording a measurement (microarchitectural warm-up before a
 // sample).
 func (s *Session) RunDetailWarm(n uint64) uint64 {
-	if s.stopped() {
-		return 0
-	}
-	n = s.clamp(n)
-	s.noteRun(n)
-	ex := s.runObserved(hostcost.DetailWarm, n, s.core)
-	s.charge(hostcost.DetailWarm, ex)
-	s.maybeDeposit()
-	return ex
+	return s.burst(hostcost.DetailWarm, n, s.core, false)
 }
 
 // RunTimed executes up to n instructions through the detailed core and
 // returns the measured IPC of the interval.
 func (s *Session) RunTimed(n uint64) (ipc float64, executed uint64) {
-	if s.stopped() {
-		return 0, 0
-	}
-	n = s.clamp(n)
-	s.noteRun(n)
 	from := s.core.Marker()
-	ex := s.runObserved(hostcost.Timing, n, s.core)
-	s.charge(hostcost.Timing, ex)
-	s.maybeDeposit()
+	ex := s.burst(hostcost.Timing, n, s.core, false)
 	return timing.IPC(from, s.core.Marker()), ex
 }
 
 // RunProfile executes up to n instructions delivering events to a
 // caller-supplied profiler (charged at BBV-profiling cost).
 func (s *Session) RunProfile(n uint64, sink vm.Sink) uint64 {
-	if s.stopped() {
-		return 0
-	}
-	n = s.clamp(n)
-	s.noteRun(n)
-	ex := s.runObserved(hostcost.BBVProfile, n, sink)
-	s.charge(hostcost.BBVProfile, ex)
-	s.maybeDeposit()
-	return ex
-}
-
-// RunEvents executes up to n instructions delivering events to an
-// arbitrary sink at plain event-generation cost (used by diagnostics).
-func (s *Session) RunEvents(n uint64, sink vm.Sink) uint64 {
-	if s.stopped() {
-		return 0
-	}
-	n = s.clamp(n)
-	s.noteRun(n)
-	ex := s.runObserved(hostcost.Event, n, sink)
-	s.charge(hostcost.Event, ex)
-	s.maybeDeposit()
-	return ex
+	return s.burst(hostcost.BBVProfile, n, sink, false)
 }
 
 // StatsDelta returns the VM statistics accumulated since prev, and the

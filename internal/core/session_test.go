@@ -52,15 +52,13 @@ func TestSessionModesCharged(t *testing.T) {
 	if ex != 1000 || ipc <= 0 {
 		t.Fatalf("timed: ipc=%v ex=%d", ipc, ex)
 	}
-	s.RunEvents(500, vm.SinkFunc(func(*vm.Event) {}))
-	s.RunProfile(500, vm.SinkFunc(func(*vm.Event) {}))
+	s.RunProfile(500, vm.BatchFunc(func([]vm.Event) {}))
 	rep := s.Meter().Report(s.Scale())
 	wantByMode := map[hostcost.Mode]uint64{
 		hostcost.Fast:       1000,
 		hostcost.FuncWarm:   1000,
 		hostcost.DetailWarm: 1000,
 		hostcost.Timing:     1000,
-		hostcost.Event:      500,
 		hostcost.BBVProfile: 500,
 	}
 	for mode, want := range wantByMode {
@@ -73,9 +71,9 @@ func TestSessionModesCharged(t *testing.T) {
 	}
 }
 
-func TestRunFastFreeIsUncharged(t *testing.T) {
+func TestFastForwardIsUncharged(t *testing.T) {
 	s := newTestSession(t)
-	s.RunFastFree(5000)
+	s.FastForwardVia(nil, 5000)
 	if s.Executed() != 5000 {
 		t.Fatal("free run must still advance the guest")
 	}

@@ -98,21 +98,37 @@ var detectorCases = []struct {
 		[][]uint64{{1}, {10}, {100}, {100}}, []string{"arm", "detect", "detect", "steady"}, []int{0, 0}},
 }
 
+// TestDetectorTable runs every row through the reference and through
+// PhaseDetector: both must give the row's decisions and gaps.
 func TestDetectorTable(t *testing.T) {
 	t.Parallel()
+	names := map[Decision]string{Arming: "arm", Steady: "steady", Detect: "detect", Forced: "maxfunc"}
 	for _, c := range detectorCases {
 		ref := refDetector{sens: c.sens, maxFunc: c.maxFunc}
-		var got []string
-		var gaps []int
-		for _, vals := range c.series {
-			d, gap := ref.observe(vals...)
-			got = append(got, d)
-			if d == "detect" || d == "maxfunc" {
-				gaps = append(gaps, gap)
-			}
+		det := PhaseDetector{SensitivityPct: c.sens, MaxFunc: c.maxFunc}
+		observers := map[string]func(vals ...uint64) (string, int){
+			"reference": ref.observe,
+			"PhaseDetector": func(vals ...uint64) (string, int) {
+				d, gap := det.Observe(vals...)
+				if d.Sample() != (d == Detect || d == Forced) {
+					t.Errorf("%s: %s.Sample() = %v", c.name, names[d], d.Sample())
+				}
+				return names[d], gap
+			},
 		}
-		if !reflect.DeepEqual(got, c.want) || !reflect.DeepEqual(gaps, c.gaps) {
-			t.Errorf("%s: reference decided %v gaps %v, want %v gaps %v", c.name, got, gaps, c.want, c.gaps)
+		for who, observe := range observers {
+			var got []string
+			var gaps []int
+			for _, vals := range c.series {
+				d, gap := observe(vals...)
+				got = append(got, d)
+				if d == "detect" || d == "maxfunc" {
+					gaps = append(gaps, gap)
+				}
+			}
+			if !reflect.DeepEqual(got, c.want) || !reflect.DeepEqual(gaps, c.gaps) {
+				t.Errorf("%s: %s decided %v gaps %v, want %v gaps %v", c.name, who, got, gaps, c.want, c.gaps)
+			}
 		}
 	}
 }

@@ -110,10 +110,9 @@ func (p Dynamic) Run(s *core.Session) (Result, error) {
 		obs.ExpBuckets(1, 2, 10), "policy", p.Name())
 
 	metrics := append([]vm.Metric{p.Metric}, p.ExtraMetrics...)
+	det := PhaseDetector{SensitivityPct: p.SensitivityPct, MaxFunc: p.MaxFunc}
+	vals := make([]uint64, len(metrics))
 	timing := false
-	numFunc := 0
-	havePrev := false
-	prevVals := make([]uint64, len(metrics))
 	prevStats := s.Machine().Stats()
 	var idx uint64
 
@@ -135,8 +134,6 @@ func (p Dynamic) Run(s *core.Session) (Result, error) {
 			if p.TraceSamples {
 				res.Trace = append(res.Trace, IntervalTrace{Index: idx, IPC: ipc})
 			}
-			timing = false
-			numFunc = 0
 		} else {
 			ex := s.RunFast(interval)
 			est.Functional(ex)
@@ -148,42 +145,22 @@ func (p Dynamic) Run(s *core.Session) (Result, error) {
 		// Inspect the monitored variable(s) at the end of the interval.
 		delta, now := s.StatsDelta(prevStats)
 		prevStats = now
-		if havePrev {
-			triggered := false
-			for i, m := range metrics {
-				v := delta.Value(m)
-				diff := int64(v) - int64(prevVals[i])
-				if diff < 0 {
-					diff = -diff
-				}
-				den := prevVals[i]
-				if den == 0 {
-					den = 1
-				}
-				if float64(diff)/float64(den)*100 > p.SensitivityPct {
-					triggered = true
-				}
-			}
-			if triggered {
-				timing = true
-				res.Detections = append(res.Detections, idx)
-				detectC.Inc()
-				gapHist.Observe(float64(numFunc))
-			} else {
-				numFunc++
-				if p.MaxFunc > 0 && numFunc >= p.MaxFunc {
-					timing = true
-					maxfuncC.Inc()
-					gapHist.Observe(float64(numFunc))
-				} else {
-					steadyC.Inc()
-				}
-			}
-		}
 		for i, m := range metrics {
-			prevVals[i] = delta.Value(m)
+			vals[i] = delta.Value(m)
 		}
-		havePrev = true
+		decision, gap := det.Observe(vals...)
+		timing = decision.Sample()
+		switch decision {
+		case Detect:
+			res.Detections = append(res.Detections, idx)
+			detectC.Inc()
+			gapHist.Observe(float64(gap))
+		case Forced:
+			maxfuncC.Inc()
+			gapHist.Observe(float64(gap))
+		case Steady:
+			steadyC.Inc()
+		}
 		idx++
 	}
 	res.EstIPC = est.IPC()

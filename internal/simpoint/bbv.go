@@ -38,13 +38,8 @@ func NewProfiler(dim int, seed uint64) *Profiler {
 	return &Profiler{Dim: dim, seed: seed, cur: make(map[uint64]uint64)}
 }
 
-// OnEvent implements vm.Sink.
-func (p *Profiler) OnEvent(ev *vm.Event) {
-	p.cur[ev.PC>>6]++
-}
-
-// OnEvents implements vm.BatchSink: basic-block accumulation only
-// reads each event's PC, so the batch is folded in directly.
+// OnEvents implements vm.Sink: basic-block accumulation only reads
+// each event's PC, so the batch is folded in directly.
 func (p *Profiler) OnEvents(evs []vm.Event) {
 	for i := range evs {
 		p.cur[evs[i].PC>>6]++

@@ -143,14 +143,14 @@ func TestChooseKFindsBlobCount(t *testing.T) {
 
 func TestProfilerVectors(t *testing.T) {
 	p := NewProfiler(8, 1)
-	ev := vm.Event{PC: 0x1000}
+	ev := []vm.Event{{PC: 0x1000}}
 	for i := 0; i < 100; i++ {
-		p.OnEvent(&ev)
+		p.OnEvents(ev)
 	}
 	p.EndInterval()
-	ev2 := vm.Event{PC: 0x9000}
+	ev2 := []vm.Event{{PC: 0x9000}}
 	for i := 0; i < 100; i++ {
-		p.OnEvent(&ev2)
+		p.OnEvents(ev2)
 	}
 	p.EndInterval()
 	vecs := p.Vectors()
@@ -163,7 +163,7 @@ func TestProfilerVectors(t *testing.T) {
 	// Same code distribution => same vector regardless of count.
 	p2 := NewProfiler(8, 1)
 	for i := 0; i < 500; i++ {
-		p2.OnEvent(&ev)
+		p2.OnEvents(ev)
 	}
 	p2.EndInterval()
 	if Distance(vecs[0], p2.Vectors()[0]) > 1e-12 {

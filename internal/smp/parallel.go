@@ -6,16 +6,13 @@ import (
 	"repro/internal/vm"
 )
 
-// capture is a vm.BatchSink that buffers a quantum's event stream for
+// capture is a vm.Sink that buffers a quantum's event stream for
 // deferred, deterministically ordered replay. The buffer is reused
 // across rounds, so steady-state capture allocates nothing once it has
 // grown to the quantum size.
 type capture struct{ evs []vm.Event }
 
 func (c *capture) reset() { c.evs = c.evs[:0] }
-
-// OnEvent buffers one event (per-event fallback path).
-func (c *capture) OnEvent(ev *vm.Event) { c.evs = append(c.evs, *ev) }
 
 // OnEvents buffers a batch. The VM reuses the batch slice, so the
 // events are copied out.

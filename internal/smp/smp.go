@@ -181,10 +181,8 @@ func (s *System) Done() bool {
 
 // run advances every unfinished guest by up to n instructions in
 // quanta. timed selects the per-guest sink: nil for fast mode, the
-// guest's core for timed mode. Cores implement vm.BatchSink, so timed
-// quanta get batched event delivery automatically; each guest's
-// machine owns its own batch buffer, so quantum interleaving never
-// mixes guests' events.
+// guest's core for timed mode. Each guest's machine owns its own event
+// batch buffer, so quantum interleaving never mixes guests' events.
 func (s *System) run(n uint64, timed bool) {
 	if s.cfg.Sequential {
 		s.runSequential(n, timed)
@@ -290,10 +288,9 @@ func (s *System) DynamicSample(metric vm.Metric, sensitivityPct float64, interva
 	ests := make([]sampling.Estimator, len(s.guests))
 	samples := make([]int, len(s.guests))
 
+	det := sampling.PhaseDetector{SensitivityPct: sensitivityPct, MaxFunc: maxFunc}
 	timed := false
-	numFunc := 0
-	havePrev := false
-	var prevVal, prevSum uint64
+	var prevSum uint64
 
 	for !s.Done() {
 		var executed []uint64
@@ -324,8 +321,6 @@ func (s *System) DynamicSample(metric vm.Metric, sensitivityPct float64, interva
 				}
 				executed[i] = g.executed - before[i]
 			}
-			timed = false
-			numFunc = 0
 		} else {
 			s.RunFast(interval)
 			executed = make([]uint64, len(s.guests))
@@ -343,28 +338,9 @@ func (s *System) DynamicSample(metric vm.Metric, sensitivityPct float64, interva
 		}
 
 		sum := s.statsSum(metric)
-		v := sum - prevSum
+		decision, _ := det.Observe(sum - prevSum)
 		prevSum = sum
-		if havePrev {
-			diff := int64(v) - int64(prevVal)
-			if diff < 0 {
-				diff = -diff
-			}
-			den := prevVal
-			if den == 0 {
-				den = 1
-			}
-			if float64(diff)/float64(den)*100 > sensitivityPct {
-				timed = true
-			} else {
-				numFunc++
-				if maxFunc > 0 && numFunc >= maxFunc {
-					timed = true
-				}
-			}
-		}
-		prevVal = v
-		havePrev = true
+		timed = decision.Sample()
 	}
 
 	out := make([]Estimate, len(s.guests))

@@ -96,8 +96,7 @@ func TestPrivateVsSharedL2Config(t *testing.T) {
 	cfg := timing.DefaultConfig()
 	cfg.SharedL2 = shared
 	core := timing.NewCore(cfg)
-	ev := vm.Event{PC: 0x1000, NextPC: 0x1008}
-	core.OnEvent(&ev) // ifetch populates L2 through the shared cache
+	core.OnEvents([]vm.Event{{PC: 0x1000, NextPC: 0x1008}}) // ifetch populates L2 through the shared cache
 	if shared.Stats().Accesses() == 0 {
 		t.Fatal("core did not route L2 accesses to the shared cache")
 	}

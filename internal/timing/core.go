@@ -304,10 +304,10 @@ func issueN(u []uint64, ready, busy uint64) uint64 {
 }
 
 // OnEvents processes a batch of retired instructions in full detail;
-// it is the one body of the detail model. It implements vm.BatchSink,
-// so a Core handed to vm.Machine.Run receives events in slices. The
-// model is strictly per-instruction, so how a stream is cut into
-// batches never changes a result.
+// it is the one body of the detail model. It implements vm.Sink, so a
+// Core can be handed directly to vm.Machine.Run. The model is strictly
+// per-instruction, so how a stream is cut into batches never changes a
+// result.
 //
 // The core's scalar pipeline state lives in locals for the duration of
 // the batch and is written back once at the end: Marker, Snapshot and
@@ -525,21 +525,12 @@ func (c *Core) OnEvents(evs []vm.Event) {
 	c.instrs += uint64(len(evs))
 }
 
-// OnEvent processes one retired instruction: a one-element batch. It
-// implements vm.Sink, so a Core can be handed directly to
-// vm.Machine.Run.
-func (c *Core) OnEvent(ev *vm.Event) {
-	one := [1]vm.Event{*ev}
-	c.OnEvents(one[:])
-}
-
 // warmSink adapts the core to functional-warming mode: caches, TLBs and
 // branch predictor are updated from the event stream, but no cycles are
 // modelled. This is what SMARTS does between sampling units.
 type warmSink struct{ c *Core }
 
 // WarmSink returns a vm.Sink that performs functional warming only.
-// The returned sink also implements vm.BatchSink for batched delivery.
 func (c *Core) WarmSink() vm.Sink { return warmSink{c} }
 
 // OnEvents warms from a batch of events: the one body of the warm
@@ -584,10 +575,4 @@ func (w warmSink) OnEvents(evs []vm.Event) {
 		}
 	}
 	c.lastFetchLine = lastFetchLine
-}
-
-// OnEvent warms from one event: a one-element batch.
-func (w warmSink) OnEvent(ev *vm.Event) {
-	one := [1]vm.Event{*ev}
-	w.OnEvents(one[:])
 }

@@ -28,7 +28,7 @@ func (f *feeder) emit(ev vm.Event) {
 	// Code loops within a 4 KB region, like a real kernel: a linearly
 	// advancing PC would be a permanent I-cache miss stream.
 	f.pc = 0x1000 + (ev.NextPC & 0xfff)
-	f.c.OnEvent(&ev)
+	f.c.OnEvents([]vm.Event{ev})
 }
 
 func (f *feeder) alu(rd, rs1, rs2 uint8) {
@@ -174,7 +174,7 @@ func TestWindowLimitsMLP(t *testing.T) {
 			ev := vm.Event{PC: pc, NextPC: pc + 8, Op: isa.OpLd, Class: isa.ClassLoad,
 				Rd: uint8(1 + i%8), Rs1: 9, MemAddr: 0x100_0000 + line}
 			pc += 8
-			c.OnEvent(&ev)
+			c.OnEvents([]vm.Event{ev})
 		}
 		for i := 0; i < 2000; i++ {
 			emit(i)
@@ -211,7 +211,7 @@ func TestWarmSinkUpdatesStateWithoutCycles(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		ev := vm.Event{PC: 0x1000, NextPC: 0x1008, Op: isa.OpLd, Class: isa.ClassLoad,
 			Rd: 1, Rs1: 2, MemAddr: 0x8000 + uint64(i%16)*64}
-		w.OnEvent(&ev)
+		w.OnEvents([]vm.Event{ev})
 	}
 	if c.Marker() != before {
 		t.Fatal("warming must not advance cycles or instruction count")
@@ -315,10 +315,10 @@ func TestSharedL2AccountsAccesses(t *testing.T) {
 	cfgB.SharedL2 = shared
 	a, b := NewCore(cfgA), NewCore(cfgB)
 	ev := vm.Event{PC: 0x100000, NextPC: 0x100008, Op: isa.OpLd, Class: isa.ClassLoad, Rd: 1, Rs1: 2, MemAddr: 0x40_0000}
-	a.OnEvent(&ev)
+	a.OnEvents([]vm.Event{ev})
 	ev2 := ev
 	ev2.MemAddr = 0x80_0000
-	b.OnEvent(&ev2)
+	b.OnEvents([]vm.Event{ev2})
 	if shared.Stats().Accesses() < 2 {
 		t.Fatalf("shared L2 saw %d accesses, want >= 2", shared.Stats().Accesses())
 	}

@@ -194,9 +194,7 @@ func TestStreamsCoverTheModel(t *testing.T) {
 		t.Errorf("syscall stream: %d syscalls in %d events", sys, len(streams()["syscalls"]))
 	}
 	r := newRefCore(DefaultConfig())
-	for _, ev := range streams()["calls"] {
-		r.OnEvent(&ev)
-	}
+	perEvent(r.OnEvent).OnEvents(streams()["calls"])
 	st := r.pred.Stats()
 	if st.Returns < 1000 || st.ReturnMiss == 0 || st.TargetMiss == 0 {
 		t.Errorf("call stream does not stress the RAS and BTB: %+v", st)
@@ -267,7 +265,7 @@ const (
 func runDiff(t *testing.T, cfg Config, evs []vm.Event, sizes []int, mode deliverMode, seed uint64) {
 	t.Helper()
 	c, r := NewCore(cfg), newRefCore(cfg)
-	warm := c.WarmSink().(vm.BatchSink)
+	warm, refDetail, refWarm := c.WarmSink(), perEvent(r.OnEvent), perEvent(r.warm)
 	rng := workload.NewRNG(seed ^ 0x5eed)
 	at := 0
 	for bi, s := range sizes {
@@ -275,16 +273,10 @@ func runDiff(t *testing.T, cfg Config, evs []vm.Event, sizes []int, mode deliver
 		warming := mode == modeWarm || (mode == modeMixed && rng.Intn(2) == 0)
 		if warming {
 			warm.OnEvents(batch)
+			refWarm.OnEvents(batch)
 		} else {
 			c.OnEvents(batch)
-		}
-		for i := range batch {
-			ev := batch[i]
-			if warming {
-				r.warm(&ev)
-			} else {
-				r.OnEvent(&ev)
-			}
+			refDetail.OnEvents(batch)
 		}
 		at += s
 		if d := diffState(c, r); d != "" {
@@ -332,8 +324,8 @@ func TestWarmSinkMatchesReference(t *testing.T) {
 }
 
 // TestFixedBatchSizesMatchReference covers the sizes the batch-
-// invariance sweep uses as uniform splits, plus per-event delivery
-// through the OnEvent shims.
+// invariance sweep uses as uniform splits, plus one-event batches over
+// the whole stream with warming and detail alternating.
 func TestFixedBatchSizesMatchReference(t *testing.T) {
 	evs := streams()["gzip"][:30_000]
 	for _, size := range []int{1, 3, 64, 4096} {
@@ -358,13 +350,12 @@ func TestFixedBatchSizesMatchReference(t *testing.T) {
 	c, r := NewCore(DefaultConfig()), newRefCore(DefaultConfig())
 	w := c.WarmSink()
 	for i := range evs {
-		ev := evs[i]
 		if i%5000 < 1000 {
-			w.OnEvent(&ev)
-			r.warm(&ev)
+			w.OnEvents(evs[i : i+1])
+			r.warm(&evs[i])
 		} else {
-			c.OnEvent(&ev)
-			r.OnEvent(&ev)
+			c.OnEvents(evs[i : i+1])
+			r.OnEvent(&evs[i])
 		}
 		if i%1000 == 999 {
 			if d := diffState(c, r); d != "" {
@@ -389,10 +380,7 @@ func TestSharedL2MatchesReference(t *testing.T) {
 		for g := range cores {
 			batch := evs[g][at : at+quantum]
 			cores[g].OnEvents(batch)
-			for i := range batch {
-				ev := batch[i]
-				refs[g].OnEvent(&ev)
-			}
+			perEvent(refs[g].OnEvent).OnEvents(batch)
 		}
 		for g := range cores {
 			if d := diffState(cores[g], refs[g]); d != "" {

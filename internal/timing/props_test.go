@@ -56,7 +56,7 @@ func TestRetireWidthAndMonotonicCycles(t *testing.T) {
 func TestWarmingKeepsTheClock(t *testing.T) {
 	evs := streams()["mcf"]
 	c := NewCore(DefaultConfig())
-	warm := c.WarmSink().(vm.BatchSink)
+	warm := c.WarmSink()
 	c.OnEvents(evs[:5000])
 	before, snap := c.Marker(), c.Snapshot()
 	warm.OnEvents(evs[5000:20000])
@@ -74,7 +74,7 @@ func TestWarmingKeepsTheClock(t *testing.T) {
 func TestOnEventsDoesNotAllocate(t *testing.T) {
 	evs := streams()["gzip"]
 	c := NewCore(DefaultConfig())
-	warm := NewCore(DefaultConfig()).WarmSink().(vm.BatchSink)
+	warm := NewCore(DefaultConfig()).WarmSink()
 	at := 0
 	next := func() []vm.Event {
 		if at+256 > len(evs) {

@@ -172,6 +172,17 @@ func (c *refCore) issueOn(pool fuKind, ready uint64, busy int) uint64 {
 	return issue
 }
 
+// perEvent adapts a per-event function to vm.Sink, so the reference
+// bodies below can stand wherever a production sink does. Per-event
+// delivery exists only here, on the test side.
+func perEvent(f func(*vm.Event)) vm.Sink {
+	return vm.BatchFunc(func(evs []vm.Event) {
+		for i := range evs {
+			f(&evs[i])
+		}
+	})
+}
+
 // OnEvent processes one retired instruction in full detail.
 func (c *refCore) OnEvent(ev *vm.Event) {
 	cfg := &c.cfg

@@ -38,7 +38,7 @@ func TestSnapshotComparable(t *testing.T) {
 	if sa.L2Digest != sb.L2Digest {
 		t.Fatal("shared-L2 digest differs between cores sharing one cache")
 	}
-	a.OnEvent(&vm.Event{PC: 0x2000, NextPC: 0x2008})
+	a.OnEvents([]vm.Event{{PC: 0x2000, NextPC: 0x2008}})
 	if a.Snapshot() == sb {
 		t.Fatal("snapshot blind to an extra event")
 	}

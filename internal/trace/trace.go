@@ -49,8 +49,7 @@ func zig(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzig(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Writer records events to an output stream. It implements vm.Sink, so
-// it can be handed directly to vm.Machine.Run (or combined with other
-// sinks via vm.MultiSink).
+// it can be handed directly to vm.Machine.Run.
 type Writer struct {
 	w       *bufio.Writer
 	prevPC  uint64
@@ -69,54 +68,50 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return &Writer{w: bw, buf: make([]byte, 0, 64)}, nil
 }
 
-// OnEvents implements vm.BatchSink. The delta encoding is strictly
-// sequential over events, so batch delivery produces the identical
-// byte stream to per-event delivery.
+// OnEvents implements vm.Sink. The delta encoding is strictly
+// sequential over events, so how the stream is cut into batches never
+// changes the bytes written. Encoding errors are sticky and reported by
+// Close.
 func (t *Writer) OnEvents(evs []vm.Event) {
 	for i := range evs {
-		t.OnEvent(&evs[i])
-	}
-}
-
-// OnEvent implements vm.Sink. Encoding errors are sticky and reported
-// by Close.
-func (t *Writer) OnEvent(ev *vm.Event) {
-	if t.err != nil {
-		return
-	}
-	var flags byte
-	if ev.Taken {
-		flags |= flagTaken
-	}
-	hasMem := ev.Class == isa.ClassLoad || ev.Class == isa.ClassStore
-	if hasMem {
-		flags |= flagHasMem
-	}
-	hasTarget := ev.Target != 0
-	if hasTarget {
-		flags |= flagHasTarget
-	}
-	sequential := ev.NextPC == ev.PC+isa.InstBytes
-	if sequential {
-		flags |= flagSequential
-	}
-	b := t.buf[:0]
-	b = append(b, flags, byte(ev.Op), ev.Rd, ev.Rs1, ev.Rs2)
-	b = binary.AppendUvarint(b, zig(int64(ev.PC-t.prevPC)))
-	if !sequential {
-		b = binary.AppendUvarint(b, zig(int64(ev.NextPC-ev.PC)))
-	}
-	if hasMem {
-		b = binary.AppendUvarint(b, zig(int64(ev.MemAddr-t.prevMem)))
-		t.prevMem = ev.MemAddr
-	}
-	if hasTarget {
-		b = binary.AppendUvarint(b, zig(int64(ev.Target-ev.PC)))
-	}
-	t.prevPC = ev.PC
-	t.count++
-	if _, err := t.w.Write(b); err != nil {
-		t.err = err
+		if t.err != nil {
+			return
+		}
+		ev := &evs[i]
+		var flags byte
+		if ev.Taken {
+			flags |= flagTaken
+		}
+		hasMem := ev.Class == isa.ClassLoad || ev.Class == isa.ClassStore
+		if hasMem {
+			flags |= flagHasMem
+		}
+		hasTarget := ev.Target != 0
+		if hasTarget {
+			flags |= flagHasTarget
+		}
+		sequential := ev.NextPC == ev.PC+isa.InstBytes
+		if sequential {
+			flags |= flagSequential
+		}
+		b := t.buf[:0]
+		b = append(b, flags, byte(ev.Op), ev.Rd, ev.Rs1, ev.Rs2)
+		b = binary.AppendUvarint(b, zig(int64(ev.PC-t.prevPC)))
+		if !sequential {
+			b = binary.AppendUvarint(b, zig(int64(ev.NextPC-ev.PC)))
+		}
+		if hasMem {
+			b = binary.AppendUvarint(b, zig(int64(ev.MemAddr-t.prevMem)))
+			t.prevMem = ev.MemAddr
+		}
+		if hasTarget {
+			b = binary.AppendUvarint(b, zig(int64(ev.Target-ev.PC)))
+		}
+		t.prevPC = ev.PC
+		t.count++
+		if _, err := t.w.Write(b); err != nil {
+			t.err = err
+		}
 	}
 }
 
@@ -207,12 +202,11 @@ func (t *Reader) Next(ev *vm.Event) error {
 // Count returns the number of events decoded so far.
 func (t *Reader) Count() uint64 { return t.count }
 
-// Replay feeds every remaining event to sink and returns the number of
-// events delivered. A sink that implements vm.BatchSink receives the
-// events in batches, as it would from vm.Machine.Run; events decoded
-// before a read error are delivered before the error is returned.
+// Replay feeds every remaining event to sink, in batches as
+// vm.Machine.Run would, and returns the number of events delivered;
+// events decoded before a read error are delivered before the error is
+// returned.
 func (t *Reader) Replay(sink vm.Sink) (uint64, error) {
-	out := vm.MultiSink{sink} // batched where the sink supports it
 	batch := make([]vm.Event, 256)
 	var n uint64
 	for {
@@ -225,7 +219,7 @@ func (t *Reader) Replay(sink vm.Sink) (uint64, error) {
 			k++
 		}
 		if k > 0 {
-			out.OnEvents(batch[:k])
+			sink.OnEvents(batch[:k])
 			n += uint64(k)
 		}
 		// Only Next's bare io.EOF is the end of the trace; one wrapped in

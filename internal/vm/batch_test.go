@@ -8,16 +8,28 @@ import (
 	"repro/internal/mem"
 )
 
+// perEvent adapts a per-event function to Sink: the per-event
+// formulation of delivery, which exists only on the test side.
+func perEvent(f func(*Event)) Sink {
+	return BatchFunc(func(evs []Event) {
+		for i := range evs {
+			f(&evs[i])
+		}
+	})
+}
+
 // TestBatchSizeInvariance runs the same program per event-batch
 // capacity and requires architectural state, statistics, and delivered
-// event counts to be bit-identical to legacy per-event delivery.
+// event counts to be bit-identical to one-event batches counted event
+// by event.
 func TestBatchSizeInvariance(t *testing.T) {
-	ref := New(Config{MemSpan: 64 << 20})
+	ref := New(Config{MemSpan: 64 << 20, EventBatch: 1})
 	ref.Load(fibProgram())
 	refSink := &CountingSink{}
-	// SinkFunc does not implement BatchSink: this is the per-event
-	// adapter path every batched run must match.
-	ref.RunToCompletion(0, SinkFunc(refSink.OnEvent))
+	ref.RunToCompletion(0, perEvent(func(e *Event) {
+		refSink.Total++
+		refSink.ByClass[e.Class]++
+	}))
 	refStats := ref.Stats()
 
 	for _, bs := range []int{1, 3, 64, 4096} {
@@ -38,14 +50,40 @@ func TestBatchSizeInvariance(t *testing.T) {
 	}
 }
 
+// TestBatchOneIsPerEventOrder pins what the reference legs of the
+// batch-invariance checks rely on: with EventBatch 1 every delivered
+// slice holds exactly one event, one flush happens per retired
+// instruction, and the events arrive in retirement order (each one's PC
+// is its predecessor's resolved next PC).
+func TestBatchOneIsPerEventOrder(t *testing.T) {
+	m := New(Config{MemSpan: 64 << 20, EventBatch: 1})
+	m.Load(fibProgram())
+	var evs []Event
+	m.RunToCompletion(0, BatchFunc(func(b []Event) {
+		if len(b) != 1 {
+			t.Fatalf("flush %d delivered %d events, want 1", len(evs), len(b))
+		}
+		evs = append(evs, b[0])
+	}))
+	n := m.Stats().Instructions
+	if n == 0 || uint64(len(evs)) != n || m.BatchFlushes() != n {
+		t.Fatalf("%d instructions, %d events, %d flushes: want all equal and non-zero", n, len(evs), m.BatchFlushes())
+	}
+	for i := 1; i < len(evs); i++ {
+		if evs[i].PC != evs[i-1].NextPC {
+			t.Fatalf("event %d at pc %#x follows an event whose next pc is %#x", i, evs[i].PC, evs[i-1].NextPC)
+		}
+	}
+}
+
 // TestEventOrderPreserved checks batched delivery yields the exact
 // per-event sequence: same events, same order, across a batch capacity
 // that never divides the program length evenly.
 func TestEventOrderPreserved(t *testing.T) {
 	var ref []Event
-	a := New(Config{MemSpan: 64 << 20})
+	a := New(Config{MemSpan: 64 << 20, EventBatch: 1})
 	a.Load(fibProgram())
-	a.RunToCompletion(0, SinkFunc(func(e *Event) { ref = append(ref, *e) }))
+	a.RunToCompletion(0, perEvent(func(e *Event) { ref = append(ref, *e) }))
 
 	var got []Event
 	b := New(Config{MemSpan: 64 << 20, EventBatch: 7})

@@ -23,99 +23,42 @@ type Event struct {
 	Taken   bool // conditional branches: outcome
 }
 
-// Sink consumes the instruction event stream. Implementations include
-// the timing simulator front-end (full detail), the functional-warming
-// adaptor (caches and predictors only), and the BBV profiler.
-//
-// The event pointer is only valid for the duration of the call; sinks
-// must copy anything they keep.
-type Sink interface {
-	OnEvent(ev *Event)
-}
-
-// BatchSink is the batched form of Sink: the VM buffers retired-
-// instruction events into a fixed-capacity batch inline in the
-// interpreter loop and delivers them in slices, amortising interface
-// dispatch and event copies across hundreds of instructions. A sink
-// passed to Machine.Run that implements BatchSink receives OnEvents
-// calls; a plain Sink is adapted to per-event delivery transparently.
+// Sink consumes the instruction event stream: the one interface between
+// the VM and everything behind it — the timing core (full detail), its
+// functional-warming adaptor (caches and predictors only), the BBV
+// profiler, the trace writer. The VM buffers retired-instruction events
+// into a fixed-capacity batch inline in the interpreter loop and
+// delivers them in slices, amortising interface dispatch and event
+// copies across hundreds of instructions.
 //
 // Delivery boundaries (the flush points) are: batch full, block exit to
 // a translation-cache lookup, immediately before a system call is
 // serviced (so timing-feedback state owned by the sink is caught up to
-// the instruction stream), guest halt, and Run return. Event order is
-// identical to per-event delivery, and results are bit-identical for
-// every batch capacity (internal/check's batch-invariance checker
-// enforces this).
+// the instruction stream), guest halt, and Run return. Events arrive in
+// retirement order, and results are bit-identical for every batch
+// capacity (internal/check's batch-invariance checker enforces this
+// against one-event batches).
 //
 // The slice is only valid for the duration of the call and is reused
 // for the next batch; sinks must copy anything they keep.
-type BatchSink interface {
-	Sink
+type Sink interface {
 	OnEvents(evs []Event)
 }
 
-// perEventSink adapts a legacy per-event Sink to the batched delivery
-// path, preserving exact event order.
-type perEventSink struct{ s Sink }
+// BatchSink is the name bench/ still spells for Sink; owed to the next
+// benchmark PR, which may edit bench/ and delete this line.
+type BatchSink = Sink
 
-func (p perEventSink) OnEvent(ev *Event) { p.s.OnEvent(ev) }
-
-func (p perEventSink) OnEvents(evs []Event) {
-	for i := range evs {
-		p.s.OnEvent(&evs[i])
-	}
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(ev *Event)
-
-// OnEvent calls f(ev).
-func (f SinkFunc) OnEvent(ev *Event) { f(ev) }
-
-// BatchFunc adapts a function to the BatchSink interface.
+// BatchFunc adapts a function to the Sink interface.
 type BatchFunc func(evs []Event)
 
 // OnEvents calls f(evs).
 func (f BatchFunc) OnEvents(evs []Event) { f(evs) }
 
-// OnEvent delivers a single event as a one-element batch.
-func (f BatchFunc) OnEvent(ev *Event) { f([]Event{*ev}) }
-
-// MultiSink fans events out to several sinks in order.
-type MultiSink []Sink
-
-// OnEvent delivers ev to each sink.
-func (ms MultiSink) OnEvent(ev *Event) {
-	for _, s := range ms {
-		s.OnEvent(ev)
-	}
-}
-
-// OnEvents delivers the batch to each sink, batched where the sink
-// supports it.
-func (ms MultiSink) OnEvents(evs []Event) {
-	for _, s := range ms {
-		if b, ok := s.(BatchSink); ok {
-			b.OnEvents(evs)
-		} else {
-			for i := range evs {
-				s.OnEvent(&evs[i])
-			}
-		}
-	}
-}
-
 // CountingSink counts events by class; useful in tests.
 type CountingSink struct {
 	Total   uint64
 	ByClass [isa.NumClasses]uint64
-}
-
-// OnEvent records the event.
-func (c *CountingSink) OnEvent(ev *Event) {
-	c.Total++
-	c.ByClass[ev.Class]++
 }
 
 // OnEvents records a batch of events. Counts accumulate into two

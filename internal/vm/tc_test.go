@@ -191,7 +191,7 @@ func TestEventContents(t *testing.T) {
 	m.Load(img)
 
 	var events []Event
-	m.RunToCompletion(0, SinkFunc(func(e *Event) { events = append(events, *e) }))
+	m.RunToCompletion(0, perEvent(func(e *Event) { events = append(events, *e) }))
 
 	if len(events) != 5 {
 		t.Fatalf("got %d events", len(events))

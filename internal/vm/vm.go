@@ -45,7 +45,7 @@ type Config struct {
 	// EventBatch is the event-mode delivery batch capacity in events
 	// (default 256). Purely host-side: the batch size never influences
 	// guest-visible behaviour, statistics, or results — only how many
-	// events each BatchSink.OnEvents call carries — so it is excluded
+	// events each Sink.OnEvents call carries — so it is excluded
 	// from checkpoint workload hashes.
 	EventBatch int
 }
@@ -528,7 +528,7 @@ func (m *Machine) Load(img *asm.Image) {
 func (m *Machine) Stats() Stats { return m.stats }
 
 // BatchFlushes returns the cumulative number of event-batch deliveries
-// (BatchSink.OnEvents calls) this machine has made — a host-side
+// (Sink.OnEvents calls) this machine has made — a host-side
 // observability counter, not part of guest-visible Stats.
 func (m *Machine) BatchFlushes() uint64 { return m.batchFlushes }
 
@@ -897,9 +897,8 @@ func (m *Machine) LiveTraces() int {
 
 // Run executes up to n guest instructions, stopping early on HALT or
 // SysExit. If sink is non-nil the machine runs in event-generating mode
-// and delivers one Event per retired instruction — batched through
-// BatchSink.OnEvents when the sink supports it, adapted to per-event
-// calls otherwise. Run returns the number of instructions actually
+// and delivers one Event per retired instruction, in batches, through
+// sink.OnEvents. Run returns the number of instructions actually
 // executed; every buffered event has been delivered by the time it
 // returns.
 //
@@ -912,17 +911,10 @@ func (m *Machine) Run(n uint64, sink Sink) uint64 {
 	if m.halted {
 		return 0
 	}
-	if sink == nil {
-		return m.run(n, nil)
-	}
-	bs, ok := sink.(BatchSink)
-	if !ok {
-		bs = perEventSink{sink}
-	}
-	if cap(m.batch) == 0 {
+	if sink != nil && cap(m.batch) == 0 {
 		m.batch = make([]Event, 0, m.cfg.EventBatch)
 	}
-	return m.run(n, bs)
+	return m.run(n, sink)
 }
 
 // run is the interpreter hot loop shared by both modes: bs is nil in
@@ -962,7 +954,7 @@ func (m *Machine) Run(n uint64, sink Sink) uint64 {
 // carries no budget compare. Falling off a budget-capped window leaves
 // m.pc at the next unexecuted address, exactly like the baseline's
 // mid-block budget exit.
-func (m *Machine) run(n uint64, bs BatchSink) uint64 {
+func (m *Machine) run(n uint64, bs Sink) uint64 {
 	var (
 		executed uint64 // instructions retired this call
 		instBase uint64 // executed at the last Instructions spill
