@@ -25,25 +25,23 @@ fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzMoviExpansion$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME)
 
-# Differential-execution checks over generated guest programs plus
-# sampling-policy determinism (see internal/check and cmd/diffcheck).
-# -batch adds the event-batch invariance sweep: every program and
-# policy re-run across batch capacities {1,3,64,4096}, bit-identical.
-# -faults adds the fault-equivalence sweep: rendered artifacts must be
-# byte-identical to a fault-free run under seeded fault injection.
-# -obs adds the observability-invariance sweep: results and artifacts
-# must be identical with the metrics registry and trace attached.
-# -sweep adds the sweep-equivalence check: a distributed multi-worker
-# sweep (with seeded worker kills and network faults) must produce a
-# merged journal byte-identical to sequential execution.
-# -stats adds the statistical-validity check: the Stratified/RankedSet
-# confidence intervals must deliver their claimed coverage against
-# full-timing ground truth, stay seed-deterministic through the
-# journal, and honour the error-targeting budget/width contract
-# (reduced seed sweep here; CI's statistical-validity job runs the
-# full design).
+# Differential-execution checks (see internal/check and cmd/diffcheck;
+# `-legs` picks the checks). programs and policies: every program-level
+# check over generated guest programs, and sampling-policy determinism.
+# batch: every program and policy re-run across batch capacities
+# {1,3,64,4096}, bit-identical to one-event delivery. faults: rendered
+# artifacts byte-identical to a fault-free run under seeded fault
+# injection. obs: results and artifacts identical with the metrics
+# registry and trace attached. sweep: a distributed multi-worker sweep
+# (with seeded worker kills and network faults) merges to a journal
+# byte-identical to sequential execution. stats: the
+# Stratified/RankedSet confidence intervals deliver their claimed
+# coverage against full-timing ground truth, stay seed-deterministic
+# through the journal, and honour the error-targeting budget/width
+# contract (reduced seed sweep here; CI's statistical-validity job runs
+# the full design).
 diffcheck:
-	$(GO) run ./cmd/diffcheck -seed 1 -n 200 -batch -faults -obs -sweep -stats -stats-runs 25
+	$(GO) run ./cmd/diffcheck -seed 1 -n 200 -legs programs,policies,batch,faults,obs,sweep,stats -stats-runs 25
 
 # Chaos-schedule exploration: CHAOS_SCHEDULES seeded fault schedules
 # (coordinator SIGKILL/restart at arbitrary WAL offsets with torn
@@ -52,7 +50,7 @@ diffcheck:
 # exactly-once accounting (see internal/chaos).
 CHAOS_SCHEDULES ?= 8
 chaos:
-	$(GO) run ./cmd/diffcheck -n 0 -mode lockstep -chaos -chaos-schedules $(CHAOS_SCHEDULES)
+	$(GO) run ./cmd/diffcheck -legs chaos -chaos-schedules $(CHAOS_SCHEDULES)
 
 # Parallel-SMP equivalence: the goroutine-per-guest barrier schedule
 # must be byte-identical to the sequential round-robin reference across
@@ -65,7 +63,7 @@ chaos:
 smp:
 	$(GO) test -race -count=1 ./internal/smp ./internal/timing ./internal/cache ./internal/branch
 	$(GO) test -race -count=1 -timeout 20m ./internal/check -run TestSMPEquivalence
-	$(GO) run ./cmd/diffcheck -n 0 -mode lockstep -smp
+	$(GO) run ./cmd/diffcheck -legs smp
 
 golden-update:
 	$(GO) test ./internal/experiments -run TestGolden -update

@@ -4,355 +4,314 @@
 //
 // Usage:
 //
-//	diffcheck [-seed N] [-n COUNT] [-chunk C] [-mode MODE] [-scale S] [-bench LIST] [-v]
+//	diffcheck [-legs a,b,c] [-seed N] [-n COUNT] [-chunk C] [-scale S] [-bench LIST] [-v]
 //
-// Modes:
+// -legs selects the checks to run, in the order given (default
+// "programs,policies"):
 //
-//	all        every program-level check per seed, then policy determinism
-//	lockstep   fast-mode vs event-mode lockstep differencing only
-//	snapshot   snapshot/restore round-trip check only
-//	serialize  serialized (WriteTo/ReadSnapshot) round-trip check only
-//	replay     same-partitioning replay determinism only
-//	chunks     chunk-partitioning agreement only
-//	policies   sampling-policy determinism only (no generated programs)
+//	programs   every program-level check below on each generated program
+//	lockstep   fast-mode vs event-mode lockstep differencing
+//	snapshot   snapshot/restore round trip
+//	serialize  serialized (WriteTo/ReadSnapshot) round trip
+//	replay     same-partitioning replay determinism
+//	chunks     chunk-partitioning agreement
+//	policies   sampling-policy determinism per benchmark
+//	ckpt       checkpoint cache equivalence: every policy with the store
+//	           off, cold, and warmed, bit-identical each time
+//	batch      event-batch invariance: each generated program and every
+//	           policy re-run per capacity in check.BatchSizes against a
+//	           reference that delivers and counts one event at a time
+//	obs        observability invariance: every policy, and the rendered
+//	           artifact bundle, identical with metrics and trace attached
+//	faults     fault equivalence: the runner under seeded disk, checkpoint
+//	           and measurement faults renders byte-identical artifacts
+//	sweep      sweep equivalence: a distributed coordinator/worker sweep
+//	           with worker kills and remote-tier faults merges to the
+//	           sequential run's bytes, exactly once (-sweep-workers)
+//	chaos      chaos schedules: the same sweep with the coordinator
+//	           killed at write-ahead-log offsets, torn tails, worker
+//	           kills, network and disk faults (-chaos-schedules)
+//	smp        SMP scheduler equivalence: the parallel barrier schedule
+//	           byte-identical to sequential round-robin across guest
+//	           counts, quanta and GOMAXPROCS (-smp-procs)
+//	stats      statistical validity of the Stratified/RankedSet
+//	           confidence intervals: coverage, seed determinism, journal
+//	           round trip, error targeting (-stats-runs)
 //
-// The -ckpt flag additionally replays every policy with the checkpoint
-// store off, cold, and warmed, requiring bit-identical results each
-// time (the cache-equivalence check).
-//
-// The -batch flag additionally runs the batch-invariance checks: each
-// generated program is re-run per event-batch capacity in
-// check.BatchSizes against a per-event-delivery reference, and every
-// sampling policy is replayed across the same capacities, all required
-// to be bit-identical (the batched event pipeline must be invisible).
-//
-// The -faults flag additionally runs the fault-equivalence check: the
-// experiment runner is driven under several seeded fault-injection
-// schedules (disk I/O errors, torn and corrupted checkpoints,
-// measurement panics, hangs, and transient errors) and its rendered
-// artifacts must be byte-identical to a fault-free run.
-//
-// The -chaos flag additionally runs the chaos-schedule exploration:
-// -chaos-schedules seeded fault schedules (worker kills at arbitrary
-// deliveries, coordinator SIGKILL/restart at arbitrary write-ahead-log
-// offsets with torn WAL tails, network and disk faults), each a full
-// distributed sweep whose merged journal must render artifacts
-// byte-identical to a sequential fault-free run with exactly-once
-// completion accounting and kill-bounded re-execution.
-//
-// The -smp flag additionally runs the SMP scheduler-equivalence check:
-// for every guest count, rendezvous quantum (including quantum 1), and
-// GOMAXPROCS setting in the matrix, the parallel goroutine-per-guest
-// barrier schedule must produce byte-identical statistics, core
-// snapshots (including shared-L2 replacement state), interval IPCs,
-// Dynamic Sampling estimates, and rendered reports to the sequential
-// round-robin reference schedule. -smp-procs narrows the GOMAXPROCS
-// matrix (comma-separated) so CI can shard it.
-//
-// The -obs flag additionally runs the observability-invariance checks:
-// every policy is replayed with a metrics registry and transition trace
-// attached and must produce bit-identical results, and the full
-// artifact bundle is rendered with and without instrumentation and must
-// be byte-identical (the obs layer must be inert).
-//
-// The -stats flag additionally runs the statistical-validity check:
-// the Stratified and RankedSet policies are swept across seeds against
-// full-timing ground truth and must deliver the empirical interval
-// coverage they claim, seed-deterministic journal-stable results, and
-// an error-targeting mode that honours its budget and width contract.
-// -stats-runs scales the sweep (seeded runs per policy per benchmark).
-//
-// Program checks run seeds seed..seed+n-1. Any divergence is reported
-// with the first differing field and a disassembled window around the
-// divergence PC, and the exit status is 1; re-running with the printed
-// seed reproduces it exactly.
+// Program legs run seeds seed..seed+n-1; policy legs run the -bench
+// list at -scale. Any divergence is reported with the first differing
+// field and a disassembled window around the divergence PC, and the
+// exit status is 1; re-running with the printed command line reproduces
+// it exactly. An unknown leg name exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/sampling"
 	"repro/internal/workload"
 )
 
-func main() {
-	var (
-		seed         = flag.Uint64("seed", 1, "first generator seed")
-		n            = flag.Uint64("n", 100, "number of generated programs to check")
-		chunk        = flag.Uint64("chunk", 0, "sync-point granularity in instructions (0 = default 509)")
-		mode         = flag.String("mode", "all", "all|lockstep|snapshot|serialize|replay|chunks|policies")
-		ckpt         = flag.Bool("ckpt", false, "also run the checkpoint cache-equivalence check per benchmark")
-		batch        = flag.Bool("batch", false, "also run event-batch invariance checks (programs and policies)")
-		fault        = flag.Bool("faults", false, "also run the fault-equivalence check (seeded fault injection vs fault-free artifacts)")
-		sweep        = flag.Bool("sweep", false, "also run the sweep-equivalence check (distributed coordinator/worker sweep vs sequential artifacts)")
-		sweepWorkers = flag.String("sweep-workers", "", "comma-separated worker counts for -sweep (default 2,4)")
-		chaosf       = flag.Bool("chaos", false, "also run the chaos-schedule exploration (seeded coordinator/worker kill schedules vs sequential artifacts)")
-		chaosN       = flag.Int("chaos-schedules", 0, "fault schedules for -chaos (0 = default 8)")
-		smpf         = flag.Bool("smp", false, "also run the SMP scheduler-equivalence check (parallel barrier schedule vs sequential round-robin, byte-identical)")
-		smpProcs     = flag.String("smp-procs", "", "comma-separated GOMAXPROCS values for -smp (default 1,2,8)")
-		obsf         = flag.Bool("obs", false, "also run the observability-invariance checks (metrics/trace attached vs plain, results and artifacts identical)")
-		statsf       = flag.Bool("stats", false, "also run the statistical-validity check (interval coverage, determinism, error targeting of the Stratified/RankedSet policies)")
-		statsRuns    = flag.Int("stats-runs", 0, "seeded runs per policy per benchmark for -stats (0 = default 100)")
-		scale        = flag.Int("scale", 50_000, "benchmark scale divisor for policy determinism")
-		bench        = flag.String("bench", "gzip,mcf", "comma-separated benchmarks for policy determinism (\"all\" = every benchmark)")
-		verb         = flag.Bool("v", false, "report every seed, not just failures")
-	)
-	flag.Parse()
+// env is what the flags resolve to; every leg reads its parameters here.
+type env struct {
+	seed, n      uint64
+	o            check.Options
+	scale        int
+	benches      []string
+	verbose      bool
+	sweepWorkers []int
+	chaosN       int
+	smpProcs     []int
+	statsRuns    int
+}
 
-	o := check.DefaultOptions()
-	if *chunk != 0 {
-		o.Chunk = *chunk
-	}
-
-	runPrograms := *mode != "policies"
-	runPolicies := *mode == "all" || *mode == "policies" || *ckpt || *batch || *obsf
-	var totalInstr uint64
-
-	if runPrograms {
-		for s := *seed; s < *seed+*n; s++ {
-			rep, div, err := checkSeed(s, o, *mode)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-				os.Exit(1)
-			}
-			if div != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", div)
-				fmt.Fprintf(os.Stderr, "diffcheck: reproduce with: diffcheck -mode %s -seed %d -n 1 -chunk %d\n",
-					*mode, s, o.Chunk)
-				os.Exit(1)
-			}
-			if *batch {
-				div, err := check.BatchInvariance(check.Generate(s), o)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-					os.Exit(1)
-				}
-				if div != nil {
-					fmt.Fprintf(os.Stderr, "%v\n", div)
-					fmt.Fprintf(os.Stderr, "diffcheck: reproduce with: diffcheck -batch -seed %d -n 1 -chunk %d\n",
-						s, o.Chunk)
-					os.Exit(1)
-				}
-				rep.Checks = append(rep.Checks, "batch-invariance")
-			}
-			totalInstr += rep.Instr
-			if *verb {
-				fmt.Printf("seed %d: ok (%d instructions; %s)\n",
-					s, rep.Instr, strings.Join(rep.Checks, ", "))
-			}
+// legs is the registry -legs selects from.
+var legs = []struct {
+	name string
+	run  func(*env) error
+}{
+	{"programs", programLeg("programs", check.CheckProgram)},
+	{"lockstep", programLeg("lockstep", func(seed uint64, o check.Options) (*check.ProgramReport, *check.Divergence, error) {
+		div, instr, err := check.Lockstep(check.Generate(seed), o)
+		return &check.ProgramReport{Instr: instr}, div, err
+	})},
+	{"snapshot", programLeg("snapshot", withoutInstr(check.SnapshotRoundTrip))},
+	{"serialize", programLeg("serialize", withoutInstr(check.SerializedRoundTrip))},
+	{"replay", programLeg("replay", withoutInstr(check.ReplayDeterminism))},
+	{"chunks", programLeg("chunks", withoutInstr(func(p *check.Program, o check.Options) (*check.Divergence, error) {
+		return check.ChunkAgreement(p, o, 0)
+	}))},
+	{"policies", policyLeg("policy determinism", check.PolicyDeterminism)},
+	{"ckpt", policyLeg("checkpoint equivalence", check.CheckpointEquivalence)},
+	{"batch", func(e *env) error {
+		if err := programLeg("batch", withoutInstr(check.BatchInvariance))(e); err != nil {
+			return err
 		}
-		fmt.Printf("diffcheck: %d programs ok (seeds %d..%d, mode %s, chunk %d, %d instructions)\n",
-			*n, *seed, *seed+*n-1, *mode, o.Chunk, totalInstr)
-	}
-
-	if runPolicies {
-		benches := strings.Split(*bench, ",")
-		if *bench == "all" {
-			benches = workload.Names()
+		return policyLeg(fmt.Sprintf("batch invariance (batch sizes %v)", check.BatchSizes), check.PolicyBatchInvariance)(e)
+	}},
+	{"obs", func(e *env) error {
+		if err := policyLeg("obs invariance", check.ObsInvariance)(e); err != nil {
+			return err
 		}
-		opts := core.Options{Scale: *scale}
-		for _, b := range benches {
-			b = strings.TrimSpace(b)
-			if err := check.PolicyDeterminism(b, opts, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-				os.Exit(1)
-			}
-			if *verb {
-				fmt.Printf("policies on %s: deterministic at scale %d\n", b, *scale)
-			}
-			if *ckpt {
-				if err := check.CheckpointEquivalence(b, opts, nil); err != nil {
-					fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-					os.Exit(1)
-				}
-				if *verb {
-					fmt.Printf("checkpoint equivalence on %s: ok at scale %d\n", b, *scale)
-				}
-			}
-			if *batch {
-				if err := check.PolicyBatchInvariance(b, opts, nil); err != nil {
-					fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-					os.Exit(1)
-				}
-				if *verb {
-					fmt.Printf("policy batch invariance on %s: ok at scale %d\n", b, *scale)
-				}
-			}
-			if *obsf {
-				if err := check.ObsInvariance(b, opts, nil); err != nil {
-					fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-					os.Exit(1)
-				}
-				if *verb {
-					fmt.Printf("obs invariance on %s: ok at scale %d\n", b, *scale)
-				}
-			}
-		}
-		fmt.Printf("diffcheck: policy determinism ok (%s at scale %d)\n",
-			strings.Join(benches, ", "), *scale)
-		if *ckpt {
-			fmt.Printf("diffcheck: checkpoint equivalence ok (%s at scale %d)\n",
-				strings.Join(benches, ", "), *scale)
-		}
-		if *batch {
-			fmt.Printf("diffcheck: batch invariance ok (%s at scale %d, batch sizes %v)\n",
-				strings.Join(benches, ", "), *scale, check.BatchSizes)
-		}
-		if *obsf {
-			if err := check.ObsArtifactInvariance(*scale*2, benches); err != nil {
-				fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("diffcheck: obs invariance ok (%s at scale %d; artifacts byte-identical with metrics attached)\n",
-				strings.Join(benches, ", "), *scale)
-		}
-	}
-
-	if *fault {
+		return report(check.ObsArtifactInvariance(e.scale*2, e.benches),
+			"obs artifact invariance ok (artifacts byte-identical with metrics attached)")
+	}},
+	{"faults", func(e *env) error {
 		fo := check.FaultOptions{
 			RequireKinds: []faults.Kind{
 				faults.DiskRead, faults.DiskWrite, faults.DiskSync,
 				faults.CorruptRead, faults.TornWrite,
 				faults.RunPanic, faults.RunHang, faults.RunError,
 			},
+			Progress: e.progress(),
 		}
-		if *verb {
-			fo.Progress = os.Stderr
-		}
-		if err := check.FaultEquivalence(fo); err != nil {
-			fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("diffcheck: fault equivalence ok (artifacts byte-identical under injected faults)")
-	}
-
-	if *sweep {
+		return report(check.FaultEquivalence(fo), "fault equivalence ok (artifacts byte-identical under injected faults)")
+	}},
+	{"sweep", func(e *env) error {
 		so := check.SweepOptions{
-			RequireKinds: []faults.Kind{
-				faults.WorkerKill, faults.NetGet, faults.NetPut, faults.NetCorrupt,
-			},
+			Workers:      e.sweepWorkers,
+			RequireKinds: []faults.Kind{faults.WorkerKill, faults.NetGet, faults.NetPut},
+			Progress:     e.progress(),
 		}
-		if *sweepWorkers != "" {
-			max := 0
-			for _, s := range strings.Split(*sweepWorkers, ",") {
-				var w int
-				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &w); err != nil || w < 1 {
-					fmt.Fprintf(os.Stderr, "diffcheck: bad -sweep-workers entry %q\n", s)
-					os.Exit(2)
-				}
-				so.Workers = append(so.Workers, w)
-				if w > max {
-					max = w
-				}
-			}
-			// In-flight GET corruption needs a cross-worker checkpoint
-			// hit, which small worker counts rarely produce; the kind has
-			// a dedicated unit pin in internal/sweep, so only require it
-			// here when the matrix makes hits likely.
-			if max < 4 {
-				kinds := so.RequireKinds[:0]
-				for _, k := range so.RequireKinds {
-					if k != faults.NetCorrupt {
-						kinds = append(kinds, k)
-					}
-				}
-				so.RequireKinds = kinds
-			}
+		// In-flight GET corruption needs a cross-worker checkpoint hit,
+		// which small worker counts rarely produce; the kind has a
+		// dedicated unit pin in internal/sweep, so only require it here
+		// when the matrix (default 2,4) makes hits likely.
+		if max := maxOf(e.sweepWorkers); max == 0 || max >= 4 {
+			so.RequireKinds = append(so.RequireKinds, faults.NetCorrupt)
 		}
-		if *verb {
-			so.Progress = os.Stderr
-		}
-		if err := check.SweepEquivalence(so); err != nil {
-			fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("diffcheck: sweep equivalence ok (distributed sweep byte-identical to sequential run, exactly-once accounting)")
-	}
-
-	if *chaosf {
-		if *chaosN <= 0 {
-			*chaosN = 8
-		}
-		co := chaos.Options{Seed: *seed, Schedules: *chaosN}
-		if *verb {
-			co.Progress = os.Stderr
-			co.Verbose = true
-		} else {
-			co.Progress = os.Stdout
+		return report(check.SweepEquivalence(so),
+			"sweep equivalence ok (distributed sweep byte-identical to sequential run, exactly-once accounting)")
+	}},
+	{"chaos", func(e *env) error {
+		co := chaos.Options{Seed: e.seed, Schedules: e.chaosN, Progress: os.Stdout}
+		if e.verbose {
+			co.Progress, co.Verbose = os.Stderr, true
 		}
 		if err := chaos.ExploreWith(co); err != nil {
-			fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-			fmt.Fprintf(os.Stderr, "diffcheck: reproduce with: diffcheck -chaos -seed %d -chaos-schedules %d\n",
-				*seed, co.Schedules)
-			os.Exit(1)
+			return fmt.Errorf("%w\ndiffcheck: reproduce with: diffcheck -legs chaos -seed %d -chaos-schedules %d",
+				err, e.seed, e.chaosN)
 		}
 		fmt.Printf("diffcheck: chaos exploration ok (%d schedules from seed %d; coordinator kill/restart, WAL tears, worker kills — artifacts byte-identical, exactly-once)\n",
-			co.Schedules, *seed)
-	}
+			e.chaosN, e.seed)
+		return nil
+	}},
+	{"smp", func(e *env) error {
+		return report(check.SMPEquivalence(check.SMPOptions{Procs: e.smpProcs, Progress: e.progress()}),
+			"smp equivalence ok (parallel barrier schedule byte-identical to sequential round-robin across quanta and GOMAXPROCS)")
+	}},
+	{"stats", func(e *env) error {
+		return report(check.StatisticalValidity(check.StatValidityOptions{Runs: e.statsRuns, Progress: e.progress()}),
+			"statistical validity ok (interval coverage, seed determinism, journal round-trip, error targeting)")
+	}},
+}
 
-	if *smpf {
-		var so check.SMPOptions
-		if *smpProcs != "" {
-			for _, s := range strings.Split(*smpProcs, ",") {
-				var p int
-				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &p); err != nil || p < 1 {
-					fmt.Fprintf(os.Stderr, "diffcheck: bad -smp-procs entry %q\n", s)
-					os.Exit(2)
-				}
-				so.Procs = append(so.Procs, p)
-			}
-		}
-		if *verb {
-			so.Progress = os.Stderr
-		}
-		if err := check.SMPEquivalence(so); err != nil {
-			fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("diffcheck: smp equivalence ok (parallel barrier schedule byte-identical to sequential round-robin across quanta and GOMAXPROCS)")
+// report prints a harness leg's success line, or passes its error on.
+func report(err error, ok string) error {
+	if err == nil {
+		fmt.Println("diffcheck: " + ok)
 	}
+	return err
+}
 
-	if *statsf {
-		so := check.StatValidityOptions{Runs: *statsRuns}
-		if *verb {
-			so.Progress = os.Stderr
-		}
-		if err := check.StatisticalValidity(so); err != nil {
-			fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("diffcheck: statistical validity ok (interval coverage, seed determinism, journal round-trip, error targeting)")
+// progress is where the harnesses' progress lines go: nowhere unless -v.
+func (e *env) progress() io.Writer {
+	if e.verbose {
+		return os.Stderr
+	}
+	return nil
+}
+
+// withoutInstr lifts a program check that reports no instruction count
+// to the shape programLeg runs.
+func withoutInstr(f func(*check.Program, check.Options) (*check.Divergence, error)) func(uint64, check.Options) (*check.ProgramReport, *check.Divergence, error) {
+	return func(seed uint64, o check.Options) (*check.ProgramReport, *check.Divergence, error) {
+		div, err := f(check.Generate(seed), o)
+		return &check.ProgramReport{}, div, err
 	}
 }
 
-// checkSeed runs the selected check(s) for one generated program.
-func checkSeed(seed uint64, o check.Options, mode string) (*check.ProgramReport, *check.Divergence, error) {
-	if mode == "all" {
-		return check.CheckProgram(seed, o)
+// programLeg runs one program-level check over seeds seed..seed+n-1.
+func programLeg(name string, checkSeed func(uint64, check.Options) (*check.ProgramReport, *check.Divergence, error)) func(*env) error {
+	return func(e *env) error {
+		var totalInstr uint64
+		for s := e.seed; s < e.seed+e.n; s++ {
+			rep, div, err := checkSeed(s, e.o)
+			if err != nil {
+				return err
+			}
+			if div != nil {
+				return fmt.Errorf("%v\ndiffcheck: reproduce with: diffcheck -legs %s -seed %d -n 1 -chunk %d",
+					div, name, s, e.o.Chunk)
+			}
+			totalInstr += rep.Instr
+			if e.verbose {
+				fmt.Printf("seed %d: %s ok\n", s, name)
+			}
+		}
+		instr := ""
+		if totalInstr > 0 {
+			instr = fmt.Sprintf(", %d instructions", totalInstr)
+		}
+		fmt.Printf("diffcheck: %s ok (%d programs, seeds %d..%d, chunk %d%s)\n",
+			name, e.n, e.seed, e.seed+e.n-1, e.o.Chunk, instr)
+		return nil
 	}
-	prog := check.Generate(seed)
-	rep := &check.ProgramReport{Seed: seed, Checks: []string{mode}}
-	var div *check.Divergence
-	var err error
-	switch mode {
-	case "lockstep":
-		div, rep.Instr, err = check.Lockstep(prog, o)
-	case "snapshot":
-		div, err = check.SnapshotRoundTrip(prog, o)
-	case "serialize":
-		div, err = check.SerializedRoundTrip(prog, o)
-	case "replay":
-		div, err = check.ReplayDeterminism(prog, o)
-	case "chunks":
-		div, err = check.ChunkAgreement(prog, o, 0)
-	default:
-		return nil, nil, fmt.Errorf("unknown -mode %q (want all|lockstep|snapshot|serialize|replay|chunks|policies)", mode)
+}
+
+// policyLeg runs one per-benchmark policy check over the -bench list.
+func policyLeg(what string, checkBench func(string, core.Options, []sampling.Policy) error) func(*env) error {
+	return func(e *env) error {
+		for _, b := range e.benches {
+			if err := checkBench(b, core.Options{Scale: e.scale}, nil); err != nil {
+				return err
+			}
+			if e.verbose {
+				fmt.Printf("%s on %s: ok at scale %d\n", what, b, e.scale)
+			}
+		}
+		fmt.Printf("diffcheck: %s ok (%s at scale %d)\n", what, strings.Join(e.benches, ", "), e.scale)
+		return nil
 	}
-	return rep, div, err
+}
+
+func maxOf(xs []int) int {
+	max := 0
+	for _, x := range xs {
+		if x > max {
+			max = x
+		}
+	}
+	return max
+}
+
+// positiveInts parses a comma-separated list of integers >= 1 ("" is
+// the empty list); a bad entry exits 2.
+func positiveInts(flagName, list string) []int {
+	if list == "" {
+		return nil
+	}
+	var out []int
+	for _, s := range strings.Split(list, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(s))
+		if err != nil || v < 1 {
+			fmt.Fprintf(os.Stderr, "diffcheck: bad -%s entry %q\n", flagName, s)
+			os.Exit(2)
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+func main() {
+	var names []string
+	for _, l := range legs {
+		names = append(names, l.name)
+	}
+	var (
+		legList      = flag.String("legs", "programs,policies", "comma-separated checks to run: "+strings.Join(names, ","))
+		seed         = flag.Uint64("seed", 1, "first generator seed (program legs, chaos)")
+		n            = flag.Uint64("n", 100, "number of generated programs per program leg")
+		chunk        = flag.Uint64("chunk", 0, "sync-point granularity in instructions (0 = default 509)")
+		scale        = flag.Int("scale", 50_000, "benchmark scale divisor for the policy legs")
+		bench        = flag.String("bench", "gzip,mcf", "comma-separated benchmarks for the policy legs (\"all\" = every benchmark)")
+		sweepWorkers = flag.String("sweep-workers", "", "comma-separated worker counts for the sweep leg (default 2,4)")
+		chaosN       = flag.Int("chaos-schedules", 8, "fault schedules for the chaos leg")
+		smpProcs     = flag.String("smp-procs", "", "comma-separated GOMAXPROCS values for the smp leg (default 1,2,8)")
+		statsRuns    = flag.Int("stats-runs", 0, "seeded runs per policy per benchmark for the stats leg (0 = default 100)")
+		verb         = flag.Bool("v", false, "report every seed and benchmark, not just failures")
+	)
+	flag.Parse()
+
+	e := &env{
+		seed: *seed, n: *n, o: check.DefaultOptions(), scale: *scale, verbose: *verb,
+		sweepWorkers: positiveInts("sweep-workers", *sweepWorkers),
+		chaosN:       *chaosN,
+		smpProcs:     positiveInts("smp-procs", *smpProcs),
+		statsRuns:    *statsRuns,
+	}
+	if *chunk != 0 {
+		e.o.Chunk = *chunk
+	}
+	if e.chaosN <= 0 {
+		e.chaosN = 8
+	}
+	if *bench == "all" {
+		e.benches = workload.Names()
+	} else {
+		for _, b := range strings.Split(*bench, ",") {
+			e.benches = append(e.benches, strings.TrimSpace(b))
+		}
+	}
+
+	var selected []func(*env) error
+	for _, name := range strings.Split(*legList, ",") {
+		name = strings.TrimSpace(name)
+		found := false
+		for _, l := range legs {
+			if l.name == name {
+				selected = append(selected, l.run)
+				found = true
+			}
+		}
+		if !found {
+			fmt.Fprintf(os.Stderr, "diffcheck: unknown leg %q (valid: %s)\n", name, strings.Join(names, ","))
+			os.Exit(2)
+		}
+	}
+	for _, run := range selected {
+		if err := run(e); err != nil {
+			fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
+			os.Exit(1)
+		}
+	}
 }

@@ -6,8 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/check"
 	"repro/internal/faults"
 	"repro/internal/jsonl"
 )
@@ -114,11 +114,9 @@ func TestCoordinatorKilledMidSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real measurements; skipped in -short")
 	}
-	o := Options{Seed: 7, Workers: 3, LeaseTTL: 300 * time.Millisecond, Timeout: 120 * time.Second}
-	o.setDefaults()
+	o := Options{Seed: 7, Workers: 3}
 
-	goldenDir := t.TempDir()
-	golden, err := renderSequential(o, filepath.Join(goldenDir, "ckpt"))
+	golden, err := check.SequentialGolden(scale, benchmarks, nil)
 	if err != nil {
 		t.Fatalf("sequential golden: %v", err)
 	}
@@ -129,7 +127,7 @@ func TestCoordinatorKilledMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
-	if plain.incarnations != 1 || plain.coordKills != 0 {
+	if plain.Incarnations != 1 || plain.CoordKills != 0 {
 		t.Fatalf("uninterrupted run restarted: %+v", plain)
 	}
 
@@ -144,22 +142,22 @@ func TestCoordinatorKilledMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("crashy run: %v", err)
 	}
-	if crashed.coordKills != 2 {
-		t.Fatalf("coordinator killed %d times, want 2", crashed.coordKills)
+	if crashed.CoordKills != 2 {
+		t.Fatalf("coordinator killed %d times, want 2", crashed.CoordKills)
 	}
-	if crashed.incarnations != 3 {
-		t.Fatalf("%d incarnations for 2 kills, want 3", crashed.incarnations)
+	if crashed.Incarnations != 3 {
+		t.Fatalf("%d incarnations for 2 kills, want 3", crashed.Incarnations)
 	}
-	if !bytes.Equal(crashed.journal, plain.journal) {
+	if !bytes.Equal(crashed.Journal, plain.Journal) {
 		t.Fatalf("merged journal diverges between crashy and uninterrupted runs (%d vs %d bytes)",
-			len(crashed.journal), len(plain.journal))
+			len(crashed.Journal), len(plain.Journal))
 	}
 	// Strictly fewer re-executions than redoing the sweep once per
 	// incarnation: each restart resumed from the WAL instead of starting
 	// over.
-	if full := crashed.cells * crashed.incarnations; crashed.executions >= full {
+	if full := crashed.Cells * crashed.Incarnations; crashed.Executions >= full {
 		t.Fatalf("%d executions across %d incarnations (full redo = %d): restart did not resume",
-			crashed.executions, crashed.incarnations, full)
+			crashed.Executions, crashed.Incarnations, full)
 	}
 }
 

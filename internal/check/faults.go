@@ -115,7 +115,7 @@ func FaultEquivalence(o FaultOptions) error {
 		}
 		if !bytes.Equal(got, golden) {
 			return fmt.Errorf("fault-equivalence: seed %d: artifacts diverge from fault-free run [%s]\n%s",
-				seed, inj, diffSummary(golden, got))
+				seed, inj, DiffSummary(golden, got))
 		}
 		for k, n := range inj.Fired() {
 			fired[k] += n
@@ -149,11 +149,7 @@ func renderWith(opts experiments.Options) ([]byte, error) {
 // DiffSummary reports the first line where two rendered artifacts
 // diverge, for actionable failure messages. Exported for the chaos
 // harness, which checks the same byte-identity invariants.
-func DiffSummary(a, b []byte) string { return diffSummary(a, b) }
-
-// diffSummary reports the first line where two rendered artifacts
-// diverge, for actionable failure messages.
-func diffSummary(a, b []byte) string {
+func DiffSummary(a, b []byte) string {
 	al := bytes.Split(a, []byte("\n"))
 	bl := bytes.Split(b, []byte("\n"))
 	n := len(al)

@@ -95,7 +95,7 @@ func ObsArtifactInvariance(scale int, benches []string) error {
 	}
 	if !bytes.Equal(got, golden) {
 		return fmt.Errorf("obs-invariance: artifacts diverge with obs attached\n%s",
-			diffSummary(golden, got))
+			DiffSummary(golden, got))
 	}
 	if instr.Trace.Total() == 0 {
 		return fmt.Errorf("obs-invariance: vacuous — no transitions recorded")

@@ -120,25 +120,29 @@ func (s *Session) fastHit(n uint64) bool {
 	if n != s.interval || s.executed%s.interval != 0 || (s.executed+n)%s.ckptEvery != 0 {
 		return false
 	}
-	key := s.ckptKey(s.executed + n)
-	snap, ok := s.ckpt.Lookup(key)
-	if !ok {
-		return false
+	snap, ok := s.ckpt.Lookup(s.ckptKey(s.executed + n))
+	if !ok || !s.restoreTo(s.ckpt, snap, s.executed+n) {
+		return false // degrade to cold execution
 	}
-	restoreStart := time.Now()
+	s.charge(hostcost.Fast, n)
+	return true
+}
+
+// restoreTo moves the session to the absolute instruction count instr
+// by restoring snap, store's checkpoint there. A snapshot that decoded
+// cleanly but fails to restore is unusable for everyone: it is
+// discarded from every tier and the session stays where it was
+// (Restore validates before mutating, so the machine is untouched).
+func (s *Session) restoreTo(store *ckpt.Store, snap *vm.Snapshot, instr uint64) bool {
+	start := time.Now()
 	if err := s.machine.Restore(snap); err != nil {
-		// A snapshot that decoded cleanly but failed to restore is
-		// unusable for everyone: discard it from every tier and degrade
-		// to cold execution. Restore validates before mutating, so the
-		// machine is untouched.
-		s.ckpt.Discard(key)
+		store.Discard(s.ckptKey(instr))
 		return false
 	}
 	if s.ob != nil {
-		s.ob.restore(time.Since(restoreStart), n)
+		s.ob.restore(time.Since(start), instr-s.executed)
 	}
-	s.executed += n
-	s.charge(hostcost.Fast, n)
+	s.executed = instr
 	return true
 }
 
@@ -169,20 +173,12 @@ func (s *Session) FastForwardVia(store *ckpt.Store, target uint64) uint64 {
 		if !ok || instr <= s.executed {
 			break
 		}
-		restoreStart := time.Now()
-		if err := s.machine.Restore(snap); err != nil {
-			// Degradation ladder: a snapshot that decoded cleanly but
-			// failed to restore is discarded from every tier, then the
+		if !s.restoreTo(store, snap, instr) {
+			// Degradation ladder: with the bad snapshot discarded, the
 			// next-lower checkpoint is tried; with none left we fall
-			// through and walk from scratch. Restore validates before
-			// mutating, so each failed rung leaves the machine intact.
-			store.Discard(s.ckptKey(instr))
+			// through and walk from scratch.
 			continue
 		}
-		if s.ob != nil {
-			s.ob.restore(time.Since(restoreStart), instr-s.executed)
-		}
-		s.executed = instr
 		s.canonical = instr%s.interval == 0
 		break
 	}

@@ -35,6 +35,11 @@ var ErrCoordinatorDown = errors.New("sweep: coordinator unavailable")
 // retryable, and the worker treats both as the reconnect-budget class.
 var ErrBadResponse = errors.New("sweep: malformed coordinator response")
 
+// ErrTooLarge reports a request the coordinator refused for its size
+// (413). Sending it again cannot succeed, so it is not in the retryable
+// class: the worker gives up on the sweep and says why.
+var ErrTooLarge = errors.New("sweep: request body over the coordinator's limit")
+
 // maxResponseBytes bounds control-plane reply bodies (the largest,
 // /v1/status, is well under a megabyte; snapshots travel on their own
 // endpoints with their own framing).
@@ -138,6 +143,8 @@ func (cl *Client) postJSON(ctx context.Context, path string, in, out interface{}
 		return fmt.Errorf("%w (%s)", ErrStaleEpoch, errBody(resp))
 	case resp.StatusCode == http.StatusUnprocessableEntity:
 		return fmt.Errorf("%w (%s)", ErrIncompleteCell, errBody(resp))
+	case resp.StatusCode == http.StatusRequestEntityTooLarge:
+		return fmt.Errorf("%w: %s: %s", ErrTooLarge, path, errBody(resp))
 	case resp.StatusCode >= 500:
 		return fmt.Errorf("%w: %s: status %d: %s", ErrCoordinatorDown, path, resp.StatusCode, errBody(resp))
 	default:
@@ -302,9 +309,11 @@ func (cl *Client) Put(k ckpt.Key, snap *vm.Snapshot) error {
 		return fmt.Errorf("sweep: ckpt put: %w", err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusRequestEntityTooLarge {
+		return fmt.Errorf("%w: ckpt put: %s", ErrTooLarge, errBody(resp))
+	}
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("sweep: ckpt put: status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+		return fmt.Errorf("sweep: ckpt put: status %d: %s", resp.StatusCode, errBody(resp))
 	}
 	return nil
 }

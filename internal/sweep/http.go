@@ -25,14 +25,26 @@ import (
 //	PUT  /v1/ckpt/{key}        digest-checked upload (400 corrupt)
 //	GET  /v1/ckpt/{key}/nearest  nearest-<= snapshot; X-Ckpt-Instr header
 //
-// Stale or superseded leases answer 409; completions with missing
-// records answer 422; lease verbs stamped with a dead incarnation's
+// Request bodies are bounded (maxJSONBody, maxSnapshotBody): a larger
+// one answers 413 before anything is decoded. Stale or superseded
+// leases answer 409; completions with missing records answer 422; lease verbs stamped with a dead incarnation's
 // epoch answer 410 (the worker re-fetches /v1/config and re-claims);
 // WAL append failures answer 503 (retryable — nothing was
 // acknowledged). Snapshot transfers carry their own FNV digest
 // footer, verified by vm.ReadSnapshot on whichever side decodes —
 // the server never stores an upload it could not decode, the client
 // never restores a download it could not verify.
+
+// Request-body bounds. The largest bodies one traced pass of the
+// benchmark's sweep_dist workload sends are a 123 792-byte /v1/append
+// and a 2 191 612-byte snapshot upload (the suite's largest snapshot,
+// equake's, is 2 770 591 bytes at every scale); record sets grow with
+// the number of samples, so the JSON bound mirrors the client's bound on
+// replies (maxResponseBytes).
+const (
+	maxJSONBody     = 16 << 20 // every verb but the snapshot upload
+	maxSnapshotBody = 64 << 20 // PUT /v1/ckpt/{key}
+)
 
 type claimRequest struct {
 	Worker string `json:"worker"`
@@ -85,8 +97,35 @@ func NewServer(coord *Coordinator, store *ckpt.Store, reg *obs.Registry, tr *obs
 	return s
 }
 
-// Handler returns the server's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+// Handler returns the server's HTTP handler: the routes behind the
+// request-body bound. A declared length over the bound is refused
+// outright; a chunked or lying body is cut off by MaxBytesReader where
+// it is read (tooLarge).
+func (s *Server) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		limit := int64(maxJSONBody)
+		if r.Method == http.MethodPut {
+			limit = maxSnapshotBody
+		}
+		if r.ContentLength > limit {
+			http.Error(w, fmt.Sprintf("request body over %d bytes", limit), http.StatusRequestEntityTooLarge)
+			return
+		}
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+		s.mux.ServeHTTP(w, r)
+	})
+}
+
+// badBody answers a request whose body could not be decoded: 413 when
+// the cause is the body bound, 400 otherwise.
+func badBody(w http.ResponseWriter, what string, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, fmt.Sprintf("%s: %v", what, err), status)
+}
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
@@ -96,7 +135,7 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 // readJSON decodes the request body, answering 400 on malformed input.
 func readJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+		badBody(w, "bad request", err)
 		return false
 	}
 	return true
@@ -249,7 +288,7 @@ func (s *Server) handleCkptPut(w http.ResponseWriter, r *http.Request) {
 	// with 400 and never enters the store.
 	snap, err := vm.ReadSnapshot(r.Body)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("corrupt snapshot upload: %v", err), http.StatusBadRequest)
+		badBody(w, "corrupt snapshot upload", err)
 		return
 	}
 	if snap.Instructions() != k.Instr {
