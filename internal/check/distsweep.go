@@ -60,9 +60,9 @@ type DistSweep struct {
 	Progress io.Writer
 	// Golden is the sequential run's artifact bytes.
 	Golden []byte
-	// Account, when non-nil, checks the caller's accounting invariants on
-	// the finished sweep's counters, before the journal is rendered: a
-	// broken count is the more useful failure to report first.
+	// Account checks the caller's accounting invariants on the finished
+	// sweep's counters, before the journal is rendered: a broken count is
+	// the more useful failure to report first.
 	Account func(*DistSweepResult) error
 }
 
@@ -261,10 +261,8 @@ func (d DistSweep) Run() (*DistSweepResult, error) {
 	if err := coord.CloseWAL(); err != nil {
 		return nil, fmt.Errorf("closing wal: %w", err)
 	}
-	if d.Account != nil {
-		if err := d.Account(res); err != nil {
-			return nil, err
-		}
+	if err := d.Account(res); err != nil {
+		return nil, err
 	}
 
 	// Merge, then render from the merged journal alone: byte-identical

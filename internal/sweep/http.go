@@ -26,11 +26,11 @@ import (
 //	GET  /v1/ckpt/{key}/nearest  nearest-<= snapshot; X-Ckpt-Instr header
 //
 // Request bodies are bounded (maxJSONBody, maxSnapshotBody): a larger
-// one answers 413 before anything is decoded. Stale or superseded
-// leases answer 409; completions with missing records answer 422; lease verbs stamped with a dead incarnation's
-// epoch answer 410 (the worker re-fetches /v1/config and re-claims);
-// WAL append failures answer 503 (retryable — nothing was
-// acknowledged). Snapshot transfers carry their own FNV digest
+// one answers 413 and nothing of it is acted on. Stale or superseded
+// leases answer 409; completions with missing records answer 422;
+// lease verbs stamped with a dead incarnation's epoch answer 410 (the
+// worker re-fetches /v1/config and re-claims); WAL append failures
+// answer 503 (retryable — nothing was acknowledged). Snapshot transfers carry their own FNV digest
 // footer, verified by vm.ReadSnapshot on whichever side decodes —
 // the server never stores an upload it could not decode, the client
 // never restores a download it could not verify.
@@ -100,7 +100,7 @@ func NewServer(coord *Coordinator, store *ckpt.Store, reg *obs.Registry, tr *obs
 // Handler returns the server's HTTP handler: the routes behind the
 // request-body bound. A declared length over the bound is refused
 // outright; a chunked or lying body is cut off by MaxBytesReader where
-// it is read (tooLarge).
+// it is read (badBody).
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		limit := int64(maxJSONBody)
