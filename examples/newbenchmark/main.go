@@ -136,7 +136,11 @@ func main() {
 	dsVM.Load(img)
 	dsCore := timing.NewCore(timing.DefaultConfig())
 	var est sampling.Estimator
-	prev, havePrev := uint64(0), false
+	// This program's kernels are tiny (one or two translated blocks), so
+	// transitions only evict a couple of blocks: a lower sensitivity than
+	// the SPEC suite's 300% is the right choice here — picking the
+	// threshold to match the workload is part of using Dynamic Sampling.
+	det := sampling.PhaseDetector{SensitivityPct: 100}
 	prevStats := dsVM.Stats()
 	samples, timedNext := 0, false
 	for !dsVM.Halted() {
@@ -146,7 +150,6 @@ func main() {
 			n := dsVM.Run(interval, dsCore)
 			est.Sample(timing.IPC(from, dsCore.Marker()), n)
 			samples++
-			timedNext = false
 		} else if dsVM.Run(interval, nil) == 0 {
 			break
 		} else {
@@ -154,26 +157,8 @@ func main() {
 		}
 		delta := dsVM.Stats().Sub(prevStats)
 		prevStats = dsVM.Stats()
-		v := delta.TCInvalidations
-		if havePrev {
-			den := prev
-			if den == 0 {
-				den = 1
-			}
-			diff := int64(v) - int64(prev)
-			if diff < 0 {
-				diff = -diff
-			}
-			// This program's kernels are tiny (one or two translated
-			// blocks), so transitions only evict a couple of blocks:
-			// a lower sensitivity than the SPEC suite's 300% is the
-			// right choice here — picking the threshold to match the
-			// workload is part of using Dynamic Sampling.
-			if float64(diff)/float64(den)*100 > 100 {
-				timedNext = true
-			}
-		}
-		prev, havePrev = v, true
+		decision, _ := det.Observe(delta.TCInvalidations)
+		timedNext = decision.Sample()
 	}
 	fmt.Printf("dynamic sampling: IPC %.4f from %d samples (error %.2f%%)\n",
 		est.IPC(), samples, (est.IPC()/fullIPC-1)*100)
