@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/vm"
 )
@@ -140,7 +139,7 @@ type Stats struct {
 	RemoteErrors  uint64 // failed/corrupt remote transfers, degraded locally
 	Entries       int    // current in-memory entries
 	DiskEntries   int    // current on-disk entries
-	Bytes         int64  // current in-memory estimated bytes
+	Bytes         int64  // current in-memory bytes, shared state counted once
 	DiskDegraded  bool   // disk writes disabled after maxWriteFails
 	RemoteOff     bool   // remote tier disabled after maxRemoteFails
 }
@@ -160,13 +159,17 @@ type Store struct {
 	mem   map[Key]*list.Element // value: *entry
 	lru   *list.List            // front = most recently used
 	bytes int64
-	// refs counts, per guest page, how many in-memory entries share its
-	// storage. Snapshots of one trajectory share unmodified pages
-	// copy-on-write, so charging each entry its full SizeBytes would
-	// overstate residency by orders of magnitude and thrash the LRU;
-	// instead a page is charged when its refcount rises from zero and
-	// refunded when it falls back.
-	refs map[*mem.Page]int
+	// refs counts, per separately allocated piece of snapshot state (see
+	// vm.Snapshot.Parts: the snapshot's own state, TLB contents, block
+	// list, page table, guest pages), how many in-memory holders share
+	// it. Snapshots of one trajectory share whatever did not change
+	// between them, so charging each entry its full SizeBytes would
+	// overstate residency several times over and thrash the LRU; instead
+	// a piece is charged when its count rises from zero and refunded when
+	// it falls back, and bytes is the heap the in-memory tier really
+	// keeps alive. Pages are counted once per page table that is itself
+	// counted, not once per entry.
+	refs map[any]int
 	disk map[Key]bool
 	// writeFails counts consecutive disk-write failures; at
 	// maxWriteFails the disk tier degrades to read-only.
@@ -236,7 +239,7 @@ func New(opts Options) (*Store, error) {
 		opts: opts,
 		mem:  make(map[Key]*list.Element),
 		lru:  list.New(),
-		refs: make(map[*mem.Page]int),
+		refs: make(map[any]int),
 		disk: make(map[Key]bool),
 		ob:   newStoreObs(opts.Obs),
 	}
@@ -477,7 +480,7 @@ func (s *Store) Discard(k Key) {
 	if el, ok := s.mem[k]; ok {
 		s.lru.Remove(el)
 		delete(s.mem, k)
-		s.bytes -= s.refundLocked(el.Value.(*entry).snap)
+		s.bytes -= s.shareLocked(el.Value.(*entry).snap, -1)
 	}
 	if s.disk[k] {
 		delete(s.disk, k)
@@ -621,35 +624,28 @@ func (s *Store) Put(k Key, snap *vm.Snapshot) {
 	}
 }
 
-// chargeLocked refcounts the snapshot's pages and returns the bytes it
-// adds to the budget: its full estimated size minus pages some other
-// in-memory entry already pays for.
-func (s *Store) chargeLocked(snap *vm.Snapshot) int64 {
-	size := snap.SizeBytes()
-	for _, p := range snap.MemPages() {
-		s.refs[p]++
-		if s.refs[p] > 1 {
-			size -= mem.PageBytes
-		}
-	}
-	return size
-}
-
-// refundLocked releases the snapshot's page references and returns the
-// bytes freed: its full estimated size minus pages still referenced by
-// surviving entries. Charge/refund pair exactly: the budget attributes
-// each shared page to whichever entry remains.
-func (s *Store) refundLocked(snap *vm.Snapshot) int64 {
-	size := snap.SizeBytes()
-	for _, p := range snap.MemPages() {
-		s.refs[p]--
-		if s.refs[p] > 0 {
-			size -= mem.PageBytes
+// shareLocked moves the reference count of every piece of snap by delta
+// (+1 when an entry takes the snapshot, -1 when it lets go) and returns
+// the bytes of the pieces whose count crossed zero: what the entry adds
+// to, or frees from, the in-memory tier. A page table some other entry
+// already holds is one count, its pages are not walked. Charge and
+// refund are the same walk, so they pair exactly.
+func (s *Store) shareLocked(snap *vm.Snapshot, delta int) int64 {
+	var crossed int64
+	snap.Parts(func(id any, bytes int64) bool {
+		n := s.refs[id] + delta
+		if n == 0 {
+			delete(s.refs, id)
 		} else {
-			delete(s.refs, p)
+			s.refs[id] = n
 		}
-	}
-	return size
+		if first, last := delta > 0 && n == 1, n == 0; !first && !last {
+			return false
+		}
+		crossed += bytes
+		return true
+	})
+	return crossed
 }
 
 // insertLocked adds k to the in-memory tier and enforces the LRU
@@ -658,7 +654,7 @@ func (s *Store) insertLocked(k Key, snap *vm.Snapshot) {
 	e := &entry{key: k, snap: snap}
 	el := s.lru.PushFront(e)
 	s.mem[k] = el
-	s.bytes += s.chargeLocked(snap)
+	s.bytes += s.shareLocked(snap, +1)
 	for s.bytes > s.opts.MaxBytes && s.lru.Len() > 1 {
 		back := s.lru.Back()
 		if back == el {
@@ -667,7 +663,7 @@ func (s *Store) insertLocked(k Key, snap *vm.Snapshot) {
 		victim := back.Value.(*entry)
 		s.lru.Remove(back)
 		delete(s.mem, victim.key)
-		s.bytes -= s.refundLocked(victim.snap)
+		s.bytes -= s.shareLocked(victim.snap, -1)
 		s.stats.Evictions++
 		s.ob.evictions.Inc()
 	}

@@ -12,6 +12,7 @@ package mem
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
 const (
@@ -31,13 +32,20 @@ type Page [WordsPerPage]uint64
 // memory and seal the shared pages; the next guest write to a sealed
 // page copies it first. Checkpointing therefore costs O(pages) pointer
 // work plus one page copy per page actually dirtied afterwards, not a
-// full copy of the resident set.
+// full copy of the resident set — and nothing at all while the page
+// table has not changed since the previous capture or restore.
 type Memory struct {
 	pages     []*Page
 	sealed    []bool   // page is shared with a snapshot: copy before write
 	live      []uint64 // vpns of materialised pages (unordered, no duplicates)
 	spanBytes uint64
 	allocated int
+	// at is the snapshot this memory still equals page for page: the one
+	// last captured from it or restored into it, every live page still
+	// that snapshot's storage and still sealed. The page table changes
+	// only in materialise and unseal, and both clear it. While it is
+	// set, Snapshot returns it again and Restore to it has nothing to do.
+	at *Snapshot
 }
 
 // New creates a guest memory covering spanBytes of address space
@@ -165,6 +173,7 @@ func (m *Memory) materialise(vpn uint64) *Page {
 	m.pages[vpn] = p
 	m.live = append(m.live, vpn)
 	m.allocated++
+	m.at = nil
 	return p
 }
 
@@ -174,6 +183,7 @@ func (m *Memory) unseal(vpn uint64) *Page {
 	cp := *m.pages[vpn]
 	m.pages[vpn] = &cp
 	m.sealed[vpn] = false
+	m.at = nil
 	return &cp
 }
 
@@ -215,31 +225,43 @@ type pageEntry struct {
 // time, ascending by vpn. Page storage is shared copy-on-write with the
 // Memory it came from (and with any Memory it is restored into): a
 // snapshot's pages are immutable once captured, because every
-// guest-write path copies a sealed page before mutating it.
+// guest-write path copies a sealed page before mutating it. The
+// snapshot itself is immutable too, and one *Snapshot stands for every
+// capture of a memory whose page table did not change in between.
 type Snapshot struct {
 	spanBytes uint64
 	pages     []pageEntry // ascending vpn
 }
 
-// Snapshot captures the current memory contents in O(pages · log pages)
-// pointer work: the pages are shared with the snapshot and sealed, and
-// the next write to each one copies it first.
+// Snapshot captures the current memory contents. A memory that has not
+// materialised or unsealed a page since its previous capture or restore
+// returns that same snapshot; otherwise the capture is O(pages · log
+// pages) pointer work: the pages are shared with the snapshot and
+// sealed, and the next write to each one copies it first.
 func (m *Memory) Snapshot() *Snapshot {
+	if m.at != nil {
+		return m.at
+	}
 	s := &Snapshot{spanBytes: m.spanBytes, pages: make([]pageEntry, 0, m.allocated)}
 	sort.Slice(m.live, func(i, j int) bool { return m.live[i] < m.live[j] })
 	for _, vpn := range m.live {
 		s.pages = append(s.pages, pageEntry{vpn: vpn, pg: m.pages[vpn]})
 		m.sealed[vpn] = true
 	}
+	m.at = s
 	return s
 }
 
 // Restore replaces the memory contents with the snapshot, sharing the
 // snapshot's page storage copy-on-write. The memory must have been
-// created with the same span.
+// created with the same span. Restoring the snapshot the memory is
+// still at touches nothing.
 func (m *Memory) Restore(s *Snapshot) error {
 	if s.spanBytes != m.spanBytes {
 		return fmt.Errorf("mem: snapshot span %d != memory span %d", s.spanBytes, m.spanBytes)
+	}
+	if m.at == s {
+		return nil
 	}
 	for _, vpn := range m.live {
 		m.pages[vpn] = nil
@@ -252,16 +274,22 @@ func (m *Memory) Restore(s *Snapshot) error {
 		m.live = append(m.live, e.vpn)
 	}
 	m.allocated = len(s.pages)
+	m.at = s
 	return nil
 }
 
-// Pages returns the identities of the pages backing the snapshot. The
-// checkpoint store refcounts them so storage shared between snapshots
-// (copy-on-write pages) is charged against its byte budget once.
-func (s *Snapshot) Pages() []*Page {
-	out := make([]*Page, 0, len(s.pages))
-	for _, e := range s.pages {
-		out = append(out, e.pg)
+// Parts reports the snapshot's separately allocated pieces by identity
+// and size: the page table first and then, only if visit returned true
+// for it, each page. Snapshots of one trajectory share unmodified pages
+// and whole unchanged page tables; the checkpoint store refcounts both
+// through this walk, so a holder that already counts the page table
+// takes one reference on it instead of one per page.
+func (s *Snapshot) Parts(visit func(id any, bytes int64) bool) {
+	table := int64(unsafe.Sizeof(*s)) + int64(len(s.pages))*int64(unsafe.Sizeof(pageEntry{}))
+	if !visit(s, table) {
+		return
 	}
-	return out
+	for _, e := range s.pages {
+		visit(e.pg, PageBytes)
+	}
 }

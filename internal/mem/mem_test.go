@@ -152,6 +152,137 @@ func TestSnapshotCopyOnWriteIsolation(t *testing.T) {
 	}
 }
 
+// TestSnapshotIdentityFollowsThePageTable pins when two captures may be
+// one *Snapshot: exactly while the page table has not changed. Reads of
+// mapped pages and writes to private pages keep it; a demand-zero fault
+// (by load, by store or by Populate) and the first write to each sealed
+// page end it; a restore rebases it on the restored snapshot.
+func TestSnapshotIdentityFollowsThePageTable(t *testing.T) {
+	m := New(1 << 20)
+	m.Write64(0x1000, 1)
+	m.Write64(0x2000, 2)
+	s1 := m.Snapshot()
+	if m.Snapshot() != s1 {
+		t.Fatal("back-to-back captures are two snapshots")
+	}
+	m.Read64(0x1000)
+	m.Peek(0x9000)
+	if m.Snapshot() != s1 {
+		t.Fatal("a read of a mapped page changed the capture's identity")
+	}
+
+	changes := []struct {
+		name string
+		do   func()
+	}{
+		{"write to a sealed page", func() { m.Write64(0x1008, 7) }},
+		{"read fault", func() { m.Read64(0x5000) }},
+		{"write fault", func() { m.Write64(0x6000, 1) }},
+		{"populate of a fresh page", func() { m.Populate(0x7000, 1) }},
+		{"populate of a sealed page", func() { m.Populate(0x2000, 3) }},
+	}
+	prev := s1
+	for _, c := range changes {
+		c.do()
+		s := m.Snapshot()
+		if s == prev {
+			t.Fatalf("%s: capture is still the previous snapshot", c.name)
+		}
+		if m.Snapshot() != s {
+			t.Fatalf("%s: back-to-back captures are two snapshots", c.name)
+		}
+		prev = s
+	}
+	// The page unsealed above is private now: writing it again changes
+	// contents the next capture must see, through a new seal.
+	m.Write64(0x1008, 8)
+	if s := m.Snapshot(); s == prev || s.Peek(0x1008) != 8 || prev.Peek(0x1008) != 7 {
+		t.Fatal("second write to a page missed by the next capture, or leaked into the previous one")
+	}
+
+	// Restore rebases: the memory is at s1 again, and says so.
+	if err := m.Restore(s1); err != nil {
+		t.Fatal(err)
+	}
+	if m.Snapshot() != s1 {
+		t.Fatal("capture right after a restore is not the restored snapshot")
+	}
+	if v, _ := m.Read64(0x1008); v != 0 || m.Mapped(0x5000) || m.AllocatedPages() != 2 {
+		t.Fatal("restore did not rewind the contents")
+	}
+	// Restoring where the memory already is keeps everything in place,
+	// including after a detour through another snapshot.
+	if err := m.Restore(s1); err != nil || m.Snapshot() != s1 {
+		t.Fatalf("restore of the current snapshot: err=%v", err)
+	}
+	m.Write64(0x1000, 42)
+	if err := m.Restore(s1); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Read64(0x1000); v != 1 {
+		t.Fatalf("restore after a write kept the write: %d", v)
+	}
+	if err := m.Restore(prev); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Restore(s1); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Read64(0x1008); v != 0 || m.Snapshot() != s1 {
+		t.Fatal("restore after a detour did not come back to the first snapshot")
+	}
+}
+
+// TestSnapshotPartsWalk pins the accounting walk: the page table first,
+// its pages only when the visitor asks for them, sizes that add up to
+// the table plus whole pages, and page identities shared between
+// snapshots exactly where the storage is.
+func TestSnapshotPartsWalk(t *testing.T) {
+	m := New(1 << 20)
+	for a := uint64(0); a < 3*PageBytes; a += PageBytes {
+		m.Write64(a, a)
+	}
+	s1 := m.Snapshot()
+	m.Write64(0, 99) // copies page 0; pages 1 and 2 stay shared
+	s2 := m.Snapshot()
+
+	visits := 0
+	s1.Parts(func(id any, bytes int64) bool {
+		visits++
+		if id != any(s1) || bytes < 3*16 {
+			t.Fatalf("first part is %v (%d bytes), want the page table", id, bytes)
+		}
+		return false
+	})
+	if visits != 1 {
+		t.Fatalf("declined page table still walked: %d visits", visits)
+	}
+	ids := func(s *Snapshot) (map[any]bool, int64) {
+		seen := make(map[any]bool)
+		var total int64
+		s.Parts(func(id any, bytes int64) bool {
+			seen[id] = true
+			total += bytes
+			return true
+		})
+		return seen, total
+	}
+	p1, n1 := ids(s1)
+	p2, _ := ids(s2)
+	if len(p1) != 4 || n1 < 3*PageBytes+3*16 || n1 > 3*PageBytes+256 {
+		t.Fatalf("snapshot of 3 pages walks %d parts, %d bytes", len(p1), n1)
+	}
+	shared := 0
+	for id := range p1 {
+		if p2[id] {
+			shared++
+		}
+	}
+	if shared != 2 {
+		t.Fatalf("%d parts shared between the snapshots, want the 2 unwritten pages", shared)
+	}
+}
+
 func TestRestoreSpanMismatch(t *testing.T) {
 	a, b := New(1<<16), New(1<<20)
 	if err := b.Restore(a.Snapshot()); err == nil {

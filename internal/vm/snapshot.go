@@ -2,7 +2,9 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"unsafe"
 
 	"repro/internal/device"
 	"repro/internal/isa"
@@ -26,6 +28,16 @@ type savedBlock struct {
 // the previous flush-and-retranslate restore could not. Chain links are
 // not captured — they are a host-side performance shortcut that never
 // affects statistics — and re-form lazily after a restore.
+//
+// A snapshot owns its scalar state, console, disk and phase log, and
+// shares by identity whatever the machine had not changed since its
+// previous capture or restore: the memory image (mem), the TLB
+// contents (tlb) and the block list (blocks) may be the very same
+// storage in many snapshots, in several store entries, and behind
+// several machines' sharedParts at once. Nothing reachable from a
+// Snapshot is ever written after capture; a machine copies before it
+// changes anything (its TLB array is always private, guest pages are
+// copy-on-write, decoded instructions are immutable).
 type Snapshot struct {
 	regs     [isa.NumRegs]uint64
 	pc       uint64
@@ -39,20 +51,47 @@ type Snapshot struct {
 	phaseLog []PhaseMark
 	blocks   []savedBlock // ascending pc
 	// tcStamp is the translation-set identity the blocks were captured
-	// under (see Machine.tcStamp). Deserialized snapshots get a fresh
-	// stamp so they never match a live machine and always rebuild.
+	// under (see Machine.tcStamp). Deserialized snapshots carry zero,
+	// which no live machine ever holds, so they always rebuild.
 	tcStamp uint64
 }
 
-// Snapshot captures the machine state.
+// sharedParts are the immutable slices of the snapshot a machine last
+// captured or was restored from, each with the witness under which it
+// still describes the machine: blocks while tcStamp has not moved, tlb
+// while no refill has been counted (tlbRefill is the TLB's only writer
+// and counts every write). The next Snapshot reuses what still holds;
+// Restore skips what is already in place. The memory image has the same
+// arrangement inside mem.Memory.
+type sharedParts struct {
+	blocks      []savedBlock
+	blocksStamp uint64
+	tlb         []uint64
+	tlbRefills  uint64
+}
+
+// Snapshot captures the machine state, sharing with the machine's
+// previous capture or restore every part that has not changed since.
 func (m *Machine) Snapshot() *Snapshot {
-	blocks := make([]savedBlock, 0, m.tcCount)
-	for pc, b := range m.tc {
-		if !b.dead {
-			blocks = append(blocks, savedBlock{pc: pc, insts: b.insts})
+	sh := &m.shared
+	if sh.blocksStamp != m.tcStamp {
+		blocks := make([]savedBlock, 0, m.tcCount)
+		for pc, b := range m.tc {
+			if !b.dead {
+				blocks = append(blocks, savedBlock{pc: pc, insts: b.insts})
+			}
 		}
+		sort.Slice(blocks, func(i, j int) bool { return blocks[i].pc < blocks[j].pc })
+		sh.blocks, sh.blocksStamp = blocks, m.tcStamp
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].pc < blocks[j].pc })
+	// Refills that evicted each other can leave the contents as they
+	// were; comparing 8 kB is far cheaper than keeping another copy.
+	if sh.tlbRefills != m.stats.TLBRefills || sh.tlb == nil {
+		if !slices.Equal(sh.tlb, m.tlb) {
+			sh.tlb = slices.Clone(m.tlb)
+		}
+		sh.tlbRefills = m.stats.TLBRefills
+	}
 	return &Snapshot{
 		regs:     m.regs,
 		pc:       m.pc,
@@ -60,11 +99,11 @@ func (m *Machine) Snapshot() *Snapshot {
 		exitCode: m.exitCode,
 		stats:    m.stats,
 		mem:      m.mem.Snapshot(),
-		tlb:      append([]uint64(nil), m.tlb...),
+		tlb:      sh.tlb,
 		console:  m.console.Clone(),
 		disk:     m.disk.Clone(),
 		phaseLog: append([]PhaseMark(nil), m.phaseLog...),
-		blocks:   blocks,
+		blocks:   sh.blocks,
 		tcStamp:  m.tcStamp,
 	}
 }
@@ -73,22 +112,33 @@ func (m *Machine) Snapshot() *Snapshot {
 // point; the checkpoint store keys on it.
 func (s *Snapshot) Instructions() uint64 { return s.stats.Instructions }
 
-// MemPages returns the identities of the guest pages backing the
-// snapshot. Pages are copy-on-write storage shared between snapshots of
-// one trajectory; the checkpoint store refcounts them so shared pages
-// count against its byte budget once.
-func (s *Snapshot) MemPages() []*mem.Page { return s.mem.Pages() }
+// Parts reports the snapshot's separately allocated pieces by identity
+// and size: the snapshot's own state (struct, phase log, console tail,
+// dirty disk sectors), its TLB contents, its block list, then the
+// memory image's page table and pages (see mem.Snapshot.Parts, which
+// visit's result steers). The checkpoint store counts references per
+// identity, so a piece shared by many snapshots is charged once.
+func (s *Snapshot) Parts(visit func(id any, bytes int64) bool) {
+	own := int64(unsafe.Sizeof(*s)) +
+		int64(len(s.phaseLog))*int64(unsafe.Sizeof(PhaseMark{})) +
+		int64(unsafe.Sizeof(*s.console)) + int64(len(s.console.Tail())) +
+		int64(unsafe.Sizeof(*s.disk)) + int64(s.disk.DirtySectors())*(device.SectorBytes+16)
+	visit(s, own)
+	visit(unsafe.SliceData(s.tlb), int64(len(s.tlb))*8)
+	visit(unsafe.SliceData(s.blocks), int64(len(s.blocks))*int64(unsafe.Sizeof(savedBlock{})))
+	s.mem.Parts(visit)
+}
 
-// SizeBytes estimates the in-memory footprint of the snapshot (page
-// images dominate). The checkpoint store's LRU budget accounts with it.
+// SizeBytes is the in-memory footprint of the snapshot taken alone,
+// every part counted in full (page images dominate). What a snapshot
+// adds to a store that already holds its neighbours is usually far
+// less; the store accounts that through Parts.
 func (s *Snapshot) SizeBytes() int64 {
-	size := int64(1024) // fixed state: registers, stats, headers
-	size += int64(len(s.tlb)) * 8
-	size += int64(len(s.phaseLog)) * 16
-	size += int64(len(s.console.Tail()))
-	size += int64(s.disk.DirtySectors()) * (device.SectorBytes + 8)
-	size += int64(s.mem.NumPages()) * (mem.PageBytes + 8)
-	size += int64(len(s.blocks)) * 24
+	var size int64
+	s.Parts(func(_ any, bytes int64) bool {
+		size += bytes
+		return true
+	})
 	return size
 }
 
@@ -147,24 +197,37 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if err := m.mem.Restore(s.mem); err != nil {
 		return err
 	}
+	// The TLB is already the snapshot's when the snapshot's contents are
+	// the storage this machine last agreed with and it has counted no
+	// refill since; the fast paths in front of it then still hold too.
+	sh := &m.shared
+	if unsafe.SliceData(s.tlb) != unsafe.SliceData(sh.tlb) || m.stats.TLBRefills != sh.tlbRefills {
+		m.tlb = append(m.tlb[:0], s.tlb...)
+		m.tlbMask = uint64(len(m.tlb) - 1)
+		// The last-vpn and second-level fast paths must not claim hits
+		// against the restored TLB contents on stale evidence; dropping
+		// them costs at most one masked probe per page and never changes
+		// statistics (they only ever skip probes that are guaranteed hits).
+		m.tlbLast = 0
+		for i := range m.tlbL2 {
+			m.tlbL2[i] = 0
+		}
+		sh.tlb = s.tlb
+	}
+	sh.tlbRefills = s.stats.TLBRefills
 	m.regs = s.regs
 	m.pc = s.pc
 	m.halted = s.halted
 	m.exitCode = s.exitCode
 	m.stats = s.stats
-	m.tlb = append(m.tlb[:0], s.tlb...)
-	m.tlbMask = uint64(len(m.tlb) - 1)
-	// The last-vpn and second-level fast paths must not claim hits
-	// against the restored TLB contents on stale evidence; dropping
-	// them costs at most one masked probe per page and never changes
-	// statistics (they only ever skip probes that are guaranteed hits).
-	m.tlbLast = 0
-	for i := range m.tlbL2 {
-		m.tlbL2[i] = 0
-	}
 	m.console = s.console.Clone()
 	m.disk = s.disk.Clone()
 	m.phaseLog = append(m.phaseLog[:0], s.phaseLog...)
+	if s.tcStamp != 0 {
+		// Every path below leaves the machine holding exactly s.blocks
+		// under s.tcStamp.
+		sh.blocks, sh.blocksStamp = s.blocks, s.tcStamp
+	}
 
 	if tcSame {
 		return nil

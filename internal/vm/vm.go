@@ -452,6 +452,10 @@ type Machine struct {
 	tlbL2     [tlbL2Size]uint64
 	tlbL2Mask uint64
 
+	// shared is what the next Snapshot may reuse and the next Restore
+	// may skip (see sharedParts). Host-side only.
+	shared sharedParts
+
 	// batch is the event-mode delivery buffer, allocated once (capacity
 	// cfg.EventBatch) on the first event-mode Run and reused across Run
 	// calls so steady-state event generation allocates nothing.
