@@ -1,7 +1,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick bench-pair profile-detail ci
+.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick bench-pair profile-detail profile-ckpt ci
 
 all: build
 
@@ -95,5 +95,14 @@ bench-pair:
 profile-detail:
 	$(GO) run ./cmd/dynsim -bench swim -policy full -cpuprofile detail.prof
 	@echo "wrote detail.prof"
+
+# Heap profile of a primed stride-1 in-memory checkpoint store (one
+# deposit per base interval of one benchmark): what the snapshots keep
+# alive, by allocation site — vm.(*Machine).Snapshot's block list, TLB
+# copy and Snapshot struct, mem.(*Memory).Snapshot's page table, guest
+# pages (DESIGN.md §8 "What a snapshot owns and what it shares").
+profile-ckpt:
+	$(GO) run ./cmd/dynsim -bench mcf -policy dynamic -scale 5000 -ckpt-stride 1 -memprofile ckpt.heap
+	$(GO) tool pprof -sample_index=inuse_space -top -lines -nodecount=12 ckpt.heap
 
 ci: vet build race fuzz-smoke diffcheck

@@ -57,7 +57,7 @@ func main() {
 	scale := flag.Int("scale", 2000, "workload scale divisor")
 	baseline := flag.Bool("baseline", false, "also run full timing and report error/speedup")
 	ckptDir := flag.String("ckpt-dir", "", "persist checkpoints to this directory (warm-starts later runs)")
-	ckptStride := flag.Uint64("ckpt-stride", 0, "checkpoint deposit stride in base intervals (0 = auto)")
+	ckptStride := flag.Uint64("ckpt-stride", 0, "checkpoint deposit stride in base intervals (0 = auto); without -ckpt-dir a non-zero stride keeps the checkpoints in memory only")
 	timeout := flag.Duration("timeout", 0, "overall run deadline (0 = none)")
 	faultSeed := flag.Uint64("faults", 0, "inject deterministic disk faults into the checkpoint store with this seed (0 = off; needs -ckpt-dir)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -77,6 +77,12 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
+	if *memprofile != "" {
+		// Sample finely: a checkpoint store is many small allocations,
+		// and the default 512 kB rate attributes them in 512 kB steps.
+		runtime.MemProfileRate = 4 << 10
+	}
+	var store *ckpt.Store
 	defer func() {
 		if *memprofile == "" {
 			return
@@ -91,6 +97,7 @@ func main() {
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "dynsim:", err)
 		}
+		runtime.KeepAlive(store) // the checkpoint store is the live data of interest
 	}()
 
 	spec, err := workload.ByName(*bench)
@@ -170,8 +177,7 @@ func main() {
 		opts.Trace = trace
 	}
 
-	var store *ckpt.Store
-	if *ckptDir != "" {
+	if *ckptDir != "" || *ckptStride != 0 {
 		ckptOpts := ckpt.Options{Dir: *ckptDir, Obs: reg}
 		if *faultSeed != 0 {
 			ckptOpts.Faults = faults.New(*faultSeed, faults.DefaultPlan())
