@@ -92,7 +92,7 @@ func (s *Session) noteRun(n uint64) {
 // maybeDeposit stores a snapshot of the current machine state when the
 // session sits on a canonical stride boundary. Contains is checked
 // first so only the first session to reach a boundary pays for the
-// deep copy; later sessions (whose state is bit-identical there) skip.
+// capture; later sessions (whose state is bit-identical there) skip.
 func (s *Session) maybeDeposit() {
 	if s.ckpt == nil || !s.canonical || s.feedback || s.executed == 0 {
 		return

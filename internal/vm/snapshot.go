@@ -118,6 +118,8 @@ func (s *Snapshot) Instructions() uint64 { return s.stats.Instructions }
 // memory image's page table and pages (see mem.Snapshot.Parts, which
 // visit's result steers). The checkpoint store counts references per
 // identity, so a piece shared by many snapshots is charged once.
+// Decoded instructions are left out: the block list only points at
+// storage that belongs to the machines' translation caches.
 func (s *Snapshot) Parts(visit func(id any, bytes int64) bool) {
 	own := int64(unsafe.Sizeof(*s)) +
 		int64(len(s.phaseLog))*int64(unsafe.Sizeof(PhaseMark{})) +
