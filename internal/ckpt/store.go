@@ -633,14 +633,14 @@ func (s *Store) Put(k Key, snap *vm.Snapshot) {
 func (s *Store) shareLocked(snap *vm.Snapshot, delta int) int64 {
 	var crossed int64
 	snap.Parts(func(id any, bytes int64) bool {
-		n := s.refs[id] + delta
-		if n == 0 {
+		was := s.refs[id]
+		if was+delta == 0 {
 			delete(s.refs, id)
 		} else {
-			s.refs[id] = n
+			s.refs[id] = was + delta
 		}
-		if first, last := delta > 0 && n == 1, n == 0; !first && !last {
-			return false
+		if was != 0 && was+delta != 0 {
+			return false // held before and after: nothing moves
 		}
 		crossed += bytes
 		return true

@@ -86,12 +86,10 @@ func (m *Machine) Snapshot() *Snapshot {
 	}
 	// Refills that evicted each other can leave the contents as they
 	// were; comparing 8 kB is far cheaper than keeping another copy.
-	if sh.tlbRefills != m.stats.TLBRefills || sh.tlb == nil {
-		if !slices.Equal(sh.tlb, m.tlb) {
-			sh.tlb = slices.Clone(m.tlb)
-		}
-		sh.tlbRefills = m.stats.TLBRefills
+	if sh.tlb == nil || sh.tlbRefills != m.stats.TLBRefills && !slices.Equal(sh.tlb, m.tlb) {
+		sh.tlb = slices.Clone(m.tlb)
 	}
+	sh.tlbRefills = m.stats.TLBRefills
 	return &Snapshot{
 		regs:     m.regs,
 		pc:       m.pc,
