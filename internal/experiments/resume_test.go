@@ -274,6 +274,82 @@ func TestStatPolicyResumeFromFilteredJournal(t *testing.T) {
 	}
 }
 
+// TestCellRecordsMatchJournal pins Runner.CellRecords against the run
+// journal: for every cell of the artifact matrix, the records it builds
+// from the memo marshal to the journal's own lines for that cell, byte
+// for byte and in journal order (SimPoint*: analysis, SimPoint,
+// SimPoint+prof), and a key that never ran yields nothing. The sweep
+// worker ships exactly these records to its coordinator.
+func TestCellRecordsMatchJournal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the artifact matrix; skipped in -short")
+	}
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	opts := resumeTestOptions(path)
+	r := NewRunner(opts)
+	policies := ArtifactPolicies(opts.Scale)
+	if _, err := r.RunAll(policies); err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[[2]string][]JournalRecord)
+	for _, b := range opts.Benchmarks {
+		for _, p := range policies {
+			got[[2]string{b, PolicyKeyOf(p)}] = r.CellRecords(b, PolicyKeyOf(p))
+		}
+		if recs := r.CellRecords(b, "never-run"); recs != nil {
+			t.Errorf("%s: a key that never ran yields %d records", b, len(recs))
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The oracle: the journal's lines after the header, grouped by the
+	// cell that wrote them.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	want := make(map[[2]string][][]byte)
+	for _, line := range lines[1:] {
+		if len(line) == 0 {
+			continue
+		}
+		var rec JournalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		key := rec.Policy
+		if rec.Kind == "analysis" || key == "SimPoint" || key == "SimPoint+prof" {
+			key = "SimPoint*"
+		}
+		cell := [2]string{rec.Bench, key}
+		want[cell] = append(want[cell], line)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("journal holds %d cells, the matrix has %d", len(want), len(got))
+	}
+	for cell, recs := range got {
+		if len(recs) != len(want[cell]) {
+			t.Errorf("%v: CellRecords returns %d records, the journal holds %d", cell, len(recs), len(want[cell]))
+			continue
+		}
+		for i, rec := range recs {
+			line, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(append(line, '\n'), want[cell][i]) {
+				t.Errorf("%v: record %d (%s %s) differs from the journal's line", cell, i, rec.Kind, rec.Policy)
+			}
+		}
+	}
+	if n := len(want[[2]string{"gzip", "SimPoint*"}]); n != 3 {
+		t.Errorf("gzip SimPoint* journaled %d records, want analysis and both results", n)
+	}
+}
+
 // TestJournalScaleMismatchRotates: a journal written at a different
 // scale must not poison the run — it is rotated aside and the sweep
 // starts cold.

@@ -360,6 +360,33 @@ func (r *Runner) lookup(bench, policy string) (sampling.Result, bool) {
 	return res, ok
 }
 
+// CellRecords returns the journal records the measurement behind one
+// execution key produced on a benchmark: its SimPoint analysis where the
+// key has one, then its results in KeyRecordNames order — journal order.
+// They are built from the memo, so they hold the values the journal was
+// handed. A key whose measurement has not completed returns nil.
+func (r *Runner) CellRecords(bench, key string) []JournalRecord {
+	names, analysis := KeyRecordNames(key)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []JournalRecord
+	if analysis {
+		an, ok := r.analyses[bench]
+		if !ok {
+			return nil
+		}
+		out = append(out, JournalRecord{Kind: "analysis", Bench: bench, Analysis: &an})
+	}
+	for _, name := range names {
+		res, ok := r.results[bench][name]
+		if !ok {
+			return nil
+		}
+		out = append(out, JournalRecord{Kind: "result", Bench: bench, Policy: name, Result: &res})
+	}
+	return out
+}
+
 // policyKey identifies the execution a policy maps to: both SimPoint
 // accounting variants come from one pipeline execution.
 func policyKey(p sampling.Policy) string {
