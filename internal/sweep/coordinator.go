@@ -180,15 +180,14 @@ func newCoordinator(cfg Config, prior []experiments.JournalRecord, reg *obs.Regi
 	// WAL records first, then the prior journal: identical executions
 	// produce identical records, so order only decides which copy wins
 	// the dedup — the bytes are the same either way.
-	for _, rec := range st.records {
-		c.acceptLocked(rec)
+	for _, recs := range [][]experiments.JournalRecord{st.records, prior} {
+		for _, rec := range recs {
+			_ = c.acceptLocked(rec, 0) // replay logs nothing, so nothing can fail
+		}
 	}
 	restored := make(map[Cell]bool, len(st.completed))
 	for _, cell := range st.completed {
 		restored[cell] = true
-	}
-	for _, rec := range prior {
-		c.acceptLocked(rec)
 	}
 	for _, cell := range c.cells {
 		// A cell is pre-completed when its full record set survived —
@@ -368,25 +367,17 @@ func (c *Coordinator) Heartbeat(id uint64, now time.Time) error {
 	return nil
 }
 
-// Append accepts journal records from a live leaseholder, deduplicating
-// by record identity. Accepted records are durable: if the worker dies
-// before completing, its records survive for the merge — measurements
-// are deterministic, so a record is valid no matter which execution
-// produced it.
+// Append accepts journal records under a live lease without completing
+// its cell. No worker calls it any more — Complete is the one record
+// path — and it is kept only for the frozen bench/ledger.go; it goes
+// when a benchmark PR may edit that file.
 func (c *Coordinator) Append(id uint64, recs []experiments.JournalRecord, now time.Time) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, err := c.leaseLocked(id, now); err != nil {
 		return err
 	}
-	for _, rec := range recs {
-		rec := rec
-		if err := c.logWAL(walEntry{Kind: "record", Epoch: c.epoch, Lease: id, Record: &rec}); err != nil {
-			return err
-		}
-		c.acceptLocked(rec)
-	}
-	return nil
+	return c.acceptAllLocked(id, recs)
 }
 
 // Complete marks a cell done. It requires a live lease AND a complete
@@ -403,12 +394,8 @@ func (c *Coordinator) Complete(id uint64, recs []experiments.JournalRecord, now 
 	if err != nil {
 		return err
 	}
-	for _, rec := range recs {
-		rec := rec
-		if err := c.logWAL(walEntry{Kind: "record", Epoch: c.epoch, Lease: id, Record: &rec}); err != nil {
-			return err
-		}
-		c.acceptLocked(rec)
+	if err := c.acceptAllLocked(id, recs); err != nil {
+		return err
 	}
 	if !c.completeSetLocked(st.cell) {
 		return fmt.Errorf("%w: %s", ErrIncompleteCell, st.cell)
@@ -428,12 +415,29 @@ func (c *Coordinator) Complete(id uint64, recs []experiments.JournalRecord, now 
 	return nil
 }
 
-// acceptLocked stores one record, deduplicating by identity. Only
-// result and analysis records are journal-merged; anything else (e.g.
-// per-worker metrics snapshots) is dropped here.
-func (c *Coordinator) acceptLocked(rec experiments.JournalRecord) {
+// acceptAllLocked accepts the records one delivery ships under a live
+// lease, stopping at the first the WAL refuses.
+func (c *Coordinator) acceptAllLocked(lease uint64, recs []experiments.JournalRecord) error {
+	for _, rec := range recs {
+		if err := c.acceptLocked(rec, lease); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// acceptLocked holds one record, deduplicating by identity. Only result
+// and analysis records are journal-merged; anything else (e.g. a
+// worker's metrics snapshot) is dropped here. A record arriving under a
+// lease is logged before it is held, and only then: a key already held
+// is already in the WAL (accepting follows a successful log) or in the
+// prior journal it was replayed from, so a second delivery of a cell —
+// after a worker kill, or a completion the WAL refused halfway — adds no
+// record entry, and the WAL grows with the live record set rather than
+// with the crash history. lease 0 is replay, which logs nothing.
+func (c *Coordinator) acceptLocked(rec experiments.JournalRecord, lease uint64) error {
 	if rec.Kind != "result" && rec.Kind != "analysis" {
-		return
+		return nil
 	}
 	key := recordKey{kind: rec.Kind, bench: rec.Bench}
 	if rec.Kind == "result" {
@@ -442,11 +446,17 @@ func (c *Coordinator) acceptLocked(rec experiments.JournalRecord) {
 	if _, dup := c.records[key]; dup {
 		c.stats.DupRecords++
 		c.ob.dupRecords.Inc()
-		return
+		return nil
+	}
+	if lease != 0 {
+		if err := c.logWAL(walEntry{Kind: "record", Epoch: c.epoch, Lease: lease, Record: &rec}); err != nil {
+			return err
+		}
 	}
 	c.records[key] = rec
 	c.stats.Records++
 	c.ob.records.Inc()
+	return nil
 }
 
 // completeSetLocked reports whether every record a cell's execution

@@ -1,14 +1,17 @@
 package sweep
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/jsonl"
 )
 
@@ -315,6 +318,110 @@ func TestWALGrantRevertedOnAppendFailure(t *testing.T) {
 	}
 	if !strings.Contains(ErrWAL.Error(), "wal") {
 		t.Fatal("sanity")
+	}
+}
+
+// walKinds reads the WAL at path and returns its entries' kinds in file
+// order plus the raw lines.
+func walKinds(t *testing.T, path string) (kinds []string, lines []string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if line == "" {
+			continue
+		}
+		var e walEntry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("WAL line %q: %v", line, err)
+		}
+		kinds = append(kinds, e.Kind)
+		lines = append(lines, line)
+	}
+	return kinds, lines
+}
+
+// TestWALLogsARecordOnce: a record the coordinator already holds is in
+// the WAL already, so a second delivery of its cell — here after the
+// first holder shipped its records and died before completing — adds
+// grant, expire and complete entries and no record entry. The file
+// replays to the state the old double-logging WAL (every re-shipped
+// record logged again) replays to.
+func TestWALLogsARecordOnce(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "coord.wal")
+	t0 := time.Unix(1000, 0)
+
+	c := walCoord(t, path)
+	first, _ := c.Claim("w", t0)
+	recs := recordsFor(first.Cell)
+	if err := c.Append(first.ID, recs, t0); err != nil {
+		t.Fatal(err)
+	}
+	// Not a journal record: neither held nor logged.
+	if err := c.Append(first.ID, []experiments.JournalRecord{{Kind: "metrics", Metrics: map[string]float64{"x": 1}}}, t0); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := walKinds(t, path)
+
+	late := t0.Add(2 * testTTL)
+	second, _ := c.Claim("w2", late)
+	if second == nil || second.Cell != first.Cell || second.Delivery != 1 {
+		t.Fatalf("second delivery = %+v, want %s again", second, first.Cell)
+	}
+	if err := c.Complete(second.ID, recs, late); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Records != uint64(len(recs)) || st.DupRecords != uint64(len(recs)) {
+		t.Fatalf("Records = %d DupRecords = %d, want %d each", st.Records, st.DupRecords, len(recs))
+	}
+	if err := c.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	kinds, lines := walKinds(t, path)
+	wantBefore := []string{"epoch", "grant"}
+	for range recs {
+		wantBefore = append(wantBefore, "record")
+	}
+	if !slices.Equal(before, wantBefore) {
+		t.Fatalf("WAL after the first delivery = %v, want %v", before, wantBefore)
+	}
+	if gained := kinds[len(before):]; !slices.Equal(gained, []string{"expire", "grant", "complete"}) {
+		t.Fatalf("second delivery logged %v, want expire, grant, complete and no record", gained)
+	}
+
+	// The same history as the double-logging coordinator wrote it.
+	doubled := filepath.Join(dir, "doubled.wal")
+	tail := len(lines) - 1 // the complete entry
+	old := strings.Join(lines[:tail], "") + strings.Join(lines[2:2+len(recs)], "") + lines[tail]
+	if err := os.WriteFile(doubled, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := replayWAL(path, testConfig().Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := replayWAL(doubled, testConfig().Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.records) != 2*len(recs) || len(got.records) != len(recs) {
+		t.Fatalf("replayed %d records (doubled file: %d), want %d and %d", len(got.records), len(want.records), len(recs), 2*len(recs))
+	}
+	got.records, want.records = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed state %+v, the double-logging WAL's %+v", got, want)
+	}
+	a, b := walCoord(t, path), walCoord(t, doubled)
+	sa, sb := a.Stats(), b.Stats()
+	if sb.DupRecords != uint64(len(recs)) || sa.DupRecords != 0 {
+		t.Fatalf("restart counted %d duplicates (doubled file: %d), want 0 and %d", sa.DupRecords, sb.DupRecords, len(recs))
+	}
+	sb.DupRecords = 0
+	if sa != sb || sa.Restored != 1 || !reflect.DeepEqual(a.Merged(), b.Merged()) {
+		t.Fatalf("restarted coordinators differ:\n %+v\n %+v", sa, sb)
 	}
 }
 
