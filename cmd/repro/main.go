@@ -32,7 +32,7 @@
 // tunes crash-detection latency.
 //
 // The coordinator is crash-safe beyond clean interrupts: every lease
-// grant, record append, and cell completion is written to a
+// grant, accepted record, and cell completion is written to a
 // write-ahead log (DIR/coord.wal) before it is acknowledged, so a
 // coordinator killed with SIGKILL mid-sweep and restarted against the
 // same -out resumes exactly-once — acknowledged completions are never

@@ -167,8 +167,8 @@ func (d DistSweep) Run() (*DistSweepResult, error) {
 	// The kill hook: the injector decides whether a (cell, delivery) is
 	// doomed, and the delivery's parity picks the crash window — before
 	// the cell runs ("claimed": the lease dies holding nothing) or after
-	// its records reached the coordinator ("appended": the classic crash
-	// between journal append and completion).
+	// it ran ("appended": the classic crash between the execution and
+	// the completion that would have carried its records).
 	kill := func(cell sweep.Cell, delivery int, stage string) bool {
 		if !inj.KillWorker(cell.String(), delivery) {
 			return false

@@ -22,8 +22,9 @@ import (
 // representation that parses back to the same bit pattern), so a
 // replayed result is the result. The same property makes records safe
 // to ship between processes: the distributed sweep service
-// (internal/sweep) moves exactly these records over HTTP and merges
-// per-worker streams back into one canonical journal.
+// (internal/sweep) moves exactly these records over HTTP
+// (Runner.CellRecords, one cell per completion) and merges them back
+// into one canonical journal.
 
 // JournalVersion gates the journal format; a bump invalidates (and
 // rotates aside) every older file.
@@ -50,15 +51,6 @@ type JournalRecord struct {
 	// what it produced. Replay ignores these records (wall-clock metrics
 	// are not resumable state).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// JournalSink receives journal records as the runner produces them, in
-// append order (a SimPoint analysis always precedes its results). The
-// sweep worker plugs in a sink that forwards records to the
-// coordinator; Append errors cost durability for that record only,
-// never results. Implementations must be safe for concurrent use.
-type JournalSink interface {
-	Append(rec JournalRecord) error
 }
 
 func journalHeader(scale int) JournalRecord {

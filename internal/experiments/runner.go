@@ -86,11 +86,6 @@ type Options struct {
 	// interrupted RunAll resumes from completed cells. An unusable
 	// journal path degrades to journal-less operation.
 	Journal string
-	// Sink, when non-nil, additionally receives every journal record as
-	// it is produced (independently of Journal — both may be set). The
-	// sweep worker uses a sink to stream records to its coordinator; a
-	// failed Append costs durability for that record only.
-	Sink JournalSink
 
 	// Obs mirrors the sweep into a metrics registry: cell lifecycle
 	// counters here, plus everything the sessions, policies, cost meters
@@ -259,33 +254,22 @@ func faultInjector(in *faults.Injector) ckpt.FaultInjector {
 // replay ignores the record (only "result"/"analysis" are consumed),
 // so resumability is unaffected.
 func (r *Runner) Close() error {
-	if r.jr == nil && r.opts.Sink == nil {
+	if r.jr == nil {
 		return nil
 	}
 	if r.opts.Obs != nil {
 		r.appendRecord(JournalRecord{Kind: "metrics", Metrics: r.opts.Obs.Snapshot()})
 	}
-	if r.jr == nil {
-		return nil
-	}
 	return r.jr.Close()
 }
 
-// appendRecord fans one journal record out to every configured
-// destination: the crash-safe file journal and/or the external sink. A
-// failed append costs durability for that record at that destination
-// only — the measurement is still in memory.
+// appendRecord appends one record to the run journal, when there is
+// one. A failed append costs durability for that record only — the
+// measurement is still in memory.
 func (r *Runner) appendRecord(rec JournalRecord) {
 	if r.jr != nil {
 		if err := r.jr.Append(rec); err == nil {
 			r.ob.appends.Inc()
-		}
-	}
-	if r.opts.Sink != nil {
-		if err := r.opts.Sink.Append(rec); err == nil {
-			r.ob.appends.Inc()
-		} else {
-			r.progress("journal sink append failed: %v", err)
 		}
 	}
 }

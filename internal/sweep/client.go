@@ -207,12 +207,7 @@ func (cl *Client) HeartbeatCtx(ctx context.Context, id uint64) error {
 	return cl.postJSON(ctx, "/v1/heartbeat", leaseRequest{Lease: id, Epoch: cl.epoch.Load()}, nil)
 }
 
-// Append ships journal records under a live lease.
-func (cl *Client) Append(id uint64, recs []experiments.JournalRecord) error {
-	return cl.postJSON(context.Background(), "/v1/append", leaseRequest{Lease: id, Records: recs, Epoch: cl.epoch.Load()}, nil)
-}
-
-// Complete marks a lease's cell done.
+// Complete ships the records of a lease's cell and marks it done.
 func (cl *Client) Complete(id uint64, recs []experiments.JournalRecord) error {
 	return cl.postJSON(context.Background(), "/v1/complete", leaseRequest{Lease: id, Records: recs, Epoch: cl.epoch.Load()}, nil)
 }

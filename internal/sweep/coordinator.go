@@ -47,9 +47,9 @@ type recordKey struct {
 }
 
 // cellState tracks one cell through pending → leased → done. A lease
-// that expires returns the cell to pending (keeping any records already
-// appended — they were produced by completed measurements and are
-// deterministic, so they remain valid).
+// that expires returns the cell to pending (keeping any records a
+// refused completion already delivered — they were produced by
+// completed measurements and are deterministic, so they remain valid).
 type cellState struct {
 	cell       Cell
 	done       bool
@@ -78,7 +78,7 @@ type Coordinator struct {
 	// coordinator; WAL-backed ones increment it per restart). Immutable
 	// after construction.
 	epoch uint64
-	// wal, when non-nil, makes every lease grant, record append, and
+	// wal, when non-nil, makes every lease grant, accepted record, and
 	// completion durable before it is acknowledged.
 	wal *jsonl.Log
 }
@@ -95,7 +95,7 @@ type CoordStats struct {
 	Claims      uint64 // leases issued
 	Reissues    uint64 // leases expired and returned to pending
 	Completions uint64 // successful Complete calls (one per cell per incarnation)
-	StaleDrops  uint64 // heartbeat/append/complete rejections for stale leases
+	StaleDrops  uint64 // heartbeat/complete rejections for stale leases
 	EpochDrops  uint64 // messages rejected for carrying a dead incarnation's epoch
 	Records     uint64 // journal records accepted
 	DupRecords  uint64 // journal records dropped as duplicates
@@ -137,7 +137,7 @@ func NewCoordinator(cfg Config, prior []experiments.JournalRecord, reg *obs.Regi
 }
 
 // NewWALCoordinator builds a crash-safe coordinator whose lease grants,
-// record appends, and completions are logged to the write-ahead log at
+// accepted records, and completions are logged to the write-ahead log at
 // walPath before they are acknowledged. If the WAL already holds state
 // from a killed incarnation it is replayed first: records are accepted,
 // cells whose record sets survived are pre-completed (CoordStats.
@@ -280,7 +280,7 @@ func (c *Coordinator) gaugesLocked() {
 
 // expireLocked sweeps every lease whose TTL elapsed back to pending.
 // The cell keeps its delivery count (the next claim increments it) and
-// any records its late holder already appended.
+// any records its late holder already delivered.
 func (c *Coordinator) expireLocked(now time.Time) {
 	for id, st := range c.leases {
 		if now.After(st.expiry) {
@@ -368,9 +368,9 @@ func (c *Coordinator) Heartbeat(id uint64, now time.Time) error {
 }
 
 // Append accepts journal records under a live lease without completing
-// its cell. No worker calls it any more — Complete is the one record
-// path — and it is kept only for the frozen bench/ledger.go; it goes
-// when a benchmark PR may edit that file.
+// its cell. Nothing in the sweep calls it — Complete is the one record
+// path. It is kept for bench/ledger.go, which only a benchmark PR may
+// edit, and goes with that call (like vm's `type BatchSink = Sink`).
 func (c *Coordinator) Append(id uint64, recs []experiments.JournalRecord, now time.Time) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -380,7 +380,8 @@ func (c *Coordinator) Append(id uint64, recs []experiments.JournalRecord, now ti
 	return c.acceptAllLocked(id, recs)
 }
 
-// Complete marks a cell done. It requires a live lease AND a complete
+// Complete accepts a cell's records and marks it done — the one way a
+// record reaches the coordinator. It requires a live lease AND a complete
 // record set for the cell (counting records shipped in this call):
 // completion is an accounting claim, and the coordinator verifies it
 // instead of trusting the worker. Late completions — the lease expired

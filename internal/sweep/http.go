@@ -13,13 +13,12 @@ import (
 	"repro/internal/vm"
 )
 
-// The wire protocol. Four lease verbs plus the remote checkpoint tier:
+// The wire protocol. Three lease verbs plus the remote checkpoint tier:
 //
 //	GET  /v1/config            sweep Config (workers adopt it verbatim)
 //	POST /v1/claim             {"worker":W} -> {"done":bool,"lease":{...}}
 //	POST /v1/heartbeat         {"lease":ID}
-//	POST /v1/append            {"lease":ID,"records":[...]}
-//	POST /v1/complete          {"lease":ID,"records":[...]}
+//	POST /v1/complete          {"lease":ID,"records":[...]} the cell's whole record set
 //	GET  /v1/status            coordinator + store counters (JSON)
 //	GET  /v1/ckpt/{key}        snapshot bytes by content key (404 miss)
 //	PUT  /v1/ckpt/{key}        digest-checked upload (400 corrupt)
@@ -36,8 +35,9 @@ import (
 // never restores a download it could not verify.
 
 // Request-body bounds. The largest bodies one traced pass of the
-// benchmark's sweep_dist workload sends are a 123 792-byte /v1/append
-// and a 2 191 612-byte snapshot upload (the suite's largest snapshot,
+// benchmark's sweep_dist workload sends are a 123 792-byte /v1/complete
+// (a full-timing cell: one result with its interval trace) and a
+// 2 191 612-byte snapshot upload (the suite's largest snapshot,
 // equake's, is 2 770 591 bytes at every scale); record sets grow with
 // the number of samples, so the JSON bound mirrors the client's bound on
 // replies (maxResponseBytes).
@@ -85,7 +85,6 @@ func NewServer(coord *Coordinator, store *ckpt.Store, reg *obs.Registry, tr *obs
 	s.mux.HandleFunc("GET /v1/config", s.handleConfig)
 	s.mux.HandleFunc("POST /v1/claim", s.handleClaim)
 	s.mux.HandleFunc("POST /v1/heartbeat", s.handleHeartbeat)
-	s.mux.HandleFunc("POST /v1/append", s.handleAppend)
 	s.mux.HandleFunc("POST /v1/complete", s.handleComplete)
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/ckpt/{key}", s.handleCkptGet)
@@ -198,12 +197,6 @@ func (s *Server) leaseVerb(w http.ResponseWriter, r *http.Request, verb func(lea
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	s.leaseVerb(w, r, func(req leaseRequest) error {
 		return s.coord.Heartbeat(req.Lease, time.Now())
-	})
-}
-
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	s.leaseVerb(w, r, func(req leaseRequest) error {
-		return s.coord.Append(req.Lease, req.Records, time.Now())
 	})
 }
 

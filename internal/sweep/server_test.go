@@ -61,12 +61,12 @@ func TestServerMalformedRequests(t *testing.T) {
 		want               int
 	}{
 		{"oversized json, chunked", "POST", "/v1/claim", hugeJSON(), 0, http.StatusRequestEntityTooLarge},
-		{"oversized json, declared", "POST", "/v1/append", strings.NewReader("{}"), maxJSONBody + 1, http.StatusRequestEntityTooLarge},
+		{"oversized json, declared", "POST", "/v1/complete", strings.NewReader("{}"), maxJSONBody + 1, http.StatusRequestEntityTooLarge},
 		{"oversized records, chunked", "POST", "/v1/complete",
 			io.MultiReader(strings.NewReader(`{"lease":1,"records":[`), io.LimitReader(fill(' '), maxJSONBody), strings.NewReader(`]}`)),
 			0, http.StatusRequestEntityTooLarge},
 		{"oversized snapshot, declared", "PUT", key, bytes.NewReader(snap.Bytes()), maxSnapshotBody + 1, http.StatusRequestEntityTooLarge},
-		{"truncated json", "POST", "/v1/append", strings.NewReader(`{"lease":1,"records":[{"kind":"res`), 0, http.StatusBadRequest},
+		{"truncated json", "POST", "/v1/complete", strings.NewReader(`{"lease":1,"records":[{"kind":"res`), 0, http.StatusBadRequest},
 		{"not json", "POST", "/v1/claim", strings.NewReader("hello"), 0, http.StatusBadRequest},
 		{"empty body", "POST", "/v1/complete", strings.NewReader(""), 0, http.StatusBadRequest},
 		{"wrong json type", "POST", "/v1/heartbeat", strings.NewReader(`{"lease":"one"}`), 0, http.StatusBadRequest},
@@ -75,8 +75,10 @@ func TestServerMalformedRequests(t *testing.T) {
 		{"wrong method on a checkpoint", "DELETE", key, nil, 0, http.StatusMethodNotAllowed},
 		{"unknown path", "POST", "/v1/claims", strings.NewReader("{}"), 0, http.StatusNotFound},
 		{"unknown lease, heartbeat", "POST", "/v1/heartbeat", strings.NewReader(`{"lease":999}`), 0, http.StatusConflict},
-		{"unknown lease, append", "POST", "/v1/append", strings.NewReader(`{"lease":999,"records":[{"kind":"result","bench":"gzip","policy":"full"}]}`), 0, http.StatusConflict},
 		{"unknown lease, complete", "POST", "/v1/complete", strings.NewReader(`{"lease":999}`), 0, http.StatusConflict},
+		{"unknown lease, complete with records", "POST", "/v1/complete", strings.NewReader(`{"lease":999,"records":[{"kind":"result","bench":"gzip","policy":"full"}]}`), 0, http.StatusConflict},
+		// The streaming verb is gone: records travel in /v1/complete only.
+		{"deleted append verb", "POST", "/v1/append", strings.NewReader(`{"lease":1,"records":[{"kind":"result","bench":"gzip","policy":"Full timing"}]}`), 0, http.StatusNotFound},
 		{"bad checkpoint key, get", "GET", "/v1/ckpt/not-a-key", nil, 0, http.StatusBadRequest},
 		{"bad checkpoint key, nearest", "GET", "/v1/ckpt/gzip-zz-1-2/nearest", nil, 0, http.StatusBadRequest},
 		{"bad checkpoint key, put", "PUT", "/v1/ckpt/not-a-key", bytes.NewReader(snap.Bytes()), 0, http.StatusBadRequest},
@@ -134,8 +136,8 @@ func TestClientMapsTooLarge(t *testing.T) {
 		http.Error(w, "request body over 16777216 bytes", http.StatusRequestEntityTooLarge)
 	})
 	errs := map[string]error{
-		"append": cl.Append(1, nil),
-		"put":    cl.Put(testCkptKey(100), snapAt(t, 100)),
+		"complete": cl.Complete(1, nil),
+		"put":      cl.Put(testCkptKey(100), snapAt(t, 100)),
 	}
 	for verb, err := range errs {
 		if !errors.Is(err, ErrTooLarge) || retryableErr(err) {

@@ -3,8 +3,8 @@
 // matrix into expiring leases, workers that claim cells over HTTP and
 // execute them with an experiments.Runner, a remote checkpoint tier
 // serving the content-addressed internal/ckpt store over the same HTTP
-// surface, and a journal-merge step that folds per-worker record
-// streams back into one canonical run journal.
+// surface, and a journal-merge step that folds the records the
+// workers' completions carry back into one canonical run journal.
 //
 // Correctness stance: a distributed sweep is a scheduling optimization,
 // nothing more. Measurements are deterministic and journal records
@@ -37,8 +37,7 @@ func (c Cell) String() string { return c.Bench + "/" + c.Policy }
 // elapses without a heartbeat. Exclusivity is advisory — a worker
 // presumed dead may still be running — so completion is guarded by
 // lease identity: only the holder of the cell's *current* lease may
-// append records or complete it, and a late message from a superseded
-// lease is rejected.
+// complete it, and a late message from a superseded lease is rejected.
 type Lease struct {
 	ID   uint64 `json:"id"`
 	Cell Cell   `json:"cell"`

@@ -8,8 +8,8 @@ import (
 )
 
 // The coordinator write-ahead log makes the lease service crash-safe:
-// every state transition a worker depends on — lease grant, record
-// append, cell completion — is appended to a JSONL file *before* it is
+// every state transition a worker depends on — lease grant, accepted
+// record, cell completion — is appended to a JSONL file *before* it is
 // acknowledged, so a SIGKILLed coordinator restarted against the same
 // -out directory rebuilds the completion set, the accepted-record set,
 // the per-cell delivery counts, and the lease-ID high-water mark, and

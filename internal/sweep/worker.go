@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/ckpt"
@@ -41,7 +40,8 @@ type WorkerOptions struct {
 	Faults *faults.Injector
 	// Kill, when non-nil, is the crash-injection hook: called at stage
 	// "claimed" (lease held, cell not yet executed) and "appended" (cell
-	// executed and records shipped, completion not yet sent). Returning
+	// executed, completion — which carries its records — not yet sent;
+	// the name dates from when records were streamed first). Returning
 	// true makes the worker abandon the lease exactly as a killed
 	// process would — heartbeats stop, the completion never arrives, and
 	// the cell's lease expires into a re-issue.
@@ -129,114 +129,6 @@ type WorkerStats struct {
 	Executions  int    // measurements actually executed (not memo hits)
 }
 
-// keyCells maps each journal-record identity a sweep can produce to its
-// cell, so the worker's sink can route runner records to leases.
-type keyCells struct {
-	result   map[string]string // result policy name -> execution key
-	analysis string            // execution key owning analysis records
-}
-
-func newKeyCells(cells []Cell) keyCells {
-	kc := keyCells{result: make(map[string]string)}
-	seen := make(map[string]bool)
-	for _, c := range cells {
-		if seen[c.Policy] {
-			continue
-		}
-		seen[c.Policy] = true
-		names, analysis := experiments.KeyRecordNames(c.Policy)
-		for _, n := range names {
-			kc.result[n] = c.Policy
-		}
-		if analysis {
-			kc.analysis = c.Policy
-		}
-	}
-	return kc
-}
-
-// cellOf resolves the cell a journal record belongs to; ok=false for
-// kinds the sweep does not merge (e.g. metrics snapshots).
-func (kc keyCells) cellOf(rec experiments.JournalRecord) (Cell, bool) {
-	switch rec.Kind {
-	case "result":
-		key, ok := kc.result[rec.Policy]
-		if !ok {
-			return Cell{}, false
-		}
-		return Cell{Bench: rec.Bench, Policy: key}, true
-	case "analysis":
-		if kc.analysis == "" {
-			return Cell{}, false
-		}
-		return Cell{Bench: rec.Bench, Policy: kc.analysis}, true
-	default:
-		return Cell{}, false
-	}
-}
-
-// leaseSink is the worker's experiments.JournalSink: every record the
-// runner produces is buffered per cell for the lifetime of the worker
-// AND live-streamed to the coordinator under the current lease. The
-// buffer makes Complete self-contained — it always ships the cell's
-// full record set, so a completion never depends on earlier appends
-// having survived (the coordinator deduplicates).
-type leaseSink struct {
-	cl *Client
-	kc keyCells
-
-	mu        sync.Mutex
-	lease     uint64
-	leaseCell Cell
-	buf       map[Cell][]experiments.JournalRecord
-}
-
-func newLeaseSink(cl *Client, kc keyCells) *leaseSink {
-	return &leaseSink{cl: cl, kc: kc, buf: make(map[Cell][]experiments.JournalRecord)}
-}
-
-// setLease points the live stream at a lease (0 detaches).
-func (s *leaseSink) setLease(id uint64, cell Cell) {
-	s.mu.Lock()
-	s.lease, s.leaseCell = id, cell
-	s.mu.Unlock()
-}
-
-// records returns the buffered record set for one cell.
-func (s *leaseSink) records(cell Cell) []experiments.JournalRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]experiments.JournalRecord, len(s.buf[cell]))
-	copy(out, s.buf[cell])
-	return out
-}
-
-// Append implements experiments.JournalSink. The live stream is
-// best-effort: a record refused because the lease or epoch went stale,
-// or because the coordinator is briefly unreachable, stays in the
-// buffer and ships with Complete (which retries under a fresh lease),
-// so a coordinator restart mid-cell does not fail the measurement that
-// produced the record. Only unexpected protocol errors propagate.
-func (s *leaseSink) Append(rec experiments.JournalRecord) error {
-	cell, ok := s.kc.cellOf(rec)
-	if !ok {
-		return nil
-	}
-	s.mu.Lock()
-	s.buf[cell] = append(s.buf[cell], rec)
-	id, leaseCell := s.lease, s.leaseCell
-	s.mu.Unlock()
-	if id == 0 || leaseCell != cell {
-		return nil
-	}
-	err := s.cl.Append(id, []experiments.JournalRecord{rec})
-	if err == nil || retryableErr(err) ||
-		errors.Is(err, ErrStaleLease) || errors.Is(err, ErrStaleEpoch) {
-		return nil
-	}
-	return err
-}
-
 // heartbeater keeps one lease alive from a background goroutine until
 // stopped. Losing the race (the lease expired anyway) is harmless: the
 // completion is rejected as stale and the cell is re-executed. Stop
@@ -303,7 +195,6 @@ func RunWorker(opts WorkerOptions) (WorkerStats, error) {
 		return st, fmt.Errorf("sweep: worker %s: %w", opts.ID, err)
 	}
 
-	cells := cfg.Cells()
 	policies := make(map[string]sampling.Policy)
 	for _, p := range experiments.ArtifactPolicies(cfg.Scale) {
 		key := experiments.PolicyKeyOf(p)
@@ -324,7 +215,6 @@ func RunWorker(opts WorkerOptions) (WorkerStats, error) {
 		store = ckpt.NewMemory()
 	}
 
-	sink := newLeaseSink(opts.Client, newKeyCells(cells))
 	runner := experiments.NewRunner(experiments.Options{
 		Scale:       cfg.Scale,
 		Benchmarks:  cfg.Benchmarks,
@@ -335,7 +225,6 @@ func RunWorker(opts WorkerOptions) (WorkerStats, error) {
 		Timeout:     opts.Timeout,
 		Retries:     opts.Retries,
 		Faults:      opts.Faults,
-		Sink:        sink,
 		Obs:         opts.Obs,
 	})
 	defer runner.Close()
@@ -401,7 +290,6 @@ func RunWorker(opts WorkerOptions) (WorkerStats, error) {
 		}
 
 		hb := startHeartbeat(opts.Client, lease.ID, lease.TTL)
-		sink.setLease(lease.ID, lease.Cell)
 		p, ok := policies[lease.Cell.Policy]
 		var runErr error
 		if !ok {
@@ -409,7 +297,6 @@ func RunWorker(opts WorkerOptions) (WorkerStats, error) {
 		} else {
 			_, runErr = runner.Run(lease.Cell.Bench, p)
 		}
-		sink.setLease(0, Cell{})
 
 		if runErr != nil {
 			hb.Stop()
@@ -428,16 +315,15 @@ func RunWorker(opts WorkerOptions) (WorkerStats, error) {
 		}
 
 		if opts.Kill != nil && opts.Kill(lease.Cell, lease.Delivery, "appended") {
-			// Simulated crash in the window between the journal appends
-			// and the completion — the records are already durable at
-			// the coordinator, the completion never arrives.
+			// Simulated crash between the execution and the completion:
+			// the coordinator never hears of the cell's records.
 			hb.Stop()
 			st.Abandons++
 			progress("killed at appended %s (delivery %d)", lease.Cell, lease.Delivery)
 			continue
 		}
 
-		err = opts.Client.Complete(lease.ID, sink.records(lease.Cell))
+		err = opts.Client.Complete(lease.ID, runner.CellRecords(lease.Cell.Bench, lease.Cell.Policy))
 		hb.Stop()
 		switch {
 		case err == nil:
@@ -453,13 +339,13 @@ func RunWorker(opts WorkerOptions) (WorkerStats, error) {
 			// The coordinator restarted while we executed: every lease of
 			// the old incarnation is dead. Re-claim under the new epoch
 			// (the claim response carries it); the runner's memo makes the
-			// re-execution free and Complete re-ships the buffered
-			// records, so the restart costs one round-trip, not one cell.
+			// re-execution free and Complete ships the records again, so
+			// the restart costs one round-trip, not one cell.
 			st.StaleDrops++
 			progress("epoch changed under %s; re-claiming", lease.Cell)
 		case retryableErr(err):
 			// Coordinator down at completion time. The records are safe in
-			// the sink buffer; back off, then loop into a fresh claim —
+			// the runner's memo; back off, then loop into a fresh claim —
 			// against the same incarnation our lease may even still be
 			// live, but re-claiming is correct either way.
 			if give, werr := downRetry("complete "+lease.Cell.String(), err); give {
