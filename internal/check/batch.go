@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/sampling"
 	"repro/internal/vm"
-	"repro/internal/workload"
 )
 
 // BatchSizes is the standard set of event-batch capacities the batch-
@@ -107,29 +106,14 @@ func BatchInvariance(prog *Program, o Options) (*Divergence, error) {
 // schedule, detection, or modelled cost. Policies defaults to
 // DefaultPolicies for the benchmark's budget.
 func PolicyBatchInvariance(bench string, opts core.Options, policies []sampling.Policy) error {
-	spec, err := workload.ByName(bench)
-	if err != nil {
-		return err
-	}
-	if policies == nil {
-		policies = DefaultPolicies(spec.ScaledInstr(opts.Scale))
-	}
-	for _, p := range policies {
-		ref, err := p.Run(core.NewSession(spec, opts))
-		if err != nil {
-			return fmt.Errorf("check: %s on %s: %v", p.Name(), bench, err)
-		}
+	return comparePolicies("batch invariance", bench, opts, policies, func() []variant {
+		var vs []variant
 		for _, bs := range BatchSizes {
-			o := opts
-			o.VM.EventBatch = bs
-			got, err := p.Run(core.NewSession(spec, o))
-			if err != nil {
-				return fmt.Errorf("check: %s on %s (batch=%d): %v", p.Name(), bench, bs, err)
-			}
-			if err := compareResults(ref, got); err != nil {
-				return fmt.Errorf("check: policy %s on %s varies with event batch %d: %v", p.Name(), bench, bs, err)
-			}
+			vs = append(vs, variant{label: fmt.Sprintf("batch=%d", bs), opts: func(o core.Options) core.Options {
+				o.VM.EventBatch = bs
+				return o
+			}})
 		}
-	}
-	return nil
+		return vs
+	})
 }

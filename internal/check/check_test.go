@@ -2,11 +2,13 @@ package check
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/sampling"
 	"repro/internal/vm"
 )
 
@@ -217,6 +219,58 @@ func TestCheckpointEquivalencePolicies(t *testing.T) {
 	t.Parallel()
 	if err := CheckpointEquivalence("gzip", core.Options{Scale: 50_000}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// offAtRun wraps a policy: it counts Run calls and, on call number bad
+// (1-based; 0 = never), returns an estimate one ulp off.
+type offAtRun struct {
+	sampling.Policy
+	runs *int
+	bad  int
+}
+
+func (p offAtRun) Run(s *core.Session) (sampling.Result, error) {
+	res, err := p.Policy.Run(s)
+	if *p.runs++; *p.runs == p.bad {
+		res.EstIPC = math.Nextafter(res.EstIPC, 2*res.EstIPC)
+	}
+	return res, err
+}
+
+// TestPolicyLegsCompareEveryRun pins what the four per-policy legs share:
+// each makes its fixed number of runs per policy and compares every one
+// of them with the first — an estimate one ulp off in any later run
+// fails the leg, by name.
+func TestPolicyLegsCompareEveryRun(t *testing.T) {
+	t.Parallel()
+	for _, leg := range []struct {
+		name string
+		run  func(string, core.Options, []sampling.Policy) error
+		runs int
+	}{
+		{"policy determinism", PolicyDeterminism, 2},
+		{"checkpoint equivalence", CheckpointEquivalence, 3},
+		{"batch invariance", PolicyBatchInvariance, 1 + len(BatchSizes)},
+		{"obs invariance", ObsInvariance, 2},
+	} {
+		for bad := 0; bad <= leg.runs; bad++ {
+			if bad == 1 {
+				continue // the reference run itself
+			}
+			runs := 0
+			p := offAtRun{sampling.NewDynamic(vm.MetricCPU, 300, 1, 10), &runs, bad}
+			err := leg.run("gzip", core.Options{Scale: 100_000}, []sampling.Policy{p})
+			switch {
+			case bad == 0 && (err != nil || runs != leg.runs):
+				t.Errorf("%s: %d runs, err %v; want %d clean runs", leg.name, runs, err, leg.runs)
+			case bad != 0 && err == nil:
+				t.Errorf("%s: run %d of %d was one ulp off and the leg passed", leg.name, bad, leg.runs)
+			case bad != 0 && !(strings.Contains(err.Error(), leg.name) && strings.Contains(err.Error(), p.Name()) &&
+				strings.Contains(err.Error(), "gzip") && strings.Contains(err.Error(), "EstIPC")):
+				t.Errorf("%s: error does not name leg, policy, bench and field: %v", leg.name, err)
+			}
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/sampling"
 	"repro/internal/vm"
-	"repro/internal/workload"
 )
 
 // SerializedRoundTrip checks the checkpoint store's persistence path:
@@ -99,35 +98,16 @@ func SerializedRoundTrip(prog *Program, o Options) (*Divergence, error) {
 // bit-identical. It then requires the warmed pass to have actually hit
 // the store, so the equivalence cannot pass vacuously.
 func CheckpointEquivalence(bench string, opts core.Options, policies []sampling.Policy) error {
-	spec, err := workload.ByName(bench)
+	store := ckpt.NewMemory()
+	withStore := func(o core.Options) core.Options {
+		o.Ckpt = store
+		return o
+	}
+	err := comparePolicies("checkpoint equivalence", bench, opts, policies, func() []variant {
+		return []variant{{label: "cold store", opts: withStore}, {label: "warm store", opts: withStore}}
+	})
 	if err != nil {
 		return err
-	}
-	if policies == nil {
-		policies = DefaultPolicies(spec.ScaledInstr(opts.Scale))
-	}
-	store := ckpt.NewMemory()
-	withStore := opts
-	withStore.Ckpt = store
-	for _, p := range policies {
-		cold, err := p.Run(core.NewSession(spec, opts))
-		if err != nil {
-			return fmt.Errorf("check: %s on %s: %v", p.Name(), bench, err)
-		}
-		fresh, err := p.Run(core.NewSession(spec, withStore))
-		if err != nil {
-			return fmt.Errorf("check: %s on %s (cold store): %v", p.Name(), bench, err)
-		}
-		if err := compareResults(cold, fresh); err != nil {
-			return fmt.Errorf("check: %s on %s: cold store changed the result: %v", p.Name(), bench, err)
-		}
-		warm, err := p.Run(core.NewSession(spec, withStore))
-		if err != nil {
-			return fmt.Errorf("check: %s on %s (warm store): %v", p.Name(), bench, err)
-		}
-		if err := compareResults(cold, warm); err != nil {
-			return fmt.Errorf("check: %s on %s: warm store changed the result: %v", p.Name(), bench, err)
-		}
 	}
 	st := store.Stats()
 	if st.Puts == 0 {

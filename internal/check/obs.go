@@ -16,7 +16,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/sampling"
-	"repro/internal/workload"
 )
 
 // ObsInvariance runs every policy twice on fresh sessions — once plain,
@@ -28,50 +27,34 @@ import (
 //
 // Policies defaults to DefaultPolicies for the benchmark's budget.
 func ObsInvariance(bench string, opts core.Options, policies []sampling.Policy) error {
-	spec, err := workload.ByName(bench)
-	if err != nil {
-		return err
-	}
-	if policies == nil {
-		policies = DefaultPolicies(spec.ScaledInstr(opts.Scale))
-	}
-	for _, p := range policies {
-		plainOpts := opts
-		plainOpts.Obs = nil
-		plainOpts.Trace = nil
-		plain, err := p.Run(core.NewSession(spec, plainOpts))
-		if err != nil {
-			return fmt.Errorf("check: %s on %s: %v", p.Name(), bench, err)
-		}
-
-		obsOpts := opts
-		obsOpts.Obs = obs.NewRegistry()
-		obsOpts.Trace = obs.NewTransitionTrace(obs.DefaultTraceCap)
-		observed, err := p.Run(core.NewSession(spec, obsOpts))
-		if err != nil {
-			return fmt.Errorf("check: %s on %s (observed): %v", p.Name(), bench, err)
-		}
-
-		if err := compareResults(plain, observed); err != nil {
-			return fmt.Errorf("check: obs not inert for %s on %s: %v", p.Name(), bench, err)
-		}
-
-		// Non-vacuity: the instrumentation must have seen the run.
-		if obsOpts.Trace.Total() == 0 {
-			return fmt.Errorf("check: obs vacuous for %s on %s: no transitions recorded", p.Name(), bench)
-		}
-		var counted uint64
-		for _, mode := range []string{"fast", "event", "bbv", "funcwarm", "detailwarm", "timing"} {
-			counted += obsOpts.Obs.Counter("vm_instructions_total", "mode", mode).Value()
-		}
-		if counted == 0 {
-			return fmt.Errorf("check: obs vacuous for %s on %s: no instructions counted", p.Name(), bench)
-		}
-		if len(obsOpts.Obs.Snapshot()) == 0 {
-			return fmt.Errorf("check: obs vacuous for %s on %s: empty snapshot", p.Name(), bench)
-		}
-	}
-	return nil
+	opts.Obs, opts.Trace = nil, nil
+	return comparePolicies("obs invariance", bench, opts, policies, func() []variant {
+		reg, tr := obs.NewRegistry(), obs.NewTransitionTrace(obs.DefaultTraceCap)
+		return []variant{{
+			label: "observed",
+			opts: func(o core.Options) core.Options {
+				o.Obs, o.Trace = reg, tr
+				return o
+			},
+			// The instrumentation must have seen the run.
+			vacuous: func() error {
+				if tr.Total() == 0 {
+					return fmt.Errorf("no transitions recorded")
+				}
+				var counted uint64
+				for _, mode := range []string{"fast", "event", "bbv", "funcwarm", "detailwarm", "timing"} {
+					counted += reg.Counter("vm_instructions_total", "mode", mode).Value()
+				}
+				if counted == 0 {
+					return fmt.Errorf("no instructions counted")
+				}
+				if len(reg.Snapshot()) == 0 {
+					return fmt.Errorf("empty snapshot")
+				}
+				return nil
+			},
+		}}
+	})
 }
 
 // ObsArtifactInvariance renders the full artifact bundle twice — once

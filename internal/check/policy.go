@@ -26,6 +26,58 @@ func DefaultPolicies(totalInstr uint64) []sampling.Policy {
 	}
 }
 
+// variant is one re-run of a policy under changed session options; its
+// Result must be bit-identical to the policy's reference run.
+type variant struct {
+	label string                          // names the run in error texts
+	opts  func(core.Options) core.Options // the run's options, from the reference run's
+	// vacuous, when non-nil, runs once the variant compared equal and
+	// reports a run that never exercised what the variant is there for.
+	vacuous func() error
+}
+
+func sameOptions(o core.Options) core.Options { return o }
+
+// comparePolicies is the loop behind the per-policy equivalence legs
+// (PolicyDeterminism, CheckpointEquivalence, PolicyBatchInvariance,
+// ObsInvariance): per policy, one reference run under opts and one run
+// per variant, each on a fresh session of the benchmark, every Result
+// bit-identical to the reference's. variants is called once per policy,
+// so a variant may carry per-policy state (a fresh metrics registry);
+// state shared by all policies (a checkpoint store) lives in the
+// caller. leg names the check in error texts. policies defaults to
+// DefaultPolicies for the benchmark's budget.
+func comparePolicies(leg, bench string, opts core.Options, policies []sampling.Policy, variants func() []variant) error {
+	spec, err := workload.ByName(bench)
+	if err != nil {
+		return err
+	}
+	if policies == nil {
+		policies = DefaultPolicies(spec.ScaledInstr(opts.Scale))
+	}
+	for _, p := range policies {
+		ref, err := p.Run(core.NewSession(spec, opts))
+		if err != nil {
+			return fmt.Errorf("check: %s: %s on %s: %v", leg, p.Name(), bench, err)
+		}
+		for _, v := range variants() {
+			got, err := p.Run(core.NewSession(spec, v.opts(opts)))
+			if err != nil {
+				return fmt.Errorf("check: %s: %s on %s (%s): %v", leg, p.Name(), bench, v.label, err)
+			}
+			if err := compareResults(ref, got); err != nil {
+				return fmt.Errorf("check: %s: %s on %s: the %s run differs: %v", leg, p.Name(), bench, v.label, err)
+			}
+			if v.vacuous != nil {
+				if err := v.vacuous(); err != nil {
+					return fmt.Errorf("check: %s: %s on %s: the %s run is vacuous: %v", leg, p.Name(), bench, v.label, err)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // PolicyDeterminism replays a full sampling session twice per policy on
 // fresh sessions built from the same benchmark spec and options, and
 // requires the two Results to be bit-identical: same IPC estimate (to
@@ -36,27 +88,9 @@ func DefaultPolicies(totalInstr uint64) []sampling.Policy {
 //
 // Policies defaults to DefaultPolicies for the benchmark's budget.
 func PolicyDeterminism(bench string, opts core.Options, policies []sampling.Policy) error {
-	spec, err := workload.ByName(bench)
-	if err != nil {
-		return err
-	}
-	if policies == nil {
-		policies = DefaultPolicies(spec.ScaledInstr(opts.Scale))
-	}
-	for _, p := range policies {
-		a, err := p.Run(core.NewSession(spec, opts))
-		if err != nil {
-			return fmt.Errorf("check: %s on %s: %v", p.Name(), bench, err)
-		}
-		b, err := p.Run(core.NewSession(spec, opts))
-		if err != nil {
-			return fmt.Errorf("check: %s on %s (replay): %v", p.Name(), bench, err)
-		}
-		if err := compareResults(a, b); err != nil {
-			return fmt.Errorf("check: policy %s on %s not deterministic: %v", p.Name(), bench, err)
-		}
-	}
-	return nil
+	return comparePolicies("policy determinism", bench, opts, policies, func() []variant {
+		return []variant{{label: "replay", opts: sameOptions}}
+	})
 }
 
 // compareResults requires two sampling results to be bit-identical.
