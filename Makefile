@@ -1,7 +1,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick bench-pair profile-detail profile-ckpt ci
+.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick bench-pair profile-detail profile-ckpt loc ci
 
 all: build
 
@@ -104,5 +104,10 @@ profile-detail:
 profile-ckpt:
 	$(GO) run ./cmd/dynsim -bench mcf -policy dynamic -scale 5000 -ckpt-stride 1 -memprofile ckpt.heap
 	$(GO) tool pprof -sample_index=inuse_space -top -lines -nodecount=12 ckpt.heap
+
+# The two numbers a CHANGES.md entry quotes: non-test and test Go lines
+# outside bench/.
+loc:
+	@bash scripts/loc.sh
 
 ci: vet build race fuzz-smoke diffcheck

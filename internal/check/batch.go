@@ -109,10 +109,9 @@ func PolicyBatchInvariance(bench string, opts core.Options, policies []sampling.
 	return comparePolicies("batch invariance", bench, opts, policies, func() []variant {
 		var vs []variant
 		for _, bs := range BatchSizes {
-			vs = append(vs, variant{label: fmt.Sprintf("batch=%d", bs), opts: func(o core.Options) core.Options {
-				o.VM.EventBatch = bs
-				return o
-			}})
+			o := opts
+			o.VM.EventBatch = bs
+			vs = append(vs, variant{label: fmt.Sprintf("batch=%d", bs), opts: o})
 		}
 		return vs
 	})

@@ -99,10 +99,8 @@ func SerializedRoundTrip(prog *Program, o Options) (*Divergence, error) {
 // the store, so the equivalence cannot pass vacuously.
 func CheckpointEquivalence(bench string, opts core.Options, policies []sampling.Policy) error {
 	store := ckpt.NewMemory()
-	withStore := func(o core.Options) core.Options {
-		o.Ckpt = store
-		return o
-	}
+	withStore := opts
+	withStore.Ckpt = store
 	err := comparePolicies("checkpoint equivalence", bench, opts, policies, func() []variant {
 		return []variant{{label: "cold store", opts: withStore}, {label: "warm store", opts: withStore}}
 	})

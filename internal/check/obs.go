@@ -29,26 +29,24 @@ import (
 func ObsInvariance(bench string, opts core.Options, policies []sampling.Policy) error {
 	opts.Obs, opts.Trace = nil, nil
 	return comparePolicies("obs invariance", bench, opts, policies, func() []variant {
-		reg, tr := obs.NewRegistry(), obs.NewTransitionTrace(obs.DefaultTraceCap)
+		observed := opts
+		observed.Obs, observed.Trace = obs.NewRegistry(), obs.NewTransitionTrace(obs.DefaultTraceCap)
 		return []variant{{
 			label: "observed",
-			opts: func(o core.Options) core.Options {
-				o.Obs, o.Trace = reg, tr
-				return o
-			},
+			opts:  observed,
 			// The instrumentation must have seen the run.
 			vacuous: func() error {
-				if tr.Total() == 0 {
+				if observed.Trace.Total() == 0 {
 					return fmt.Errorf("no transitions recorded")
 				}
 				var counted uint64
 				for _, mode := range []string{"fast", "event", "bbv", "funcwarm", "detailwarm", "timing"} {
-					counted += reg.Counter("vm_instructions_total", "mode", mode).Value()
+					counted += observed.Obs.Counter("vm_instructions_total", "mode", mode).Value()
 				}
 				if counted == 0 {
 					return fmt.Errorf("no instructions counted")
 				}
-				if len(reg.Snapshot()) == 0 {
+				if len(observed.Obs.Snapshot()) == 0 {
 					return fmt.Errorf("empty snapshot")
 				}
 				return nil

@@ -29,14 +29,12 @@ func DefaultPolicies(totalInstr uint64) []sampling.Policy {
 // variant is one re-run of a policy under changed session options; its
 // Result must be bit-identical to the policy's reference run.
 type variant struct {
-	label string                          // names the run in error texts
-	opts  func(core.Options) core.Options // the run's options, from the reference run's
+	label string       // names the run in error texts
+	opts  core.Options // the run's options
 	// vacuous, when non-nil, runs once the variant compared equal and
 	// reports a run that never exercised what the variant is there for.
 	vacuous func() error
 }
-
-func sameOptions(o core.Options) core.Options { return o }
 
 // comparePolicies is the loop behind the per-policy equivalence legs
 // (PolicyDeterminism, CheckpointEquivalence, PolicyBatchInvariance,
@@ -61,7 +59,7 @@ func comparePolicies(leg, bench string, opts core.Options, policies []sampling.P
 			return fmt.Errorf("check: %s: %s on %s: %v", leg, p.Name(), bench, err)
 		}
 		for _, v := range variants() {
-			got, err := p.Run(core.NewSession(spec, v.opts(opts)))
+			got, err := p.Run(core.NewSession(spec, v.opts))
 			if err != nil {
 				return fmt.Errorf("check: %s: %s on %s (%s): %v", leg, p.Name(), bench, v.label, err)
 			}
@@ -89,7 +87,7 @@ func comparePolicies(leg, bench string, opts core.Options, policies []sampling.P
 // Policies defaults to DefaultPolicies for the benchmark's budget.
 func PolicyDeterminism(bench string, opts core.Options, policies []sampling.Policy) error {
 	return comparePolicies("policy determinism", bench, opts, policies, func() []variant {
-		return []variant{{label: "replay", opts: sameOptions}}
+		return []variant{{label: "replay", opts: opts}}
 	})
 }
 

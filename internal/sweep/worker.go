@@ -184,9 +184,8 @@ func (h *heartbeater) Stop() {
 // remote tier, then claim/execute/complete cells in a loop. The
 // returned stats are this worker's view only; the coordinator's
 // CoordStats holds the sweep-wide accounting.
-func RunWorker(opts WorkerOptions) (WorkerStats, error) {
+func RunWorker(opts WorkerOptions) (st WorkerStats, _ error) {
 	opts.setDefaults()
-	var st WorkerStats
 	if opts.Client == nil {
 		return st, fmt.Errorf("sweep: worker %s: no client", opts.ID)
 	}
@@ -228,6 +227,7 @@ func RunWorker(opts WorkerOptions) (WorkerStats, error) {
 		Obs:         opts.Obs,
 	})
 	defer runner.Close()
+	defer func() { st.Executions = runner.Executions() }()
 
 	progress := func(format string, args ...interface{}) {
 		if opts.Progress != nil {
@@ -252,24 +252,20 @@ func RunWorker(opts WorkerOptions) (WorkerStats, error) {
 	}
 	for {
 		if err := opts.Context.Err(); err != nil {
-			st.Executions = runner.Executions()
 			return st, err
 		}
 		lease, done, err := opts.Client.Claim(opts.ID)
 		if err != nil {
 			if !retryableErr(err) {
-				st.Executions = runner.Executions()
 				return st, fmt.Errorf("sweep: worker %s: claim: %w", opts.ID, err)
 			}
 			if give, werr := downRetry("claim", err); give {
-				st.Executions = runner.Executions()
 				return st, werr
 			}
 			continue
 		}
 		fails = 0
 		if done {
-			st.Executions = runner.Executions()
 			return st, nil
 		}
 		if lease == nil {
@@ -303,7 +299,6 @@ func RunWorker(opts WorkerOptions) (WorkerStats, error) {
 			st.Failures++
 			progress("cell %s failed: %v", lease.Cell, runErr)
 			if err := opts.Context.Err(); err != nil {
-				st.Executions = runner.Executions()
 				return st, err
 			}
 			// The lease is abandoned and will be re-issued; if the
@@ -349,11 +344,9 @@ func RunWorker(opts WorkerOptions) (WorkerStats, error) {
 			// against the same incarnation our lease may even still be
 			// live, but re-claiming is correct either way.
 			if give, werr := downRetry("complete "+lease.Cell.String(), err); give {
-				st.Executions = runner.Executions()
 				return st, werr
 			}
 		default:
-			st.Executions = runner.Executions()
 			return st, fmt.Errorf("sweep: worker %s: complete %s: %w", opts.ID, lease.Cell, err)
 		}
 	}

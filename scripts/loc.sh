@@ -1,0 +1,16 @@
+#!/usr/bin/env bash
+# The simplicity figure CHANGES.md quotes for every PR: Go source lines
+# outside bench/ (the frozen benchmark harness) and .bench_build/ (its
+# build output), non-test and test separately. Plain `wc -l` lines —
+# blank lines and comments count.
+#
+#   scripts/loc.sh
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+count() {
+	find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' "$@" -print0 |
+		xargs -0 cat | wc -l
+}
+printf 'non-test Go lines outside bench/: %d\n' "$(count -not -name '*_test.go')"
+printf 'test Go lines outside bench/:     %d\n' "$(count -name '*_test.go')"
