@@ -1,15 +1,9 @@
 package sweep
 
 import (
-	"context"
-	"fmt"
-	"net/http/httptest"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/ckpt"
 )
 
 // timeSweep runs one full distributed sweep with the given worker count
@@ -17,42 +11,9 @@ import (
 // completion of the last).
 func timeSweep(t *testing.T, cfg Config, workers int) time.Duration {
 	t.Helper()
-	coord := NewCoordinator(cfg, nil, nil)
-	store, err := ckpt.New(ckpt.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewServer(coord, store, nil, nil).Handler())
-	defer ts.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
 	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = RunWorker(WorkerOptions{
-				Client:  NewClient(ts.URL, nil),
-				ID:      fmt.Sprintf("w%d", i),
-				Context: ctx,
-				Poll:    10 * time.Millisecond,
-			})
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-	if !coord.Done() {
-		t.Fatalf("sweep incomplete: %+v", coord.Stats())
-	}
-	return elapsed
+	runWorkers(t, NewCoordinator(cfg, nil, nil), workers, nil)
+	return time.Since(start)
 }
 
 // TestSweepSmokeSpeedup is the scheduling smoke benchmark: the same
