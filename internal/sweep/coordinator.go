@@ -296,11 +296,27 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
-// Claim leases the first unleased, incomplete cell in deterministic
-// matrix order to a worker. done reports the terminal state — every
-// cell complete — and a (nil, false) return means everything is
-// currently leased out: the worker should poll again, since a lease
-// may yet expire.
+// Claim leases one pending (unleased, incomplete) cell to a worker:
+// locality first, matrix order within. The cell chosen is the first in
+// matrix order whose benchmark no live lease holds; when every benchmark
+// with pending cells is held, the first pending cell. All cells of a
+// benchmark walk one canonical trajectory (core/ckpt.go's canonical-
+// session rule), so keeping a benchmark with one worker means its
+// checkpoints are produced, deposited and uploaded once, and the
+// worker's later cells hit its own memory tier; two workers on one
+// benchmark each walk it cold and each upload every key. The rule is
+// sticky without any state of its own: a worker that completes
+// gzip/Full finds gzip idle and mcf held, so it is handed gzip/SMARTS.
+// It reads only the lease table, so lease expiry and WAL replay need
+// nothing new, and a given call sequence yields the same grants every
+// time. The fallback keeps every worker busy through the tail — no
+// cell waits for a particular worker. Unchanged by the order of
+// claims: the merge (Merged is a function of the record set alone),
+// exactly-once completion, and re-issue on expiry.
+//
+// done reports the terminal state — every cell complete — and a
+// (nil, false) return means everything is currently leased out: the
+// worker should poll again, since a lease may yet expire.
 func (c *Coordinator) Claim(worker string, now time.Time) (lease *Lease, done bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -309,35 +325,49 @@ func (c *Coordinator) Claim(worker string, now time.Time) (lease *Lease, done bo
 		c.gaugesLocked()
 		return nil, true
 	}
+	held := make(map[string]bool, len(c.leases))
+	for _, st := range c.leases {
+		held[st.cell.Bench] = true
+	}
+	var st *cellState
 	for _, cell := range c.cells {
-		st := c.states[cell]
-		if st.done || st.leaseID != 0 {
+		cand := c.states[cell]
+		if cand.done || cand.leaseID != 0 {
 			continue
 		}
-		c.nextID++
-		st.leaseID = c.nextID
-		st.expiry = now.Add(c.cfg.LeaseTTL)
-		delivery := st.deliveries
-		st.deliveries++
-		c.leases[st.leaseID] = st
-		if err := c.logWAL(walEntry{Kind: "grant", Epoch: c.epoch, Lease: st.leaseID, Cell: &st.cell, Delivery: delivery}); err != nil {
-			// Not durable → not granted. Revert so the grant is never
-			// acknowledged; the worker polls again (and, if the WAL died
-			// because the coordinator did, soon learns that instead).
-			delete(c.leases, st.leaseID)
-			st.leaseID = 0
-			st.deliveries--
-			c.nextID--
-			c.gaugesLocked()
-			return nil, false
+		if !held[cell.Bench] {
+			st = cand
+			break
 		}
-		c.stats.Claims++
-		c.ob.claims.Inc()
-		c.gaugesLocked()
-		return &Lease{ID: st.leaseID, Cell: cell, TTL: c.cfg.LeaseTTL, Delivery: delivery}, false
+		if st == nil {
+			st = cand
+		}
 	}
+	if st == nil {
+		c.gaugesLocked()
+		return nil, false
+	}
+	c.nextID++
+	st.leaseID = c.nextID
+	st.expiry = now.Add(c.cfg.LeaseTTL)
+	delivery := st.deliveries
+	st.deliveries++
+	c.leases[st.leaseID] = st
+	if err := c.logWAL(walEntry{Kind: "grant", Epoch: c.epoch, Lease: st.leaseID, Cell: &st.cell, Delivery: delivery}); err != nil {
+		// Not durable → not granted. Revert so the grant is never
+		// acknowledged; the worker polls again (and, if the WAL died
+		// because the coordinator did, soon learns that instead).
+		delete(c.leases, st.leaseID)
+		st.leaseID = 0
+		st.deliveries--
+		c.nextID--
+		c.gaugesLocked()
+		return nil, false
+	}
+	c.stats.Claims++
+	c.ob.claims.Inc()
 	c.gaugesLocked()
-	return nil, false
+	return &Lease{ID: st.leaseID, Cell: st.cell, TTL: c.cfg.LeaseTTL, Delivery: delivery}, false
 }
 
 // leaseLocked resolves a live, unexpired lease or fails with

@@ -2,6 +2,9 @@ package sweep
 
 import (
 	"errors"
+	"fmt"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -409,4 +412,154 @@ func TestMergedCanonicalOrder(t *testing.T) {
 	if got := c2.Merged(); len(got) != 0 {
 		t.Fatalf("partial cell leaked %d records into the merge", len(got))
 	}
+}
+
+// TestClaimLocality pins the scheduling rule — locality first, matrix
+// order within — at explicit virtual times: a benchmark with a live
+// lease is passed over while another has pending cells, the lease table
+// alone decides (so completion, expiry and a restart each free a
+// benchmark with no bookkeeping of their own), and when every benchmark
+// is held the first pending cell goes out, so no claimant starves.
+func TestClaimLocality(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	cfg := Config{Scale: 2000, Benchmarks: []string{"gzip", "mcf", "swim"}, LeaseTTL: testTTL}
+	cells := cfg.Cells()
+	perBench := len(cells) / len(cfg.Benchmarks)
+	cell := func(bench, i int) Cell { return cells[bench*perBench+i] }
+	claim := func(t *testing.T, c *Coordinator, worker string, now time.Time, want Cell) *Lease {
+		t.Helper()
+		lease, done := c.Claim(worker, now)
+		if done || lease == nil {
+			t.Fatalf("%s: claim gave lease=%v done=%v, want %s", worker, lease, done, want)
+		}
+		if lease.Cell != want {
+			t.Fatalf("%s was leased %s, want %s", worker, lease.Cell, want)
+		}
+		return lease
+	}
+	complete := func(t *testing.T, c *Coordinator, l *Lease, now time.Time) {
+		t.Helper()
+		if err := c.Complete(l.ID, recordsFor(l.Cell), now); err != nil {
+			t.Fatalf("complete %s: %v", l.Cell, err)
+		}
+	}
+
+	t.Run("idle benchmarks are not shared", func(t *testing.T) {
+		c := NewCoordinator(cfg, nil, nil)
+		claim(t, c, "a", t0, cell(0, 0))
+		claim(t, c, "b", t0, cell(1, 0))
+		claim(t, c, "c", t0, cell(2, 0))
+	})
+
+	t.Run("a completing worker keeps its benchmark", func(t *testing.T) {
+		c := NewCoordinator(cfg, nil, nil)
+		a := claim(t, c, "a", t0, cell(0, 0))
+		b := claim(t, c, "b", t0, cell(1, 0))
+		for i := 1; i < perBench; i++ {
+			complete(t, c, a, t0)
+			a = claim(t, c, "a", t0, cell(0, i))
+			complete(t, c, b, t0)
+			b = claim(t, c, "b", t0, cell(1, i))
+		}
+		// gzip exhausted: a moves to the idle benchmark, not onto b's.
+		complete(t, c, a, t0)
+		claim(t, c, "a", t0, cell(2, 0))
+	})
+
+	t.Run("every benchmark held: matrix order, nobody starves", func(t *testing.T) {
+		c := NewCoordinator(Config{Scale: 2000, Benchmarks: []string{"gzip", "mcf"}, LeaseTTL: testTTL}, nil, nil)
+		held := []*Lease{
+			claim(t, c, "a", t0, cell(0, 0)),
+			claim(t, c, "b", t0, cell(1, 0)),
+			claim(t, c, "c", t0, cell(0, 1)), // both held: first pending cell
+			claim(t, c, "d", t0, cell(0, 2)),
+		}
+		// Four claimants drain two benchmarks; done is still reached with
+		// every cell leased exactly once.
+		for len(held) > 0 {
+			complete(t, c, held[0], t0)
+			held = held[1:]
+			if lease, _ := c.Claim("w", t0); lease != nil {
+				held = append(held, lease)
+			}
+		}
+		st := c.Stats()
+		if _, done := c.Claim("w", t0); !done || st.Claims != uint64(st.Cells) || st.Completions != uint64(st.Cells) {
+			t.Fatalf("drained sweep: done=%v %+v", done, st)
+		}
+	})
+
+	t.Run("an expired lease frees its benchmark", func(t *testing.T) {
+		c := NewCoordinator(cfg, nil, nil)
+		a := claim(t, c, "a", t0, cell(0, 0))
+		claim(t, c, "b", t0, cell(1, 0))
+		cl := claim(t, c, "c", t0, cell(2, 0))
+		// a and c heartbeat, b goes silent.
+		for _, l := range []*Lease{a, cl} {
+			if err := c.Heartbeat(l.ID, t0.Add(testTTL/2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		late := t0.Add(testTTL + time.Second)
+		// gzip's next cell comes first in matrix order, but gzip is held;
+		// mcf is idle again, so its expired cell is re-issued.
+		if l := claim(t, c, "d", late, cell(1, 0)); l.Delivery != 1 {
+			t.Fatalf("re-issue numbered delivery %d, want 1", l.Delivery)
+		}
+	})
+
+	t.Run("a restart from the WAL holds only its own leases", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "coord.wal")
+		c, err := NewWALCoordinator(cfg, path, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		complete(t, c, claim(t, c, "a", t0, cell(0, 0)), t0)
+		claim(t, c, "a", t0, cell(0, 1))
+		claim(t, c, "b", t0, cell(1, 0))
+		c.Kill()
+		// The grants above are in the WAL, but leases die with their
+		// incarnation (wal.go): nothing is held until the successor
+		// grants, and then its lease table is all the rule reads.
+		c2, err := NewWALCoordinator(cfg, path, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c2.CloseWAL()
+		if l := claim(t, c2, "b", t0, cell(0, 1)); l.Delivery != 1 {
+			t.Fatalf("re-grant numbered delivery %d, want 1", l.Delivery)
+		}
+		claim(t, c2, "a", t0, cell(1, 0))
+		claim(t, c2, "c", t0, cell(2, 0))
+		claim(t, c2, "d", t0, cell(0, 2))
+	})
+
+	t.Run("the same calls yield the same grants", func(t *testing.T) {
+		script := func() []Cell {
+			c := NewCoordinator(cfg, nil, nil)
+			var got []Cell
+			var held []*Lease
+			now := t0
+			for i := 0; len(got) < 2*len(cells) && !c.Done(); i++ {
+				now = now.Add(time.Second)
+				if lease, _ := c.Claim(fmt.Sprintf("w%d", i%3), now); lease != nil {
+					got = append(got, lease.Cell)
+					held = append(held, lease)
+				}
+				switch {
+				case i%5 == 4 && len(held) > 0:
+					held = held[1:] // abandoned: expires into a re-issue
+				case i%2 == 1 && len(held) > 0:
+					// Refused when the lease has expired meanwhile.
+					_ = c.Complete(held[0].ID, recordsFor(held[0].Cell), now)
+					held = held[1:]
+				}
+			}
+			return got
+		}
+		first, second := script(), script()
+		if len(first) < len(cells) || !reflect.DeepEqual(first, second) {
+			t.Fatalf("grant sequences differ or fall short:\n%v\n%v", first, second)
+		}
+	})
 }

@@ -85,8 +85,9 @@ func (c *Config) setDefaults() {
 // Cells returns the deterministic cell matrix for a config: benchmarks
 // in configured order × the execution keys of the artifact policy
 // matrix, deduplicated (both SimPoint variants fold into "SimPoint*").
-// Every ordering downstream — claim order, journal-merge order — is
-// derived from this slice.
+// Every ordering downstream is derived from this slice: the journal
+// merge follows it exactly, claims follow it within the locality rule
+// (Coordinator.Claim).
 func (c Config) Cells() []Cell {
 	cfg := c
 	cfg.setDefaults()
