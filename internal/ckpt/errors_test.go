@@ -185,61 +185,85 @@ func TestLoadInstrMismatch(t *testing.T) {
 	}
 }
 
-// TestStoreWriteDegradation keeps the disk-write fault firing: after
-// maxWriteFails consecutive failures the store must stop writing (one
-// bounded error burst, not one per deposit) while the in-memory tier
-// keeps serving every entry.
+// TestStoreWriteDegradation keeps a disk-write fault firing — refused
+// before the write, or at the sync after it — through both deposit
+// paths: after maxWriteFails consecutive failures the store must stop
+// writing (one bounded error burst, not one per deposit) while the
+// in-memory tier keeps serving every entry, and no file or temp file is
+// left behind.
 func TestStoreWriteDegradation(t *testing.T) {
 	t.Parallel()
-	inj := faults.New(7, faults.Plan{DiskWrite: 1})
-	s, err := New(Options{Dir: t.TempDir(), Faults: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const deposits = maxWriteFails + 3
-	for i := 1; i <= deposits; i++ {
-		n := uint64(1000 * i)
-		s.Put(testKey(n), snapAt(t, n))
-	}
-	st := s.Stats()
-	if !st.DiskDegraded {
-		t.Fatal("store did not degrade to the memory tier")
-	}
-	if st.WriteFails != maxWriteFails {
-		t.Fatalf("WriteFails = %d, want exactly %d (writes must stop after degradation)", st.WriteFails, maxWriteFails)
-	}
-	if st.DiskWrites != 0 || st.DiskEntries != 0 {
-		t.Fatalf("degraded store persisted entries: %+v", st)
-	}
-	for i := 1; i <= deposits; i++ {
-		if _, ok := s.Lookup(testKey(uint64(1000 * i))); !ok {
-			t.Fatalf("memory tier lost entry %d after disk degradation", i)
+	plans := map[string]faults.Plan{"write": {DiskWrite: 1}, "sync": {DiskSync: 1}}
+	for _, d := range depositors {
+		for op, plan := range plans {
+			d, plan := d, plan
+			t.Run(d.name+"/"+op, func(t *testing.T) {
+				t.Parallel()
+				dir := t.TempDir()
+				s, err := New(Options{Dir: dir, Faults: faults.New(7, plan)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				const deposits = maxWriteFails + 3
+				for i := 1; i <= deposits; i++ {
+					n := uint64(1000 * i)
+					d.put(t, s, testKey(n), snapAt(t, n))
+				}
+				st := s.Stats()
+				if !st.DiskDegraded {
+					t.Fatal("store did not degrade to the memory tier")
+				}
+				if st.WriteFails != maxWriteFails {
+					t.Fatalf("WriteFails = %d, want exactly %d (writes must stop after degradation)", st.WriteFails, maxWriteFails)
+				}
+				if st.DiskWrites != 0 || st.DiskEntries != 0 || st.Puts != deposits {
+					t.Fatalf("degraded store persisted entries or lost deposits: %+v", st)
+				}
+				if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+					t.Fatalf("failed writes left %d files behind (%v)", len(ents), err)
+				}
+				for i := 1; i <= deposits; i++ {
+					if _, ok := s.Lookup(testKey(uint64(1000 * i))); !ok {
+						t.Fatalf("memory tier lost entry %d after disk degradation", i)
+					}
+				}
+			})
 		}
 	}
 }
 
-// TestStoreTornWriteDetectedOnRead injects a torn write: the deposit
-// reports success (as a crash mid-write would), and the short file is
-// caught by the digest footer when a later process reads it.
+// TestStoreTornWriteDetectedOnRead injects a torn write into both
+// deposit paths: the deposit reports success (as a crash mid-write
+// would), and the short file is caught by the digest footer when a later
+// process reads it.
 func TestStoreTornWriteDetectedOnRead(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	inj := faults.New(3, faults.Plan{TornWrite: 1})
-	s1, err := New(Options{Dir: dir, Faults: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := testKey(1000)
-	s1.Put(k, snapAt(t, 1000))
-	if st := s1.Stats(); st.DiskWrites != 1 || st.WriteFails != 0 {
-		t.Fatalf("torn write must look like success at write time: %+v", st)
-	}
-	s2, err := New(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap, err := s2.Load(k); snap != nil || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Load(torn file) = %v, %v; want nil, ErrCorrupt", snap, err)
+	for _, d := range depositors {
+		d := d
+		t.Run(d.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			inj := faults.New(3, faults.Plan{TornWrite: 1})
+			s1, err := New(Options{Dir: dir, Faults: inj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := testKey(1000)
+			d.put(t, s1, k, snapAt(t, 1000))
+			if st := s1.Stats(); st.DiskWrites != 1 || st.WriteFails != 0 {
+				t.Fatalf("torn write must look like success at write time: %+v", st)
+			}
+			if inj.Fired()[faults.TornWrite] == 0 {
+				t.Fatal("vacuous: the torn write never fired")
+			}
+			s2, err := New(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap, err := s2.Load(k); snap != nil || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Load(torn file) = %v, %v; want nil, ErrCorrupt", snap, err)
+			}
+		})
 	}
 }
 

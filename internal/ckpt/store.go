@@ -15,6 +15,7 @@
 package ckpt
 
 import (
+	"bufio"
 	"container/list"
 	"errors"
 	"fmt"
@@ -150,9 +151,10 @@ type entry struct {
 }
 
 // Store is a content-addressed checkpoint cache, safe for concurrent
-// use. Disk reads and writes happen under the store lock — simple and
-// correct; the store is consulted between simulation intervals, never
-// inside the VM's hot loop.
+// use. Disk reads and Put's writes happen under the store lock — simple
+// and correct; the store is consulted between simulation intervals,
+// never inside the VM's hot loop. PutFrom, which a server calls once per
+// upload from many connections, does its I/O outside the lock.
 type Store struct {
 	mu    sync.Mutex
 	opts  Options
@@ -309,10 +311,12 @@ func (s *Store) path(k Key) string {
 func (s *Store) Contains(k Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.mem[k]; ok {
-		return true
-	}
-	return s.disk[k]
+	return s.heldLocked(k)
+}
+
+func (s *Store) heldLocked(k Key) bool {
+	_, ok := s.mem[k]
+	return ok || s.disk[k]
 }
 
 // Lookup returns the snapshot for an exact key. Snapshots are shared,
@@ -588,27 +592,11 @@ func (s *Store) Put(k Key, snap *vm.Snapshot) {
 	s.insertLocked(k, snap)
 	if s.opts.Dir != "" && !onDisk && !s.diskOff {
 		writeStart := time.Now()
-		if err := s.writeLocked(k, snap); err != nil {
-			s.stats.DiskErrors++
-			s.stats.WriteFails++
-			s.ob.diskErrors.Inc()
-			s.ob.writeFails.Inc()
-			s.writeFails++
-			if s.writeFails >= maxWriteFails {
-				// Degradation ladder, rung one: the disk tier keeps
-				// failing, so stop writing to it and run on the
-				// in-memory tier alone. Reads of entries already on
-				// disk continue to work.
-				s.diskOff = true
-				s.stats.DiskDegraded = true
-			}
-		} else {
-			s.writeFails = 0
-			s.stats.DiskWrites++
-			s.ob.diskWrites.Inc()
-			s.ob.writeSec.Observe(time.Since(writeStart).Seconds())
-			s.disk[k] = true
-		}
+		err := s.write(k, func(w io.Writer) error {
+			_, err := snap.WriteTo(w)
+			return err
+		})
+		s.wroteLocked(k, writeStart, err)
 	}
 	if s.opts.Remote != nil && !s.remoteOff {
 		// Mirror the deposit so the rest of the fleet warm-starts from
@@ -622,6 +610,116 @@ func (s *Store) Put(k Key, snap *vm.Snapshot) {
 			s.remoteFails = 0
 		}
 	}
+}
+
+// PutFrom deposits the serialized snapshot r carries under k: the
+// receiving end of a mirror (sweep's PUT /v1/ckpt), so it does not
+// mirror onward to Remote. With a working disk tier the bytes are
+// decoded once, to verify them — digest footer, structural bounds, the
+// key's instruction count, nothing after the footer — while the same
+// bytes spool into the temp file write commits, and the decoded
+// snapshot is then dropped: the file is byte for byte what Put would
+// have written (the encoding is deterministic), and the memory tier
+// fills from Lookup/Nearest as it does for any disk entry. Without a
+// disk tier, or when the write fails, the decoded snapshot joins the
+// memory tier as Put's would. A key already held answers before r is
+// read. An upload that fails a check returns an ErrCorrupt-wrapped
+// error and leaves nothing behind — no file, no temp file, no index
+// entry. The read, decode, write and fsync run outside the store lock:
+// uploads overlap each other and every lookup.
+func (s *Store) PutFrom(k Key, r io.Reader) error {
+	s.mu.Lock()
+	held := s.heldLocked(k)
+	if held {
+		s.stats.DupPuts++
+		s.ob.dupPuts.Inc()
+	}
+	toDisk := s.opts.Dir != "" && !s.diskOff
+	s.mu.Unlock()
+	if held {
+		return nil
+	}
+
+	var snap *vm.Snapshot
+	var werr error
+	writeStart := time.Now()
+	if toDisk {
+		var uerr error
+		werr = s.write(k, func(w io.Writer) error {
+			sp := &spool{w: w}
+			snap, uerr = readUpload(k, io.TeeReader(r, sp))
+			if uerr != nil {
+				return uerr
+			}
+			return sp.err
+		})
+		if uerr != nil {
+			return uerr
+		}
+	}
+	if snap == nil {
+		// No disk tier, or the write failed before produce ran.
+		var err error
+		if snap, err = readUpload(k, r); err != nil {
+			return err
+		}
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.heldLocked(k) {
+		// A concurrent upload of k won; its bytes are these bytes.
+		s.stats.DupPuts++
+		s.ob.dupPuts.Inc()
+		return nil
+	}
+	s.stats.Puts++
+	s.ob.puts.Inc()
+	if toDisk {
+		s.wroteLocked(k, writeStart, werr)
+	}
+	if !toDisk || werr != nil {
+		s.insertLocked(k, snap)
+	}
+	return nil
+}
+
+// spool forwards writes until one fails and swallows the rest, keeping
+// the error: a failing disk must reach PutFrom as a write failure, not
+// reach the decoder reading through the tee as a corrupt upload.
+type spool struct {
+	w   io.Writer
+	err error
+}
+
+func (sp *spool) Write(p []byte) (int, error) {
+	if sp.err == nil {
+		_, sp.err = sp.w.Write(p)
+	}
+	return len(p), nil
+}
+
+// readUpload decodes one serialized snapshot for k from r with every
+// check a disk load makes, and requires r to end at the digest footer.
+func readUpload(k Key, r io.Reader) (*vm.Snapshot, error) {
+	// vm.ReadSnapshot adopts a bufio.Reader this large where it would
+	// wrap a smaller one, so nothing is read ahead out of sight and Peek
+	// sees whatever follows the footer.
+	br := bufio.NewReaderSize(r, 1<<16)
+	snap, err := vm.ReadSnapshot(br)
+	if err != nil {
+		return nil, fmt.Errorf("%w: upload for %s: %w", ErrCorrupt, k, err)
+	}
+	if snap.Instructions() != k.Instr {
+		return nil, fmt.Errorf("%w: upload for %s holds instr %d", ErrCorrupt, k, snap.Instructions())
+	}
+	if _, err := br.Peek(1); err != io.EOF {
+		if err == nil {
+			err = errors.New("bytes after the digest footer")
+		}
+		return nil, fmt.Errorf("%w: upload for %s: %w", ErrCorrupt, k, err)
+	}
+	return snap, nil
 }
 
 // shareLocked moves the reference count of every piece of snap by delta
@@ -669,15 +767,45 @@ func (s *Store) insertLocked(k Key, snap *vm.Snapshot) {
 	}
 }
 
-// writeLocked persists a snapshot atomically: temp file, fsync, then
-// rename, so a crash never leaves a half-written file under a live
-// name. Concurrent writers of the same key are harmless — the encoding
-// is deterministic, so both temp files hold identical bytes and either
-// rename wins. All failures are ErrIO-wrapped. Note an injected torn
-// write is NOT an error here: it silently commits a short file, which a
-// later read detects via the digest footer — exactly the crash shape it
-// models.
-func (s *Store) writeLocked(k Key, snap *vm.Snapshot) error {
+// wroteLocked books the outcome of one disk write of k: the index entry
+// and the write counters on success, the failure counters and the
+// degradation ladder otherwise.
+func (s *Store) wroteLocked(k Key, start time.Time, err error) {
+	if err != nil {
+		s.stats.DiskErrors++
+		s.stats.WriteFails++
+		s.ob.diskErrors.Inc()
+		s.ob.writeFails.Inc()
+		s.writeFails++
+		if s.writeFails >= maxWriteFails {
+			// Degradation ladder, rung one: the disk tier keeps
+			// failing, so stop writing to it and run on the
+			// in-memory tier alone. Reads of entries already on
+			// disk continue to work.
+			s.diskOff = true
+			s.stats.DiskDegraded = true
+		}
+		return
+	}
+	s.writeFails = 0
+	s.stats.DiskWrites++
+	s.ob.diskWrites.Inc()
+	s.ob.writeSec.Observe(time.Since(start).Seconds())
+	s.disk[k] = true
+}
+
+// write persists k's file atomically: produce writes the serialized
+// snapshot to a temp file, which is fsynced and then renamed, so a crash
+// never leaves a half-written file under a live name. It is the one
+// disk-write path — Put's producer encodes a snapshot, PutFrom's spools
+// an upload — and reads no mutable store state, so it runs with or
+// without the store lock. Concurrent writers of the same key are
+// harmless — the encoding is deterministic, so both temp files hold
+// identical bytes and either rename wins. All failures are ErrIO-wrapped.
+// Note an injected torn write is NOT an error here: it silently commits
+// a short file, which a later read detects via the digest footer —
+// exactly the crash shape it models.
+func (s *Store) write(k Key, produce func(io.Writer) error) error {
 	name := k.String()
 	fi := s.opts.Faults
 	if fi != nil {
@@ -693,7 +821,7 @@ func (s *Store) writeLocked(k Key, snap *vm.Snapshot) error {
 	if fi != nil {
 		w = fi.CorruptWriter(name, w)
 	}
-	if _, err := snap.WriteTo(w); err != nil {
+	if err := produce(w); err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return errors.Join(ErrIO, err)

@@ -290,11 +290,16 @@ func (cl *Client) Put(k ckpt.Key, snap *vm.Snapshot) error {
 			return err
 		}
 	}
-	var buf bytes.Buffer
-	if _, err := snap.WriteTo(&buf); err != nil {
+	// Sized up front: the encoding is the in-memory footprint (page
+	// images dominate both) plus a few section headers, and a buffer
+	// doubled up from empty copies every upload twice over. The transport
+	// may read the body after Do returns, so it is not pooled.
+	size := snap.SizeBytes()
+	buf := bytes.NewBuffer(make([]byte, 0, size+size/16))
+	if _, err := snap.WriteTo(buf); err != nil {
 		return err
 	}
-	req, err := http.NewRequest(http.MethodPut, cl.ckptURL(k), &buf)
+	req, err := http.NewRequest(http.MethodPut, cl.ckptURL(k), buf)
 	if err != nil {
 		return err
 	}

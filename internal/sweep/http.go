@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/vm"
 )
 
 // The wire protocol. Three lease verbs plus the remote checkpoint tier:
@@ -29,10 +29,14 @@ import (
 // leases answer 409; completions with missing records answer 422;
 // lease verbs stamped with a dead incarnation's epoch answer 410 (the
 // worker re-fetches /v1/config and re-claims); WAL append failures
-// answer 503 (retryable — nothing was acknowledged). Snapshot transfers carry their own FNV digest
-// footer, verified by vm.ReadSnapshot on whichever side decodes —
-// the server never stores an upload it could not decode, the client
-// never restores a download it could not verify.
+// answer 503 (retryable — nothing was acknowledged). Snapshot transfers
+// carry their own FNV digest footer, verified by vm.ReadSnapshot on
+// whichever side decodes — the server never stores an upload it could
+// not decode, the client never restores a download it could not verify.
+// The server decodes an upload only to verify it: what it keeps is the
+// bytes, spooled to the key's disk file as they are checked
+// (ckpt.Store.PutFrom), so its memory tier holds only the snapshots a
+// GET or nearest made it load back.
 
 // Request-body bounds. The largest bodies one traced pass of the
 // benchmark's sweep_dist workload sends are a 123 792-byte /v1/complete
@@ -276,19 +280,17 @@ func (s *Server) handleCkptPut(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Decode before storing: the digest footer is verified here, so a
-	// corrupt upload (torn connection, in-flight bit flip) is rejected
-	// with 400 and never enters the store.
-	snap, err := vm.ReadSnapshot(r.Body)
-	if err != nil {
+	// The store decodes the body to verify it — digest footer, bounds,
+	// the key's instruction count — so a corrupt upload (torn connection,
+	// in-flight bit flip) answers 400 and leaves nothing behind; what it
+	// keeps of a good one is the bytes, on disk (ckpt.Store.PutFrom).
+	if err := s.store.PutFrom(k, r.Body); err != nil {
 		badBody(w, "corrupt snapshot upload", err)
 		return
 	}
-	if snap.Instructions() != k.Instr {
-		http.Error(w, fmt.Sprintf("snapshot holds instr %d, key says %d", snap.Instructions(), k.Instr),
-			http.StatusBadRequest)
-		return
-	}
-	s.store.Put(k, snap)
+	// A key already held is accepted without its body being read; drain
+	// it, or the server closes the worker's connection over the unread
+	// megabyte.
+	_, _ = io.Copy(io.Discard, r.Body)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -1,7 +1,12 @@
 package sweep
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -129,4 +134,101 @@ func TestUploadedDirMatchesPutDir(t *testing.T) {
 	if st := fresh.Stats(); st.DiskErrors != 0 {
 		t.Fatalf("uploaded files failed to load: %s", st)
 	}
+}
+
+// TestRefusedUploadsLeaveNothing drives every way an upload can go wrong
+// through the HTTP surface: each is answered 400 (413 over the body
+// bound) and leaves the coordinator tier's directory empty — no file
+// under the key, no temp file — and its index and counters untouched.
+func TestRefusedUploadsLeaveNothing(t *testing.T) {
+	dir := t.TempDir()
+	store, err := ckpt.New(ckpt.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(NewCoordinator(testConfig(), nil, nil), store, nil, nil).Handler())
+	defer ts.Close()
+
+	var buf bytes.Buffer
+	if _, err := snapAt(t, 100).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/2] ^= 0x40
+	// A header that claims 2^24 TLB entries (the count follows the magic,
+	// the CPU state and the statistics) and then delivers zeros for ever:
+	// structurally plausible until the body bound cuts it off.
+	const tlbCount = 8 + (3+32)*8 + 17*8
+	endless := bytes.Clone(good[:tlbCount+8])
+	binary.LittleEndian.PutUint64(endless[tlbCount:], 1<<24)
+	key := testCkptKey(100)
+
+	cases := []struct {
+		name string
+		key  ckpt.Key
+		body io.Reader
+		want int
+	}{
+		{"truncated", key, bytes.NewReader(good[:len(good)/2]), http.StatusBadRequest},
+		{"flipped byte", key, bytes.NewReader(flipped), http.StatusBadRequest},
+		{"wrong key", testCkptKey(101), bytes.NewReader(good), http.StatusBadRequest},
+		{"bytes after the footer", key, bytes.NewReader(append(bytes.Clone(good), 0)), http.StatusBadRequest},
+		{"over the body bound, chunked", key,
+			io.MultiReader(bytes.NewReader(endless), io.LimitReader(fill(0), maxSnapshotBody)), http.StatusRequestEntityTooLarge},
+	}
+	check := func(t *testing.T, k ckpt.Key) {
+		t.Helper()
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+			t.Errorf("the directory holds %d files (%v)", len(ents), err)
+		}
+		if st := store.Stats(); store.Contains(k) || st != (ckpt.Stats{}) {
+			t.Errorf("the store changed: %+v", st)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Not a bytes.Reader: the client must send the endless body
+			// chunked, without a Content-Length the handler refuses outright.
+			req, err := http.NewRequest("PUT", ts.URL+"/v1/ckpt/"+tc.key.String(), struct{ io.Reader }{tc.body})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("status %d, want %d", resp.StatusCode, tc.want)
+			}
+			check(t, tc.key)
+		})
+	}
+
+	t.Run("disconnect mid-body", func(t *testing.T) {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "PUT /v1/ckpt/%s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n", key, len(good))
+		if _, err := conn.Write(good[:len(good)/2]); err != nil {
+			t.Fatal(err)
+		}
+		// Half-closed: the server sees the body end early, and its answer
+		// shows the handler ran to its end before the directory is read.
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		conn.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("status %d, want 400", resp.StatusCode)
+		}
+		check(t, key)
+	})
 }
