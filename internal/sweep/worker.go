@@ -202,6 +202,12 @@ func RunWorker(opts WorkerOptions) (st WorkerStats, _ error) {
 		}
 	}
 
+	progress := func(format string, args ...interface{}) {
+		if opts.Progress != nil {
+			fmt.Fprintf(opts.Progress, "worker %s: "+format+"\n", append([]interface{}{opts.ID}, args...)...)
+		}
+	}
+
 	// The worker builds its own store so the coordinator plugs in as the
 	// remote tier; the runner then shares warm checkpoints with every
 	// other worker in the sweep.
@@ -209,9 +215,16 @@ func RunWorker(opts WorkerOptions) (st WorkerStats, _ error) {
 	if opts.Faults != nil {
 		fi = opts.Faults
 	}
-	store, err := ckpt.New(ckpt.Options{Dir: opts.CkptDir, Remote: opts.Client, Faults: fi, Obs: opts.Obs})
+	storeOpts := ckpt.Options{Dir: opts.CkptDir, Remote: opts.Client, Faults: fi, Obs: opts.Obs}
+	store, err := ckpt.New(storeOpts)
 	if err != nil {
-		store = ckpt.NewMemory()
+		// An unusable CkptDir costs the local disk tier only: the remote
+		// tier, fault plan and counters stay.
+		progress("no local disk checkpoint tier (%v); running on the memory and remote tiers", err)
+		storeOpts.Dir = ""
+		if store, err = ckpt.New(storeOpts); err != nil {
+			return st, fmt.Errorf("sweep: worker %s: %w", opts.ID, err)
+		}
 	}
 
 	runner := experiments.NewRunner(experiments.Options{
@@ -228,12 +241,6 @@ func RunWorker(opts WorkerOptions) (st WorkerStats, _ error) {
 	})
 	defer runner.Close()
 	defer func() { st.Executions = runner.Executions() }()
-
-	progress := func(format string, args ...interface{}) {
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "worker %s: "+format+"\n", append([]interface{}{opts.ID}, args...)...)
-		}
-	}
 
 	// fails counts consecutive retryable round-trip failures (claims and
 	// completions both); any success resets it, so the reconnect budget

@@ -6,24 +6,34 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 )
 
-// runWorkers stands the coordinator behind a loopback server and runs n
-// workers against it until the sweep completes.
+// runWorkers stands the coordinator and a fresh disk-backed store behind
+// a loopback server and runs n workers against it until the sweep
+// completes.
 func runWorkers(t *testing.T, coord *Coordinator, n int, kill func(Cell, int, string) bool) []WorkerStats {
 	t.Helper()
 	store, err := ckpt.New(ckpt.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sweepOn(t, coord, store, n, func(o *WorkerOptions) { o.Kill = kill })
+}
+
+// sweepOn is runWorkers over the caller's store, each worker's options
+// passed through tweak first.
+func sweepOn(t testing.TB, coord *Coordinator, store *ckpt.Store, n int, tweak func(*WorkerOptions)) []WorkerStats {
+	t.Helper()
 	ts := httptest.NewServer(NewServer(coord, store, nil, nil).Handler())
-	t.Cleanup(ts.Close)
+	defer ts.Close()
 	stats := make([]WorkerStats, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -31,12 +41,13 @@ func runWorkers(t *testing.T, coord *Coordinator, n int, kill func(Cell, int, st
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			stats[i], errs[i] = RunWorker(WorkerOptions{
+			opts := WorkerOptions{
 				Client: NewClient(ts.URL, nil),
 				ID:     fmt.Sprintf("w%d", i),
 				Poll:   10 * time.Millisecond,
-				Kill:   kill,
-			})
+			}
+			tweak(&opts)
+			stats[i], errs[i] = RunWorker(opts)
 		}(i)
 	}
 	wg.Wait()
@@ -260,4 +271,123 @@ func TestSweepResumeExecutesStrictlyLess(t *testing.T) {
 	if !bytes.Equal(mergedJournal(t, coord), mergedJournal(t, coord2)) {
 		t.Fatal("resumed sweep's merged journal differs from the original's")
 	}
+}
+
+// TestTwoWorkerSweepUploadsEachKeyOnce is the locality rule and the
+// byte-keeping coordinator tier seen from a whole sweep: two workers
+// over three benchmarks upload every checkpoint key once — only the
+// tail, where both may end up on the last benchmark, can repeat any —
+// the server keeps in memory only what a GET made it load, and the
+// merged journal is the one a single worker produces.
+func TestTwoWorkerSweepUploadsEachKeyOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real measurements; skipped in -short")
+	}
+	cfg := Config{Scale: 50_000, Benchmarks: []string{"gzip", "mcf", "perlbmk"}, LeaseTTL: 30 * time.Second}
+	dir := t.TempDir()
+	store, err := ckpt.New(ckpt.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(cfg, nil, nil)
+	sweepOn(t, coord, store, 2, func(*WorkerOptions) {})
+
+	perBench := make(map[string]uint64)
+	var keys, largest uint64
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		k, ok := ckpt.ParseKey(strings.TrimSuffix(e.Name(), ".ckpt"))
+		if !ok {
+			t.Fatalf("stray file %s in the coordinator tier", e.Name())
+		}
+		keys++
+		perBench[k.Workload]++
+		largest = max(largest, perBench[k.Workload])
+	}
+	st := store.Stats()
+	if len(perBench) != len(cfg.Benchmarks) || st.Puts != keys || st.DiskWrites != keys {
+		t.Fatalf("%d keys of %d benchmarks on disk, store says %+v", keys, len(perBench), st)
+	}
+	if st.DupPuts > largest {
+		t.Fatalf("%d duplicate uploads, more than the %d keys of one benchmark: %+v", st.DupPuts, largest, st)
+	}
+	// Nothing an upload decoded is retained: every in-memory entry was
+	// loaded from disk to serve a worker.
+	if served := st.Hits + st.NearestHits; uint64(st.Entries) > served || (served == 0 && st.Bytes != 0) {
+		t.Fatalf("%d in-memory entries (%d bytes) for %d served lookups: %+v", st.Entries, st.Bytes, served, st)
+	}
+
+	single, _ := runOneWorker(t, cfg, nil, nil)
+	if !bytes.Equal(mergedJournal(t, coord), mergedJournal(t, single)) {
+		t.Fatal("two-worker merged journal differs from the one-worker journal")
+	}
+}
+
+// TestWorkerKeepsItsTiersWithoutADisk: a CkptDir the worker cannot use
+// (here a regular file) costs it the local disk tier and nothing else —
+// it says so, still mirrors its deposits to the coordinator and still
+// reports its store counters.
+func TestWorkerKeepsItsTiersWithoutADisk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real measurements; skipped in -short")
+	}
+	notADir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := ckpt.New(ckpt.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	var progress bytes.Buffer
+	cfg := Config{Scale: 50_000, Benchmarks: []string{"gzip"}, LeaseTTL: 30 * time.Second}
+	sweepOn(t, NewCoordinator(cfg, nil, nil), store, 1, func(o *WorkerOptions) {
+		o.CkptDir, o.Obs, o.Progress = notADir, reg, &progress
+	})
+	if !strings.Contains(progress.String(), "no local disk checkpoint tier") {
+		t.Errorf("the worker did not report the lost disk tier:\n%s", progress.String())
+	}
+	if st := store.Stats(); st.Puts == 0 {
+		t.Errorf("the remote tier received no uploads: %+v", st)
+	}
+	if puts := reg.Counter("ckpt_store_puts_total").Value(); puts == 0 || puts != reg.Counter("ckpt_store_remote_puts_total").Value() {
+		t.Errorf("ckpt_store_puts_total = %d, remote puts = %d", puts, reg.Counter("ckpt_store_remote_puts_total").Value())
+	}
+}
+
+// lastBenchStore keeps the coordinator tier of BenchmarkSweepTwoWorkers'
+// last sweep reachable, so a heap profile written after the benchmark
+// (make profile-sweep) shows what that tier retains.
+var lastBenchStore *ckpt.Store
+
+// BenchmarkSweepTwoWorkers is one distributed sweep per iteration —
+// loopback server, disk-backed coordinator tier, two workers, three
+// benchmarks — reporting its throughput and how many checkpoint uploads
+// the server stored and how many it was sent twice.
+func BenchmarkSweepTwoWorkers(b *testing.B) {
+	cfg := Config{Scale: 40_000, Benchmarks: []string{"gzip", "mcf", "swim"}, LeaseTTL: 30 * time.Second}
+	var instr, puts, dups uint64
+	for i := 0; i < b.N; i++ {
+		store, err := ckpt.New(ckpt.Options{Dir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		coord := NewCoordinator(cfg, nil, nil)
+		sweepOn(b, coord, store, 2, func(*WorkerOptions) {})
+		for _, rec := range coord.Merged() {
+			if rec.Result != nil {
+				instr += rec.Result.Instructions
+			}
+		}
+		st := store.Stats()
+		puts, dups = puts+st.Puts, dups+st.DupPuts
+		lastBenchStore = store
+	}
+	b.ReportMetric(float64(instr)/1e6/b.Elapsed().Seconds(), "Minstr/s")
+	b.ReportMetric(float64(puts)/float64(b.N), "puts/op")
+	b.ReportMetric(float64(dups)/float64(b.N), "dup-puts/op")
 }
