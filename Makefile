@@ -1,7 +1,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick bench-pair profile-detail profile-ckpt loc ci
+.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick bench-pair profile-detail profile-ckpt profile-sweep loc ci
 
 all: build
 
@@ -104,6 +104,24 @@ profile-detail:
 profile-ckpt:
 	$(GO) run ./cmd/dynsim -bench mcf -policy dynamic -scale 5000 -ckpt-stride 1 -memprofile ckpt.heap
 	$(GO) tool pprof -sample_index=inuse_space -top -lines -nodecount=12 ckpt.heap
+
+# CPU and heap profile of a two-worker distributed sweep (internal/sweep's
+# BenchmarkSweepTwoWorkers: loopback server, disk-backed coordinator
+# tier), then the three readings that price the checkpoint mirror: the
+# cumulative CPU share under the worker's upload (Client.Put) and the
+# server's receipt of it (handleCkptPut); bytes.growSlice in alloc_space
+# (an upload buffer grown from empty); mem.DecodeSnapshot in inuse_space
+# (decoded uploads the coordinator tier keeps alive — DESIGN.md §11).
+PROFILE_SWEEP = $(GO) tool pprof -top -nodecount=500
+profile-sweep:
+	$(GO) test ./internal/sweep -run '^$$' -bench BenchmarkSweepTwoWorkers -benchtime 3x \
+		-o sweep.test -cpuprofile sweep.prof -memprofile sweep.heap
+	@echo "-- cumulative CPU under the checkpoint mirror (sweep.prof)"
+	@$(PROFILE_SWEEP) -cum sweep.test sweep.prof 2>/dev/null | grep -E 'Total samples|sweep\.\(\*Client\)\.Put$$|handleCkptPut$$'
+	@echo "-- bytes.growSlice in alloc_space (sweep.heap)"
+	@$(PROFILE_SWEEP) -sample_index=alloc_space sweep.test sweep.heap 2>/dev/null | grep -E 'Showing nodes|bytes\.growSlice$$' || true
+	@echo "-- mem.DecodeSnapshot in inuse_space (sweep.heap)"
+	@$(PROFILE_SWEEP) -sample_index=inuse_space sweep.test sweep.heap 2>/dev/null | grep -E 'Showing nodes|mem\.DecodeSnapshot$$' || true
 
 # The two numbers a CHANGES.md entry quotes: non-test and test Go lines
 # outside bench/.
