@@ -615,18 +615,17 @@ func (s *Store) Put(k Key, snap *vm.Snapshot) {
 // PutFrom deposits the serialized snapshot r carries under k: the
 // receiving end of a mirror (sweep's PUT /v1/ckpt), so it does not
 // mirror onward to Remote. With a working disk tier the bytes are
-// decoded once, to verify them — digest footer, structural bounds, the
-// key's instruction count, nothing after the footer — while the same
-// bytes spool into the temp file write commits, and the decoded
-// snapshot is then dropped: the file is byte for byte what Put would
-// have written (the encoding is deterministic), and the memory tier
-// fills from Lookup/Nearest as it does for any disk entry. Without a
-// disk tier, or when the write fails, the decoded snapshot joins the
-// memory tier as Put's would. A key already held answers before r is
-// read. An upload that fails a check returns an ErrCorrupt-wrapped
-// error and leaves nothing behind — no file, no temp file, no index
-// entry. The read, decode, write and fsync run outside the store lock:
-// uploads overlap each other and every lookup.
+// decoded once, only to verify them (readUpload), while a tee spools
+// them into the temp file that write commits; the decoded snapshot is
+// then dropped. The encoding is deterministic, so the file is byte for
+// byte what Put would have written, and the memory tier fills from
+// Lookup/Nearest as for any disk entry. Without a disk tier, or when the
+// write fails, the decoded snapshot joins the memory tier as Put's
+// would. A key already held answers before r is read. An upload that
+// fails a check returns an ErrCorrupt-wrapped error and leaves nothing
+// behind — no file, no temp file, no index entry. The read, decode,
+// write and fsync run outside the store lock: uploads overlap each
+// other and every lookup.
 func (s *Store) PutFrom(k Key, r io.Reader) error {
 	s.mu.Lock()
 	held := s.heldLocked(k)

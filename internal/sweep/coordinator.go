@@ -299,20 +299,18 @@ func (c *Coordinator) expireLocked(now time.Time) {
 // Claim leases one pending (unleased, incomplete) cell to a worker:
 // locality first, matrix order within. The cell chosen is the first in
 // matrix order whose benchmark no live lease holds; when every benchmark
-// with pending cells is held, the first pending cell. All cells of a
-// benchmark walk one canonical trajectory (core/ckpt.go's canonical-
-// session rule), so keeping a benchmark with one worker means its
-// checkpoints are produced, deposited and uploaded once, and the
-// worker's later cells hit its own memory tier; two workers on one
-// benchmark each walk it cold and each upload every key. The rule is
-// sticky without any state of its own: a worker that completes
-// gzip/Full finds gzip idle and mcf held, so it is handed gzip/SMARTS.
-// It reads only the lease table, so lease expiry and WAL replay need
-// nothing new, and a given call sequence yields the same grants every
-// time. The fallback keeps every worker busy through the tail — no
-// cell waits for a particular worker. Unchanged by the order of
-// claims: the merge (Merged is a function of the record set alone),
-// exactly-once completion, and re-issue on expiry.
+// with pending cells is held, the first pending cell, so no claimant
+// waits while work remains. All cells of a benchmark walk one canonical
+// trajectory (core/ckpt.go deposits only from a canonical session), so a
+// benchmark kept with one worker has its checkpoints produced, deposited
+// and uploaded once, and that worker's later cells hit its own memory
+// tier; two workers on one benchmark each walk it cold and each upload
+// every key. The rule reads only the lease table: it is sticky for free
+// (a worker that completes gzip/Full finds gzip idle and mcf held, so it
+// is handed gzip/SMARTS), expiry and WAL replay need nothing new, and a
+// given call sequence yields the same grants every time. The order of
+// claims does not reach the merge (Merged is a function of the record
+// set), exactly-once completion, or re-issue on expiry.
 //
 // done reports the terminal state — every cell complete — and a
 // (nil, false) return means everything is currently leased out: the

@@ -29,7 +29,7 @@ func runWorkers(t *testing.T, coord *Coordinator, n int, kill func(Cell, int, st
 }
 
 // sweepOn is runWorkers over the caller's store, each worker's options
-// passed through tweak first.
+// passed through tweak (when non-nil) first.
 func sweepOn(t testing.TB, coord *Coordinator, store *ckpt.Store, n int, tweak func(*WorkerOptions)) []WorkerStats {
 	t.Helper()
 	ts := httptest.NewServer(NewServer(coord, store, nil, nil).Handler())
@@ -46,7 +46,9 @@ func sweepOn(t testing.TB, coord *Coordinator, store *ckpt.Store, n int, tweak f
 				ID:     fmt.Sprintf("w%d", i),
 				Poll:   10 * time.Millisecond,
 			}
-			tweak(&opts)
+			if tweak != nil {
+				tweak(&opts)
+			}
 			stats[i], errs[i] = RunWorker(opts)
 		}(i)
 	}
@@ -290,7 +292,7 @@ func TestTwoWorkerSweepUploadsEachKeyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord := NewCoordinator(cfg, nil, nil)
-	sweepOn(t, coord, store, 2, func(*WorkerOptions) {})
+	sweepOn(t, coord, store, 2, nil)
 
 	perBench := make(map[string]uint64)
 	var keys, largest uint64
@@ -377,7 +379,7 @@ func BenchmarkSweepTwoWorkers(b *testing.B) {
 			b.Fatal(err)
 		}
 		coord := NewCoordinator(cfg, nil, nil)
-		sweepOn(b, coord, store, 2, func(*WorkerOptions) {})
+		sweepOn(b, coord, store, 2, nil)
 		for _, rec := range coord.Merged() {
 			if rec.Result != nil {
 				instr += rec.Result.Instructions

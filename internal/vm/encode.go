@@ -226,7 +226,10 @@ func (s *Snapshot) encodePayload(w io.Writer) error {
 // the digest footer. It never panics on malformed input: structural
 // violations (implausible lengths, bad magic, version skew) and digest
 // mismatches all surface as errors, and no partially-decoded snapshot
-// is ever returned.
+// is ever returned. Reading is buffered, so r may be read past the
+// footer — unless r is itself a *bufio.Reader of at least 64 KiB, which
+// is used as it is: a caller that must know where the snapshot ended
+// (ckpt.Store.PutFrom) passes one and asks it what is left.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	fr := &fnvReader{r: bufio.NewReaderSize(r, 1<<16), h: fnvOffset}
 	var head [8]byte
