@@ -321,10 +321,20 @@ func (s *Store) heldLocked(k Key) bool {
 
 // Lookup returns the snapshot for an exact key. Snapshots are shared,
 // immutable values: callers must only Restore from them, never mutate.
-func (s *Store) Lookup(k Key) (*vm.Snapshot, bool) {
+func (s *Store) Lookup(k Key) (*vm.Snapshot, bool) { return s.lookup(k, true) }
+
+// Fetch is Lookup for a caller that passes the snapshot on instead of
+// restoring from it — the sweep server answering GET /v1/ckpt: a
+// snapshot that had to be decoded from the disk file is returned without
+// joining the memory tier. A decoded snapshot shares no page with
+// anything the tier holds, so each one kept would cost its whole
+// footprint, and whoever asked now has a copy of its own.
+func (s *Store) Fetch(k Key) (*vm.Snapshot, bool) { return s.lookup(k, false) }
+
+func (s *Store) lookup(k Key, keep bool) (*vm.Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if snap := s.lookupLocked(k); snap != nil {
+	if snap := s.lookupLocked(k, keep); snap != nil {
 		s.stats.Hits++
 		s.ob.hits.Inc()
 		return snap, true
@@ -334,9 +344,9 @@ func (s *Store) Lookup(k Key) (*vm.Snapshot, bool) {
 	return nil, false
 }
 
-// lookupLocked serves k from memory or disk, returning nil on miss.
-func (s *Store) lookupLocked(k Key) *vm.Snapshot {
-	snap, err := s.loadAnyLocked(k)
+// lookupLocked serves k from any tier, returning nil on miss.
+func (s *Store) lookupLocked(k Key, keep bool) *vm.Snapshot {
+	snap, err := s.loadAnyLocked(k, keep)
 	if err != nil || snap == nil {
 		return nil
 	}
@@ -344,12 +354,17 @@ func (s *Store) lookupLocked(k Key) *vm.Snapshot {
 }
 
 // loadAnyLocked serves k from memory, disk, or the remote tier (in
-// that order). A disk-tier failure degrades to the next tier — the
-// index entry is dropped (and the file removed when the bytes
-// themselves are corrupt) so later lookups don't retry — but the typed
-// error is also returned on a full miss so Load callers can see what
-// happened instead of a silent miss.
-func (s *Store) loadAnyLocked(k Key) (*vm.Snapshot, error) {
+// that order). A disk load joins the memory tier when keep is set; a
+// remote hit never does — it is a full private copy, the tier it came
+// from still holds it, and a worker reaches for it only where it shares
+// a benchmark with another (sweep's tail), so keeping them would make
+// the worker's footprint depend on which benchmark that happened to be.
+// A disk-tier failure degrades to the next tier — the index entry is
+// dropped (and the file removed when the bytes themselves are corrupt)
+// so later lookups don't retry — but the typed error is also returned on
+// a full miss so Load callers can see what happened instead of a silent
+// miss.
+func (s *Store) loadAnyLocked(k Key, keep bool) (*vm.Snapshot, error) {
 	if el, ok := s.mem[k]; ok {
 		s.lru.MoveToFront(el)
 		return el.Value.(*entry).snap, nil
@@ -360,7 +375,9 @@ func (s *Store) loadAnyLocked(k Key) (*vm.Snapshot, error) {
 		snap, err := s.loadLocked(k)
 		if err == nil {
 			s.ob.loadSecs.Observe(time.Since(loadStart).Seconds())
-			s.insertLocked(k, snap)
+			if keep {
+				s.insertLocked(k, snap)
+			}
 			return snap, nil
 		}
 		s.stats.DiskErrors++
@@ -377,7 +394,6 @@ func (s *Store) loadAnyLocked(k Key) (*vm.Snapshot, error) {
 	// Local tiers missed (or the disk copy was bad): second chance from
 	// the remote tier, whose transfers are digest-verified end-to-end.
 	if snap := s.remoteGetLocked(k); snap != nil {
-		s.insertLocked(k, snap)
 		return snap, nil
 	}
 	return nil, diskErr
@@ -463,7 +479,7 @@ func (s *Store) loadLocked(k Key) (*vm.Snapshot, error) {
 func (s *Store) Load(k Key) (*vm.Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap, err := s.loadAnyLocked(k)
+	snap, err := s.loadAnyLocked(k, true)
 	if snap != nil {
 		s.stats.Hits++
 		s.ob.hits.Inc()
@@ -498,7 +514,12 @@ func (s *Store) Discard(k Key) {
 
 // Nearest returns the stored snapshot with the largest instruction
 // count ≤ k.Instr in k's series, along with its instruction count.
-func (s *Store) Nearest(k Key) (*vm.Snapshot, uint64, bool) {
+func (s *Store) Nearest(k Key) (*vm.Snapshot, uint64, bool) { return s.nearest(k, true) }
+
+// FetchNearest is to Nearest what Fetch is to Lookup.
+func (s *Store) FetchNearest(k Key) (*vm.Snapshot, uint64, bool) { return s.nearest(k, false) }
+
+func (s *Store) nearest(k Key, keep bool) (*vm.Snapshot, uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ser := k.series()
@@ -530,7 +551,7 @@ func (s *Store) Nearest(k Key) (*vm.Snapshot, uint64, bool) {
 		}
 		bk := k
 		bk.Instr = best
-		if snap := s.lookupLocked(bk); snap != nil {
+		if snap := s.lookupLocked(bk, keep); snap != nil {
 			s.stats.NearestHits++
 			s.ob.nearestHits.Inc()
 			return snap, best, true
@@ -541,8 +562,7 @@ func (s *Store) Nearest(k Key) (*vm.Snapshot, uint64, bool) {
 }
 
 // remoteNearestLocked asks the remote tier for the nearest-<= snapshot
-// in k's series and caches a hit in the in-memory tier under its true
-// instruction count.
+// in k's series; like any remote hit it is handed on, not kept.
 func (s *Store) remoteNearestLocked(k Key) (*vm.Snapshot, uint64, bool) {
 	if s.opts.Remote == nil || s.remoteOff {
 		return nil, 0, false
@@ -567,11 +587,6 @@ func (s *Store) remoteNearestLocked(k Key) (*vm.Snapshot, uint64, bool) {
 	s.stats.NearestHits++
 	s.ob.nearestHits.Inc()
 	s.remoteFails = 0
-	bk := k
-	bk.Instr = instr
-	if _, ok := s.mem[bk]; !ok {
-		s.insertLocked(bk, snap)
-	}
 	return snap, instr, true
 }
 

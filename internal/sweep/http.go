@@ -35,8 +35,9 @@ import (
 // not decode, the client never restores a download it could not verify.
 // The server decodes an upload only to verify it: what it keeps is the
 // bytes, spooled to the key's disk file as they are checked
-// (ckpt.Store.PutFrom), so its memory tier holds only the snapshots a
-// GET or nearest made it load back.
+// (ckpt.Store.PutFrom). A GET or nearest decodes the file, sends the
+// snapshot and drops it (ckpt.Store.Fetch), so a disk-backed server's
+// memory tier stays empty whatever the workers ask for.
 
 // Request-body bounds. The largest bodies one traced pass of the
 // benchmark's sweep_dist workload sends are a 123 792-byte /v1/complete
@@ -241,7 +242,9 @@ func (s *Server) handleCkptGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	snap, ok := s.store.Lookup(k)
+	// Fetch, not Lookup: what a GET makes the store decode from disk is
+	// sent and dropped, so serving never grows the server.
+	snap, ok := s.store.Fetch(k)
 	if !ok {
 		http.NotFound(w, r)
 		return
@@ -261,7 +264,7 @@ func (s *Server) handleCkptNearest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	snap, instr, ok := s.store.Nearest(k)
+	snap, instr, ok := s.store.FetchNearest(k)
 	if !ok {
 		http.NotFound(w, r)
 		return

@@ -92,6 +92,10 @@ func TestRemoteTierRoundTrip(t *testing.T) {
 	if st := b.Stats(); st.RemoteHits != 1 {
 		t.Fatalf("RemoteHits = %d, want 1: %s", st.RemoteHits, st)
 	}
+	// The transfer left a decoded copy on neither side.
+	if bs, ss := b.Stats(), serverStore.Stats(); bs.Entries != 0 || ss.Entries != 0 || ss.Hits != 1 {
+		t.Fatalf("after one GET the worker keeps %d entries, the server %d (hits %d)", bs.Entries, ss.Entries, ss.Hits)
+	}
 
 	// Bit-identity: resume from the transferred snapshot and compare
 	// against the reference run with the same partitioning.
