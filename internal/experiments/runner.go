@@ -598,26 +598,20 @@ func (r *Runner) execute(ctx context.Context, bench string, p sampling.Policy) (
 	return res, nil
 }
 
-// runSimPoint runs the SimPoint pipeline once, storing both "SimPoint"
-// and "SimPoint+prof" results plus the analysis, then returns the one
-// that was asked for.
+// runSimPoint runs the SimPoint pipeline once (simpoint.Policy.RunBoth),
+// storing both "SimPoint" and "SimPoint+prof" results plus the analysis,
+// then returns the one that was asked for.
 func (r *Runner) runSimPoint(ctx context.Context, spec workload.Spec, p simpoint.Policy) (sampling.Result, error) {
 	s := core.NewSession(spec, r.sessionOptions(ctx))
-
-	withProf := p
-	withProf.ChargeProfiling = true
-	an, err := withProf.Analyse(s)
+	an, noProf, withProf, err := p.RunBoth(s)
 	if err != nil {
 		return sampling.Result{}, err
 	}
 	if ierr := s.Interrupted(); ierr != nil {
-		// The deadline cut the profiling pass short: the analysis is
-		// bogus and must not be memoised or journaled.
+		// The deadline cut a pass short: the analysis is bogus or the
+		// results partial, and neither may be memoised or journaled.
 		return sampling.Result{}, ierr
 	}
-	profiledInstr := s.Executed()
-	profCost := s.Meter().Report(s.Scale())
-	s.ResetMeter()
 
 	// Memoise and journal the analysis before the results: a journal
 	// torn between them must leave the results missing, not the
@@ -628,83 +622,14 @@ func (r *Runner) runSimPoint(ctx context.Context, spec workload.Spec, p simpoint
 	r.analyses[spec.Name] = an
 	r.mu.Unlock()
 	r.appendRecord(JournalRecord{Kind: "analysis", Bench: spec.Name, Analysis: &an})
-
-	// Measurement pass (shared by both accounting variants).
-	noProf := p
-	noProf.ChargeProfiling = false
-	res, err := measureSimPoints(s, an, noProf)
-	if err != nil {
-		return sampling.Result{}, err
-	}
-	if ierr := s.Interrupted(); ierr != nil {
-		return sampling.Result{}, ierr
-	}
-	res.Instructions = profiledInstr
-
-	resNoProf := res
-	resNoProf.Policy = "SimPoint"
-	r.store(spec.Name, resNoProf)
-
-	resWith := res
-	resWith.Policy = "SimPoint+prof"
-	resWith.Cost.Units += profCost.Units
-	resWith.Cost.Seconds += profCost.Seconds
-	resWith.Cost.PaperSeconds += profCost.PaperSeconds
-	for i := range resWith.Cost.ByMode {
-		resWith.Cost.ByMode[i] += profCost.ByMode[i]
-		resWith.Cost.Instrs[i] += profCost.Instrs[i]
-	}
-	r.store(spec.Name, resWith)
-	r.progress("done %-14s SimPoint (k=%d, ipc=%.4f)", spec.Name, an.K, res.EstIPC)
+	r.store(spec.Name, noProf)
+	r.store(spec.Name, withProf)
+	r.progress("done %-14s SimPoint (k=%d, ipc=%.4f)", spec.Name, an.K, noProf.EstIPC)
 
 	if p.ChargeProfiling {
-		return resWith, nil
+		return withProf, nil
 	}
-	return resNoProf, nil
-}
-
-// measureSimPoints performs SimPoint's measurement pass on a fresh
-// session state.
-func measureSimPoints(s *core.Session, an simpoint.Analysis, p simpoint.Policy) (sampling.Result, error) {
-	s.Reset()
-	interval := s.IntervalLen()
-	warm := interval * uint64(p.WarmIntervals)
-	res := sampling.Result{Policy: p.Name(), Bench: s.Spec().Name}
-	var cpi, wsum float64
-	for j, point := range an.Points {
-		target := uint64(point) * interval
-		warmStart := target
-		if warmStart >= warm {
-			warmStart -= warm
-		} else {
-			warmStart = 0
-		}
-		if warmStart > s.Executed() {
-			// Dispatch to the simulation point: resume from the nearest
-			// stored checkpoint when one exists, free either way. The
-			// modelled cost is the fixed restore overhead below, charged
-			// identically whether or not the store had a hit.
-			s.FastForwardVia(nil, warmStart)
-		}
-		s.Meter().ChargeRestore()
-		if target > s.Executed() {
-			s.RunDetailWarm(target - s.Executed())
-		}
-		ipc, ex := s.RunTimed(interval)
-		if ex == 0 {
-			break
-		}
-		if ipc > 0 {
-			cpi += an.Weights[j] / ipc
-			wsum += an.Weights[j]
-		}
-		res.Samples++
-	}
-	if wsum > 0 && cpi > 0 {
-		res.EstIPC = wsum / cpi
-	}
-	res.Cost = s.Meter().Report(s.Scale())
-	return res, nil
+	return noProf, nil
 }
 
 // Analysis returns the memoised SimPoint analysis for a benchmark,

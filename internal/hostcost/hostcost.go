@@ -208,6 +208,23 @@ func (m *Meter) Report(scale int) Report {
 	}
 }
 
+// Add returns the field-by-field sum of two reports: the cost of two
+// separately metered passes of one run (SimPoint's profiling pass and
+// its measurement pass). hostcost's tests walk the struct with reflect
+// so a field added to Report cannot be left out of the sum.
+func (r Report) Add(o Report) Report {
+	r.Units += o.Units
+	for i := range r.ByMode {
+		r.ByMode[i] += o.ByMode[i]
+		r.Instrs[i] += o.Instrs[i]
+	}
+	r.Switches += o.Switches
+	r.Restores += o.Restores
+	r.Seconds += o.Seconds
+	r.PaperSeconds += o.PaperSeconds
+	return r
+}
+
 // TotalInstrs returns the total instructions charged across modes.
 func (r Report) TotalInstrs() uint64 {
 	var t uint64

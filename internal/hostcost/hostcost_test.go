@@ -1,6 +1,7 @@
 package hostcost
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -83,6 +84,45 @@ func TestScaleExtrapolation(t *testing.T) {
 	}
 	if r1.Seconds != r1.PaperSeconds {
 		t.Fatal("scale 1 must be the identity")
+	}
+}
+
+// fillReport sets every numeric leaf of a Report to v, walking the
+// struct with reflect; a field of a kind the walk does not know fails
+// the test, so Report cannot grow a field Add's test does not reach.
+func fillReport(t *testing.T, v uint64) Report {
+	t.Helper()
+	var r Report
+	var fill func(f reflect.Value, path string)
+	fill = func(f reflect.Value, path string) {
+		switch f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(float64(v))
+		case reflect.Uint64:
+			f.SetUint(v)
+		case reflect.Array:
+			for i := 0; i < f.Len(); i++ {
+				fill(f.Index(i), path)
+			}
+		case reflect.Struct:
+			for i := 0; i < f.NumField(); i++ {
+				fill(f.Field(i), path+"."+f.Type().Field(i).Name)
+			}
+		default:
+			t.Fatalf("Report%s has kind %v: teach Add and this walk about it", path, f.Kind())
+		}
+	}
+	fill(reflect.ValueOf(&r).Elem(), "")
+	return r
+}
+
+func TestReportAddCoversEveryField(t *testing.T) {
+	cases := []struct{ a, b uint64 }{{1, 2}, {0, 5}, {7, 0}, {3, 3}}
+	for _, c := range cases {
+		got := fillReport(t, c.a).Add(fillReport(t, c.b))
+		if want := fillReport(t, c.a+c.b); !reflect.DeepEqual(got, want) {
+			t.Errorf("Add(%d, %d) left a field out:\n got  %+v\n want %+v", c.a, c.b, got, want)
+		}
 	}
 }
 

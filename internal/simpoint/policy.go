@@ -56,12 +56,18 @@ func New(chargeProfiling bool) Policy {
 	}
 }
 
+// The policy names of the two accounting variants.
+const (
+	nameNoProf   = "SimPoint"
+	nameWithProf = "SimPoint+prof"
+)
+
 // Name implements sampling.Policy.
 func (p Policy) Name() string {
 	if p.ChargeProfiling {
-		return "SimPoint+prof"
+		return nameWithProf
 	}
-	return "SimPoint"
+	return nameNoProf
 }
 
 // Analysis is the outcome of the profiling + clustering stage.
@@ -163,19 +169,33 @@ func ladderSum(maxK, n int) float64 {
 	return sum + float64(maxK)
 }
 
-// Run implements sampling.Policy: profile, cluster, then simulate each
-// simulation point with warm-up and combine with cluster weights.
+// Run implements sampling.Policy: one execution of the pipeline,
+// reported under the accounting ChargeProfiling selects.
 func (p Policy) Run(s *core.Session) (sampling.Result, error) {
-	res := sampling.Result{Policy: p.Name(), Bench: s.Spec().Name}
-	an, err := p.Analyse(s)
+	_, noProf, withProf, err := p.RunBoth(s)
+	if p.ChargeProfiling {
+		return withProf, err
+	}
+	return noProf, err
+}
+
+// RunBoth is the one body of the SimPoint pipeline: profile and
+// cluster, set the profiling pass's cost aside, then simulate each
+// simulation point with warm-up and combine with cluster weights. One
+// execution yields the analysis and the result under both accountings
+// ("SimPoint", then "SimPoint+prof"); they differ only in Policy and
+// Cost. The two passes are metered separately and the "+prof" cost is
+// the sum of the two reports, so it is the "SimPoint" cost plus the
+// profiling report field for field.
+func (p Policy) RunBoth(s *core.Session) (an Analysis, noProf, withProf sampling.Result, err error) {
+	res := sampling.Result{Bench: s.Spec().Name}
+	an, err = p.Analyse(s)
 	if err != nil {
-		return res, err
+		return an, res, res, err
 	}
-	totalProfiled := s.Executed()
-	if !p.ChargeProfiling {
-		// The paper's "SimPoint" bar excludes the profiling pass.
-		s.ResetMeter()
-	}
+	res.Instructions = s.Executed()
+	profCost := s.Meter().Report(s.Scale())
+	s.ResetMeter()
 
 	// Measurement pass from a fresh start (cold structures, as when
 	// dispatching from checkpoints collected during profiling).
@@ -198,7 +218,8 @@ func (p Policy) Run(s *core.Session) (sampling.Result, error) {
 		if warmStart > s.Executed() {
 			// Dispatch to the simulation point via the checkpoint store
 			// when the session has one; free either way (the modelled
-			// cost is the fixed restore overhead charged below).
+			// cost is the fixed restore overhead charged below,
+			// identically whether or not the store had a hit).
 			s.FastForwardVia(nil, warmStart)
 		}
 		s.Meter().ChargeRestore()
@@ -218,7 +239,11 @@ func (p Policy) Run(s *core.Session) (sampling.Result, error) {
 	if wsum > 0 && cpi > 0 {
 		res.EstIPC = wsum / cpi
 	}
-	res.Instructions = totalProfiled
 	res.Cost = s.Meter().Report(s.Scale())
-	return res, nil
+
+	noProf, withProf = res, res
+	noProf.Policy = nameNoProf
+	withProf.Policy = nameWithProf
+	withProf.Cost = res.Cost.Add(profCost)
+	return an, noProf, withProf, nil
 }
