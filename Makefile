@@ -1,7 +1,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick bench-pair profile-detail profile-ckpt profile-sweep loc ci
+.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick bench-pair profile-detail profile-ckpt profile-sweep loc reach docs-check ci
 
 all: build
 
@@ -128,4 +128,13 @@ profile-sweep:
 loc:
 	@bash scripts/loc.sh
 
-ci: vet build race fuzz-smoke diffcheck
+# Every internal/ package is reachable from a command, bench/ or an
+# example (scripts/reach.sh), and every path the three top-level
+# documents cite exists (scripts/docs-check.sh).
+reach:
+	@bash scripts/reach.sh
+
+docs-check:
+	@bash scripts/docs-check.sh
+
+ci: vet build reach docs-check race fuzz-smoke diffcheck

@@ -1,20 +1,19 @@
-// Package repro's benchmark harness regenerates every table and figure
-// of the paper's evaluation (see DESIGN.md for the experiment index).
+// Package repro's root benchmarks render what no command does: the
+// ablations over the design choices DESIGN.md calls out and the
+// multi-core extension, whose numbers EXPERIMENTS.md quotes. The tables
+// and figures themselves come from cmd/repro (`repro -only table2,fig5`).
 //
-// Each BenchmarkTableN/BenchmarkFigureN target renders its artifact to
-// stdout on the first iteration, so
+// Each benchmark renders its artifact to stdout on the first iteration:
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the full evaluation. The workload scale (paper instruction
-// budgets divided by REPRO_SCALE, default 2000) and the benchmark subset
-// (REPRO_BENCH=gzip,mcf,...) can be set via the environment; results are
-// memoised across benchmarks within one run, so the heavy simulations
-// are paid once.
+// The workload scale (paper instruction budgets divided by REPRO_SCALE,
+// default 2000) and the benchmark subset (REPRO_BENCH=gzip,mcf,...) can
+// be set via the environment; results are memoised across benchmarks
+// within one run, so the heavy simulations are paid once.
 package repro
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -25,11 +24,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/power"
 	"repro/internal/sampling"
 	"repro/internal/smp"
-	"repro/internal/timing"
-	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -77,65 +73,6 @@ func renderOnce(b *testing.B, f func(w io.Writer) error) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkTable1Config(b *testing.B) {
-	renderOnce(b, experiments.Table1)
-}
-
-func BenchmarkTable2Characteristics(b *testing.B) {
-	r := runner()
-	renderOnce(b, func(w io.Writer) error { return experiments.Table2(r, w) })
-}
-
-func BenchmarkFigure2Correlation(b *testing.B) {
-	r := runner()
-	renderOnce(b, func(w io.Writer) error { return experiments.Figure2(r, w) })
-}
-
-func BenchmarkFigure3Schemes(b *testing.B) {
-	r := runner()
-	renderOnce(b, func(w io.Writer) error { return experiments.Figure3(r, w) })
-}
-
-func BenchmarkFigure4PhaseAgreement(b *testing.B) {
-	r := runner()
-	renderOnce(b, func(w io.Writer) error { return experiments.Figure4(r, w) })
-}
-
-func BenchmarkFigure5AccuracySpeed(b *testing.B) {
-	r := runner()
-	renderOnce(b, func(w io.Writer) error { return experiments.Figure5(r, w) })
-	// Headline anchors as benchmark metrics (paper: 1.1% error, 158x).
-	results, err := r.RunAll([]sampling.Policy{
-		sampling.FullTiming{}, sampling.NewDynamic(vm.MetricCPU, 300, 1, 0),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	agg := experiments.AggregateFor(results, r.Benchmarks(), "CPU-300-1M-∞")
-	b.ReportMetric(agg.MeanErrPct, "%err/CPU-300-1M-inf")
-	b.ReportMetric(agg.Speedup, "speedup/CPU-300-1M-inf")
-}
-
-func BenchmarkFigure6IPC(b *testing.B) {
-	r := runner()
-	renderOnce(b, func(w io.Writer) error { return experiments.Figure6(r, w) })
-}
-
-func BenchmarkFigure7SimTime(b *testing.B) {
-	r := runner()
-	renderOnce(b, func(w io.Writer) error { return experiments.Figure7(r, w) })
-}
-
-func BenchmarkFigure8PerBenchmarkIPC(b *testing.B) {
-	r := runner()
-	renderOnce(b, func(w io.Writer) error { return experiments.Figure8(r, w) })
-}
-
-func BenchmarkFigure9PerBenchmarkTime(b *testing.B) {
-	r := runner()
-	renderOnce(b, func(w io.Writer) error { return experiments.Figure9(r, w) })
 }
 
 // ---- Ablations over the design choices DESIGN.md calls out. ----
@@ -289,7 +226,7 @@ func BenchmarkAblationTCSize(b *testing.B) {
 	})
 }
 
-// ---- Extensions beyond the paper's evaluation. ----
+// ---- Extension beyond the paper's evaluation. ----
 
 // BenchmarkExtensionSMP runs the multi-core consolidation scenario the
 // paper's conclusion points to: co-scheduled guests sharing an L2, with
@@ -328,101 +265,6 @@ func BenchmarkExtensionSMP(b *testing.B) {
 			fmt.Fprintf(w, "  %-6s full=%.4f sampled=%.4f err=%.1f%% samples=%d\n",
 				g.Name, full, ests[i].IPC, e*100, ests[i].Samples)
 		}
-		return nil
-	})
-}
-
-// BenchmarkExtensionPower estimates whole-run energy with the activity-
-// based power model, full detail vs sampled extrapolation.
-func BenchmarkExtensionPower(b *testing.B) {
-	scale := benchScale() * 10
-	spec, err := workload.ByName("mcf")
-	if err != nil {
-		b.Fatal(err)
-	}
-	renderOnce(b, func(w io.Writer) error {
-		fmt.Fprintln(w, "Extension: energy estimation (mcf)")
-		// Full detail.
-		img, _ := workload.BuildScaled(spec, scale)
-		m := vm.New(vm.Config{})
-		m.Load(img)
-		c := timing.NewCore(timing.DefaultConfig())
-		meter := power.NewMeter(c, power.DefaultParams())
-		m.Run(spec.ScaledInstr(scale), c)
-		full := meter.Sample()
-		fmt.Fprintf(w, "  full detail: %.3f mJ, %.1f W avg, EPI %.2f nJ\n",
-			full.TotalJ()*1e3, full.AvgWatts(), full.EPI())
-
-		// Sampled: energy measured only on DS-style periodic samples,
-		// extrapolated with the power accumulator.
-		img2, _ := workload.BuildScaled(spec, scale)
-		m2 := vm.New(vm.Config{})
-		m2.Load(img2)
-		c2 := timing.NewCore(timing.DefaultConfig())
-		meter2 := power.NewMeter(c2, power.DefaultParams())
-		var acc power.Accumulator
-		const interval = 4000
-		i := 0
-		for !m2.Halted() {
-			if i%20 == 19 { // sample 1 interval in 20
-				m2.Run(interval, c2) // warm
-				meter2.Sample()      // discard warm energy
-				n := m2.Run(interval, c2)
-				if n == 0 {
-					break
-				}
-				acc.Sample(meter2.Sample())
-			} else {
-				if m2.Run(interval, nil) == 0 {
-					break
-				}
-				acc.Functional(interval)
-			}
-			i++
-		}
-		est := acc.Estimate(power.DefaultParams().FreqGHz)
-		errPct := (est.EPI()/full.EPI() - 1) * 100
-		fmt.Fprintf(w, "  sampled 5%%:  %.3f mJ, EPI %.2f nJ (EPI error %+.1f%%)\n",
-			est.TotalJ()*1e3, est.EPI(), errPct)
-		return nil
-	})
-}
-
-// BenchmarkExtensionTrace measures trace record and replay rates and
-// the storage density of the trace format.
-func BenchmarkExtensionTrace(b *testing.B) {
-	scale := benchScale() * 10
-	spec, err := workload.ByName("gzip")
-	if err != nil {
-		b.Fatal(err)
-	}
-	renderOnce(b, func(w io.Writer) error {
-		img, _ := workload.BuildScaled(spec, scale)
-		m := vm.New(vm.Config{})
-		m.Load(img)
-		var buf bytes.Buffer
-		tw, err := trace.NewWriter(&buf)
-		if err != nil {
-			return err
-		}
-		n := m.Run(1_000_000, tw)
-		if err := tw.Close(); err != nil {
-			return err
-		}
-		r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return err
-		}
-		c := timing.NewCore(timing.DefaultConfig())
-		replayed, err := r.Replay(c)
-		if err != nil {
-			return err
-		}
-		mk := c.Marker()
-		fmt.Fprintf(w, "Extension: trace-driven timing (gzip)\n")
-		fmt.Fprintf(w, "  recorded %d events, %.2f B/event; replay IPC %.4f over %d cycles\n",
-			n, float64(buf.Len())/float64(n), float64(mk.Instrs)/float64(mk.Cycles), mk.Cycles)
-		_ = replayed
 		return nil
 	})
 }

@@ -1,9 +1,9 @@
-// Command disasm disassembles the generated guest programs: the
-// dispatcher ("main"), the staged kernel fragments, or a raw address
-// range of the loaded image. Useful when studying or extending the
-// workload generator.
+// Command disasm inspects the generated guest programs: the image
+// summary with the workload's phase plan and the dispatcher ("main"),
+// the staged kernel fragments, or a raw address range of the loaded
+// image. Useful when studying or extending the workload generator.
 //
-//	disasm -bench gzip                 # image summary
+//	disasm -bench gzip                 # image summary and phase plan
 //	disasm -bench gzip -kernels        # staged kernel fragments
 //	disasm -bench gzip -start 0x10000 -count 64
 package main
@@ -52,6 +52,10 @@ func main() {
 			spec.Name, len(img.Segments), img.Bytes(), img.Entry)
 		fmt.Printf("plan: %d phases over %d instructions (interval %d)\n",
 			len(plan.Phases), plan.TotalTarget, plan.IntervalLen)
+		for _, ph := range plan.Phases {
+			fmt.Printf("  phase %2d %-10s %-5s start=%-12d budget=%-11d ws=%d words\n",
+				ph.ID, ph.Kernel, ph.Transition, ph.StartApprox, ph.Budget, ph.WSWords)
+		}
 		fmt.Printf("dispatcher at %#x (%d instructions)\n",
 			img.Segments[0].Base, len(img.Segments[0].Words))
 		fmt.Println("\nfirst 48 dispatcher instructions:")

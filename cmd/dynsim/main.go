@@ -39,7 +39,7 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "gzip", "benchmark name (see cmd/spectable for the suite)")
+	bench := flag.String("bench", "gzip", "benchmark name (the 26 rows of repro -only table2; an unknown name lists them)")
 	policy := flag.String("policy", "dynamic", "full | smarts | simpoint | dynamic | stratified | rankedset")
 	metric := flag.String("metric", "CPU", "dynamic sampling monitored variable: CPU, EXC, or I/O")
 	sens := flag.Float64("sens", 300, "dynamic sampling sensitivity (percent)")
@@ -64,6 +64,11 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus), /metrics.json and /transitions on this address (e.g. 127.0.0.1:9090)")
 	flag.Parse()
+
+	if msg := flagError(*scale, *conf, *faultSeed, *ckptDir); msg != "" {
+		fmt.Fprintln(os.Stderr, "dynsim:", msg)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -165,7 +170,6 @@ func main() {
 	if *metricsAddr != "" {
 		reg = obs.NewRegistry()
 		trace = obs.NewTransitionTrace(obs.DefaultTraceCap)
-		obs.PublishExpvar(reg)
 		srv, err := obs.Serve(*metricsAddr, reg, trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dynsim:", err)
@@ -271,4 +275,18 @@ func main() {
 	if store != nil {
 		fmt.Printf("checkpoints    %s\n", store.Stats())
 	}
+}
+
+// flagError names the first flag value the run would ignore or silently
+// replace — a usage error, not a default — or "" when there is none.
+func flagError(scale int, conf float64, faultSeed uint64, ckptDir string) string {
+	switch {
+	case scale <= 0:
+		return "-scale must be positive"
+	case conf != 0 && (conf <= 0 || conf >= 1):
+		return "-conf must lie strictly between 0 and 1 (0 = default 0.95)"
+	case faultSeed != 0 && ckptDir == "":
+		return "-faults needs -ckpt-dir: there is no disk tier to inject faults into"
+	}
+	return ""
 }

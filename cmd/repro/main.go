@@ -161,7 +161,6 @@ func main() {
 	if *metricsAddr != "" {
 		opts.Obs = obs.NewRegistry()
 		opts.Trace = obs.NewTransitionTrace(obs.DefaultTraceCap)
-		obs.PublishExpvar(opts.Obs)
 		srv, err := obs.Serve(*metricsAddr, opts.Obs, opts.Trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
@@ -283,7 +282,6 @@ func runSweepWorker(ctx context.Context, url, id, ckptDir string, timeout time.D
 	}
 	if metricsAddr != "" {
 		wo.Obs = obs.NewRegistry()
-		obs.PublishExpvar(wo.Obs)
 		srv, err := obs.Serve(metricsAddr, wo.Obs, obs.NewTransitionTrace(obs.DefaultTraceCap))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)

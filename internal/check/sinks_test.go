@@ -1,14 +1,12 @@
 package check
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/simpoint"
 	"repro/internal/timing"
-	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -61,19 +59,6 @@ func TestSinksPerEventOracle(t *testing.T) {
 		"timing.WarmSink": func() (vm.Sink, func() interface{}) {
 			c := timing.NewCore(timing.DefaultConfig())
 			return c.WarmSink(), func() interface{} { return c.Snapshot() }
-		},
-		"trace.Writer": func() (vm.Sink, func() interface{}) {
-			var buf bytes.Buffer
-			w, err := trace.NewWriter(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w, func() interface{} {
-				if err := w.Close(); err != nil {
-					t.Fatal(err)
-				}
-				return buf.String()
-			}
 		},
 	}
 

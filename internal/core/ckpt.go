@@ -94,7 +94,7 @@ func (s *Session) noteRun(n uint64) {
 // first so only the first session to reach a boundary pays for the
 // capture; later sessions (whose state is bit-identical there) skip.
 func (s *Session) maybeDeposit() {
-	if s.ckpt == nil || !s.canonical || s.feedback || s.executed == 0 {
+	if s.ckpt == nil || !s.canonical || s.executed == 0 {
 		return
 	}
 	if s.executed%s.ckptEvery != 0 || s.machine.Halted() {
@@ -114,7 +114,7 @@ func (s *Session) maybeDeposit() {
 // skipped execution would have, so results and modelled cost are
 // unchanged — only host wall-clock shrinks.
 func (s *Session) fastHit(n uint64) bool {
-	if s.ckpt == nil || !s.canonical || s.feedback {
+	if s.ckpt == nil || !s.canonical {
 		return false
 	}
 	if n != s.interval || s.executed%s.interval != 0 || (s.executed+n)%s.ckptEvery != 0 {
@@ -168,7 +168,7 @@ func (s *Session) FastForwardVia(store *ckpt.Store, target uint64) uint64 {
 		target = s.total
 	}
 	start := s.executed
-	for store != nil && !s.feedback && target > s.executed {
+	for store != nil && target > s.executed {
 		snap, instr, ok := store.Nearest(s.ckptKey(target))
 		if !ok || instr <= s.executed {
 			break
@@ -184,8 +184,7 @@ func (s *Session) FastForwardVia(store *ckpt.Store, target uint64) uint64 {
 	}
 	for s.executed < target && !s.machine.Halted() {
 		n := target - s.executed
-		if s.ckpt != nil && s.canonical && !s.feedback &&
-			s.executed%s.interval == 0 && n > s.interval {
+		if s.ckpt != nil && s.canonical && s.executed%s.interval == 0 && n > s.interval {
 			n = s.interval
 		}
 		if s.burst(hostcost.Fast, n, nil, true) == 0 {

@@ -32,16 +32,10 @@ import (
 type Options struct {
 	// Scale divides the paper's instruction budgets (default 20000).
 	Scale int
-	// TotalInstr overrides the scaled budget when non-zero.
-	TotalInstr uint64
-	// IntervalLen overrides the derived base interval when non-zero.
-	IntervalLen uint64
 	// Timing overrides the Table 1 core configuration when non-nil.
 	Timing *timing.Config
 	// VM overrides the VM configuration.
 	VM vm.Config
-	// Costs overrides the host-cost table when non-nil.
-	Costs *hostcost.CostTable
 	// Ckpt attaches a checkpoint store, shared across sessions: the
 	// session deposits snapshots at canonical interval boundaries and
 	// transparently resumes fast-mode intervals from stored state.
@@ -89,7 +83,6 @@ type Session struct {
 	interval uint64
 	executed uint64
 	lastMode hostcost.Mode
-	feedback bool
 
 	// Observability and cancellation (see obs.go).
 	ob          *sessionObs
@@ -106,14 +99,8 @@ type Session struct {
 // NewSession builds a session for one suite benchmark.
 func NewSession(spec workload.Spec, opts Options) *Session {
 	opts.setDefaults()
-	total := opts.TotalInstr
-	if total == 0 {
-		total = spec.ScaledInstr(opts.Scale)
-	}
-	interval := opts.IntervalLen
-	if interval == 0 {
-		interval = workload.DefaultIntervalLen(total)
-	}
+	total := spec.ScaledInstr(opts.Scale)
+	interval := workload.DefaultIntervalLen(total)
 	img, plan := workload.Build(spec, total, interval)
 	s := &Session{
 		spec:     spec,
@@ -121,7 +108,7 @@ func NewSession(spec workload.Spec, opts Options) *Session {
 		plan:     plan,
 		total:    total,
 		interval: interval,
-		meter:    hostcost.NewMeter(costTable(opts)),
+		meter:    hostcost.NewMeter(costTable(opts.Scale)),
 		img:      img,
 		ctx:      opts.Context,
 	}
@@ -146,16 +133,14 @@ func NewSession(spec workload.Spec, opts Options) *Session {
 	return s
 }
 
-func costTable(opts Options) hostcost.CostTable {
-	if opts.Costs != nil {
-		return *opts.Costs
-	}
+// costTable is the calibrated host-cost table at a workload scale.
+func costTable(scale int) hostcost.CostTable {
 	t := hostcost.DefaultCosts()
 	// A checkpoint restore is a fixed real-world cost (~2 s of host
 	// time for a memory image), independent of the workload scale; the
 	// unit charge must therefore grow as the workload shrinks so the
 	// extrapolated paper-equivalent time stays constant.
-	t.RestoreOverhead = 2.0 / 1e-9 / t.NsPerUnit / float64(opts.Scale)
+	t.RestoreOverhead = 2.0 / 1e-9 / t.NsPerUnit / float64(scale)
 	return t
 }
 
@@ -173,9 +158,6 @@ func (s *Session) resetMachines() {
 	s.executed = 0
 	s.lastMode = hostcost.Fast
 	s.canonical = true
-	if s.feedback {
-		s.EnableTimingFeedback()
-	}
 }
 
 // Reset rewinds the session to the start of the benchmark with cold
@@ -243,31 +225,11 @@ func (s *Session) charge(mode hostcost.Mode, n uint64) {
 	s.meter.Charge(mode, n)
 }
 
-// EnableTimingFeedback routes the guest's time base (SysTimeQuery)
-// through the timing model: guest-visible time is the core's modelled
-// cycle count, extrapolated over functionally-executed gaps at the
-// core's cumulative CPI. This is the feedback path the paper requires
-// for full-system simulation ("we can also feed timing information back
-// to the SimNow software to affect the application behavior") and
-// disables for its SPEC experiments; it is likewise off by default here.
-func (s *Session) EnableTimingFeedback() {
-	s.feedback = true
-	s.machine.SetTimeSource(func() uint64 {
-		mk := s.core.Marker()
-		gap := s.machine.Stats().Instructions - mk.Instrs
-		cpi := 1.0
-		if mk.Instrs > 0 && mk.Cycles > 0 {
-			cpi = float64(mk.Cycles) / float64(mk.Instrs)
-		}
-		return mk.Cycles + uint64(float64(gap)*cpi)
-	})
-}
-
 // ResetMeter replaces the cost meter with a fresh one. SimPoint uses it
 // to report its no-profiling-cost variant (the paper's "SimPoint" bar,
 // as opposed to "SimPoint+prof").
 func (s *Session) ResetMeter() {
-	s.meter = hostcost.NewMeter(costTable(s.opts))
+	s.meter = hostcost.NewMeter(costTable(s.opts.Scale))
 	s.meter.SetObs(s.opts.Obs)
 }
 

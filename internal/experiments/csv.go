@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"repro/internal/sampling"
-	"repro/internal/vm"
 )
 
 // CSV exporters for the data behind each figure, for external plotting.
@@ -133,27 +130,6 @@ func Figure89CSV(r *Runner, w io.Writer) error {
 				strconv.FormatFloat(res.Cost.PaperSeconds, 'f', 0, 64))
 		}
 		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// DetectionsCSV writes Dynamic Sampling's detected phase-change
-// intervals for one benchmark and metric, alongside the generator's
-// ground-truth phase starts — the data for detection-quality analysis.
-func DetectionsCSV(r *Runner, bench string, metric vm.Metric, w io.Writer) error {
-	res, err := r.Run(bench, sampling.NewDynamic(metric, 300, 1, 0))
-	if err != nil {
-		return err
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"kind", "interval"}); err != nil {
-		return err
-	}
-	for _, d := range res.Detections {
-		if err := cw.Write([]string{"detection", strconv.FormatUint(d, 10)}); err != nil {
 			return err
 		}
 	}

@@ -36,8 +36,6 @@ type RankedSet struct {
 	WarmIntervals int
 	// Confidence is the level of the reported interval.
 	Confidence float64
-	// Bootstrap is the number of bootstrap resamples.
-	Bootstrap int
 	// TargetRelHW, when positive, requests an interval no wider than
 	// ±TargetRelHW (fraction of CPI) at Confidence.
 	TargetRelHW float64
@@ -47,10 +45,14 @@ type RankedSet struct {
 	Seed uint64
 }
 
+// bootstrapResamples is the number of bootstrap resamples behind the
+// reported interval.
+const bootstrapResamples = 200
+
 // NewRankedSet returns the standard configuration: sets of four,
 // twelve cycles (48 measurements), 95% confidence.
 func NewRankedSet(seed uint64) RankedSet {
-	return RankedSet{SetSize: 4, Cycles: 12, WarmIntervals: 2, Confidence: 0.95, Bootstrap: 200, Seed: seed}
+	return RankedSet{SetSize: 4, Cycles: 12, WarmIntervals: 2, Confidence: 0.95, Seed: seed}
 }
 
 // WithTarget returns a copy in error-targeting mode: add cycles until
@@ -84,9 +86,6 @@ func (p RankedSet) withDefaults() RankedSet {
 	}
 	if p.Confidence <= 0 || p.Confidence >= 1 {
 		p.Confidence = 0.95
-	}
-	if p.Bootstrap <= 0 {
-		p.Bootstrap = 200
 	}
 	if p.MaxCycles <= 0 {
 		p.MaxCycles = 4 * p.Cycles
@@ -223,7 +222,7 @@ func (p RankedSet) Run(s *core.Session) (Result, error) {
 	}
 
 	estimate := func() stats.Interval {
-		iv := stats.BootstrapMeanInterval(cycleMeans, p.Bootstrap, p.Seed+0x9e3779b9, p.Confidence)
+		iv := stats.BootstrapMeanInterval(cycleMeans, bootstrapResamples, p.Seed+0x9e3779b9, p.Confidence)
 		// The point estimate is the plain mean of all measurements (the
 		// balanced design makes it unbiased); the bootstrap supplies
 		// the band around it.

@@ -34,9 +34,6 @@ type Stratified struct {
 	Strata int
 	// Samples is the initial number of timed measurements.
 	Samples int
-	// MinPerStratum floors the allocation so every stratum can
-	// estimate its own variance.
-	MinPerStratum int
 	// WarmIntervals is the detailed warm-up before each measurement,
 	// in base intervals.
 	WarmIntervals int
@@ -48,11 +45,17 @@ type Stratified struct {
 	// Budget caps total measurements in targeting mode
 	// (0 = 4×Samples).
 	Budget int
-	// MaxRounds caps refinement rounds in targeting mode.
-	MaxRounds int
 	// Seed drives all random selection; same seed, same result.
 	Seed uint64
 }
+
+const (
+	// minPerStratum floors the allocation so every stratum can
+	// estimate its own variance.
+	minPerStratum = 3
+	// maxRounds caps refinement rounds in targeting mode.
+	maxRounds = 6
+)
 
 // NewStratified returns the standard configuration: six strata, 48
 // samples, two warm-up intervals, 95% confidence. (Six strata beat
@@ -61,7 +64,7 @@ type Stratified struct {
 // the interval and improving its coverage; check.StatisticalValidity
 // pins the result.)
 func NewStratified(seed uint64) Stratified {
-	return Stratified{Strata: 6, Samples: 48, MinPerStratum: 3, WarmIntervals: 2, Confidence: 0.95, Seed: seed}
+	return Stratified{Strata: 6, Samples: 48, WarmIntervals: 2, Confidence: 0.95, Seed: seed}
 }
 
 // WithTarget returns a copy running in error-targeting mode: sample
@@ -106,9 +109,6 @@ func (p Stratified) withDefaults() Stratified {
 	if p.Samples <= 0 {
 		p.Samples = 48
 	}
-	if p.MinPerStratum <= 0 {
-		p.MinPerStratum = 3
-	}
 	if p.WarmIntervals <= 0 {
 		p.WarmIntervals = 2
 	}
@@ -117,9 +117,6 @@ func (p Stratified) withDefaults() Stratified {
 	}
 	if p.Budget <= 0 {
 		p.Budget = 4 * p.Samples
-	}
-	if p.MaxRounds <= 0 {
-		p.MaxRounds = 6
 	}
 	return p
 }
@@ -252,13 +249,13 @@ func (p Stratified) Run(s *core.Session) (Result, error) {
 	for h := range strata {
 		proxySDs[h] = strata[h].proxySD
 	}
-	res.Samples = measureRound(stats.NeymanAllocation(total, p.MinPerStratum, weights, proxySDs, caps))
+	res.Samples = measureRound(stats.NeymanAllocation(total, minPerStratum, weights, proxySDs, caps))
 	iv := estimate()
 
 	// Error-targeting refinement: add rounds where the measured CPI
 	// variance is largest until the contract is met or budget runs out.
 	if p.TargetRelHW > 0 {
-		for round := 0; round < p.MaxRounds; round++ {
+		for round := 0; round < maxRounds; round++ {
 			if iv.Valid() && iv.RelHalfWidth() <= p.TargetRelHW {
 				break
 			}

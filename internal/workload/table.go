@@ -22,7 +22,10 @@
 // Programs are deterministic: benchmark name → seed → schedule → code.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Spec describes one benchmark of the suite (the static facts of the
 // paper's Table 2).
@@ -82,7 +85,7 @@ func ByName(name string) (Spec, error) {
 			return s, nil
 		}
 	}
-	return Spec{}, fmt.Errorf("workload: unknown benchmark %q", name)
+	return Spec{}, fmt.Errorf("workload: unknown benchmark %q (the suite: %s)", name, strings.Join(Names(), ", "))
 }
 
 // Names returns the suite's benchmark names in paper order.

@@ -39,6 +39,8 @@ func TestSuiteTable(t *testing.T) {
 	}
 	if _, err := ByName("nonexistent"); err == nil {
 		t.Error("ByName must reject unknown benchmarks")
+	} else if !strings.Contains(err.Error(), strings.Join(Names(), ", ")) {
+		t.Errorf("ByName's error must list the suite: %v", err)
 	}
 	if len(Names()) != 26 {
 		t.Error("Names() incomplete")
