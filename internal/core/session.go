@@ -162,7 +162,8 @@ func (s *Session) resetMachines() {
 
 // Reset rewinds the session to the start of the benchmark with cold
 // microarchitectural state. The host-cost meter is preserved: a policy
-// that needs two passes (SimPoint) pays for both.
+// that replays the guest (Stratified's refinement rounds) pays for every
+// pass.
 func (s *Session) Reset() { s.resetMachines() }
 
 // Spec returns the benchmark being simulated.
@@ -226,8 +227,8 @@ func (s *Session) charge(mode hostcost.Mode, n uint64) {
 }
 
 // ResetMeter replaces the cost meter with a fresh one. SimPoint uses it
-// to report its no-profiling-cost variant (the paper's "SimPoint" bar,
-// as opposed to "SimPoint+prof").
+// to meter its profiling and measurement passes separately: the paper's
+// "SimPoint" bar is the second report, "SimPoint+prof" the sum of both.
 func (s *Session) ResetMeter() {
 	s.meter = hostcost.NewMeter(costTable(s.opts.Scale))
 	s.meter.SetObs(s.opts.Obs)
