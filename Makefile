@@ -53,17 +53,17 @@ chaos:
 	$(GO) run ./cmd/diffcheck -legs chaos -chaos-schedules $(CHAOS_SCHEDULES)
 
 # Parallel-SMP equivalence: the goroutine-per-guest barrier schedule
-# must be byte-identical to the sequential round-robin reference across
-# guest counts, rendezvous quanta (including quantum 1), and GOMAXPROCS
-# settings, on the fast, timed, and DynamicSample paths. The race leg
-# re-runs the smp/timing/cache suites and the harness under the race
+# must be byte-identical to the sequential round-robin reference (which
+# lives with internal/smp's tests) across guest counts, rendezvous
+# quanta (including quantum 1), and GOMAXPROCS settings, on the fast,
+# timed, and DynamicSample paths. Everything runs under the race
 # detector to prove the rendezvous and shared-L2 replay pipeline are
 # data-race free; the timing/cache/branch suites include the reference-
 # model differential and property tests.
+SMP_PROCS ?= 1,2,8
 smp:
 	$(GO) test -race -count=1 ./internal/smp ./internal/timing ./internal/cache ./internal/branch
-	$(GO) test -race -count=1 -timeout 20m ./internal/check -run TestSMPEquivalence
-	$(GO) run ./cmd/diffcheck -legs smp
+	$(GO) test -race -count=1 -timeout 20m ./internal/smp -run TestSMPEquivalence -smp-procs $(SMP_PROCS)
 
 golden-update:
 	$(GO) test ./internal/experiments -run TestGolden -update

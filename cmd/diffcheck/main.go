@@ -31,9 +31,6 @@
 //	chaos      chaos schedules: the same sweep with the coordinator
 //	           killed at write-ahead-log offsets, torn tails, worker
 //	           kills, network and disk faults (-chaos-schedules)
-//	smp        SMP scheduler equivalence: the parallel barrier schedule
-//	           byte-identical to sequential round-robin across guest
-//	           counts, quanta and GOMAXPROCS (-smp-procs)
 //	stats      statistical validity of the Stratified/RankedSet
 //	           confidence intervals: coverage, seed determinism, journal
 //	           round trip, error targeting (-stats-runs)
@@ -56,7 +53,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/sampling"
 	"repro/internal/workload"
 )
@@ -70,7 +66,6 @@ type env struct {
 	verbose      bool
 	sweepWorkers []int
 	chaosN       int
-	smpProcs     []int
 	statsRuns    int
 }
 
@@ -79,21 +74,22 @@ var legs = []struct {
 	name string
 	run  func(*env) error
 }{
-	{"programs", programLeg("programs", check.CheckProgram)},
-	{"lockstep", programLeg("lockstep", func(seed uint64, o check.Options) (*check.ProgramReport, *check.Divergence, error) {
-		div, instr, err := check.Lockstep(check.Generate(seed), o)
-		return &check.ProgramReport{Instr: instr}, div, err
+	{"programs", programLeg("programs", func(p *check.Program, o check.Options) (*check.Divergence, error) {
+		_, div, err := check.CheckProgram(p.Seed, o)
+		return div, err
 	})},
-	{"snapshot", programLeg("snapshot", withoutInstr(check.SnapshotRoundTrip))},
-	{"serialize", programLeg("serialize", withoutInstr(check.SerializedRoundTrip))},
-	{"replay", programLeg("replay", withoutInstr(check.ReplayDeterminism))},
-	{"chunks", programLeg("chunks", withoutInstr(func(p *check.Program, o check.Options) (*check.Divergence, error) {
-		return check.ChunkAgreement(p, o, 0)
-	}))},
+	{"lockstep", programLeg("lockstep", func(p *check.Program, o check.Options) (*check.Divergence, error) {
+		div, _, err := check.Lockstep(p, o)
+		return div, err
+	})},
+	{"snapshot", programLeg("snapshot", check.SnapshotRoundTrip)},
+	{"serialize", programLeg("serialize", check.SerializedRoundTrip)},
+	{"replay", programLeg("replay", check.ReplayDeterminism)},
+	{"chunks", programLeg("chunks", check.ChunkAgreement)},
 	{"policies", policyLeg("policy determinism", check.PolicyDeterminism)},
 	{"ckpt", policyLeg("checkpoint equivalence", check.CheckpointEquivalence)},
 	{"batch", func(e *env) error {
-		if err := programLeg("batch", withoutInstr(check.BatchInvariance))(e); err != nil {
+		if err := programLeg("batch", check.BatchInvariance)(e); err != nil {
 			return err
 		}
 		return policyLeg(fmt.Sprintf("batch invariance (batch sizes %v)", check.BatchSizes), check.PolicyBatchInvariance)(e)
@@ -106,30 +102,11 @@ var legs = []struct {
 			"obs artifact invariance ok (artifacts byte-identical with metrics attached)")
 	}},
 	{"faults", func(e *env) error {
-		fo := check.FaultOptions{
-			RequireKinds: []faults.Kind{
-				faults.DiskRead, faults.DiskWrite, faults.DiskSync,
-				faults.CorruptRead, faults.TornWrite,
-				faults.RunPanic, faults.RunHang, faults.RunError,
-			},
-			Progress: e.progress(),
-		}
-		return report(check.FaultEquivalence(fo), "fault equivalence ok (artifacts byte-identical under injected faults)")
+		return report(check.FaultEquivalence(check.FaultOptions{Progress: e.progress()}),
+			"fault equivalence ok (artifacts byte-identical under injected faults)")
 	}},
 	{"sweep", func(e *env) error {
-		so := check.SweepOptions{
-			Workers:      e.sweepWorkers,
-			RequireKinds: []faults.Kind{faults.WorkerKill, faults.NetGet, faults.NetPut},
-			Progress:     e.progress(),
-		}
-		// In-flight GET corruption needs a cross-worker checkpoint hit,
-		// which small worker counts rarely produce; the kind has a
-		// dedicated unit pin in internal/sweep, so only require it here
-		// when the matrix (default 2,4) makes hits likely.
-		if max := maxOf(e.sweepWorkers); max == 0 || max >= 4 {
-			so.RequireKinds = append(so.RequireKinds, faults.NetCorrupt)
-		}
-		return report(check.SweepEquivalence(so),
+		return report(check.SweepEquivalence(check.SweepOptions{Workers: e.sweepWorkers, Progress: e.progress()}),
 			"sweep equivalence ok (distributed sweep byte-identical to sequential run, exactly-once accounting)")
 	}},
 	{"chaos", func(e *env) error {
@@ -144,10 +121,6 @@ var legs = []struct {
 		fmt.Printf("diffcheck: chaos exploration ok (%d schedules from seed %d; coordinator kill/restart, WAL tears, worker kills — artifacts byte-identical, exactly-once)\n",
 			e.chaosN, e.seed)
 		return nil
-	}},
-	{"smp", func(e *env) error {
-		return report(check.SMPEquivalence(check.SMPOptions{Procs: e.smpProcs, Progress: e.progress()}),
-			"smp equivalence ok (parallel barrier schedule byte-identical to sequential round-robin across quanta and GOMAXPROCS)")
 	}},
 	{"stats", func(e *env) error {
 		return report(check.StatisticalValidity(check.StatValidityOptions{Runs: e.statsRuns, Progress: e.progress()}),
@@ -171,21 +144,12 @@ func (e *env) progress() io.Writer {
 	return nil
 }
 
-// withoutInstr lifts a program check that reports no instruction count
-// to the shape programLeg runs.
-func withoutInstr(f func(*check.Program, check.Options) (*check.Divergence, error)) func(uint64, check.Options) (*check.ProgramReport, *check.Divergence, error) {
-	return func(seed uint64, o check.Options) (*check.ProgramReport, *check.Divergence, error) {
-		div, err := f(check.Generate(seed), o)
-		return &check.ProgramReport{}, div, err
-	}
-}
-
-// programLeg runs one program-level check over seeds seed..seed+n-1.
-func programLeg(name string, checkSeed func(uint64, check.Options) (*check.ProgramReport, *check.Divergence, error)) func(*env) error {
+// programLeg runs one program-level check over the programs generated
+// from seeds seed..seed+n-1.
+func programLeg(name string, checkProgram func(*check.Program, check.Options) (*check.Divergence, error)) func(*env) error {
 	return func(e *env) error {
-		var totalInstr uint64
 		for s := e.seed; s < e.seed+e.n; s++ {
-			rep, div, err := checkSeed(s, e.o)
+			div, err := checkProgram(check.Generate(s), e.o)
 			if err != nil {
 				return err
 			}
@@ -193,17 +157,12 @@ func programLeg(name string, checkSeed func(uint64, check.Options) (*check.Progr
 				return fmt.Errorf("%v\ndiffcheck: reproduce with: diffcheck -legs %s -seed %d -n 1 -chunk %d",
 					div, name, s, e.o.Chunk)
 			}
-			totalInstr += rep.Instr
 			if e.verbose {
 				fmt.Printf("seed %d: %s ok\n", s, name)
 			}
 		}
-		instr := ""
-		if totalInstr > 0 {
-			instr = fmt.Sprintf(", %d instructions", totalInstr)
-		}
-		fmt.Printf("diffcheck: %s ok (%d programs, seeds %d..%d, chunk %d%s)\n",
-			name, e.n, e.seed, e.seed+e.n-1, e.o.Chunk, instr)
+		fmt.Printf("diffcheck: %s ok (%d programs, seeds %d..%d, chunk %d)\n",
+			name, e.n, e.seed, e.seed+e.n-1, e.o.Chunk)
 		return nil
 	}
 }
@@ -222,16 +181,6 @@ func policyLeg(what string, checkBench func(string, core.Options, []sampling.Pol
 		fmt.Printf("diffcheck: %s ok (%s at scale %d)\n", what, strings.Join(e.benches, ", "), e.scale)
 		return nil
 	}
-}
-
-func maxOf(xs []int) int {
-	max := 0
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-	}
-	return max
 }
 
 // positiveInts parses a comma-separated list of integers >= 1 ("" is
@@ -266,7 +215,6 @@ func main() {
 		bench        = flag.String("bench", "gzip,mcf", "comma-separated benchmarks for the policy legs (\"all\" = every benchmark)")
 		sweepWorkers = flag.String("sweep-workers", "", "comma-separated worker counts for the sweep leg (default 2,4)")
 		chaosN       = flag.Int("chaos-schedules", 8, "fault schedules for the chaos leg")
-		smpProcs     = flag.String("smp-procs", "", "comma-separated GOMAXPROCS values for the smp leg (default 1,2,8)")
 		statsRuns    = flag.Int("stats-runs", 0, "seeded runs per policy per benchmark for the stats leg (0 = default 100)")
 		verb         = flag.Bool("v", false, "report every seed and benchmark, not just failures")
 	)
@@ -276,7 +224,6 @@ func main() {
 		seed: *seed, n: *n, o: check.DefaultOptions(), scale: *scale, verbose: *verb,
 		sweepWorkers: positiveInts("sweep-workers", *sweepWorkers),
 		chaosN:       *chaosN,
-		smpProcs:     positiveInts("smp-procs", *smpProcs),
 		statsRuns:    *statsRuns,
 	}
 	if *chunk != 0 {

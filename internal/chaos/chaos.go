@@ -23,7 +23,6 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -39,8 +38,6 @@ type Options struct {
 	Seed uint64
 	// Schedules is how many fault schedules to run (default 8).
 	Schedules int
-	// Workers is the worker count per sweep (default 3).
-	Workers int
 	// Progress, when non-nil, receives per-schedule summary lines (and
 	// worker progress when Verbose).
 	Progress io.Writer
@@ -49,8 +46,12 @@ type Options struct {
 }
 
 // The sweep every schedule runs: one benchmark — six cells, enough WAL
-// traffic for every kill target while keeping a multi-schedule run fast.
-const scale = 50_000
+// traffic for every kill target while keeping a multi-schedule run fast
+// — shared by three workers.
+const (
+	scale   = 50_000
+	workers = 3
+)
 
 var benchmarks = []string{"gzip"}
 
@@ -102,38 +103,19 @@ func ExploreWith(o Options) error {
 	if o.Schedules <= 0 {
 		o.Schedules = 8
 	}
-	if o.Workers <= 0 {
-		o.Workers = 3
-	}
-
-	golden, err := check.SequentialGolden(scale, benchmarks, nil)
-	if err != nil {
-		return fmt.Errorf("chaos: sequential golden run: %w", err)
-	}
-
-	var refJournal []byte
+	sweeps := newSweeps(o)
 	for i := 0; i < o.Schedules; i++ {
-		plan := SchedulePlan(o.Seed, i)
-		inj := faults.New(o.Seed+uint64(i)*7919, plan)
-		res, err := runSchedule(o, inj, golden)
+		inj := faults.New(o.Seed+uint64(i)*7919, SchedulePlan(o.Seed, i))
+		sweeps.Injector = inj
+		res, err := sweeps.Run()
 		if err != nil {
 			return fmt.Errorf("chaos: schedule %d/%d: %w [%s]", i+1, o.Schedules, err, inj)
 		}
-		if refJournal == nil {
-			refJournal = res.Journal
-		} else if !bytes.Equal(res.Journal, refJournal) {
-			return fmt.Errorf("chaos: schedule %d/%d: merged journal diverges across schedules [%s]\n%s",
-				i+1, o.Schedules, inj, check.DiffSummary(refJournal, res.Journal))
-		}
-		if err := nonVacuous(plan, inj); err != nil {
-			return fmt.Errorf("chaos: schedule %d/%d: %w", i+1, o.Schedules, err)
-		}
 		if o.Progress != nil {
-			fired := inj.Fired()
 			fmt.Fprintf(o.Progress,
 				"chaos: schedule %d/%d ok: %d incarnations, %d executions for %d cells, %d completions, %d restored [%s]\n",
 				i+1, o.Schedules, res.Incarnations, res.Executions, res.Cells,
-				res.Completions, res.Restored, summarizeFired(fired))
+				res.Completions, res.Restored, summarizeFired(inj.Fired()))
 		}
 	}
 	return nil
@@ -157,53 +139,32 @@ func summarizeFired(fired map[faults.Kind]uint64) string {
 	return fmt.Sprintf("%sother=%d", inj, rest)
 }
 
-// nonVacuous verifies the schedule exercised what it planned: the
-// deterministic fault sources (coordinator kills; worker kills at rate
-// 1) must have fired, and something must have fired overall.
-func nonVacuous(plan faults.Plan, inj *faults.Injector) error {
-	fired := inj.Fired()
-	var total uint64
-	for _, n := range fired {
-		total += n
-	}
-	if total == 0 {
-		return fmt.Errorf("vacuous schedule: no fault fired (plan %+v)", plan)
-	}
-	if plan.CoordKills > 0 && fired[faults.CoordinatorKill] == 0 {
-		return fmt.Errorf("vacuous schedule: %d coordinator kills planned, none fired [%s]", plan.CoordKills, inj)
-	}
-	if plan.WorkerKill >= 1.0 && plan.KillAttempts > 0 && fired[faults.WorkerKill] == 0 {
-		return fmt.Errorf("vacuous schedule: certain worker kills planned, none fired [%s]", inj)
-	}
-	return nil
-}
-
-// runSchedule executes one schedule: a full distributed sweep with the
-// injector's kills applied — coordinator incarnations killed at WAL
-// offsets and restarted from the log, workers killed at deliveries
-// (check.DistSweep, which also verifies the artifacts) — under this
-// harness's accounting and re-execution bounds.
-func runSchedule(o Options, inj *faults.Injector, golden []byte) (*check.DistSweepResult, error) {
+// newSweeps is the sweep every schedule is one run of: a full
+// distributed sweep with the run's injector applied — coordinator
+// incarnations killed at WAL offsets and restarted from the log,
+// workers killed at deliveries — under this harness's accounting and
+// re-execution bounds. check.DistSweep holds every run to the
+// sequential run's artifacts and the first run's merged journal, and
+// requires the kills a plan makes certain to have fired.
+func newSweeps(o Options) *check.DistSweep {
 	var progress io.Writer
 	if o.Verbose {
 		progress = o.Progress
 	}
-	return check.DistSweep{
+	return &check.DistSweep{
 		Scale:      scale,
 		Benchmarks: benchmarks,
-		Workers:    o.Workers,
-		Injector:   inj,
+		Workers:    workers,
 		WAL:        true,
 		Poll:       10 * time.Millisecond,
 		Progress:   progress,
-		Golden:     golden,
-		Account:    func(res *check.DistSweepResult) error { return accounting(res, o.Workers) },
-	}.Run()
+		Account:    accounting,
+	}
 }
 
 // accounting bounds a finished schedule's completions and executions by
 // the faults that fired.
-func accounting(res *check.DistSweepResult, workers int) error {
+func accounting(res *check.DistSweepResult) error {
 	// Exactly-once accounting, with tear-explained slack only: every
 	// completion past one-per-cell must be bought by a WAL tear (the
 	// lost record forces one re-completion), and completions may fall

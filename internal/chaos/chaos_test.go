@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/check"
 	"repro/internal/faults"
 	"repro/internal/jsonl"
 )
@@ -108,22 +107,19 @@ func TestTearWAL(t *testing.T) {
 // journal byte-identical to an uninterrupted run's — and the restarts
 // must resume from the WAL, re-executing strictly less than a full
 // redo per incarnation. Artifact identity against the sequential
-// golden and the exactly-once/re-execution bounds are asserted inside
-// runSchedule for both runs.
+// golden, journal identity and the exactly-once/re-execution bounds are
+// asserted inside check.DistSweep.Run for both runs.
 func TestCoordinatorKilledMidSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real measurements; skipped in -short")
 	}
-	o := Options{Seed: 7, Workers: 3}
-
-	golden, err := check.SequentialGolden(scale, benchmarks, nil)
-	if err != nil {
-		t.Fatalf("sequential golden: %v", err)
-	}
+	const seed = 7
+	sweeps := newSweeps(Options{})
 
 	// Uninterrupted distributed run: the journal bytes the crashy run
 	// must reproduce.
-	plain, err := runSchedule(o, faults.New(o.Seed, faults.Plan{}), golden)
+	sweeps.Injector = faults.New(seed, faults.Plan{})
+	plain, err := sweeps.Run()
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
@@ -134,11 +130,12 @@ func TestCoordinatorKilledMidSweep(t *testing.T) {
 	// Crashy run: two coordinator kills early in the WAL stream, each
 	// followed by a torn tail — the ack-before-fsync window of a host
 	// crash on top of the process kill.
-	crashed, err := runSchedule(o, faults.New(o.Seed, faults.Plan{
+	sweeps.Injector = faults.New(seed, faults.Plan{
 		CoordKills:      2,
 		CoordKillWindow: 6,
 		WALTear:         1.0,
-	}), golden)
+	})
+	crashed, err := sweeps.Run()
 	if err != nil {
 		t.Fatalf("crashy run: %v", err)
 	}

@@ -15,6 +15,28 @@ import (
 // boundary other than batch-full.
 var BatchSizes = []int{1, 3, 64, 4096}
 
+// batchLane is a counting lane on a machine with the given event-batch
+// capacity.
+func batchLane(label string, prog *Program, o Options, batch int) *lane {
+	cfg := o.VM
+	cfg.EventBatch = batch
+	return (&lane{label: label, m: load(prog, cfg)}).counting()
+}
+
+// perEventLane is the reference lane of BatchInvariance. It shares
+// neither the batching nor the counting code with the lanes under test:
+// every flush carries one event, and the count is the obvious one.
+func perEventLane(prog *Program, o Options) *lane {
+	ref := batchLane("per-event", prog, o, 1)
+	ref.sink = vm.BatchFunc(func(evs []vm.Event) {
+		for i := range evs {
+			ref.count.Total++
+			ref.count.ByClass[evs[i].Class]++
+		}
+	})
+	return ref
+}
+
 // BatchInvariance proves the event batch capacity is invisible: it runs
 // prog on a reference machine that delivers one event per flush
 // (EventBatch 1) into a sink that counts event by event, then re-runs it
@@ -26,77 +48,12 @@ var BatchSizes = []int{1, 3, 64, 4096}
 // dropped tail at Run return — is reported as a Divergence.
 func BatchInvariance(prog *Program, o Options) (*Divergence, error) {
 	o.setDefaults()
-
-	type runner struct {
-		label string
-		m     *vm.Machine
-		count *vm.CountingSink
-		sink  vm.Sink
+	lanes := []*lane{perEventLane(prog, o)}
+	for _, bs := range BatchSizes {
+		lanes = append(lanes, batchLane(fmt.Sprintf("batch=%d", bs), prog, o, bs))
 	}
-	newRunner := func(label string, batch int) *runner {
-		cfg := o.VM
-		cfg.EventBatch = batch
-		r := &runner{label: label, m: vm.New(cfg), count: &vm.CountingSink{}}
-		r.m.Load(prog.Image)
-		r.sink = r.count
-		return r
-	}
-
-	// The reference leg shares neither the batching nor the counting
-	// code with the legs under test: every flush carries one event, and
-	// the count is the obvious one.
-	ref := newRunner("per-event", 1)
-	ref.sink = vm.BatchFunc(func(evs []vm.Event) {
-		for i := range evs {
-			ref.count.Total++
-			ref.count.ByClass[evs[i].Class]++
-		}
-	})
-	batched := make([]*runner, len(BatchSizes))
-	for i, bs := range BatchSizes {
-		batched[i] = newRunner(fmt.Sprintf("batch=%d", bs), bs)
-	}
-
-	var total uint64
-	for step := 0; ; step++ {
-		na := ref.m.Run(o.Chunk, ref.sink)
-		total += na
-		for _, r := range batched {
-			diverged := func(field string, a, b interface{}) (*Divergence, error) {
-				return &Divergence{
-					Check: "batch-invariance", Seed: prog.Seed, Step: step, Instr: total,
-					Field: field + " (" + ref.label + " vs " + r.label + ")",
-					A:     fmt.Sprint(a), B: fmt.Sprint(b),
-					Window: DisasmWindow(ref.m, ref.m.PC(), 6, 6),
-				}, nil
-			}
-			if nb := r.m.Run(o.Chunk, r.sink); na != nb {
-				return diverged("instructions executed in chunk", na, nb)
-			}
-			sa := capture(ref.m, o.CompareHostStats)
-			sb := capture(r.m, o.CompareHostStats)
-			if field, av, bv, ok := sa.diff(sb); !ok {
-				return diverged(field, av, bv)
-			}
-			if ref.count.Total != r.count.Total {
-				return diverged("events delivered", ref.count.Total, r.count.Total)
-			}
-			for cls := range ref.count.ByClass {
-				if ref.count.ByClass[cls] != r.count.ByClass[cls] {
-					return diverged(fmt.Sprintf("class %d events", cls), ref.count.ByClass[cls], r.count.ByClass[cls])
-				}
-			}
-		}
-		if ref.m.Halted() {
-			return nil, nil
-		}
-		if na == 0 {
-			return nil, fmt.Errorf("check: batch-invariance stalled at instr %d without halting (seed=%d)", total, prog.Seed)
-		}
-		if total > o.MaxInstr {
-			return nil, fmt.Errorf("check: program did not halt within %d instructions (seed=%d)", o.MaxInstr, prog.Seed)
-		}
-	}
+	div, _, err := lockstep("batch-invariance", prog, o, lanes, nil)
+	return div, err
 }
 
 // PolicyBatchInvariance replays a full sampling session per policy once

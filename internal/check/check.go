@@ -25,6 +25,13 @@
 //     every policy (FullTiming, SMARTS, SimPoint, Dynamic) to produce
 //     bit-identical Results.
 //
+// Every check has one shape — run a reference, run its variants,
+// require equality, require that the run was not vacuous — and the
+// package holds that shape once per granularity: lockstep and roundTrip
+// for generated programs, comparePolicies for sampling results,
+// compareArtifacts for rendered bundles, DistSweep.Run for distributed
+// sweeps. DESIGN.md §7 tabulates the legs.
+//
 // A reported Divergence carries the first differing field and a
 // disassembled window around the PC where the runs disagreed, so a
 // failure is directly actionable: re-run cmd/diffcheck with the same
@@ -56,9 +63,10 @@ type Options struct {
 	// injection tests disable it to demonstrate purely architectural
 	// divergences.
 	CompareHostStats bool
-	// Hook, when non-nil, runs after every lockstep sync point. Tests
-	// use it to inject faults into one machine and prove the differ
-	// reports them.
+	// Hook, when non-nil, runs after every sync point of Lockstep,
+	// ReplayDeterminism and BatchInvariance with the reference machine
+	// and the first machine compared against it. Tests use it to inject
+	// faults into one machine and prove the differ reports them.
 	Hook func(step int, fast, event *vm.Machine)
 }
 
@@ -105,6 +113,16 @@ func (d *Divergence) Error() string {
 		d.Check, d.Seed, d.Step, d.Instr, d.Field, d.A, d.B, d.Window)
 }
 
+// diverged builds the Divergence every program-level check reports: the
+// window is disassembled around m's PC.
+func diverged(check string, seed uint64, m *vm.Machine, step int, instr uint64, field, a, b string) *Divergence {
+	return &Divergence{
+		Check: check, Seed: seed, Step: step, Instr: instr,
+		Field: field, A: a, B: b,
+		Window: DisasmWindow(m, m.PC(), 6, 6),
+	}
+}
+
 // ProgramReport summarises a clean CheckProgram pass.
 type ProgramReport struct {
 	Seed   uint64
@@ -112,40 +130,33 @@ type ProgramReport struct {
 	Checks []string
 }
 
+// programChecks is what CheckProgram runs once Lockstep has passed, by
+// the name ProgramReport.Checks lists.
+var programChecks = []struct {
+	name  string
+	check func(*Program, Options) (*Divergence, error)
+}{
+	{"snapshot-roundtrip", SnapshotRoundTrip},
+	{"serialized-roundtrip", SerializedRoundTrip},
+	{"replay-determinism", ReplayDeterminism},
+	{"chunk-agreement", ChunkAgreement},
+}
+
 // CheckProgram generates the program for seed and runs every
 // program-level differential check against it. It returns a nil
 // Divergence and nil error when all checks pass.
 func CheckProgram(seed uint64, o Options) (*ProgramReport, *Divergence, error) {
-	o.setDefaults()
 	prog := Generate(seed)
-	rep := &ProgramReport{Seed: seed}
-
 	div, instr, err := Lockstep(prog, o)
 	if div != nil || err != nil {
 		return nil, div, err
 	}
-	rep.Instr = instr
-	rep.Checks = append(rep.Checks, "lockstep")
-
-	if div, err := SnapshotRoundTrip(prog, o); div != nil || err != nil {
-		return nil, div, err
+	rep := &ProgramReport{Seed: seed, Instr: instr, Checks: []string{"lockstep"}}
+	for _, c := range programChecks {
+		if div, err := c.check(prog, o); div != nil || err != nil {
+			return nil, div, err
+		}
+		rep.Checks = append(rep.Checks, c.name)
 	}
-	rep.Checks = append(rep.Checks, "snapshot-roundtrip")
-
-	if div, err := SerializedRoundTrip(prog, o); div != nil || err != nil {
-		return nil, div, err
-	}
-	rep.Checks = append(rep.Checks, "serialized-roundtrip")
-
-	if div, err := ReplayDeterminism(prog, o); div != nil || err != nil {
-		return nil, div, err
-	}
-	rep.Checks = append(rep.Checks, "replay-determinism")
-
-	if div, err := ChunkAgreement(prog, o, 3*o.Chunk+1); div != nil || err != nil {
-		return nil, div, err
-	}
-	rep.Checks = append(rep.Checks, "chunk-agreement")
-
 	return rep, nil, nil
 }

@@ -2,11 +2,13 @@ package check
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/sampling"
 	"repro/internal/vm"
@@ -114,40 +116,142 @@ func TestGeneratedProgramsExerciseSubsystems(t *testing.T) {
 	}
 }
 
+// lockstepLegs are the three checks that are one chunked lockstep loop,
+// by the Check name each reports under.
+var lockstepLegs = []struct {
+	name string
+	run  func(*Program, Options) (*Divergence, error)
+}{
+	{"lockstep", func(p *Program, o Options) (*Divergence, error) {
+		div, _, err := Lockstep(p, o)
+		return div, err
+	}},
+	{"replay-determinism", ReplayDeterminism},
+	{"batch-invariance", BatchInvariance},
+}
+
 // TestLockstepReportsInjectedRegisterFault corrupts one machine's
-// architectural state mid-run and requires the differ to report a
-// divergence with an actionable window, proving the comparison is live.
+// architectural state mid-run and requires the differ of every lockstep
+// leg to report a divergence under its own name with an actionable
+// window, proving the comparison is live.
 func TestLockstepReportsInjectedRegisterFault(t *testing.T) {
+	t.Parallel()
+	for _, leg := range lockstepLegs {
+		prog := Generate(1)
+		o := DefaultOptions()
+		injected := false
+		o.Hook = func(step int, ref, other *vm.Machine) {
+			if !injected {
+				injected = true
+				// r15 is outside every register class generated code writes,
+				// so the fault cannot be masked by later instructions.
+				other.SetReg(15, 0xdeadbeef)
+			}
+		}
+		div, err := leg.run(prog, o)
+		if err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
+		}
+		if !injected {
+			t.Fatalf("%s: program halted before the fault could be injected", leg.name)
+		}
+		if div == nil {
+			t.Fatalf("%s: differ missed an injected register corruption", leg.name)
+		}
+		if !strings.HasPrefix(div.Field, "reg[r15]") {
+			t.Errorf("%s: divergence field = %q, want reg[r15]", leg.name, div.Field)
+		}
+		if !strings.Contains(div.Window, "=>") {
+			t.Errorf("%s: divergence window missing pc marker:\n%s", leg.name, div.Window)
+		}
+		if div.Check != leg.name || !strings.Contains(div.Error(), leg.name) {
+			t.Errorf("%s: report does not identify the check: %s", leg.name, div.Error())
+		}
+	}
+}
+
+// TestLockstepLegsNameTheBudget: a program that outruns MaxInstr is an
+// error that names the budget it outran, from every lockstep leg.
+func TestLockstepLegsNameTheBudget(t *testing.T) {
+	t.Parallel()
+	for _, leg := range lockstepLegs {
+		o := DefaultOptions()
+		o.MaxInstr = 100
+		div, err := leg.run(Generate(1), o)
+		if div != nil {
+			t.Fatalf("%s:\n%v", leg.name, div)
+		}
+		if err == nil || !strings.Contains(err.Error(), "did not halt within 100 instructions") {
+			t.Errorf("%s: error does not name the budget: %v", leg.name, err)
+		}
+	}
+}
+
+// TestBatchInvarianceReportsDroppedEvent: a lane whose sink loses one
+// event reaches every sync point in the reference's machine state, so
+// only the delivered-event comparison can see it.
+func TestBatchInvarianceReportsDroppedEvent(t *testing.T) {
 	t.Parallel()
 	prog := Generate(1)
 	o := DefaultOptions()
-	injected := false
-	o.Hook = func(step int, fast, event *vm.Machine) {
-		if !injected {
-			injected = true
-			// r15 is outside every register class generated code writes,
-			// so the fault cannot be masked by later instructions.
-			event.SetReg(15, 0xdeadbeef)
+	lossy := batchLane("batch=64", prog, o, 64)
+	dropped := false
+	lossy.sink = vm.BatchFunc(func(evs []vm.Event) {
+		if !dropped && len(evs) > 0 {
+			dropped, evs = true, evs[1:]
 		}
-	}
-	div, _, err := Lockstep(prog, o)
+		lossy.count.OnEvents(evs)
+	})
+	div, _, err := lockstep("batch-invariance", prog, o, []*lane{perEventLane(prog, o), lossy}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !injected {
-		t.Fatal("program halted before the fault could be injected")
+	if div == nil || !strings.HasPrefix(div.Field, "events delivered") {
+		t.Fatalf("dropped event not reported as events delivered: %v", div)
 	}
-	if div == nil {
-		t.Fatal("differ missed an injected register corruption")
+	if !strings.Contains(div.Field, "per-event vs batch=64") {
+		t.Errorf("divergence does not name the two lanes: %q", div.Field)
 	}
-	if div.Field != "reg[r15]" {
-		t.Fatalf("divergence field = %q, want reg[r15]", div.Field)
+}
+
+// TestArtifactLoopComparesEveryVariant pins the artifact-level loop on
+// a render that simulates nothing: one render for the reference and one
+// per variant; a variant one byte off fails naming leg, variant and
+// first differing line; a variant whose non-vacuity hook errors fails
+// as vacuous.
+func TestArtifactLoopComparesEveryVariant(t *testing.T) {
+	t.Parallel()
+	const bundle = "table 2\nfigure 8\n"
+	variants := func(hookErr error) []artifactVariant {
+		return []artifactVariant{
+			{label: "first", opts: experiments.Options{Scale: 1}},
+			{label: "second", opts: experiments.Options{Scale: 2}, vacuous: func() error { return hookErr }},
+		}
 	}
-	if !strings.Contains(div.Window, "=>") {
-		t.Fatalf("divergence window missing pc marker:\n%s", div.Window)
+	for bad := 0; bad <= 2; bad++ {
+		renders := 0
+		render := func(o experiments.Options) ([]byte, error) {
+			renders++
+			if bad != 0 && o.Scale == bad {
+				return []byte("table 2\nfigure 9\n"), nil
+			}
+			return []byte(bundle), nil
+		}
+		err := compareArtifacts("some-leg", render, experiments.Options{}, variants(nil))
+		switch {
+		case bad == 0 && (err != nil || renders != 3):
+			t.Errorf("%d renders, err %v; want 3 clean renders", renders, err)
+		case bad != 0 && err == nil:
+			t.Errorf("variant %d was one byte off and the loop passed", bad)
+		case bad != 0 && !(strings.Contains(err.Error(), "some-leg") && strings.Contains(err.Error(), []string{"first", "second"}[bad-1]) &&
+			strings.Contains(err.Error(), "line 2") && strings.Contains(err.Error(), "figure 9")):
+			t.Errorf("error does not name leg, variant and first differing line: %v", err)
+		}
 	}
-	if !strings.Contains(div.Error(), "lockstep") {
-		t.Fatalf("report does not identify the check: %s", div.Error())
+	render := func(experiments.Options) ([]byte, error) { return []byte(bundle), nil }
+	err := compareArtifacts("some-leg", render, experiments.Options{}, variants(errors.New("nothing happened")))
+	if err == nil || !strings.Contains(err.Error(), "vacuous") || !strings.Contains(err.Error(), "second") {
+		t.Errorf("failing non-vacuity hook not reported as vacuous: %v", err)
 	}
 }
 

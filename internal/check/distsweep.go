@@ -19,31 +19,18 @@ import (
 	"repro/internal/sweep"
 )
 
-// SequentialGolden renders the artifact bundle in one process with no
-// faults: the bytes every distributed sweep must reproduce.
-func SequentialGolden(scale int, benchmarks []string, progress io.Writer) ([]byte, error) {
-	dir, err := os.MkdirTemp("", "sweep-golden-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	return renderWith(experiments.Options{
-		Scale:      scale,
-		Benchmarks: benchmarks,
-		Progress:   progress,
-		CkptDir:    filepath.Join(dir, "ckpt"),
-	})
-}
-
-// DistSweep is one full distributed sweep over a real HTTP loopback:
-// a coordinator with a disk-backed checkpoint store behind a stable
-// front, Workers workers whose leases the injector kills, and — when
-// WAL is set — a coordinator that the injector kills at write-ahead-log
-// offsets and that is restarted from the log, optionally with a torn
-// tail. SweepEquivalence is the configuration without coordinator
+// DistSweep runs full distributed sweeps of one cell matrix over a real
+// HTTP loopback: a coordinator with a disk-backed checkpoint store
+// behind a stable front, Workers workers whose leases the injector
+// kills, and — when WAL is set — a coordinator that the injector kills
+// at write-ahead-log offsets and that is restarted from the log,
+// optionally with a torn tail. Workers and Injector may change between
+// runs; what every run of one DistSweep is held to — the sequential
+// run's artifacts, the first run's merged journal — is kept across
+// them. SweepEquivalence is the configuration without coordinator
 // kills; the chaos harness drives the one with them.
 type DistSweep struct {
-	// Scale and Benchmarks define the cell matrix (and were the golden's).
+	// Scale and Benchmarks define the cell matrix.
 	Scale      int
 	Benchmarks []string
 	Workers    int
@@ -58,12 +45,15 @@ type DistSweep struct {
 	Poll time.Duration
 	// Progress, when non-nil, receives worker progress lines.
 	Progress io.Writer
-	// Golden is the sequential run's artifact bytes.
-	Golden []byte
 	// Account checks the caller's accounting invariants on the finished
 	// sweep's counters, before the journal is rendered: a broken count is
 	// the more useful failure to report first.
 	Account func(*DistSweepResult) error
+
+	// golden is the artifact bundle rendered in one process with no
+	// faults, journal the first run's merged journal: the bytes every
+	// run must reproduce.
+	golden, journal []byte
 }
 
 // DistSweepResult aggregates one sweep's counters across coordinator
@@ -95,11 +85,13 @@ const (
 	sweepTimeout = 120 * time.Second
 )
 
-// Run executes the sweep and verifies what every distributed sweep must
+// Run executes one sweep and verifies what every distributed sweep must
 // satisfy: all workers exit cleanly with the sweep complete, the
-// caller's accounting holds, and the merged journal alone renders the
-// golden artifacts while executing nothing.
-func (d DistSweep) Run() (*DistSweepResult, error) {
+// caller's accounting holds, the merged journal alone renders the
+// sequential run's artifacts while executing nothing and is
+// byte-identical to every earlier run's, and the faults the injector's
+// plan makes certain did fire.
+func (d *DistSweep) Run() (*DistSweepResult, error) {
 	inj := d.Injector
 	dir, err := os.MkdirTemp("", "dist-sweep-*")
 	if err != nil {
@@ -107,6 +99,18 @@ func (d DistSweep) Run() (*DistSweepResult, error) {
 	}
 	defer os.RemoveAll(dir)
 	walPath := filepath.Join(dir, "coord.wal")
+
+	if d.golden == nil {
+		d.golden, err = renderWith(experiments.Options{
+			Scale:      d.Scale,
+			Benchmarks: d.Benchmarks,
+			Progress:   d.Progress,
+			CkptDir:    filepath.Join(dir, "golden-ckpt"),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("sequential run: %w", err)
+		}
+	}
 
 	// The checkpoint store is disk-backed in dir: the shared remote tier,
 	// which like the WAL survives coordinator restarts.
@@ -289,8 +293,27 @@ func (d DistSweep) Run() (*DistSweepResult, error) {
 	if n := r.Executions(); n != 0 {
 		return nil, fmt.Errorf("rendering from the merged journal executed %d cells; journal incomplete", n)
 	}
-	if !bytes.Equal(buf.Bytes(), d.Golden) {
-		return nil, fmt.Errorf("artifacts diverge from sequential run\n%s", DiffSummary(d.Golden, buf.Bytes()))
+	if !bytes.Equal(buf.Bytes(), d.golden) {
+		return nil, fmt.Errorf("artifacts diverge from sequential run\n%s", DiffSummary(d.golden, buf.Bytes()))
+	}
+	if d.journal == nil {
+		d.journal = res.Journal
+	} else if !bytes.Equal(res.Journal, d.journal) {
+		return nil, fmt.Errorf("merged journal diverges from the first sweep's\n%s", DiffSummary(d.journal, res.Journal))
+	}
+
+	// Non-vacuity: the plan's deterministic fault sources — coordinator
+	// kills, worker kills at rate 1 — must have fired.
+	var certain []faults.Kind
+	plan := inj.Plan()
+	if plan.CoordKills > 0 {
+		certain = append(certain, faults.CoordinatorKill)
+	}
+	if plan.WorkerKill >= 1 && plan.KillAttempts > 0 {
+		certain = append(certain, faults.WorkerKill)
+	}
+	if err := requireFired("sweep", certain, []*faults.Injector{inj}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -13,51 +13,90 @@ import (
 
 // FaultOptions configures FaultEquivalence.
 type FaultOptions struct {
-	// Scale and Benchmarks configure every runner in the comparison
-	// (defaults: 50_000 and {gzip, perlbmk} — the golden-test subset).
-	Scale      int
-	Benchmarks []string
-	// Parallelism bounds concurrent measurements per runner.
-	Parallelism int
-	// Seeds drive the injectors: one faulted runner per seed, each
-	// compared byte-for-byte against the fault-free run (default 1..3).
-	Seeds []uint64
-	// Plan is the injection plan (zero value means faults.DefaultPlan).
-	Plan faults.Plan
-	// Timeout bounds each measurement attempt in the faulted runs, so
-	// injected hangs heal via the deadline (default 10s — comfortably
-	// above a real cell at these scales, even under the race detector).
-	Timeout time.Duration
-	// CkptDir is the checkpoint directory shared by every runner. The
-	// fault-free run populates its disk tier, guaranteeing the faulted
-	// runs perform disk loads — without that, the read/corruption
-	// injection sites would be vacuously dead. Empty means a fresh
-	// temporary directory, removed when the check returns.
-	CkptDir string
-	// RequireKinds lists fault kinds that must have fired at least once
-	// across all seeds; the check fails (vacuous) otherwise. nil skips
-	// the assertion.
-	RequireKinds []faults.Kind
 	// Progress, when non-nil, receives runner progress lines.
 	Progress io.Writer
 }
 
-func (o *FaultOptions) setDefaults() {
-	if o.Scale <= 0 {
-		o.Scale = 50_000
+// What every artifact-level and sweep-level leg runs, and
+// StatisticalValidity by default: the golden-test subset of the suite
+// at a scale that keeps a multi-run matrix fast.
+const artifactScale = 50_000
+
+var artifactBenchmarks = []string{"gzip", "perlbmk"}
+
+var (
+	// faultSeeds drive FaultEquivalence's injectors: one faulted runner
+	// per seed, each compared byte-for-byte against the fault-free run.
+	faultSeeds = []uint64{1, 2, 3}
+	// faultKinds must each have fired at least once across faultSeeds.
+	faultKinds = []faults.Kind{
+		faults.DiskRead, faults.DiskWrite, faults.DiskSync,
+		faults.CorruptRead, faults.TornWrite,
+		faults.RunPanic, faults.RunHang, faults.RunError,
 	}
-	if len(o.Benchmarks) == 0 {
-		o.Benchmarks = []string{"gzip", "perlbmk"}
+)
+
+// faultTimeout bounds each measurement attempt in the faulted runs, so
+// injected hangs heal via the deadline — comfortably above a real cell
+// at artifactScale, even under the race detector.
+const faultTimeout = 10 * time.Second
+
+// artifactVariant is one re-render of the artifact bundle under changed
+// runner options; its bytes must equal the reference render's.
+type artifactVariant struct {
+	// label names the run in error texts. It is rendered with %v when
+	// the variant fails, so an injector shows what had fired by then.
+	label interface{}
+	opts  experiments.Options
+	// vacuous, when non-nil, runs once the variant compared equal and
+	// reports a run that never exercised what the variant is there for.
+	vacuous func() error
+}
+
+// compareArtifacts is the loop behind the artifact-level legs
+// (FaultEquivalence, ObsArtifactInvariance): render the bundle once
+// under ref, once per variant, every variant byte-identical to the
+// reference. The comparison is deliberately end-to-end — both sides go
+// through the full pipeline, so a fault that silently skewed a
+// measurement, dropped a SimPoint, or leaked a FAILED marker shows up
+// as a byte diff. leg names the check in error texts.
+func compareArtifacts(leg string, render func(experiments.Options) ([]byte, error), ref experiments.Options, variants []artifactVariant) error {
+	golden, err := render(ref)
+	if err != nil {
+		return fmt.Errorf("%s: reference run: %w", leg, err)
 	}
-	if len(o.Seeds) == 0 {
-		o.Seeds = []uint64{1, 2, 3}
+	for _, v := range variants {
+		got, err := render(v.opts)
+		if err != nil {
+			return fmt.Errorf("%s: %v: %w", leg, v.label, err)
+		}
+		if !bytes.Equal(got, golden) {
+			return fmt.Errorf("%s: %v: artifacts diverge from the reference run\n%s", leg, v.label, DiffSummary(golden, got))
+		}
+		if v.vacuous != nil {
+			if err := v.vacuous(); err != nil {
+				return fmt.Errorf("%s: %v: vacuous — %w", leg, v.label, err)
+			}
+		}
 	}
-	if (o.Plan == faults.Plan{}) {
-		o.Plan = faults.DefaultPlan()
+	return nil
+}
+
+// requireFired fails a fault leg whose injectors, taken together, never
+// fired one of kinds: the leg would pass without having tested it.
+func requireFired(leg string, kinds []faults.Kind, injectors []*faults.Injector) error {
+	fired := make(map[faults.Kind]uint64)
+	for _, inj := range injectors {
+		for k, n := range inj.Fired() {
+			fired[k] += n
+		}
 	}
-	if o.Timeout <= 0 {
-		o.Timeout = 10 * time.Second
+	for _, k := range kinds {
+		if fired[k] == 0 {
+			return fmt.Errorf("%s: vacuous — fault kind %q never fired across %d runs (fired: %v)", leg, k, len(injectors), fired)
+		}
 	}
+	return nil
 }
 
 // FaultEquivalence pins the runner's healing contract: under any
@@ -66,73 +105,46 @@ func (o *FaultOptions) setDefaults() {
 // errors — the rendered artifacts are byte-identical to a fault-free
 // run, with zero recorded cell failures. Faults may cost wall-clock
 // (retries, cache misses, deadline waits), never results.
-//
-// The comparison is deliberately end-to-end: both sides render the
-// same artifact bundle (Table 2 + Figure 8) through the full pipeline,
-// so a fault that silently skewed a measurement, dropped a SimPoint,
-// or leaked a FAILED marker shows up as a byte diff.
 func FaultEquivalence(o FaultOptions) error {
-	o.setDefaults()
-
-	dir := o.CkptDir
-	if dir == "" {
-		d, err := os.MkdirTemp("", "fault-equiv-*")
-		if err != nil {
-			return fmt.Errorf("fault-equivalence: %w", err)
-		}
-		defer os.RemoveAll(d)
-		dir = d
-	}
-
-	base := experiments.Options{
-		Scale:       o.Scale,
-		Benchmarks:  o.Benchmarks,
-		Parallelism: o.Parallelism,
-		Progress:    o.Progress,
-		CkptDir:     dir,
-	}
-
-	// Fault-free golden run. Its deposits land in the shared disk tier,
-	// so every faulted runner below starts with a warm on-disk cache and
-	// must survive read faults and corruption on load.
-	golden, err := renderWith(base)
+	// One checkpoint directory shared by every runner: the fault-free
+	// reference run populates its disk tier, so every faulted runner
+	// starts with a warm on-disk cache and must survive read faults and
+	// corruption on load — without that, those injection sites would be
+	// vacuously dead.
+	dir, err := os.MkdirTemp("", "fault-equiv-*")
 	if err != nil {
-		return fmt.Errorf("fault-equivalence: fault-free run: %w", err)
+		return fmt.Errorf("fault-equivalence: %w", err)
+	}
+	defer os.RemoveAll(dir)
+	base := experiments.Options{
+		Scale:      artifactScale,
+		Benchmarks: artifactBenchmarks,
+		Progress:   o.Progress,
+		CkptDir:    dir,
 	}
 
-	fired := make(map[faults.Kind]uint64)
-	for _, seed := range o.Seeds {
-		inj := faults.New(seed, o.Plan)
+	plan := faults.DefaultPlan()
+	var injectors []*faults.Injector
+	var variants []artifactVariant
+	for _, seed := range faultSeeds {
+		inj := faults.New(seed, plan)
 		opts := base
 		opts.Faults = inj
-		opts.Timeout = o.Timeout
+		opts.Timeout = faultTimeout
 		// Every injected run fault must be healable by retry.
-		opts.Retries = o.Plan.RunFaultAttempts + 1
-
-		got, err := renderWith(opts)
-		if err != nil {
-			return fmt.Errorf("fault-equivalence: seed %d: %w [%s]", seed, err, inj)
-		}
-		if !bytes.Equal(got, golden) {
-			return fmt.Errorf("fault-equivalence: seed %d: artifacts diverge from fault-free run [%s]\n%s",
-				seed, inj, DiffSummary(golden, got))
-		}
-		for k, n := range inj.Fired() {
-			fired[k] += n
-		}
+		opts.Retries = plan.RunFaultAttempts + 1
+		injectors = append(injectors, inj)
+		variants = append(variants, artifactVariant{label: inj, opts: opts})
 	}
-
-	for _, k := range o.RequireKinds {
-		if fired[k] == 0 {
-			return fmt.Errorf("fault-equivalence: vacuous — fault kind %q never fired across seeds %v (fired: %v)",
-				k, o.Seeds, fired)
-		}
+	if err := compareArtifacts("fault-equivalence", renderWith, base, variants); err != nil {
+		return err
 	}
-	return nil
+	return requireFired("fault-equivalence", faultKinds, injectors)
 }
 
-// renderWith builds a runner, renders the artifact bundle, and asserts
-// the run fully healed (no recorded cell failures).
+// renderWith builds a runner, renders the artifact bundle (Table 2 +
+// Figure 8), and asserts the run fully healed (no recorded cell
+// failures).
 func renderWith(opts experiments.Options) ([]byte, error) {
 	r := experiments.NewRunner(opts)
 	defer r.Close()
@@ -146,20 +158,17 @@ func renderWith(opts experiments.Options) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DiffSummary reports the first line where two rendered artifacts
-// diverge, for actionable failure messages. Exported for the chaos
-// harness, which checks the same byte-identity invariants.
+// DiffSummary reports the first line where two renderings — artifact
+// bundles, merged journals — diverge, for actionable failure messages;
+// a is the reference's. It is the one first-differing-line reporter;
+// internal/smp's equivalence harness reports through it too.
 func DiffSummary(a, b []byte) string {
 	al := bytes.Split(a, []byte("\n"))
 	bl := bytes.Split(b, []byte("\n"))
-	n := len(al)
-	if len(bl) < n {
-		n = len(bl)
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < len(al) && i < len(bl); i++ {
 		if !bytes.Equal(al[i], bl[i]) {
-			return fmt.Sprintf("first diff at line %d:\n  fault-free: %q\n  faulted:    %q", i+1, al[i], bl[i])
+			return fmt.Sprintf("first diff at line %d:\n  reference: %q\n  this run:  %q", i+1, al[i], bl[i])
 		}
 	}
-	return fmt.Sprintf("line counts differ: fault-free %d vs faulted %d", len(al), len(bl))
+	return fmt.Sprintf("line counts differ: reference %d vs this run %d", len(al), len(bl))
 }

@@ -1,10 +1,6 @@
 package check
 
-import (
-	"testing"
-
-	"repro/internal/faults"
-)
+import "testing"
 
 // TestFaultEquivalence is the robustness pin: across multiple injector
 // seeds covering disk I/O errors, checkpoint corruption (torn writes
@@ -15,20 +11,7 @@ func TestFaultEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-equivalence sweep is slow; skipped in -short")
 	}
-	err := FaultEquivalence(FaultOptions{
-		Seeds: []uint64{1, 2, 3},
-		RequireKinds: []faults.Kind{
-			faults.DiskRead,
-			faults.DiskWrite,
-			faults.DiskSync,
-			faults.CorruptRead,
-			faults.TornWrite,
-			faults.RunPanic,
-			faults.RunHang,
-			faults.RunError,
-		},
-	})
-	if err != nil {
+	if err := FaultEquivalence(FaultOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,6 +7,90 @@ import (
 	"repro/internal/vm"
 )
 
+// lane is one machine of a lockstep run and where its events go.
+type lane struct {
+	// label names the lane in a Divergence's field ("" in the two-lane
+	// checks, whose Check name already says which two runs disagreed).
+	label string
+	m     *vm.Machine
+	sink  vm.Sink // nil runs the lane in fast mode
+	// count is what sink has delivered so far; nil when the lane counts
+	// nothing.
+	count *vm.CountingSink
+}
+
+// load returns a fresh machine with prog loaded.
+func load(prog *Program, cfg vm.Config) *vm.Machine {
+	m := vm.New(cfg)
+	m.Load(prog.Image)
+	return m
+}
+
+// counting sends the lane's events into a vm.CountingSink.
+func (l *lane) counting() *lane {
+	l.count = &vm.CountingSink{}
+	l.sink = l.count
+	return l
+}
+
+// lockstep is the one chunked loop behind Lockstep, ReplayDeterminism
+// and BatchInvariance. It runs every lane o.Chunk instructions at a
+// time, the first lane being the reference, and at each sync point
+// requires of every other lane the same instruction count, the same
+// complete machine state (capture().diff) and — where both lanes count
+// their events — the same delivered counts; then invariant, when
+// non-nil, checks what the calling leg alone knows. The first
+// disagreement is returned as a Divergence under the name check with a
+// window around the reference's PC; a reference that halts ends the run
+// cleanly, one that stalls or passes o.MaxInstr ends it with an error.
+// It also returns the instructions the reference executed.
+func lockstep(check string, prog *Program, o Options, lanes []*lane, invariant func() (field, a, b string, ok bool)) (*Divergence, uint64, error) {
+	ref := lanes[0]
+	var total uint64
+	for step := 0; ; step++ {
+		na := ref.m.Run(o.Chunk, ref.sink)
+		total += na
+		report := func(field string, a, b interface{}) (*Divergence, uint64, error) {
+			return diverged(check, prog.Seed, ref.m, step, total, field, fmt.Sprint(a), fmt.Sprint(b)), total, nil
+		}
+		sa := capture(ref.m, o.CompareHostStats)
+		for _, l := range lanes[1:] {
+			vs := ""
+			if l.label != "" {
+				vs = " (" + ref.label + " vs " + l.label + ")"
+			}
+			if nb := l.m.Run(o.Chunk, l.sink); na != nb {
+				return report("instructions executed in chunk"+vs, na, nb)
+			}
+			if field, av, bv, ok := sa.diff(capture(l.m, o.CompareHostStats)); !ok {
+				return report(field+vs, av, bv)
+			}
+			if ref.count == nil || l.count == nil {
+				continue
+			}
+			if ref.count.Total != l.count.Total {
+				return report("events delivered"+vs, ref.count.Total, l.count.Total)
+			}
+			for cls := range ref.count.ByClass {
+				if ref.count.ByClass[cls] != l.count.ByClass[cls] {
+					return report(fmt.Sprintf("class %d events%s", cls, vs), ref.count.ByClass[cls], l.count.ByClass[cls])
+				}
+			}
+		}
+		if invariant != nil {
+			if field, av, bv, ok := invariant(); !ok {
+				return report(field, av, bv)
+			}
+		}
+		if done, err := chunkEnd(check, ref.m, na, total, o.MaxInstr, prog.Seed); done || err != nil {
+			return nil, total, err
+		}
+		if o.Hook != nil {
+			o.Hook(step, ref.m, lanes[1].m)
+		}
+	}
+}
+
 // Lockstep runs prog through two machines — fast mode (nil Sink) and
 // event-generating mode (counting Sink) — in chunks of o.Chunk
 // instructions, comparing the complete machine state at every sync
@@ -19,38 +103,11 @@ import (
 // instructions the program executed.
 func Lockstep(prog *Program, o Options) (*Divergence, uint64, error) {
 	o.setDefaults()
-	fast := vm.New(o.VM)
-	fast.Load(prog.Image)
-	event := vm.New(o.VM)
-	event.Load(prog.Image)
-	sink := &vm.CountingSink{}
-
-	report := func(step int, instr uint64, field, av, bv string) *Divergence {
-		return &Divergence{
-			Check: "lockstep", Seed: prog.Seed, Step: step, Instr: instr,
-			Field: field, A: av, B: bv,
-			Window: DisasmWindow(fast, fast.PC(), 6, 6),
-		}
-	}
-
-	var total uint64
-	for step := 0; ; step++ {
-		na := fast.Run(o.Chunk, nil)
-		nb := event.Run(o.Chunk, sink)
-		total += na
-		if na != nb {
-			return report(step, total, "instructions executed in chunk",
-				fmt.Sprint(na), fmt.Sprint(nb)), total, nil
-		}
-
-		sa := capture(fast, o.CompareHostStats)
-		sb := capture(event, o.CompareHostStats)
-		if field, av, bv, ok := sa.diff(sb); !ok {
-			return report(step, total, field, av, bv), total, nil
-		}
-
-		// Event stream vs internal statistics ("stats agreement").
-		st := event.Stats()
+	fast := &lane{m: load(prog, o.VM)}
+	event := (&lane{m: load(prog, o.VM)}).counting()
+	// Event stream vs internal statistics ("stats agreement").
+	return lockstep("lockstep", prog, o, []*lane{fast, event}, func() (field, a, b string, ok bool) {
+		st, sink := event.m.Stats(), event.count
 		for _, inv := range []struct {
 			name   string
 			events uint64
@@ -63,22 +120,9 @@ func Lockstep(prog *Program, o Options) (*Divergence, uint64, error) {
 			{"sys events", sink.ByClass[isa.ClassSys], st.Syscalls},
 		} {
 			if inv.events != inv.stat {
-				return report(step, total, "event stream vs stats: "+inv.name,
-					fmt.Sprint(inv.events), fmt.Sprint(inv.stat)), total, nil
+				return "event stream vs stats: " + inv.name, fmt.Sprint(inv.events), fmt.Sprint(inv.stat), false
 			}
 		}
-
-		if fast.Halted() && event.Halted() {
-			return nil, total, nil
-		}
-		if na == 0 {
-			return nil, total, fmt.Errorf("check: lockstep stalled at instr %d without halting (seed=%d)", total, prog.Seed)
-		}
-		if total > o.MaxInstr {
-			return nil, total, fmt.Errorf("check: program did not halt within %d instructions (seed=%d)", o.MaxInstr, prog.Seed)
-		}
-		if o.Hook != nil {
-			o.Hook(step, fast, event)
-		}
-	}
+		return "", "", "", true
+	})
 }

@@ -1,6 +1,6 @@
 package check
 
-// Observability invariance: the obs layer (PR 5) must be inert. A
+// Observability invariance: the obs layer must be inert. A
 // metrics registry and transition trace attached to a session may only
 // *read* simulation state; wall-clock nondeterminism flows into the
 // metrics, never back into results. These checks pin that property at
@@ -9,7 +9,6 @@ package check
 // (ObsArtifactInvariance).
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/core"
@@ -61,25 +60,18 @@ func ObsInvariance(bench string, opts core.Options, policies []sampling.Policy) 
 // ObsInvariance cannot: the runner's cell lifecycle, the shared
 // checkpoint store's counter mirror, and SimPoint's two-pass pipeline.
 func ObsArtifactInvariance(scale int, benches []string) error {
-	base := experiments.Options{Scale: scale, Benchmarks: benches}
-	golden, err := renderWith(base)
-	if err != nil {
-		return fmt.Errorf("obs-invariance: plain run: %w", err)
-	}
-
-	instr := base
-	instr.Obs = obs.NewRegistry()
-	instr.Trace = obs.NewTransitionTrace(obs.DefaultTraceCap)
-	got, err := renderWith(instr)
-	if err != nil {
-		return fmt.Errorf("obs-invariance: instrumented run: %w", err)
-	}
-	if !bytes.Equal(got, golden) {
-		return fmt.Errorf("obs-invariance: artifacts diverge with obs attached\n%s",
-			DiffSummary(golden, got))
-	}
-	if instr.Trace.Total() == 0 {
-		return fmt.Errorf("obs-invariance: vacuous — no transitions recorded")
-	}
-	return nil
+	plain := experiments.Options{Scale: scale, Benchmarks: benches}
+	observed := plain
+	observed.Obs = obs.NewRegistry()
+	observed.Trace = obs.NewTransitionTrace(obs.DefaultTraceCap)
+	return compareArtifacts("obs-invariance", renderWith, plain, []artifactVariant{{
+		label: "obs attached",
+		opts:  observed,
+		vacuous: func() error {
+			if observed.Trace.Total() == 0 {
+				return fmt.Errorf("no transitions recorded")
+			}
+			return nil
+		},
+	}})
 }

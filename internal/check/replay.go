@@ -1,10 +1,6 @@
 package check
 
-import (
-	"fmt"
-
-	"repro/internal/vm"
-)
+import "fmt"
 
 // ReplayDeterminism runs prog twice through identically configured and
 // identically partitioned machines and requires bit-identical state at
@@ -14,77 +10,35 @@ import (
 // leakage) that the other checks could mask.
 func ReplayDeterminism(prog *Program, o Options) (*Divergence, error) {
 	o.setDefaults()
-	a := vm.New(o.VM)
-	a.Load(prog.Image)
-	b := vm.New(o.VM)
-	b.Load(prog.Image)
-
-	var total uint64
-	for step := 0; ; step++ {
-		na := a.Run(o.Chunk, nil)
-		nb := b.Run(o.Chunk, nil)
-		total += na
-		sa := capture(a, o.CompareHostStats)
-		sb := capture(b, o.CompareHostStats)
-		field, av, bv, ok := sa.diff(sb)
-		if na != nb {
-			field, av, bv, ok = "instructions executed in chunk", fmt.Sprint(na), fmt.Sprint(nb), false
-		}
-		if !ok {
-			return &Divergence{
-				Check: "replay-determinism", Seed: prog.Seed, Step: step, Instr: total,
-				Field: field, A: av, B: bv,
-				Window: DisasmWindow(a, a.PC(), 6, 6),
-			}, nil
-		}
-		if a.Halted() {
-			return nil, nil
-		}
-		if na == 0 || total > o.MaxInstr {
-			_, err := runToHalt(a, o.Chunk, 0, prog.Seed) // produce the budget error
-			return nil, err
-		}
-	}
+	lanes := []*lane{{m: load(prog, o.VM)}, {m: load(prog, o.VM)}}
+	div, _, err := lockstep("replay-determinism", prog, o, lanes, nil)
+	return div, err
 }
 
 // ChunkAgreement runs prog under two different Run partitionings
-// (o.Chunk vs chunkB) and requires the final architectural state and
-// partition-insensitive statistics to agree: the Machine.Run contract
-// says architectural behaviour is independent of how a long run is
-// partitioned, and this check enforces it.
-func ChunkAgreement(prog *Program, o Options, chunkB uint64) (*Divergence, error) {
+// (o.Chunk vs 3*o.Chunk+1) and requires the final architectural state
+// and partition-insensitive statistics to agree: the Machine.Run
+// contract says architectural behaviour is independent of how a long
+// run is partitioned, and this check enforces it.
+func ChunkAgreement(prog *Program, o Options) (*Divergence, error) {
 	o.setDefaults()
-	if chunkB == 0 {
-		chunkB = 3*o.Chunk + 1
-	}
-	a := vm.New(o.VM)
-	a.Load(prog.Image)
-	b := vm.New(o.VM)
-	b.Load(prog.Image)
+	a := load(prog, o.VM)
+	b := load(prog, o.VM)
 
 	na, err := runToHalt(a, o.Chunk, o.MaxInstr, prog.Seed)
 	if err != nil {
 		return nil, err
 	}
-	nb, err := runToHalt(b, chunkB, o.MaxInstr, prog.Seed)
+	nb, err := runToHalt(b, 3*o.Chunk+1, o.MaxInstr, prog.Seed)
 	if err != nil {
 		return nil, err
 	}
-	sa := capture(a, false)
-	sb := capture(b, false)
+	field, av, bv, ok := capture(a, false).diff(capture(b, false))
 	if na != nb {
-		return &Divergence{
-			Check: "chunk-agreement", Seed: prog.Seed, Instr: na,
-			Field: "total instructions", A: fmt.Sprint(na), B: fmt.Sprint(nb),
-			Window: DisasmWindow(a, a.PC(), 6, 6),
-		}, nil
+		field, av, bv, ok = "total instructions", fmt.Sprint(na), fmt.Sprint(nb), false
 	}
-	if field, av, bv, ok := sa.diff(sb); !ok {
-		return &Divergence{
-			Check: "chunk-agreement", Seed: prog.Seed, Instr: na,
-			Field: field, A: av, B: bv,
-			Window: DisasmWindow(a, a.PC(), 6, 6),
-		}, nil
+	if ok {
+		return nil, nil
 	}
-	return nil, nil
+	return diverged("chunk-agreement", prog.Seed, a, 0, na, field, av, bv), nil
 }

@@ -29,8 +29,6 @@ import (
 // and perlbmk at scale 50 000 (200 runs per policy family), requiring
 // ≥90% of the claimed 95% intervals to cover the full-timing CPI.
 type StatValidityOptions struct {
-	// Scale is the benchmark scale divisor.
-	Scale int
 	// Benchmarks are the workloads to validate on.
 	Benchmarks []string
 	// Runs is the number of seeded runs per policy per benchmark.
@@ -38,23 +36,13 @@ type StatValidityOptions struct {
 	// MinCoverage is the required fraction of intervals (pooled across
 	// benchmarks, per policy family) containing the true CPI.
 	MinCoverage float64
-	// Target is the error-targeting contract to verify (relative CPI
-	// half-width, e.g. 0.05 = ±5%).
-	Target float64
-	// Budget caps the targeting mode's measurements per run.
-	Budget int
-	// Parallelism bounds concurrent runs (0 = NumCPU).
-	Parallelism int
 	// Progress, when non-nil, receives per-family summaries.
 	Progress io.Writer
 }
 
 func (o *StatValidityOptions) setDefaults() {
-	if o.Scale == 0 {
-		o.Scale = 50_000
-	}
 	if len(o.Benchmarks) == 0 {
-		o.Benchmarks = []string{"gzip", "perlbmk"}
+		o.Benchmarks = artifactBenchmarks
 	}
 	if o.Runs == 0 {
 		o.Runs = 100
@@ -62,23 +50,21 @@ func (o *StatValidityOptions) setDefaults() {
 	if o.MinCoverage == 0 {
 		o.MinCoverage = 0.90
 	}
-	if o.Target == 0 {
-		o.Target = 0.05
-	}
-	if o.Budget == 0 {
-		o.Budget = 400
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.NumCPU()
-	}
 }
+
+// The error-targeting contract StatisticalValidity verifies: a relative
+// CPI half-width of ±5% within at most 400 measurements per run.
+const (
+	statTarget = 0.05
+	statBudget = 400
+)
 
 // statFamily is one policy family under validation: a constructor from
 // seed, plus the error-targeting variant of the same design.
 type statFamily struct {
 	name     string
 	make     func(seed uint64) sampling.Policy
-	targeted func(seed uint64, target float64, budget int) sampling.Policy
+	targeted func(seed uint64) sampling.Policy
 }
 
 func statFamilies() []statFamily {
@@ -86,18 +72,18 @@ func statFamilies() []statFamily {
 		{
 			name: "Stratified",
 			make: func(seed uint64) sampling.Policy { return sampling.NewStratified(seed) },
-			targeted: func(seed uint64, target float64, budget int) sampling.Policy {
-				return sampling.NewStratified(seed).WithTarget(target, budget)
+			targeted: func(seed uint64) sampling.Policy {
+				return sampling.NewStratified(seed).WithTarget(statTarget, statBudget)
 			},
 		},
 		{
 			name: "RankedSet",
 			make: func(seed uint64) sampling.Policy { return sampling.NewRankedSet(seed) },
-			targeted: func(seed uint64, target float64, budget int) sampling.Policy {
+			targeted: func(seed uint64) sampling.Policy {
 				p := sampling.NewRankedSet(seed)
 				// The ranked-set budget is counted in cycles of SetSize
 				// measurements each.
-				return p.WithTarget(target, budget/p.SetSize)
+				return p.WithTarget(statTarget, statBudget/p.SetSize)
 			},
 		},
 	}
@@ -118,8 +104,8 @@ func statFamilies() []statFamily {
 //     results, and round-trips that result through JSON, the journal's
 //     wire format, requiring bit-identical reconstruction;
 //   - runs the error-targeting variant and requires it to stop within
-//     Budget everywhere and to deliver an interval no wider than
-//     ±Target on at least one benchmark.
+//     statBudget everywhere and to deliver an interval no wider than
+//     ±statTarget on at least one benchmark.
 func StatisticalValidity(o StatValidityOptions) error {
 	o.setDefaults()
 	type truth struct {
@@ -132,7 +118,7 @@ func StatisticalValidity(o StatValidityOptions) error {
 		if err != nil {
 			return fmt.Errorf("stat-validity: %w", err)
 		}
-		full, err := sampling.FullTiming{}.Run(core.NewSession(spec, core.Options{Scale: o.Scale}))
+		full, err := sampling.FullTiming{}.Run(core.NewSession(spec, core.Options{Scale: artifactScale}))
 		if err != nil {
 			return fmt.Errorf("stat-validity: full timing on %s: %w", bench, err)
 		}
@@ -155,7 +141,7 @@ func StatisticalValidity(o StatValidityOptions) error {
 		}
 	}
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.Parallelism)
+	sem := make(chan struct{}, runtime.NumCPU())
 	for f := range families {
 		for b := range truths {
 			for s := 0; s < o.Runs; s++ {
@@ -165,7 +151,7 @@ func StatisticalValidity(o StatValidityOptions) error {
 					sem <- struct{}{}
 					defer func() { <-sem }()
 					p := families[f].make(uint64(s + 1))
-					res, err := p.Run(core.NewSession(truths[b].spec, core.Options{Scale: o.Scale}))
+					res, err := p.Run(core.NewSession(truths[b].spec, core.Options{Scale: artifactScale}))
 					results[f][b][s], errs[f][b][s] = res, err
 				}(f, b, s)
 			}
@@ -209,7 +195,7 @@ func StatisticalValidity(o StatValidityOptions) error {
 		// benchmark.
 		for b, tr := range truths {
 			first := results[f][b][0]
-			again, err := fam.make(1).Run(core.NewSession(tr.spec, core.Options{Scale: o.Scale}))
+			again, err := fam.make(1).Run(core.NewSession(tr.spec, core.Options{Scale: artifactScale}))
 			if err != nil {
 				return fmt.Errorf("stat-validity: %s replay on %s: %w", fam.name, o.Benchmarks[b], err)
 			}
@@ -239,30 +225,30 @@ func StatisticalValidity(o StatValidityOptions) error {
 		// the requested width is delivered on at least one benchmark.
 		met := false
 		for b, tr := range truths {
-			p := fam.targeted(1, o.Target, o.Budget)
-			res, err := p.Run(core.NewSession(tr.spec, core.Options{Scale: o.Scale}))
+			p := fam.targeted(1)
+			res, err := p.Run(core.NewSession(tr.spec, core.Options{Scale: artifactScale}))
 			if err != nil {
 				return fmt.Errorf("stat-validity: %s targeting on %s: %w", fam.name, o.Benchmarks[b], err)
 			}
-			if res.Samples > o.Budget {
+			if res.Samples > statBudget {
 				return fmt.Errorf("stat-validity: %s targeting on %s: %d samples exceed budget %d",
-					fam.name, o.Benchmarks[b], res.Samples, o.Budget)
+					fam.name, o.Benchmarks[b], res.Samples, statBudget)
 			}
 			if res.TargetMet {
-				if iv := res.CPIInterval; iv == nil || !iv.Valid() || iv.RelHalfWidth() > o.Target {
+				if iv := res.CPIInterval; iv == nil || !iv.Valid() || iv.RelHalfWidth() > statTarget {
 					return fmt.Errorf("stat-validity: %s targeting on %s: TargetMet but interval wider than ±%.2f%%",
-						fam.name, o.Benchmarks[b], o.Target*100)
+						fam.name, o.Benchmarks[b], statTarget*100)
 				}
 				met = true
 			}
 			if o.Progress != nil {
 				fmt.Fprintf(o.Progress, "stat-validity: %s targeting ±%.1f%% on %s: met=%v with %d samples\n",
-					fam.name, o.Target*100, o.Benchmarks[b], res.TargetMet, res.Samples)
+					fam.name, statTarget*100, o.Benchmarks[b], res.TargetMet, res.Samples)
 			}
 		}
 		if !met {
 			return fmt.Errorf("stat-validity: %s: error-targeting ±%.2f%% not met on any of %v within budget %d",
-				fam.name, o.Target*100, o.Benchmarks, o.Budget)
+				fam.name, statTarget*100, o.Benchmarks, statBudget)
 		}
 	}
 	return nil

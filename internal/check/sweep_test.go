@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/faults"
 )
 
 // -sweep-workers narrows the worker-count matrix (comma-separated), so
@@ -22,47 +20,14 @@ func TestSweepEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep-equivalence matrix is slow; skipped in -short")
 	}
-	o := SweepOptions{
-		Workers: []int{2, 4},
-		Seeds:   []uint64{1, 2},
-		RequireKinds: []faults.Kind{
-			faults.WorkerKill,
-			faults.NetGet,
-			faults.NetPut,
-			faults.NetCorrupt,
-		},
-	}
+	var o SweepOptions
 	if *sweepWorkers != "" {
-		o.Workers = nil
 		for _, s := range strings.Split(*sweepWorkers, ",") {
 			w, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || w < 1 {
 				t.Fatalf("bad -sweep-workers entry %q", s)
 			}
 			o.Workers = append(o.Workers, w)
-		}
-		// A narrowed matrix sees fewer injector draws, so widen the seed
-		// set to keep the required fault kinds non-vacuous.
-		o.Seeds = []uint64{1, 2, 3, 4}
-		// Corrupting a remote GET body needs a cross-worker checkpoint
-		// hit, which 2-worker schedules rarely produce before the
-		// injected put failures switch the remote tier off; the kind
-		// keeps its dedicated pin in TestRemoteTierFaultMatrix. Require
-		// it only when the matrix has enough workers to make hits likely.
-		max := 0
-		for _, w := range o.Workers {
-			if w > max {
-				max = w
-			}
-		}
-		if max < 4 {
-			kinds := o.RequireKinds[:0]
-			for _, k := range o.RequireKinds {
-				if k != faults.NetCorrupt {
-					kinds = append(kinds, k)
-				}
-			}
-			o.RequireKinds = kinds
 		}
 	}
 	if err := SweepEquivalence(o); err != nil {

@@ -62,10 +62,6 @@ func workloadHash(digest, total, interval uint64, cfg vm.Config) uint64 {
 	return h
 }
 
-// Checkpoints returns the attached store (nil when checkpointing is
-// off).
-func (s *Session) Checkpoints() *ckpt.Store { return s.ckpt }
-
 // ckptKey addresses this session's checkpoint at an absolute
 // instruction count.
 func (s *Session) ckptKey(instr uint64) ckpt.Key {

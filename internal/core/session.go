@@ -42,8 +42,8 @@ type Options struct {
 	// Results and modelled paper cost are unchanged (see ckpt.go); only
 	// host wall-clock shrinks. Nil disables checkpointing.
 	Ckpt *ckpt.Store
-	// CkptStride is the deposit stride in base intervals (default 1:
-	// every interval boundary).
+	// CkptStride is the deposit stride in base intervals (0 = auto:
+	// about 32 deposits per workload).
 	CkptStride uint64
 	// Obs mirrors execution into a metrics registry (per-mode
 	// instruction/stat/wall-clock counters, checkpoint restore timings,

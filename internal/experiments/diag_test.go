@@ -3,10 +3,8 @@ package experiments
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sampling"
 	"repro/internal/vm"
-	"repro/internal/workload"
 )
 
 // TestDiagPerBench prints per-benchmark accuracy for the headline
@@ -25,32 +23,6 @@ func TestDiagPerBench(t *testing.T) {
 		base, err := r.Baseline(b)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if b == "mcf" || b == "swim" {
-			dsT := sampling.NewDynamic(vm.MetricCPU, 300, 1, 0)
-			dsT.TraceSamples = true
-			spec, _ := workload.ByName(b)
-			s := core.NewSession(spec, core.Options{Scale: r.Options().Scale})
-			res2, err := dsT.Run(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, tr := range res2.Trace {
-				end := uint64(len(base.Trace))
-				if i+1 < len(res2.Trace) {
-					end = res2.Trace[i+1].Index
-				}
-				var avg float64
-				var n int
-				for j := tr.Index; j < end && j < uint64(len(base.Trace)); j++ {
-					avg += base.Trace[j].IPC
-					n++
-				}
-				if n > 0 {
-					avg /= float64(n)
-				}
-				t.Logf("  %s DS sample@%-5d ipc=%.3f region=%.3f span=%d", b, tr.Index, tr.IPC, avg, n)
-			}
 		}
 		for _, p := range pols {
 			res, err := r.Run(b, p)

@@ -51,7 +51,8 @@ type Options struct {
 	// CkptDir persists checkpoints to a directory, surviving the
 	// process and warm-starting later runs.
 	CkptDir string
-	// CkptStride is the deposit stride in base intervals (default 1).
+	// CkptStride is the deposit stride in base intervals (0 = auto:
+	// about 32 deposits per workload).
 	CkptStride uint64
 	// VM overrides the VM configuration for every session the runner
 	// builds. Host-side fields only (e.g. vm.Config.EventBatch) may

@@ -42,29 +42,10 @@ func TestDebugTrace(t *testing.T) {
 
 	s2 := core.NewSession(spec, opts)
 	ds := NewDynamic(vm.MetricCPU, 300, 1, 0)
-	ds.TraceSamples = true
 	res, err := ds.Run(s2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("DS CPU: est=%.4f base=%.4f err=%.2f%% samples=%d detections=%v",
 		res.EstIPC, base.EstIPC, res.ErrorVs(base)*100, res.Samples, res.Detections)
-	// Compare each sample against the average full-timing IPC until the
-	// next sample (what the sample is extrapolated over).
-	for i, tr := range res.Trace {
-		end := uint64(len(base.Trace))
-		if i+1 < len(res.Trace) {
-			end = res.Trace[i+1].Index
-		}
-		var avg float64
-		var n int
-		for j := tr.Index; j < end && j < uint64(len(base.Trace)); j++ {
-			avg += base.Trace[j].IPC
-			n++
-		}
-		if n > 0 {
-			avg /= float64(n)
-		}
-		t.Logf("sample@%-5d ipc=%.3f  region-avg=%.3f  span=%d", tr.Index, tr.IPC, avg, n)
-	}
 }

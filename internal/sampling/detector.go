@@ -22,51 +22,44 @@ const (
 func (d Decision) Sample() bool { return d >= Detect }
 
 // PhaseDetector is the decision procedure of the paper's Algorithm 1,
-// fed once per finished interval with that interval's value of every
-// monitored variable: a phase change is declared when, for any of them,
+// fed once per finished interval with that interval's value of the
+// monitored variable: a phase change is declared when
 // |Δvar| / max(prev,1) · 100 > S against the previous interval, and a
 // measurement is forced after MaxFunc consecutive functional intervals.
-// Dynamic (one guest, any of N variables) and smp.System.DynamicSample
-// (the guests' summed variable) both decide through it. The zero value
-// with the two parameters set is ready to use.
+// Dynamic (one guest's variable) and smp.System.DynamicSample (the
+// guests' summed variable) both decide through it. The zero value with
+// the two parameters set is ready to use.
 type PhaseDetector struct {
 	// SensitivityPct is the threshold S in percent.
 	SensitivityPct float64
 	// MaxFunc caps consecutive functional intervals; 0 means unlimited.
 	MaxFunc int
 
-	prev    []uint64
+	prev    uint64
 	armed   bool
 	numFunc int
 }
 
-// Observe takes the finished interval's monitored values (the same
-// variables in the same order on every call) and returns the decision.
-// For Detect and Forced, gap is the number of functional intervals since
-// the last measurement, and the count restarts: the interval that
-// follows is the measurement, and it is compared like any other.
-func (d *PhaseDetector) Observe(vals ...uint64) (decision Decision, gap int) {
+// Observe takes the finished interval's monitored value and returns the
+// decision. For Detect and Forced, gap is the number of functional
+// intervals since the last measurement, and the count restarts: the
+// interval that follows is the measurement, and it is compared like any
+// other.
+func (d *PhaseDetector) Observe(val uint64) (decision Decision, gap int) {
+	prev := d.prev
+	d.prev = val
 	if !d.armed {
-		d.prev = append(d.prev[:0], vals...)
 		d.armed = true
 		return Arming, 0
 	}
-	changed := false
-	for i, v := range vals {
-		prev := d.prev[i]
-		diff := v - prev
-		if v < prev {
-			diff = prev - v
-		}
-		if prev == 0 {
-			prev = 1
-		}
-		if float64(diff)/float64(prev)*100 > d.SensitivityPct {
-			changed = true
-		}
-		d.prev[i] = v
+	diff := val - prev
+	if val < prev {
+		diff = prev - val
 	}
-	if changed {
+	if prev == 0 {
+		prev = 1
+	}
+	if float64(diff)/float64(prev)*100 > d.SensitivityPct {
 		gap, d.numFunc = d.numFunc, 0
 		return Detect, gap
 	}

@@ -14,37 +14,32 @@ import (
 
 // refDetector is Algorithm 1's decision written the obvious way, kept on
 // the test side as the reference the policies are compared against: one
-// call per finished interval with that interval's monitored values.
+// call per finished interval with that interval's monitored value.
 type refDetector struct {
 	sens    float64
 	maxFunc int
-	prev    []uint64 // nil until the first interval has been seen
+	prev    *uint64 // nil until the first interval has been seen
 	numFunc int
 }
 
 // observe returns "arm" (first interval: nothing to compare against),
 // "steady", "detect" or "maxfunc", and for the last two the number of
 // functional intervals that preceded the sample they order.
-func (d *refDetector) observe(vals ...uint64) (decision string, gap int) {
+func (d *refDetector) observe(val uint64) (decision string, gap int) {
 	prev := d.prev
-	d.prev = append([]uint64(nil), vals...)
+	d.prev = &val
 	if prev == nil {
 		return "arm", 0
 	}
-	changed := false
-	for i, v := range vals {
-		diff := v - prev[i]
-		if v < prev[i] {
-			diff = prev[i] - v
-		}
-		den := prev[i]
-		if den == 0 {
-			den = 1
-		}
-		if float64(diff)/float64(den)*100 > d.sens {
-			changed = true
-		}
+	diff := val - *prev
+	if val < *prev {
+		diff = *prev - val
 	}
+	den := *prev
+	if den == 0 {
+		den = 1
+	}
+	changed := float64(diff)/float64(den)*100 > d.sens
 	if changed {
 		gap, d.numFunc = d.numFunc, 0
 		return "detect", gap
@@ -58,44 +53,42 @@ func (d *refDetector) observe(vals ...uint64) (decision string, gap int) {
 }
 
 // detectorCases is the decision table: each row is a series of
-// per-interval monitored values and the decision after each interval.
+// per-interval values of the monitored variable and the decision after
+// each interval.
 // The interval after a "detect" or "maxfunc" is the sample it ordered;
 // its values are compared like any other interval's.
 var detectorCases = []struct {
 	name    string
 	sens    float64
 	maxFunc int
-	series  [][]uint64
+	series  []uint64
 	want    []string
 	gaps    []int // gap of every detect/maxfunc decision, in order
 }{
 	{"first interval never triggers", 10, 0,
-		[][]uint64{{1000}, {1000}}, []string{"arm", "steady"}, nil},
+		[]uint64{1000, 1000}, []string{"arm", "steady"}, nil},
 	{"first interval never triggers, even at max_func 1", 10, 1,
-		[][]uint64{{1000}, {1000}, {1000}}, []string{"arm", "maxfunc", "maxfunc"}, []int{1, 1}},
+		[]uint64{1000, 1000, 1000}, []string{"arm", "maxfunc", "maxfunc"}, []int{1, 1}},
 	{"increase past S", 100, 0,
-		[][]uint64{{10}, {20}, {41}}, []string{"arm", "steady", "detect"}, []int{1}},
+		[]uint64{10, 20, 41}, []string{"arm", "steady", "detect"}, []int{1}},
 	{"exactly S is not a change", 100, 0,
-		[][]uint64{{10}, {20}, {0}}, []string{"arm", "steady", "steady"}, nil},
+		[]uint64{10, 20, 0}, []string{"arm", "steady", "steady"}, nil},
 	{"decrease counts as change", 50, 0,
-		[][]uint64{{100}, {49}, {49}}, []string{"arm", "detect", "steady"}, []int{0}},
+		[]uint64{100, 49, 49}, []string{"arm", "detect", "steady"}, []int{0}},
 	{"prev == 0 uses denominator 1", 300, 0,
-		[][]uint64{{0}, {3}, {0}, {4}}, []string{"arm", "steady", "steady", "detect"}, []int{2}},
+		[]uint64{0, 3, 0, 4}, []string{"arm", "steady", "steady", "detect"}, []int{2}},
 	{"prev == 0 and now == 0 is steady", 0, 0,
-		[][]uint64{{0}, {0}}, []string{"arm", "steady"}, nil},
+		[]uint64{0, 0}, []string{"arm", "steady"}, nil},
 	{"max_func forces on the N-th steady interval", 50, 3,
-		[][]uint64{{8}, {8}, {8}, {8}, {8}, {8}, {8}},
+		[]uint64{8, 8, 8, 8, 8, 8, 8},
 		[]string{"arm", "steady", "steady", "maxfunc", "steady", "steady", "maxfunc"}, []int{3, 3}},
 	{"the count restarts after a sample", 50, 3,
-		[][]uint64{{8}, {8}, {8}, {80}, {80}, {80}, {80}},
+		[]uint64{8, 8, 8, 80, 80, 80, 80},
 		[]string{"arm", "steady", "steady", "detect", "steady", "steady", "maxfunc"}, []int{2, 3}},
 	{"max_func 0 never forces", 50, 0,
-		[][]uint64{{8}, {8}, {8}, {8}, {8}, {8}}, []string{"arm", "steady", "steady", "steady", "steady", "steady"}, nil},
-	{"any of N metrics", 100, 0,
-		[][]uint64{{10, 5}, {10, 5}, {10, 11}, {30, 11}, {30, 11}},
-		[]string{"arm", "steady", "detect", "detect", "steady"}, []int{1, 0}},
+		[]uint64{8, 8, 8, 8, 8, 8}, []string{"arm", "steady", "steady", "steady", "steady", "steady"}, nil},
 	{"back-to-back detections", 10, 2,
-		[][]uint64{{1}, {10}, {100}, {100}}, []string{"arm", "detect", "detect", "steady"}, []int{0, 0}},
+		[]uint64{1, 10, 100, 100}, []string{"arm", "detect", "detect", "steady"}, []int{0, 0}},
 }
 
 // TestDetectorTable runs every row through the reference and through
@@ -106,10 +99,10 @@ func TestDetectorTable(t *testing.T) {
 	for _, c := range detectorCases {
 		ref := refDetector{sens: c.sens, maxFunc: c.maxFunc}
 		det := PhaseDetector{SensitivityPct: c.sens, MaxFunc: c.maxFunc}
-		observers := map[string]func(vals ...uint64) (string, int){
+		observers := map[string]func(val uint64) (string, int){
 			"reference": ref.observe,
-			"PhaseDetector": func(vals ...uint64) (string, int) {
-				d, gap := det.Observe(vals...)
+			"PhaseDetector": func(val uint64) (string, int) {
+				d, gap := det.Observe(val)
 				if d.Sample() != (d == Detect || d == Forced) {
 					t.Errorf("%s: %s.Sample() = %v", c.name, names[d], d.Sample())
 				}
@@ -119,8 +112,8 @@ func TestDetectorTable(t *testing.T) {
 		for who, observe := range observers {
 			var got []string
 			var gaps []int
-			for _, vals := range c.series {
-				d, gap := observe(vals...)
+			for _, val := range c.series {
+				d, gap := observe(val)
 				got = append(got, d)
 				if d == "detect" || d == "maxfunc" {
 					gaps = append(gaps, gap)
@@ -147,7 +140,6 @@ type refDynamicResult struct {
 
 func refDynamic(p Dynamic, s *core.Session) refDynamicResult {
 	interval := s.IntervalLen() * p.IntervalMul
-	metrics := append([]vm.Metric{p.Metric}, p.ExtraMetrics...)
 	det := refDetector{sens: p.SensitivityPct, maxFunc: p.MaxFunc}
 	res := refDynamicResult{decisions: map[string]int{}}
 	var est Estimator
@@ -175,11 +167,7 @@ func refDynamic(p Dynamic, s *core.Session) refDynamicResult {
 		}
 		delta, now := s.StatsDelta(prev)
 		prev = now
-		vals := make([]uint64, len(metrics))
-		for i, m := range metrics {
-			vals[i] = delta.Value(m)
-		}
-		d, gap := det.observe(vals...)
+		d, gap := det.observe(delta.Value(p.Metric))
 		res.decisions[d]++
 		if d == "detect" || d == "maxfunc" {
 			timing = true
@@ -205,8 +193,7 @@ func TestDynamicFollowsReferenceDetector(t *testing.T) {
 		NewDynamic(vm.MetricCPU, 300, 1, 3),
 		NewDynamic(vm.MetricEXC, 100, 1, 10),
 		NewDynamic(vm.MetricIO, 100, 10, 2),
-		{Metric: vm.MetricCPU, ExtraMetrics: []vm.Metric{vm.MetricIO, vm.MetricEXC},
-			SensitivityPct: 200, IntervalMul: 1, MaxFunc: 5, WarmIntervals: 1},
+		{Metric: vm.MetricCPU, SensitivityPct: 200, IntervalMul: 1, MaxFunc: 5, WarmIntervals: 1},
 	}
 	for _, bench := range []string{"gzip", "mcf"} {
 		spec, err := workload.ByName(bench)

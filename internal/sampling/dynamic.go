@@ -25,13 +25,6 @@ import (
 type Dynamic struct {
 	// Metric is the monitored VM statistic (Algorithm 1's "var").
 	Metric vm.Metric
-	// ExtraMetrics adds further monitored variables: a phase change is
-	// declared when ANY monitored variable exceeds the sensitivity.
-	// The paper's results section observes that "it is very important
-	// to identify the right variable(s) to monitor" — combining the
-	// clean code-cache signal with the I/O signal covers transitions
-	// either one alone misses.
-	ExtraMetrics []vm.Metric
 	// SensitivityPct is the phase-change threshold S as a percentage:
 	// a phase change is declared when |Δvar| / max(prev,1) * 100 > S.
 	SensitivityPct float64
@@ -51,9 +44,6 @@ type Dynamic struct {
 	// one cheap functional interval keeps the measurement out of it
 	// without the cost of more detailed warming.
 	SettleIntervals int
-	// TraceSamples records each measurement in Result.Trace (index is
-	// the interval at which the sample was taken).
-	TraceSamples bool
 }
 
 // NewDynamic returns the paper's standard configuration for a monitored
@@ -81,11 +71,7 @@ func (p Dynamic) Name() string {
 	if p.MaxFunc > 0 {
 		maxf = fmt.Sprintf("%d", p.MaxFunc)
 	}
-	vars := p.Metric.String()
-	for _, m := range p.ExtraMetrics {
-		vars += "+" + m.String()
-	}
-	return fmt.Sprintf("%s-%.0f-%s-%s", vars, p.SensitivityPct, lenName, maxf)
+	return fmt.Sprintf("%s-%.0f-%s-%s", p.Metric, p.SensitivityPct, lenName, maxf)
 }
 
 // Run implements Policy (the paper's Algorithm 1).
@@ -109,9 +95,7 @@ func (p Dynamic) Run(s *core.Session) (Result, error) {
 	gapHist := reg.Histogram("sampling_functional_gap_intervals",
 		obs.ExpBuckets(1, 2, 10), "policy", p.Name())
 
-	metrics := append([]vm.Metric{p.Metric}, p.ExtraMetrics...)
 	det := PhaseDetector{SensitivityPct: p.SensitivityPct, MaxFunc: p.MaxFunc}
-	vals := make([]uint64, len(metrics))
 	timing := false
 	prevStats := s.Machine().Stats()
 	var idx uint64
@@ -131,9 +115,6 @@ func (p Dynamic) Run(s *core.Session) (Result, error) {
 			est.Sample(ipc, ex)
 			res.Samples++
 			po.sample(ipc)
-			if p.TraceSamples {
-				res.Trace = append(res.Trace, IntervalTrace{Index: idx, IPC: ipc})
-			}
 		} else {
 			ex := s.RunFast(interval)
 			est.Functional(ex)
@@ -142,13 +123,10 @@ func (p Dynamic) Run(s *core.Session) (Result, error) {
 			}
 		}
 
-		// Inspect the monitored variable(s) at the end of the interval.
+		// Inspect the monitored variable at the end of the interval.
 		delta, now := s.StatsDelta(prevStats)
 		prevStats = now
-		for i, m := range metrics {
-			vals[i] = delta.Value(m)
-		}
-		decision, gap := det.Observe(vals...)
+		decision, gap := det.Observe(delta.Value(p.Metric))
 		timing = decision.Sample()
 		switch decision {
 		case Detect:

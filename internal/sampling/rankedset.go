@@ -6,9 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/vm"
 )
 
 // RankedSet implements ranked set sampling with repeated subsampling
@@ -25,9 +23,6 @@ import (
 // interval is within the requested width or the cycle budget is
 // exhausted, replaying the guest for each extra round.
 type RankedSet struct {
-	// Metrics are the VM statistics summed into the ranking proxy
-	// (nil = all of CPU, EXC, I/O).
-	Metrics []vm.Metric
 	// SetSize is m, the number of candidates ranked per set.
 	SetSize int
 	// Cycles is the number of balanced cycles (m measurements each).
@@ -68,10 +63,10 @@ func (p RankedSet) WithTarget(relHW float64, maxCycles int) RankedSet {
 func (p RankedSet) Name() string {
 	p = p.withDefaults()
 	if p.TargetRelHW > 0 {
-		return fmt.Sprintf("RSS%s-m%d-±%.3g%%@%.0f-s%d",
-			metricTag(p.Metrics), p.SetSize, p.TargetRelHW*100, p.Confidence*100, p.Seed)
+		return fmt.Sprintf("RSS-m%d-±%.3g%%@%.0f-s%d",
+			p.SetSize, p.TargetRelHW*100, p.Confidence*100, p.Seed)
 	}
-	return fmt.Sprintf("RSS%s-m%d-c%d-s%d", metricTag(p.Metrics), p.SetSize, p.Cycles, p.Seed)
+	return fmt.Sprintf("RSS-m%d-c%d-s%d", p.SetSize, p.Cycles, p.Seed)
 }
 
 func (p RankedSet) withDefaults() RankedSet {
@@ -96,28 +91,13 @@ func (p RankedSet) withDefaults() RankedSet {
 // Run implements Policy.
 func (p RankedSet) Run(s *core.Session) (Result, error) {
 	p = p.withDefaults()
-	name := p.Name()
-	res := Result{Policy: name, Bench: s.Spec().Name}
-	metrics := p.Metrics
-	if metrics == nil {
-		metrics = defaultProxyMetrics()
-	}
-
-	po := newPolicyObs(s, name)
-	reg := s.Obs()
-	hwHist := reg.Histogram("sampling_ci_rel_halfwidth_pct",
-		obs.ExpBuckets(0.125, 2, 12), "policy", name)
-	roundsC := reg.Counter("sampling_refine_rounds_total", "policy", name)
-	metC := reg.Counter("sampling_error_target_total", "policy", name, "outcome", "met")
-	missC := reg.Counter("sampling_error_target_total", "policy", name, "outcome", "budget")
-
 	// Phase 1: proxy profile (the ranking variable).
-	proxy := proxyProfile(s, metrics)
-	n := len(proxy)
-	if n == 0 {
-		return res, errPolicy(name, "budget %d shorter than one interval (%d)", s.Total(), s.IntervalLen())
+	tp, err := beginTwoPhase(s, p.Name())
+	if err != nil {
+		return tp.res, err
 	}
-	res.Instructions = s.Executed()
+	res, po, proxy := &tp.res, tp.po, tp.proxy
+	n := len(proxy)
 
 	m := p.SetSize
 	if m > n {
@@ -265,27 +245,9 @@ func (p RankedSet) Run(s *core.Session) (Result, error) {
 			}
 			record(byCycle)
 			res.Samples += got
-			roundsC.Inc()
+			tp.roundsC.Inc()
 			iv = estimate()
 		}
-		res.TargetMet = iv.Valid() && iv.RelHalfWidth() <= p.TargetRelHW
-		if res.TargetMet {
-			metC.Inc()
-		} else {
-			missC.Inc()
-		}
 	}
-
-	if iv.Valid() {
-		res.CPIInterval = &iv
-		if iv.Point > 0 {
-			res.EstIPC = 1 / iv.Point
-		}
-		res.CIHalfWidthPct = iv.RelHalfWidth() * 100
-		hwHist.Observe(res.CIHalfWidthPct)
-	} else if iv.Point > 0 {
-		res.EstIPC = 1 / iv.Point
-	}
-	res.Cost = s.Meter().Report(s.Scale())
-	return res, nil
+	return tp.end(s, iv, p.TargetRelHW), nil
 }

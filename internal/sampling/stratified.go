@@ -6,9 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/vm"
 )
 
 // Stratified implements two-phase stratified sampling (Ekman &
@@ -27,9 +25,6 @@ import (
 // pass replays the guest from the start (Session.Reset preserves the
 // host-cost meter), so multi-pass refinement pays its real cost.
 type Stratified struct {
-	// Metrics are the VM statistics summed into the phase proxy
-	// (nil = all of CPU, EXC, I/O).
-	Metrics []vm.Metric
 	// Strata is the number of strata K the frame is cut into.
 	Strata int
 	// Samples is the initial number of timed measurements.
@@ -76,30 +71,15 @@ func (p Stratified) WithTarget(relHW float64, budget int) Stratified {
 	return p
 }
 
-// metricTag renders a non-default proxy-metric set for Name.
-func metricTag(metrics []vm.Metric) string {
-	if metrics == nil {
-		return ""
-	}
-	tag := "["
-	for i, m := range metrics {
-		if i > 0 {
-			tag += "+"
-		}
-		tag += m.String()
-	}
-	return tag + "]"
-}
-
 // Name implements Policy ("Strat-K4-n48-s17"; targeting mode names the
 // contract instead of the fixed design: "Strat-K4-±1%@95-s17").
 func (p Stratified) Name() string {
 	p = p.withDefaults()
 	if p.TargetRelHW > 0 {
-		return fmt.Sprintf("Strat%s-K%d-±%.3g%%@%.0f-s%d",
-			metricTag(p.Metrics), p.Strata, p.TargetRelHW*100, p.Confidence*100, p.Seed)
+		return fmt.Sprintf("Strat-K%d-±%.3g%%@%.0f-s%d",
+			p.Strata, p.TargetRelHW*100, p.Confidence*100, p.Seed)
 	}
-	return fmt.Sprintf("Strat%s-K%d-n%d-s%d", metricTag(p.Metrics), p.Strata, p.Samples, p.Seed)
+	return fmt.Sprintf("Strat-K%d-n%d-s%d", p.Strata, p.Samples, p.Seed)
 }
 
 func (p Stratified) withDefaults() Stratified {
@@ -133,28 +113,13 @@ type stratum struct {
 // Run implements Policy.
 func (p Stratified) Run(s *core.Session) (Result, error) {
 	p = p.withDefaults()
-	name := p.Name()
-	res := Result{Policy: name, Bench: s.Spec().Name}
-	metrics := p.Metrics
-	if metrics == nil {
-		metrics = defaultProxyMetrics()
-	}
-
-	po := newPolicyObs(s, name)
-	reg := s.Obs()
-	hwHist := reg.Histogram("sampling_ci_rel_halfwidth_pct",
-		obs.ExpBuckets(0.125, 2, 12), "policy", name)
-	roundsC := reg.Counter("sampling_refine_rounds_total", "policy", name)
-	metC := reg.Counter("sampling_error_target_total", "policy", name, "outcome", "met")
-	missC := reg.Counter("sampling_error_target_total", "policy", name, "outcome", "budget")
-
 	// Phase 1: cheap full-speed proxy profile over the whole budget.
-	proxy := proxyProfile(s, metrics)
-	n := len(proxy)
-	if n == 0 {
-		return res, errPolicy(name, "budget %d shorter than one interval (%d)", s.Total(), s.IntervalLen())
+	tp, err := beginTwoPhase(s, p.Name())
+	if err != nil {
+		return tp.res, err
 	}
-	res.Instructions = s.Executed()
+	res, po, proxy := &tp.res, tp.po, tp.proxy
+	n := len(proxy)
 
 	// Stratify: sort the frame by (proxy, index) and cut into K
 	// near-equal contiguous groups.
@@ -295,29 +260,11 @@ func (p Stratified) Run(s *core.Session) (Result, error) {
 				break
 			}
 			res.Samples += got
-			roundsC.Inc()
+			tp.roundsC.Inc()
 			iv = estimate()
 		}
-		res.TargetMet = iv.Valid() && iv.RelHalfWidth() <= p.TargetRelHW
-		if res.TargetMet {
-			metC.Inc()
-		} else {
-			missC.Inc()
-		}
 	}
-
-	if iv.Valid() {
-		res.CPIInterval = &iv
-		if iv.Point > 0 {
-			res.EstIPC = 1 / iv.Point
-		}
-		res.CIHalfWidthPct = iv.RelHalfWidth() * 100
-		hwHist.Observe(res.CIHalfWidthPct)
-	} else if pt := iv.Point; pt > 0 {
-		res.EstIPC = 1 / pt
-	}
-	res.Cost = s.Meter().Report(s.Scale())
-	return res, nil
+	return tp.end(s, iv, p.TargetRelHW), nil
 }
 
 // allocRemaining is NeymanAllocation with caps given as remaining room

@@ -5,19 +5,15 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"repro/internal/vm"
 )
 
 func TestStatisticalPolicyNames(t *testing.T) {
 	t.Parallel()
 	cases := map[string]Policy{
-		"Strat-K6-n48-s17":       NewStratified(17),
-		"Strat-K6-±1%@95-s3":     NewStratified(3).WithTarget(0.01, 200),
-		"RSS-m4-c12-s17":         NewRankedSet(17),
-		"RSS-m4-±2.5%@95-s9":     NewRankedSet(9).WithTarget(0.025, 64),
-		"Strat[EXC]-K6-n48-s1":   Stratified{Metrics: []vm.Metric{vm.MetricEXC}, Seed: 1},
-		"RSS[CPU+I/O]-m4-c12-s2": RankedSet{Metrics: []vm.Metric{vm.MetricCPU, vm.MetricIO}, Seed: 2},
+		"Strat-K6-n48-s17":   NewStratified(17),
+		"Strat-K6-±1%@95-s3": NewStratified(3).WithTarget(0.01, 200),
+		"RSS-m4-c12-s17":     NewRankedSet(17),
+		"RSS-m4-±2.5%@95-s9": NewRankedSet(9).WithTarget(0.025, 64),
 	}
 	for want, p := range cases {
 		if got := p.Name(); got != want {

@@ -16,7 +16,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/dynamic_report.golden with current output")
 
 // TestDynamicReportGolden pins system-level Dynamic Sampling against
-// bytes recorded once: check.SMPEquivalence compares two schedules of
+// bytes recorded once: TestSMPEquivalence compares two schedules of
 // the same code, so a change to the phase detector common to both would
 // pass it. The two systems cover a guest that halts early, a bounded
 // and an unbounded max_func, and two monitored statistics.

@@ -18,10 +18,17 @@ func (c *capture) reset() { c.evs = c.evs[:0] }
 // events are copied out.
 func (c *capture) OnEvents(evs []vm.Event) { c.evs = append(c.evs, evs...) }
 
-// runParallel executes the quantum schedule with one host goroutine
-// per unfinished guest and a deterministic barrier rendezvous at every
-// quantum boundary. It is bit-identical to runSequential — the
-// contract check.SMPEquivalence pins — by construction:
+// run advances every unfinished guest by up to n instructions in
+// quanta. timed selects the per-guest sink: nil for fast mode, the
+// guest's core for timed mode. Each guest's machine owns its own event
+// batch buffer, so quantum interleaving never mixes guests' events.
+//
+// The schedule is one host goroutine per unfinished guest and a
+// deterministic barrier rendezvous at every quantum boundary. It is
+// bit-identical to the sequential round-robin reference (each guest's
+// quantum executing — and, when timed, feeding its core and therefore
+// the shared L2 — in guest order on one goroutine), the contract
+// TestSMPEquivalence pins, by construction:
 //
 //   - A guest's functional execution depends only on its own VM state.
 //     Timing sinks never feed back into architectural execution, so
@@ -50,7 +57,11 @@ func (c *capture) OnEvents(evs []vm.Event) { c.evs = append(c.evs, evs...) }
 // barriers. Run returns only after the replayer has drained every
 // round, so markers, statistics, and estimates read after a run are
 // final.
-func (s *System) runParallel(n uint64, timed bool) {
+func (s *System) run(n uint64, timed bool) {
+	if s.reference != nil {
+		s.reference(s, n, timed)
+		return
+	}
 	remaining := make([]uint64, len(s.guests))
 	runnable := false
 	for i, g := range s.guests {

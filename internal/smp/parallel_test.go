@@ -39,7 +39,7 @@ func TestBudgetGuardNoUnderflow(t *testing.T) {
 	budget := natural / 4 // well inside the program, so budget is what stops it
 
 	for _, sequential := range []bool{false, true} {
-		sys := New(Config{Sequential: sequential, Quantum: 257})
+		sys := newSystem(Config{Quantum: 257}, sequential)
 		g := sys.AddGuest("gzip", build(), budget)
 
 		// Exactly to budget.
@@ -92,7 +92,7 @@ func TestHaltedGuestEstimateFinite(t *testing.T) {
 	imgB, _ := workload.BuildScaled(specB, 20_000_000)
 
 	for _, sequential := range []bool{false, true} {
-		sys := New(Config{Sequential: sequential})
+		sys := newSystem(Config{}, sequential)
 		sys.AddGuest("gzip", buildA(), budgetA)
 		sys.AddGuest("tiny", imgB, budgetA)
 		ests, err := sys.DynamicSample(vm.MetricCPU, 300, 150_000, 2)
@@ -136,7 +136,7 @@ func TestMixedHaltSamples(t *testing.T) {
 	imgB, _ := workload.BuildScaled(specB, 150_000)
 
 	for _, sequential := range []bool{false, true} {
-		sys := New(Config{Sequential: sequential})
+		sys := newSystem(Config{}, sequential)
 		sys.AddGuest("gzip", buildA(), budgetA)
 		b := sys.AddGuest("mid", imgB, budgetA)
 		ests, err := sys.DynamicSample(vm.MetricCPU, 300, 4000, 2)
@@ -234,30 +234,6 @@ func TestDeterminismAcrossSystems(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequentialInline is the cheap in-package version
-// of check.SMPEquivalence: one configuration, parallel vs sequential,
-// byte-identical reports after timed execution.
-func TestParallelMatchesSequentialInline(t *testing.T) {
-	t.Parallel()
-	const scale = 400_000
-	_, budgetA, buildA := buildImage(t, "gzip", scale)
-	_, budgetB, buildB := buildImage(t, "swim", scale)
-
-	run := func(sequential bool) string {
-		sys := New(Config{Sequential: sequential, Quantum: 128})
-		sys.AddGuest("gzip", buildA(), budgetA)
-		sys.AddGuest("swim", buildB(), budgetB)
-		for !sys.Done() {
-			sys.RunTimed(1 << 16)
-		}
-		return sys.Report(nil)
-	}
-	seq, par := run(true), run(false)
-	if seq != par {
-		t.Fatalf("parallel timed run diverged from sequential:\n--- sequential\n%s--- parallel\n%s", seq, par)
-	}
-}
-
 // TestParallelSpeedupSmoke: with 4 guests and at least 4 host CPUs, the
 // parallel schedule must beat the sequential one by at least 1.5x in
 // fast mode (where the quantum work dominates and the barrier is the
@@ -275,7 +251,7 @@ func TestParallelSpeedupSmoke(t *testing.T) {
 	benches := []string{"gzip", "mcf", "swim", "perlbmk"}
 
 	build := func() (*System, *System) {
-		seq := New(Config{Sequential: true})
+		seq := newSystem(Config{}, true)
 		par := New(Config{})
 		for _, b := range benches {
 			spec, err := workload.ByName(b)

@@ -16,9 +16,9 @@
 // deterministic barrier at each quantum boundary (see parallel.go and
 // DESIGN.md §16). The schedule's observable results — statistics, IPC
 // estimates, rendered reports — are bit-identical to the sequential
-// round-robin reference schedule (Config.Sequential), which
-// check.SMPEquivalence pins across GOMAXPROCS values, quantum sizes,
-// and execution modes.
+// round-robin reference schedule, which lives with the package's tests
+// (equivalence_test.go): TestSMPEquivalence pins the identity across
+// GOMAXPROCS values, quantum sizes, and execution modes.
 //
 // System-level Dynamic Sampling works exactly as in the single-core
 // case, monitoring the *sum* of the guests' VM statistics: a phase
@@ -43,22 +43,14 @@ import (
 // Config parameterises the system.
 type Config struct {
 	// Quantum is the scheduling quantum in instructions (default
-	// 10000): the rendezvous granularity of the parallel schedule and
-	// the round-robin slice of the sequential one. Smaller quanta
-	// interleave the shared-L2 footprints more finely; the results are
-	// identical between schedules at every quantum size.
+	// 10000): the rendezvous granularity of the schedule. Smaller quanta
+	// interleave the shared-L2 footprints more finely.
 	Quantum uint64
 	// Timing is the per-core configuration (its L2 geometry defines
 	// the shared L2).
 	Timing timing.Config
 	// VM is the per-guest VM configuration.
 	VM vm.Config
-	// Sequential selects the single-goroutine round-robin reference
-	// schedule instead of the parallel barrier schedule. Results are
-	// bit-identical either way (check.SMPEquivalence); the knob exists
-	// for that comparison and for single-core hosts where goroutine
-	// switching is pure overhead.
-	Sequential bool
 	// Obs, when non-nil, receives scheduler metrics: barrier rounds,
 	// quanta executed, replayed shared-L2 events, and per-guest
 	// instruction and sample counters. Purely observational.
@@ -86,7 +78,7 @@ type Guest struct {
 	// caps are the double-buffered event-capture sinks for timed
 	// parallel quanta: the round's parity selects the buffer, so the
 	// replayer can drain round k while the guest's VM already fills
-	// round k+1 (see runParallel).
+	// round k+1 (see run).
 	caps [2]capture
 
 	obsInstr   *obs.Counter
@@ -123,6 +115,11 @@ type System struct {
 	sharedL2 *cache.Cache
 	guests   []*Guest
 
+	// reference, when non-nil, runs in place of the parallel schedule.
+	// Only the package's tests set it, to the round-robin schedule the
+	// parallel one is defined against (equivalence_test.go).
+	reference func(s *System, n uint64, timed bool)
+
 	obsRounds *obs.Counter
 	obsQuanta *obs.Counter
 	obsReplay *obs.Counter
@@ -131,15 +128,11 @@ type System struct {
 // New creates an empty system.
 func New(cfg Config) *System {
 	cfg.setDefaults()
-	sched := "parallel"
-	if cfg.Sequential {
-		sched = "sequential"
-	}
 	return &System{
 		cfg:       cfg,
 		sharedL2:  cache.New(cfg.Timing.L2),
-		obsRounds: cfg.Obs.Counter("smp_barrier_rounds_total", "schedule", sched),
-		obsQuanta: cfg.Obs.Counter("smp_quanta_total", "schedule", sched),
+		obsRounds: cfg.Obs.Counter("smp_barrier_rounds_total", "schedule", "parallel"),
+		obsQuanta: cfg.Obs.Counter("smp_quanta_total", "schedule", "parallel"),
 		obsReplay: cfg.Obs.Counter("smp_replay_events_total"),
 	}
 }
@@ -177,57 +170,6 @@ func (s *System) Done() bool {
 		}
 	}
 	return len(s.guests) > 0
-}
-
-// run advances every unfinished guest by up to n instructions in
-// quanta. timed selects the per-guest sink: nil for fast mode, the
-// guest's core for timed mode. Each guest's machine owns its own event
-// batch buffer, so quantum interleaving never mixes guests' events.
-func (s *System) run(n uint64, timed bool) {
-	if s.cfg.Sequential {
-		s.runSequential(n, timed)
-		return
-	}
-	s.runParallel(n, timed)
-}
-
-// runSequential is the reference schedule: round-robin on the calling
-// goroutine, each guest's quantum executing — and, when timed, feeding
-// its core and therefore the shared L2 — in guest order. The parallel
-// schedule is defined as bit-identical to this one.
-func (s *System) runSequential(n uint64, timed bool) {
-	remaining := make([]uint64, len(s.guests))
-	for i, g := range s.guests {
-		remaining[i] = g.remaining(n)
-	}
-	for {
-		progress := false
-		for i, g := range s.guests {
-			if remaining[i] == 0 || g.Machine.Halted() {
-				continue
-			}
-			q := s.cfg.Quantum
-			if q > remaining[i] {
-				q = remaining[i]
-			}
-			var sink vm.Sink
-			if timed {
-				sink = g.Core
-			}
-			ex := g.Machine.Run(q, sink)
-			g.executed += ex
-			remaining[i] -= ex
-			g.obsInstr.Add(ex)
-			s.obsQuanta.Inc()
-			if ex > 0 {
-				progress = true
-			}
-		}
-		s.obsRounds.Inc()
-		if !progress {
-			return
-		}
-	}
 }
 
 // RunFast advances every guest by up to n instructions at full VM speed.
@@ -358,7 +300,7 @@ func (s *System) DynamicSample(metric vm.Metric, sensitivityPct float64, interva
 // shared-L2 summary as a deterministic text artifact. Floats carry
 // both a readable decimal and an exact hexadecimal rendering, so a
 // byte-compare of two reports is a bit-compare of the runs; the
-// equivalence harness (internal/check) renders through here.
+// equivalence harness (equivalence_test.go) renders through here.
 func (s *System) Report(ests []Estimate) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "smp system: %d guests, quantum %d\n", len(s.guests), s.cfg.Quantum)

@@ -195,15 +195,10 @@ func (cl *Client) Claim(worker string) (*Lease, bool, error) {
 	return resp.Lease, resp.Done, nil
 }
 
-// Heartbeat extends a lease.
-func (cl *Client) Heartbeat(id uint64) error {
-	return cl.HeartbeatCtx(context.Background(), id)
-}
-
-// HeartbeatCtx extends a lease; the context cancels the in-flight
+// Heartbeat extends a lease; the context cancels the in-flight
 // request, so a heartbeater can stop promptly even while the
 // coordinator is unreachable.
-func (cl *Client) HeartbeatCtx(ctx context.Context, id uint64) error {
+func (cl *Client) Heartbeat(ctx context.Context, id uint64) error {
 	return cl.postJSON(ctx, "/v1/heartbeat", leaseRequest{Lease: id, Epoch: cl.epoch.Load()}, nil)
 }
 

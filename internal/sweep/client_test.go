@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -90,7 +91,7 @@ func TestClientMalformedResponses(t *testing.T) {
 				t.Errorf("Claim: err = %v, want %v", err, tc.want)
 			}
 			// Heartbeat exercises the out==nil decode path.
-			if err := cl.Heartbeat(1); !errors.Is(err, tc.want) {
+			if err := cl.Heartbeat(context.Background(), 1); !errors.Is(err, tc.want) {
 				// The lease-id-zero case only applies to claim decoding.
 				if tc.name != "lease id zero" {
 					t.Errorf("Heartbeat: err = %v, want %v", err, tc.want)
@@ -157,7 +158,7 @@ func TestClientAdoptsEpoch(t *testing.T) {
 	if cl.Epoch() != 7 {
 		t.Fatalf("client epoch = %d, want 7", cl.Epoch())
 	}
-	if err := cl.Heartbeat(1); err != nil {
+	if err := cl.Heartbeat(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if gotEpoch != 7 {

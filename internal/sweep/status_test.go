@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -114,12 +115,12 @@ func TestHTTPEpochGate(t *testing.T) {
 	}
 
 	// Correct epoch: accepted.
-	if err := cl.Heartbeat(lease.ID); err != nil {
+	if err := cl.Heartbeat(context.Background(), lease.ID); err != nil {
 		t.Fatalf("heartbeat at current epoch: %v", err)
 	}
 	// Stale epoch: rejected with the typed error, and counted.
 	cl.epoch.Store(99)
-	if err := cl.Heartbeat(lease.ID); !errors.Is(err, ErrStaleEpoch) {
+	if err := cl.Heartbeat(context.Background(), lease.ID); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("heartbeat at epoch 99: err = %v, want ErrStaleEpoch", err)
 	}
 	if coord.Stats().EpochDrops == 0 {
@@ -127,7 +128,7 @@ func TestHTTPEpochGate(t *testing.T) {
 	}
 	// Legacy epoch 0: passes the gate.
 	cl.epoch.Store(0)
-	if err := cl.Heartbeat(lease.ID); err != nil {
+	if err := cl.Heartbeat(context.Background(), lease.ID); err != nil {
 		t.Fatalf("legacy heartbeat: %v", err)
 	}
 }

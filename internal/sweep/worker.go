@@ -157,7 +157,7 @@ func startHeartbeat(cl *Client, id uint64, ttl time.Duration) *heartbeater {
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				err := cl.HeartbeatCtx(ctx, id)
+				err := cl.Heartbeat(ctx, id)
 				switch {
 				case errors.Is(err, ErrStaleLease), errors.Is(err, ErrStaleEpoch):
 					return // lease already lost; stop renewing

@@ -198,10 +198,6 @@ func (c *Core) Snapshot() Snapshot {
 	}
 }
 
-// ClassCounts returns the cumulative retired-instruction counts by
-// instruction class (the power model's activity factors).
-func (c *Core) ClassCounts() [isa.NumClasses]uint64 { return c.byClass }
-
 // Instructions returns the cumulative instruction count seen in detail.
 func (c *Core) Instructions() uint64 { return c.instrs }
 

@@ -4,6 +4,15 @@
 # deleted or moved package cannot stay documented. A trailing
 # `:line`, `/...` or sentence punctuation is not part of the path.
 #
+# Likewise every backticked `pkg.Identifier` or `pkg.Type.Member` whose
+# pkg is a directory under internal/ and whose Identifier is exported
+# must name something that package declares (test files included), so a
+# renamed or deleted function, type, field or option cannot stay
+# documented either. The lookup is a
+# grep for a declaration of that name, not a type check; prose that only
+# looks like a qualified name (`stats.Instructions` for a field of
+# vm.Stats) goes in scripts/docs-check.allow, one `pkg.Name` per line.
+#
 #   scripts/docs-check.sh
 set -euo pipefail
 
@@ -21,7 +30,31 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
 		fi
 	done < <(grep -oE '\b(internal|cmd|scripts|examples)/[A-Za-z0-9_./:-]+' "$doc" | sort -u)
 done
+
+# declares DIR NAME: some Go file in DIR declares NAME at top level, as
+# a method, or as a member of a block (struct field, interface method,
+# grouped const or var).
+declares() {
+	grep -qsE "^(func|type|var|const) $2\\b|^func \\([^)]*\\) $2\\(|^[[:space:]]+$2\\b" "$1"/*.go
+}
+
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+	while IFS=. read -r pkg name member; do
+		[ -d "internal/$pkg" ] || continue
+		if grep -qsxF -e "$pkg.$name" -e "$pkg.$name.$member" scripts/docs-check.allow; then
+			continue
+		fi
+		if ! declares "internal/$pkg" "$name"; then
+			echo "$doc cites $pkg.$name, which internal/$pkg does not declare" >&2
+			missing=1
+		elif [ -n "$member" ] && ! declares "internal/$pkg" "$member"; then
+			echo "$doc cites $pkg.$name.$member, and internal/$pkg declares no $member" >&2
+			missing=1
+		fi
+	done < <(grep -oE '`[^`]+`' "$doc" |
+		grep -oE '\b[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?' | sort -u)
+done
 if [ "$missing" -ne 0 ]; then
 	exit 1
 fi
-echo "docs-check: every cited path resolves"
+echo "docs-check: every cited path resolves and every cited identifier is declared"
