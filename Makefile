@@ -60,10 +60,9 @@ chaos:
 # detector to prove the rendezvous and shared-L2 replay pipeline are
 # data-race free; the timing/cache/branch suites include the reference-
 # model differential and property tests.
-SMP_PROCS ?= 1,2,8
 smp:
 	$(GO) test -race -count=1 ./internal/smp ./internal/timing ./internal/cache ./internal/branch
-	$(GO) test -race -count=1 -timeout 20m ./internal/smp -run TestSMPEquivalence -smp-procs $(SMP_PROCS)
+	$(GO) test -race -count=1 -timeout 20m ./internal/smp -run TestSMPEquivalence
 
 golden-update:
 	$(GO) test ./internal/experiments -run TestGolden -update

@@ -104,13 +104,15 @@ func ExploreWith(o Options) error {
 		o.Schedules = 8
 	}
 	sweeps := newSweeps(o)
+	var prev *check.DistSweepResult
 	for i := 0; i < o.Schedules; i++ {
 		inj := faults.New(o.Seed+uint64(i)*7919, SchedulePlan(o.Seed, i))
 		sweeps.Injector = inj
-		res, err := sweeps.Run()
+		res, err := sweeps.Run(prev)
 		if err != nil {
 			return fmt.Errorf("chaos: schedule %d/%d: %w [%s]", i+1, o.Schedules, err, inj)
 		}
+		prev = res
 		if o.Progress != nil {
 			fmt.Fprintf(o.Progress,
 				"chaos: schedule %d/%d ok: %d incarnations, %d executions for %d cells, %d completions, %d restored [%s]\n",
@@ -143,15 +145,15 @@ func summarizeFired(fired map[faults.Kind]uint64) string {
 // distributed sweep with the run's injector applied — coordinator
 // incarnations killed at WAL offsets and restarted from the log,
 // workers killed at deliveries — under this harness's accounting and
-// re-execution bounds. check.DistSweep holds every run to the
-// sequential run's artifacts and the first run's merged journal, and
+// re-execution bounds. check.DistSweep.Run holds every run to the
+// sequential run's artifacts and the previous run's merged journal, and
 // requires the kills a plan makes certain to have fired.
-func newSweeps(o Options) *check.DistSweep {
+func newSweeps(o Options) check.DistSweep {
 	var progress io.Writer
 	if o.Verbose {
 		progress = o.Progress
 	}
-	return &check.DistSweep{
+	return check.DistSweep{
 		Scale:      scale,
 		Benchmarks: benchmarks,
 		Workers:    workers,

@@ -119,7 +119,7 @@ func TestCoordinatorKilledMidSweep(t *testing.T) {
 	// Uninterrupted distributed run: the journal bytes the crashy run
 	// must reproduce.
 	sweeps.Injector = faults.New(seed, faults.Plan{})
-	plain, err := sweeps.Run()
+	plain, err := sweeps.Run(nil)
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestCoordinatorKilledMidSweep(t *testing.T) {
 		CoordKillWindow: 6,
 		WALTear:         1.0,
 	})
-	crashed, err := sweeps.Run()
+	crashed, err := sweeps.Run(plain)
 	if err != nil {
 		t.Fatalf("crashy run: %v", err)
 	}

@@ -24,11 +24,10 @@ import (
 // behind a stable front, Workers workers whose leases the injector
 // kills, and — when WAL is set — a coordinator that the injector kills
 // at write-ahead-log offsets and that is restarted from the log,
-// optionally with a torn tail. Workers and Injector may change between
-// runs; what every run of one DistSweep is held to — the sequential
-// run's artifacts, the first run's merged journal — is kept across
-// them. SweepEquivalence is the configuration without coordinator
-// kills; the chaos harness drives the one with them.
+// optionally with a torn tail. It is plain configuration: what ties the
+// runs of a series together is the previous result handed to Run.
+// SweepEquivalence is the configuration without coordinator kills; the
+// chaos harness drives the one with them.
 type DistSweep struct {
 	// Scale and Benchmarks define the cell matrix.
 	Scale      int
@@ -49,11 +48,6 @@ type DistSweep struct {
 	// sweep's counters, before the journal is rendered: a broken count is
 	// the more useful failure to report first.
 	Account func(*DistSweepResult) error
-
-	// golden is the artifact bundle rendered in one process with no
-	// faults, journal the first run's merged journal: the bytes every
-	// run must reproduce.
-	golden, journal []byte
 }
 
 // DistSweepResult aggregates one sweep's counters across coordinator
@@ -74,6 +68,11 @@ type DistSweepResult struct {
 	Abandons uint64
 	Coord    sweep.CoordStats // the last incarnation's counters
 	Store    ckpt.Stats       // the coordinator-side checkpoint store
+
+	// golden is the artifact bundle rendered in one process with no
+	// faults, which this sweep's journal reproduced; with Journal, the
+	// bytes the next run of the series must reproduce.
+	golden []byte
 }
 
 const (
@@ -88,10 +87,13 @@ const (
 // Run executes one sweep and verifies what every distributed sweep must
 // satisfy: all workers exit cleanly with the sweep complete, the
 // caller's accounting holds, the merged journal alone renders the
-// sequential run's artifacts while executing nothing and is
-// byte-identical to every earlier run's, and the faults the injector's
-// plan makes certain did fire.
-func (d *DistSweep) Run() (*DistSweepResult, error) {
+// sequential run's artifacts while executing nothing, and the faults
+// the injector's plan makes certain did fire. prev is the previous run
+// of a series over one cell matrix, nil for the first: the first run
+// renders the sequential artifacts, every later one reuses them and
+// must also reproduce prev's merged journal byte for byte — so every
+// run of the series is held to the first.
+func (d DistSweep) Run(prev *DistSweepResult) (*DistSweepResult, error) {
 	inj := d.Injector
 	dir, err := os.MkdirTemp("", "dist-sweep-*")
 	if err != nil {
@@ -100,8 +102,11 @@ func (d *DistSweep) Run() (*DistSweepResult, error) {
 	defer os.RemoveAll(dir)
 	walPath := filepath.Join(dir, "coord.wal")
 
-	if d.golden == nil {
-		d.golden, err = renderWith(experiments.Options{
+	res := &DistSweepResult{}
+	if prev != nil {
+		res.golden = prev.golden
+	} else {
+		res.golden, err = renderWith(experiments.Options{
 			Scale:      d.Scale,
 			Benchmarks: d.Benchmarks,
 			Progress:   d.Progress,
@@ -119,7 +124,7 @@ func (d *DistSweep) Run() (*DistSweepResult, error) {
 		return nil, err
 	}
 	cfg := sweep.Config{Scale: d.Scale, Benchmarks: d.Benchmarks, LeaseTTL: sweepLeaseTTL}
-	res := &DistSweepResult{Cells: len(cfg.Cells())}
+	res.Cells = len(cfg.Cells())
 
 	// The stable HTTP address the workers talk to across coordinator
 	// incarnations: the URL never changes, only the handler behind it.
@@ -293,13 +298,11 @@ func (d *DistSweep) Run() (*DistSweepResult, error) {
 	if n := r.Executions(); n != 0 {
 		return nil, fmt.Errorf("rendering from the merged journal executed %d cells; journal incomplete", n)
 	}
-	if !bytes.Equal(buf.Bytes(), d.golden) {
-		return nil, fmt.Errorf("artifacts diverge from sequential run\n%s", DiffSummary(d.golden, buf.Bytes()))
+	if !bytes.Equal(buf.Bytes(), res.golden) {
+		return nil, fmt.Errorf("artifacts diverge from sequential run\n%s", DiffSummary(res.golden, buf.Bytes()))
 	}
-	if d.journal == nil {
-		d.journal = res.Journal
-	} else if !bytes.Equal(res.Journal, d.journal) {
-		return nil, fmt.Errorf("merged journal diverges from the first sweep's\n%s", DiffSummary(d.journal, res.Journal))
+	if prev != nil && !bytes.Equal(res.Journal, prev.Journal) {
+		return nil, fmt.Errorf("merged journal diverges from the previous sweep's\n%s", DiffSummary(prev.Journal, res.Journal))
 	}
 
 	// Non-vacuity: the plan's deterministic fault sources — coordinator

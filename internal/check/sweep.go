@@ -68,14 +68,17 @@ func SweepEquivalence(o SweepOptions) error {
 		Account:    sweepAccounting,
 	}
 	var injectors []*faults.Injector
+	var prev *DistSweepResult
 	for _, workers := range o.Workers {
 		for _, seed := range seeds {
 			inj := faults.New(seed, sweepPlan)
 			injectors = append(injectors, inj)
 			sweeps.Workers, sweeps.Injector = workers, inj
-			if _, err := sweeps.Run(); err != nil {
+			res, err := sweeps.Run(prev)
+			if err != nil {
 				return fmt.Errorf("sweep-equivalence: %d workers, seed %d: %w [%s]", workers, seed, err, inj)
 			}
+			prev = res
 		}
 	}
 	return requireFired("sweep-equivalence", kinds, injectors)

@@ -192,8 +192,6 @@ func TestSMPEquivalence(t *testing.T) {
 			procs = append(procs, p)
 		}
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-
 	for _, count := range counts {
 		for _, quantum := range quanta {
 			scale := equivScale
@@ -212,8 +210,9 @@ func TestSMPEquivalence(t *testing.T) {
 
 			golden := fingerprint(t, guests, quantum, true)
 			for _, p := range procs {
-				runtime.GOMAXPROCS(p)
+				prev := runtime.GOMAXPROCS(p)
 				got := fingerprint(t, guests, quantum, false)
+				runtime.GOMAXPROCS(prev)
 				if !bytes.Equal(got, golden) {
 					t.Fatalf("parallel schedule diverged from sequential (guests=%d quantum=%d GOMAXPROCS=%d)\n%s",
 						count, quantum, p, check.DiffSummary(golden, got))
