@@ -7,7 +7,6 @@
 package simpoint
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/vm"
@@ -39,10 +38,15 @@ func NewProfiler(dim int, seed uint64) *Profiler {
 }
 
 // OnEvents implements vm.Sink: basic-block accumulation only reads
-// each event's PC, so the batch is folded in directly.
+// each event's PC, so the batch is folded in directly. Straight-line
+// code stays in one bucket for several instructions; each such run is
+// one counter update.
 func (p *Profiler) OnEvents(evs []vm.Event) {
-	for i := range evs {
-		p.cur[evs[i].PC>>6]++
+	for i := 0; i < len(evs); {
+		bucket, start := evs[i].PC>>6, i
+		for i++; i < len(evs) && evs[i].PC>>6 == bucket; i++ {
+		}
+		p.cur[bucket] += uint64(i - start)
 	}
 }
 
@@ -100,6 +104,3 @@ func DistanceSq(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Distance returns Euclidean distance.
-func Distance(a, b []float64) float64 { return math.Sqrt(DistanceSq(a, b)) }

@@ -15,13 +15,13 @@ func BenchmarkChooseK(b *testing.B) {
 	p := New(false)
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ChooseK(vectors, 300, 8, 0.9, p.Seed)
+			ChooseK(vectors, maxK, kmeansIters, bicThreshold, p.Seed)
 		}
 	})
 	b.Run("reference", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, k := range []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 300} {
-				refKMeans(vectors, k, 8, p.Seed+uint64(k))
+			for _, k := range ladder(maxK) {
+				refKMeans(vectors, k, kmeansIters, p.Seed+uint64(k))
 			}
 		}
 	})

@@ -19,7 +19,13 @@ type KMeansResult struct {
 // KMeans clusters vectors into k groups with k-means++ seeding and at
 // most iters Lloyd iterations. It is deterministic in seed. Empty
 // clusters are repaired by re-seeding them with the point farthest from
-// its centroid.
+// its centroid. Vectors must have finite coordinates.
+//
+// The result is, bit for bit, that of the textbook loops (refKMeans on
+// the test side): every vector goes to the centroid first in (squared
+// distance, index) order, with each distance summed as DistanceSq sums
+// it. What is skipped is only work whose outcome is already decided;
+// see nearer, the seeding carry and the converged final pass below.
 func KMeans(vectors [][]float64, k, iters int, seed uint64) KMeansResult {
 	n := len(vectors)
 	if n == 0 {
@@ -34,17 +40,21 @@ func KMeans(vectors [][]float64, k, iters int, seed uint64) KMeansResult {
 	dim := len(vectors[0])
 	rng := stats.NewRNG(seed)
 
-	// k-means++ seeding.
-	centroids := make([][]float64, 0, k)
-	first := rng.Intn(n)
-	centroids = append(centroids, append([]float64(nil), vectors[first]...))
-	minDist := make([]float64, n)
+	// Centroid c is cen[c*dim:(c+1)*dim]; sums is laid out the same way.
+	cen, sums := make([]float64, k*dim), make([]float64, k*dim)
+	assign := make([]int, n)
+	dist := make([]float64, n) // squared distance to centroid assign[i]
+	sizes := make([]int, k)
+
+	// k-means++ seeding. (assign, dist) follows each vector's nearest
+	// seed, first in index order among equals.
+	copy(cen, vectors[rng.Intn(n)])
 	for i, v := range vectors {
-		minDist[i] = DistanceSq(v, centroids[0])
+		dist[i] = DistanceSq(v, cen[:dim])
 	}
-	for len(centroids) < k {
+	for c := 1; c < k; c++ {
 		var sum float64
-		for _, d := range minDist {
+		for _, d := range dist {
 			sum += d
 		}
 		var next int
@@ -52,7 +62,7 @@ func KMeans(vectors [][]float64, k, iters int, seed uint64) KMeansResult {
 			next = rng.Intn(n)
 		} else {
 			target := rng.Float() * sum
-			for i, d := range minDist {
+			for i, d := range dist {
 				target -= d
 				if target <= 0 {
 					next = i
@@ -60,102 +70,127 @@ func KMeans(vectors [][]float64, k, iters int, seed uint64) KMeansResult {
 				}
 			}
 		}
-		centroids = append(centroids, append([]float64(nil), vectors[next]...))
-		c := centroids[len(centroids)-1]
+		copy(cen[c*dim:], vectors[next])
 		for i, v := range vectors {
-			if d := DistanceSq(v, c); d < minDist[i] {
-				minDist[i] = d
-			}
+			assign[i], dist[i] = nearer(v, cen, c, c+1, assign[i], dist[i])
 		}
 	}
 
-	assign := make([]int, n)
-	sizes := make([]int, k)
-	sums := make([][]float64, k)
-	for c := range sums {
-		sums[c] = make([]float64, dim)
-	}
-
-	var wcss float64
-	for it := 0; it < iters; it++ {
-		// Assignment step.
-		changed := false
-		wcss = 0
-		for i, v := range vectors {
-			best, bestD := 0, math.Inf(1)
-			for c, cen := range centroids {
-				if d := DistanceSq(v, cen); d < bestD {
-					best, bestD = c, d
+	// Lloyd iterations. Iteration 0 has nothing to assign: the nearest
+	// seed is the assignment a scan of the seeds would find. settled
+	// says (assign, dist, sizes) are what a scan of the final centroids
+	// would find: the iteration moved no vector and repaired no cluster,
+	// so every centroid is the mean of the members it was the mean of
+	// when the iteration scanned it, summed in the same order.
+	settled := false
+	for it := 0; it < iters && !settled; it++ {
+		changed := it == 0
+		if it > 0 {
+			for i, v := range vectors {
+				best, d := nearer(v, cen, 0, k, 0, math.Inf(1))
+				if best != assign[i] {
+					changed = true
 				}
+				assign[i], dist[i] = best, d
 			}
-			if assign[i] != best || it == 0 {
-				changed = true
-			}
-			assign[i] = best
-			wcss += bestD
 		}
 		// Update step.
-		for c := range sums {
-			sizes[c] = 0
-			for d := range sums[c] {
-				sums[c][d] = 0
-			}
-		}
+		clear(sums)
+		clear(sizes)
 		for i, v := range vectors {
 			c := assign[i]
 			sizes[c]++
 			for d, x := range v {
-				sums[c][d] += x
+				sums[c*dim+d] += x
 			}
 		}
-		for c := range centroids {
+		repaired := false
+		for c := 0; c < k; c++ {
+			row := cen[c*dim : (c+1)*dim]
 			if sizes[c] == 0 {
 				// Repair: re-seed on the globally farthest point.
+				repaired = true
 				far, farD := 0, -1.0
 				for i, v := range vectors {
-					if d := DistanceSq(v, centroids[assign[i]]); d > farD {
+					if d := DistanceSq(v, cen[assign[i]*dim:(assign[i]+1)*dim]); d > farD {
 						far, farD = i, d
 					}
 				}
-				copy(centroids[c], vectors[far])
+				copy(row, vectors[far])
 				continue
 			}
 			inv := 1 / float64(sizes[c])
-			for d := range centroids[c] {
-				centroids[c][d] = sums[c][d] * inv
+			for d := range row {
+				row[d] = sums[c*dim+d] * inv
 			}
 		}
-		if !changed && it > 0 {
+		if !changed {
+			settled = !repaired
 			break
 		}
 	}
 
-	// Final assignment/WCSS against the last centroids.
-	wcss = 0
-	for c := range sizes {
-		sizes[c] = 0
-	}
-	for i, v := range vectors {
-		best, bestD := 0, math.Inf(1)
-		for c, cen := range centroids {
-			if d := DistanceSq(v, cen); d < bestD {
-				best, bestD = c, d
-			}
+	// Final assignment and WCSS against the last centroids.
+	if !settled {
+		clear(sizes)
+		for i, v := range vectors {
+			assign[i], dist[i] = nearer(v, cen, 0, k, 0, math.Inf(1))
+			sizes[assign[i]]++
 		}
-		assign[i] = best
-		sizes[best]++
-		wcss += bestD
+	}
+	var wcss float64
+	for _, d := range dist {
+		wcss += d
 	}
 
 	res := KMeansResult{
 		K:         k,
-		Centroids: centroids,
+		Centroids: make([][]float64, k),
 		Assign:    assign,
 		Sizes:     sizes,
 		WCSS:      wcss,
 	}
+	for c := range res.Centroids {
+		res.Centroids[c] = cen[c*dim : (c+1)*dim : (c+1)*dim]
+	}
 	res.BIC = bic(res, n, dim)
 	return res
+}
+
+// nearer scans rows lo to hi-1 of the flat centroid array cen in index
+// order for rows strictly closer to v than bestD, and returns the
+// closest of them with its squared distance, or best and bestD as
+// given. A row's distance is summed in DistanceSq's order and abandoned
+// once a partial sum reaches bestD: the terms are squares, so in IEEE
+// arithmetic partial sums never decrease, and a partial sum at or above
+// the bound proves the full one is not below it. A row that wins is
+// always summed to the end.
+func nearer(v, cen []float64, lo, hi, best int, bestD float64) (int, float64) {
+	dim := len(v)
+next:
+	for c := lo; c < hi; c++ {
+		row := cen[c*dim : (c+1)*dim]
+		var s float64
+		j := 0
+		for ; j+4 <= dim; j += 4 {
+			if s >= bestD {
+				continue next
+			}
+			d0, d1, d2, d3 := v[j]-row[j], v[j+1]-row[j+1], v[j+2]-row[j+2], v[j+3]-row[j+3]
+			s += d0 * d0
+			s += d1 * d1
+			s += d2 * d2
+			s += d3 * d3
+		}
+		for ; j < dim; j++ {
+			d := v[j] - row[j]
+			s += d * d
+		}
+		if s < bestD {
+			best, bestD = c, s
+		}
+	}
+	return best, bestD
 }
 
 // DefaultNoiseVar is the per-dimension variance floor used in BIC
@@ -170,19 +205,11 @@ const DefaultNoiseVar = 2e-3
 // bic computes the Bayesian Information Criterion for a spherical-
 // Gaussian mixture fit (the X-means/SimPoint formulation). Larger is
 // better.
-func bic(r KMeansResult, n, dim int) float64 { return bicFloor(r, n, dim, DefaultNoiseVar) }
-
-func bicFloor(r KMeansResult, n, dim int, floor float64) float64 {
+func bic(r KMeansResult, n, dim int) float64 {
 	if n <= r.K {
 		return math.Inf(-1)
 	}
-	variance := r.WCSS / float64(n-r.K)
-	if variance < floor {
-		variance = floor
-	}
-	if variance < 1e-12 {
-		variance = 1e-12
-	}
+	variance := max(r.WCSS/float64(n-r.K), DefaultNoiseVar)
 	var ll float64
 	for _, nj := range r.Sizes {
 		if nj == 0 {
@@ -196,6 +223,20 @@ func bicFloor(r KMeansResult, n, dim int, floor float64) float64 {
 	}
 	params := float64(r.K) * float64(dim+1)
 	return ll - params/2*math.Log(float64(n))
+}
+
+// ladder returns ChooseK's candidate k values up to maxK: roughly
+// geometric with intermediate points, so the selected k discriminates
+// between workloads with different phase-population sizes.
+func ladder(maxK int) []int {
+	var ks []int
+	for _, k := range []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256} {
+		if k >= maxK {
+			break
+		}
+		ks = append(ks, k)
+	}
+	return append(ks, maxK)
 }
 
 // ChooseK runs k-means over a geometric ladder of candidate k values up
@@ -216,22 +257,7 @@ func ChooseK(vectors [][]float64, maxK, iters int, threshold float64, seed uint6
 	if threshold <= 0 || threshold > 1 {
 		threshold = 0.9
 	}
-	// Candidate ladder: roughly geometric with intermediate points, so
-	// the selected k discriminates between workloads with different
-	// phase-population sizes.
-	var ks []int
-	last := 0
-	for _, k := range []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256} {
-		if k >= maxK {
-			break
-		}
-		ks = append(ks, k)
-		last = k
-	}
-	if last != maxK {
-		ks = append(ks, maxK)
-	}
-
+	ks := ladder(maxK)
 	results := make([]KMeansResult, len(ks))
 	best, worst := math.Inf(-1), math.Inf(1)
 	for i, k := range ks {

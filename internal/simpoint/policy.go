@@ -21,17 +21,6 @@ import (
 //     and the clustering tool are charged too, which collapses the
 //     speedup to SMARTS levels (the paper's 9.5x bar).
 type Policy struct {
-	// MaxK is the maximum number of clusters (the paper uses 300).
-	MaxK int
-	// Dim is the BBV projection dimensionality (15).
-	Dim int
-	// KMeansIters bounds Lloyd iterations per k (default 8).
-	KMeansIters int
-	// BICThreshold is the SimPoint 3.2 k-selection threshold (0.9).
-	BICThreshold float64
-	// SubSample caps the number of vectors used for k selection
-	// (default 1500; the final clustering uses all vectors).
-	SubSample int
 	// WarmIntervals is the detailed warm-up before each simulation
 	// point, in base intervals (the paper uses 1).
 	WarmIntervals int
@@ -41,15 +30,23 @@ type Policy struct {
 	Seed uint64
 }
 
+// The paper's clustering configuration. BBVs are projected to DefaultDim
+// dimensions.
+const (
+	maxK         = 300 // maximum number of clusters
+	kmeansIters  = 8   // bound on Lloyd iterations per k
+	bicThreshold = 0.9 // SimPoint 3.2's k-selection threshold
+	// subSample is the size k selection thins its input towards: with
+	// more vectors than this it takes every ⌊n/subSample⌋-th, which
+	// admits up to 2·subSample − 1 of them. The final clustering uses
+	// all vectors.
+	subSample = 1500
+)
+
 // New returns the paper's configuration (300 clusters max, 15-dim
 // projection, 1-interval warm-up).
 func New(chargeProfiling bool) Policy {
 	return Policy{
-		MaxK:            300,
-		Dim:             DefaultDim,
-		KMeansIters:     8,
-		BICThreshold:    0.9,
-		SubSample:       1500,
 		WarmIntervals:   2,
 		ChargeProfiling: chargeProfiling,
 		Seed:            0x51a9,
@@ -86,7 +83,7 @@ type Analysis struct {
 // before the measurement pass.
 func (p Policy) Analyse(s *core.Session) (Analysis, error) {
 	interval := s.IntervalLen()
-	prof := NewProfiler(p.Dim, p.Seed)
+	prof := NewProfiler(DefaultDim, p.Seed)
 	for !s.Done() {
 		ex := s.RunProfile(interval, prof)
 		if ex == 0 {
@@ -101,24 +98,13 @@ func (p Policy) Analyse(s *core.Session) (Analysis, error) {
 	}
 
 	// Model selection on a stride subsample, final clustering on all.
-	sub := vectors
-	if p.SubSample > 0 && n > p.SubSample {
-		stride := n / p.SubSample
-		sub = make([][]float64, 0, p.SubSample)
-		for i := 0; i < n; i += stride {
-			sub = append(sub, vectors[i])
-		}
-	}
-	iters := p.KMeansIters
-	if iters <= 0 {
-		iters = 8
-	}
-	chosen := ChooseK(sub, p.MaxK, iters, p.BICThreshold, p.Seed)
-	final := KMeans(vectors, chosen.K, iters, p.Seed+7)
+	sub := subsample(vectors)
+	chosen := ChooseK(sub, maxK, kmeansIters, bicThreshold, p.Seed)
+	final := KMeans(vectors, chosen.K, kmeansIters, p.Seed+7)
 
 	// Clustering tool cost: proportional to the k-means work performed.
-	work := float64(len(sub))*ladderSum(p.MaxK, len(sub)) + float64(n)*float64(final.K)
-	s.Meter().ChargeUnits(work * 0.02 * float64(iters))
+	work := float64(len(sub))*ladderSum(len(sub)) + float64(n)*float64(final.K)
+	s.Meter().ChargeUnits(work * 0.02 * kmeansIters)
 
 	// Representative per cluster: the interval closest to the centroid.
 	points := make([]int, 0, final.K)
@@ -153,20 +139,27 @@ func (p Policy) Analyse(s *core.Session) (Analysis, error) {
 	return Analysis{NumIntervals: n, K: final.K, Points: sp, Weights: sw}, nil
 }
 
-// ladderSum approximates the total k-means work of ChooseK's candidate
-// ladder (for the clustering-tool host-cost charge).
-func ladderSum(maxK, n int) float64 {
-	if maxK > n {
-		maxK = n
+// subsample returns the vectors k selection runs on (see subSample).
+func subsample(vectors [][]float64) [][]float64 {
+	n := len(vectors)
+	if n <= subSample {
+		return vectors
 	}
+	sub := make([][]float64, 0, subSample)
+	for i := 0; i < n; i += n / subSample {
+		sub = append(sub, vectors[i])
+	}
+	return sub
+}
+
+// ladderSum approximates the total k-means work of ChooseK's candidate
+// ladder over n vectors (for the clustering-tool host-cost charge).
+func ladderSum(n int) float64 {
 	sum := 0.0
-	for _, k := range []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256} {
-		if k >= maxK {
-			break
-		}
+	for _, k := range ladder(min(maxK, n)) {
 		sum += float64(k)
 	}
-	return sum + float64(maxK)
+	return sum
 }
 
 // Run implements sampling.Policy: one execution of the pipeline,

@@ -303,23 +303,13 @@ func genVectors(kind, n, dim int, seed uint64) [][]float64 {
 // sets that reach the branches real BBVs rarely take.
 func TestKMeansMatchesReference(t *testing.T) {
 	t.Run("ladder", func(t *testing.T) {
-		const iters = 8
+		const iters = kmeansIters
 		seed := New(false).Seed
 		for _, bench := range []string{"gzip", "mcf", "ammp"} {
 			vectors := profileBBVs(t, bench, 40_000)
-			// Analyse's stride subsample.
-			sub := vectors
-			if n := len(vectors); n > 1500 {
-				sub = nil
-				for i := 0; i < n; i += n / 1500 {
-					sub = append(sub, vectors[i])
-				}
-			}
+			sub := subsample(vectors)
 			var st refStats
-			for _, k := range []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 300} {
-				if k > len(sub) {
-					break
-				}
+			for _, k := range ladder(min(maxK, len(sub))) {
 				want, s := refKMeans(sub, k, iters, seed+uint64(k))
 				st.add(s)
 				sameResult(t, fmt.Sprintf("%s k=%d", bench, k), KMeans(sub, k, iters, seed+uint64(k)), want)
@@ -342,7 +332,7 @@ func TestKMeansMatchesReference(t *testing.T) {
 				for _, n := range []int{1, 2, 9, 48} {
 					vectors := genVectors(kind, n, dim, uint64(1000*kind+10*dim+n))
 					for _, k := range []int{0, 1, 2, 3, 5, n / 2, n - 1, n, n + 3} {
-						for _, iters := range []int{1, 2, 8} {
+						for _, iters := range []int{0, 1, 2, 8} {
 							for seed := uint64(1); seed <= 3; seed++ {
 								want, st := refKMeans(vectors, k, iters, seed)
 								total.add(st)

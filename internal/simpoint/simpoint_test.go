@@ -157,7 +157,7 @@ func TestProfilerVectors(t *testing.T) {
 	if len(vecs) != 2 || len(vecs[0]) != 8 {
 		t.Fatalf("vectors %dx%d", len(vecs), len(vecs[0]))
 	}
-	if Distance(vecs[0], vecs[1]) < 0.1 {
+	if math.Sqrt(DistanceSq(vecs[0], vecs[1])) < 0.1 {
 		t.Fatal("different code must produce distant BBVs")
 	}
 	// Same code distribution => same vector regardless of count.
@@ -166,7 +166,7 @@ func TestProfilerVectors(t *testing.T) {
 		p2.OnEvents(ev)
 	}
 	p2.EndInterval()
-	if Distance(vecs[0], p2.Vectors()[0]) > 1e-12 {
+	if math.Sqrt(DistanceSq(vecs[0], p2.Vectors()[0])) > 1e-12 {
 		t.Fatal("L1 normalisation broken: scaled counts changed the vector")
 	}
 }
@@ -213,6 +213,23 @@ func TestPolicyAccuracyOnSmallBenchmark(t *testing.T) {
 	// checked by the figure harness.
 	if res.Cost.Units >= base.Cost.Units/5 {
 		t.Fatalf("SimPoint not fast enough: %.3g vs %.3g", res.Cost.Units, base.Cost.Units)
+	}
+}
+
+// TestChosenK pins the number of clusters the BIC ladder settles on for
+// three benchmarks at scale 40 000.
+func TestChosenK(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	for bench, want := range map[string]int{"gzip": 8, "mcf": 12, "ammp": 6} {
+		an, err := New(false).Analyse(newSession(t, bench, 40_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if an.K != want {
+			t.Errorf("%s: K = %d, want %d", bench, an.K, want)
+		}
 	}
 }
 
