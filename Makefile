@@ -24,6 +24,7 @@ fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzAsmRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzMoviExpansion$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/simpoint -run '^$$' -fuzz '^FuzzKMeansMatchesReference$$' -fuzztime $(FUZZTIME)
 
 # Differential-execution checks (see internal/check and cmd/diffcheck;
 # `-legs` picks the checks). programs and policies: every program-level
@@ -111,12 +112,17 @@ profile-ckpt:
 # server's receipt of it (handleCkptPut); bytes.growSlice in alloc_space
 # (an upload buffer grown from empty); mem.DecodeSnapshot in inuse_space
 # (decoded uploads the coordinator tier keeps alive — DESIGN.md §11).
+# Next to the mirror's, the cumulative CPU share of SimPoint's analysis
+# stage (simpoint.Policy.Analyse) and its two halves: the clustering
+# ladder (ChooseK) and the BBV profiling pass (RunProfile).
 PROFILE_SWEEP = $(GO) tool pprof -top -nodecount=500
 profile-sweep:
 	$(GO) test ./internal/sweep -run '^$$' -bench BenchmarkSweepTwoWorkers -benchtime 3x \
 		-o sweep.test -cpuprofile sweep.prof -memprofile sweep.heap
 	@echo "-- cumulative CPU under the checkpoint mirror (sweep.prof)"
 	@$(PROFILE_SWEEP) -cum sweep.test sweep.prof 2>/dev/null | grep -E 'Total samples|sweep\.\(\*Client\)\.Put$$|handleCkptPut$$'
+	@echo "-- cumulative CPU under SimPoint's analysis stage (sweep.prof)"
+	@$(PROFILE_SWEEP) -cum sweep.test sweep.prof 2>/dev/null | grep -E 'simpoint\.Policy\.Analyse$$|simpoint\.ChooseK$$|\(\*Session\)\.RunProfile( \(inline\))?$$'
 	@echo "-- bytes.growSlice in alloc_space (sweep.heap)"
 	@$(PROFILE_SWEEP) -sample_index=alloc_space sweep.test sweep.heap 2>/dev/null | grep -E 'Showing nodes|bytes\.growSlice$$' || true
 	@echo "-- mem.DecodeSnapshot in inuse_space (sweep.heap)"

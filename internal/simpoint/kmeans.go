@@ -77,13 +77,13 @@ func KMeans(vectors [][]float64, k, iters int, seed uint64) KMeansResult {
 	}
 
 	// Lloyd iterations. Iteration 0 has nothing to assign: the nearest
-	// seed is the assignment a scan of the seeds would find. settled
-	// says (assign, dist, sizes) are what a scan of the final centroids
-	// would find: the iteration moved no vector and repaired no cluster,
-	// so every centroid is the mean of the members it was the mean of
-	// when the iteration scanned it, summed in the same order.
+	// seed is what a scan of the seeds would find. An iteration that
+	// moved no vector and repaired no cluster recomputes every centroid
+	// from the members, in the order, it was computed from before: the
+	// centroids it leaves are the ones it scanned, so (assign, dist,
+	// sizes) already are the final pass — settled.
 	settled := false
-	for it := 0; it < iters && !settled; it++ {
+	for it := 0; it < iters; it++ {
 		changed := it == 0
 		if it > 0 {
 			for i, v := range vectors {
@@ -100,19 +100,21 @@ func KMeans(vectors [][]float64, k, iters int, seed uint64) KMeansResult {
 		for i, v := range vectors {
 			c := assign[i]
 			sizes[c]++
+			sum := sums[c*dim : (c+1)*dim]
 			for d, x := range v {
-				sums[c*dim+d] += x
+				sum[d] += x
 			}
 		}
 		repaired := false
 		for c := 0; c < k; c++ {
-			row := cen[c*dim : (c+1)*dim]
+			row, sum := cen[c*dim:(c+1)*dim], sums[c*dim:(c+1)*dim]
 			if sizes[c] == 0 {
 				// Repair: re-seed on the globally farthest point.
 				repaired = true
 				far, farD := 0, -1.0
 				for i, v := range vectors {
-					if d := DistanceSq(v, cen[assign[i]*dim:(assign[i]+1)*dim]); d > farD {
+					a := assign[i]
+					if d := DistanceSq(v, cen[a*dim:(a+1)*dim]); d > farD {
 						far, farD = i, d
 					}
 				}
@@ -121,7 +123,7 @@ func KMeans(vectors [][]float64, k, iters int, seed uint64) KMeansResult {
 			}
 			inv := 1 / float64(sizes[c])
 			for d := range row {
-				row[d] = sums[c*dim+d] * inv
+				row[d] = sum[d] * inv
 			}
 		}
 		if !changed {
