@@ -3,8 +3,6 @@ package ckpt
 import (
 	"errors"
 	"io"
-
-	"repro/internal/vm"
 )
 
 // ErrCorrupt classifies a disk-tier checkpoint whose bytes cannot be
@@ -20,32 +18,6 @@ var ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
 // entry itself may be fine; the fault may be transient and a retry or
 // a degrade to the in-memory tier can heal it.
 var ErrIO = errors.New("ckpt: checkpoint I/O")
-
-// classifyLoadErr wraps a raw load failure with the typed sentinel that
-// names its healing path. Decode-layer failures (vm.ErrCorruptSnapshot,
-// vm.ErrSnapshotVersion, any structural error past a successful open,
-// unexpected EOF from truncation) are ErrCorrupt; everything else —
-// os.Open failures, injected disk faults — is ErrIO.
-func classifyLoadErr(opened bool, err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, ErrCorrupt) || errors.Is(err, ErrIO):
-		return err
-	case errors.Is(err, vm.ErrCorruptSnapshot),
-		errors.Is(err, vm.ErrSnapshotVersion),
-		errors.Is(err, io.ErrUnexpectedEOF),
-		errors.Is(err, io.EOF):
-		return errors.Join(ErrCorrupt, err)
-	case opened:
-		// Past a successful open, any remaining failure is a decode
-		// problem with the bytes themselves (bad magic, implausible
-		// section lengths), not the filesystem.
-		return errors.Join(ErrCorrupt, err)
-	default:
-		return errors.Join(ErrIO, err)
-	}
-}
 
 // FaultInjector is the store's hook for deterministic fault injection
 // (implemented by faults.Injector). All methods must be safe for

@@ -8,7 +8,16 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/vm"
 )
+
+// load is a disk load with its typed error visible — loadLocked under
+// the lock. Lookup shows the same failure only as a miss.
+func load(s *Store, k Key) (*vm.Snapshot, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.loadLocked(k)
+}
 
 // mangleFile rewrites a checkpoint file in place via fn.
 func mangleFile(t *testing.T, path string, fn func([]byte) []byte) {
@@ -25,8 +34,9 @@ func mangleFile(t *testing.T, path string, fn func([]byte) []byte) {
 // TestLoadTypedErrors drives every disk-tier failure path and asserts
 // the typed classification: bad bytes are ErrCorrupt (and the file is
 // removed so no future store resurrects it), filesystem-level failures
-// are ErrIO (the file, if any, is left alone). Either way the entry
-// degrades to a miss and is not retried.
+// are ErrIO (the file, if any, is left alone). Either way the Lookup
+// that meets the failure is a miss, drops the entry, and the load is not
+// retried.
 func TestLoadTypedErrors(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -125,25 +135,25 @@ func TestLoadTypedErrors(t *testing.T) {
 			if c.mangle != nil {
 				c.mangle(t, path)
 			}
-			snap, err := s.Load(k)
+			snap, err := load(s, k)
 			if snap != nil {
-				t.Fatal("Load served a snapshot across a disk fault")
+				t.Fatal("the load served a snapshot across a disk fault")
 			}
 			if !errors.Is(err, c.want) {
-				t.Fatalf("Load error = %v, want %v", err, c.want)
+				t.Fatalf("load error = %v, want %v", err, c.want)
 			}
 			if errors.Is(err, ErrCorrupt) && errors.Is(err, ErrIO) {
-				t.Fatalf("Load error %v matches both sentinels", err)
+				t.Fatalf("load error %v matches both sentinels", err)
+			}
+			if _, ok := s.Lookup(k); ok {
+				t.Fatal("Lookup served a snapshot across a disk fault")
 			}
 			if _, statErr := os.Stat(path); c.wantRemoved != errors.Is(statErr, fs.ErrNotExist) {
 				t.Errorf("file removed = %v, want %v (stat: %v)", errors.Is(statErr, fs.ErrNotExist), c.wantRemoved, statErr)
 			}
 			// Degraded to a miss: the failed entry must not be retried.
-			if snap, err := s.Load(k); snap != nil || err != nil {
-				t.Fatalf("second Load = %v, %v; want clean miss", snap, err)
-			}
-			if _, ok := s.Lookup(k); ok {
-				t.Fatal("Lookup served the dropped entry")
+			if _, ok := s.Lookup(k); ok || s.Contains(k) {
+				t.Fatal("the dropped entry is still served or indexed")
 			}
 			if st := s.Stats(); st.DiskErrors != 1 {
 				t.Fatalf("DiskErrors = %d, want 1 (no retries)", st.DiskErrors)
@@ -176,12 +186,12 @@ func TestLoadInstrMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap, err := s.Load(wrong); snap != nil || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Load(wrong instr) = %v, %v; want nil, ErrCorrupt", snap, err)
+	if snap, err := load(s, wrong); snap != nil || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("load(wrong instr) = %v, %v; want nil, ErrCorrupt", snap, err)
 	}
 	// The honest entry survives untouched.
-	if snap, err := s.Load(k); snap == nil || err != nil {
-		t.Fatalf("Load(correct key) = %v, %v", snap, err)
+	if snap, err := load(s, k); snap == nil || err != nil {
+		t.Fatalf("load(correct key) = %v, %v", snap, err)
 	}
 }
 
@@ -260,8 +270,8 @@ func TestStoreTornWriteDetectedOnRead(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if snap, err := s2.Load(k); snap != nil || !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Load(torn file) = %v, %v; want nil, ErrCorrupt", snap, err)
+			if snap, err := load(s2, k); snap != nil || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("load(torn file) = %v, %v; want nil, ErrCorrupt", snap, err)
 			}
 		})
 	}

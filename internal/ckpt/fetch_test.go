@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -71,27 +72,140 @@ func TestFetchKeepsNothing(t *testing.T) {
 	}
 }
 
-// mapRemote is a remote tier held in a map.
-type mapRemote map[Key]*vm.Snapshot
-
-func (r mapRemote) Get(k Key) (*vm.Snapshot, error) { return r[k], nil }
-
-func (r mapRemote) Nearest(k Key) (*vm.Snapshot, uint64, error) {
-	var best *vm.Snapshot
-	for rk, snap := range r {
-		if rk.series() == k.series() && rk.Instr <= k.Instr && (best == nil || rk.Instr > best.Instructions()) {
-			best = snap
-		}
-	}
-	if best == nil {
-		return nil, 0, nil
-	}
-	return best, best.Instructions(), nil
+// byteRemote is a remote tier held in a map of serialized snapshots. It
+// moves bytes as a Remote does and, told to, lies in each way the
+// contract before accept let a store take on trust: "count" claims a
+// nearest count one above the snapshot's, "snapshot" serves another
+// key's bytes, "short" cuts the body in half, "late" claims a nearest
+// count past the target.
+type byteRemote struct {
+	held map[Key][]byte
+	lie  string
+	open int // bodies handed out and not yet closed
 }
 
-func (r mapRemote) Put(k Key, snap *vm.Snapshot) error {
-	r[k] = snap
-	return nil
+type countedBody struct {
+	io.Reader
+	open *int
+}
+
+func (b countedBody) Close() error { *b.open--; return nil }
+
+func (r *byteRemote) body(k Key) io.ReadCloser {
+	data := r.held[k]
+	switch r.lie {
+	case "snapshot":
+		for other, d := range r.held {
+			if other != k {
+				data = d
+			}
+		}
+	case "short":
+		data = data[:len(data)/2]
+	}
+	r.open++
+	return countedBody{bytes.NewReader(data), &r.open}
+}
+
+func (r *byteRemote) Get(k Key) (io.ReadCloser, error) {
+	if _, ok := r.held[k]; !ok {
+		return nil, nil
+	}
+	return r.body(k), nil
+}
+
+func (r *byteRemote) Nearest(k Key) (io.ReadCloser, uint64, error) {
+	best, found := k, false
+	for rk := range r.held {
+		if rk.series() == k.series() && rk.Instr <= k.Instr && (!found || rk.Instr > best.Instr) {
+			best, found = rk, true
+		}
+	}
+	if !found {
+		return nil, 0, nil
+	}
+	switch r.lie {
+	case "count":
+		return r.body(best), best.Instr + 1, nil
+	case "late":
+		return r.body(best), k.Instr + 1, nil
+	}
+	return r.body(best), best.Instr, nil
+}
+
+func (r *byteRemote) Put(k Key, snap *vm.Snapshot) error {
+	var buf bytes.Buffer
+	_, err := snap.WriteTo(&buf)
+	r.held[k] = buf.Bytes()
+	return err
+}
+
+func newByteRemote(t *testing.T, instrs ...uint64) *byteRemote {
+	r := &byteRemote{held: map[Key][]byte{}}
+	for _, n := range instrs {
+		r.held[testKey(n)] = encode(t, snapAt(t, n))
+	}
+	return r
+}
+
+// TestLyingRemoteIsRefused: a Remote moves bytes and is believed about
+// nothing. Each lie is a miss counted in RemoteErrors, the third in a row
+// switches the tier off (RemoteOff, and nothing asks it again), an honest
+// answer in between resets the ladder, and every body handed to the
+// store is closed.
+func TestLyingRemoteIsRefused(t *testing.T) {
+	t.Parallel()
+	ask := map[string]func(s *Store) bool{
+		"get": func(s *Store) bool { _, ok := s.Lookup(testKey(1000)); return ok },
+		"nearest": func(s *Store) bool {
+			_, instr, ok := s.Nearest(testKey(1500))
+			return ok && instr == 1000
+		},
+	}
+	for _, c := range []struct{ lie, verb string }{
+		{"snapshot", "get"}, {"short", "get"},
+		{"snapshot", "nearest"}, {"short", "nearest"}, {"count", "nearest"}, {"late", "nearest"},
+	} {
+		c := c
+		t.Run(c.lie+"/"+c.verb, func(t *testing.T) {
+			t.Parallel()
+			remote := newByteRemote(t, 1000, 2000)
+			s, err := New(Options{Remote: remote})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := uint64(1); round <= 2; round++ {
+				remote.lie = c.lie
+				for i := 0; i < maxRemoteFails-1; i++ {
+					if ask[c.verb](s) {
+						t.Fatalf("the store served what a %q remote sent", c.lie)
+					}
+				}
+				remote.lie = ""
+				if !ask[c.verb](s) {
+					t.Fatal("the store missed an honest answer")
+				}
+				if st := s.Stats(); st.RemoteErrors != round*(maxRemoteFails-1) || st.RemoteHits != round || st.RemoteOff {
+					t.Fatalf("after round %d of %d lies and a hit: %+v", round, maxRemoteFails-1, st)
+				}
+			}
+			remote.lie = c.lie
+			for i := 0; i < maxRemoteFails+2; i++ {
+				ask[c.verb](s)
+			}
+			st := s.Stats()
+			if !st.RemoteOff || st.RemoteErrors != 3*maxRemoteFails-2 || st.Entries != 0 {
+				t.Fatalf("after %d lies in a row: %+v", maxRemoteFails+2, st)
+			}
+			remote.lie = ""
+			if ask[c.verb](s) {
+				t.Fatal("a switched-off remote tier was asked again")
+			}
+			if remote.open != 0 {
+				t.Fatalf("%d bodies were left open", remote.open)
+			}
+		})
+	}
 }
 
 // TestRemoteHitsAreNotKept: what the remote tier serves is restored from
@@ -100,7 +214,7 @@ func (r mapRemote) Put(k Key, snap *vm.Snapshot) error {
 // remote tier again; a deposit of the same key is a new key locally.
 func TestRemoteHitsAreNotKept(t *testing.T) {
 	t.Parallel()
-	remote := mapRemote{testKey(1000): snapAt(t, 1000), testKey(2000): snapAt(t, 2000)}
+	remote := newByteRemote(t, 1000, 2000)
 	s, err := New(Options{Remote: remote})
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func (failing) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 func TestSpoolHidesWriteFailureFromTheReader(t *testing.T) {
 	data := encode(t, snapAt(t, 1000))
 	sp := &spool{w: failing{}}
-	if _, err := readUpload(testKey(1000), io.TeeReader(bytes.NewReader(data), sp)); err != nil {
+	if _, err := accept(testKey(1000), io.TeeReader(bytes.NewReader(data), sp)); err != nil {
 		t.Fatalf("decode through a failing spool: %v", err)
 	}
 	if sp.err == nil {

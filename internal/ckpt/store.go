@@ -88,18 +88,16 @@ type Options struct {
 }
 
 // Remote is a second-chance checkpoint tier served over a network (see
-// internal/sweep for the HTTP implementation). Implementations must
-// verify integrity end-to-end: Get/Nearest return only snapshots whose
-// digest footer checked out and whose instruction count matches the
-// key, so the store can trust whatever arrives. A miss is (nil, nil) /
-// (nil, 0, nil); errors are transport- or integrity-level failures the
-// store degrades on.
+// internal/sweep for the HTTP implementation). It moves bytes and is
+// trusted with nothing: the store runs accept on every body it is
+// handed and closes it. A miss is a nil body and a nil error; errors are
+// transport-level failures the store degrades on.
 type Remote interface {
-	// Get fetches the snapshot for an exact key.
-	Get(k Key) (*vm.Snapshot, error)
-	// Nearest fetches the stored snapshot with the largest instruction
-	// count <= k.Instr in k's series, and that count.
-	Nearest(k Key) (*vm.Snapshot, uint64, error)
+	// Get opens the serialized snapshot stored under an exact key.
+	Get(k Key) (io.ReadCloser, error)
+	// Nearest opens the stored snapshot with the largest instruction
+	// count <= k.Instr in k's series, and says what that count is.
+	Nearest(k Key) (io.ReadCloser, uint64, error)
 	// Put uploads a snapshot under k. Uploads are idempotent: the
 	// encoding is deterministic, so concurrent workers racing the same
 	// key commit identical bytes.
@@ -280,11 +278,14 @@ func parseFilename(name string) (Key, bool) {
 	return ParseKey(base)
 }
 
-// ParseKey inverts Key.String(); the sweep service's HTTP tier uses it
-// to address checkpoints by content key in URLs.
+// ParseKey inverts Key.String() and is the one key validator: file
+// names in Dir and the keys in the sweep service's URLs both come
+// through it. A key names its file, so it is accepted only as a single
+// path element — the file of every accepted key is a direct child of
+// Dir, whatever the network sent.
 func ParseKey(base string) (Key, bool) {
 	parts := strings.Split(base, "-")
-	if len(parts) < 4 {
+	if len(parts) < 4 || strings.ContainsAny(base, `/\`) {
 		return Key{}, false
 	}
 	n := len(parts)
@@ -344,32 +345,20 @@ func (s *Store) lookup(k Key, keep bool) (*vm.Snapshot, bool) {
 	return nil, false
 }
 
-// lookupLocked serves k from any tier, returning nil on miss.
-func (s *Store) lookupLocked(k Key, keep bool) *vm.Snapshot {
-	snap, err := s.loadAnyLocked(k, keep)
-	if err != nil || snap == nil {
-		return nil
-	}
-	return snap
-}
-
-// loadAnyLocked serves k from memory, disk, or the remote tier (in
-// that order). A disk load joins the memory tier when keep is set; a
-// remote hit never does — it is a full private copy, the tier it came
-// from still holds it, and a worker reaches for it only where it shares
-// a benchmark with another (sweep's tail), so keeping them would make
-// the worker's footprint depend on which benchmark that happened to be.
-// A disk-tier failure degrades to the next tier — the index entry is
+// lookupLocked serves k from memory, disk, or the remote tier (in that
+// order), nil on a miss. A disk load joins the memory tier when keep is
+// set; a remote hit never does — it is a full private copy, the tier it
+// came from still holds it, and a worker reaches for it only where it
+// shares a benchmark with another (sweep's tail), so keeping them would
+// make the worker's footprint depend on which benchmark that happened to
+// be. A disk-tier failure degrades to the next tier: the index entry is
 // dropped (and the file removed when the bytes themselves are corrupt)
-// so later lookups don't retry — but the typed error is also returned on
-// a full miss so Load callers can see what happened instead of a silent
-// miss.
-func (s *Store) loadAnyLocked(k Key, keep bool) (*vm.Snapshot, error) {
+// so later lookups don't retry.
+func (s *Store) lookupLocked(k Key, keep bool) *vm.Snapshot {
 	if el, ok := s.mem[k]; ok {
 		s.lru.MoveToFront(el)
-		return el.Value.(*entry).snap, nil
+		return el.Value.(*entry).snap
 	}
-	var diskErr error
 	if s.disk[k] {
 		loadStart := time.Now()
 		snap, err := s.loadLocked(k)
@@ -378,7 +367,7 @@ func (s *Store) loadAnyLocked(k Key, keep bool) (*vm.Snapshot, error) {
 			if keep {
 				s.insertLocked(k, snap)
 			}
-			return snap, nil
+			return snap
 		}
 		s.stats.DiskErrors++
 		s.ob.diskErrors.Inc()
@@ -389,41 +378,52 @@ func (s *Store) loadAnyLocked(k Key, keep bool) (*vm.Snapshot, error) {
 			// cannot resurrect the entry.
 			os.Remove(s.path(k))
 		}
-		diskErr = err
 	}
 	// Local tiers missed (or the disk copy was bad): second chance from
-	// the remote tier, whose transfers are digest-verified end-to-end.
-	if snap := s.remoteGetLocked(k); snap != nil {
-		return snap, nil
-	}
-	return nil, diskErr
+	// the remote tier.
+	return s.remoteLocked(k, false)
 }
 
-// remoteGetLocked fetches k from the remote tier, nil on miss, error,
-// or no/degraded remote. Integrity is belt-and-braces: the Remote
-// contract already requires digest-checked transfers, but the store
-// still refuses a snapshot whose instruction count contradicts the key.
-func (s *Store) remoteGetLocked(k Key) *vm.Snapshot {
+// remoteLocked asks the remote tier for k — or, with nearest set, for
+// the nearest-<= snapshot of k's series — and runs accept on the body it
+// is handed, which is the only check there is: a Remote moves bytes. Nil
+// on a miss, a failure, a refused body, or no/degraded remote. Like any
+// remote hit the snapshot is handed on, not kept.
+func (s *Store) remoteLocked(k Key, nearest bool) *vm.Snapshot {
 	if s.opts.Remote == nil || s.remoteOff {
 		return nil
 	}
-	snap, err := s.opts.Remote.Get(k)
-	if err == nil && snap != nil && snap.Instructions() != k.Instr {
-		err = fmt.Errorf("%w: remote %s holds instr %d", ErrCorrupt, k, snap.Instructions())
+	var (
+		body io.ReadCloser
+		err  error
+	)
+	if nearest {
+		target := k.Instr
+		if body, k.Instr, err = s.opts.Remote.Nearest(k); err == nil && k.Instr > target {
+			err = fmt.Errorf("%w: remote nearest for instr <= %d is at %d", ErrCorrupt, target, k.Instr)
+		}
+	} else {
+		body, err = s.opts.Remote.Get(k)
 	}
-	if err != nil {
+	var snap *vm.Snapshot
+	if body != nil {
+		if err == nil {
+			snap, err = accept(k, body)
+		}
+		body.Close()
+	}
+	switch {
+	case err != nil:
 		s.remoteFailLocked()
-		return nil
-	}
-	if snap == nil {
+	case snap == nil:
 		s.stats.RemoteMisses++
 		s.ob.remoteMisses.Inc()
 		s.remoteFails = 0
-		return nil
+	default:
+		s.stats.RemoteHits++
+		s.ob.remoteHits.Inc()
+		s.remoteFails = 0
 	}
-	s.stats.RemoteHits++
-	s.ob.remoteHits.Inc()
-	s.remoteFails = 0
 	return snap
 }
 
@@ -441,53 +441,33 @@ func (s *Store) remoteFailLocked() {
 	}
 }
 
-// loadLocked reads and decodes k's disk file, classifying any failure
-// as ErrCorrupt (bad bytes) or ErrIO (filesystem-level).
+// loadLocked opens k's disk file and runs accept on it: what fails
+// before the decode is ErrIO (filesystem-level), what accept refuses is
+// ErrCorrupt (bad bytes).
 func (s *Store) loadLocked(k Key) (*vm.Snapshot, error) {
 	name := k.String()
 	fi := s.opts.Faults
 	if fi != nil {
 		if err := fi.DiskFault("read", name); err != nil {
-			return nil, classifyLoadErr(false, err)
+			return nil, errors.Join(ErrIO, err)
 		}
 	}
 	f, err := os.Open(s.path(k))
 	if err != nil {
-		return nil, classifyLoadErr(false, err)
+		return nil, errors.Join(ErrIO, err)
 	}
 	defer f.Close()
 	var r io.Reader = f
 	if fi != nil {
 		r = fi.CorruptReader(name, r)
 	}
-	snap, err := vm.ReadSnapshot(r)
+	snap, err := accept(k, r)
 	if err != nil {
-		return nil, classifyLoadErr(true, err)
-	}
-	if snap.Instructions() != k.Instr {
-		return nil, fmt.Errorf("%w: %s holds instr %d", ErrCorrupt, k, snap.Instructions())
+		return nil, err
 	}
 	s.stats.DiskLoads++
 	s.ob.diskLoads.Inc()
 	return snap, nil
-}
-
-// Load is Lookup with the failure visible: on a disk-tier fault it
-// returns the typed error (ErrCorrupt or ErrIO) instead of a bare
-// miss. A miss with no fault returns (nil, nil). Degradation still
-// happens — the failed entry is dropped exactly as Lookup would.
-func (s *Store) Load(k Key) (*vm.Snapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap, err := s.loadAnyLocked(k, true)
-	if snap != nil {
-		s.stats.Hits++
-		s.ob.hits.Inc()
-		return snap, nil
-	}
-	s.stats.Misses++
-	s.ob.misses.Inc()
-	return nil, err
 }
 
 // Discard removes k from every tier — memory, the disk index, and the
@@ -542,8 +522,10 @@ func (s *Store) nearest(k Key, keep bool) (*vm.Snapshot, uint64, bool) {
 			// stored checkpoint <= the target restores to the same
 			// trajectory, so preferring a (possibly nearer) local entry
 			// first costs at most some re-execution, never bits.
-			if snap, instr, ok := s.remoteNearestLocked(k); ok {
-				return snap, instr, true
+			if snap := s.remoteLocked(k, true); snap != nil {
+				s.stats.NearestHits++
+				s.ob.nearestHits.Inc()
+				return snap, snap.Instructions(), true
 			}
 			s.stats.NearestMisses++
 			s.ob.nearestMisses.Inc()
@@ -559,35 +541,6 @@ func (s *Store) nearest(k Key, keep bool) (*vm.Snapshot, uint64, bool) {
 		// The best candidate was a corrupt disk entry (now dropped);
 		// try the next-lower one.
 	}
-}
-
-// remoteNearestLocked asks the remote tier for the nearest-<= snapshot
-// in k's series; like any remote hit it is handed on, not kept.
-func (s *Store) remoteNearestLocked(k Key) (*vm.Snapshot, uint64, bool) {
-	if s.opts.Remote == nil || s.remoteOff {
-		return nil, 0, false
-	}
-	snap, instr, err := s.opts.Remote.Nearest(k)
-	if err == nil && snap != nil && (instr > k.Instr || snap.Instructions() != instr) {
-		err = fmt.Errorf("%w: remote nearest for %s returned instr %d (snapshot %d)",
-			ErrCorrupt, k, instr, snap.Instructions())
-	}
-	if err != nil {
-		s.remoteFailLocked()
-		return nil, 0, false
-	}
-	if snap == nil {
-		s.stats.RemoteMisses++
-		s.ob.remoteMisses.Inc()
-		s.remoteFails = 0
-		return nil, 0, false
-	}
-	s.stats.RemoteHits++
-	s.ob.remoteHits.Inc()
-	s.stats.NearestHits++
-	s.ob.nearestHits.Inc()
-	s.remoteFails = 0
-	return snap, instr, true
 }
 
 // Put deposits a snapshot under k. Deposits of an existing key are
@@ -630,7 +583,7 @@ func (s *Store) Put(k Key, snap *vm.Snapshot) {
 // PutFrom deposits the serialized snapshot r carries under k: the
 // receiving end of a mirror (sweep's PUT /v1/ckpt), so it does not
 // mirror onward to Remote. With a working disk tier the bytes are
-// decoded once, only to verify them (readUpload), while a tee spools
+// decoded once, only to verify them (accept), while a tee spools
 // them into the temp file that write commits; the decoded snapshot is
 // then dropped. The encoding is deterministic, so the file is byte for
 // byte what Put would have written, and the memory tier fills from
@@ -661,7 +614,7 @@ func (s *Store) PutFrom(k Key, r io.Reader) error {
 		var uerr error
 		werr = s.write(k, func(w io.Writer) error {
 			sp := &spool{w: w}
-			snap, uerr = readUpload(k, io.TeeReader(r, sp))
+			snap, uerr = accept(k, io.TeeReader(r, sp))
 			if uerr != nil {
 				return uerr
 			}
@@ -674,7 +627,7 @@ func (s *Store) PutFrom(k Key, r io.Reader) error {
 	if snap == nil {
 		// No disk tier, or the write failed before produce ran.
 		var err error
-		if snap, err = readUpload(k, r); err != nil {
+		if snap, err = accept(k, r); err != nil {
 			return err
 		}
 	}
@@ -713,25 +666,28 @@ func (sp *spool) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// readUpload decodes one serialized snapshot for k from r with every
-// check a disk load makes, and requires r to end at the digest footer.
-func readUpload(k Key, r io.Reader) (*vm.Snapshot, error) {
+// accept is the one way a serialized snapshot enters a store — disk
+// file, upload, remote body: vm.ReadSnapshot (digest footer, bounds),
+// the instruction count k names, and nothing after the footer (write
+// never produced a file with a tail and a server sends exactly WriteTo's
+// bytes). Every refusal is ErrCorrupt, with the cause beside it.
+func accept(k Key, r io.Reader) (*vm.Snapshot, error) {
 	// vm.ReadSnapshot adopts a bufio.Reader this large where it would
 	// wrap a smaller one, so nothing is read ahead out of sight and Peek
 	// sees whatever follows the footer.
 	br := bufio.NewReaderSize(r, 1<<16)
 	snap, err := vm.ReadSnapshot(br)
 	if err != nil {
-		return nil, fmt.Errorf("%w: upload for %s: %w", ErrCorrupt, k, err)
+		return nil, fmt.Errorf("%w: %s: %w", ErrCorrupt, k, err)
 	}
 	if snap.Instructions() != k.Instr {
-		return nil, fmt.Errorf("%w: upload for %s holds instr %d", ErrCorrupt, k, snap.Instructions())
+		return nil, fmt.Errorf("%w: %s holds instr %d", ErrCorrupt, k, snap.Instructions())
 	}
 	if _, err := br.Peek(1); err != io.EOF {
 		if err == nil {
 			err = errors.New("bytes after the digest footer")
 		}
-		return nil, fmt.Errorf("%w: upload for %s: %w", ErrCorrupt, k, err)
+		return nil, fmt.Errorf("%w: %s: %w", ErrCorrupt, k, err)
 	}
 	return snap, nil
 }
@@ -819,7 +775,7 @@ func (s *Store) wroteLocked(k Key, start time.Time, err error) {
 // Note an injected torn write is NOT an error here: it silently commits
 // a short file, which a later read detects via the digest footer —
 // exactly the crash shape it models.
-func (s *Store) write(k Key, produce func(io.Writer) error) error {
+func (s *Store) write(k Key, produce func(io.Writer) error) (err error) {
 	name := k.String()
 	fi := s.opts.Faults
 	if fi != nil {
@@ -831,36 +787,32 @@ func (s *Store) write(k Key, produce func(io.Writer) error) error {
 	if err != nil {
 		return errors.Join(ErrIO, err)
 	}
+	defer func() {
+		if err != nil {
+			f.Close() // a no-op where Close was the step that failed
+			os.Remove(f.Name())
+			err = errors.Join(ErrIO, err)
+		}
+	}()
 	var w io.Writer = f
 	if fi != nil {
 		w = fi.CorruptWriter(name, w)
 	}
-	if err := produce(w); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return errors.Join(ErrIO, err)
+	if err = produce(w); err != nil {
+		return err
 	}
 	if fi != nil {
-		if err := fi.DiskFault("sync", name); err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return errors.Join(ErrIO, err)
+		if err = fi.DiskFault("sync", name); err != nil {
+			return err
 		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return errors.Join(ErrIO, err)
+	if err = f.Sync(); err != nil {
+		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return errors.Join(ErrIO, err)
+	if err = f.Close(); err != nil {
+		return err
 	}
-	if err := os.Rename(f.Name(), s.path(k)); err != nil {
-		os.Remove(f.Name())
-		return errors.Join(ErrIO, err)
-	}
-	return nil
+	return os.Rename(f.Name(), s.path(k))
 }
 
 // Stats returns a snapshot of the store counters.

@@ -47,13 +47,11 @@ const maxResponseBytes = 16 << 20
 
 // Client is the worker side of the wire protocol. It also implements
 // ckpt.Remote, so a worker's checkpoint store plugs the coordinator in
-// as its network tier directly.
-//
-// Integrity on the download path is client-enforced: every fetched
-// snapshot is decoded through vm.ReadSnapshot (digest footer) and its
-// instruction count checked against the requested key, so corruption
-// in flight — injected or real — surfaces as an error the store
-// degrades on, never as a restored wrong state.
+// as its network tier directly. It moves bytes in both directions and
+// decodes none of them: what a download is worth is for the store's
+// accept to say, so corruption in flight — injected or real — surfaces
+// there as a refusal the store degrades on, never as a restored wrong
+// state.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -211,71 +209,54 @@ func (cl *Client) ckptURL(k ckpt.Key) string {
 	return cl.base + "/v1/ckpt/" + k.String()
 }
 
-// fetchSnapshot GETs and digest-verifies one snapshot URL; (nil, nil)
-// on 404.
-func (cl *Client) fetchSnapshot(url, faultName string) (*vm.Snapshot, uint64, error) {
+// fetch is the one GET under Get and Nearest: fault hook, request,
+// status, the X-Ckpt-Instr header when there is one, and the body —
+// through the injector's in-flight damage when there is one — handed on
+// unread. A 404 is a nil body and a nil error.
+func (cl *Client) fetch(url, faultName string) (io.ReadCloser, uint64, error) {
+	if cl.Faults != nil {
+		if err := cl.Faults.NetFault("get", faultName); err != nil {
+			return nil, 0, err
+		}
+	}
 	resp, err := cl.hc.Get(url)
 	if err != nil {
 		return nil, 0, fmt.Errorf("sweep: ckpt get: %w", err)
 	}
-	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusNotFound:
+		resp.Body.Close()
 		return nil, 0, nil
 	default:
+		resp.Body.Close()
 		return nil, 0, fmt.Errorf("sweep: ckpt get: status %d", resp.StatusCode)
 	}
 	var instr uint64
 	if h := resp.Header.Get("X-Ckpt-Instr"); h != "" {
 		if instr, err = strconv.ParseUint(h, 10, 64); err != nil {
+			resp.Body.Close()
 			return nil, 0, fmt.Errorf("sweep: ckpt get: bad X-Ckpt-Instr %q", h)
 		}
 	}
-	var body io.Reader = resp.Body
-	if cl.Faults != nil {
-		body = cl.Faults.NetCorruptReader(faultName, body)
+	if cl.Faults == nil {
+		return resp.Body, instr, nil
 	}
-	snap, err := vm.ReadSnapshot(body)
-	if err != nil {
-		return nil, 0, fmt.Errorf("sweep: ckpt get: %w", err)
-	}
-	return snap, instr, nil
+	return struct {
+		io.Reader
+		io.Closer
+	}{cl.Faults.NetCorruptReader(faultName, resp.Body), resp.Body}, instr, nil
 }
 
 // Get implements ckpt.Remote.
-func (cl *Client) Get(k ckpt.Key) (*vm.Snapshot, error) {
-	if cl.Faults != nil {
-		if err := cl.Faults.NetFault("get", k.String()); err != nil {
-			return nil, err
-		}
-	}
-	snap, _, err := cl.fetchSnapshot(cl.ckptURL(k), k.String())
-	if err != nil || snap == nil {
-		return nil, err
-	}
-	if snap.Instructions() != k.Instr {
-		return nil, fmt.Errorf("sweep: ckpt get: %s served instr %d", k, snap.Instructions())
-	}
-	return snap, nil
+func (cl *Client) Get(k ckpt.Key) (io.ReadCloser, error) {
+	body, _, err := cl.fetch(cl.ckptURL(k), k.String())
+	return body, err
 }
 
 // Nearest implements ckpt.Remote.
-func (cl *Client) Nearest(k ckpt.Key) (*vm.Snapshot, uint64, error) {
-	if cl.Faults != nil {
-		if err := cl.Faults.NetFault("get", k.String()+"/nearest"); err != nil {
-			return nil, 0, err
-		}
-	}
-	snap, instr, err := cl.fetchSnapshot(cl.ckptURL(k)+"/nearest", k.String()+"/nearest")
-	if err != nil || snap == nil {
-		return nil, 0, err
-	}
-	if snap.Instructions() != instr || instr > k.Instr {
-		return nil, 0, fmt.Errorf("sweep: ckpt nearest: %s served instr %d (header %d)",
-			k, snap.Instructions(), instr)
-	}
-	return snap, instr, nil
+func (cl *Client) Nearest(k ckpt.Key) (io.ReadCloser, uint64, error) {
+	return cl.fetch(cl.ckptURL(k)+"/nearest", k.String()+"/nearest")
 }
 
 // Put implements ckpt.Remote.
