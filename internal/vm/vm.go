@@ -197,187 +197,62 @@ const (
 	xBad // unreachable for well-formed code; panics like the baseline default
 )
 
-// xclassOf maps an opcode (plus its destination register) to the
-// threaded-dispatch kind, applying the rd==r0 demotions above.
+// xkinds is the threaded-dispatch kind of every opcode: kind for a real
+// destination register, kindRdZero for rd == r0 (the demotions above).
+// An opcode without a destination has the same kind in both columns.
+var xkinds = [isa.NumOps]struct{ kind, kindRdZero uint8 }{
+	isa.OpNop:    {xNop, xNop},
+	isa.OpHalt:   {xHalt, xHalt},
+	isa.OpAdd:    {xAdd, xNop},
+	isa.OpSub:    {xSub, xNop},
+	isa.OpMul:    {xMul, xNop},
+	isa.OpDiv:    {xDiv, xDivZ},
+	isa.OpAnd:    {xAnd, xNop},
+	isa.OpOr:     {xOr, xNop},
+	isa.OpXor:    {xXor, xNop},
+	isa.OpSll:    {xSll, xNop},
+	isa.OpSrl:    {xSrl, xNop},
+	isa.OpSra:    {xSra, xNop},
+	isa.OpSlt:    {xSlt, xNop},
+	isa.OpSltu:   {xSltu, xNop},
+	isa.OpAddi:   {xAddi, xNop},
+	isa.OpAndi:   {xAndi, xNop},
+	isa.OpOri:    {xOri, xNop},
+	isa.OpXori:   {xXori, xNop},
+	isa.OpSlli:   {xSlli, xNop},
+	isa.OpSrli:   {xSrli, xNop},
+	isa.OpSrai:   {xSrai, xNop},
+	isa.OpSlti:   {xSlti, xNop},
+	isa.OpMovi:   {xMovi, xNop},
+	isa.OpMovhi:  {xMovhi, xNop},
+	isa.OpLd:     {xLd, xLdZ},
+	isa.OpSt:     {xSt, xSt},
+	isa.OpBeq:    {xBeq, xBeq},
+	isa.OpBne:    {xBne, xBne},
+	isa.OpBlt:    {xBlt, xBlt},
+	isa.OpBge:    {xBge, xBge},
+	isa.OpJmp:    {xJmp, xJmp},
+	isa.OpJal:    {xJal, xJmp},
+	isa.OpJalr:   {xJalr, xJalrZ},
+	isa.OpFadd:   {xFadd, xNop},
+	isa.OpFsub:   {xFsub, xNop},
+	isa.OpFmul:   {xFmul, xNop},
+	isa.OpFdiv:   {xFdiv, xNop},
+	isa.OpFcvtIF: {xFcvtIF, xNop},
+	isa.OpFcvtFI: {xFcvtFI, xNop},
+	isa.OpSys:    {xSys, xSys},
+}
+
+// xclassOf looks an opcode and its destination register up in xkinds;
+// an undefined opcode is xBad. It runs at translate time only.
 func xclassOf(op isa.Op, rd uint8) uint8 {
-	z := rd == isa.RegZero
-	switch op {
-	case isa.OpNop:
-		return xNop
-	case isa.OpHalt:
-		return xHalt
-	case isa.OpAdd:
-		if z {
-			return xNop
-		}
-		return xAdd
-	case isa.OpSub:
-		if z {
-			return xNop
-		}
-		return xSub
-	case isa.OpMul:
-		if z {
-			return xNop
-		}
-		return xMul
-	case isa.OpDiv:
-		if z {
-			return xDivZ
-		}
-		return xDiv
-	case isa.OpAnd:
-		if z {
-			return xNop
-		}
-		return xAnd
-	case isa.OpOr:
-		if z {
-			return xNop
-		}
-		return xOr
-	case isa.OpXor:
-		if z {
-			return xNop
-		}
-		return xXor
-	case isa.OpSll:
-		if z {
-			return xNop
-		}
-		return xSll
-	case isa.OpSrl:
-		if z {
-			return xNop
-		}
-		return xSrl
-	case isa.OpSra:
-		if z {
-			return xNop
-		}
-		return xSra
-	case isa.OpSlt:
-		if z {
-			return xNop
-		}
-		return xSlt
-	case isa.OpSltu:
-		if z {
-			return xNop
-		}
-		return xSltu
-	case isa.OpAddi:
-		if z {
-			return xNop
-		}
-		return xAddi
-	case isa.OpAndi:
-		if z {
-			return xNop
-		}
-		return xAndi
-	case isa.OpOri:
-		if z {
-			return xNop
-		}
-		return xOri
-	case isa.OpXori:
-		if z {
-			return xNop
-		}
-		return xXori
-	case isa.OpSlli:
-		if z {
-			return xNop
-		}
-		return xSlli
-	case isa.OpSrli:
-		if z {
-			return xNop
-		}
-		return xSrli
-	case isa.OpSrai:
-		if z {
-			return xNop
-		}
-		return xSrai
-	case isa.OpSlti:
-		if z {
-			return xNop
-		}
-		return xSlti
-	case isa.OpMovi:
-		if z {
-			return xNop
-		}
-		return xMovi
-	case isa.OpMovhi:
-		if z {
-			return xNop
-		}
-		return xMovhi
-	case isa.OpLd:
-		if z {
-			return xLdZ
-		}
-		return xLd
-	case isa.OpSt:
-		return xSt
-	case isa.OpBeq:
-		return xBeq
-	case isa.OpBne:
-		return xBne
-	case isa.OpBlt:
-		return xBlt
-	case isa.OpBge:
-		return xBge
-	case isa.OpJmp:
-		return xJmp
-	case isa.OpJal:
-		if z {
-			return xJmp
-		}
-		return xJal
-	case isa.OpJalr:
-		if z {
-			return xJalrZ
-		}
-		return xJalr
-	case isa.OpFadd:
-		if z {
-			return xNop
-		}
-		return xFadd
-	case isa.OpFsub:
-		if z {
-			return xNop
-		}
-		return xFsub
-	case isa.OpFmul:
-		if z {
-			return xNop
-		}
-		return xFmul
-	case isa.OpFdiv:
-		if z {
-			return xNop
-		}
-		return xFdiv
-	case isa.OpFcvtIF:
-		if z {
-			return xNop
-		}
-		return xFcvtIF
-	case isa.OpFcvtFI:
-		if z {
-			return xNop
-		}
-		return xFcvtFI
-	case isa.OpSys:
-		return xSys
-	default:
+	switch {
+	case int(op) >= len(xkinds):
 		return xBad
+	case rd == isa.RegZero:
+		return xkinds[op].kindRdZero
 	}
+	return xkinds[op].kind
 }
 
 // block is one translation-cache entry: a decoded basic block.
