@@ -282,7 +282,7 @@ func runSweepWorker(ctx context.Context, url, id, ckptDir string, timeout time.D
 	}
 	if metricsAddr != "" {
 		wo.Obs = obs.NewRegistry()
-		srv, err := obs.Serve(metricsAddr, wo.Obs, obs.NewTransitionTrace(obs.DefaultTraceCap))
+		srv, err := obs.Serve(metricsAddr, wo.Obs, nil) // a worker records no transitions
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
 			return 1

@@ -39,9 +39,6 @@ func NewBuilder(base uint64) *Builder {
 	return &Builder{base: base, labels: make(map[string]int)}
 }
 
-// Base returns the assembly base address.
-func (b *Builder) Base() uint64 { return b.base }
-
 // PC returns the address of the next instruction to be emitted.
 func (b *Builder) PC() uint64 { return b.base + uint64(len(b.insts))*isa.InstBytes }
 

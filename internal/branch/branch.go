@@ -33,14 +33,6 @@ type Stats struct {
 	ReturnMiss uint64 // RAS mispredictions
 }
 
-// MispredRate returns the conditional-branch misprediction ratio.
-func (s Stats) MispredRate() float64 {
-	if s.Branches == 0 {
-		return 0
-	}
-	return float64(s.DirMispred) / float64(s.Branches)
-}
-
 // Predictor is the combined gshare + BTB + RAS predictor.
 type Predictor struct {
 	cfg Config
@@ -199,22 +191,6 @@ func (p *Predictor) OnReturn(target uint64) (mispredicted bool) {
 		return true
 	}
 	return false
-}
-
-// Reset clears all predictor state (statistics are preserved).
-func (p *Predictor) Reset() {
-	for i := range p.counters {
-		p.counters[i] = 0
-	}
-	for i := range p.btbTags {
-		p.btbTags[i] = 0
-		p.btbTargets[i] = 0
-	}
-	for i := range p.ras {
-		p.ras[i] = 0
-	}
-	p.rasTop = 0
-	p.history = 0
 }
 
 func b2u(b bool) uint64 {

@@ -57,7 +57,8 @@ func TestMispredRateBounded(t *testing.T) {
 		x = x*6364136223846793005 + 1442695040888963407
 		p.OnBranch(0x4000, x>>63 == 1)
 	}
-	r := p.Stats().MispredRate()
+	st := p.Stats()
+	r := float64(st.DirMispred) / float64(st.Branches)
 	if r < 0.35 || r > 0.65 {
 		t.Fatalf("random-stream misprediction rate %.2f outside [0.35, 0.65]", r)
 	}
@@ -125,23 +126,6 @@ func TestRASOverflow(t *testing.T) {
 		if p2.OnReturn(0x2000 + uint64(i)*64) {
 			t.Fatalf("innermost return %d must predict", i)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	p := New(Config{})
-	for i := 0; i < 100; i++ {
-		p.OnBranch(0x1000, true)
-	}
-	p.OnTarget(0x5000, 0x6000)
-	p.OnCall(0x9000)
-	st := p.Stats()
-	p.Reset()
-	if p.Stats() != st {
-		t.Fatal("reset must preserve statistics")
-	}
-	if mis := p.OnBranch(0x1000, true); !mis {
-		t.Fatal("after reset, counters must be cold again")
 	}
 }
 

@@ -67,9 +67,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns the access counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -154,9 +151,6 @@ func (c *Cache) Digest() uint64 {
 	return h
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return int(c.setMask) + 1 }
-
 // TLBConfig describes a TLB level. Ways == 0 means fully associative.
 type TLBConfig struct {
 	Name    string
@@ -189,9 +183,6 @@ func NewTLB(cfg TLBConfig) *TLB {
 	})
 	return &TLB{cfg: cfg, inner: inner}
 }
-
-// Config returns the TLB geometry.
-func (t *TLB) Config() TLBConfig { return t.cfg }
 
 // Stats returns the access counters.
 func (t *TLB) Stats() Stats { return t.inner.stats }

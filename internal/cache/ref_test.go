@@ -18,7 +18,7 @@ type refCache struct {
 
 func newRefCache(cfg Config) *refCache {
 	c := New(cfg) // geometry validation and derivation only
-	r := &refCache{lineShift: c.lineShift, setMask: c.setMask, sets: make([][]uint64, c.Sets())}
+	r := &refCache{lineShift: c.lineShift, setMask: c.setMask, sets: make([][]uint64, c.setMask+1)}
 	for i := range r.sets {
 		r.sets[i] = make([]uint64, cfg.Ways)
 	}

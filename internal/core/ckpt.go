@@ -55,7 +55,7 @@ func workloadHash(digest, total, interval uint64, cfg vm.Config) uint64 {
 	for _, v := range []uint64{
 		digest, total, interval,
 		n.MemSpan, uint64(n.TCMaxBlocks), uint64(n.TLBEntries),
-		uint64(n.MaxBlockLen), n.DiskSeed,
+		uint64(n.MaxBlockLen), 0, // the block device's seed, when it had one
 	} {
 		h = mix64(h, v)
 	}
@@ -117,7 +117,7 @@ func (s *Session) fastHit(n uint64) bool {
 		return false
 	}
 	snap, ok := s.ckpt.Lookup(s.ckptKey(s.executed + n))
-	if !ok || !s.restoreTo(s.ckpt, snap, s.executed+n) {
+	if !ok || !s.restoreTo(snap, s.executed+n) {
 		return false // degrade to cold execution
 	}
 	s.charge(hostcost.Fast, n)
@@ -125,14 +125,14 @@ func (s *Session) fastHit(n uint64) bool {
 }
 
 // restoreTo moves the session to the absolute instruction count instr
-// by restoring snap, store's checkpoint there. A snapshot that decoded
+// by restoring snap, the store's checkpoint there. A snapshot that decoded
 // cleanly but fails to restore is unusable for everyone: it is
 // discarded from every tier and the session stays where it was
 // (Restore validates before mutating, so the machine is untouched).
-func (s *Session) restoreTo(store *ckpt.Store, snap *vm.Snapshot, instr uint64) bool {
+func (s *Session) restoreTo(snap *vm.Snapshot, instr uint64) bool {
 	start := time.Now()
 	if err := s.machine.Restore(snap); err != nil {
-		store.Discard(s.ckptKey(instr))
+		s.ckpt.Discard(s.ckptKey(instr))
 		return false
 	}
 	if s.ob != nil {
@@ -150,26 +150,22 @@ func (s *Session) restoreTo(store *ckpt.Store, snap *vm.Snapshot, instr uint64) 
 // re-executing, paying only the fixed restore overhead (charged by the
 // caller via Meter().ChargeRestore, store hit or not).
 //
-// store selects an explicit store; nil uses the session's attached
-// store. With no store at all this devolves to a single free run to
+// Without an attached store this devolves to a single free run to
 // target. After a successful restore the session is back on the
 // canonical trajectory (checkpoints are only deposited there), so the
 // remaining gap is walked in base-interval steps, depositing at stride
 // boundaries along the way for later sessions.
-func (s *Session) FastForwardVia(store *ckpt.Store, target uint64) uint64 {
-	if store == nil {
-		store = s.ckpt
-	}
+func (s *Session) FastForwardVia(target uint64) uint64 {
 	if target > s.total {
 		target = s.total
 	}
 	start := s.executed
-	for store != nil && target > s.executed {
-		snap, instr, ok := store.Nearest(s.ckptKey(target))
+	for s.ckpt != nil && target > s.executed {
+		snap, instr, ok := s.ckpt.Nearest(s.ckptKey(target))
 		if !ok || instr <= s.executed {
 			break
 		}
-		if !s.restoreTo(store, snap, instr) {
+		if !s.restoreTo(snap, instr) {
 			// Degradation ladder: with the bad snapshot discarded, the
 			// next-lower checkpoint is tried; with none left we fall
 			// through and walk from scratch.

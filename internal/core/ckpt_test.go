@@ -90,12 +90,12 @@ func TestSessionNonCanonicalAbstains(t *testing.T) {
 func TestFastForwardViaMatchesFree(t *testing.T) {
 	ref := ckptSession(t, nil)
 	target := 10 * ref.IntervalLen()
-	ref.FastForwardVia(nil, target)
+	ref.FastForwardVia(target)
 	refUnits := ref.Meter().Report(ref.Scale()).Units
 
 	store := ckpt.NewMemory()
 	a := ckptSession(t, store)
-	if ex := a.FastForwardVia(nil, target); ex != target {
+	if ex := a.FastForwardVia(target); ex != target {
 		t.Fatalf("fast-forward advanced %d, want %d", ex, target)
 	}
 	if store.Stats().Puts == 0 {
@@ -103,7 +103,7 @@ func TestFastForwardViaMatchesFree(t *testing.T) {
 	}
 
 	b := ckptSession(t, store)
-	if ex := b.FastForwardVia(nil, target); ex != target {
+	if ex := b.FastForwardVia(target); ex != target {
 		t.Fatalf("warm fast-forward advanced %d, want %d", ex, target)
 	}
 	if store.Stats().NearestHits == 0 {

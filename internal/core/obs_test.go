@@ -92,7 +92,7 @@ func TestSessionContextCancellation(t *testing.T) {
 	if ipc, ex := s.RunTimed(L); ipc != 0 || ex != 0 {
 		t.Fatalf("post-cancel RunTimed = (%v, %d), want (0, 0)", ipc, ex)
 	}
-	if s.FastForwardVia(nil, s.Total()) != 0 {
+	if s.FastForwardVia(s.Total()) != 0 {
 		t.Fatal("post-cancel FastForwardVia advanced")
 	}
 	if s.Interrupted() == nil {

@@ -32,8 +32,6 @@ import (
 type Options struct {
 	// Scale divides the paper's instruction budgets (default 20000).
 	Scale int
-	// Timing overrides the Table 1 core configuration when non-nil.
-	Timing *timing.Config
 	// VM overrides the VM configuration.
 	VM vm.Config
 	// Ckpt attaches a checkpoint store, shared across sessions: the
@@ -144,17 +142,10 @@ func costTable(scale int) hostcost.CostTable {
 	return t
 }
 
-func (s *Session) timingConfig() timing.Config {
-	if s.opts.Timing != nil {
-		return *s.opts.Timing
-	}
-	return timing.DefaultConfig()
-}
-
 func (s *Session) resetMachines() {
 	s.machine = vm.New(s.opts.VM)
 	s.machine.Load(s.img)
-	s.core = timing.NewCore(s.timingConfig())
+	s.core = timing.NewCore(timing.DefaultConfig())
 	s.executed = 0
 	s.lastMode = hostcost.Fast
 	s.canonical = true

@@ -73,7 +73,7 @@ func TestSessionModesCharged(t *testing.T) {
 
 func TestFastForwardIsUncharged(t *testing.T) {
 	s := newTestSession(t)
-	s.FastForwardVia(nil, 5000)
+	s.FastForwardVia(5000)
 	if s.Executed() != 5000 {
 		t.Fatal("free run must still advance the guest")
 	}

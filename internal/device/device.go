@@ -32,9 +32,6 @@ func (c *Console) Write(data []byte) {
 // Tail returns the retained output tail.
 func (c *Console) Tail() []byte { return c.tail }
 
-// Reset clears the console state.
-func (c *Console) Reset() { *c = Console{} }
-
 // Clone returns a deep copy (for VM snapshots).
 func (c *Console) Clone() *Console {
 	cp := *c

@@ -225,15 +225,6 @@ func (r Report) Add(o Report) Report {
 	return r
 }
 
-// TotalInstrs returns the total instructions charged across modes.
-func (r Report) TotalInstrs() uint64 {
-	var t uint64
-	for _, n := range r.Instrs {
-		t += n
-	}
-	return t
-}
-
 // FormatDuration renders modelled seconds humanely (e.g. "6.2 d",
 // "21 min", "43 s").
 func FormatDuration(seconds float64) string {

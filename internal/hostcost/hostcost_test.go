@@ -53,8 +53,12 @@ func TestMeterAccounting(t *testing.T) {
 	if r.Switches != 1 || r.Restores != 1 {
 		t.Fatalf("switches=%d restores=%d", r.Switches, r.Restores)
 	}
-	if r.TotalInstrs() != 1010 {
-		t.Fatalf("total instrs = %d", r.TotalInstrs())
+	total := uint64(0)
+	for _, n := range r.Instrs {
+		total += n
+	}
+	if total != 1010 {
+		t.Fatalf("total instrs = %d", total)
 	}
 	if r.Instrs[Fast] != 1000 || r.Instrs[Timing] != 10 {
 		t.Fatal("per-mode instruction counts wrong")

@@ -91,7 +91,6 @@ const (
 	RegZero = 0  // always reads as zero; writes discarded
 	RegSP   = 29 // conventional stack pointer (convention only)
 	RegLR   = 30 // conventional link register
-	RegTmp  = 31 // assembler scratch
 )
 
 // NumRegs is the architectural general-register count.
@@ -220,12 +219,6 @@ func (o Op) ReadsRs1() bool { return o < numOps && opInfo[o].hasRs1 }
 
 // ReadsRs2 reports whether the opcode reads its second source register.
 func (o Op) ReadsRs2() bool { return o < numOps && opInfo[o].hasRs2 }
-
-// HasImm reports whether the opcode carries an immediate operand.
-func (o Op) HasImm() bool { return o < numOps && opInfo[o].hasImm }
-
-// IsMem reports whether the opcode accesses data memory.
-func (o Op) IsMem() bool { c := o.Class(); return c == ClassLoad || c == ClassStore }
 
 // IsCtrl reports whether the opcode can redirect control flow.
 func (o Op) IsCtrl() bool {

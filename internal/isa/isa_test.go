@@ -65,8 +65,8 @@ func TestOpProperties(t *testing.T) {
 		if got := c.op.ReadsRs2(); got != c.rs2 {
 			t.Errorf("%v ReadsRs2 = %v, want %v", c.op, got, c.rs2)
 		}
-		if got := c.op.HasImm(); got != c.imm {
-			t.Errorf("%v HasImm = %v, want %v", c.op, got, c.imm)
+		if got := opInfo[c.op].hasImm; got != c.imm {
+			t.Errorf("%v hasImm = %v, want %v", c.op, got, c.imm)
 		}
 	}
 }
@@ -74,10 +74,6 @@ func TestOpProperties(t *testing.T) {
 func TestCtrlAndMemClassification(t *testing.T) {
 	for op := Op(0); op < Op(NumOps); op++ {
 		cls := op.Class()
-		wantMem := cls == ClassLoad || cls == ClassStore
-		if op.IsMem() != wantMem {
-			t.Errorf("%v IsMem = %v", op, op.IsMem())
-		}
 		wantCtrl := cls == ClassBranch || cls == ClassJump || cls == ClassHalt || cls == ClassSys
 		if op.IsCtrl() != wantCtrl {
 			t.Errorf("%v IsCtrl = %v", op, op.IsCtrl())

@@ -14,9 +14,6 @@ const maxSpanBytes = 1 << 40
 // NumPages returns the number of materialised pages in the snapshot.
 func (s *Snapshot) NumPages() int { return len(s.pages) }
 
-// Span returns the snapshot's address-space size in bytes.
-func (s *Snapshot) Span() uint64 { return s.spanBytes }
-
 // Peek reads a word from the snapshot without touching any Memory;
 // unmaterialised addresses read as zero. The VM uses it to re-decode
 // translation-cache blocks from a deserialized snapshot before the

@@ -65,9 +65,6 @@ func (m *Memory) Span() uint64 { return m.spanBytes }
 // AllocatedPages returns the number of pages materialised so far.
 func (m *Memory) AllocatedPages() int { return m.allocated }
 
-// VPN returns the virtual page number of an address.
-func VPN(addr uint64) uint64 { return addr >> PageShift }
-
 // Read64 loads the 64-bit word at addr (forced to 8-byte alignment).
 // faulted reports whether the access materialised a fresh page.
 //

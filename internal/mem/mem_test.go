@@ -290,12 +290,6 @@ func TestRestoreSpanMismatch(t *testing.T) {
 	}
 }
 
-func TestVPN(t *testing.T) {
-	if VPN(0) != 0 || VPN(4095) != 0 || VPN(4096) != 1 || VPN(8192) != 2 {
-		t.Fatal("VPN arithmetic wrong")
-	}
-}
-
 func TestSpanRoundsUp(t *testing.T) {
 	m := New(PageBytes + 1)
 	if m.Span() != 2*PageBytes {

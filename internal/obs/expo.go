@@ -2,20 +2,15 @@ package obs
 
 // Exposition: Prometheus text format, flat JSON, an http.Handler
 // bundling both with the transition trace, and a convenience Serve for
-// the commands' -metrics-addr flag. The registry is also published
-// through the standard expvar mechanism (/debug/vars) so existing
-// expvar scrapers see the same numbers.
+// the commands' -metrics-addr flag.
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
-	"sync/atomic"
 )
 
 // formatFloat renders a metric value with the shortest round-tripping
@@ -107,7 +102,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 //	/metrics       Prometheus text exposition
 //	/metrics.json  flat JSON snapshot
 //	/transitions   mode-transition trace (JSON)
-//	/debug/vars    standard expvar (includes the published registry)
 //
 // reg and tr may each be nil; the endpoints then serve empty documents.
 func Handler(reg *Registry, tr *TransitionTrace) http.Handler {
@@ -124,27 +118,7 @@ func Handler(reg *Registry, tr *TransitionTrace) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = tr.WriteJSON(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
-}
-
-// The expvar bridge: expvar.Publish panics on duplicate names, so the
-// "obs" variable is published once per process and reads whichever
-// registry was most recently served.
-var (
-	expvarOnce sync.Once
-	expvarReg  atomic.Pointer[Registry]
-)
-
-// PublishExpvar exposes reg as the expvar variable "obs". Safe to call
-// repeatedly (and with a new registry; the latest wins).
-func PublishExpvar(reg *Registry) {
-	expvarReg.Store(reg)
-	expvarOnce.Do(func() {
-		expvar.Publish("obs", expvar.Func(func() any {
-			return expvarReg.Load().Snapshot()
-		}))
-	})
 }
 
 // Server is a running metrics endpoint.
@@ -153,15 +127,14 @@ type Server struct {
 	srv *http.Server
 }
 
-// Serve starts an HTTP server on addr exposing Handler(reg, tr) and
-// publishes reg via expvar. It returns once the listener is bound, so
-// Addr() is immediately valid (addr may use port 0).
+// Serve starts an HTTP server on addr exposing Handler(reg, tr). It
+// returns once the listener is bound, so Addr() is immediately valid
+// (addr may use port 0).
 func Serve(addr string, reg *Registry, tr *TransitionTrace) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: %w", err)
 	}
-	PublishExpvar(reg)
 	srv := &http.Server{Handler: Handler(reg, tr)}
 	go func() { _ = srv.Serve(ln) }()
 	return &Server{ln: ln, srv: srv}, nil

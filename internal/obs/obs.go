@@ -1,6 +1,6 @@
 // Package obs is the zero-dependency observability layer: a
 // concurrency-safe metrics registry (counters, gauges, histograms), a
-// mode-transition trace, and Prometheus-text / JSON / expvar exposition
+// mode-transition trace, and Prometheus-text / JSON exposition
 // (see expo.go). The paper's phase detector runs off the VM's internal
 // statistics; this package makes those signals — and the mode switches
 // they trigger — visible while a sweep runs instead of only as
@@ -136,14 +136,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sum.Load())
-}
-
-// Bounds returns the bucket upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return h.bounds
 }
 
 // DefBuckets is the default histogram bucketing (Prometheus's classic

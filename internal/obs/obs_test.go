@@ -39,8 +39,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if again := r.Histogram("lat_seconds", []float64{7}); again != h {
 		t.Fatal("same name must return the same histogram")
 	}
-	if len(h.Bounds()) != 2 {
-		t.Fatalf("bounds = %v", h.Bounds())
+	if len(h.bounds) != 2 {
+		t.Fatalf("bounds = %v", h.bounds)
 	}
 }
 

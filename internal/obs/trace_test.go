@@ -104,9 +104,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	if body := get("/transitions"); !strings.Contains(body, `"to": "timing"`) {
 		t.Fatalf("/transitions:\n%s", body)
 	}
-	if body := get("/debug/vars"); body == "" {
-		t.Fatal("/debug/vars empty")
-	}
 }
 
 func TestServe(t *testing.T) {

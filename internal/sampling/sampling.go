@@ -176,9 +176,6 @@ func (e *Estimator) IPC() float64 {
 	return e.instrs / e.cycles
 }
 
-// Weight returns the total attributed instruction weight.
-func (e *Estimator) Weight() float64 { return e.instrs + e.pending }
-
 // policyObs bundles the metric handles every sampling policy shares: a
 // sample counter and a distribution of measured interval IPCs, both
 // labelled with the policy name. Handles come from the nil-safe obs

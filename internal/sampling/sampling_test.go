@@ -45,8 +45,8 @@ func TestEstimatorExtrapolation(t *testing.T) {
 	if math.Abs(e.IPC()-want) > 1e-12 {
 		t.Fatalf("IPC = %v, want %v", e.IPC(), want)
 	}
-	if e.Weight() != 2000 {
-		t.Fatalf("weight = %v", e.Weight())
+	if w := e.instrs + e.pending; w != 2000 {
+		t.Fatalf("weight = %v", w)
 	}
 }
 

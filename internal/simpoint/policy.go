@@ -213,7 +213,7 @@ func (p Policy) RunBoth(s *core.Session) (an Analysis, noProf, withProf sampling
 			// when the session has one; free either way (the modelled
 			// cost is the fixed restore overhead charged below,
 			// identically whether or not the store had a hit).
-			s.FastForwardVia(nil, warmStart)
+			s.FastForwardVia(warmStart)
 		}
 		s.Meter().ChargeRestore()
 		if target > s.Executed() {

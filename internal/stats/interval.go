@@ -142,18 +142,6 @@ func Summarize(xs []float64) Summary {
 	return st.Summary()
 }
 
-// MeanInterval returns the t-based confidence interval of the mean of a
-// simple random sample. Fewer than two observations cannot estimate a
-// variance: the interval is infinite.
-func MeanInterval(xs []float64, confidence float64) Interval {
-	sm := Summarize(xs)
-	if sm.N < 2 {
-		return infinite(sm.Mean, confidence)
-	}
-	hw := TQuantile(float64(sm.N-1), confidence) * math.Sqrt(sm.Variance/float64(sm.N))
-	return Interval{Point: sm.Mean, Lo: sm.Mean - hw, Hi: sm.Mean + hw, Confidence: confidence}
-}
-
 // Stratum is one stratum of a stratified design: its population weight
 // (fraction of the frame), its population size in sampling units, and
 // the summary of the measurements taken inside it.

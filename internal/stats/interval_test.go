@@ -74,21 +74,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestMeanInterval(t *testing.T) {
-	t.Parallel()
-	// Hand-computed: mean 2, s² = 1, se = √(1/3), t(2, .95) = 4.303.
-	iv := MeanInterval([]float64{1, 2, 3}, 0.95)
-	almost(t, "Point", iv.Point, 2)
-	almost(t, "HalfWidth", iv.HalfWidth(), 4.303*math.Sqrt(1.0/3.0))
-	if !iv.Contains(2) {
-		t.Fatal("interval must contain its own point")
-	}
-	// n=1: no variance estimate.
-	if iv := MeanInterval([]float64{7}, 0.95); iv.Valid() || iv.Point != 7 {
-		t.Fatalf("n=1 interval = %+v, want infinite around 7", iv)
-	}
-}
-
 func TestStratifiedMeanIntervalHandComputed(t *testing.T) {
 	t.Parallel()
 	// Two strata, equal weight: h1 has N=100, sample {1,2,3}
@@ -369,9 +354,10 @@ func TestStratifiedMatchesMeanIntervalSingleStratum(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.Float() * 100
 		}
-		a := MeanInterval(xs, 0.95)
-		b := StratifiedMeanInterval([]Stratum{{Weight: 1, Sample: Summarize(xs)}}, 0.95)
-		return math.Abs(a.Lo-b.Lo) < 1e-9 && math.Abs(a.Hi-b.Hi) < 1e-9
+		sm := Summarize(xs)
+		hw := TQuantile(float64(n-1), 0.95) * math.Sqrt(sm.Variance/float64(n))
+		b := StratifiedMeanInterval([]Stratum{{Weight: 1, Sample: sm}}, 0.95)
+		return math.Abs(sm.Mean-hw-b.Lo) < 1e-9 && math.Abs(sm.Mean+hw-b.Hi) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -39,15 +39,6 @@ func (s *Stream) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (s *Stream) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// CoeffVar returns the coefficient of variation (sigma/mu); SMARTS uses
-// V to compute the sample size needed for a target confidence.
-func (s *Stream) CoeffVar() float64 {
-	if s.mean == 0 {
-		return 0
-	}
-	return s.StdDev() / math.Abs(s.mean)
-}
-
 // z values for common two-sided confidence levels (normal approximation
 // — SMARTS samples in the thousands, where the CLT is comfortable).
 func zFor(confidence float64) float64 {
@@ -81,20 +72,4 @@ func (s *Stream) RelativeCI(confidence float64) float64 {
 		return math.Inf(1)
 	}
 	return s.CI(confidence) / math.Abs(s.mean)
-}
-
-// RequiredSamples returns the sample count needed so that the relative
-// confidence half-width falls below target at the given confidence —
-// SMARTS's n >= (z*V/eps)^2 sizing rule, computed from the coefficient
-// of variation observed so far.
-func (s *Stream) RequiredSamples(target, confidence float64) uint64 {
-	if target <= 0 {
-		return math.MaxUint64
-	}
-	zv := zFor(confidence) * s.CoeffVar() / target
-	n := math.Ceil(zv * zv)
-	if n < 2 {
-		return 2
-	}
-	return uint64(n)
 }

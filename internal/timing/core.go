@@ -101,9 +101,6 @@ func NewCore(cfg Config) *Core {
 	return c
 }
 
-// Config returns the core configuration.
-func (c *Core) Config() Config { return c.cfg }
-
 // Predictor exposes the branch predictor (for statistics).
 func (c *Core) Predictor() *branch.Predictor { return c.pred }
 
@@ -136,9 +133,6 @@ func IPC(from, to Marker) float64 {
 	}
 	return float64(di) / float64(dc)
 }
-
-// Mispredicts returns the cumulative full-penalty redirect count.
-func (c *Core) Mispredicts() uint64 { return c.mispredicts }
 
 // Snapshot is the timing-visible state of a core at one instant: the
 // simulated clock, every retirement counter, the statistics and
@@ -197,9 +191,6 @@ func (c *Core) Snapshot() Snapshot {
 		PredDigest:  c.pred.Digest(),
 	}
 }
-
-// Instructions returns the cumulative instruction count seen in detail.
-func (c *Core) Instructions() uint64 { return c.instrs }
 
 // Operand predicates of every opcode, packed so the hot loop makes one
 // unchecked table load per instruction instead of three isa calls.

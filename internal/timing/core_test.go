@@ -367,7 +367,7 @@ func TestNewCoreRejectsBadConfig(t *testing.T) {
 	cfg.Width, cfg.Window, cfg.LoadBuf, cfg.StoreBuf, cfg.IntALU, cfg.MemPorts, cfg.FPUs = 1, 1, 1, 1, 1, 1, 1
 	c := NewCore(cfg)
 	c.OnEvents(streams()["gzip"][:2000])
-	if c.Instructions() != 2000 {
-		t.Fatalf("minimal core retired %d of 2000", c.Instructions())
+	if c.instrs != 2000 {
+		t.Fatalf("minimal core retired %d of 2000", c.instrs)
 	}
 }

@@ -24,7 +24,7 @@ func TestKernelIPCSpread(t *testing.T) {
 		m.Run(100_000, core)
 		ipc := IPC(start, core.Marker())
 		ipcs[kind.String()] = ipc
-		t.Logf("%-8s ipc=%.3f mispred=%d", kind, ipc, core.Mispredicts())
+		t.Logf("%-8s ipc=%.3f mispred=%d", kind, ipc, core.mispredicts)
 	}
 	if !(ipcs["alu"] > 2.0) {
 		t.Errorf("alu IPC %.2f, want > 2.0 (should be near width)", ipcs["alu"])

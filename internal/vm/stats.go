@@ -74,12 +74,7 @@ const (
 	MetricEXC
 	// MetricIO is the device I/O operation count.
 	MetricIO
-
-	numMetrics
 )
-
-// NumMetrics is the number of monitorable metrics.
-const NumMetrics = int(numMetrics)
 
 // ParseMetric converts the paper's metric names (CPU, EXC, I/O) into a
 // Metric value.

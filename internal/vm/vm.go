@@ -40,8 +40,6 @@ type Config struct {
 	TLBEntries int
 	// MaxBlockLen caps decoded basic-block length (default 64).
 	MaxBlockLen int
-	// DiskSeed seeds the block device's deterministic content.
-	DiskSeed uint64
 	// EventBatch is the event-mode delivery batch capacity in events
 	// (default 256). Purely host-side: the batch size never influences
 	// guest-visible behaviour, statistics, or results — only how many
@@ -379,7 +377,7 @@ func New(cfg Config) *Machine {
 		cfg:       cfg,
 		mem:       mem.New(cfg.MemSpan),
 		console:   &device.Console{},
-		disk:      device.NewBlock(cfg.DiskSeed),
+		disk:      device.NewBlock(0),
 		tc:        make(map[uint64]*block),
 		pageBlk:   make(map[uint64][]*block),
 		tlb:       make([]uint64, cfg.TLBEntries),

@@ -32,12 +32,10 @@ const (
 	rT4    = 7
 	rT5    = 8
 	rT6    = 9
-	rSysA0 = 10
 	rScr   = 13
 	rLCG   = 14
 	rBase  = 15
 	rMask  = 16
-	rParam = 17
 	rEpMsk = 18
 	rEpIt  = 19
 	rEpCnt = 29
