@@ -25,6 +25,7 @@ fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzMoviExpansion$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simpoint -run '^$$' -fuzz '^FuzzKMeansMatchesReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzParseKey$$' -fuzztime $(FUZZTIME)
 
 # Differential-execution checks (see internal/check and cmd/diffcheck;
 # `-legs` picks the checks). programs and policies: every program-level
@@ -129,17 +130,21 @@ profile-sweep:
 	@$(PROFILE_SWEEP) -sample_index=inuse_space sweep.test sweep.heap 2>/dev/null | grep -E 'Showing nodes|mem\.DecodeSnapshot$$' || true
 
 # The two numbers a CHANGES.md entry quotes: non-test and test Go lines
-# outside bench/.
+# outside bench/. Fails when the first is over ROADMAP item 7's ceiling.
 loc:
 	@bash scripts/loc.sh
 
 # Every internal/ package is reachable from a command, bench/ or an
-# example (scripts/reach.sh), and every path the three top-level
-# documents cite exists (scripts/docs-check.sh).
+# example (scripts/reach.sh), and so is every name those packages
+# declare: the root TestReach fails on a package-level name, method or
+# constant that no non-test file mentions and scripts/reach.allow does
+# not excuse. docs-check: every path, identifier and file:line the four
+# top-level documents cite exists (scripts/docs-check.sh).
 reach:
 	@bash scripts/reach.sh
+	$(GO) test -count=1 -run '^TestReach$$' .
 
 docs-check:
 	@bash scripts/docs-check.sh
 
-ci: vet build reach docs-check race fuzz-smoke diffcheck
+ci: vet build reach docs-check loc race fuzz-smoke diffcheck

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"repro/internal/sampling"
 )
 
 // CSV exporters for the data behind each figure, for external plotting.
@@ -106,7 +108,8 @@ func Figure67CSV(r *Runner, w io.Writer) error {
 }
 
 // Figure89CSV writes per-benchmark IPC and modelled time for the
-// Figure 8/9 policy set.
+// Figure 8/9 policy set; a failed cell reads FAILED(kind) in both of its
+// columns, as it does in the figures.
 func Figure89CSV(r *Runner, w io.Writer) error {
 	results, err := r.RunAll(fig89Policies(r.Options().Scale))
 	if err != nil {
@@ -124,10 +127,9 @@ func Figure89CSV(r *Runner, w io.Writer) error {
 	for _, b := range r.Benchmarks() {
 		rec := []string{b}
 		for _, c := range cols {
-			res := results[b][c]
 			rec = append(rec,
-				strconv.FormatFloat(res.EstIPC, 'f', 4, 64),
-				strconv.FormatFloat(res.Cost.PaperSeconds, 'f', 0, 64))
+				cellText(r, results, b, c, "%.4f", func(res sampling.Result) interface{} { return res.EstIPC }),
+				cellText(r, results, b, c, "%.0f", func(res sampling.Result) interface{} { return res.Cost.PaperSeconds }))
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

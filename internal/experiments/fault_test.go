@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -96,6 +97,26 @@ func TestUnhealableFaultMarksCell(t *testing.T) {
 	}
 	if !strings.Contains(fig.String(), "WARNING:") {
 		t.Errorf("Figure8 missing failure footer:\n%s", fig.String())
+	}
+
+	// The CSV export of the same cells marks them too — not the zero
+	// Result's "0.0000,0" — and the two aggregate figures, which average
+	// over whatever survived, say what they left out.
+	var csv bytes.Buffer
+	if err := Figure89CSV(r, &csv); err != nil {
+		t.Fatal(err)
+	}
+	if out := csv.String(); !strings.Contains(out, "FAILED(") || strings.Contains(out, "0.0000,0") {
+		t.Errorf("Figure89CSV hides the failed cells:\n%s", out)
+	}
+	for name, render := range map[string]func(*Runner, io.Writer) error{"Figure6": Figure6, "Figure7": Figure7} {
+		var out bytes.Buffer
+		if err := render(r, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "WARNING:") {
+			t.Errorf("%s missing failure footer:\n%s", name, out.String())
+		}
 	}
 }
 

@@ -207,8 +207,7 @@ func Figure4(r *Runner, w io.Writer) error {
 		}
 		prof.EndInterval()
 	}
-	cl := simpoint.ChooseK(prof.Vectors(), 16, 8, 0.9, 0x51a9)
-	spPts := prefixPoints(prof.Vectors(), cl)
+	spPts, _ := simpoint.Representatives(prof.Vectors(), simpoint.ChooseK(prof.Vectors(), 16, 8, 0.9, 0x51a9))
 	var dsPts []int
 	for _, d := range ds.Detections {
 		if int(d) < n {
@@ -245,30 +244,6 @@ func Figure4(r *Runner, w io.Writer) error {
 			sum/float64(len(spPts)), matched, len(spPts))
 	}
 	return nil
-}
-
-// prefixPoints extracts the per-cluster representative interval indices
-// from a clustering, ascending.
-func prefixPoints(vectors [][]float64, cl simpoint.KMeansResult) []int {
-	var pts []int
-	for c := 0; c < cl.K; c++ {
-		if c >= len(cl.Sizes) || cl.Sizes[c] == 0 {
-			continue
-		}
-		best, bestD := -1, 0.0
-		for i, v := range vectors {
-			if cl.Assign[i] != c {
-				continue
-			}
-			d := simpoint.DistanceSq(v, cl.Centroids[c])
-			if best == -1 || d < bestD {
-				best, bestD = i, d
-			}
-		}
-		pts = append(pts, best)
-	}
-	sort.Ints(pts)
-	return pts
 }
 
 // ParetoOptimal marks which aggregates are Pareto optimal in the
@@ -356,7 +331,11 @@ func Figure6(r *Runner, w io.Writer) error {
 		}
 		fmt.Fprintf(tw, "%s\t%.3f\t%s\t%s\n", name, a.MeanIPC, label, bar(a.MeanIPC, 2, 30))
 	}
-	return tw.Flush()
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	failureFooter(r, w)
+	return nil
 }
 
 // Figure7 renders total simulation time per policy (modelled,
@@ -378,7 +357,11 @@ func Figure7(r *Runner, w io.Writer) error {
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\n", name, hostcost.FormatDuration(a.TotalSeconds), sp)
 	}
-	return tw.Flush()
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	failureFooter(r, w)
+	return nil
 }
 
 // fig89Policies are the per-benchmark detail policies of Figures 8/9.

@@ -106,37 +106,40 @@ func (p Policy) Analyse(s *core.Session) (Analysis, error) {
 	work := float64(len(sub))*ladderSum(len(sub)) + float64(n)*float64(final.K)
 	s.Meter().ChargeUnits(work * 0.02 * kmeansIters)
 
-	// Representative per cluster: the interval closest to the centroid.
-	points := make([]int, 0, final.K)
-	weights := make([]float64, 0, final.K)
-	for c := 0; c < final.K; c++ {
-		if final.Sizes[c] == 0 {
+	points, weights := Representatives(vectors, final)
+	return Analysis{NumIntervals: n, K: final.K, Points: points, Weights: weights}, nil
+}
+
+// Representatives picks one vector per non-empty cluster of cl — the
+// member closest to the centroid, the first of equals — and returns
+// their indices in ascending order, each with its cluster's share of
+// the vectors.
+func Representatives(vectors [][]float64, cl KMeansResult) (points []int, weights []float64) {
+	type rep struct {
+		point  int
+		weight float64
+	}
+	var reps []rep
+	for c, size := range cl.Sizes {
+		if size == 0 {
 			continue
 		}
 		best, bestD := -1, 0.0
 		for i, v := range vectors {
-			if final.Assign[i] != c {
+			if cl.Assign[i] != c {
 				continue
 			}
-			d := DistanceSq(v, final.Centroids[c])
-			if best == -1 || d < bestD {
+			if d := DistanceSq(v, cl.Centroids[c]); best == -1 || d < bestD {
 				best, bestD = i, d
 			}
 		}
-		points = append(points, best)
-		weights = append(weights, float64(final.Sizes[c])/float64(n))
+		reps = append(reps, rep{best, float64(size) / float64(len(vectors))})
 	}
-	// Sort points ascending, carrying weights.
-	idx := make([]int, len(points))
-	for i := range idx {
-		idx[i] = i
+	sort.Slice(reps, func(a, b int) bool { return reps[a].point < reps[b].point })
+	for _, r := range reps {
+		points, weights = append(points, r.point), append(weights, r.weight)
 	}
-	sort.Slice(idx, func(a, b int) bool { return points[idx[a]] < points[idx[b]] })
-	sp, sw := make([]int, len(points)), make([]float64, len(points))
-	for i, j := range idx {
-		sp[i], sw[i] = points[j], weights[j]
-	}
-	return Analysis{NumIntervals: n, K: final.K, Points: sp, Weights: sw}, nil
+	return points, weights
 }
 
 // subsample returns the vectors k selection runs on (see subSample).

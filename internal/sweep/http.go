@@ -29,10 +29,12 @@ import (
 // leases answer 409; completions with missing records answer 422;
 // lease verbs stamped with a dead incarnation's epoch answer 410 (the
 // worker re-fetches /v1/config and re-claims); WAL append failures
-// answer 503 (retryable — nothing was acknowledged). Snapshot transfers
-// carry their own FNV digest footer, verified by vm.ReadSnapshot on
-// whichever side decodes — the server never stores an upload it could
-// not decode, the client never restores a download it could not verify.
+// answer 503 (retryable — nothing was acknowledged). Keys and snapshot
+// bodies are checked by the checkpoint store at either end, not by the
+// transport (ckpt.ParseKey, and ckpt's accept: digest footer, the key's
+// instruction count, nothing after the footer) — the server never stores
+// an upload it could not decode, a worker never restores a download its
+// store refused, and no key names a file outside the store's directory.
 // The server decodes an upload only to verify it: what it keeps is the
 // bytes, spooled to the key's disk file as they are checked
 // (ckpt.Store.PutFrom). A GET or nearest decodes the file, sends the
