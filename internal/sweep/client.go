@@ -205,21 +205,23 @@ func (cl *Client) Complete(id uint64, recs []experiments.JournalRecord) error {
 	return cl.postJSON(context.Background(), "/v1/complete", leaseRequest{Lease: id, Records: recs, Epoch: cl.epoch.Load()}, nil)
 }
 
-func (cl *Client) ckptURL(k ckpt.Key) string {
-	return cl.base + "/v1/ckpt/" + k.String()
+// ckptURL addresses a checkpoint route by its name: a key's, or a key's
+// plus "/nearest". The fault injector knows a transfer by the same name.
+func (cl *Client) ckptURL(name string) string {
+	return cl.base + "/v1/ckpt/" + name
 }
 
 // fetch is the one GET under Get and Nearest: fault hook, request,
 // status, the X-Ckpt-Instr header when there is one, and the body —
 // through the injector's in-flight damage when there is one — handed on
 // unread. A 404 is a nil body and a nil error.
-func (cl *Client) fetch(url, faultName string) (io.ReadCloser, uint64, error) {
+func (cl *Client) fetch(name string) (io.ReadCloser, uint64, error) {
 	if cl.Faults != nil {
-		if err := cl.Faults.NetFault("get", faultName); err != nil {
+		if err := cl.Faults.NetFault("get", name); err != nil {
 			return nil, 0, err
 		}
 	}
-	resp, err := cl.hc.Get(url)
+	resp, err := cl.hc.Get(cl.ckptURL(name))
 	if err != nil {
 		return nil, 0, fmt.Errorf("sweep: ckpt get: %w", err)
 	}
@@ -245,18 +247,18 @@ func (cl *Client) fetch(url, faultName string) (io.ReadCloser, uint64, error) {
 	return struct {
 		io.Reader
 		io.Closer
-	}{cl.Faults.NetCorruptReader(faultName, resp.Body), resp.Body}, instr, nil
+	}{cl.Faults.NetCorruptReader(name, resp.Body), resp.Body}, instr, nil
 }
 
 // Get implements ckpt.Remote.
 func (cl *Client) Get(k ckpt.Key) (io.ReadCloser, error) {
-	body, _, err := cl.fetch(cl.ckptURL(k), k.String())
+	body, _, err := cl.fetch(k.String())
 	return body, err
 }
 
 // Nearest implements ckpt.Remote.
 func (cl *Client) Nearest(k ckpt.Key) (io.ReadCloser, uint64, error) {
-	return cl.fetch(cl.ckptURL(k)+"/nearest", k.String()+"/nearest")
+	return cl.fetch(k.String() + "/nearest")
 }
 
 // Put implements ckpt.Remote.
@@ -275,7 +277,7 @@ func (cl *Client) Put(k ckpt.Key, snap *vm.Snapshot) error {
 	if _, err := snap.WriteTo(buf); err != nil {
 		return err
 	}
-	req, err := http.NewRequest(http.MethodPut, cl.ckptURL(k), buf)
+	req, err := http.NewRequest(http.MethodPut, cl.ckptURL(k.String()), buf)
 	if err != nil {
 		return err
 	}

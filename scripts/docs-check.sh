@@ -65,12 +65,16 @@ done
 for doc in $docs; do
 	while IFS=: read -r file lines; do
 		last=${lines##*[!0-9]}
+		candidates=$file
+		if [[ $file != */* ]]; then
+			candidates=$(find . -name "$file" -not -path './.bench_build/*' -not -path './.git/*')
+		fi
 		longest=0
-		while read -r found; do
-			n=$(wc -l <"$found")
-			[ "$n" -gt "$longest" ] && longest=$n
-		done < <(if [[ $file == */* ]]; then ls "$file" 2>/dev/null; else
-			find . -name "$file" -not -path './.bench_build/*' -not -path './.git/*'; fi)
+		for found in $candidates; do
+			if [ -f "$found" ] && [ "$(wc -l <"$found")" -gt "$longest" ]; then
+				longest=$(wc -l <"$found")
+			fi
+		done
 		if [ "$longest" -eq 0 ]; then
 			echo "$doc cites $file:$lines, and there is no $file" >&2
 			missing=1
