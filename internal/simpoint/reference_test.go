@@ -429,3 +429,62 @@ func TestProfilerMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// refAnalyse is Analyse with its profiling pass written out in full:
+// one base interval into the profiler, then close the vector, until the
+// session is done.
+func refAnalyse(p Policy, s *core.Session) (Analysis, error) {
+	prof := NewProfiler(DefaultDim, p.Seed)
+	for !s.Done() {
+		if s.RunProfile(s.IntervalLen(), prof) == 0 {
+			break
+		}
+		prof.EndInterval()
+	}
+	vectors := prof.Vectors()
+	n := len(vectors)
+	if n == 0 {
+		return Analysis{}, fmt.Errorf("simpoint: no intervals profiled")
+	}
+	sub := subsample(vectors)
+	chosen := ChooseK(sub, maxK, kmeansIters, bicThreshold, p.Seed)
+	final := KMeans(vectors, chosen.K, kmeansIters, p.Seed+7)
+	work := float64(len(sub))*ladderSum(len(sub)) + float64(n)*float64(final.K)
+	s.Meter().ChargeUnits(work * 0.02 * kmeansIters)
+	points, weights := Representatives(vectors, final)
+	return Analysis{NumIntervals: n, K: final.K, Points: points, Weights: weights}, nil
+}
+
+// TestAnalyseFollowsReference requires Analyse to leave the session
+// where refAnalyse does, with the same cost report, and to return the
+// same analysis to the bit.
+func TestAnalyseFollowsReference(t *testing.T) {
+	t.Parallel()
+	p := New(true)
+	for _, bench := range []string{"gzip", "mcf", "perlbmk"} {
+		got, want := newSession(t, bench, 50_000), newSession(t, bench, 50_000)
+		an, err := p.Analyse(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := refAnalyse(p, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if an.NumIntervals != ref.NumIntervals || an.K != ref.K || fmt.Sprint(an.Points) != fmt.Sprint(ref.Points) {
+			t.Errorf("%s: analysis %+v, reference %+v", bench, an, ref)
+		}
+		for i := range ref.Weights {
+			if i >= len(an.Weights) || math.Float64bits(an.Weights[i]) != math.Float64bits(ref.Weights[i]) {
+				t.Errorf("%s: weights %v, reference %v", bench, an.Weights, ref.Weights)
+				break
+			}
+		}
+		if got.Executed() != want.Executed() {
+			t.Errorf("%s: session at %d, reference at %d", bench, got.Executed(), want.Executed())
+		}
+		if g, w := got.Meter().Report(got.Scale()), want.Meter().Report(want.Scale()); fmt.Sprintf("%+v", g) != fmt.Sprintf("%+v", w) {
+			t.Errorf("%s: cost %+v, reference %+v", bench, g, w)
+		}
+	}
+}
