@@ -15,37 +15,25 @@ type FullTiming struct {
 // Name implements Policy.
 func (FullTiming) Name() string { return "Full timing" }
 
-// Run implements Policy.
+// Run implements Policy: one timed base interval after another, the
+// first TraceIntervals of them traced.
 func (p FullTiming) Run(s *core.Session) (Result, error) {
-	var est Estimator
-	res := Result{Policy: p.Name(), Bench: s.Spec().Name}
-	po := newPolicyObs(s, p.Name())
-	interval := s.IntervalLen()
+	d := NewDriver(s, p.Name())
 	prev := s.Machine().Stats()
-	var idx uint64
-	for !s.Done() {
-		ipc, ex := s.RunTimed(interval)
-		if ex == 0 {
-			break
+	d.run(func() (step, bool) { return d.at(nil, 0, 0, s.IntervalLen()), true }, func(ipc float64, _ uint64) {
+		idx := len(d.res.Trace)
+		if idx >= p.TraceIntervals {
+			return
 		}
-		est.Sample(ipc, ex)
-		res.Samples++
-		po.sample(ipc)
-		if int(idx) < p.TraceIntervals {
-			delta, now := s.StatsDelta(prev)
-			prev = now
-			res.Trace = append(res.Trace, IntervalTrace{
-				Index:           idx,
-				IPC:             ipc,
-				TCInvalidations: delta.TCInvalidations,
-				Exceptions:      delta.Exceptions,
-				IOOps:           delta.IOOps,
-			})
-		}
-		idx++
-	}
-	res.EstIPC = est.IPC()
-	res.Instructions = s.Executed()
-	res.Cost = s.Meter().Report(s.Scale())
-	return res, nil
+		delta, now := s.StatsDelta(prev)
+		prev = now
+		d.res.Trace = append(d.res.Trace, IntervalTrace{
+			Index:           uint64(idx),
+			IPC:             ipc,
+			TCInvalidations: delta.TCInvalidations,
+			Exceptions:      delta.Exceptions,
+			IOOps:           delta.IOOps,
+		})
+	})
+	return d.Result(), nil
 }

@@ -82,15 +82,8 @@ type Analysis struct {
 // The session is left at the end of the benchmark; callers Reset() it
 // before the measurement pass.
 func (p Policy) Analyse(s *core.Session) (Analysis, error) {
-	interval := s.IntervalLen()
 	prof := NewProfiler(DefaultDim, p.Seed)
-	for !s.Done() {
-		ex := s.RunProfile(interval, prof)
-		if ex == 0 {
-			break
-		}
-		prof.EndInterval()
-	}
+	sampling.NewDriver(s, p.Name()).Walk(prof, 0, func(uint64) { prof.EndInterval() })
 	vectors := prof.Vectors()
 	n := len(vectors)
 	if n == 0 {
@@ -189,53 +182,31 @@ func (p Policy) RunBoth(s *core.Session) (an Analysis, noProf, withProf sampling
 	if err != nil {
 		return an, res, res, err
 	}
-	res.Instructions = s.Executed()
+	instructions := s.Executed()
 	profCost := s.Meter().Report(s.Scale())
 	s.ResetMeter()
 
 	// Measurement pass from a fresh start (cold structures, as when
-	// dispatching from checkpoints collected during profiling).
+	// dispatching from checkpoints collected during profiling): each
+	// simulation point is reached by checkpoint dispatch. The points
+	// combine in cycle space (consistent with the sampling.Estimator
+	// convention): cycles-per-instruction of each simulation point,
+	// weighted by cluster share.
 	s.Reset()
-	interval := s.IntervalLen()
-	warm := interval * uint64(p.WarmIntervals)
-
-	// Cluster-weighted combination in cycle space (consistent with the
-	// sampling.Estimator convention): cycles-per-instruction of each
-	// simulation point, weighted by cluster share.
+	d := sampling.NewDriver(s, p.Name())
 	var cpi, wsum float64
-	for j, point := range an.Points {
-		target := uint64(point) * interval
-		warmStart := target
-		if warmStart >= warm {
-			warmStart -= warm
-		} else {
-			warmStart = 0
-		}
-		if warmStart > s.Executed() {
-			// Dispatch to the simulation point via the checkpoint store
-			// when the session has one; free either way (the modelled
-			// cost is the fixed restore overhead charged below,
-			// identically whether or not the store had a hit).
-			s.FastForwardVia(warmStart)
-		}
-		s.Meter().ChargeRestore()
-		if target > s.Executed() {
-			s.RunDetailWarm(target - s.Executed())
-		}
-		ipc, ex := s.RunTimed(interval)
-		if ex == 0 {
-			break
-		}
+	d.Measure(an.Points, p.WarmIntervals, true, func(j int, ipc float64) {
 		if ipc > 0 {
 			cpi += an.Weights[j] / ipc
 			wsum += an.Weights[j]
 		}
-		res.Samples++
-	}
+	})
+	res = d.Result()
+	res.Instructions = instructions
+	res.EstIPC = 0
 	if wsum > 0 && cpi > 0 {
 		res.EstIPC = wsum / cpi
 	}
-	res.Cost = s.Meter().Report(s.Scale())
 
 	noProf, withProf = res, res
 	noProf.Policy = nameNoProf
