@@ -9,8 +9,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/hostcost"
 	"repro/internal/isa"
 	"repro/internal/sampling"
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -331,17 +333,23 @@ func TestCheckpointEquivalencePolicies(t *testing.T) {
 }
 
 // offAtRun wraps a policy: it counts Run calls and, on call number bad
-// (1-based; 0 = never), returns an estimate one ulp off.
+// (1-based; 0 = never), perturbs the result — by default, an estimate
+// one ulp off.
 type offAtRun struct {
 	sampling.Policy
-	runs *int
-	bad  int
+	runs    *int
+	bad     int
+	perturb func(*sampling.Result)
 }
 
 func (p offAtRun) Run(s *core.Session) (sampling.Result, error) {
 	res, err := p.Policy.Run(s)
 	if *p.runs++; *p.runs == p.bad {
-		res.EstIPC = math.Nextafter(res.EstIPC, 2*res.EstIPC)
+		if p.perturb == nil {
+			res.EstIPC = math.Nextafter(res.EstIPC, 2*res.EstIPC)
+		} else {
+			p.perturb(&res)
+		}
 	}
 	return res, err
 }
@@ -349,7 +357,9 @@ func (p offAtRun) Run(s *core.Session) (sampling.Result, error) {
 // TestPolicyLegsCompareEveryRun pins what the four per-policy legs share:
 // each makes its fixed number of runs per policy and compares every one
 // of them with the first — an estimate one ulp off in any later run
-// fails the leg, by name.
+// fails the leg, by name. Then one row per Result field: a replay that
+// differs in that field alone, the cost report's per-mode mix included,
+// fails the comparison and names the field.
 func TestPolicyLegsCompareEveryRun(t *testing.T) {
 	t.Parallel()
 	for _, leg := range []struct {
@@ -367,7 +377,7 @@ func TestPolicyLegsCompareEveryRun(t *testing.T) {
 				continue // the reference run itself
 			}
 			runs := 0
-			p := offAtRun{sampling.NewDynamic(vm.MetricCPU, 300, 1, 10), &runs, bad}
+			p := offAtRun{sampling.NewDynamic(vm.MetricCPU, 300, 1, 10), &runs, bad, nil}
 			err := leg.run("gzip", core.Options{Scale: 100_000}, []sampling.Policy{p})
 			switch {
 			case bad == 0 && (err != nil || runs != leg.runs):
@@ -378,6 +388,41 @@ func TestPolicyLegsCompareEveryRun(t *testing.T) {
 				strings.Contains(err.Error(), "gzip") && strings.Contains(err.Error(), "EstIPC")):
 				t.Errorf("%s: error does not name leg, policy, bench and field: %v", leg.name, err)
 			}
+		}
+	}
+
+	ulp := func(f *float64) { *f = math.Nextafter(*f, math.Inf(1)) }
+	for _, row := range []struct {
+		field   string
+		perturb func(*sampling.Result)
+	}{
+		{"Policy", func(r *sampling.Result) { r.Policy += "'" }},
+		{"Bench", func(r *sampling.Result) { r.Bench += "'" }},
+		{"EstIPC", func(r *sampling.Result) { ulp(&r.EstIPC) }},
+		{"Instructions", func(r *sampling.Result) { r.Instructions++ }},
+		{"Samples", func(r *sampling.Result) { r.Samples++ }},
+		{"CIHalfWidthPct", func(r *sampling.Result) { ulp(&r.CIHalfWidthPct) }},
+		{"CPIInterval", func(r *sampling.Result) { r.CPIInterval = &stats.Interval{} }},
+		{"TargetMet", func(r *sampling.Result) { r.TargetMet = !r.TargetMet }},
+		{"Detections[0]", func(r *sampling.Result) { r.Detections[0]++ }},
+		{"Trace", func(r *sampling.Result) { r.Trace = append(r.Trace, sampling.IntervalTrace{}) }},
+		{"Cost.Units", func(r *sampling.Result) { ulp(&r.Cost.Units) }},
+		{"Cost.ByMode[0]", func(r *sampling.Result) { ulp(&r.Cost.ByMode[hostcost.Fast]) }},
+		// Instructions moved between modes at an unchanged total.
+		{"Cost.Instrs[0]", func(r *sampling.Result) {
+			r.Cost.Instrs[hostcost.Fast]++
+			r.Cost.Instrs[hostcost.Timing]--
+		}},
+		{"Cost.Switches", func(r *sampling.Result) { r.Cost.Switches++ }},
+		{"Cost.Restores", func(r *sampling.Result) { r.Cost.Restores++ }},
+		{"Cost.Seconds", func(r *sampling.Result) { ulp(&r.Cost.Seconds) }},
+		{"Cost.PaperSeconds", func(r *sampling.Result) { ulp(&r.Cost.PaperSeconds) }},
+	} {
+		runs := 0
+		p := offAtRun{sampling.NewDynamic(vm.MetricCPU, 300, 1, 10), &runs, 2, row.perturb}
+		err := PolicyDeterminism("gzip", core.Options{Scale: 100_000}, []sampling.Policy{p})
+		if err == nil || !strings.Contains(err.Error(), "the replay run differs: "+row.field+" ") {
+			t.Errorf("a replay differing in %s alone: err %v", row.field, err)
 		}
 	}
 }

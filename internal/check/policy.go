@@ -1,8 +1,10 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"repro/internal/core"
 	"repro/internal/sampling"
@@ -91,46 +93,58 @@ func PolicyDeterminism(bench string, opts core.Options, policies []sampling.Poli
 	})
 }
 
-// compareResults requires two sampling results to be bit-identical.
+// compareResults requires two sampling results to be identical in
+// every field, and names the first that is not. Floats compare by bit
+// pattern; the cost report compares whole — per-mode units and
+// instruction counts, switches, restores, seconds — because its
+// per-mode mix is what offline re-pricing reads, and a schedule that
+// moved one charge can keep the total.
 func compareResults(a, b sampling.Result) error {
-	switch {
-	case math.Float64bits(a.EstIPC) != math.Float64bits(b.EstIPC):
-		return fmt.Errorf("EstIPC %v != %v", a.EstIPC, b.EstIPC)
-	case a.Instructions != b.Instructions:
-		return fmt.Errorf("Instructions %d != %d", a.Instructions, b.Instructions)
-	case a.Samples != b.Samples:
-		return fmt.Errorf("Samples %d != %d", a.Samples, b.Samples)
-	case math.Float64bits(a.CIHalfWidthPct) != math.Float64bits(b.CIHalfWidthPct):
-		return fmt.Errorf("CIHalfWidthPct %v != %v", a.CIHalfWidthPct, b.CIHalfWidthPct)
-	case math.Float64bits(a.Cost.Units) != math.Float64bits(b.Cost.Units):
-		return fmt.Errorf("Cost.Units %v != %v", a.Cost.Units, b.Cost.Units)
-	case a.TargetMet != b.TargetMet:
-		return fmt.Errorf("TargetMet %v != %v", a.TargetMet, b.TargetMet)
-	case (a.CPIInterval == nil) != (b.CPIInterval == nil):
-		return fmt.Errorf("CPIInterval %v != %v", a.CPIInterval, b.CPIInterval)
-	case len(a.Detections) != len(b.Detections):
-		return fmt.Errorf("Detections %v != %v", a.Detections, b.Detections)
-	}
-	if a.CPIInterval != nil {
-		x, y := *a.CPIInterval, *b.CPIInterval
-		for _, f := range []struct {
-			name string
-			a, b float64
-		}{
-			{"Point", x.Point, y.Point},
-			{"Lo", x.Lo, y.Lo},
-			{"Hi", x.Hi, y.Hi},
-			{"Confidence", x.Confidence, y.Confidence},
-		} {
-			if math.Float64bits(f.a) != math.Float64bits(f.b) {
-				return fmt.Errorf("CPIInterval.%s %v != %v", f.name, f.a, f.b)
-			}
-		}
-	}
-	for i := range a.Detections {
-		if a.Detections[i] != b.Detections[i] {
-			return fmt.Errorf("Detections[%d] %d != %d", i, a.Detections[i], b.Detections[i])
-		}
+	if d := diffFields("", reflect.ValueOf(a), reflect.ValueOf(b)); d != "" {
+		return errors.New(d)
 	}
 	return nil
+}
+
+// diffFields describes the first place two values of one type differ,
+// by field path; a nil slice equals an empty one (JSON round-trips
+// them alike).
+func diffFields(path string, a, b reflect.Value) string {
+	switch a.Kind() {
+	case reflect.Float64:
+		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+			return fmt.Sprintf("%s %v != %v", path, a.Float(), b.Float())
+		}
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			name := a.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			if d := diffFields(name, a.Field(i), b.Field(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s has %d entries, not %d", path, a.Len(), b.Len())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if d := diffFields(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Pointer:
+		if a.IsNil() != b.IsNil() {
+			return fmt.Sprintf("%s %v != %v", path, a.Interface(), b.Interface())
+		}
+		if !a.IsNil() {
+			return diffFields(path, a.Elem(), b.Elem())
+		}
+	default:
+		if a.Interface() != b.Interface() {
+			return fmt.Sprintf("%s %v != %v", path, a.Interface(), b.Interface())
+		}
+	}
+	return ""
 }
