@@ -144,6 +144,25 @@ func TestFiguresRenderOnSubset(t *testing.T) {
 		if !strings.Contains(buf.String(), c.want) {
 			t.Errorf("%s output missing %q:\n%s", c.name, c.want, buf.String())
 		}
+		if c.name == "fig3" {
+			checkFig3DynamicRow(t, r, buf.String())
+		}
+	}
+}
+
+// checkFig3DynamicRow requires Figure 3's Dynamic Sampling row to time
+// the interval three after a detection: the detection's own interval,
+// one settle interval at full speed, one of detailed warming, then '#'.
+func checkFig3DynamicRow(t *testing.T, r *Runner, out string) {
+	t.Helper()
+	_, row, ok := strings.Cut(out, "c. Dyn.Sampling")
+	row, _, _ = strings.Cut(row, "\n")
+	ds, err := r.Run("gzip", sampling.NewDynamic(vm.MetricCPU, 300, 1, 0))
+	if !ok || err != nil || len(ds.Detections) == 0 {
+		t.Fatalf("fig3: no Dynamic row or no detections (err %v):\n%s", err, out)
+	}
+	if d := ds.Detections[0]; d+3 >= uint64(len(row)) || row[d+3] != '#' {
+		t.Errorf("fig3: first detection %d, Dynamic row %q has no '#' at %d", d, row, d+3)
 	}
 }
 
