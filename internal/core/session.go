@@ -12,7 +12,9 @@
 //
 // Every operation advances the same guest through one burst body
 // (Session.burst) — sampling policies differ only in how they schedule
-// these modes over the instruction budget.
+// these modes over the instruction budget. One driver, sampling.Driver,
+// turns every policy's schedule into these calls: a policy decides the
+// steps, the driver runs them.
 package core
 
 import (
