@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/hostcost"
+	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -40,7 +41,8 @@ var burstModes = []struct {
 // executed, host-cost charge and mode-switch charge, the canonical flag,
 // the checkpoint deposit, and the observed transition and per-mode
 // instruction count. A second session over the same store then checks
-// which modes may satisfy the aligned burst by a restore.
+// which modes may satisfy the aligned burst by a restore, and a third
+// runs the burst after a chain of three fast hits.
 func TestBurstProtocolPerMode(t *testing.T) {
 	spec, err := workload.ByName("gzip")
 	if err != nil {
@@ -136,9 +138,72 @@ func TestBurstProtocolPerMode(t *testing.T) {
 				if w.Machine().Stats() != firstBurstStats(t, spec, bm.run, n) {
 					t.Errorf("warm-store burst left different VM statistics")
 				}
+
+				// A chain of three fast hits, then the burst, against a
+				// store-off session making the same calls: equal deltas
+				// after every hit, equal machines and charges at the end.
+				NewSession(spec, Options{Scale: 200_000, Ckpt: store, CkptStride: 1}).FastForwardVia(4 * n)
+				c, creg, _ := newSession()
+				cold := NewSession(spec, Options{Scale: 200_000})
+				var prev, coldPrev, d, coldD vm.Stats
+				var mid archState
+				for i := 0; i < 3; i++ {
+					c.RunFast(n)
+					cold.RunFast(n)
+					d, prev = c.StatsDelta(prev)
+					coldD, coldPrev = cold.StatsDelta(coldPrev)
+					if d != coldD {
+						t.Errorf("hit %d: StatsDelta = %+v, cold run's %+v", i+1, d, coldD)
+					}
+					if i == 1 {
+						mid = stateOf(cold.Machine())
+					}
+				}
+				if ex := bm.run(c, n); ex != n || c.Executed() != 4*n {
+					t.Fatalf("burst after the chain ran %d, session at %d, want %d", ex, c.Executed(), 4*n)
+				}
+				bm.run(cold, n)
+				wantHits := uint64(3)
+				if bm.restore {
+					wantHits++
+				}
+				if got := creg.Counter("ckpt_restores_total").Value(); got != wantHits {
+					t.Errorf("chain took %d hits, want %d", got, wantHits)
+				}
+				if got, want := stateOf(c.Machine()), stateOf(cold.Machine()); got != want {
+					t.Errorf("machine after the chain:\n got %+v\nwant %+v", got, want)
+				}
+				if got, want := c.Meter().Report(c.Scale()), cold.Meter().Report(cold.Scale()); got != want {
+					t.Errorf("chain charge diverged:\n got %+v\nwant %+v", got, want)
+				}
+				// Machine() in the middle of a chain hands out the state
+				// the hits so far stand for.
+				p, _, _ := newSession()
+				p.RunFast(n)
+				p.RunFast(n)
+				if got := stateOf(p.Machine()); got != mid {
+					t.Errorf("Machine() mid-chain:\n got %+v\nwant %+v", got, mid)
+				}
 			})
 		}
 	}
+}
+
+// archState is what the tests compare of two machines: statistics, PC,
+// registers, and the memory and disk digests.
+type archState struct {
+	stats     vm.Stats
+	pc        uint64
+	regs      [isa.NumRegs]uint64
+	mem, disk uint64
+}
+
+func stateOf(m *vm.Machine) archState {
+	st := archState{stats: m.Stats(), pc: m.PC(), mem: m.Mem().Digest(), disk: m.Disk().Digest()}
+	for r := range st.regs {
+		st.regs[r] = m.Reg(r)
+	}
+	return st
 }
 
 // firstBurstStats returns the VM statistics after one burst of n on a
