@@ -110,6 +110,12 @@ func (m *Machine) Snapshot() *Snapshot {
 // point; the checkpoint store keys on it.
 func (s *Snapshot) Instructions() uint64 { return s.stats.Instructions }
 
+// Stats returns the machine statistics at the snapshot point.
+func (s *Snapshot) Stats() Stats { return s.stats }
+
+// Halted reports whether the guest had halted at the snapshot point.
+func (s *Snapshot) Halted() bool { return s.halted }
+
 // Parts reports the snapshot's separately allocated pieces by identity
 // and size: the snapshot's own state (struct, phase log, console tail,
 // dirty disk sectors), its TLB contents, its block list, then the
