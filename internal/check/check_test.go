@@ -368,7 +368,7 @@ func TestPolicyLegsCompareEveryRun(t *testing.T) {
 		runs int
 	}{
 		{"policy determinism", PolicyDeterminism, 2},
-		{"checkpoint equivalence", CheckpointEquivalence, 3},
+		{"checkpoint equivalence", CheckpointEquivalence, 4},
 		{"batch invariance", PolicyBatchInvariance, 1 + len(BatchSizes)},
 		{"obs invariance", ObsInvariance, 2},
 	} {
