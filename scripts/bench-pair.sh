@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of the working tree against a git ref: the
-# protocol the bounds in BENCHMARK.json assume. Checks <git-ref> out into
-# a temporary git worktree, runs one workload on both trees in
-# alternating order (parent first in odd pairs, change first in even
-# ones), and prints, per end-to-end metric, each side's median and
-# quartiles and in how many pairs the change read better.
+# protocol the bounds in BENCHMARK.json assume. Unpacks `git archive
+# <git-ref>` into a temporary directory (no .git metadata, nothing to
+# deregister afterwards), runs one workload on both trees in alternating
+# order (parent first in odd pairs, change first in even ones), and
+# prints, per end-to-end metric, each side's median and quartiles and
+# in how many pairs the change read better.
 #
 #   scripts/bench-pair.sh <git-ref> <workload> [pairs=10] [seed=1]
 #
@@ -24,12 +25,9 @@ git rev-parse --verify --quiet "$ref^{commit}" >/dev/null || { echo "bench-pair:
 
 tmp=$(mktemp -d)
 parent="$tmp/parent"
-cleanup() {
-	git worktree remove --force "$parent" >/dev/null 2>&1 || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --detach "$parent" "$ref" >/dev/null
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$parent"
+git archive "$ref" | tar -x -C "$parent"
 
 # run <tree> <side>: one benchmark run of pair $pair; appends one
 # "<side> <pair> <metric> <value>" line per metric to $tmp/runs.
