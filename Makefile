@@ -26,6 +26,7 @@ fuzz-smoke:
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simpoint -run '^$$' -fuzz '^FuzzKMeansMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzScheduleMatchesReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/smp -run '^$$' -fuzz '^FuzzDynamicSampleMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ckpt -run '^$$' -fuzz '^FuzzParseKey$$' -fuzztime $(FUZZTIME)
 
 # Differential-execution checks (see internal/check and cmd/diffcheck;
