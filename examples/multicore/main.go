@@ -31,7 +31,7 @@ func main() {
 	ref := smp.New(smp.Config{})
 	addAll(ref, names, *scale)
 	for !ref.Done() {
-		refRun(ref)
+		ref.RunTimed(1 << 16)
 	}
 
 	// Sampled: system-level Dynamic Sampling (CPU metric, S=300%).
@@ -69,9 +69,4 @@ func addAll(sys *smp.System, names []string, scale int) {
 		img, _ := workload.BuildScaled(spec, scale)
 		sys.AddGuest(spec.Name, img, spec.ScaledInstr(scale))
 	}
-}
-
-// refRun advances the reference system one step in full detail.
-func refRun(sys *smp.System) {
-	sys.RunTimed(1 << 16)
 }

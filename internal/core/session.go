@@ -300,6 +300,10 @@ func (s *Session) StatsDelta(prev vm.Stats) (delta, now vm.Stats) {
 	return now.Sub(prev), now
 }
 
+// Stat returns the current value of one VM statistic, read as
+// StatsDelta reads it.
+func (s *Session) Stat(m vm.Metric) uint64 { _, now := s.StatsDelta(vm.Stats{}); return now.Value(m) }
+
 // String identifies the session.
 func (s *Session) String() string {
 	return fmt.Sprintf("session(%s, total=%d, L=%d, scale=%d)",

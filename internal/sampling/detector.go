@@ -26,9 +26,9 @@ func (d Decision) Sample() bool { return d >= Detect }
 // monitored variable: a phase change is declared when
 // |Δvar| / max(prev,1) · 100 > S against the previous interval, and a
 // measurement is forced after MaxFunc consecutive functional intervals.
-// Dynamic (one guest's variable) and smp.System.DynamicSample (the
-// guests' summed variable) both decide through it. The zero value with
-// the two parameters set is ready to use.
+// Dynamic decides through it on every target, a session's variable or
+// an smp.System's summed over its guests. The zero value with the two
+// parameters set is ready to use.
 type PhaseDetector struct {
 	// SensitivityPct is the threshold S in percent.
 	SensitivityPct float64

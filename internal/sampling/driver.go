@@ -6,8 +6,22 @@ import (
 	"repro/internal/vm"
 )
 
-// Driver executes a policy's schedule against one session. A schedule
-// is a sequence of steps over the session's modes — reach the warm-up
+// Target is what a schedule's steps run on: a core.Session, or any
+// other machine that moves through the same modes — smp.System moves
+// all its guests together. Executed is the target's position, Stat the
+// current value of a monitored VM statistic.
+type Target interface {
+	Done() bool
+	Executed() uint64
+	RunFast(n uint64) uint64
+	RunDetailWarm(n uint64) uint64
+	RunTimed(n uint64) (ipc float64, executed uint64)
+	Stat(m vm.Metric) uint64
+	Obs() *obs.Registry
+}
+
+// Driver executes a policy's schedule against one target. A schedule
+// is a sequence of steps over the target's modes — reach the warm-up
 // start by the step's lead-in, warm in detail up to the timed interval,
 // time it — and every policy is one:
 //
@@ -20,12 +34,13 @@ import (
 //   - SimPoint: a profiling walk, then its simulation points reached by
 //     checkpoint dispatch.
 //
-// The driver is the one place a step becomes Session calls. It owns the
+// The driver is the one place a step becomes target calls. It owns the
 // estimator, the sample count and its obs series, the rule that a step
 // executing nothing ends the run, and the Result epilogue; a policy
-// keeps only its decisions.
+// keeps only its decisions. Walk, Measure and Result need a session.
 type Driver struct {
-	s   *core.Session
+	t   Target
+	s   *core.Session // nil when t is not a session
 	res Result
 	est Estimator
 
@@ -38,10 +53,17 @@ type Driver struct {
 
 // NewDriver starts a run of the named policy on s.
 func NewDriver(s *core.Session, policy string) *Driver {
-	reg := s.Obs()
+	d := newDriver(s, policy)
+	d.s, d.res.Bench = s, s.Spec().Name
+	return d
+}
+
+// newDriver starts a run of the named policy on t.
+func newDriver(t Target, policy string) *Driver {
+	reg := t.Obs()
 	return &Driver{
-		s:       s,
-		res:     Result{Policy: policy, Bench: s.Spec().Name},
+		t:       t,
+		res:     Result{Policy: policy},
 		samples: reg.Counter("sampling_samples_total", "policy", policy),
 		intervalIPC: reg.Histogram("sampling_interval_ipc",
 			obs.LinearBuckets(0.25, 0.25, 16), "policy", policy),
@@ -57,36 +79,36 @@ type step struct {
 	n           uint64
 }
 
-// at is the step that begins at the session's position: leadLen
+// at is the step that begins at the target's position: leadLen
 // instructions of lead, warmLen of detailed warming, n timed.
 func (d *Driver) at(lead func(uint64) uint64, leadLen, warmLen, n uint64) step {
-	warm := d.s.Executed() + leadLen
+	warm := d.t.Executed() + leadLen
 	return step{lead: lead, warm: warm, start: warm + warmLen, n: n}
 }
 
-// run executes the steps next yields until the session is done, next
+// run executes the steps next yields until the target is done, next
 // declines, or a step executes nothing (its timed interval, or a
 // lead-in-only step's lead-in). Every executed instruction reaches the
 // estimator and every timed interval is a sample; took then sees each
 // executed step's IPC (0 for a lead-in-only step) and length.
 func (d *Driver) run(next func() (step, bool), took func(ipc float64, ex uint64)) {
-	s := d.s
-	for !s.Done() {
+	t := d.t
+	for !t.Done() {
 		st, ok := next()
 		if !ok {
 			return
 		}
 		var ipc float64
 		var ex uint64
-		if cur := s.Executed(); st.warm > cur {
+		if cur := t.Executed(); st.warm > cur {
 			ex = st.lead(st.warm - cur)
 			d.est.Functional(ex)
 		}
 		if st.n > 0 {
-			if cur := s.Executed(); st.start > cur {
-				d.est.Functional(s.RunDetailWarm(st.start - cur))
+			if cur := t.Executed(); st.start > cur {
+				d.est.Functional(t.RunDetailWarm(st.start - cur))
 			}
-			ipc, ex = s.RunTimed(st.n)
+			ipc, ex = t.RunTimed(st.n)
 		}
 		if ex == 0 {
 			return

@@ -74,21 +74,33 @@ func (p Dynamic) Name() string {
 	return fmt.Sprintf("%s-%.0f-%s-%s", p.Metric, p.SensitivityPct, lenName, maxf)
 }
 
-// Run implements Policy (the paper's Algorithm 1): a fast interval at a
-// time, and after each the monitored variable decides whether the next
-// step is a measurement.
+// Run implements Policy: Algorithm 1 on the session, whose interval is
+// the base interval.
 func (p Dynamic) Run(s *core.Session) (Result, error) {
+	d := NewDriver(s, p.Name())
+	p.drive(d, s.IntervalLen())
+	return d.Result(), nil
+}
+
+// RunOn runs Algorithm 1 on any other target, base instructions being
+// one base interval.
+func (p Dynamic) RunOn(t Target, base uint64) { p.drive(newDriver(t, p.Name()), base) }
+
+// drive is the paper's Algorithm 1: a fast interval at a time, and
+// after each the monitored variable decides whether the next step is a
+// measurement.
+func (p Dynamic) drive(d *Driver, base uint64) {
 	if p.IntervalMul == 0 {
 		p.IntervalMul = 1
 	}
-	interval := s.IntervalLen() * p.IntervalMul
-	settleLen := s.IntervalLen() * uint64(p.SettleIntervals)
-	warmLen := s.IntervalLen() * uint64(p.WarmIntervals)
-	d := NewDriver(s, p.Name())
+	interval := base * p.IntervalMul
+	settleLen := base * uint64(p.SettleIntervals)
+	warmLen := base * uint64(p.WarmIntervals)
+	t := d.t
 
 	// Decision bookkeeping for the observability layer; all handles are
-	// nil-safe no-ops when the session has no registry.
-	reg := s.Obs()
+	// nil-safe no-ops when the target has no registry.
+	reg := t.Obs()
 	detectC := reg.Counter("sampling_decisions_total", "policy", p.Name(), "decision", "detect")
 	maxfuncC := reg.Counter("sampling_decisions_total", "policy", p.Name(), "decision", "maxfunc")
 	steadyC := reg.Counter("sampling_decisions_total", "policy", p.Name(), "decision", "steady")
@@ -97,10 +109,10 @@ func (p Dynamic) Run(s *core.Session) (Result, error) {
 
 	det := PhaseDetector{SensitivityPct: p.SensitivityPct, MaxFunc: p.MaxFunc}
 	timing := false
-	prevStats := s.Machine().Stats()
+	prev := t.Stat(p.Metric)
 	// One method value for the whole run: built per step, it would be
 	// a heap allocation per step.
-	fast := s.RunFast
+	fast := t.RunFast
 	d.run(func() (step, bool) {
 		if timing {
 			// Warm-up precedes each measurement ("each simulation
@@ -110,14 +122,14 @@ func (p Dynamic) Run(s *core.Session) (Result, error) {
 		return d.at(fast, interval, 0, 0), true
 	}, func(float64, uint64) {
 		// Inspect the monitored variable at the end of the interval.
-		delta, now := s.StatsDelta(prevStats)
-		prevStats = now
-		decision, gap := det.Observe(delta.Value(p.Metric))
+		now := t.Stat(p.Metric)
+		decision, gap := det.Observe(now - prev)
+		prev = now
 		timing = decision.Sample()
 		switch decision {
 		case Detect:
 			// The base interval the triggering interval ended in.
-			d.res.Detections = append(d.res.Detections, (s.Executed()-1)/s.IntervalLen())
+			d.res.Detections = append(d.res.Detections, (t.Executed()-1)/base)
 			detectC.Inc()
 			gapHist.Observe(float64(gap))
 		case Forced:
@@ -127,5 +139,4 @@ func (p Dynamic) Run(s *core.Session) (Result, error) {
 			steadyC.Inc()
 		}
 	})
-	return d.Result(), nil
 }

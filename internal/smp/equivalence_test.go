@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -101,7 +100,7 @@ type equivGuest struct {
 // every observable into one deterministic byte string: per-guest
 // architectural statistics, core snapshots (cycles, retirement
 // counters, cache/TLB stats and replacement-state digests, including
-// the shared L2), interval IPCs bit-exact via Float64bits, estimates,
+// the shared L2), core markers after every timed interval, estimates,
 // and the rendered report artifact.
 func fingerprint(t *testing.T, guests []equivGuest, quantum uint64, sequential bool) []byte {
 	t.Helper()
@@ -145,14 +144,15 @@ func fingerprint(t *testing.T, guests []equivGuest, quantum uint64, sequential b
 	render(sys, nil)
 
 	// Timed path: full detail, shared-L2 coupling live in every
-	// quantum; interval IPCs pin the cycle trajectories bit-exactly.
+	// quantum; each guest's core marker after every interval pins the
+	// cycle trajectories exactly.
 	b.WriteString("=== path timed\n")
 	sys = build()
 	for round := 0; !sys.Done(); round++ {
-		ipcs := sys.RunTimed(maxBudget/4 + 1)
-		fmt.Fprintf(&b, "interval %d ipcs=[", round)
-		for _, ipc := range ipcs {
-			fmt.Fprintf(&b, " %016x", math.Float64bits(ipc))
+		sys.RunTimed(maxBudget/4 + 1)
+		fmt.Fprintf(&b, "interval %d markers=[", round)
+		for _, g := range sys.Guests() {
+			fmt.Fprintf(&b, " %+v", g.Core.Marker())
 		}
 		b.WriteString(" ]\n")
 	}
@@ -174,11 +174,12 @@ func fingerprint(t *testing.T, guests []equivGuest, quantum uint64, sequential b
 // for every guest count and rendezvous quantum of the matrix, the
 // goroutine-per-guest barrier schedule must produce byte-identical
 // statistics, core snapshots (including shared-L2 replacement state),
-// interval IPCs, Dynamic Sampling estimates, and rendered reports to
-// the sequential round-robin reference schedule — at every GOMAXPROCS
-// setting of -smp-procs. Run under -race it also proves the rendezvous
-// and the shared-L2 replay pipeline are data-race free. Under -short
-// the matrix is one configuration at the ambient GOMAXPROCS.
+// per-interval core markers, Dynamic Sampling estimates, and rendered
+// reports to the sequential round-robin reference schedule — at every
+// GOMAXPROCS setting of -smp-procs. Run under -race it also proves the
+// rendezvous and the shared-L2 replay pipeline are data-race free.
+// Under -short the matrix is one configuration at the ambient
+// GOMAXPROCS.
 func TestSMPEquivalence(t *testing.T) {
 	counts, quanta, procs := equivGuestCounts, equivQuanta, []int(nil)
 	if testing.Short() {

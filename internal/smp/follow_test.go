@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sampling"
 	"repro/internal/timing"
 	"repro/internal/vm"
@@ -107,11 +108,11 @@ func (c dsCase) String() string {
 	return fmt.Sprintf("%v q=%d %s S=%v L=%d max_func=%d", c.guests, c.quantum, c.metric, c.sens, c.interval, c.maxFunc)
 }
 
-// build returns a fresh system of c's guests.
-func (c dsCase) build(t testing.TB) *System {
+// build returns a fresh system of c's guests reporting into reg.
+func (c dsCase) build(t testing.TB, reg *obs.Registry) *System {
 	t.Helper()
 	var budget uint64
-	sys := New(Config{Quantum: c.quantum})
+	sys := New(Config{Quantum: c.quantum, Obs: reg})
 	for i, g := range c.guests {
 		spec, err := workload.ByName(g.bench)
 		if err != nil {
@@ -143,9 +144,9 @@ func renderRun(sys *System, ests []Estimate) string {
 // and fails t on the first difference.
 func followReference(t testing.TB, c dsCase) {
 	t.Helper()
-	want := c.build(t)
+	want := c.build(t, nil)
 	wantEsts := refDynamicSample(want, c.metric, c.sens, c.interval, c.maxFunc)
-	got := c.build(t)
+	got := c.build(t, nil)
 	gotEsts, err := got.DynamicSample(c.metric, c.sens, c.interval, c.maxFunc)
 	if err != nil {
 		t.Fatal(err)
@@ -194,10 +195,15 @@ func TestDynamicSampleFollowsReference(t *testing.T) {
 // Sampling configuration under DynamicSample and under refDynamicSample
 // and requires the same bits. a, b and c pick up to three guests from
 // fuzzGuests (b and c: 0 is none); the quantum and interval have floors
-// that keep one run short.
+// that keep one run short. The seeds are the golden's two systems, and
+// three runs in which a guest's estimate differs in the last bits when
+// its settle and warm shares reach the estimator as one sum.
 func FuzzDynamicSampleMatchesReference(f *testing.F) {
 	f.Add(uint8(0), uint8(2), uint8(0), uint16(10_000), uint8(vm.MetricCPU), uint16(300), uint16(4000), uint8(3))
 	f.Add(uint8(0), uint8(3), uint8(4), uint16(10_000), uint8(vm.MetricEXC), uint16(100), uint16(4000), uint8(0))
+	f.Add(uint8(4), uint8(0), uint8(0), uint16(128), uint8(vm.MetricEXC), uint16(300), uint16(997), uint8(3))
+	f.Add(uint8(4), uint8(0), uint8(0), uint16(10_000), uint8(vm.MetricEXC), uint16(300), uint16(997), uint8(3))
+	f.Add(uint8(5), uint8(7), uint8(0), uint16(128), uint8(vm.MetricIO), uint16(300), uint16(10_000), uint8(0))
 	f.Fuzz(func(t *testing.T, a, b, c uint8, quantum uint16, metric uint8, sens, interval uint16, maxFunc uint8) {
 		n := uint8(len(fuzzGuests))
 		guests := []dsGuest{fuzzGuests[a%n]}
@@ -212,7 +218,8 @@ func FuzzDynamicSampleMatchesReference(f *testing.F) {
 }
 
 // fuzzGuests is FuzzDynamicSampleMatchesReference's guest pool.
-var fuzzGuests = []dsGuest{{"gzip", 50_000}, {"mcf", 150_000}, {"mcf", 50_000}, {"swim", 50_000}, {"perlbmk", 50_000}}
+var fuzzGuests = []dsGuest{{"gzip", 50_000}, {"mcf", 150_000}, {"mcf", 50_000}, {"swim", 50_000},
+	{"perlbmk", 100_000}, {"twolf", 200_000}, {"art", 200_000}}
 
 // TestDynamicSampleAddsNoAllocationPerInterval requires DynamicSample to
 // allocate no more than refDynamicSample plus a constant per run: the
@@ -221,7 +228,7 @@ var fuzzGuests = []dsGuest{{"gzip", 50_000}, {"mcf", 150_000}, {"mcf", 50_000}, 
 func TestDynamicSampleAddsNoAllocationPerInterval(t *testing.T) {
 	c := dsCase{goldenMid, 10_000, vm.MetricCPU, 300, 4000, 3}
 	allocs := func(run func(*System)) float64 {
-		return testing.AllocsPerRun(2, func() { run(c.build(t)) })
+		return testing.AllocsPerRun(2, func() { run(c.build(t, nil)) })
 	}
 	want := allocs(func(s *System) { refDynamicSample(s, c.metric, c.sens, c.interval, c.maxFunc) })
 	got := allocs(func(s *System) {
@@ -231,5 +238,31 @@ func TestDynamicSampleAddsNoAllocationPerInterval(t *testing.T) {
 	})
 	if got > want+16 {
 		t.Errorf("DynamicSample: %v allocations, reference %v", got, want)
+	}
+}
+
+// TestDynamicSampleWritesSamplingSeries requires an SMP run to write the
+// sampling driver's series like every other policy: its
+// sampling_samples_total is the largest sample count over the guests,
+// while smp_guest_samples_total keeps each guest's own.
+func TestDynamicSampleWritesSamplingSeries(t *testing.T) {
+	t.Parallel()
+	c := dsCase{goldenMid, 10_000, vm.MetricCPU, 300, 4000, 3}
+	reg := obs.NewRegistry()
+	sys := c.build(t, reg)
+	ests, err := sys.DynamicSample(c.metric, c.sens, c.interval, c.maxFunc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	most := 0
+	for _, e := range ests {
+		most = max(most, e.Samples)
+		if n := reg.Counter("smp_guest_samples_total", "guest", e.Name).Value(); n != uint64(e.Samples) {
+			t.Errorf("%s: smp_guest_samples_total %d, Samples %d", e.Name, n, e.Samples)
+		}
+	}
+	policy := sampling.NewDynamic(c.metric, c.sens, 1, c.maxFunc).Name()
+	if n := reg.Counter("sampling_samples_total", "policy", policy).Value(); n != uint64(most) || n == 0 {
+		t.Errorf("sampling_samples_total{policy=%q} %d, largest guest Samples %d", policy, n, most)
 	}
 }

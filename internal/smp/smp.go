@@ -20,11 +20,12 @@
 // (equivalence_test.go): TestSMPEquivalence pins the identity across
 // GOMAXPROCS values, quantum sizes, and execution modes.
 //
-// System-level Dynamic Sampling works exactly as in the single-core
-// case, monitoring the *sum* of the guests' VM statistics: a phase
-// change in any guest triggers a timed interval on every core, which is
-// what a shared back-end has to do anyway since the cores' behaviour is
-// coupled through the shared cache.
+// System-level Dynamic Sampling is sampling.Dynamic itself: a *System
+// is a sampling.Target whose guests move together, and it monitors the
+// *sum* of the guests' VM statistics. A phase change in any guest
+// triggers a timed interval on every core, which is what a shared
+// back-end has to do anyway since the cores' behaviour is coupled
+// through the shared cache.
 package smp
 
 import (
@@ -46,24 +47,11 @@ type Config struct {
 	// 10000): the rendezvous granularity of the schedule. Smaller quanta
 	// interleave the shared-L2 footprints more finely.
 	Quantum uint64
-	// Timing is the per-core configuration (its L2 geometry defines
-	// the shared L2).
-	Timing timing.Config
-	// VM is the per-guest VM configuration.
-	VM vm.Config
 	// Obs, when non-nil, receives scheduler metrics: barrier rounds,
-	// quanta executed, replayed shared-L2 events, and per-guest
-	// instruction and sample counters. Purely observational.
+	// quanta executed, replayed shared-L2 events, per-guest instruction
+	// and sample counters, and the sampling driver's series. Purely
+	// observational.
 	Obs *obs.Registry
-}
-
-func (c *Config) setDefaults() {
-	if c.Quantum == 0 {
-		c.Quantum = 10_000
-	}
-	if c.Timing.Width == 0 {
-		c.Timing = timing.DefaultConfig()
-	}
 }
 
 // Guest is one core+VM pair.
@@ -74,6 +62,14 @@ type Guest struct {
 
 	executed uint64
 	budget   uint64
+
+	// est is the guest's IPC estimate over every run of the system,
+	// samples the timed intervals it contributed to; from and mark are
+	// where the current run began.
+	est     sampling.Estimator
+	samples int
+	from    uint64
+	mark    timing.Marker
 
 	// caps are the double-buffered event-capture sinks for timed
 	// parallel quanta: the round's parity selects the buffer, so the
@@ -127,10 +123,12 @@ type System struct {
 
 // New creates an empty system.
 func New(cfg Config) *System {
-	cfg.setDefaults()
+	if cfg.Quantum == 0 {
+		cfg.Quantum = 10_000
+	}
 	return &System{
 		cfg:       cfg,
-		sharedL2:  cache.New(cfg.Timing.L2),
+		sharedL2:  cache.New(timing.DefaultConfig().L2),
 		obsRounds: cfg.Obs.Counter("smp_barrier_rounds_total", "schedule", "parallel"),
 		obsQuanta: cfg.Obs.Counter("smp_quanta_total", "schedule", "parallel"),
 		obsReplay: cfg.Obs.Counter("smp_replay_events_total"),
@@ -146,9 +144,9 @@ func (s *System) Guests() []*Guest { return s.guests }
 // AddGuest attaches a guest running the image with an instruction
 // budget.
 func (s *System) AddGuest(name string, img *asm.Image, budget uint64) *Guest {
-	m := vm.New(s.cfg.VM)
+	m := vm.New(vm.Config{})
 	m.Load(img)
-	coreCfg := s.cfg.Timing
+	coreCfg := timing.DefaultConfig()
 	coreCfg.SharedL2 = s.sharedL2
 	g := &Guest{
 		Name:       name,
@@ -172,26 +170,59 @@ func (s *System) Done() bool {
 	return len(s.guests) > 0
 }
 
-// RunFast advances every guest by up to n instructions at full VM speed.
-func (s *System) RunFast(n uint64) { s.run(n, false) }
-
-// RunTimed advances every guest by up to n instructions in detail and
-// returns each guest's IPC over the interval.
-func (s *System) RunTimed(n uint64) []float64 {
-	marks := make([]timing.Marker, len(s.guests))
-	for i, g := range s.guests {
-		marks[i] = g.Core.Marker()
+// Executed returns the furthest guest's retired instruction count.
+// Every guest still running has executed exactly that much: a run
+// stops short for a guest only at its budget or its halt.
+func (s *System) Executed() uint64 {
+	var n uint64
+	for _, g := range s.guests {
+		n = max(n, g.executed)
 	}
-	s.run(n, true)
-	ipcs := make([]float64, len(s.guests))
-	for i, g := range s.guests {
-		ipcs[i] = timing.IPC(marks[i], g.Core.Marker())
-	}
-	return ipcs
+	return n
 }
 
-// statsSum returns the sum of the guests' monitored statistic.
-func (s *System) statsSum(m vm.Metric) uint64 {
+// RunFast advances every guest by up to n instructions at full VM speed
+// and returns how far Executed moved.
+func (s *System) RunFast(n uint64) uint64 { _, ex := s.advance(n, false, false); return ex }
+
+// RunDetailWarm advances every guest by up to n instructions through
+// its core without recording a measurement.
+func (s *System) RunDetailWarm(n uint64) uint64 { _, ex := s.advance(n, true, false); return ex }
+
+// RunTimed advances every guest by up to n instructions in detail and
+// returns the guests' combined IPC over the interval — summed
+// instructions over summed cycles — and how far Executed moved.
+func (s *System) RunTimed(n uint64) (ipc float64, executed uint64) {
+	return s.advance(n, true, true)
+}
+
+// advance runs every guest by up to n instructions, through its core
+// when detailed, and hands each guest's share of the run to its
+// estimator: a timed share as a sample, counted only for a guest that
+// executed part of it, any other as functional instructions.
+func (s *System) advance(n uint64, detailed, timed bool) (float64, uint64) {
+	before := s.Executed()
+	for _, g := range s.guests {
+		g.from, g.mark = g.executed, g.Core.Marker()
+	}
+	s.run(n, detailed)
+	var sum timing.Marker
+	for _, g := range s.guests {
+		ex, mk := g.executed-g.from, g.Core.Marker()
+		sum.Cycles += mk.Cycles - g.mark.Cycles
+		sum.Instrs += mk.Instrs - g.mark.Instrs
+		if !timed {
+			g.est.Functional(ex)
+		} else if g.est.Sample(timing.IPC(g.mark, mk), ex) {
+			g.samples++
+			g.obsSamples.Inc()
+		}
+	}
+	return timing.IPC(timing.Marker{}, sum), s.Executed() - before
+}
+
+// Stat returns the sum of the guests' values of a VM statistic.
+func (s *System) Stat(m vm.Metric) uint64 {
 	var v uint64
 	for _, g := range s.guests {
 		v += g.Machine.Stats().Value(m)
@@ -199,27 +230,25 @@ func (s *System) statsSum(m vm.Metric) uint64 {
 	return v
 }
 
+// Obs returns the registry the system reports into (nil for none).
+func (s *System) Obs() *obs.Registry { return s.cfg.Obs }
+
 // Estimate is one guest's sampled result.
 type Estimate struct {
 	Name string
-	// IPC is the guest's cumulative sampled-IPC estimate. It is always
-	// finite: a guest that halted before contributing any detailed
-	// interval reports 0, with Samples == 0 making the absence of
-	// measurements visible, rather than a 0/0 NaN that would poison
-	// JSON journaling.
+	// IPC is the guest's cumulative sampled-IPC estimate, always
+	// finite: a guest with no sample reports 0 and Samples == 0.
 	IPC float64
-	// Samples counts the detailed intervals this guest actually
-	// contributed instructions to — not the system-wide interval
-	// count. A guest that halts early stops accumulating samples while
-	// the rest of the system keeps measuring.
+	// Samples counts the timed intervals this guest contributed
+	// instructions to: a guest that halts early stops accumulating
+	// them while the rest of the system keeps measuring.
 	Samples int
 }
 
-// DynamicSample runs system-level Dynamic Sampling: every guest
-// executes interval-sized chunks; the monitored variable is the sum of
-// the guests' VM statistics; on a detection, the next interval is
-// simulated in detail on every core (after one settle and one warm
-// interval, as in the single-core policy).
+// DynamicSample runs sampling.Dynamic on the system with a base
+// interval of interval instructions per guest: one settle, one warm and
+// one timed interval per measurement. A guest's estimate covers every
+// run of the system, not only this call's.
 func (s *System) DynamicSample(metric vm.Metric, sensitivityPct float64, interval uint64, maxFunc int) ([]Estimate, error) {
 	if len(s.guests) == 0 {
 		return nil, fmt.Errorf("smp: no guests attached")
@@ -227,71 +256,10 @@ func (s *System) DynamicSample(metric vm.Metric, sensitivityPct float64, interva
 	if interval == 0 {
 		return nil, fmt.Errorf("smp: zero interval")
 	}
-	ests := make([]sampling.Estimator, len(s.guests))
-	samples := make([]int, len(s.guests))
-
-	det := sampling.PhaseDetector{SensitivityPct: sensitivityPct, MaxFunc: maxFunc}
-	timed := false
-	var prevSum uint64
-
-	for !s.Done() {
-		var executed []uint64
-		before := make([]uint64, len(s.guests))
-		for i, g := range s.guests {
-			before[i] = g.executed
-		}
-		if timed {
-			s.RunFast(interval)   // settle
-			s.run(interval, true) // detailed warm (not recorded)
-			mid := make([]uint64, len(s.guests))
-			for i, g := range s.guests {
-				mid[i] = g.executed
-			}
-			ipcs := s.RunTimed(interval)
-			executed = make([]uint64, len(s.guests))
-			for i, g := range s.guests {
-				warmAndSettle := mid[i] - before[i]
-				ests[i].Functional(warmAndSettle)
-				// Count the interval only for guests that contributed
-				// detailed instructions to it: a guest that halted
-				// during an earlier interval executes nothing here, and
-				// crediting it with the sample would claim measurements
-				// it never produced.
-				if ests[i].Sample(ipcs[i], g.executed-mid[i]) {
-					samples[i]++
-					g.obsSamples.Inc()
-				}
-				executed[i] = g.executed - before[i]
-			}
-		} else {
-			s.RunFast(interval)
-			executed = make([]uint64, len(s.guests))
-			for i, g := range s.guests {
-				executed[i] = g.executed - before[i]
-				ests[i].Functional(executed[i])
-			}
-		}
-		var total uint64
-		for _, e := range executed {
-			total += e
-		}
-		if total == 0 {
-			break
-		}
-
-		sum := s.statsSum(metric)
-		decision, _ := det.Observe(sum - prevSum)
-		prevSum = sum
-		timed = decision.Sample()
-	}
-
+	sampling.NewDynamic(metric, sensitivityPct, 1, maxFunc).RunOn(s, interval)
 	out := make([]Estimate, len(s.guests))
 	for i, g := range s.guests {
-		ipc := ests[i].IPC()
-		if math.IsNaN(ipc) || math.IsInf(ipc, 0) {
-			ipc = 0 // belt and braces: estimates are journaled as JSON
-		}
-		out[i] = Estimate{Name: g.Name, IPC: ipc, Samples: samples[i]}
+		out[i] = Estimate{Name: g.Name, IPC: g.est.IPC(), Samples: g.samples}
 	}
 	return out, nil
 }
