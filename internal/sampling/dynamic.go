@@ -29,7 +29,8 @@ type Dynamic struct {
 	// a phase change is declared when |Δvar| / max(prev,1) * 100 > S.
 	SensitivityPct float64
 	// IntervalMul scales the session's base interval (the paper's 1M,
-	// 10M, 100M instruction intervals are IntervalMul 1, 10, 100).
+	// 10M, 100M instruction intervals are IntervalMul 1, 10, 100); 0
+	// means 1.
 	IntervalMul uint64
 	// MaxFunc is the maximum number of consecutive functional intervals
 	// before a measurement is forced; 0 means unlimited (∞).
@@ -63,7 +64,7 @@ func NewDynamic(metric vm.Metric, sensitivityPct float64, intervalMul uint64, ma
 // Name implements Policy, using the paper's "VAR-S-LEN-MAXF" naming
 // (e.g. "CPU-300-1M-∞").
 func (p Dynamic) Name() string {
-	lenName := map[uint64]string{1: "1M", 10: "10M", 100: "100M"}[p.IntervalMul]
+	lenName := map[uint64]string{1: "1M", 10: "10M", 100: "100M"}[max(p.IntervalMul, 1)]
 	if lenName == "" {
 		lenName = fmt.Sprintf("%dx", p.IntervalMul)
 	}
@@ -90,10 +91,7 @@ func (p Dynamic) RunOn(t Target, base uint64) { p.drive(newDriver(t, p.Name()), 
 // after each the monitored variable decides whether the next step is a
 // measurement.
 func (p Dynamic) drive(d *Driver, base uint64) {
-	if p.IntervalMul == 0 {
-		p.IntervalMul = 1
-	}
-	interval := base * p.IntervalMul
+	interval := base * max(p.IntervalMul, 1)
 	settleLen := base * uint64(p.SettleIntervals)
 	warmLen := base * uint64(p.WarmIntervals)
 	t := d.t

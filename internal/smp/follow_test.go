@@ -266,3 +266,25 @@ func TestDynamicSampleWritesSamplingSeries(t *testing.T) {
 		t.Errorf("sampling_samples_total{policy=%q} %d, largest guest Samples %d", policy, n, most)
 	}
 }
+
+// TestRunTimedReturnsCombinedIPC requires a timed interval's IPC to be
+// the guests' summed instructions over their summed cycles.
+func TestRunTimedReturnsCombinedIPC(t *testing.T) {
+	t.Parallel()
+	sys := dsCase{guests: goldenThree}.build(t, nil)
+	for i := 0; i < 4; i++ {
+		var di, dc uint64
+		for _, g := range sys.guests {
+			di -= g.Core.Marker().Instrs
+			dc -= g.Core.Marker().Cycles
+		}
+		ipc, _ := sys.RunTimed(20_000)
+		for _, g := range sys.guests {
+			di += g.Core.Marker().Instrs
+			dc += g.Core.Marker().Cycles
+		}
+		if want := float64(di) / float64(dc); ipc != want || !(ipc > 0) {
+			t.Fatalf("interval %d: RunTimed IPC %v, summed instructions over summed cycles %v", i, ipc, want)
+		}
+	}
+}
