@@ -2,8 +2,6 @@ package smp
 
 import (
 	"fmt"
-	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -127,21 +125,9 @@ func (c dsCase) build(t testing.TB, reg *obs.Registry) *System {
 	return sys
 }
 
-// renderRun is what the reference comparisons hold bit for bit: every
-// estimate (the IPC by its bits), each guest's executed count and core
-// marker, and the report, which carries the shared L2's digest.
-func renderRun(sys *System, ests []Estimate) string {
-	var b strings.Builder
-	for i, g := range sys.guests {
-		fmt.Fprintf(&b, "%s executed=%d marker=%+v ipc=%016x samples=%d\n",
-			g.Name, g.executed, g.Core.Marker(), math.Float64bits(ests[i].IPC), ests[i].Samples)
-	}
-	b.WriteString(sys.Report(ests))
-	return b.String()
-}
-
 // followReference runs c under DynamicSample and under refDynamicSample
-// and fails t on the first difference.
+// and requires the same report: each guest's executed count, core
+// marker and estimate (the IPC by its bits), and the shared L2's digest.
 func followReference(t testing.TB, c dsCase) {
 	t.Helper()
 	want := c.build(t, nil)
@@ -151,7 +137,7 @@ func followReference(t testing.TB, c dsCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, w := renderRun(got, gotEsts), renderRun(want, wantEsts); g != w {
+	if g, w := got.Report(gotEsts), want.Report(wantEsts); g != w {
 		t.Fatalf("%v: DynamicSample\n%s\nreference\n%s", c, g, w)
 	}
 }
