@@ -1,7 +1,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick bench-pair profile-detail profile-ckpt profile-sweep loc reach docs-check ci
+.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick bench-pair profile-detail profile-ckpt profile-sweep loc reach docs-check examples ci
 
 all: build
 
@@ -149,4 +149,14 @@ reach:
 docs-check:
 	@bash scripts/docs-check.sh
 
-ci: vet build reach docs-check loc race fuzz-smoke diffcheck
+# Every example with its default flags, output discarded: an example
+# that errors (newbenchmark exits 1 when it takes no sample) fails the
+# target instead of rotting.
+examples:
+	$(GO) run ./examples/multicore > /dev/null
+	$(GO) run ./examples/newbenchmark > /dev/null
+	$(GO) run ./examples/phasetrace > /dev/null
+	$(GO) run ./examples/policysweep > /dev/null
+	$(GO) run ./examples/quickstart > /dev/null
+
+ci: vet build reach docs-check loc race fuzz-smoke diffcheck examples

@@ -28,7 +28,7 @@ import (
 	"syscall"
 
 	"repro/internal/ckpt"
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/hostcost"
 	"repro/internal/obs"
@@ -161,15 +161,21 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := core.Options{Scale: *scale, CkptStride: *ckptStride}
+	// One runner cell per run, never retried: the runner checks that a
+	// run the context cut short is not reported as a result.
+	ropts := experiments.Options{
+		Scale:       *scale,
+		Benchmarks:  []string{spec.Name},
+		Parallelism: 1,
+		Retries:     -1,
+		CkptStride:  *ckptStride,
+	}
 
 	// Observability is opt-in and inert: results are bit-identical with
 	// or without it (check.ObsInvariance pins this).
-	var reg *obs.Registry
-	var trace *obs.TransitionTrace
 	if *metricsAddr != "" {
-		reg = obs.NewRegistry()
-		trace = obs.NewTransitionTrace(obs.DefaultTraceCap)
+		reg := obs.NewRegistry()
+		trace := obs.NewTransitionTrace(obs.DefaultTraceCap)
 		srv, err := obs.Serve(*metricsAddr, reg, trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dynsim:", err)
@@ -177,12 +183,12 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "dynsim: serving metrics on http://%s/metrics\n", srv.Addr())
-		opts.Obs = reg
-		opts.Trace = trace
+		ropts.Obs = reg
+		ropts.Trace = trace
 	}
 
 	if *ckptDir != "" || *ckptStride != 0 {
-		ckptOpts := ckpt.Options{Dir: *ckptDir, Obs: reg}
+		ckptOpts := ckpt.Options{Dir: *ckptDir, Obs: ropts.Obs}
 		if *faultSeed != 0 {
 			ckptOpts.Faults = faults.New(*faultSeed, faults.DefaultPlan())
 		}
@@ -191,13 +197,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dynsim:", err)
 			os.Exit(1)
 		}
-		opts.Ckpt = store
+		ropts.CkptStore = store
+	} else {
+		ropts.CkptOff = true
 	}
 
-	// Ctrl-C, SIGTERM, or the -timeout deadline abort the run with a
-	// nonzero exit instead of leaving a wedged process. The simulation
-	// itself is synchronous, so it runs in a child goroutine and the
-	// main goroutine waits on whichever finishes first.
+	// Ctrl-C, SIGTERM, or the -timeout deadline stop the policy and its
+	// baseline at the session's next Run-call boundary; a run cut short
+	// prints nothing and exits 130.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *timeout > 0 {
@@ -205,32 +212,16 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// The session checks the context at every Run-call boundary, so a
-	// signal or deadline stops the simulation itself promptly rather
-	// than only abandoning the goroutine.
-	opts.Context = ctx
+	ropts.Context = ctx
 
-	s := core.NewSession(spec, opts)
-	type outcome struct {
-		res sampling.Result
-		err error
+	r := experiments.NewRunner(ropts)
+	res, err := r.Run(spec.Name, p)
+	var base sampling.Result
+	withBase := *baseline && *policy != "full"
+	if err == nil && withBase {
+		base, err = r.Run(spec.Name, sampling.FullTiming{})
 	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := p.Run(s)
-		ch <- outcome{res, err}
-	}()
-	var res sampling.Result
-	select {
-	case o := <-ch:
-		res, err = o.res, o.err
-		if err == nil && s.Interrupted() != nil {
-			// The run lost the race: it observed the cancelled context
-			// and returned a partial result before the select did.
-			fmt.Fprintln(os.Stderr, "dynsim: interrupted")
-			os.Exit(130)
-		}
-	case <-ctx.Done():
+	if err != nil && ctx.Err() != nil {
 		if ctx.Err() == context.DeadlineExceeded {
 			fmt.Fprintf(os.Stderr, "dynsim: run exceeded -timeout %v\n", *timeout)
 		} else {
@@ -259,13 +250,7 @@ func main() {
 		hostcost.FormatDuration(res.Cost.Seconds),
 		hostcost.FormatDuration(res.Cost.PaperSeconds))
 
-	if *baseline && res.Policy != "Full timing" {
-		sb := core.NewSession(spec, opts)
-		base, err := sampling.FullTiming{}.Run(sb)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dynsim:", err)
-			os.Exit(1)
-		}
+	if withBase {
 		fmt.Printf("full-timing IPC %.4f (%s paper-equivalent)\n",
 			base.EstIPC, hostcost.FormatDuration(base.Cost.PaperSeconds))
 		fmt.Printf("accuracy error %.2f%%\n", res.ErrorVs(base)*100)

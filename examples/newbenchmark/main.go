@@ -17,7 +17,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
-	"repro/internal/sampling"
+	"repro/internal/smp"
 	"repro/internal/timing"
 	"repro/internal/vm"
 )
@@ -129,40 +129,23 @@ func main() {
 	fullIPC := float64(mk.Instrs) / float64(mk.Cycles)
 	fmt.Printf("full timing: IPC %.4f over %d cycles\n", fullIPC, mk.Cycles)
 
-	// Dynamic Sampling by hand over the same image: monitor the CPU
-	// statistic between fixed intervals, timing only after changes.
-	const interval = 20_000
-	dsVM := vm.New(vm.Config{})
-	dsVM.Load(img)
-	dsCore := timing.NewCore(timing.DefaultConfig())
-	var est sampling.Estimator
+	// Dynamic Sampling over the same image: sampling.Dynamic monitors the
+	// CPU statistic between fixed intervals, timing only after changes.
+	// A one-guest smp.System is the sampling target for any image.
 	// This program's kernels are tiny (one or two translated blocks), so
 	// transitions only evict a couple of blocks: a lower sensitivity than
 	// the SPEC suite's 300% is the right choice here — picking the
 	// threshold to match the workload is part of using Dynamic Sampling.
-	det := sampling.PhaseDetector{SensitivityPct: 100}
-	prevStats := dsVM.Stats()
-	samples, timedNext := 0, false
-	for !dsVM.Halted() {
-		if timedNext {
-			dsVM.Run(interval, dsCore) // detailed warm-up
-			from := dsCore.Marker()
-			n := dsVM.Run(interval, dsCore)
-			est.Sample(timing.IPC(from, dsCore.Marker()), n)
-			samples++
-		} else if dsVM.Run(interval, nil) == 0 {
-			break
-		} else {
-			est.Functional(interval)
-		}
-		delta := dsVM.Stats().Sub(prevStats)
-		prevStats = dsVM.Stats()
-		decision, _ := det.Observe(delta.TCInvalidations)
-		timedNext = decision.Sample()
+	sys := smp.New(smp.Config{})
+	sys.AddGuest("custom", img, total)
+	ests, err := sys.DynamicSample(vm.MetricCPU, 100, 20_000, 0)
+	if err != nil {
+		log.Fatal(err)
 	}
+	ds := ests[0]
 	fmt.Printf("dynamic sampling: IPC %.4f from %d samples (error %.2f%%)\n",
-		est.IPC(), samples, (est.IPC()/fullIPC-1)*100)
-	if samples == 0 {
+		ds.IPC, ds.Samples, (ds.IPC/fullIPC-1)*100)
+	if ds.Samples == 0 {
 		log.Fatal("no phase changes detected; sensitivity too high for this workload")
 	}
 }

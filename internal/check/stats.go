@@ -16,10 +16,9 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/sampling"
 	"repro/internal/workload"
 )
@@ -100,82 +99,61 @@ func statFamilies() []statFamily {
 //   - requires every run to report a finite, valid interval (a policy
 //     that silently stopped reporting intervals must fail loudly, not
 //     pass vacuously);
-//   - re-runs one seed per benchmark and requires bit-identical
-//     results, and round-trips that result through JSON, the journal's
-//     wire format, requiring bit-identical reconstruction;
+//   - re-runs one seed per benchmark in an independent session and
+//     requires a result bit-identical to the runner's, and round-trips
+//     that result through JSON, the journal's wire format, requiring
+//     bit-identical reconstruction;
 //   - runs the error-targeting variant and requires it to stop within
 //     statBudget everywhere and to deliver an interval no wider than
 //     ±statTarget on at least one benchmark.
 func StatisticalValidity(o StatValidityOptions) error {
 	o.setDefaults()
-	type truth struct {
-		spec workload.Spec
-		cpi  float64
+	families := statFamilies()
+	// Every measurement but the replay is one runner cell: the ground
+	// truth, then per family Runs seeded designs and the targeted run.
+	// No cell is retried and no checkpoint is shared, so a failed cell
+	// fails the check.
+	policies := []sampling.Policy{sampling.FullTiming{}}
+	for _, fam := range families {
+		for s := 1; s <= o.Runs; s++ {
+			policies = append(policies, fam.make(uint64(s)))
+		}
+		policies = append(policies, fam.targeted(1))
 	}
-	truths := make([]truth, len(o.Benchmarks))
-	for i, bench := range o.Benchmarks {
-		spec, err := workload.ByName(bench)
-		if err != nil {
-			return fmt.Errorf("stat-validity: %w", err)
-		}
-		full, err := sampling.FullTiming{}.Run(core.NewSession(spec, core.Options{Scale: artifactScale}))
-		if err != nil {
-			return fmt.Errorf("stat-validity: full timing on %s: %w", bench, err)
-		}
+	r := experiments.NewRunner(experiments.Options{
+		Scale:      artifactScale,
+		Benchmarks: o.Benchmarks,
+		CkptOff:    true,
+		Retries:    -1,
+	})
+	results, err := r.RunAll(policies)
+	if err != nil {
+		return fmt.Errorf("stat-validity: %w", err)
+	}
+	if failed := r.Failures(); len(failed) > 0 {
+		return fmt.Errorf("stat-validity: %w", failed[0])
+	}
+	truth := make(map[string]float64, len(o.Benchmarks)) // bench -> full-timing CPI
+	for _, bench := range o.Benchmarks {
+		full := results[bench][sampling.FullTiming{}.Name()]
 		if full.EstIPC <= 0 {
 			return fmt.Errorf("stat-validity: full timing on %s: non-positive IPC %v", bench, full.EstIPC)
 		}
-		truths[i] = truth{spec: spec, cpi: 1 / full.EstIPC}
+		truth[bench] = 1 / full.EstIPC
 	}
 
-	families := statFamilies()
-	// results[f][b][s] for family f, benchmark b, seed s+1.
-	results := make([][][]sampling.Result, len(families))
-	errs := make([][][]error, len(families))
-	for f := range families {
-		results[f] = make([][]sampling.Result, len(truths))
-		errs[f] = make([][]error, len(truths))
-		for b := range truths {
-			results[f][b] = make([]sampling.Result, o.Runs)
-			errs[f][b] = make([]error, o.Runs)
-		}
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.NumCPU())
-	for f := range families {
-		for b := range truths {
-			for s := 0; s < o.Runs; s++ {
-				wg.Add(1)
-				go func(f, b, s int) {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					p := families[f].make(uint64(s + 1))
-					res, err := p.Run(core.NewSession(truths[b].spec, core.Options{Scale: artifactScale}))
-					results[f][b][s], errs[f][b][s] = res, err
-				}(f, b, s)
-			}
-		}
-	}
-	wg.Wait()
-
-	for f, fam := range families {
+	for _, fam := range families {
 		covered, total := 0, 0
 		var sumRelHW float64
-		for b, tr := range truths {
-			for s := 0; s < o.Runs; s++ {
-				if err := errs[f][b][s]; err != nil {
-					return fmt.Errorf("stat-validity: %s seed %d on %s: %w",
-						fam.name, s+1, o.Benchmarks[b], err)
-				}
-				res := results[f][b][s]
-				iv := res.CPIInterval
+		for _, bench := range o.Benchmarks {
+			for s := 1; s <= o.Runs; s++ {
+				iv := results[bench][fam.make(uint64(s)).Name()].CPIInterval
 				if iv == nil || !iv.Valid() {
 					return fmt.Errorf("stat-validity: %s seed %d on %s: no valid interval (vacuous run)",
-						fam.name, s+1, o.Benchmarks[b])
+						fam.name, s, bench)
 				}
 				total++
-				if iv.Contains(tr.cpi) {
+				if iv.Contains(truth[bench]) {
 					covered++
 				}
 				sumRelHW += iv.RelHalfWidth()
@@ -191,59 +169,59 @@ func StatisticalValidity(o StatValidityOptions) error {
 				fam.name, coverage*100, covered, total, o.MinCoverage*100)
 		}
 
-		// Seed determinism and journal round-trip identity, one seed per
-		// benchmark.
-		for b, tr := range truths {
-			first := results[f][b][0]
-			again, err := fam.make(1).Run(core.NewSession(tr.spec, core.Options{Scale: artifactScale}))
+		// Seed determinism against an independent session, and journal
+		// round-trip identity, one seed per benchmark.
+		for _, bench := range o.Benchmarks {
+			first := results[bench][fam.make(1).Name()]
+			spec, err := workload.ByName(bench)
 			if err != nil {
-				return fmt.Errorf("stat-validity: %s replay on %s: %w", fam.name, o.Benchmarks[b], err)
+				return fmt.Errorf("stat-validity: %w", err)
+			}
+			again, err := fam.make(1).Run(core.NewSession(spec, core.Options{Scale: artifactScale}))
+			if err != nil {
+				return fmt.Errorf("stat-validity: %s replay on %s: %w", fam.name, bench, err)
 			}
 			if err := compareResults(first, again); err != nil {
 				return fmt.Errorf("stat-validity: %s on %s not seed-deterministic: %w",
-					fam.name, o.Benchmarks[b], err)
+					fam.name, bench, err)
 			}
 			blob, err := json.Marshal(first)
 			if err != nil {
-				return fmt.Errorf("stat-validity: %s on %s: marshal: %w", fam.name, o.Benchmarks[b], err)
+				return fmt.Errorf("stat-validity: %s on %s: marshal: %w", fam.name, bench, err)
 			}
 			var back sampling.Result
 			if err := json.Unmarshal(blob, &back); err != nil {
-				return fmt.Errorf("stat-validity: %s on %s: unmarshal: %w", fam.name, o.Benchmarks[b], err)
+				return fmt.Errorf("stat-validity: %s on %s: unmarshal: %w", fam.name, bench, err)
 			}
 			if err := compareResults(first, back); err != nil {
 				return fmt.Errorf("stat-validity: %s on %s: journal round-trip not bit-identical: %w",
-					fam.name, o.Benchmarks[b], err)
+					fam.name, bench, err)
 			}
 			if !reflect.DeepEqual(first.Trace, back.Trace) || !reflect.DeepEqual(first.Detections, back.Detections) {
 				return fmt.Errorf("stat-validity: %s on %s: journal round-trip changed trace/detections",
-					fam.name, o.Benchmarks[b])
+					fam.name, bench)
 			}
 		}
 
 		// Error-targeting contract: stops within budget everywhere, and
 		// the requested width is delivered on at least one benchmark.
 		met := false
-		for b, tr := range truths {
-			p := fam.targeted(1)
-			res, err := p.Run(core.NewSession(tr.spec, core.Options{Scale: artifactScale}))
-			if err != nil {
-				return fmt.Errorf("stat-validity: %s targeting on %s: %w", fam.name, o.Benchmarks[b], err)
-			}
+		for _, bench := range o.Benchmarks {
+			res := results[bench][fam.targeted(1).Name()]
 			if res.Samples > statBudget {
 				return fmt.Errorf("stat-validity: %s targeting on %s: %d samples exceed budget %d",
-					fam.name, o.Benchmarks[b], res.Samples, statBudget)
+					fam.name, bench, res.Samples, statBudget)
 			}
 			if res.TargetMet {
 				if iv := res.CPIInterval; iv == nil || !iv.Valid() || iv.RelHalfWidth() > statTarget {
 					return fmt.Errorf("stat-validity: %s targeting on %s: TargetMet but interval wider than ±%.2f%%",
-						fam.name, o.Benchmarks[b], statTarget*100)
+						fam.name, bench, statTarget*100)
 				}
 				met = true
 			}
 			if o.Progress != nil {
 				fmt.Fprintf(o.Progress, "stat-validity: %s targeting ±%.1f%% on %s: met=%v with %d samples\n",
-					fam.name, statTarget*100, o.Benchmarks[b], res.TargetMet, res.Samples)
+					fam.name, statTarget*100, bench, res.TargetMet, res.Samples)
 			}
 		}
 		if !met {

@@ -273,20 +273,22 @@ func (in *Injector) String() string {
 // DiskFault implements the checkpoint store's disk-fault hook: op is
 // "read", "write", or "sync". A non-nil return is the injected failure.
 func (in *Injector) DiskFault(op, name string) error {
-	var kind Kind
-	var rate float64
 	switch op {
 	case "read":
-		kind, rate = DiskRead, in.plan.DiskRead
+		return in.opFault(DiskRead, in.plan.DiskRead, "", op, name)
 	case "write":
-		kind, rate = DiskWrite, in.plan.DiskWrite
+		return in.opFault(DiskWrite, in.plan.DiskWrite, "", op, name)
 	case "sync":
-		kind, rate = DiskSync, in.plan.DiskSync
-	default:
-		return nil
+		return in.opFault(DiskSync, in.plan.DiskSync, "", op, name)
 	}
+	return nil
+}
+
+// opFault is the verdict behind DiskFault and NetFault: one draw of
+// kind at site name, failing as "<tier><op> <name>".
+func (in *Injector) opFault(kind Kind, rate float64, tier, op, name string) error {
 	if _, hit := in.roll(kind, name, rate); hit {
-		return fmt.Errorf("%w: %s %s", ErrInjected, op, name)
+		return fmt.Errorf("%w: %s%s %s", ErrInjected, tier, op, name)
 	}
 	return nil
 }
@@ -296,7 +298,13 @@ func (in *Injector) DiskFault(op, name string) error {
 // offset inside the first 2 KiB — always within a serialized snapshot's
 // digest-protected prefix, so the corruption is detectable.
 func (in *Injector) CorruptReader(name string, r io.Reader) io.Reader {
-	h, hit := in.roll(CorruptRead, name, in.plan.CorruptRead)
+	return in.corruptReader(CorruptRead, in.plan.CorruptRead, name, r)
+}
+
+// corruptReader is the wrapper behind CorruptReader and
+// NetCorruptReader: one draw of kind at site name.
+func (in *Injector) corruptReader(kind Kind, rate float64, name string, r io.Reader) io.Reader {
+	h, hit := in.roll(kind, name, rate)
 	if !hit {
 		return r
 	}
@@ -339,18 +347,11 @@ func (in *Injector) RunFault(bench, policy string, attempt int) Kind {
 // NetFault implements the remote checkpoint tier's network-fault hook:
 // op is "get" or "put". A non-nil return is the injected failure.
 func (in *Injector) NetFault(op, name string) error {
-	var kind Kind
-	var rate float64
 	switch op {
 	case "get":
-		kind, rate = NetGet, in.plan.NetGet
+		return in.opFault(NetGet, in.plan.NetGet, "net ", op, name)
 	case "put":
-		kind, rate = NetPut, in.plan.NetPut
-	default:
-		return nil
-	}
-	if _, hit := in.roll(kind, name, rate); hit {
-		return fmt.Errorf("%w: net %s %s", ErrInjected, op, name)
+		return in.opFault(NetPut, in.plan.NetPut, "net ", op, name)
 	}
 	return nil
 }
@@ -360,15 +361,7 @@ func (in *Injector) NetFault(op, name string) error {
 // digest-protected prefix, exactly like CorruptReader but drawn from the
 // NetCorrupt budget — in-flight damage, not at-rest damage.
 func (in *Injector) NetCorruptReader(name string, r io.Reader) io.Reader {
-	h, hit := in.roll(NetCorrupt, name, in.plan.NetCorrupt)
-	if !hit {
-		return r
-	}
-	offset := int64(16 + h%2032) // within [16, 2048)
-	if h&(1<<60) != 0 {
-		return &truncatingReader{r: r, remain: offset}
-	}
-	return &flippingReader{r: r, offset: offset}
+	return in.corruptReader(NetCorrupt, in.plan.NetCorrupt, name, r)
 }
 
 // KillWorker reports whether the worker holding cell on its delivery'th

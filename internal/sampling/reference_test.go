@@ -118,7 +118,9 @@ func refSMARTS(p SMARTS, s *core.Session) (Result, error) {
 		res.Samples++
 		po.sample(ipc)
 	}
-	res.CIHalfWidthPct = cpiStream.RelativeCI(0.997) * 100
+	if ci := cpiStream.RelativeCI(0.997) * 100; !math.IsInf(ci, 0) && !math.IsNaN(ci) {
+		res.CIHalfWidthPct = ci
+	}
 	res.EstIPC = est.IPC()
 	res.Instructions = s.Executed()
 	res.Cost = s.Meter().Report(s.Scale())

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/stats"
@@ -61,7 +62,11 @@ func (p SMARTS) Run(s *core.Session) (Result, error) {
 	})
 	res := d.Result()
 	// SMARTS's headline property: a statistical confidence bound on the
-	// estimate (Wunderlich et al. report +-p% at 99.7% confidence).
-	res.CIHalfWidthPct = cpiStream.RelativeCI(0.997) * 100
+	// estimate (Wunderlich et al. report +-p% at 99.7% confidence). A
+	// bound needs two timed units; with fewer it is infinite, which JSON
+	// cannot carry, so the field keeps its zero.
+	if ci := cpiStream.RelativeCI(0.997) * 100; !math.IsInf(ci, 0) && !math.IsNaN(ci) {
+		res.CIHalfWidthPct = ci
+	}
 	return res, nil
 }
