@@ -101,9 +101,13 @@ profile-detail:
 
 # Heap profile of a primed stride-1 in-memory checkpoint store (one
 # deposit per base interval of one benchmark): what the snapshots keep
-# alive, by allocation site — vm.(*Machine).Snapshot's block list, TLB
-# copy and Snapshot struct, mem.(*Memory).Snapshot's page table, guest
-# pages (DESIGN.md §8 "What a snapshot owns and what it shares").
+# alive, by allocation site — vm.(*Machine).Snapshot's struct and phase
+# log; vm.relined's TLB line tables (slices.Clone) and line batches
+# (slices.Grow); vm.(*Machine).liveBlocks' per-page block lists and
+# captureCode's code-page tables (both slices.Clone);
+# mem.(*Memory).Snapshot's page table; guest pages (DESIGN.md §8 "What a
+# snapshot owns and what it shares"). Generic slices functions appear
+# under their own names: `-peek 'slices\.'` names the caller.
 profile-ckpt:
 	$(GO) run ./cmd/dynsim -bench mcf -policy dynamic -scale 5000 -ckpt-stride 1 -memprofile ckpt.heap
 	$(GO) tool pprof -sample_index=inuse_space -top -lines -nodecount=12 ckpt.heap

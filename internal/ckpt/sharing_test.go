@@ -136,6 +136,29 @@ func TestStoreBytesMatchHeap(t *testing.T) {
 	runtime.KeepAlive(tr)
 }
 
+// TestStoreBytesPerEntryBudget bounds what a fine-stride store charges
+// per entry on the trajectory TestStoreBytesMatchHeap measures. Between
+// consecutive captures a few TLB slots and one or two code pages
+// change; when only those lines and page lists are new, an entry costs
+// its own state plus a share of a line table and a code-page table,
+// about 2.6 kB. Sharing TLB contents and block lists only as whole
+// tables costs about 5.8 kB, so losing the finer sharing fails here.
+func TestStoreBytesPerEntryBudget(t *testing.T) {
+	const budget = 3000
+	tr := newTrajectory(t, "mcf", 5000)
+	s := NewMemory()
+	for snap := tr.next(); snap != nil; snap = tr.next() {
+		s.Put(testKey(snap.Instructions()), snap)
+	}
+	st := s.Stats()
+	if st.Entries < 2000 {
+		t.Fatalf("trajectory too short or evicted: %d entries", st.Entries)
+	}
+	if per := st.Bytes / int64(st.Entries); per > budget {
+		t.Fatalf("store accounts %d B/entry over %d entries, budget %d", per, st.Entries, budget)
+	}
+}
+
 // TestStoreSharedPartsAccounting walks a trajectory through a store far
 // too small for it, so the LRU keeps evicting entries that share their
 // page table, TLB contents and block list with the entries that stay.

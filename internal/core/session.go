@@ -301,8 +301,13 @@ func (s *Session) StatsDelta(prev vm.Stats) (delta, now vm.Stats) {
 }
 
 // Stat returns the current value of one VM statistic, read as
-// StatsDelta reads it.
-func (s *Session) Stat(m vm.Metric) uint64 { _, now := s.StatsDelta(vm.Stats{}); return now.Value(m) }
+// StatsDelta reads it but without building a delta.
+func (s *Session) Stat(m vm.Metric) uint64 {
+	if s.pending != nil {
+		return s.pending.Stat(m)
+	}
+	return s.machine.Stat(m)
+}
 
 // String identifies the session.
 func (s *Session) String() string {

@@ -103,7 +103,9 @@ func DecodeBlock(r io.Reader) (*Block, error) {
 	if n > maxDirtySectors {
 		return nil, fmt.Errorf("device: block claims %d dirty sectors (cap %d)", n, maxDirtySectors)
 	}
-	b.dirty = make(map[uint64]*[SectorWords]uint64, n)
+	if n > 0 {
+		b.dirty = make(map[uint64]*[SectorWords]uint64, n)
+	}
 	var sec [8 + SectorBytes]byte
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(r, sec[:]); err != nil {

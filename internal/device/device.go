@@ -62,7 +62,7 @@ type Block struct {
 // NewBlock creates a block device whose unwritten content is derived
 // from seed.
 func NewBlock(seed uint64) *Block {
-	return &Block{Seed: seed, dirty: make(map[uint64]*[SectorWords]uint64)}
+	return &Block{Seed: seed}
 }
 
 // fillWord is the deterministic content of word i of an unwritten sector.
@@ -95,6 +95,9 @@ func (b *Block) WriteSector(sector uint64, src *[SectorWords]uint64) {
 	b.BytesWritten += SectorBytes
 	s, ok := b.dirty[sector]
 	if !ok {
+		if b.dirty == nil {
+			b.dirty = make(map[uint64]*[SectorWords]uint64)
+		}
 		s = new([SectorWords]uint64)
 		b.dirty[sector] = s
 	}
@@ -140,7 +143,9 @@ func (b *Block) Clone() *Block {
 	cp := &Block{
 		Seed: b.Seed, Reads: b.Reads, Writes: b.Writes,
 		BytesRead: b.BytesRead, BytesWritten: b.BytesWritten,
-		dirty: make(map[uint64]*[SectorWords]uint64, len(b.dirty)),
+	}
+	if len(b.dirty) > 0 {
+		cp.dirty = make(map[uint64]*[SectorWords]uint64, len(b.dirty))
 	}
 	for sec, s := range b.dirty {
 		d := *s

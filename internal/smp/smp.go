@@ -225,7 +225,7 @@ func (s *System) advance(n uint64, detailed, timed bool) (float64, uint64) {
 func (s *System) Stat(m vm.Metric) uint64 {
 	var v uint64
 	for _, g := range s.guests {
-		v += g.Machine.Stats().Value(m)
+		v += g.Machine.Stat(m)
 	}
 	return v
 }

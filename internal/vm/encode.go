@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/device"
 	"repro/internal/isa"
@@ -191,11 +192,13 @@ func (s *Snapshot) encodePayload(w io.Writer) error {
 	if err := binary.Write(w, binary.LittleEndian, &s.stats); err != nil {
 		return err
 	}
-	if err := writeU64s(w, []uint64{uint64(len(s.tlb))}); err != nil {
+	if err := writeU64s(w, []uint64{uint64(s.tlbEntries)}); err != nil {
 		return err
 	}
-	if err := writeU64s(w, s.tlb); err != nil {
-		return err
+	for i, l := range s.tlb {
+		if err := writeU64s(w, l.entries[:min(tlbLineLen, s.tlbEntries-i*tlbLineLen)]); err != nil {
+			return err
+		}
 	}
 	phase := make([]uint64, 0, 1+2*len(s.phaseLog))
 	phase = append(phase, uint64(len(s.phaseLog)))
@@ -214,11 +217,13 @@ func (s *Snapshot) encodePayload(w io.Writer) error {
 	if err := s.mem.EncodeTo(w); err != nil {
 		return err
 	}
-	pcs := make([]uint64, 0, 1+len(s.blocks))
-	pcs = append(pcs, uint64(len(s.blocks)))
-	for _, b := range s.blocks {
-		pcs = append(pcs, b.pc)
+	pcs := []uint64{0}
+	for _, p := range s.code {
+		for _, b := range p.blocks {
+			pcs = append(pcs, b.pc)
+		}
 	}
+	pcs[0] = uint64(len(pcs) - 1)
 	return writeU64s(w, pcs)
 }
 
@@ -259,10 +264,11 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if n := count[0]; n == 0 || n > maxTLBEntries || n&(n-1) != 0 {
 		return nil, fmt.Errorf("vm: implausible snapshot TLB size %d", count[0])
 	}
-	var err error
-	if s.tlb, err = readU64Slice(fr, count[0]); err != nil {
+	tlb, err := readU64Slice(fr, count[0])
+	if err != nil {
 		return nil, fmt.Errorf("vm: snapshot tlb: %w", err)
 	}
+	s.tlb, s.tlbEntries = linesOf(tlb), len(tlb)
 	if err := readU64s(fr, count[:]); err != nil {
 		return nil, fmt.Errorf("vm: snapshot phase log: %w", err)
 	}
@@ -279,9 +285,11 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			s.phaseLog[i] = PhaseMark{Instr: pairs[2*i], Value: pairs[2*i+1]}
 		}
 	}
-	if s.console, err = device.DecodeConsole(fr); err != nil {
+	console, err := device.DecodeConsole(fr)
+	if err != nil {
 		return nil, err
 	}
+	s.console = *console
 	if s.disk, err = device.DecodeBlock(fr); err != nil {
 		return nil, err
 	}
@@ -298,10 +306,14 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vm: snapshot blocks: %w", err)
 	}
-	s.blocks = make([]savedBlock, len(pcs))
-	for i, pc := range pcs {
-		s.blocks[i] = savedBlock{pc: pc}
+	if !slices.IsSorted(pcs) { // code pages must ascend for Restore
+		return nil, errors.New("vm: snapshot block PCs not ascending")
 	}
+	blocks := make([]savedBlock, len(pcs))
+	for i, pc := range pcs {
+		blocks[i] = savedBlock{pc: pc}
+	}
+	s.code = pagesOf(blocks)
 	// The footer is read around the hasher: it authenticates the
 	// payload, not itself.
 	want := fr.h

@@ -30,6 +30,18 @@ func deepSnapshot(t testing.TB, m *Machine) *Snapshot {
 		}
 	}
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].pc < blocks[j].pc })
+	var code []codePage // one list per start page, pages ascending
+	for _, b := range blocks {
+		if n := len(code); n == 0 || code[n-1].vpn != b.pc>>mem.PageShift {
+			code = append(code, codePage{vpn: b.pc >> mem.PageShift})
+		}
+		code[len(code)-1].blocks = append(code[len(code)-1].blocks, b)
+	}
+	tlb := make([]*tlbLine, (len(m.tlb)+tlbLineLen-1)/tlbLineLen)
+	for i := range tlb {
+		tlb[i] = &tlbLine{n: 1}
+		copy(tlb[i].entries[:], m.tlb[i*tlbLineLen:])
+	}
 
 	// The memory image in mem.Snapshot's serialized form: span, page
 	// count, then (vpn, words) ascending.
@@ -50,17 +62,18 @@ func deepSnapshot(t testing.TB, m *Machine) *Snapshot {
 		t.Fatalf("deepSnapshot: memory image: %v", err)
 	}
 	return &Snapshot{
-		regs:     m.regs,
-		pc:       m.pc,
-		halted:   m.halted,
-		exitCode: m.exitCode,
-		stats:    m.stats,
-		mem:      image,
-		tlb:      append([]uint64(nil), m.tlb...),
-		console:  m.console.Clone(),
-		disk:     m.disk.Clone(),
-		phaseLog: append([]PhaseMark(nil), m.phaseLog...),
-		blocks:   blocks,
+		regs:       m.regs,
+		pc:         m.pc,
+		halted:     m.halted,
+		exitCode:   m.exitCode,
+		stats:      m.stats,
+		mem:        image,
+		tlb:        tlb,
+		tlbEntries: len(m.tlb),
+		console:    *m.console.Clone(),
+		disk:       m.disk.Clone(),
+		phaseLog:   append([]PhaseMark(nil), m.phaseLog...),
+		code:       code,
 	}
 }
 

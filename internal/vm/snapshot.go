@@ -1,9 +1,9 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"unsafe"
 
 	"repro/internal/device"
@@ -20,6 +20,85 @@ type savedBlock struct {
 	insts []dinst
 }
 
+// codePage is the captured blocks that start on one code page,
+// ascending by pc. Decoding stops at the page end, so a page's list
+// changes only through translations and invalidations on that page (or
+// on the next, for a last instruction that straddles into it).
+type codePage struct {
+	vpn    uint64
+	blocks []savedBlock
+}
+
+// tlbLineLen is how many TLB entries a snapshot shares as one piece.
+// Consecutive captures differ in a handful of slots, so few lines copy;
+// a 1 024-entry TLB's table of 64 line pointers stays cheap to copy and
+// for the collector to scan, where 8-entry lines' 128 were not.
+const tlbLineLen = 16
+
+// tlbLine is one immutable line of captured TLB entries. The lines one
+// capture adds are one allocation, the batch Parts reports: this line
+// is its idx-th of n. Offsets, not a pointer to the batch, keep lines
+// free of pointers, so the collector never scans them.
+type tlbLine struct {
+	entries [tlbLineLen]uint64
+	idx, n  int32
+}
+
+// zeroTLBLine is the all-invalid line every snapshot shares.
+var zeroTLBLine tlbLine
+
+// tlbSlice is line i of a TLB's entries.
+func tlbSlice(tlb []uint64, i int) []uint64 {
+	return tlb[i*tlbLineLen : min((i+1)*tlbLineLen, len(tlb))]
+}
+
+// linesOf returns a fresh line table of a TLB's entries.
+func linesOf(tlb []uint64) []*tlbLine {
+	zero := make([]*tlbLine, (len(tlb)+tlbLineLen-1)/tlbLineLen)
+	for i := range zero {
+		zero[i] = &zeroTLBLine
+	}
+	return relined(zero, tlb, nil)
+}
+
+// relined returns table with one new batch of lines in place of every
+// line of tlb that differs from table's, looking only where dirty is
+// set unless dirty is nil; table itself when no line differs.
+func relined(table []*tlbLine, tlb []uint64, dirty []bool) []*tlbLine {
+	var buf [32]int
+	changed := buf[:0]
+	for i := range table {
+		// Refills that evicted each other can leave a line as it was.
+		if live := tlbSlice(tlb, i); (dirty == nil || dirty[i]) && !slices.Equal(live, table[i].entries[:len(live)]) {
+			changed = append(changed, i)
+		}
+	}
+	if len(changed) == 0 {
+		return table
+	}
+	table = slices.Clone(table)
+	lines := slices.Grow([]tlbLine(nil), len(changed))[:len(changed)]
+	for j, i := range changed {
+		copy(lines[j].entries[:], tlbSlice(tlb, i))
+		lines[j].idx, lines[j].n = int32(j), int32(cap(lines))
+		table[i] = &lines[j]
+	}
+	return table
+}
+
+// pagesOf groups blocks into code pages, one per run of blocks on the
+// same page; ascending blocks give ascending pages.
+func pagesOf(blocks []savedBlock) (table []codePage) {
+	for i, b := range blocks {
+		if n := len(table) - 1; n >= 0 && table[n].vpn == b.pc>>mem.PageShift {
+			table[n].blocks = blocks[i-len(table[n].blocks) : i+1 : i+1]
+		} else {
+			table = append(table, codePage{vpn: b.pc >> mem.PageShift, blocks: blocks[i : i+1 : i+1]})
+		}
+	}
+	return table
+}
+
 // Snapshot is a restorable copy of the complete machine state,
 // including the set of live translation-cache blocks. Capturing the TC
 // makes a restore *stats-exact*: Dynamic Sampling monitors the
@@ -31,79 +110,110 @@ type savedBlock struct {
 //
 // A snapshot owns its scalar state, console, disk and phase log, and
 // shares by identity whatever the machine had not changed since its
-// previous capture or restore: the memory image (mem), the TLB
-// contents (tlb) and the block list (blocks) may be the very same
-// storage in many snapshots, in several store entries, and behind
-// several machines' sharedParts at once. Nothing reachable from a
-// Snapshot is ever written after capture; a machine copies before it
-// changes anything (its TLB array is always private, guest pages are
-// copy-on-write, decoded instructions are immutable).
+// previous capture or restore: the memory image, the TLB line table and
+// any of its lines, the code-page table and any page's block list may be
+// the very same storage in many snapshots, store entries and machines.
+// Nothing reachable from a Snapshot is ever written after capture; a
+// machine copies before it changes anything (its TLB array is private,
+// guest pages are copy-on-write, decoded instructions are immutable, a
+// changed line or page list goes into a fresh table).
 type Snapshot struct {
-	regs     [isa.NumRegs]uint64
-	pc       uint64
-	halted   bool
-	exitCode uint64
-	stats    Stats
-	mem      *mem.Snapshot
-	tlb      []uint64
-	console  *device.Console
-	disk     *device.Block
-	phaseLog []PhaseMark
-	blocks   []savedBlock // ascending pc
+	regs       [isa.NumRegs]uint64
+	pc         uint64
+	halted     bool
+	exitCode   uint64
+	stats      Stats
+	mem        *mem.Snapshot
+	tlb        []*tlbLine // tlbEntries in lines
+	tlbEntries int
+	console    device.Console
+	disk       *device.Block
+	phaseLog   []PhaseMark
+	code       []codePage // ascending vpn, no empty page
 	// tcStamp is the translation-set identity the blocks were captured
 	// under (see Machine.tcStamp). Deserialized snapshots carry zero,
 	// which no live machine ever holds, so they always rebuild.
 	tcStamp uint64
 }
 
-// sharedParts are the immutable slices of the snapshot a machine last
-// captured or was restored from, each with the witness under which it
-// still describes the machine: blocks while tcStamp has not moved, tlb
-// while no refill has been counted (tlbRefill is the TLB's only writer
-// and counts every write). The next Snapshot reuses what still holds;
-// Restore skips what is already in place. The memory image has the same
-// arrangement inside mem.Memory.
+// sharedParts are the tables of the snapshot a machine last captured or
+// was restored from, and what the machine changed since: no code page
+// while tcStamp is codeStamp, else those in codeDirty (translate,
+// invalidate and flush mark them); no TLB line while no refill was
+// counted since tlbRefills (tlbRefill is the TLB's only writer), else
+// those in tlbDirty. Snapshot rebuilds and Restore reconciles or copies
+// only those. The memory image has the same arrangement in mem.Memory.
 type sharedParts struct {
-	blocks      []savedBlock
-	blocksStamp uint64
-	tlb         []uint64
-	tlbRefills  uint64
+	code       []codePage
+	codeStamp  uint64
+	codeDirty  map[uint64]bool
+	tlb        []*tlbLine
+	tlbDirty   []bool
+	tlbRefills uint64
 }
 
 // Snapshot captures the machine state, sharing with the machine's
 // previous capture or restore every part that has not changed since.
 func (m *Machine) Snapshot() *Snapshot {
 	sh := &m.shared
-	if sh.blocksStamp != m.tcStamp {
-		blocks := make([]savedBlock, 0, m.tcCount)
-		for pc, b := range m.tc {
-			if !b.dead {
-				blocks = append(blocks, savedBlock{pc: pc, insts: b.insts})
-			}
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i].pc < blocks[j].pc })
-		sh.blocks, sh.blocksStamp = blocks, m.tcStamp
+	if sh.codeStamp != m.tcStamp {
+		sh.code, sh.codeStamp = m.captureCode(), m.tcStamp
 	}
-	// Refills that evicted each other can leave the contents as they
-	// were; comparing 8 kB is far cheaper than keeping another copy.
-	if sh.tlb == nil || sh.tlbRefills != m.stats.TLBRefills && !slices.Equal(sh.tlb, m.tlb) {
-		sh.tlb = slices.Clone(m.tlb)
+	if sh.tlbRefills != m.stats.TLBRefills {
+		sh.tlb = relined(sh.tlb, m.tlb, sh.tlbDirty)
+		clear(sh.tlbDirty)
+		sh.tlbRefills = m.stats.TLBRefills
 	}
-	sh.tlbRefills = m.stats.TLBRefills
 	return &Snapshot{
-		regs:     m.regs,
-		pc:       m.pc,
-		halted:   m.halted,
-		exitCode: m.exitCode,
-		stats:    m.stats,
-		mem:      m.mem.Snapshot(),
-		tlb:      sh.tlb,
-		console:  m.console.Clone(),
-		disk:     m.disk.Clone(),
-		phaseLog: append([]PhaseMark(nil), m.phaseLog...),
-		blocks:   sh.blocks,
-		tcStamp:  m.tcStamp,
+		regs:       m.regs,
+		pc:         m.pc,
+		halted:     m.halted,
+		exitCode:   m.exitCode,
+		stats:      m.stats,
+		mem:        m.mem.Snapshot(),
+		tlb:        sh.tlb,
+		tlbEntries: len(m.tlb),
+		console:    *m.console.Clone(),
+		disk:       m.disk.Clone(),
+		phaseLog:   append([]PhaseMark(nil), m.phaseLog...),
+		code:       sh.code,
+		tcStamp:    m.tcStamp,
 	}
+}
+
+// captureCode returns the code-page table of the live translation set:
+// the agreed table with every changed page's list rebuilt.
+func (m *Machine) captureCode() []codePage {
+	sh := &m.shared
+	table := slices.Clone(sh.code)
+	for vpn := range sh.codeDirty {
+		i, found := slices.BinarySearchFunc(table, vpn, byVPN)
+		switch blocks := m.liveBlocks(vpn); {
+		case found && blocks == nil:
+			table = slices.Delete(table, i, i+1)
+		case found:
+			table[i].blocks = blocks
+		case blocks != nil:
+			table = slices.Insert(table, i, codePage{vpn: vpn, blocks: blocks})
+		}
+	}
+	clear(sh.codeDirty)
+	return table
+}
+
+func byVPN(p codePage, vpn uint64) int { return cmp.Compare(p.vpn, vpn) }
+
+// liveBlocks returns the live blocks that start on code page vpn,
+// ascending by pc, or nil when there are none.
+func (m *Machine) liveBlocks(vpn uint64) []savedBlock {
+	var blocks []savedBlock
+	for _, b := range m.pageBlk[vpn] {
+		if !b.dead && b.pc>>mem.PageShift == vpn {
+			blocks = append(blocks, savedBlock{pc: b.pc, insts: b.insts})
+		}
+	}
+	slices.SortFunc(blocks, func(a, b savedBlock) int { return cmp.Compare(a.pc, b.pc) })
+	return slices.Clone(blocks) // snapshots keep it: no spare capacity
 }
 
 // Instructions returns the guest instruction count at the snapshot
@@ -117,22 +227,42 @@ func (s *Snapshot) Stats() Stats { return s.stats }
 func (s *Snapshot) Halted() bool { return s.halted }
 
 // Parts reports the snapshot's separately allocated pieces by identity
-// and size: the snapshot's own state (struct, phase log, console tail,
-// dirty disk sectors), its TLB contents, its block list, then the
-// memory image's page table and pages (see mem.Snapshot.Parts, which
-// visit's result steers). The checkpoint store counts references per
-// identity, so a piece shared by many snapshots is charged once.
-// Decoded instructions are left out: the block list only points at
-// storage that belongs to the machines' translation caches.
+// and size: its own state (struct, phase log, console tail, dirty disk
+// sectors); the TLB line table and, if visit returned true for it, its
+// lines' batches; the code-page table and, if visit returned true for
+// it, its block lists; then the memory image's (see mem.Snapshot.Parts).
+// The checkpoint store counts references per identity, so a piece shared
+// by many snapshots is charged once, and a table it already counts is
+// one more reference, not one per line or page. Decoded instructions are
+// left out: they belong to the machines' translation caches.
 func (s *Snapshot) Parts(visit func(id any, bytes int64) bool) {
 	own := int64(unsafe.Sizeof(*s)) +
-		int64(len(s.phaseLog))*int64(unsafe.Sizeof(PhaseMark{})) +
-		int64(unsafe.Sizeof(*s.console)) + int64(len(s.console.Tail())) +
+		sliceBytes(s.phaseLog) + sliceBytes(s.console.Tail()) +
 		int64(unsafe.Sizeof(*s.disk)) + int64(s.disk.DirtySectors())*(device.SectorBytes+16)
 	visit(s, own)
-	visit(unsafe.SliceData(s.tlb), int64(len(s.tlb))*8)
-	visit(unsafe.SliceData(s.blocks), int64(len(s.blocks))*int64(unsafe.Sizeof(savedBlock{})))
+	if visit(unsafe.SliceData(s.tlb), sliceBytes(s.tlb)) {
+		var last *tlbLine // neighbours often share a batch
+		for _, l := range s.tlb {
+			b := (*tlbLine)(unsafe.Add(unsafe.Pointer(l), -int(l.idx)*int(unsafe.Sizeof(*l))))
+			if l.n > 0 && b != last { // the zero line is in no batch
+				visit(b, int64(l.n)*int64(unsafe.Sizeof(*l)))
+				last = b
+			}
+		}
+	}
+	if visit(unsafe.SliceData(s.code), sliceBytes(s.code)) {
+		for _, p := range s.code {
+			visit(unsafe.SliceData(p.blocks), sliceBytes(p.blocks))
+		}
+	}
 	s.mem.Parts(visit)
+}
+
+// sliceBytes is what the array behind s holds: its capacity, which
+// append and slices.Grow round up to the allocation they really make.
+func sliceBytes[E any](s []E) int64 {
+	var e E
+	return int64(cap(s)) * int64(unsafe.Sizeof(e))
 }
 
 // SizeBytes is the in-memory footprint of the snapshot taken alone,
@@ -155,72 +285,34 @@ func (s *Snapshot) SizeBytes() int64 {
 // checkpoint-resumed run's statistics bit-identical to a cold run that
 // executed through the same point.
 //
-// The TLB is reallocated to the snapshot's geometry (a plain copy would
-// silently truncate when the machine was configured with a different
-// TLBEntries than the snapshotted one, leaving a hybrid TLB state no
-// real execution could produce). Blocks from a deserialized snapshot
-// are re-decoded against the snapshot's own memory image before any
-// machine state is mutated, so a corrupt snapshot is rejected whole.
+// The TLB takes the snapshot's geometry, masks included (a plain copy
+// would silently truncate when the machine was configured with a
+// different TLBEntries than the snapshotted one, leaving a hybrid TLB
+// state no real execution could produce). Blocks from a deserialized
+// snapshot are re-decoded against the snapshot's own memory image before
+// any machine state is mutated, so a corrupt snapshot is rejected whole.
 func (m *Machine) Restore(s *Snapshot) error {
-	if len(s.tlb) == 0 || len(s.tlb)&(len(s.tlb)-1) != 0 {
-		return fmt.Errorf("vm: snapshot TLB size %d is not a power of two", len(s.tlb))
+	if s.tlbEntries == 0 || s.tlbEntries&(s.tlbEntries-1) != 0 {
+		return fmt.Errorf("vm: snapshot TLB size %d is not a power of two", s.tlbEntries)
 	}
-	// When the machine's live translation set is the one the snapshot
-	// captured (stamps match — neither side has translated, invalidated,
-	// or flushed since they last agreed), the entire rebuild is skipped:
-	// the existing blocks, page indexes, and chain links are already
-	// exactly the restored state. This is what makes a checkpoint-walk
-	// restore cheaper than re-executing the interval it skips.
-	tcSame := s.tcStamp != 0 && s.tcStamp == m.tcStamp
-	// Snapshots deposited by a live machine share their decoded
-	// translations; for those the live set can be reconciled in place
-	// (delta kills and installs, no teardown). Deserialized snapshots
-	// carry pc-only blocks and take the full rebuild below.
-	reconcile := !tcSame
-	if reconcile {
-		for _, sb := range s.blocks {
-			if sb.insts == nil {
-				reconcile = false
-				break
-			}
-		}
-	}
-	var rebuilt []*block
-	if !tcSame && !reconcile {
-		rebuilt = make([]*block, 0, len(s.blocks))
-		for _, sb := range s.blocks {
-			insts := sb.insts
-			if insts == nil {
-				var err error
-				insts, err = decodeInsts(s.mem.Peek, sb.pc, m.cfg.MaxBlockLen)
+	code := s.code
+	if s.tcStamp == 0 { // deserialized: pc-only blocks
+		code = make([]codePage, len(s.code))
+		for i, p := range s.code {
+			code[i] = codePage{vpn: p.vpn, blocks: make([]savedBlock, len(p.blocks))}
+			for j, sb := range p.blocks {
+				insts, err := decodeInsts(s.mem.Peek, sb.pc, m.cfg.MaxBlockLen)
 				if err != nil {
 					return fmt.Errorf("vm: snapshot block at pc=%#x: %w", sb.pc, err)
 				}
+				code[i].blocks[j] = savedBlock{pc: sb.pc, insts: insts}
 			}
-			rebuilt = append(rebuilt, &block{pc: sb.pc, insts: insts})
 		}
 	}
 	if err := m.mem.Restore(s.mem); err != nil {
 		return err
 	}
-	// The TLB is already the snapshot's when the snapshot's contents are
-	// the storage this machine last agreed with and it has counted no
-	// refill since; the fast paths in front of it then still hold too.
-	sh := &m.shared
-	if unsafe.SliceData(s.tlb) != unsafe.SliceData(sh.tlb) || m.stats.TLBRefills != sh.tlbRefills {
-		m.tlb = append(m.tlb[:0], s.tlb...)
-		m.tlbMask = uint64(len(m.tlb) - 1)
-		// The last-vpn and second-level fast paths must not claim hits
-		// against the restored TLB contents on stale evidence; dropping
-		// them costs at most one masked probe per page and never changes
-		// statistics (they only ever skip probes that are guaranteed hits).
-		m.tlbLast = 0
-		for i := range m.tlbL2 {
-			m.tlbL2[i] = 0
-		}
-		sh.tlb = s.tlb
-	}
-	sh.tlbRefills = s.stats.TLBRefills
+	m.restoreTLB(s)
 	m.regs = s.regs
 	m.pc = s.pc
 	m.halted = s.halted
@@ -229,79 +321,102 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.console = s.console.Clone()
 	m.disk = s.disk.Clone()
 	m.phaseLog = append(m.phaseLog[:0], s.phaseLog...)
-	if s.tcStamp != 0 {
-		// Every path below leaves the machine holding exactly s.blocks
-		// under s.tcStamp.
-		sh.blocks, sh.blocksStamp = s.blocks, s.tcStamp
-	}
 
-	if tcSame {
-		return nil
+	// Equal stamps (neither side has translated, invalidated or flushed
+	// since they last agreed) mean the live set, chain links included, is
+	// already the restored one: what makes a checkpoint-walk restore
+	// cheaper than re-executing the interval it skips. Otherwise it is
+	// reconciled in place; a deserialized set takes a fresh identity.
+	if s.tcStamp == 0 || s.tcStamp != m.tcStamp {
+		m.reconcileTC(code)
+		m.tcStamp = cmp.Or(s.tcStamp, newTCStamp())
 	}
-	if reconcile {
-		m.reconcileTC(s)
-		m.tcStamp = s.tcStamp
-		return nil
+	m.shared.code, m.shared.codeStamp = code, m.tcStamp
+	return nil
+}
+
+// restoreTLB makes the machine's TLB the snapshot's, copying only the
+// lines that differ from the ones the machine agrees with.
+func (m *Machine) restoreTLB(s *Snapshot) {
+	sh := &m.shared
+	if len(m.tlb) != s.tlbEntries {
+		m.resizeTLB(s.tlbEntries)
 	}
-	// Silently replace the translation cache with the captured set.
-	for _, b := range m.tc {
-		b.dead = true
+	// The TLB is already the snapshot's when the snapshot's line table
+	// is the one this machine last agreed with and it has counted no
+	// refill since; the fast paths in front of it then still hold too.
+	if unsafe.SliceData(s.tlb) != unsafe.SliceData(sh.tlb) || m.stats.TLBRefills != sh.tlbRefills {
+		for i, l := range s.tlb {
+			if l != sh.tlb[i] || sh.tlbDirty[i] {
+				copy(m.tlb[i*tlbLineLen:], l.entries[:])
+			}
+		}
+		clear(sh.tlbDirty)
+		sh.tlb = s.tlb
+		// The fast paths must not claim hits on stale evidence; dropping
+		// them never changes statistics (they only skip sure hits).
+		m.tlbLast = 0
+		clear(m.tlbL2[:])
 	}
-	m.tc = make(map[uint64]*block, len(rebuilt))
-	for vpn := range m.pageBlk {
-		m.codePages[vpn] = false
+	sh.tlbRefills = s.stats.TLBRefills
+}
+
+// reconcileTC updates the live translation set in place to exactly the
+// code pages want. A page whose list is the one the machine agrees with,
+// and on which it has changed nothing since, is skipped; every other
+// page either side holds code on is reconciled on its own.
+func (m *Machine) reconcileTC(want []codePage) {
+	sh := &m.shared
+	for _, p := range want {
+		if held := pageList(sh.code, p.vpn); sh.codeDirty[p.vpn] ||
+			len(held) != len(p.blocks) || &held[0] != &p.blocks[0] {
+			m.reconcilePage(p.vpn, p.blocks)
+		}
 	}
-	m.pageBlk = make(map[uint64][]*block, len(rebuilt))
-	m.tcCount = 0
-	for _, b := range rebuilt {
-		m.installBlock(b)
+	for _, p := range sh.code {
+		sh.codeDirty[p.vpn] = true
 	}
-	if s.tcStamp != 0 {
-		m.tcStamp = s.tcStamp
-	} else {
-		// Deserialized snapshot: adopt a fresh identity for the set we
-		// just installed.
-		m.tcStamp = newTCStamp()
+	for vpn := range sh.codeDirty {
+		if pageList(want, vpn) == nil {
+			m.reconcilePage(vpn, nil)
+		}
+	}
+	clear(sh.codeDirty)
+}
+
+// pageList returns the block list of page vpn in table, nil if the
+// table has no code there.
+func pageList(table []codePage, vpn uint64) []savedBlock {
+	if i, ok := slices.BinarySearchFunc(table, vpn, byVPN); ok {
+		return table[i].blocks
 	}
 	return nil
 }
 
-// reconcileTC updates the live translation set in place to exactly the
-// snapshot's captured set, killing live blocks the snapshot lacks and
-// installing the ones it adds. Identity is the shared decoded-
-// instruction storage, so a retranslated block at the same pc is
-// correctly replaced. Dead entries may linger in the map and the page
-// lists, exactly as they do on an organically-run machine; they are
-// invisible to lookups and to every statistic.
-func (m *Machine) reconcileTC(s *Snapshot) {
-	liveBefore := m.tcCount
-	matched := 0
-	for _, sb := range s.blocks {
-		if b, ok := m.tc[sb.pc]; ok && !b.dead {
-			if len(b.insts) == len(sb.insts) && &b.insts[0] == &sb.insts[0] {
-				matched++
-				continue
-			}
-			b.dead = true
-			m.tcCount--
+// reconcilePage makes the live blocks that start on page vpn exactly
+// want (ascending by pc), killing live blocks want lacks and installing
+// the ones it adds. Identity is the shared decoded-instruction storage,
+// so a retranslated block at the same pc is correctly replaced. The
+// page lists then drop their dead entries, as after an invalidation.
+func (m *Machine) reconcilePage(vpn uint64, want []savedBlock) {
+	for _, b := range m.pageBlk[vpn] {
+		if b.dead || b.pc>>mem.PageShift != vpn {
+			continue // a straddling block belongs to the page before
 		}
-		m.installBlock(&block{pc: sb.pc, insts: sb.insts})
-	}
-	if liveBefore == matched {
-		return
-	}
-	// Live blocks remain that the snapshot does not contain.
-	for pc, b := range m.tc {
-		if b.dead {
-			continue
-		}
-		i := sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i].pc >= pc })
-		if i < len(s.blocks) && s.blocks[i].pc == pc &&
-			len(b.insts) == len(s.blocks[i].insts) && &b.insts[0] == &s.blocks[i].insts[0] {
+		i, ok := slices.BinarySearchFunc(want, b.pc, func(sb savedBlock, pc uint64) int { return cmp.Compare(sb.pc, pc) })
+		if ok && len(b.insts) == len(want[i].insts) && &b.insts[0] == &want[i].insts[0] {
 			continue
 		}
 		b.dead = true
-		delete(m.tc, pc)
+		delete(m.tc, b.pc)
 		m.tcCount--
 	}
+	for _, sb := range want {
+		if b, ok := m.tc[sb.pc]; ok && !b.dead {
+			continue // the live block survived the kills above: it is sb
+		}
+		m.installBlock(&block{pc: sb.pc, insts: sb.insts})
+	}
+	m.compactPageBlk(vpn)
+	m.compactPageBlk(vpn + 1)
 }

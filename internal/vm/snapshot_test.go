@@ -44,24 +44,28 @@ func loadInto(t *testing.T, cfg Config, build func(*asm.Builder)) *Machine {
 // the restoring machine was configured with a different TLBEntries than
 // the snapshotted one. The snapshot's TLB geometry must win: resuming
 // from the restore must reproduce the donor machine's exact statistics,
-// refills included.
+// refills included. Donors smaller than the second-level fast path
+// (64 entries) restored into a large machine also pin that its mask
+// follows the restored geometry: a mask left wider than the TLB lets
+// stale second-level entries skip refills.
 func TestRestoreReallocatesTLB(t *testing.T) {
-	big := Config{MemSpan: 64 << 20, TLBEntries: 256}
-	donor := loadInto(t, big, tlbThrash)
-	donor.Run(100, nil)
-	snap := donor.Snapshot()
-	donor.RunToCompletion(0, nil)
-	want := donor.Stats()
+	for _, c := range []struct{ donor, into int }{
+		{256, 16}, {256, 4096}, {4, 1024}, {16, 1024}, {32, 1024},
+	} {
+		donor := loadInto(t, Config{MemSpan: 64 << 20, TLBEntries: c.donor}, tlbThrash)
+		donor.Run(100, nil)
+		snap := donor.Snapshot()
+		donor.RunToCompletion(0, nil)
+		want := donor.Stats()
 
-	for _, entries := range []int{16, 4096} {
-		m := loadInto(t, Config{MemSpan: 64 << 20, TLBEntries: entries}, tlbThrash)
+		m := loadInto(t, Config{MemSpan: 64 << 20, TLBEntries: c.into}, tlbThrash)
 		if err := m.Restore(snap); err != nil {
-			t.Fatalf("TLBEntries=%d: %v", entries, err)
+			t.Fatalf("TLBEntries %d into %d: %v", c.donor, c.into, err)
 		}
 		m.RunToCompletion(0, nil)
 		if got := m.Stats(); got != want {
-			t.Errorf("TLBEntries=%d: restored run diverged:\n got %+v\nwant %+v",
-				entries, got, want)
+			t.Errorf("TLBEntries %d into %d: restored run diverged:\n got %+v\nwant %+v",
+				c.donor, c.into, got, want)
 		}
 	}
 }

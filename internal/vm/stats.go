@@ -103,7 +103,17 @@ func (m Metric) String() string {
 }
 
 // Value extracts the monitored statistic from a Stats record.
-func (s Stats) Value(m Metric) uint64 {
+func (s Stats) Value(m Metric) uint64 { return metricOf(&s, m) }
+
+// Stat returns one monitored statistic of the machine: Stats().Value
+// without copying the record, for callers that poll it every interval.
+func (m *Machine) Stat(metric Metric) uint64 { return metricOf(&m.stats, metric) }
+
+// Stat returns one monitored statistic at the snapshot point.
+func (s *Snapshot) Stat(metric Metric) uint64 { return metricOf(&s.stats, metric) }
+
+// metricOf reads the monitored statistic m of *s.
+func metricOf(s *Stats, m Metric) uint64 {
 	switch m {
 	case MetricCPU:
 		return s.TCInvalidations

@@ -369,24 +369,29 @@ func newTCStamp() uint64 { return tcStampCounter.Add(1) }
 // New creates a machine with the given configuration.
 func New(cfg Config) *Machine {
 	cfg.setDefaults()
-	l2 := tlbL2Size
-	if cfg.TLBEntries < l2 {
-		l2 = cfg.TLBEntries
-	}
 	m := &Machine{
-		cfg:       cfg,
-		mem:       mem.New(cfg.MemSpan),
-		console:   &device.Console{},
-		disk:      device.NewBlock(0),
-		tc:        make(map[uint64]*block),
-		pageBlk:   make(map[uint64][]*block),
-		tlb:       make([]uint64, cfg.TLBEntries),
-		tlbMask:   uint64(cfg.TLBEntries - 1),
-		tlbL2Mask: uint64(l2 - 1),
-		tcStamp:   newTCStamp(),
+		cfg:     cfg,
+		mem:     mem.New(cfg.MemSpan),
+		console: &device.Console{},
+		disk:    device.NewBlock(0),
+		tc:      make(map[uint64]*block),
+		pageBlk: make(map[uint64][]*block),
+		tcStamp: newTCStamp(),
+		shared:  sharedParts{codeDirty: make(map[uint64]bool)},
 	}
 	m.codePages = make([]bool, cfg.MemSpan>>mem.PageShift)
+	m.resizeTLB(cfg.TLBEntries)
 	return m
+}
+
+// resizeTLB gives the machine an empty TLB of n entries (a power of
+// two), the masks that go with it, and the line table it agrees with.
+func (m *Machine) resizeTLB(n int) {
+	m.tlb = make([]uint64, n)
+	m.tlbMask = uint64(n - 1)
+	m.tlbL2Mask = uint64(min(n, tlbL2Size) - 1)
+	m.shared.tlb = linesOf(m.tlb)
+	m.shared.tlbDirty = make([]bool, len(m.shared.tlb))
 }
 
 // Load populates guest memory from an image and sets the entry point.
@@ -477,6 +482,7 @@ func (m *Machine) tlbRefill(vpn uint64) uint64 {
 	idx := vpn & m.tlbMask
 	if m.tlb[idx] != v {
 		m.tlb[idx] = v
+		m.shared.tlbDirty[idx/tlbLineLen] = true
 		m.stats.TLBRefills++
 		m.stats.Exceptions++
 	}
@@ -669,6 +675,7 @@ func (m *Machine) translate(pc uint64) *block {
 	m.installBlock(b)
 	m.stats.TCTranslations++
 	m.tcStamp = newTCStamp()
+	m.shared.codeDirty[pc>>mem.PageShift] = true
 	return b
 }
 
@@ -688,15 +695,15 @@ func (m *Machine) lookup(pc uint64) *block {
 // guests would grow pageBlk without bound.
 func (m *Machine) invalidatePage(vpn uint64) {
 	blocks := m.pageBlk[vpn]
-	killed := false
 	for _, b := range blocks {
 		if !b.dead {
 			b.dead = true
 			delete(m.tc, b.pc)
 			m.tcCount--
 			m.stats.TCInvalidations++
-			killed = true
+			m.tcStamp = newTCStamp()
 			first := b.pc >> mem.PageShift
+			m.shared.codeDirty[first] = true
 			last := (b.pc + uint64(len(b.insts))*isa.InstBytes - 1) >> mem.PageShift
 			for p := first; p <= last; p++ {
 				if p != vpn {
@@ -707,9 +714,6 @@ func (m *Machine) invalidatePage(vpn uint64) {
 	}
 	delete(m.pageBlk, vpn)
 	m.codePages[vpn] = false
-	if killed {
-		m.tcStamp = newTCStamp()
-	}
 }
 
 // compactPageBlk removes dead blocks from page p's list, dropping the
@@ -749,6 +753,7 @@ func (m *Machine) flushTC() {
 	m.tc = make(map[uint64]*block)
 	for vpn := range m.pageBlk {
 		m.codePages[vpn] = false
+		m.shared.codeDirty[vpn] = true
 	}
 	m.pageBlk = make(map[uint64][]*block)
 	m.tcCount = 0
