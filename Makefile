@@ -23,6 +23,7 @@ fuzz-smoke:
 	$(GO) test ./internal/isa -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzAsmRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzMoviExpansion$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mem -run '^$$' -fuzz '^FuzzMemoryMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/simpoint -run '^$$' -fuzz '^FuzzKMeansMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzScheduleMatchesReference$$' -fuzztime $(FUZZTIME)

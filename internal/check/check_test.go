@@ -265,8 +265,9 @@ func TestArtifactLoopComparesEveryVariant(t *testing.T) {
 // the harness exists to catch: guest code is modified but one machine's
 // translation cache keeps executing the stale translation. The injector
 // patches the probe slot in BOTH machines' memory without telling
-// either translation cache (Populate bypasses SMC detection), then
-// silently drops only the fast machine's translations by restoring a
+// either translation cache (mem.Memory.Write64 bypasses the VM's SMC
+// detection), then silently drops only the fast machine's translations
+// by restoring a
 // *serialized* snapshot round-trip (a deserialized snapshot carries
 // block PCs only, so the restore re-decodes them from the patched
 // memory image). The fast machine
@@ -286,8 +287,8 @@ func TestLockstepReportsMissedTCInvalidation(t *testing.T) {
 	o.Hook = func(step int, fast, event *vm.Machine) {
 		if !injected {
 			injected = true
-			fast.Mem().Populate(prog.ProbeSlot, patched)
-			event.Mem().Populate(prog.ProbeSlot, patched)
+			fast.Mem().Write64(prog.ProbeSlot, patched)
+			event.Mem().Write64(prog.ProbeSlot, patched)
 			// Serialize/deserialize so the restore re-decodes every
 			// block from the patched memory: fast retranslates.
 			var buf bytes.Buffer

@@ -5,8 +5,8 @@
 // on first touch, and that first touch is reported to the VM as a minor
 // page fault (one of the "virtual memory page misses" the paper's EXC
 // metric counts). All guest accesses are 8-byte words — the ISA is a
-// 64-bit word machine — which keeps the hot load/store path to a shift,
-// an index, and a bounds check.
+// 64-bit word machine — which keeps the hot load/store path to shifts,
+// two indexes and a bounds check.
 package mem
 
 import (
@@ -22,24 +22,42 @@ const (
 	PageBytes = 1 << PageShift
 	// WordsPerPage is the number of 64-bit words in one page.
 	WordsPerPage = PageBytes / 8
+	// LeafShift is log2 of the pages one directory leaf maps: 512
+	// pages, a 2 MiB region.
+	LeafShift = 9
+	// LeafPages is the number of pages one leaf maps.
+	LeafPages = 1 << LeafShift
 )
 
 // Page is the storage for one guest page.
 type Page [WordsPerPage]uint64
 
-// Memory is a demand-paged flat guest address space. Snapshots are
-// copy-on-write: Snapshot and Restore share page storage with the
-// memory and seal the shared pages; the next guest write to a sealed
-// page copies it first. Checkpointing therefore costs O(pages) pointer
-// work plus one page copy per page actually dirtied afterwards, not a
-// full copy of the resident set — and nothing at all while the page
-// table has not changed since the previous capture or restore.
+// Leaf is the page table of one 2 MiB region: its pages (nil where not
+// materialised) and their seal flags (the page is shared with a
+// snapshot: copy before write).
+type Leaf struct {
+	Pages  [LeafPages]*Page
+	Sealed [LeafPages]bool
+}
+
+// emptyLeaf stands in for every region no page has been put in yet. It
+// is shared by every Memory and never written: materialise and Restore
+// replace it with a fresh leaf first.
+var emptyLeaf Leaf
+
+// Memory is a demand-paged flat guest address space. Its page table is
+// a fixed-length directory with one leaf per 2 MiB region, so a memory
+// costs one pointer per region until its guest touches the region.
+// Snapshots are copy-on-write: Snapshot and Restore share page storage
+// with the memory and seal the shared pages; the next guest write to a
+// sealed page copies it first. Checkpointing therefore costs O(pages)
+// pointer work plus one page copy per page actually dirtied afterwards,
+// not a full copy of the resident set — and nothing at all while the
+// page table has not changed since the previous capture or restore.
 type Memory struct {
-	pages     []*Page
-	sealed    []bool   // page is shared with a snapshot: copy before write
+	dir       []*Leaf  // leaf i maps vpns [i·LeafPages, (i+1)·LeafPages)
 	live      []uint64 // vpns of materialised pages (unordered, no duplicates)
 	spanBytes uint64
-	allocated int
 	// at is the snapshot this memory still equals page for page: the one
 	// last captured from it or restored into it, every live page still
 	// that snapshot's storage and still sealed. The page table changes
@@ -52,71 +70,51 @@ type Memory struct {
 // (rounded up to a whole number of pages). No pages are allocated yet.
 func New(spanBytes uint64) *Memory {
 	npages := (spanBytes + PageBytes - 1) / PageBytes
-	return &Memory{
-		pages:     make([]*Page, npages),
-		sealed:    make([]bool, npages),
-		spanBytes: npages * PageBytes,
+	dir := make([]*Leaf, (npages+LeafPages-1)/LeafPages)
+	for i := range dir {
+		dir[i] = &emptyLeaf
 	}
+	return &Memory{dir: dir, spanBytes: npages * PageBytes}
 }
 
 // Span returns the size of the addressable space in bytes.
 func (m *Memory) Span() uint64 { return m.spanBytes }
 
 // AllocatedPages returns the number of pages materialised so far.
-func (m *Memory) AllocatedPages() int { return m.allocated }
+func (m *Memory) AllocatedPages() int { return len(m.live) }
 
-// Read64 loads the 64-bit word at addr (forced to 8-byte alignment).
-// faulted reports whether the access materialised a fresh page.
-//
-// The common case — a mapped page — is kept small enough for the
-// compiler to inline into the interpreter's load path; materialisation
-// and the out-of-range panic live in read64Slow.
+// page returns the page holding vpn, or nil when it is not materialised
+// or lies outside the span.
+func (m *Memory) page(vpn uint64) *Page {
+	if d := vpn >> LeafShift; d < uint64(len(m.dir)) {
+		return m.dir[d].Pages[vpn&(LeafPages-1)]
+	}
+	return nil
+}
+
+// Read64 loads the 64-bit word at addr (forced to 8-byte alignment),
+// materialising its page on first touch; faulted reports that touch.
+// An address outside the span panics. The interpreter reads mapped
+// pages through Raw and calls Read64 only when that fast path misses.
 func (m *Memory) Read64(addr uint64) (v uint64, faulted bool) {
-	vpn := addr >> PageShift
-	if vpn < uint64(len(m.pages)) {
-		if p := m.pages[vpn]; p != nil {
-			return p[addr>>3&(WordsPerPage-1)], false
-		}
+	p := m.page(addr >> PageShift)
+	if p == nil {
+		p, faulted = m.materialise(addr), true
 	}
-	return m.read64Slow(addr)
+	return p[addr>>3&(WordsPerPage-1)], faulted
 }
 
-func (m *Memory) read64Slow(addr uint64) (uint64, bool) {
-	vpn := addr >> PageShift
-	if vpn >= uint64(len(m.pages)) {
-		panic(fmt.Sprintf("mem: guest access out of range: %#x", addr))
-	}
-	p := m.materialise(vpn)
-	return p[addr>>3&(WordsPerPage-1)], true
-}
-
-// Write64 stores a 64-bit word at addr (forced to 8-byte alignment).
-// faulted reports whether the access materialised a fresh page.
-//
-// Like Read64, the mapped-and-unsealed case is inlineable; page
-// materialisation and copy-on-write unsealing live in write64Slow.
+// Write64 stores a 64-bit word at addr (forced to 8-byte alignment),
+// materialising its page on first touch (faulted reports it; program
+// loading discards the flag) and copying a sealed page first. An
+// address outside the span panics. Like Read64, the interpreter's slow
+// path behind Raw.
 func (m *Memory) Write64(addr, v uint64) (faulted bool) {
 	vpn := addr >> PageShift
-	if vpn < uint64(len(m.pages)) {
-		if p := m.pages[vpn]; p != nil && !m.sealed[vpn] {
-			p[addr>>3&(WordsPerPage-1)] = v
-			return false
-		}
-	}
-	return m.write64Slow(addr, v)
-}
-
-func (m *Memory) write64Slow(addr, v uint64) bool {
-	vpn := addr >> PageShift
-	if vpn >= uint64(len(m.pages)) {
-		panic(fmt.Sprintf("mem: guest access out of range: %#x", addr))
-	}
-	p := m.pages[vpn]
-	faulted := false
+	p := m.page(vpn)
 	if p == nil {
-		p = m.materialise(vpn)
-		faulted = true
-	} else if m.sealed[vpn] {
+		p, faulted = m.materialise(addr), true
+	} else if m.dir[vpn>>LeafShift].Sealed[vpn&(LeafPages-1)] {
 		p = m.unseal(vpn)
 	}
 	p[addr>>3&(WordsPerPage-1)] = v
@@ -127,49 +125,43 @@ func (m *Memory) write64Slow(addr, v uint64) bool {
 // unmapped addresses read as zero. Used by debugging and device DMA
 // checks, never by the guest-visible access path.
 func (m *Memory) Peek(addr uint64) uint64 {
-	vpn := addr >> PageShift
-	if vpn >= uint64(len(m.pages)) || m.pages[vpn] == nil {
-		return 0
+	if p := m.page(addr >> PageShift); p != nil {
+		return p[addr>>3&(WordsPerPage-1)]
 	}
-	return m.pages[vpn][addr>>3&(WordsPerPage-1)]
+	return 0
 }
 
-// Populate writes a word, materialising the page silently (no fault
-// accounting). Program loading uses it so that the loader does not
-// perturb the guest's exception statistics.
-func (m *Memory) Populate(addr, v uint64) {
-	vpn := addr >> PageShift
-	if vpn >= uint64(len(m.pages)) {
-		panic(fmt.Sprintf("mem: populate out of range: %#x", addr))
-	}
-	if m.pages[vpn] == nil {
-		m.materialise(vpn)
-	} else if m.sealed[vpn] {
-		m.unseal(vpn)
-	}
-	m.pages[vpn][addr>>3&(WordsPerPage-1)] = v
-}
-
-// Raw exposes the page table and seal flags for the interpreter's
-// inlined load/store fast path. The returned slices alias the memory's
-// own tables (whose length is fixed for the memory's lifetime), so
-// page materialisation and copy-on-write unsealing through the normal
-// access paths stay visible to holders. Callers may only read mapped
-// words and write mapped, unsealed words through these tables; every
-// other access must go through Read64/Write64.
-func (m *Memory) Raw() (pages []*Page, sealed []bool) { return m.pages, m.sealed }
+// Raw exposes the page directory for the interpreter's inlined
+// load/store fast path: page vpn is dir[vpn>>LeafShift].Pages[vpn&(LeafPages-1)],
+// nil while unmapped. The directory is the memory's own and keeps its
+// length for the memory's lifetime; materialisation (which replaces a
+// slot's shared empty leaf in place) and copy-on-write unsealing stay
+// visible through it. Callers may only read mapped words and write
+// mapped, unsealed words through it; all else goes through Read64/Write64.
+func (m *Memory) Raw() []*Leaf { return m.dir }
 
 // Mapped reports whether the page containing addr has been materialised.
-func (m *Memory) Mapped(addr uint64) bool {
-	vpn := addr >> PageShift
-	return vpn < uint64(len(m.pages)) && m.pages[vpn] != nil
+func (m *Memory) Mapped(addr uint64) bool { return m.page(addr>>PageShift) != nil }
+
+// leaf returns the leaf mapping vpn, putting a fresh one in place of
+// the shared empty leaf.
+func (m *Memory) leaf(vpn uint64) *Leaf {
+	l := m.dir[vpn>>LeafShift]
+	if l == &emptyLeaf {
+		l = new(Leaf)
+		m.dir[vpn>>LeafShift] = l
+	}
+	return l
 }
 
-func (m *Memory) materialise(vpn uint64) *Page {
+func (m *Memory) materialise(addr uint64) *Page {
+	vpn := addr >> PageShift
+	if vpn >= m.spanBytes>>PageShift {
+		panic(fmt.Sprintf("mem: guest access out of range: %#x", addr))
+	}
 	p := new(Page)
-	m.pages[vpn] = p
+	m.leaf(vpn).Pages[vpn&(LeafPages-1)] = p
 	m.live = append(m.live, vpn)
-	m.allocated++
 	m.at = nil
 	return p
 }
@@ -177,9 +169,9 @@ func (m *Memory) materialise(vpn uint64) *Page {
 // unseal gives the memory a private copy of a page currently shared
 // with one or more snapshots. The snapshots keep the old storage.
 func (m *Memory) unseal(vpn uint64) *Page {
-	cp := *m.pages[vpn]
-	m.pages[vpn] = &cp
-	m.sealed[vpn] = false
+	l, i := m.dir[vpn>>LeafShift], vpn&(LeafPages-1)
+	cp := *l.Pages[i]
+	l.Pages[i], l.Sealed[i] = &cp, false
 	m.at = nil
 	return &cp
 }
@@ -200,13 +192,15 @@ func (m *Memory) Digest() uint64 {
 			h *= prime
 		}
 	}
-	for vpn, p := range m.pages {
-		if p == nil {
-			continue
-		}
-		mix(uint64(vpn))
-		for _, w := range p {
-			mix(w)
+	for d, l := range m.dir {
+		for i, p := range l.Pages {
+			if p == nil {
+				continue
+			}
+			mix(uint64(d<<LeafShift + i))
+			for _, w := range p {
+				mix(w)
+			}
 		}
 	}
 	return h
@@ -239,11 +233,12 @@ func (m *Memory) Snapshot() *Snapshot {
 	if m.at != nil {
 		return m.at
 	}
-	s := &Snapshot{spanBytes: m.spanBytes, pages: make([]pageEntry, 0, m.allocated)}
+	s := &Snapshot{spanBytes: m.spanBytes, pages: make([]pageEntry, 0, len(m.live))}
 	sort.Slice(m.live, func(i, j int) bool { return m.live[i] < m.live[j] })
 	for _, vpn := range m.live {
-		s.pages = append(s.pages, pageEntry{vpn: vpn, pg: m.pages[vpn]})
-		m.sealed[vpn] = true
+		l, i := m.dir[vpn>>LeafShift], vpn&(LeafPages-1)
+		s.pages = append(s.pages, pageEntry{vpn: vpn, pg: l.Pages[i]})
+		l.Sealed[i] = true
 	}
 	m.at = s
 	return s
@@ -261,16 +256,15 @@ func (m *Memory) Restore(s *Snapshot) error {
 		return nil
 	}
 	for _, vpn := range m.live {
-		m.pages[vpn] = nil
-		m.sealed[vpn] = false
+		l, i := m.dir[vpn>>LeafShift], vpn&(LeafPages-1)
+		l.Pages[i], l.Sealed[i] = nil, false
 	}
 	m.live = m.live[:0]
 	for _, e := range s.pages {
-		m.pages[e.vpn] = e.pg
-		m.sealed[e.vpn] = true
+		l, i := m.leaf(e.vpn), e.vpn&(LeafPages-1)
+		l.Pages[i], l.Sealed[i] = e.pg, true
 		m.live = append(m.live, e.vpn)
 	}
-	m.allocated = len(s.pages)
 	m.at = s
 	return nil
 }

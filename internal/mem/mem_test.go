@@ -46,14 +46,17 @@ func TestAlignmentForced(t *testing.T) {
 	}
 }
 
+// TestPopulateIsSilent pins what program loading relies on: a Write64
+// whose fault flag is discarded maps the page, and the next read finds
+// the value without faulting again.
 func TestPopulateIsSilent(t *testing.T) {
 	m := New(1 << 16)
-	m.Populate(0x2000, 99)
+	m.Write64(0x2000, 99)
 	if !m.Mapped(0x2000) {
-		t.Fatal("populate must map the page")
+		t.Fatal("write must map the page")
 	}
 	if v, faulted := m.Read64(0x2000); v != 99 || faulted {
-		t.Fatalf("read after populate: v=%d faulted=%v", v, faulted)
+		t.Fatalf("read after write: v=%d faulted=%v", v, faulted)
 	}
 }
 
@@ -72,7 +75,7 @@ func TestOutOfRangePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { m.Read64(1 << 20) },
 		func() { m.Write64(1<<20, 1) },
-		func() { m.Populate(1<<20, 1) },
+		func() { m.Read64(1 << 16) }, // first page past the span, inside its leaf
 	} {
 		func() {
 			defer func() {
@@ -155,7 +158,7 @@ func TestSnapshotCopyOnWriteIsolation(t *testing.T) {
 // TestSnapshotIdentityFollowsThePageTable pins when two captures may be
 // one *Snapshot: exactly while the page table has not changed. Reads of
 // mapped pages and writes to private pages keep it; a demand-zero fault
-// (by load, by store or by Populate) and the first write to each sealed
+// (by load or by store) and the first write to each sealed
 // page end it; a restore rebases it on the restored snapshot.
 func TestSnapshotIdentityFollowsThePageTable(t *testing.T) {
 	m := New(1 << 20)
@@ -178,8 +181,8 @@ func TestSnapshotIdentityFollowsThePageTable(t *testing.T) {
 		{"write to a sealed page", func() { m.Write64(0x1008, 7) }},
 		{"read fault", func() { m.Read64(0x5000) }},
 		{"write fault", func() { m.Write64(0x6000, 1) }},
-		{"populate of a fresh page", func() { m.Populate(0x7000, 1) }},
-		{"populate of a sealed page", func() { m.Populate(0x2000, 3) }},
+		{"second write fault", func() { m.Write64(0x7000, 1) }},
+		{"write to a second sealed page", func() { m.Write64(0x2000, 3) }},
 	}
 	prev := s1
 	for _, c := range changes {
@@ -297,58 +300,73 @@ func TestSpanRoundsUp(t *testing.T) {
 	}
 }
 
-// TestRawAliasesPageTables pins the contract the interpreter's inlined
-// memory fast path depends on: Raw's slices alias the Memory's own
-// tables for its whole lifetime, so demand materialisation and
-// copy-on-write unsealing performed through the slow path are
-// immediately visible through slices taken earlier.
+// TestRawAliasesPageTables pins the directory contract the
+// interpreter's inlined memory fast path depends on: Raw returns the
+// Memory's own directory for its whole lifetime, every empty region
+// shares one leaf that never gains a page, and demand materialisation
+// (which puts a fresh leaf in the sentinel's slot) and copy-on-write
+// unsealing performed through the slow path are immediately visible
+// through a directory taken earlier.
 func TestRawAliasesPageTables(t *testing.T) {
-	m := New(4 * PageBytes)
-	pages, sealed := m.Raw()
-	if len(pages) != 4 || len(sealed) != 4 {
-		t.Fatalf("Raw sizes %d/%d, want 4/4", len(pages), len(sealed))
+	m := New((LeafPages + 4) * PageBytes)
+	dir := m.Raw()
+	if len(dir) != 2 {
+		t.Fatalf("directory of %d leaves, want 2", len(dir))
 	}
-	if pages[1] != nil {
-		t.Fatal("unmaterialised page non-nil in Raw view")
+	if dir[0] != &emptyLeaf || dir[1] != &emptyLeaf {
+		t.Fatal("untouched regions do not share the empty leaf")
 	}
 
-	// Materialisation through Write64 appears in the earlier slice.
-	if faulted := m.Write64(PageBytes+16, 0xfeed); !faulted {
+	// Materialisation through Write64 replaces the sentinel in place.
+	const vpn = LeafPages + 1
+	if faulted := m.Write64(vpn*PageBytes+16, 0xfeed); !faulted {
 		t.Fatal("first touch must fault")
 	}
-	if pages[1] == nil {
-		t.Fatal("materialisation invisible through Raw view")
+	if dir[1] == &emptyLeaf || dir[0] != &emptyLeaf {
+		t.Fatal("materialisation invisible through the directory, or in the wrong slot")
 	}
-	if pages[1][2] != 0xfeed {
-		t.Fatalf("direct page read = %#x, want 0xfeed", pages[1][2])
+	if emptyLeaf != (Leaf{}) {
+		t.Fatal("the shared empty leaf gained a page")
+	}
+	l := dir[1]
+	if l.Pages[1] == nil || l.Pages[1][2] != 0xfeed {
+		t.Fatal("materialised page or its word invisible through the directory")
 	}
 
 	// A direct store through the view is what Read64 sees.
-	pages[1][3] = 0xbeef
-	if v, _ := m.Read64(PageBytes + 24); v != 0xbeef {
+	l.Pages[1][3] = 0xbeef
+	if v, _ := m.Read64(vpn*PageBytes + 24); v != 0xbeef {
 		t.Fatalf("Read64 after raw store = %#x, want 0xbeef", v)
 	}
 
-	// Snapshot seals shared pages; the earlier sealed slice sees it,
-	// and the copy-on-write unseal swaps the page pointer in place.
+	// Snapshot seals shared pages in the leaf, and the copy-on-write
+	// unseal swaps the page pointer in place.
 	s := m.Snapshot()
-	if !sealed[1] {
-		t.Fatal("seal invisible through Raw view")
+	if !l.Sealed[1] {
+		t.Fatal("seal invisible through the directory")
 	}
-	shared := pages[1]
-	if faulted := m.Write64(PageBytes+16, 0xcafe); faulted {
+	shared := l.Pages[1]
+	if faulted := m.Write64(vpn*PageBytes+16, 0xcafe); faulted {
 		t.Fatal("write to a mapped sealed page must not fault")
 	}
-	if sealed[1] {
-		t.Fatal("unseal invisible through Raw view")
+	if l.Sealed[1] {
+		t.Fatal("unseal invisible through the directory")
 	}
-	if pages[1] == shared {
+	if l.Pages[1] == shared {
 		t.Fatal("copy-on-write did not replace the page pointer")
 	}
 	if shared[2] != 0xfeed {
 		t.Fatal("snapshot's sealed page was mutated")
 	}
+
+	// Restore keeps the directory and its leaves and re-seals in place.
 	if err := m.Restore(s); err != nil {
 		t.Fatal(err)
+	}
+	if again := m.Raw(); &again[0] != &dir[0] || len(again) != len(dir) || dir[1] != l {
+		t.Fatal("directory or leaf replaced over the memory's lifetime")
+	}
+	if l.Pages[1] != shared || !l.Sealed[1] {
+		t.Fatal("restore invisible through the directory")
 	}
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/asm"
@@ -119,6 +120,24 @@ func TestEventModeZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestNewMachineAllocBudget bounds what one machine costs before its
+// guest runs: with the default 1 GiB span, the page directory (one
+// pointer per 2 MiB region), the code-page bitset and the TLB, not a
+// table entry per guest page. Every cell of an experiment builds fresh
+// machines, so this is a per-cell cost.
+func TestNewMachineAllocBudget(t *testing.T) {
+	const runs, budget = 8, 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		New(Config{})
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > budget {
+		t.Fatalf("vm.New allocates %d bytes per machine, budget %d", per, budget)
+	}
+}
+
 // TestCrossPageInvalidationCompacts is the pageBlk dead-entry
 // regression test: a block spanning two pages, invalidated via one
 // page, must not leave a dead pointer in the other page's list.
@@ -170,7 +189,7 @@ func TestCrossPageInvalidationCompacts(t *testing.T) {
 	if _, ok := m.pageBlk[secondVPN]; ok {
 		t.Fatal("fully-dead page's list not dropped")
 	}
-	if m.codePages[secondVPN] {
+	if m.codePages[secondVPN/64]&(1<<(secondVPN%64)) != 0 {
 		t.Fatal("fully-dead page still flagged as code page")
 	}
 }

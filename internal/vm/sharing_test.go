@@ -45,17 +45,17 @@ func deepSnapshot(t testing.TB, m *Machine) *Snapshot {
 
 	// The memory image in mem.Snapshot's serialized form: span, page
 	// count, then (vpn, words) ascending.
-	pages, _ := m.mem.Raw()
 	var img bytes.Buffer
 	word := func(v uint64) { binary.Write(&img, binary.LittleEndian, v) }
 	word(m.mem.Span())
 	word(uint64(m.mem.AllocatedPages()))
-	for vpn, p := range pages {
-		if p == nil {
-			continue
+	for d, l := range m.mem.Raw() {
+		for i, p := range l.Pages {
+			if p != nil {
+				word(uint64(d*mem.LeafPages + i))
+				binary.Write(&img, binary.LittleEndian, p[:])
+			}
 		}
-		word(uint64(vpn))
-		binary.Write(&img, binary.LittleEndian, p[:])
 	}
 	image, err := mem.DecodeSnapshot(&img)
 	if err != nil {
@@ -287,11 +287,12 @@ func requireSameMachine(t *testing.T, when string, a, b *Machine) {
 	case a.tcCount != b.tcCount:
 		t.Fatalf("%s: %d live blocks against %d", when, a.tcCount, b.tcCount)
 	}
-	ap, _ := a.mem.Raw()
-	bp, _ := b.mem.Raw()
-	for vpn := range ap {
-		if (ap[vpn] == nil) != (bp[vpn] == nil) || ap[vpn] != nil && *ap[vpn] != *bp[vpn] {
-			t.Fatalf("%s: guest page %#x differs", when, vpn)
+	ad, bd := a.mem.Raw(), b.mem.Raw()
+	for d := range ad {
+		for i, ap := range ad[d].Pages {
+			if bp := bd[d].Pages[i]; (ap == nil) != (bp == nil) || ap != nil && *ap != *bp {
+				t.Fatalf("%s: guest page %#x differs", when, d*mem.LeafPages+i)
+			}
 		}
 	}
 	for pc, ab := range a.tc {

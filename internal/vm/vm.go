@@ -295,7 +295,7 @@ type Machine struct {
 	tc        map[uint64]*block
 	tcCount   int
 	pageBlk   map[uint64][]*block // vpn -> blocks with code on that page
-	codePages []bool              // vpn -> page holds translated code
+	codePages []uint64            // bit vpn: page holds translated code
 	// tcStamp identifies the live translation set. Every mutation
 	// (translate, invalidate, flush) assigns a globally fresh value;
 	// Snapshot records it and Restore adopts it, so a restore whose
@@ -379,7 +379,7 @@ func New(cfg Config) *Machine {
 		tcStamp: newTCStamp(),
 		shared:  sharedParts{codeDirty: make(map[uint64]bool)},
 	}
-	m.codePages = make([]bool, cfg.MemSpan>>mem.PageShift)
+	m.codePages = make([]uint64, (m.mem.Span()>>mem.PageShift+63)/64)
 	m.resizeTLB(cfg.TLBEntries)
 	return m
 }
@@ -395,11 +395,11 @@ func (m *Machine) resizeTLB(n int) {
 }
 
 // Load populates guest memory from an image and sets the entry point.
-// Loading does not perturb guest statistics.
+// Loading does not perturb guest statistics: it discards fault flags.
 func (m *Machine) Load(img *asm.Image) {
 	for _, seg := range img.Segments {
 		for i, w := range seg.Words {
-			m.mem.Populate(seg.Base+uint64(i)*8, w)
+			m.mem.Write64(seg.Base+uint64(i)*8, w)
 		}
 	}
 	m.pc = img.Entry
@@ -597,7 +597,7 @@ func (m *Machine) installBlock(b *block) {
 	last := (b.pc + uint64(len(b.insts))*isa.InstBytes - 1) >> mem.PageShift
 	for vpn := first; vpn <= last; vpn++ {
 		m.pageBlk[vpn] = append(m.pageBlk[vpn], b)
-		m.codePages[vpn] = true
+		m.codePages[vpn/64] |= 1 << (vpn % 64)
 	}
 }
 
@@ -713,7 +713,7 @@ func (m *Machine) invalidatePage(vpn uint64) {
 		}
 	}
 	delete(m.pageBlk, vpn)
-	m.codePages[vpn] = false
+	m.codePages[vpn/64] &^= 1 << (vpn % 64)
 }
 
 // compactPageBlk removes dead blocks from page p's list, dropping the
@@ -734,7 +734,7 @@ func (m *Machine) compactPageBlk(p uint64) {
 	}
 	if len(live) == 0 {
 		delete(m.pageBlk, p)
-		m.codePages[p] = false
+		m.codePages[p/64] &^= 1 << (p % 64)
 		return
 	}
 	for i := len(live); i < len(blocks); i++ {
@@ -752,7 +752,7 @@ func (m *Machine) flushTC() {
 	}
 	m.tc = make(map[uint64]*block)
 	for vpn := range m.pageBlk {
-		m.codePages[vpn] = false
+		m.codePages[vpn/64] &^= 1 << (vpn % 64)
 		m.shared.codeDirty[vpn] = true
 	}
 	m.pageBlk = make(map[uint64][]*block)
@@ -853,12 +853,15 @@ func (m *Machine) run(n uint64, bs Sink) uint64 {
 	regs := m.regs
 	tlbLast := m.tlbLast
 	l2m := m.tlbL2Mask & (tlbL2Size - 1)
-	// Direct view of the guest page table for the inlined load/store
-	// fast path. The slices alias the Memory's own tables (fixed length
-	// for its lifetime), so materialisation and copy-on-write unsealing
-	// through the slow path are immediately visible here.
-	pages, sealed := m.mem.Raw()
-	npages := uint64(len(pages))
+	// Direct view of the guest page directory for the inlined load/store
+	// fast path: page vpn is dir[vpn>>LeafShift].Pages[vpn&(LeafPages-1)].
+	// The directory is the Memory's own (fixed length for its lifetime)
+	// and an empty region's slot holds a shared, never-written leaf of
+	// nil pages, so the guard costs one more dependent load than a flat
+	// table and no more branches; materialisation and copy-on-write
+	// unsealing through the slow path are immediately visible here.
+	dir := m.mem.Raw()
+	ndir := uint64(len(dir))
 	if bs != nil {
 		batch = m.batch[:cap(m.batch)]
 	}
@@ -1110,8 +1113,8 @@ dispatch:
 							tlbLast = m.tlbRefill(vpn)
 						}
 					}
-					if vpn < npages && pages[vpn] != nil {
-						regs[in.rd&31] = pages[vpn][memAddr>>3&(mem.WordsPerPage-1)]
+					if d, i := vpn>>mem.LeafShift, vpn&(mem.LeafPages-1); d < ndir && dir[d].Pages[i] != nil {
+						regs[in.rd&31] = dir[d].Pages[i][memAddr>>3&(mem.WordsPerPage-1)]
 					} else {
 						v, faulted := m.mem.Read64(memAddr)
 						if faulted {
@@ -1134,7 +1137,7 @@ dispatch:
 					// Mapped pages need no work (the loaded value is
 					// discarded); only the materialising/faulting path has
 					// observable effects.
-					if vpn >= npages || pages[vpn] == nil {
+					if d := vpn >> mem.LeafShift; d >= ndir || dir[d].Pages[vpn&(mem.LeafPages-1)] == nil {
 						if _, faulted := m.mem.Read64(memAddr); faulted {
 							m.stats.PageFaults++
 							m.stats.Exceptions++
@@ -1151,14 +1154,14 @@ dispatch:
 							tlbLast = m.tlbRefill(vpn)
 						}
 					}
-					if vpn < npages && pages[vpn] != nil && !sealed[vpn] {
-						pages[vpn][memAddr>>3&(mem.WordsPerPage-1)] = regs[in.rs2&31]
+					if d, i := vpn>>mem.LeafShift, vpn&(mem.LeafPages-1); d < ndir && dir[d].Pages[i] != nil && !dir[d].Sealed[i] {
+						dir[d].Pages[i][memAddr>>3&(mem.WordsPerPage-1)] = regs[in.rs2&31]
 					} else if m.mem.Write64(memAddr, regs[in.rs2&31]) {
 						m.stats.PageFaults++
 						m.stats.Exceptions++
 					}
 					sWrites++
-					if m.codePages[vpn] {
+					if m.codePages[vpn/64]&(1<<(vpn%64)) != 0 {
 						m.invalidatePage(vpn)
 						blkDead = blk.dead
 					}
