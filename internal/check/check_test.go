@@ -465,11 +465,11 @@ func TestPolicyBatchInvariance(t *testing.T) {
 
 // TestCheckProgramStressConfig runs the full differential suite under a
 // deliberately hostile machine configuration: a translation cache so
-// small it flushes constantly (chains and superblock traces die almost
-// as soon as they form), a tiny TLB, per-event batch delivery, and a
-// chunk of 1 so every sync point lands mid-everything. Any acceleration
-// state that leaks across a flush, trace teardown, or one-instruction
-// Run boundary shows up as a lockstep or replay divergence here.
+// small it flushes constantly (chain memos die almost as soon as they
+// form), a tiny TLB, per-event batch delivery, and a chunk of 1 so every
+// sync point lands mid-everything. Any acceleration state that leaks
+// across a flush or a one-instruction Run boundary shows up as a
+// lockstep or replay divergence here.
 func TestCheckProgramStressConfig(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {

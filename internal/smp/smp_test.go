@@ -164,12 +164,12 @@ func TestDynamicSampleErrors(t *testing.T) {
 }
 
 // TestGuestIsolationAcrossQuanta pins guest isolation under the
-// superblock-trace interpreter: two guests interleaved at a prime
-// quantum (so quantum boundaries land mid-block and mid-trace) must
-// each produce exactly the architectural state and statistics of the
-// same workload run alone in a single uninterrupted call. Trace heat,
-// chain memos, and TLB fast-path state all persist inside a guest
-// across its scheduling gaps — and must never bleed between guests.
+// chained-block interpreter: two guests interleaved at a prime quantum
+// (so quantum boundaries land mid-block) must each produce exactly the
+// architectural state and statistics of the same workload run alone
+// with the scheduler's partitioning. Chain memos and TLB fast-path
+// state persist inside a guest across its scheduling gaps — and must
+// never bleed between guests.
 func TestGuestIsolationAcrossQuanta(t *testing.T) {
 	t.Parallel()
 	const scale = 60_000
@@ -184,10 +184,6 @@ func TestGuestIsolationAcrossQuanta(t *testing.T) {
 	b := sys.AddGuest("mcf", imgB, budgetB)
 	for !sys.Done() {
 		sys.RunFast(quantum)
-	}
-	if a.Machine.LiveTraces() == 0 || b.Machine.LiveTraces() == 0 {
-		t.Fatalf("traces did not survive quantum interleaving: gzip %d, mcf %d",
-			a.Machine.LiveTraces(), b.Machine.LiveTraces())
 	}
 
 	for _, g := range []struct {

@@ -329,8 +329,8 @@ func TestReadSnapshotRejectsCorruption(t *testing.T) {
 
 // TestRestoreMidBlockClearsFastPaths is the regression test for the
 // interpreter's host-side acceleration state — the one-entry and
-// second-level TLB memos (tlbLast, tlbL2), chain links, and superblock
-// traces — across a snapshot restore. The snapshot is taken mid-block
+// second-level TLB memos (tlbLast, tlbL2) and chain links — across a
+// snapshot restore. The snapshot is taken mid-block
 // (prime chunk) with the memos hot; the restoring machine then runs
 // far past the snapshot so every memo describes later execution.
 // Restore must drop the stale evidence — a wrongly-kept TLB memo would

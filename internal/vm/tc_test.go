@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 // TestSelfModifyingCodeInvalidation overwrites an executed routine and
@@ -294,5 +295,225 @@ func TestTLBRefillCounting(t *testing.T) {
 	}
 	if st.Exceptions < st.TLBRefills {
 		t.Fatal("TLB refills must count toward exceptions")
+	}
+}
+
+// chainLoopIters is the trip count of the hot loops below: enough
+// iterations for every chain memo to form and be followed many times.
+const chainLoopIters = 128
+
+// liveChains lists every live block whose chain memo names a live
+// successor, as (block, successor) pairs.
+func liveChains(m *Machine) [][2]*block {
+	var out [][2]*block
+	for _, b := range m.tc {
+		if nb := b.chainBlk; !b.dead && nb != nil && !nb.dead {
+			out = append(out, [2]*block{b, nb})
+		}
+	}
+	return out
+}
+
+// TestChainKeepsHotLoopOffLookup is the chain memo's non-vacuity
+// check. A hot two-block loop in event mode must find each successor
+// through the memo: only a chain miss flushes the event batch early,
+// so with the default capacity (256) the flushes stay within one per
+// full batch plus the first iterations' misses. A memo that never
+// engages flushes at every block end, twice per iteration.
+func TestChainKeepsHotLoopOffLookup(t *testing.T) {
+	const iters = 10000
+	b := asm.NewBuilder(0x1000)
+	b.Movi(1, iters)
+	b.Label("loop")
+	b.I(isa.OpSlli, 3, 2, 1)
+	b.Br(isa.OpBeq, 0, 0, "mid") // always taken: splits the loop body
+	b.Label("mid")
+	b.I(isa.OpAddi, 2, 2, 3)
+	b.I(isa.OpAddi, 1, 1, -1)
+	b.Br(isa.OpBne, 1, 0, "loop")
+	b.Halt()
+	img := &asm.Image{Entry: 0x1000}
+	img.AddSegment(0x1000, b.Words())
+	m := New(Config{MemSpan: 64 << 20})
+	m.Load(img)
+	sink := &CountingSink{}
+	m.RunToCompletion(0, sink)
+
+	if m.Reg(2) != 3*iters {
+		t.Fatalf("r2 = %d, want %d", m.Reg(2), 3*iters)
+	}
+	if sink.Total != m.Stats().Instructions {
+		t.Fatalf("events %d != instructions %d", sink.Total, m.Stats().Instructions)
+	}
+	if limit := sink.Total/256 + 8; m.BatchFlushes() > limit {
+		t.Fatalf("%d batch flushes for %d events, want <= %d: the chain memo is not engaging",
+			m.BatchFlushes(), sink.Total, limit)
+	}
+}
+
+// traceEdgeCase is one scenario for TestTraceEdgeCases: build
+// constructs the program, check inspects the finished machine.
+type traceEdgeCase struct {
+	name  string
+	cfg   Config
+	build func() *asm.Image
+	check func(t *testing.T, m *Machine)
+}
+
+// TestTraceEdgeCases runs hot loops whose path through chained blocks
+// (their trace) meets a chain memo's corner cases — a store killing a
+// block the running chain reaches, a loop body crossing a page
+// boundary, and chain formation under EventBatch=1 — and in each case
+// requires architectural state identical to a reference machine whose
+// tiny translation cache flushes constantly (so chain memos never
+// persist long enough to matter).
+func TestTraceEdgeCases(t *testing.T) {
+	cases := []traceEdgeCase{
+		{
+			// A hot loop calls a routine; after the call has chained
+			// into the routine, the loop patches the routine's first
+			// instruction. The chained block dies, and the next call
+			// must miss the chain and run the retranslated code.
+			name: "smc-kills-mid-trace-block",
+			build: func() *asm.Image {
+				rb := asm.NewBuilder(0x3000)
+				rb.I(isa.OpAddi, 3, 3, 1)
+				rb.Jalr(0, 30, 0)
+				routine := rb.Words()
+
+				pb := asm.NewBuilder(0x3000)
+				pb.I(isa.OpAddi, 3, 3, 100)
+				patch := pb.Words()
+
+				b := asm.NewBuilder(0x1000)
+				b.Movi(1, chainLoopIters)
+				b.Movi(28, 0x3000)
+				b.Movi(6, int64(chainLoopIters/2))
+				b.Label("loop")
+				b.Jalr(30, 28, 0)
+				// Halfway through, patch the routine once.
+				b.Br(isa.OpBne, 1, 6, "skip")
+				b.Movi(5, int64(patch[0]))
+				b.St(5, 28, 0)
+				b.Label("skip")
+				b.I(isa.OpAddi, 1, 1, -1)
+				b.Br(isa.OpBne, 1, 0, "loop")
+				b.Halt()
+				img := &asm.Image{Entry: 0x1000}
+				img.AddSegment(0x1000, b.Words())
+				img.AddSegment(0x3000, routine)
+				return img
+			},
+			check: func(t *testing.T, m *Machine) {
+				if m.Stats().TCInvalidations == 0 {
+					t.Error("patching hot code must invalidate translations")
+				}
+			},
+		},
+		{
+			// The loop body is longer than one page of code, so the
+			// blocks it chains live on two pages and the page-capped
+			// block falls through across the boundary.
+			name: "trace-spans-page-boundary",
+			build: func() *asm.Image {
+				// Place the loop head so the straight-line body crosses
+				// the boundary between the pages at 0x1000 and 0x2000.
+				b := asm.NewBuilder(0x2000 - 64*8)
+				b.Movi(1, chainLoopIters)
+				b.Label("loop")
+				for i := 0; i < 128; i++ {
+					b.I(isa.OpAddi, 2, 2, 1)
+				}
+				b.I(isa.OpAddi, 1, 1, -1)
+				b.Br(isa.OpBne, 1, 0, "loop")
+				b.Halt()
+				img := &asm.Image{Entry: 0x2000 - 64*8}
+				img.AddSegment(0x2000-64*8, b.Words())
+				return img
+			},
+			check: func(t *testing.T, m *Machine) {
+				if m.Reg(2) != 128*chainLoopIters {
+					t.Errorf("r2 = %d, want %d", m.Reg(2), 128*chainLoopIters)
+				}
+				for _, c := range liveChains(m) {
+					if c[0].pc>>mem.PageShift != c[1].pc>>mem.PageShift {
+						return // found a cross-page chain
+					}
+				}
+				t.Error("no chain memo crosses the page boundary")
+			},
+		},
+		{
+			// EventBatch=1 flushes the batch after every retirement; the
+			// flush path must not disturb chain formation or execution.
+			name: "formation-under-eventbatch-1",
+			cfg:  Config{MemSpan: 64 << 20, EventBatch: 1},
+			build: func() *asm.Image {
+				b := asm.NewBuilder(0x1000)
+				b.Movi(1, chainLoopIters)
+				b.Label("loop")
+				b.I(isa.OpAddi, 2, 2, 7)
+				b.Br(isa.OpBeq, 0, 0, "mid")
+				b.Label("mid")
+				b.I(isa.OpAddi, 1, 1, -1)
+				b.Br(isa.OpBne, 1, 0, "loop")
+				b.Halt()
+				img := &asm.Image{Entry: 0x1000}
+				img.AddSegment(0x1000, b.Words())
+				return img
+			},
+			check: func(t *testing.T, m *Machine) {
+				if len(liveChains(m)) == 0 {
+					t.Error("no chain memo formed under EventBatch=1")
+				}
+			},
+		},
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			img := tc.build()
+
+			cfg := tc.cfg
+			if cfg.MemSpan == 0 {
+				cfg.MemSpan = 64 << 20
+			}
+			m := New(cfg)
+			m.Load(img)
+			var sink *CountingSink
+			if cfg.EventBatch != 0 {
+				sink = &CountingSink{}
+			}
+			if sink != nil {
+				m.RunToCompletion(0, sink)
+			} else {
+				m.RunToCompletion(0, nil)
+			}
+
+			// Reference: a tiny TC flushes constantly, so chain memos
+			// never survive long enough to influence anything.
+			// Architectural state must match exactly.
+			ref := New(Config{MemSpan: 64 << 20, TCMaxBlocks: 2})
+			ref.Load(tc.build())
+			ref.RunToCompletion(0, nil)
+			for r := 0; r < isa.NumRegs; r++ {
+				if m.Reg(r) != ref.Reg(r) {
+					t.Fatalf("r%d: chained %d vs reference %d", r, m.Reg(r), ref.Reg(r))
+				}
+			}
+			ms, rs := m.Stats(), ref.Stats()
+			if ms.Instructions != rs.Instructions ||
+				ms.MemReads != rs.MemReads || ms.MemWrites != rs.MemWrites ||
+				ms.Branches != rs.Branches || ms.TakenBr != rs.TakenBr ||
+				ms.PageFaults != rs.PageFaults {
+				t.Fatalf("retirement stats diverge:\nchained   %+v\nreference %+v", ms, rs)
+			}
+			if sink != nil && sink.Total != ms.Instructions {
+				t.Fatalf("events %d != instructions %d", sink.Total, ms.Instructions)
+			}
+			if tc.check != nil {
+				tc.check(t, m)
+			}
+		})
 	}
 }

@@ -107,17 +107,17 @@ type dinst struct {
 
 // Threaded-dispatch kinds: a dense decode-time re-encoding of the
 // opcode space that the hot loop switches on instead of raw opcodes.
-// Beyond being dense (one jump-table branch), the kinds fold in the
-// specialisations the baseline re-derived per retirement:
+// Beyond being dense (one jump-table branch), the kinds fold in
+// decisions that would otherwise be re-derived on every retirement:
 //
 //   - ops whose only effect is writing rd decode to xNop when rd is the
-//     hardwired zero register (the old clearZero re-check disappears);
+//     hardwired zero register, so no retirement re-checks rd;
 //     Div keeps a discarding variant because its divide can still trap,
 //     and Ld keeps one because the load's TLB/fault/statistic side
 //     effects must happen even when the value is dropped;
 //   - Jal/Jalr with rd == r0 decode to their no-link forms;
-//   - each branch kind folds the Branches/TakenBr accounting and the
-//     taken-target redirect that the baseline keyed off isa.Class.
+//   - each branch kind folds in the Branches/TakenBr accounting and the
+//     taken-target redirect, so retirement never consults isa.Class.
 //
 // Event generation still reads the architectural op/cls/rd/rs1/rs2
 // from the dinst, so the event stream is byte-identical.
@@ -192,7 +192,7 @@ const (
 	xJalrZ // rd == r0: computed jump without the link write
 	xHalt
 	xSys
-	xBad // unreachable for well-formed code; panics like the baseline default
+	xBad // undefined opcode: executing it panics (the dispatch default)
 )
 
 // xkinds is the threaded-dispatch kind of every opcode: kind for a real
@@ -262,13 +262,6 @@ type block struct {
 	// the translation-cache map (block chaining / linking).
 	chainPC  uint64
 	chainBlk *block
-	// Superblock state (host-side, never snapshotted — like chain
-	// links, it re-forms after restores and invalidations):
-	// heat counts dispatch entries; when it crosses
-	// traceHotThreshold the machine tries to chain the recorded
-	// dominant successors into a trace headed at this block.
-	heat uint32
-	tr   *trace
 }
 
 // PhaseMark is a guest-reported phase annotation (SysPhaseMark), used by
@@ -464,8 +457,8 @@ func (m *Machine) tlbLookup(vpn uint64) {
 		return
 	}
 	if m.tlbL2[vpn&m.tlbL2Mask&(tlbL2Size-1)] == v {
-		// L2 invariant: the main slot already holds v, so the baseline
-		// probe would not have counted a refill either.
+		// L2 invariant: the main slot already holds v, so probing it
+		// would not count a refill either.
 		m.tlbLast = v
 		return
 	}
@@ -763,20 +756,6 @@ func (m *Machine) flushTC() {
 // TCBlocks returns the number of live translation-cache blocks.
 func (m *Machine) TCBlocks() int { return m.tcCount }
 
-// LiveTraces returns the number of superblock traces attached to live
-// translation-cache blocks — an observability hook for tests and tools
-// confirming the trace machinery engaged on a workload; the count has
-// no architectural meaning.
-func (m *Machine) LiveTraces() int {
-	n := 0
-	for _, b := range m.tc {
-		if !b.dead && b.tr != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Run executes up to n guest instructions, stopping early on HALT or
 // SysExit. If sink is non-nil the machine runs in event-generating mode
 // and delivers one Event per retired instruction, in batches, through
@@ -819,23 +798,19 @@ func (m *Machine) Run(n uint64, sink Sink) uint64 {
 // fatal diagnostics, not a recovery surface, so no caller inspects
 // machine state across one.
 //
-// Execution is organised around superblock traces (see trace.go): a
-// block's entry counter (heat) triggers formation of a straight-line
-// chain of its recorded dominant successors, and the loop then runs
-// segment to segment with a single guard per boundary — the actual
-// successor pc must equal the next segment's pc and that block must be
-// live. A guard pass is observationally identical to the baseline's
-// chain hit or stat-free lookup of the same live block; a guard miss
-// falls back to the per-block chain memo and, on a chain miss, to the
-// spill-flush-lookup path exactly as the baseline would. Traces never
-// translate anything, so the TC/TLB statistic trajectories are
-// bit-identical to the per-block interpreter's.
+// A block's successor is resolved through the block's 1-entry chain
+// memo (chainPC, chainBlk): when the successor pc is chainPC and that
+// block is live, the loop runs it next without touching the
+// translation-cache map, the TLB or the event batch. At most one live
+// block exists per pc, so a chain hit runs the block a lookup would
+// return, and looking up a live block moves no statistic. On a chain
+// miss the loop syncs tlbLast, delivers buffered events, looks the pc
+// up (which may translate) and makes the result the new memo.
 //
 // The per-instruction budget check is hoisted: each block iteration
 // executes a window insts[:min(len, n-executed)], so the inner loop
 // carries no budget compare. Falling off a budget-capped window leaves
-// m.pc at the next unexecuted address, exactly like the baseline's
-// mid-block budget exit.
+// m.pc at the next unexecuted address, where the next Run resumes.
 func (m *Machine) run(n uint64, bs Sink) uint64 {
 	var (
 		executed uint64 // instructions retired this call
@@ -847,8 +822,6 @@ func (m *Machine) run(n uint64, bs Sink) uint64 {
 		bi       int
 		batch    []Event
 		blk      *block // current block; live whenever blockLoop runs it
-		tr       *trace // non-nil: blk is tr.segs[seg]
-		seg      int
 	)
 	regs := m.regs
 	tlbLast := m.tlbLast
@@ -892,20 +865,6 @@ dispatch:
 		}
 		blk = m.lookup(m.pc)
 		tlbLast = m.tlbLast
-		// Entry profiling: enter an existing trace, or heat the block
-		// toward forming one.
-		tr = nil
-		if t := blk.tr; t != nil {
-			tr, seg = t, 0
-		} else if blk.heat < traceHotThreshold {
-			blk.heat++
-		} else {
-			blk.heat = 0
-			if t := m.formTrace(blk); t != nil {
-				blk.tr = t
-				tr, seg = t, 0
-			}
-		}
 
 	blockLoop:
 		for {
@@ -1326,14 +1285,8 @@ dispatch:
 					}
 					if blkDead {
 						// The block died under us mid-execution; the
-						// remainder must be re-looked-up (and, as in the
-						// baseline, retranslated). A trace through a dead
-						// constituent is torn down and re-forms later.
+						// remainder must be looked up (and retranslated).
 						m.pc = nextPC
-						if tr != nil {
-							killTrace(tr)
-							tr = nil
-						}
 						continue dispatch
 					}
 					exited = true
@@ -1345,8 +1298,8 @@ dispatch:
 			if !exited {
 				// Fell off the window end: either the budget expired
 				// mid-block (return with m.pc at the next unexecuted
-				// instruction, like the baseline's per-inst budget
-				// exit), or a length/page-capped block fell through.
+				// instruction, so that a later Run resumes there), or a
+				// length/page-capped block fell through.
 				if executed == n {
 					m.pc = pc
 					continue dispatch
@@ -1355,70 +1308,22 @@ dispatch:
 			}
 
 			// A live block ended (control transfer, or fall-through
-			// with budget remaining). Resolve the successor: trace
-			// guard first, then the per-block chain memo, then the
-			// spill-flush-lookup slow path. Note the slow path must run
-			// even when the budget is exhausted — the baseline performs
-			// the chain-miss lookup (and its translation statistics)
-			// before noticing the budget, and golden trajectories
-			// depend on it.
-			if tr != nil {
-				next := seg + 1
-				if next == len(tr.segs) {
-					if !tr.loop {
-						// Ran off the trace tail: a normal exit, not a
-						// guard miss.
-						tr = nil
-						goto chain
-					}
-					next = 0
-				}
-				want := tr.segs[next]
-				if nextPC == want.pc && !want.dead {
-					tr.misses = 0
-					seg = next
-					blk = want
-					continue blockLoop
-				}
-				if nextPC == want.pc {
-					// Expected successor was invalidated: the trace can
-					// never complete again; tear it down and let the
-					// chain path re-lookup (and retranslate) as the
-					// baseline would.
-					killTrace(tr)
-				} else {
-					// Path divergence: keep the trace (it may still be
-					// the dominant path) unless it keeps missing.
-					tr.misses++
-					if tr.misses >= traceMissLimit {
-						killTrace(tr)
-					}
-				}
-				tr = nil
-			}
-		chain:
+			// with budget remaining). Resolve the successor through the
+			// block's chain memo, else through the spill-flush-lookup
+			// slow path.
 			if blk.chainPC == nextPC {
 				if nb := blk.chainBlk; nb != nil && !nb.dead {
 					blk = nb
-					// Entry profiling, as at dispatch.
-					if t := blk.tr; t != nil {
-						tr, seg = t, 0
-					} else if blk.heat < traceHotThreshold {
-						blk.heat++
-					} else {
-						blk.heat = 0
-						if t := m.formTrace(blk); t != nil {
-							blk.tr = t
-							tr, seg = t, 0
-						}
-					}
 					continue blockLoop
 				}
 			}
 			// Chain miss: sync the instruction-TLB view, deliver
-			// buffered events, look up (which may translate — even at
-			// budget end), and remember the successor. Registers and
-			// stat deltas stay local: translation reads neither.
+			// buffered events, look up and remember the successor.
+			// Registers and stat deltas stay local: translation reads
+			// neither. The lookup runs even when the budget is exhausted
+			// (the next dispatch returns without executing the block),
+			// because the translation statistics it moves are part of
+			// the golden trajectories.
 			m.pc = nextPC
 			m.tlbLast = tlbLast
 			if bi != 0 {
@@ -1431,18 +1336,6 @@ dispatch:
 			blk.chainPC = nextPC
 			blk.chainBlk = nb
 			blk = nb
-			if t := blk.tr; t != nil {
-				tr, seg = t, 0
-			} else if blk.heat < traceHotThreshold {
-				blk.heat++
-			} else {
-				blk.heat = 0
-				if t := m.formTrace(blk); t != nil {
-					blk.tr = t
-					tr, seg = t, 0
-				}
-			}
-			continue blockLoop
 		}
 	}
 }
