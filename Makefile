@@ -50,7 +50,7 @@ diffcheck:
 
 # Chaos-schedule exploration: CHAOS_SCHEDULES seeded fault schedules
 # (coordinator SIGKILL/restart at arbitrary WAL offsets with torn
-# tails, worker kills, network/disk faults), each a full distributed
+# tails, worker kills, checkpoint-tier outages), each a full distributed
 # sweep whose merged journal must render byte-identical artifacts with
 # exactly-once accounting (see internal/chaos).
 CHAOS_SCHEDULES ?= 8

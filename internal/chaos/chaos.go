@@ -3,11 +3,13 @@
 // handful of hand-picked sites, chaos generates whole *schedules* — a
 // deterministic mix of worker kills at arbitrary deliveries,
 // coordinator kill/restart at arbitrary WAL offsets (with optional WAL
-// tail tears modelling the ack-before-fsync window of a host crash),
-// network faults on the remote checkpoint tier, and disk faults — and
-// runs each schedule as one full sweep over an httptest loopback, with
-// the coordinator actually killed and restarted from its write-ahead
-// log mid-sweep.
+// tail tears modelling the ack-before-fsync window of a host crash) and
+// network faults on the remote checkpoint tier — and runs each schedule
+// as one full sweep over an httptest loopback, with the coordinator
+// actually killed and restarted from its write-ahead log mid-sweep. A
+// schedule draws only faults that can fire there: the workers have no
+// disk checkpoint tier, and in-flight corruption needs a remote nearest
+// hit, which the sweep's workers do not get (see check's sweepPlan).
 //
 // Per schedule it asserts the repo's strongest invariants:
 //
@@ -67,7 +69,7 @@ func splitmix64(x uint64) uint64 {
 // alone. Every schedule carries at least one deterministic fault
 // source: three of four have coordinator kills (with WAL tears on half
 // of those), and every fourth instead kills every cell's first
-// delivery; network/disk fault rates vary independently on top.
+// delivery; network fault rates vary independently on top.
 func SchedulePlan(seed uint64, i int) faults.Plan {
 	h := splitmix64(seed ^ splitmix64(uint64(i)*0x9e3779b97f4a7c15+1))
 	p := faults.Plan{
@@ -88,12 +90,6 @@ func SchedulePlan(seed uint64, i int) faults.Plan {
 	}
 	if (h>>32)%2 == 0 {
 		p.NetGet, p.NetPut = 0.25, 0.25
-	}
-	if (h>>33)%2 == 0 {
-		p.NetCorrupt = 0.3
-	}
-	if (h>>34)%2 == 0 {
-		p.DiskRead, p.DiskWrite = 0.15, 0.15
 	}
 	return p
 }

@@ -3,7 +3,6 @@ package check
 import (
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"repro/internal/faults"
@@ -19,16 +18,20 @@ type SweepOptions struct {
 }
 
 // sweepPlan is the sweep fault schedule: most first deliveries die
-// mid-lease, and the remote checkpoint tier suffers outages and
-// in-flight corruption in both directions. All healable by
-// construction — kills are bounded per cell by KillAttempts, and the
-// remote tier is a cache the store degrades away from.
+// mid-lease, and the remote checkpoint tier suffers outages in both
+// directions. All healable by construction — kills are bounded per cell
+// by KillAttempts, and the remote tier is a cache the store degrades
+// away from. In-flight corruption of a download is not drawn: it needs a
+// remote nearest hit, and this sweep's workers get none (the
+// coordinator store counts two or three nearest misses and no hit per
+// fault-free run, at 2 and at 4 workers); the kind is pinned in
+// internal/sweep's TestRemoteTierFaultMatrix and
+// TestEveryDoorRefusesTheSameDamage.
 var sweepPlan = faults.Plan{
 	WorkerKill:   0.6,
 	KillAttempts: 1,
 	NetGet:       0.25,
 	NetPut:       0.25,
-	NetCorrupt:   0.3,
 }
 
 // SweepEquivalence pins the distributed sweep's whole contract: an
@@ -46,19 +49,16 @@ func SweepEquivalence(o SweepOptions) error {
 	// The fault kinds that must fire at least once across the matrix,
 	// and the injector seeds that make them. A matrix narrowed to one
 	// worker count sees fewer injector draws, so the seed set widens.
-	// Corrupting a remote GET body needs a cross-worker checkpoint hit,
-	// which 2-worker schedules rarely produce before the injected put
-	// failures switch the remote tier off (the kind keeps its dedicated
-	// pin in internal/sweep's TestRemoteTierFaultMatrix): it is required
-	// only when the matrix has enough workers to make hits likely.
+	// A download outage is drawn but not required: a sweep asks the
+	// remote tier for about one nearest per benchmark, and whether the
+	// draw lands on a live tier depends on when put outages switched it
+	// off (the kind is pinned in internal/sweep's
+	// TestRemoteTierFaultMatrix).
 	seeds := []uint64{1, 2}
 	if len(o.Workers) < 2 {
 		seeds = []uint64{1, 2, 3, 4}
 	}
-	kinds := []faults.Kind{faults.WorkerKill, faults.NetGet, faults.NetPut}
-	if slices.Max(o.Workers) >= 4 {
-		kinds = append(kinds, faults.NetCorrupt)
-	}
+	kinds := []faults.Kind{faults.WorkerKill, faults.NetPut}
 
 	sweeps := DistSweep{
 		Scale:      artifactScale,

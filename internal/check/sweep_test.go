@@ -13,7 +13,7 @@ var sweepWorkers = flag.String("sweep-workers", "", "comma-separated worker coun
 
 // TestSweepEquivalence is the distributed-sweep pin: across worker
 // counts and injector seeds covering mid-lease worker kills and remote
-// checkpoint-tier outages/corruption, the merged journal and the
+// checkpoint-tier outages, the merged journal and the
 // rendered artifacts must be byte-identical to the sequential
 // single-process run, with exactly-once cell accounting.
 func TestSweepEquivalence(t *testing.T) {

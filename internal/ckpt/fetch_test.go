@@ -11,10 +11,10 @@ import (
 )
 
 // TestFetchKeepsNothing pins the serving side of a byte-keeping tier:
-// Fetch and FetchNearest decode a disk entry, hand it on and leave the
-// memory tier as it was, with every check and counter of Lookup and
-// Nearest; an entry some Lookup did keep is served from memory; a
-// corrupt file is dropped exactly as Lookup drops it.
+// FetchNearest decodes a disk entry, hands it on and leaves the memory
+// tier as it was, with every check and counter of Nearest; an entry some
+// Lookup did keep is served from memory; a corrupt file is dropped
+// exactly as Lookup drops it, and the next-lower entry is served.
 func TestFetchKeepsNothing(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -28,28 +28,28 @@ func TestFetchKeepsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if snap, ok := s.Fetch(k1); !ok || snap.Instructions() != 1000 {
-		t.Fatal("Fetch missed a key on disk")
+	if snap, instr, ok := s.FetchNearest(testKey(1500)); !ok || instr != 1000 || snap.Instructions() != 1000 {
+		t.Fatalf("FetchNearest = instr %d ok %v, want 1000", instr, ok)
 	}
 	if snap, instr, ok := s.FetchNearest(testKey(5000)); !ok || instr != 2000 || snap.Instructions() != 2000 {
 		t.Fatalf("FetchNearest = instr %d ok %v, want 2000", instr, ok)
 	}
-	if _, ok := s.Fetch(testKey(3000)); ok {
-		t.Fatal("Fetch served a key nobody deposited")
+	if _, _, ok := s.FetchNearest(testKey(500)); ok {
+		t.Fatal("FetchNearest served a count below every deposit")
 	}
 	st := s.Stats()
-	if st.Hits != 1 || st.NearestHits != 1 || st.Misses != 1 || st.DiskLoads != 2 || st.Entries != 0 || st.Bytes != 0 {
+	if st.NearestHits != 2 || st.NearestMisses != 1 || st.DiskLoads != 2 || st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("after two fetches and a miss: %+v", st)
 	}
 
 	if _, ok := s.Lookup(k1); !ok {
 		t.Fatal("Lookup missed a key on disk")
 	}
-	if _, ok := s.Fetch(k1); !ok {
-		t.Fatal("Fetch missed a key in memory")
+	if _, _, ok := s.FetchNearest(testKey(1500)); !ok {
+		t.Fatal("FetchNearest missed a key in memory")
 	}
 	if st := s.Stats(); st.DiskLoads != 3 || st.Entries != 1 {
-		t.Fatalf("Lookup keeps its load and Fetch uses it: %+v", st)
+		t.Fatalf("Lookup keeps its load and FetchNearest uses it: %+v", st)
 	}
 
 	path := filepath.Join(dir, k2.String()+".ckpt")
@@ -61,8 +61,8 @@ func TestFetchKeepsNothing(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Fetch(k2); ok {
-		t.Fatal("Fetch served a corrupt file")
+	if _, instr, ok := s.FetchNearest(testKey(2500)); !ok || instr != 1000 {
+		t.Fatalf("FetchNearest over a corrupt file = instr %d ok %v, want the entry below it, 1000", instr, ok)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("the corrupt file is still there (%v)", err)
@@ -107,13 +107,6 @@ func (r *byteRemote) body(k Key) io.ReadCloser {
 	return countedBody{bytes.NewReader(data), &r.open}
 }
 
-func (r *byteRemote) Get(k Key) (io.ReadCloser, error) {
-	if _, ok := r.held[k]; !ok {
-		return nil, nil
-	}
-	return r.body(k), nil
-}
-
 func (r *byteRemote) Nearest(k Key) (io.ReadCloser, uint64, error) {
 	best, found := k, false
 	for rk := range r.held {
@@ -156,14 +149,12 @@ func newByteRemote(t *testing.T, instrs ...uint64) *byteRemote {
 func TestLyingRemoteIsRefused(t *testing.T) {
 	t.Parallel()
 	ask := map[string]func(s *Store) bool{
-		"get": func(s *Store) bool { _, ok := s.Lookup(testKey(1000)); return ok },
 		"nearest": func(s *Store) bool {
 			_, instr, ok := s.Nearest(testKey(1500))
 			return ok && instr == 1000
 		},
 	}
 	for _, c := range []struct{ lie, verb string }{
-		{"snapshot", "get"}, {"short", "get"},
 		{"snapshot", "nearest"}, {"short", "nearest"}, {"count", "nearest"}, {"late", "nearest"},
 	} {
 		c := c
@@ -211,7 +202,8 @@ func TestLyingRemoteIsRefused(t *testing.T) {
 // TestRemoteHitsAreNotKept: what the remote tier serves is restored from
 // and let go — a store's footprint is its own deposits, however much of
 // another worker's trajectory it had to borrow. Asking again asks the
-// remote tier again; a deposit of the same key is a new key locally.
+// remote tier again; an exact-key Lookup never asks it; a deposit of the
+// same key is a new key locally.
 func TestRemoteHitsAreNotKept(t *testing.T) {
 	t.Parallel()
 	remote := newByteRemote(t, 1000, 2000)
@@ -220,14 +212,14 @@ func TestRemoteHitsAreNotKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 2; i++ {
-		if snap, ok := s.Lookup(testKey(1000)); !ok || snap.Instructions() != 1000 {
-			t.Fatal("Lookup missed a key the remote tier holds")
+		if _, ok := s.Lookup(testKey(1000)); ok {
+			t.Fatal("Lookup served a key only the remote tier holds")
 		}
 		if _, instr, ok := s.Nearest(testKey(5000)); !ok || instr != 2000 {
 			t.Fatalf("Nearest = instr %d ok %v, want 2000", instr, ok)
 		}
 		st := s.Stats()
-		if st.RemoteHits != 2*i || st.Hits != i || st.NearestHits != i || st.Entries != 0 || st.Bytes != 0 {
+		if st.RemoteHits != i || st.RemoteMisses != 0 || st.Hits != 0 || st.Misses != i || st.NearestHits != i || st.Entries != 0 || st.Bytes != 0 {
 			t.Fatalf("after round %d: %+v", i, st)
 		}
 	}

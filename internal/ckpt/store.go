@@ -72,11 +72,14 @@ type Options struct {
 	// serves misses from it. Created if absent.
 	Dir string
 	// Remote, when non-nil, is a shared network checkpoint tier:
-	// consulted after the local tiers miss and mirrored on every
-	// deposit, so concurrent sweep workers reuse each other's warm
-	// checkpoints. Like the disk tier it is a pure cache — any remote
-	// failure or in-flight corruption degrades to the local tiers (and
-	// ultimately to scratch execution), never to a wrong restore.
+	// mirrored on every deposit and asked for the nearest-<= snapshot
+	// of a series the local tiers hold nothing of, so a sweep worker
+	// new to a benchmark can start from another worker's checkpoint.
+	// Exact-key lookups never consult it: each replaces one base
+	// interval, which the fast engine runs far quicker than a fetch.
+	// Like the disk tier it is a pure cache — any remote failure or
+	// in-flight corruption degrades to the local tiers (and ultimately
+	// to scratch execution), never to a wrong restore.
 	Remote Remote
 	// Faults, when non-nil, injects deterministic disk-tier faults
 	// (see FaultInjector); used by the robustness harness.
@@ -93,8 +96,6 @@ type Options struct {
 // handed and closes it. A miss is a nil body and a nil error; errors are
 // transport-level failures the store degrades on.
 type Remote interface {
-	// Get opens the serialized snapshot stored under an exact key.
-	Get(k Key) (io.ReadCloser, error)
 	// Nearest opens the stored snapshot with the largest instruction
 	// count <= k.Instr in k's series, and says what that count is.
 	Nearest(k Key) (io.ReadCloser, uint64, error)
@@ -132,7 +133,7 @@ type Stats struct {
 	DiskErrors    uint64 // corrupt/unreadable files degraded to misses
 	WriteFails    uint64 // failed disk writes (subset of DiskErrors)
 	Discards      uint64 // entries explicitly discarded by callers
-	RemoteHits    uint64 // lookups served by the remote tier
+	RemoteHits    uint64 // nearest-≤ lookups served by the remote tier
 	RemoteMisses  uint64 // remote consultations that found nothing
 	RemotePuts    uint64 // deposits mirrored to the remote tier
 	RemoteErrors  uint64 // failed/corrupt remote transfers, degraded locally
@@ -320,22 +321,13 @@ func (s *Store) heldLocked(k Key) bool {
 	return ok || s.disk[k]
 }
 
-// Lookup returns the snapshot for an exact key. Snapshots are shared,
-// immutable values: callers must only Restore from them, never mutate.
-func (s *Store) Lookup(k Key) (*vm.Snapshot, bool) { return s.lookup(k, true) }
-
-// Fetch is Lookup for a caller that passes the snapshot on instead of
-// restoring from it — the sweep server answering GET /v1/ckpt: a
-// snapshot that had to be decoded from the disk file is returned without
-// joining the memory tier. A decoded snapshot shares no page with
-// anything the tier holds, so each one kept would cost its whole
-// footprint, and whoever asked now has a copy of its own.
-func (s *Store) Fetch(k Key) (*vm.Snapshot, bool) { return s.lookup(k, false) }
-
-func (s *Store) lookup(k Key, keep bool) (*vm.Snapshot, bool) {
+// Lookup returns the snapshot for an exact key from the local tiers.
+// Snapshots are shared, immutable values: callers must only Restore from
+// them, never mutate.
+func (s *Store) Lookup(k Key) (*vm.Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if snap := s.lookupLocked(k, keep); snap != nil {
+	if snap := s.lookupLocked(k, true); snap != nil {
 		s.stats.Hits++
 		s.ob.hits.Inc()
 		return snap, true
@@ -345,15 +337,11 @@ func (s *Store) lookup(k Key, keep bool) (*vm.Snapshot, bool) {
 	return nil, false
 }
 
-// lookupLocked serves k from memory, disk, or the remote tier (in that
-// order), nil on a miss. A disk load joins the memory tier when keep is
-// set; a remote hit never does — it is a full private copy, the tier it
-// came from still holds it, and a worker reaches for it only where it
-// shares a benchmark with another (sweep's tail), so keeping them would
-// make the worker's footprint depend on which benchmark that happened to
-// be. A disk-tier failure degrades to the next tier: the index entry is
-// dropped (and the file removed when the bytes themselves are corrupt)
-// so later lookups don't retry.
+// lookupLocked serves k from memory or disk (in that order), nil on a
+// miss. A disk load joins the memory tier when keep is set. A disk-tier
+// failure degrades to a miss: the index entry is dropped (and the file
+// removed when the bytes themselves are corrupt) so later lookups don't
+// retry.
 func (s *Store) lookupLocked(k Key, keep bool) *vm.Snapshot {
 	if el, ok := s.mem[k]; ok {
 		s.lru.MoveToFront(el)
@@ -379,32 +367,27 @@ func (s *Store) lookupLocked(k Key, keep bool) *vm.Snapshot {
 			os.Remove(s.path(k))
 		}
 	}
-	// Local tiers missed (or the disk copy was bad): second chance from
-	// the remote tier.
-	return s.remoteLocked(k, false)
+	return nil
 }
 
-// remoteLocked asks the remote tier for k — or, with nearest set, for
-// the nearest-<= snapshot of k's series — and runs accept on the body it
-// is handed, which is the only check there is: a Remote moves bytes. Nil
-// on a miss, a failure, a refused body, or no/degraded remote. Like any
-// remote hit the snapshot is handed on, not kept.
-func (s *Store) remoteLocked(k Key, nearest bool) *vm.Snapshot {
+// remoteNearestLocked asks the remote tier for the nearest-<= snapshot
+// of k's series and runs accept on the body it is handed, which is the
+// only check there is: a Remote moves bytes. Nil on a miss, a failure, a
+// refused body, or no/degraded remote. The snapshot is handed on, not
+// kept: it is a full private copy, the tier it came from still holds
+// it, and a worker reaches for one only where it shares a benchmark with
+// another, so keeping them would make the worker's footprint depend on
+// which benchmark that happened to be.
+func (s *Store) remoteNearestLocked(k Key) *vm.Snapshot {
 	if s.opts.Remote == nil || s.remoteOff {
 		return nil
 	}
-	var (
-		body io.ReadCloser
-		err  error
-	)
-	if nearest {
-		target := k.Instr
-		if body, k.Instr, err = s.opts.Remote.Nearest(k); err == nil && k.Instr > target {
-			err = fmt.Errorf("%w: remote nearest for instr <= %d is at %d", ErrCorrupt, target, k.Instr)
-		}
-	} else {
-		body, err = s.opts.Remote.Get(k)
+	target := k.Instr
+	body, instr, err := s.opts.Remote.Nearest(k)
+	if err == nil && instr > target {
+		err = fmt.Errorf("%w: remote nearest for instr <= %d is at %d", ErrCorrupt, target, instr)
 	}
+	k.Instr = instr
 	var snap *vm.Snapshot
 	if body != nil {
 		if err == nil {
@@ -496,7 +479,13 @@ func (s *Store) Discard(k Key) {
 // count ≤ k.Instr in k's series, along with its instruction count.
 func (s *Store) Nearest(k Key) (*vm.Snapshot, uint64, bool) { return s.nearest(k, true) }
 
-// FetchNearest is to Nearest what Fetch is to Lookup.
+// FetchNearest is Nearest for a caller that passes the snapshot on
+// instead of restoring from it — the sweep server answering GET
+// /v1/ckpt/{key}/nearest: a snapshot that had to be decoded from the
+// disk file is returned without joining the memory tier. A decoded
+// snapshot shares no page with anything the tier holds, so each one
+// kept would cost its whole footprint, and whoever asked now has a copy
+// of its own.
 func (s *Store) FetchNearest(k Key) (*vm.Snapshot, uint64, bool) { return s.nearest(k, false) }
 
 func (s *Store) nearest(k Key, keep bool) (*vm.Snapshot, uint64, bool) {
@@ -522,7 +511,7 @@ func (s *Store) nearest(k Key, keep bool) (*vm.Snapshot, uint64, bool) {
 			// stored checkpoint <= the target restores to the same
 			// trajectory, so preferring a (possibly nearer) local entry
 			// first costs at most some re-execution, never bits.
-			if snap := s.remoteLocked(k, true); snap != nil {
+			if snap := s.remoteNearestLocked(k); snap != nil {
 				s.stats.NearestHits++
 				s.ob.nearestHits.Inc()
 				return snap, snap.Instructions(), true

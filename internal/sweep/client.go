@@ -211,11 +211,12 @@ func (cl *Client) ckptURL(name string) string {
 	return cl.base + "/v1/ckpt/" + name
 }
 
-// fetch is the one GET under Get and Nearest: fault hook, request,
-// status, the X-Ckpt-Instr header when there is one, and the body —
-// through the injector's in-flight damage when there is one — handed on
-// unread. A 404 is a nil body and a nil error.
-func (cl *Client) fetch(name string) (io.ReadCloser, uint64, error) {
+// Nearest implements ckpt.Remote: fault hook, request, status, the
+// X-Ckpt-Instr header, and the body — through the injector's in-flight
+// damage when there is one — handed on unread. A 404 is a nil body and
+// a nil error.
+func (cl *Client) Nearest(k ckpt.Key) (io.ReadCloser, uint64, error) {
+	name := k.String() + "/nearest"
 	if cl.Faults != nil {
 		if err := cl.Faults.NetFault("get", name); err != nil {
 			return nil, 0, err
@@ -234,12 +235,11 @@ func (cl *Client) fetch(name string) (io.ReadCloser, uint64, error) {
 		resp.Body.Close()
 		return nil, 0, fmt.Errorf("sweep: ckpt get: status %d", resp.StatusCode)
 	}
-	var instr uint64
-	if h := resp.Header.Get("X-Ckpt-Instr"); h != "" {
-		if instr, err = strconv.ParseUint(h, 10, 64); err != nil {
-			resp.Body.Close()
-			return nil, 0, fmt.Errorf("sweep: ckpt get: bad X-Ckpt-Instr %q", h)
-		}
+	h := resp.Header.Get("X-Ckpt-Instr")
+	instr, err := strconv.ParseUint(h, 10, 64)
+	if err != nil {
+		resp.Body.Close()
+		return nil, 0, fmt.Errorf("sweep: ckpt get: bad X-Ckpt-Instr %q", h)
 	}
 	if cl.Faults == nil {
 		return resp.Body, instr, nil
@@ -248,17 +248,6 @@ func (cl *Client) fetch(name string) (io.ReadCloser, uint64, error) {
 		io.Reader
 		io.Closer
 	}{cl.Faults.NetCorruptReader(name, resp.Body), resp.Body}, instr, nil
-}
-
-// Get implements ckpt.Remote.
-func (cl *Client) Get(k ckpt.Key) (io.ReadCloser, error) {
-	body, _, err := cl.fetch(k.String())
-	return body, err
-}
-
-// Nearest implements ckpt.Remote.
-func (cl *Client) Nearest(k ckpt.Key) (io.ReadCloser, uint64, error) {
-	return cl.fetch(k.String() + "/nearest")
 }
 
 // Put implements ckpt.Remote.

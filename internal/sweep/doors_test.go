@@ -7,31 +7,28 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
 )
 
-// lyingCoordinator answers every GET under /v1/ckpt/ with whatever body
-// it currently holds, and /nearest with the instruction count it was
-// told to claim: a remote tier that serves what no honest one would.
+// lyingCoordinator answers every nearest with whatever body it
+// currently holds and the instruction count it was told to claim: a
+// remote tier that serves what no honest one would.
 type lyingCoordinator struct {
 	body  []byte
 	instr uint64
 }
 
 func (lc *lyingCoordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if strings.HasSuffix(r.URL.Path, "/nearest") {
-		w.Header().Set("X-Ckpt-Instr", fmt.Sprint(lc.instr))
-	}
+	w.Header().Set("X-Ckpt-Instr", fmt.Sprint(lc.instr))
 	w.Write(lc.body)
 }
 
 // TestEveryDoorRefusesTheSameDamage offers one table of damaged
 // serializations at each of the three doors a serialized snapshot can
 // enter a store by — the disk file, PUT /v1/ckpt, and the body of a
-// remote GET or nearest — and holds every door to the same answer: a
+// remote nearest — and holds every door to the same answer: a
 // miss (400 for the upload), no index entry, no file, no temp file, and
 // the next clean offer of the same key is taken. On the parent of the
 // commit that made ckpt's accept the one check, the trailing-byte row
@@ -64,32 +61,6 @@ func TestEveryDoorRefusesTheSameDamage(t *testing.T) {
 		name string
 		open func(t *testing.T, dir string) (store func() *ckpt.Store, offer func(data []byte) bool)
 	}
-	remote := func(nearest bool) func(t *testing.T, dir string) (func() *ckpt.Store, func([]byte) bool) {
-		return func(t *testing.T, dir string) (func() *ckpt.Store, func([]byte) bool) {
-			lc := &lyingCoordinator{instr: k.Instr}
-			ts := httptest.NewServer(lc)
-			t.Cleanup(ts.Close)
-			w, err := ckpt.New(ckpt.Options{Dir: dir, Remote: NewClient(ts.URL, nil)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			errs := uint64(0)
-			return func() *ckpt.Store { return w }, func(data []byte) bool {
-				lc.body = data
-				var ok bool
-				if nearest {
-					_, _, ok = w.Nearest(k)
-				} else {
-					_, ok = w.Lookup(k)
-				}
-				if st := w.Stats(); !ok && st.RemoteErrors != errs+1 {
-					t.Errorf("a refused remote body was not counted: RemoteErrors %d, was %d", st.RemoteErrors, errs)
-				}
-				errs = w.Stats().RemoteErrors
-				return ok
-			}
-		}
-	}
 	doors := []door{
 		{"disk file", func(t *testing.T, dir string) (func() *ckpt.Store, func([]byte) bool) {
 			var s *ckpt.Store
@@ -120,8 +91,25 @@ func TestEveryDoorRefusesTheSameDamage(t *testing.T) {
 				return rec.Code == http.StatusNoContent
 			}
 		}},
-		{"remote GET body", remote(false)},
-		{"remote nearest body", remote(true)},
+		{"remote nearest body", func(t *testing.T, dir string) (func() *ckpt.Store, func([]byte) bool) {
+			lc := &lyingCoordinator{instr: k.Instr}
+			ts := httptest.NewServer(lc)
+			t.Cleanup(ts.Close)
+			w, err := ckpt.New(ckpt.Options{Dir: dir, Remote: NewClient(ts.URL, nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := uint64(0)
+			return func() *ckpt.Store { return w }, func(data []byte) bool {
+				lc.body = data
+				_, _, ok := w.Nearest(k)
+				if st := w.Stats(); !ok && st.RemoteErrors != errs+1 {
+					t.Errorf("a refused remote body was not counted: RemoteErrors %d, was %d", st.RemoteErrors, errs)
+				}
+				errs = w.Stats().RemoteErrors
+				return ok
+			}
+		}},
 	}
 
 	for _, d := range doors {
@@ -164,7 +152,7 @@ func TestKeyCannotLeaveDir(t *testing.T) {
 	if _, err := snapAt(t, 4000).WriteTo(&body); err != nil {
 		t.Fatal(err)
 	}
-	for _, verb := range []struct{ method, suffix string }{{"PUT", ""}, {"GET", ""}, {"GET", "/nearest"}} {
+	for _, verb := range []struct{ method, suffix string }{{"PUT", ""}, {"GET", "/nearest"}} {
 		url := ts.URL + "/v1/ckpt/..%2F..%2Fescaped-0000000000000001-1-4000" + verb.suffix
 		req, err := http.NewRequest(verb.method, url, bytes.NewReader(body.Bytes()))
 		if err != nil {

@@ -20,7 +20,6 @@ import (
 //	POST /v1/heartbeat         {"lease":ID}
 //	POST /v1/complete          {"lease":ID,"records":[...]} the cell's whole record set
 //	GET  /v1/status            coordinator + store counters (JSON)
-//	GET  /v1/ckpt/{key}        snapshot bytes by content key (404 miss)
 //	PUT  /v1/ckpt/{key}        digest-checked upload (400 corrupt)
 //	GET  /v1/ckpt/{key}/nearest  nearest-<= snapshot; X-Ckpt-Instr header
 //
@@ -37,9 +36,11 @@ import (
 // store refused, and no key names a file outside the store's directory.
 // The server decodes an upload only to verify it: what it keeps is the
 // bytes, spooled to the key's disk file as they are checked
-// (ckpt.Store.PutFrom). A GET or nearest decodes the file, sends the
-// snapshot and drops it (ckpt.Store.Fetch), so a disk-backed server's
-// memory tier stays empty whatever the workers ask for.
+// (ckpt.Store.PutFrom). A nearest decodes the file, sends the snapshot
+// and drops it (ckpt.Store.FetchNearest), so a disk-backed server's
+// memory tier stays empty whatever the workers ask for. There is no
+// exact-key GET: a worker's exact-key lookup stands in for one base
+// interval, which its fast engine runs far quicker than a fetch.
 
 // Request-body bounds. The largest bodies one traced pass of the
 // benchmark's sweep_dist workload sends are a 123 792-byte /v1/complete
@@ -94,7 +95,6 @@ func NewServer(coord *Coordinator, store *ckpt.Store, reg *obs.Registry, tr *obs
 	s.mux.HandleFunc("POST /v1/heartbeat", s.handleHeartbeat)
 	s.mux.HandleFunc("POST /v1/complete", s.handleComplete)
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
-	s.mux.HandleFunc("GET /v1/ckpt/{key}", s.handleCkptGet)
 	s.mux.HandleFunc("PUT /v1/ckpt/{key}", s.handleCkptPut)
 	s.mux.HandleFunc("GET /v1/ckpt/{key}/nearest", s.handleCkptNearest)
 	if reg != nil || tr != nil {
@@ -233,28 +233,6 @@ func parseKeyParam(w http.ResponseWriter, r *http.Request) (ckpt.Key, bool) {
 		http.Error(w, "bad checkpoint key", http.StatusBadRequest)
 	}
 	return k, ok
-}
-
-func (s *Server) handleCkptGet(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		http.Error(w, "no checkpoint store", http.StatusServiceUnavailable)
-		return
-	}
-	k, ok := parseKeyParam(w, r)
-	if !ok {
-		return
-	}
-	// Fetch, not Lookup: what a GET makes the store decode from disk is
-	// sent and dropped, so serving never grows the server.
-	snap, ok := s.store.Fetch(k)
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	// Snapshots are immutable shared values; streaming outside the
-	// store lock is safe. The digest footer travels with the bytes.
-	_, _ = snap.WriteTo(w)
 }
 
 func (s *Server) handleCkptNearest(w http.ResponseWriter, r *http.Request) {

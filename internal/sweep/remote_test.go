@@ -80,21 +80,25 @@ func TestRemoteTierRoundTrip(t *testing.T) {
 		t.Fatalf("RemotePuts = %d, want 1: %s", st.RemotePuts, st)
 	}
 
-	// A second worker (cold local tiers) gets the snapshot remotely.
+	// A second worker (cold local tiers) gets the snapshot remotely,
+	// by its nearest-<= search; an exact-key lookup stays local.
 	b, err := ckpt.New(ckpt.Options{Remote: cl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := b.Lookup(k)
-	if !ok {
-		t.Fatal("remote tier missed a mirrored key")
+	if _, ok := b.Lookup(k); ok {
+		t.Fatal("an exact-key lookup was served by the remote tier")
+	}
+	snap, instr, ok := b.Nearest(k)
+	if !ok || instr != k.Instr {
+		t.Fatalf("remote tier missed a mirrored key: instr %d ok %v", instr, ok)
 	}
 	if st := b.Stats(); st.RemoteHits != 1 {
 		t.Fatalf("RemoteHits = %d, want 1: %s", st.RemoteHits, st)
 	}
 	// The transfer left a decoded copy on neither side.
-	if bs, ss := b.Stats(), serverStore.Stats(); bs.Entries != 0 || ss.Entries != 0 || ss.Hits != 1 {
-		t.Fatalf("after one GET the worker keeps %d entries, the server %d (hits %d)", bs.Entries, ss.Entries, ss.Hits)
+	if bs, ss := b.Stats(), serverStore.Stats(); bs.Entries != 0 || ss.Entries != 0 || ss.NearestHits != 1 {
+		t.Fatalf("after one GET the worker keeps %d entries, the server %d (nearest hits %d)", bs.Entries, ss.Entries, ss.NearestHits)
 	}
 
 	// Bit-identity: resume from the transferred snapshot and compare
@@ -170,7 +174,7 @@ func TestRemoteTierFaultMatrix(t *testing.T) {
 			} else {
 				// Download direction: every fetch must degrade to a miss.
 				for i := 0; i < 4; i++ {
-					if snap, ok := w.Lookup(k); ok {
+					if snap, _, ok := w.Nearest(k); ok {
 						t.Fatalf("fetch %d served a snapshot (instr %d) through a %s fault",
 							i, snap.Instructions(), c.kind)
 					}
@@ -196,7 +200,7 @@ func TestRemoteTierFaultMatrix(t *testing.T) {
 				if c.kind == faults.NetPut {
 					w.Put(series(100+i), snap1000)
 				} else {
-					w.Lookup(series(200 + i))
+					w.Nearest(series(200 + i))
 				}
 			}
 			st = w.Stats()
@@ -204,7 +208,7 @@ func TestRemoteTierFaultMatrix(t *testing.T) {
 				t.Fatalf("remote tier not degraded off after sustained faults: %s", st)
 			}
 			before := inj.Fired()[c.kind]
-			w.Lookup(series(300))
+			w.Nearest(series(300))
 			w.Put(series(301), snap1000)
 			if after := inj.Fired()[c.kind]; after != before {
 				t.Fatal("degraded-off store still consulted the remote tier")

@@ -79,7 +79,8 @@ func TestServerMalformedRequests(t *testing.T) {
 		{"unknown lease, complete with records", "POST", "/v1/complete", strings.NewReader(`{"lease":999,"records":[{"kind":"result","bench":"gzip","policy":"full"}]}`), 0, http.StatusConflict},
 		// The streaming verb is gone: records travel in /v1/complete only.
 		{"deleted append verb", "POST", "/v1/append", strings.NewReader(`{"lease":1,"records":[{"kind":"result","bench":"gzip","policy":"Full timing"}]}`), 0, http.StatusNotFound},
-		{"bad checkpoint key, get", "GET", "/v1/ckpt/not-a-key", nil, 0, http.StatusBadRequest},
+		// Exact-key lookups stay local: there is no GET of one key.
+		{"deleted exact-key get", "GET", key, nil, 0, http.StatusMethodNotAllowed},
 		{"bad checkpoint key, nearest", "GET", "/v1/ckpt/gzip-zz-1-2/nearest", nil, 0, http.StatusBadRequest},
 		{"bad checkpoint key, put", "PUT", "/v1/ckpt/not-a-key", bytes.NewReader(snap.Bytes()), 0, http.StatusBadRequest},
 		{"truncated snapshot", "PUT", key, bytes.NewReader(snap.Bytes()[:snap.Len()/2]), 0, http.StatusBadRequest},

@@ -2,7 +2,8 @@
 // runner: a coordinator that partitions the (benchmark × policy) cell
 // matrix into expiring leases, workers that claim cells over HTTP and
 // execute them with an experiments.Runner, a remote checkpoint tier
-// serving the content-addressed internal/ckpt store over the same HTTP
+// collecting the workers' checkpoints in a content-addressed
+// internal/ckpt store and serving nearest-<= lookups over the same HTTP
 // surface, and a journal-merge step that folds the records the
 // workers' completions carry back into one canonical run journal.
 //

@@ -209,8 +209,8 @@ func RunWorker(opts WorkerOptions) (st WorkerStats, _ error) {
 	}
 
 	// The worker builds its own store so the coordinator plugs in as the
-	// remote tier; the runner then shares warm checkpoints with every
-	// other worker in the sweep.
+	// remote tier: every deposit is mirrored to it, and a series the
+	// worker holds nothing of is first asked of it (nearest-<=).
 	var fi ckpt.FaultInjector
 	if opts.Faults != nil {
 		fi = opts.Faults
