@@ -1,7 +1,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick bench-pair profile-detail profile-ckpt profile-sweep loc reach docs-check examples ci
+.PHONY: all build vet test race fuzz-smoke diffcheck chaos smp golden-update bench bench-quick bench-pair profile-detail profile-ckpt profile-sweep loc flake reach docs-check examples ci
 
 all: build
 
@@ -140,6 +140,22 @@ profile-sweep:
 # outside bench/. Fails when the first is over ROADMAP item 7's ceiling.
 loc:
 	@bash scripts/loc.sh
+
+# Verdict stability (ROADMAP item 17b): every test three times at
+# GOMAXPROCS 1, 2 and 4, then three race-detector runs of the packages
+# that run goroutines against each other. Both phases run even when the
+# first fails; the target fails if either did. A test whose verdict
+# varies is a race in the program or a bound on scheduling; it is
+# reported, never loosened. Slow (tens of minutes), so it stays out of
+# `ci`. FLAKEFLAGS=-json makes the output `go test -json` events, with
+# one "flake:" line before each phase.
+flake:
+	@st=0; \
+	echo "flake: go test ./... -count=3 -cpu 1,2,4"; \
+	$(GO) test ./... -count=3 -cpu 1,2,4 -timeout 60m $(FLAKEFLAGS) || st=1; \
+	echo "flake: go test -race -count=3 ./internal/{sweep,smp,ckpt,experiments}"; \
+	$(GO) test -race -count=3 -timeout 60m $(FLAKEFLAGS) ./internal/sweep ./internal/smp ./internal/ckpt ./internal/experiments || st=1; \
+	exit $$st
 
 # Every internal/ package is reachable from a command, bench/ or an
 # example (scripts/reach.sh), and so is every name those packages

@@ -11,10 +11,11 @@
 //	dynsim -bench gzip -policy stratified -strata 6 -samples 48
 //	dynsim -bench mcf  -policy rankedset -target 0.01 -budget 400
 //
-// The stratified and rankedset policies report their CPI estimate with
-// a confidence interval ("CPI ± halfwidth"); -target switches them to
-// error-targeting mode, refining until the interval's relative
-// half-width drops below the target or -budget is exhausted.
+// The smarts, stratified and rankedset policies report their CPI
+// estimate with a confidence interval ("CPI ± halfwidth"). For the
+// latter two, -target switches to error-targeting mode, refining until
+// the interval's relative half-width drops below the target or -budget
+// is exhausted.
 package main
 
 import (
@@ -29,7 +30,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/hostcost"
 	"repro/internal/obs"
 	"repro/internal/sampling"
@@ -56,16 +56,14 @@ func main() {
 	statSeed := flag.Uint64("seed", 17, "stratified/rankedset: sampling seed")
 	scale := flag.Int("scale", 2000, "workload scale divisor")
 	baseline := flag.Bool("baseline", false, "also run full timing and report error/speedup")
-	ckptDir := flag.String("ckpt-dir", "", "persist checkpoints to this directory (warm-starts later runs)")
-	ckptStride := flag.Uint64("ckpt-stride", 0, "checkpoint deposit stride in base intervals (0 = auto); without -ckpt-dir a non-zero stride keeps the checkpoints in memory only")
+	ckptStride := flag.Uint64("ckpt-stride", 0, "checkpoint deposit stride in base intervals (0 = no checkpoints); a non-zero stride keeps them in memory")
 	timeout := flag.Duration("timeout", 0, "overall run deadline (0 = none)")
-	faultSeed := flag.Uint64("faults", 0, "inject deterministic disk faults into the checkpoint store with this seed (0 = off; needs -ckpt-dir)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus), /metrics.json and /transitions on this address (e.g. 127.0.0.1:9090)")
 	flag.Parse()
 
-	if msg := flagError(*scale, *conf, *faultSeed, *ckptDir); msg != "" {
+	if msg := flagError(*scale, *conf); msg != "" {
 		fmt.Fprintln(os.Stderr, "dynsim:", msg)
 		os.Exit(2)
 	}
@@ -187,16 +185,8 @@ func main() {
 		ropts.Trace = trace
 	}
 
-	if *ckptDir != "" || *ckptStride != 0 {
-		ckptOpts := ckpt.Options{Dir: *ckptDir, Obs: ropts.Obs}
-		if *faultSeed != 0 {
-			ckptOpts.Faults = faults.New(*faultSeed, faults.DefaultPlan())
-		}
-		store, err = ckpt.New(ckptOpts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dynsim:", err)
-			os.Exit(1)
-		}
+	if *ckptStride != 0 {
+		store, _ = ckpt.New(ckpt.Options{Obs: ropts.Obs}) // no Dir: no I/O to fail
 		ropts.CkptStore = store
 	} else {
 		ropts.CkptOff = true
@@ -239,7 +229,7 @@ func main() {
 	fmt.Printf("instructions   %d (paper budget %d G / scale %d)\n", res.Instructions, spec.PaperGInstr, *scale)
 	fmt.Printf("estimated IPC  %.4f\n", res.EstIPC)
 	if iv := res.CPIInterval; iv != nil {
-		fmt.Printf("CPI estimate   %.4f ± %.4f (±%.1f%% at %.0f%% confidence)\n",
+		fmt.Printf("CPI estimate   %.4f ± %.4f (±%.1f%% at %.3g%% confidence)\n",
 			iv.Point, iv.HalfWidth(), iv.RelHalfWidth()*100, iv.Confidence*100)
 		if *target != 0 {
 			fmt.Printf("error target   ±%.3g%%: met=%v\n", *target*100, res.TargetMet)
@@ -264,14 +254,12 @@ func main() {
 
 // flagError names the first flag value the run would ignore or silently
 // replace — a usage error, not a default — or "" when there is none.
-func flagError(scale int, conf float64, faultSeed uint64, ckptDir string) string {
+func flagError(scale int, conf float64) string {
 	switch {
 	case scale <= 0:
 		return "-scale must be positive"
 	case conf != 0 && (conf <= 0 || conf >= 1):
 		return "-conf must lie strictly between 0 and 1 (0 = default 0.95)"
-	case faultSeed != 0 && ckptDir == "":
-		return "-faults needs -ckpt-dir: there is no disk tier to inject faults into"
 	}
 	return ""
 }

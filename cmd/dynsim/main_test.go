@@ -11,25 +11,22 @@ import (
 
 func TestFlagError(t *testing.T) {
 	cases := []struct {
-		scale     int
-		conf      float64
-		faultSeed uint64
-		ckptDir   string
-		want      string // substring of the message; "" = accepted
+		scale int
+		conf  float64
+		want  string // substring of the message; "" = accepted
 	}{
-		{2000, 0, 0, "", ""},
-		{2000, 0.9, 7, "dir", ""},
-		{0, 0, 0, "", "-scale"},
-		{-5, 0, 0, "", "-scale"},
-		{2000, 1, 0, "", "-conf"},
-		{2000, 1.5, 0, "", "-conf"},
-		{2000, -0.2, 0, "", "-conf"},
-		{2000, 0, 7, "", "-faults"},
+		{2000, 0, ""},
+		{2000, 0.9, ""},
+		{0, 0, "-scale"},
+		{-5, 0, "-scale"},
+		{2000, 1, "-conf"},
+		{2000, 1.5, "-conf"},
+		{2000, -0.2, "-conf"},
 	}
 	for _, c := range cases {
-		got := flagError(c.scale, c.conf, c.faultSeed, c.ckptDir)
+		got := flagError(c.scale, c.conf)
 		if (c.want == "") != (got == "") || !strings.Contains(got, c.want) {
-			t.Errorf("flagError(%d, %v, %d, %q) = %q, want %q", c.scale, c.conf, c.faultSeed, c.ckptDir, got, c.want)
+			t.Errorf("flagError(%d, %v) = %q, want %q", c.scale, c.conf, got, c.want)
 		}
 	}
 }

@@ -77,7 +77,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "concurrent simulations (default: NumCPU)")
 	quiet := flag.Bool("q", false, "suppress per-run progress output")
 	csvDir := flag.String("csv", "", "also export figure data as CSV files into this directory")
-	ckptDir := flag.String("ckpt-dir", "", "persist checkpoints to this directory (warm-starts later runs)")
 	ckptStride := flag.Uint64("ckpt-stride", 0, "checkpoint deposit stride in base intervals (0 = auto)")
 	noCkpt := flag.Bool("no-ckpt", false, "disable the warm-start checkpoint cache")
 	out := flag.String("out", "", "directory for the crash-safe run journal; rerunning with the same -out resumes completed measurements")
@@ -129,13 +128,12 @@ func main() {
 		os.Exit(2)
 	}
 	if *workerURL != "" {
-		os.Exit(runSweepWorker(ctx, *workerURL, *workerID, *ckptDir, *timeout, *retries, *faultSeed, *metricsAddr, *quiet))
+		os.Exit(runSweepWorker(ctx, *workerURL, *workerID, *timeout, *retries, *faultSeed, *metricsAddr, *quiet))
 	}
 
 	opts := experiments.Options{
 		Scale:       *scale,
 		Parallelism: *parallel,
-		CkptDir:     *ckptDir,
 		CkptStride:  *ckptStride,
 		CkptOff:     *noCkpt,
 		Context:     ctx,
@@ -174,7 +172,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "repro: -serve requires -out (the merged run journal lives there)")
 			os.Exit(2)
 		}
-		if code := runSweepServe(ctx, *serveAddr, opts, *leaseTTL, *ckptDir, *noCkpt); code != 0 {
+		if code := runSweepServe(ctx, *serveAddr, opts, *leaseTTL, *noCkpt); code != 0 {
 			os.Exit(code)
 		}
 		// The merged journal now sits at opts.Journal; fall through to
@@ -259,7 +257,7 @@ func main() {
 // executes cells until the coordinator reports the sweep done, and
 // exits. The coordinator owns the journal and the artifacts; a worker
 // only executes leased cells and ships their records back.
-func runSweepWorker(ctx context.Context, url, id, ckptDir string, timeout time.Duration,
+func runSweepWorker(ctx context.Context, url, id string, timeout time.Duration,
 	retries int, faultSeed uint64, metricsAddr string, quiet bool) int {
 	if id == "" {
 		id = fmt.Sprintf("worker-%d", os.Getpid())
@@ -268,7 +266,6 @@ func runSweepWorker(ctx context.Context, url, id, ckptDir string, timeout time.D
 		Client:  sweep.NewClient(url, nil),
 		ID:      id,
 		Context: ctx,
-		CkptDir: ckptDir,
 		Timeout: timeout,
 		Retries: retries,
 	}
@@ -314,7 +311,7 @@ func runSweepWorker(ctx context.Context, url, id, ckptDir string, timeout time.D
 // interrupt (the partial journal is written so a rerun resumes), 1 on
 // error.
 func runSweepServe(ctx context.Context, addr string, opts experiments.Options,
-	ttl time.Duration, ckptDir string, noCkpt bool) int {
+	ttl time.Duration, noCkpt bool) int {
 	prior, err := experiments.ReadJournal(opts.Journal, opts.Scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
@@ -334,15 +331,12 @@ func runSweepServe(ctx context.Context, addr string, opts experiments.Options,
 	}
 	defer coord.CloseWAL()
 
-	// The coordinator-side store backs the shared checkpoint tier; with
-	// -no-ckpt the endpoints answer 503 and workers run from scratch.
+	// The coordinator-side in-memory store backs the shared checkpoint
+	// tier; with -no-ckpt the endpoints answer 503 and workers run from
+	// scratch.
 	var store *ckpt.Store
 	if !noCkpt {
-		store, err = ckpt.New(ckpt.Options{Dir: ckptDir, Obs: opts.Obs})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
-			return 1
-		}
+		store, _ = ckpt.New(ckpt.Options{Obs: opts.Obs}) // no Dir: no I/O to fail
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -402,7 +402,6 @@ func TestPolicyLegsCompareEveryRun(t *testing.T) {
 		{"EstIPC", func(r *sampling.Result) { ulp(&r.EstIPC) }},
 		{"Instructions", func(r *sampling.Result) { r.Instructions++ }},
 		{"Samples", func(r *sampling.Result) { r.Samples++ }},
-		{"CIHalfWidthPct", func(r *sampling.Result) { ulp(&r.CIHalfWidthPct) }},
 		{"CPIInterval", func(r *sampling.Result) { r.CPIInterval = &stats.Interval{} }},
 		{"TargetMet", func(r *sampling.Result) { r.TargetMet = !r.TargetMet }},
 		{"Detections[0]", func(r *sampling.Result) { r.Detections[0]++ }},

@@ -110,7 +110,6 @@ func (d DistSweep) Run(prev *DistSweepResult) (*DistSweepResult, error) {
 			Scale:      d.Scale,
 			Benchmarks: d.Benchmarks,
 			Progress:   d.Progress,
-			CkptDir:    filepath.Join(dir, "golden-ckpt"),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sequential run: %w", err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/experiments"
@@ -29,17 +28,22 @@ var (
 	// per seed, each compared byte-for-byte against the fault-free run.
 	faultSeeds = []uint64{1, 2, 3}
 	// faultKinds must each have fired at least once across faultSeeds.
-	faultKinds = []faults.Kind{
-		faults.DiskRead, faults.DiskWrite, faults.DiskSync,
-		faults.CorruptRead, faults.TornWrite,
-		faults.RunPanic, faults.RunHang, faults.RunError,
-	}
+	faultKinds = []faults.Kind{faults.RunPanic, faults.RunHang, faults.RunError}
 )
 
-// faultTimeout bounds each measurement attempt in the faulted runs, so
-// injected hangs heal via the deadline — comfortably above a real cell
-// at artifactScale, even under the race detector.
-const faultTimeout = 10 * time.Second
+// faultDeadline bounds each measurement attempt in the faulted runs, so
+// injected hangs heal via the deadline. It scales with the work: the
+// fault-free reference render's whole wall time — every cell of the
+// bundle, so well above any one attempt — times faultMargin, and never
+// below faultFloor. A slow host or the race detector slows the
+// reference too, so the deadline stays above a real attempt.
+func faultDeadline(refWall time.Duration) time.Duration {
+	const (
+		faultMargin = 4
+		faultFloor  = time.Second
+	)
+	return max(faultMargin*refWall, faultFloor)
+}
 
 // artifactVariant is one re-render of the artifact bundle under changed
 // runner options; its bytes must equal the reference render's.
@@ -100,27 +104,15 @@ func requireFired(leg string, kinds []faults.Kind, injectors []*faults.Injector)
 }
 
 // FaultEquivalence pins the runner's healing contract: under any
-// healable injected fault schedule — disk I/O errors, torn and
-// corrupted checkpoint files, measurement panics, hangs, and transient
-// errors — the rendered artifacts are byte-identical to a fault-free
-// run, with zero recorded cell failures. Faults may cost wall-clock
-// (retries, cache misses, deadline waits), never results.
+// healable injected fault schedule — measurement panics, hangs, and
+// transient errors — the rendered artifacts are byte-identical to a
+// fault-free run, with zero recorded cell failures. Faults may cost
+// wall-clock (retries, deadline waits), never results.
 func FaultEquivalence(o FaultOptions) error {
-	// One checkpoint directory shared by every runner: the fault-free
-	// reference run populates its disk tier, so every faulted runner
-	// starts with a warm on-disk cache and must survive read faults and
-	// corruption on load — without that, those injection sites would be
-	// vacuously dead.
-	dir, err := os.MkdirTemp("", "fault-equiv-*")
-	if err != nil {
-		return fmt.Errorf("fault-equivalence: %w", err)
-	}
-	defer os.RemoveAll(dir)
 	base := experiments.Options{
 		Scale:      artifactScale,
 		Benchmarks: artifactBenchmarks,
 		Progress:   o.Progress,
-		CkptDir:    dir,
 	}
 
 	plan := faults.DefaultPlan()
@@ -130,13 +122,25 @@ func FaultEquivalence(o FaultOptions) error {
 		inj := faults.New(seed, plan)
 		opts := base
 		opts.Faults = inj
-		opts.Timeout = faultTimeout
 		// Every injected run fault must be healable by retry.
 		opts.Retries = plan.RunFaultAttempts + 1
 		injectors = append(injectors, inj)
 		variants = append(variants, artifactVariant{label: inj, opts: opts})
 	}
-	if err := compareArtifacts("fault-equivalence", renderWith, base, variants); err != nil {
+	// The reference renders first; its wall time sets the faulted
+	// runs' attempt deadline.
+	var timeout time.Duration
+	render := func(opts experiments.Options) ([]byte, error) {
+		if opts.Faults == nil {
+			t0 := time.Now()
+			out, err := renderWith(opts)
+			timeout = faultDeadline(time.Since(t0))
+			return out, err
+		}
+		opts.Timeout = timeout
+		return renderWith(opts)
+	}
+	if err := compareArtifacts("fault-equivalence", render, base, variants); err != nil {
 		return err
 	}
 	return requireFired("fault-equivalence", faultKinds, injectors)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/ckpt"
 )
 
 // renderArtifacts renders every store-sensitive artifact — Table 2 and
@@ -36,23 +38,32 @@ func TestCheckpointEquivalence(t *testing.T) {
 	off.CkptOff = true
 	want := renderArtifacts(t, NewRunner(off))
 
+	// One disk-backed store per runner over one directory: the cold
+	// runner writes it, the warm one reads it back.
 	dir := t.TempDir()
+	disk := func() *ckpt.Store {
+		st, err := ckpt.New(ckpt.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 	cold := opts
-	cold.CkptDir = dir
+	cold.CkptStore = disk()
 	rCold := NewRunner(cold)
 	if got := renderArtifacts(t, rCold); !bytes.Equal(got, want) {
 		t.Fatalf("cold-store render differs from store-off render:\n--- store ---\n%s\n--- off ---\n%s", got, want)
 	}
 	st, ok := rCold.CkptStats()
 	if !ok {
-		t.Fatal("runner has no store despite CkptDir")
+		t.Fatal("runner has no store despite CkptStore")
 	}
 	if st.Puts == 0 || st.DiskWrites == 0 {
 		t.Fatalf("cold run deposited nothing: %+v", st)
 	}
 
 	warm := opts
-	warm.CkptDir = dir
+	warm.CkptStore = disk()
 	rWarm := NewRunner(warm)
 	if got := renderArtifacts(t, rWarm); !bytes.Equal(got, want) {
 		t.Fatalf("warm-store render differs from store-off render:\n--- warm ---\n%s\n--- off ---\n%s", got, want)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/vm"
 )
 
@@ -30,7 +31,11 @@ func TestGolden(t *testing.T) {
 	// directory: the golden bytes must be identical with checkpoints
 	// persisted and restored across test processes.
 	if dir := os.Getenv("REPRO_CKPT_DIR"); dir != "" {
-		opts.CkptDir = dir
+		st, err := ckpt.New(ckpt.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.CkptStore = st
 	}
 	r := NewRunner(opts)
 	renders := []struct {

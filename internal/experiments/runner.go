@@ -41,16 +41,13 @@ type Options struct {
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
 	// CkptStore shares a checkpoint store across all sessions. When nil
-	// (and CkptOff is false) the runner creates one: on-disk under
-	// CkptDir if set, in-memory otherwise. Results are bit-identical
-	// with the store on, off, or pre-warmed (the cache-equivalence
-	// tests pin this); the store only shortens host wall-clock.
+	// (and CkptOff is false) the runner creates an in-memory one.
+	// Results are bit-identical with the store on, off, or pre-warmed
+	// (the cache-equivalence tests pin this); the store only shortens
+	// host wall-clock.
 	CkptStore *ckpt.Store
 	// CkptOff disables checkpointing entirely.
 	CkptOff bool
-	// CkptDir persists checkpoints to a directory, surviving the
-	// process and warm-starting later runs.
-	CkptDir string
 	// CkptStride is the deposit stride in base intervals (0 = auto:
 	// about 32 deposits per workload).
 	CkptStride uint64
@@ -76,10 +73,9 @@ type Options struct {
 	// (default 2; negative means none). Retries use exponential
 	// backoff. Cancellation is never retried.
 	Retries int
-	// Faults, when non-nil, injects deterministic faults into both the
-	// checkpoint disk tier (via the store the runner creates) and the
-	// measurements themselves (panics, hangs, transient errors). Used
-	// by the robustness harness; see internal/faults.
+	// Faults, when non-nil, injects deterministic faults into the
+	// measurements (panics, hangs, transient errors). Used by the
+	// robustness harness; see internal/faults.
 	Faults *faults.Injector
 	// Journal, when non-empty, is the path of the append-only JSONL
 	// run journal. Completed measurements are appended as they finish;
@@ -193,13 +189,7 @@ func newRunnerObs(reg *obs.Registry) runnerObs {
 func NewRunner(opts Options) *Runner {
 	opts.setDefaults()
 	if opts.CkptStore == nil && !opts.CkptOff {
-		st, err := ckpt.New(ckpt.Options{Dir: opts.CkptDir, Faults: faultInjector(opts.Faults), Obs: opts.Obs})
-		if err != nil {
-			// Checkpointing is a pure cache: an unusable directory
-			// degrades to an in-memory store, never a failed run.
-			st = ckpt.NewMemory()
-		}
-		opts.CkptStore = st
+		opts.CkptStore, _ = ckpt.New(ckpt.Options{Obs: opts.Obs}) // no Dir: no I/O to fail
 	}
 	r := &Runner{
 		opts:     opts,
@@ -236,15 +226,6 @@ func NewRunner(opts Options) *Runner {
 		}
 	}
 	return r
-}
-
-// faultInjector converts a possibly-nil *faults.Injector to the store's
-// interface without producing a typed-nil interface value.
-func faultInjector(in *faults.Injector) ckpt.FaultInjector {
-	if in == nil {
-		return nil
-	}
-	return in
 }
 
 // Close flushes and closes the run journal (a no-op without one). Call

@@ -133,16 +133,12 @@ type Plan struct {
 	WALTear float64
 }
 
-// DefaultPlan is the schedule the fault-equivalence matrix runs: high
-// enough rates that every kind fires in a small sweep, transient by
-// construction (one faulting attempt per cell).
+// DefaultPlan is the schedule the fault-equivalence matrix runs: run
+// faults at a rate high enough that every run kind fires in a small
+// sweep, transient by construction (one faulting attempt per cell).
+// Runners keep checkpoints in memory, so the plan has no disk rates.
 func DefaultPlan() Plan {
 	return Plan{
-		DiskRead:         0.25,
-		DiskWrite:        0.25,
-		DiskSync:         0.2,
-		CorruptRead:      0.3,
-		TornWrite:        0.25,
 		RunFaultRate:     0.75,
 		RunFaultAttempts: 1,
 	}

@@ -118,8 +118,9 @@ func refSMARTS(p SMARTS, s *core.Session) (Result, error) {
 		res.Samples++
 		po.sample(ipc)
 	}
-	if ci := cpiStream.RelativeCI(0.997) * 100; !math.IsInf(ci, 0) && !math.IsNaN(ci) {
-		res.CIHalfWidthPct = ci
+	if cpiStream.N() >= 2 {
+		hw, m := cpiStream.CI(0.997), cpiStream.Mean()
+		res.CPIInterval = &stats.Interval{Point: m, Lo: m - hw, Hi: m + hw, Confidence: 0.997}
 	}
 	res.EstIPC = est.IPC()
 	res.Instructions = s.Executed()
@@ -228,8 +229,7 @@ func (t *refTwoPhase) end(s *core.Session, iv stats.Interval, targetRelHW float6
 	}
 	if iv.Valid() {
 		t.res.CPIInterval = &iv
-		t.res.CIHalfWidthPct = iv.RelHalfWidth() * 100
-		t.hwHist.Observe(t.res.CIHalfWidthPct)
+		t.hwHist.Observe(iv.RelHalfWidth() * 100)
 	}
 	t.res.Cost = s.Meter().Report(s.Scale())
 	return t.res

@@ -55,16 +55,11 @@ type Result struct {
 	// Samples is the number of timing measurements taken.
 	Samples int
 
-	// CIHalfWidthPct is the relative half-width (percent) of the
-	// 99.7% confidence interval on the CPI estimate, for policies with
-	// a statistical sampling design (SMARTS); zero otherwise.
-	CIHalfWidthPct float64
-
 	// CPIInterval is the CPI point estimate with its confidence
-	// interval, reported by the statistical policies (Stratified,
-	// RankedSet); nil for the others. A pointer with omitempty so
-	// journals and artifacts from older policies are byte-identical to
-	// those written before the field existed.
+	// interval, reported by the statistical policies (SMARTS,
+	// Stratified, RankedSet) once they hold a finite bound; nil
+	// otherwise. A pointer with omitempty so journals and artifacts
+	// from the other policies carry no interval at all.
 	CPIInterval *stats.Interval `json:",omitempty"`
 
 	// TargetMet reports whether an error-targeting run reached its

@@ -141,6 +141,13 @@ func TestSMARTSSamplesPeriodically(t *testing.T) {
 	if res.Samples < wantSamples*8/10 || res.Samples > wantSamples+1 {
 		t.Fatalf("samples = %d, want ~%d", res.Samples, wantSamples)
 	}
+	// The 99.7% bound is symmetric around the mean unit CPI, which
+	// lies near the estimate's CPI.
+	iv := res.CPIInterval
+	if iv == nil || !iv.Valid() || iv.Confidence != 0.997 || iv.HalfWidth() <= 0 ||
+		math.Abs(iv.Point-(iv.Lo+iv.Hi)/2) > 1e-12 || math.Abs(iv.Point*res.EstIPC-1) > 0.25 {
+		t.Fatalf("CPIInterval = %+v for EstIPC %v", iv, res.EstIPC)
+	}
 }
 
 func TestDynamicZeroSensitivityTriggersOnAnyChange(t *testing.T) {

@@ -2,7 +2,6 @@ package sampling
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/stats"
@@ -62,11 +61,12 @@ func (p SMARTS) Run(s *core.Session) (Result, error) {
 	})
 	res := d.Result()
 	// SMARTS's headline property: a statistical confidence bound on the
-	// estimate (Wunderlich et al. report +-p% at 99.7% confidence). A
-	// bound needs two timed units; with fewer it is infinite, which JSON
-	// cannot carry, so the field keeps its zero.
-	if ci := cpiStream.RelativeCI(0.997) * 100; !math.IsInf(ci, 0) && !math.IsNaN(ci) {
-		res.CIHalfWidthPct = ci
+	// mean unit CPI (Wunderlich et al. report +-p% at 99.7% confidence).
+	// A bound needs two timed units; with fewer it is infinite, which
+	// JSON cannot carry, so the interval stays nil.
+	if cpiStream.N() >= 2 {
+		hw, m := cpiStream.CI(0.997), cpiStream.Mean()
+		res.CPIInterval = &stats.Interval{Point: m, Lo: m - hw, Hi: m + hw, Confidence: 0.997}
 	}
 	return res, nil
 }

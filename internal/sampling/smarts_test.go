@@ -21,8 +21,8 @@ func TestSMARTSWithoutBoundMarshals(t *testing.T) {
 		if res.Samples != c.samples {
 			t.Fatalf("scale %d: %d samples, want %d", c.scale, res.Samples, c.samples)
 		}
-		if res.CIHalfWidthPct != 0 {
-			t.Errorf("scale %d: CIHalfWidthPct = %v with %d units, want 0", c.scale, res.CIHalfWidthPct, res.Samples)
+		if res.CPIInterval != nil {
+			t.Errorf("scale %d: CPIInterval = %+v with %d units, want nil", c.scale, *res.CPIInterval, res.Samples)
 		}
 		if _, err := json.Marshal(res); err != nil {
 			t.Errorf("scale %d: %v", c.scale, err)

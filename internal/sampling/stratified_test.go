@@ -62,8 +62,8 @@ func TestStratifiedEstimatesCPI(t *testing.T) {
 	if sp := res.Speedup(full); sp < 1.5 {
 		t.Fatalf("speedup vs full timing = %.2fx; two-phase sampling should be much cheaper", sp)
 	}
-	if res.CIHalfWidthPct <= 0 || math.IsInf(res.CIHalfWidthPct, 0) {
-		t.Fatalf("CIHalfWidthPct = %v", res.CIHalfWidthPct)
+	if hw := res.CPIInterval.RelHalfWidth(); hw <= 0 || math.IsInf(hw, 0) {
+		t.Fatalf("relative half-width = %v", hw)
 	}
 }
 
@@ -113,8 +113,8 @@ func TestStratifiedErrorTargeting(t *testing.T) {
 	loose = loose.WithTarget(0.20, 200)
 	res := runTwice(t, loose, "gzip", 50_000)
 	if !res.TargetMet {
-		t.Fatalf("±20%% target not met with budget 200 (hw %.2f%%, %d samples)",
-			res.CIHalfWidthPct, res.Samples)
+		t.Fatalf("±20%% target not met with budget 200 (interval %+v, %d samples)",
+			res.CPIInterval, res.Samples)
 	}
 	if res.Samples > 200 {
 		t.Fatalf("budget exceeded: %d samples", res.Samples)
@@ -138,7 +138,7 @@ func TestRankedSetErrorTargeting(t *testing.T) {
 	loose = loose.WithTarget(0.20, 50)
 	res := runTwice(t, loose, "gzip", 50_000)
 	if !res.TargetMet {
-		t.Fatalf("±20%% target not met (hw %.2f%%, %d samples)", res.CIHalfWidthPct, res.Samples)
+		t.Fatalf("±20%% target not met (interval %+v, %d samples)", res.CPIInterval, res.Samples)
 	}
 
 	tight := NewRankedSet(17).WithTarget(1e-9, 16)

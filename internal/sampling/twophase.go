@@ -137,8 +137,7 @@ func (t *twoPhase) end(iv stats.Interval, targetRelHW float64) Result {
 	}
 	if iv.Valid() {
 		res.CPIInterval = &iv
-		res.CIHalfWidthPct = iv.RelHalfWidth() * 100
-		t.hwHist.Observe(res.CIHalfWidthPct)
+		t.hwHist.Observe(iv.RelHalfWidth() * 100)
 	}
 	return res
 }

@@ -64,12 +64,3 @@ func (s *Stream) CI(confidence float64) float64 {
 	}
 	return zFor(confidence) * s.StdDev() / math.Sqrt(float64(s.n))
 }
-
-// RelativeCI returns the confidence half-width as a fraction of the
-// mean (SMARTS reports ±p% with confidence c).
-func (s *Stream) RelativeCI(confidence float64) float64 {
-	if s.mean == 0 {
-		return math.Inf(1)
-	}
-	return s.CI(confidence) / math.Abs(s.mean)
-}

@@ -27,16 +27,13 @@ type WorkerOptions struct {
 	Poll time.Duration
 	// Progress receives human-readable progress lines.
 	Progress io.Writer
-	// CkptDir, when non-empty, gives the worker a local disk checkpoint
-	// tier under the coordinator's remote tier.
-	CkptDir string
 	// Timeout/Retries configure the runner's per-attempt deadline and
 	// retry ladder (see experiments.Options).
 	Timeout time.Duration
 	Retries int
 	// Faults, when non-nil, injects deterministic faults into the
-	// worker's local execution and checkpoint tiers. Network faults on
-	// the remote tier are configured on the Client.
+	// worker's measurements (panics, hangs, transient errors). Network
+	// faults on the remote tier are configured on the Client.
 	Faults *faults.Injector
 	// Kill, when non-nil, is the crash-injection hook: called at stage
 	// "claimed" (lease held, cell not yet executed) and "appended" (cell
@@ -208,24 +205,11 @@ func RunWorker(opts WorkerOptions) (st WorkerStats, _ error) {
 		}
 	}
 
-	// The worker builds its own store so the coordinator plugs in as the
-	// remote tier: every deposit is mirrored to it, and a series the
-	// worker holds nothing of is first asked of it (nearest-<=).
-	var fi ckpt.FaultInjector
-	if opts.Faults != nil {
-		fi = opts.Faults
-	}
-	storeOpts := ckpt.Options{Dir: opts.CkptDir, Remote: opts.Client, Faults: fi, Obs: opts.Obs}
-	store, err := ckpt.New(storeOpts)
-	if err != nil {
-		// An unusable CkptDir costs the local disk tier only: the remote
-		// tier, fault plan and counters stay.
-		progress("no local disk checkpoint tier (%v); running on the memory and remote tiers", err)
-		storeOpts.Dir = ""
-		if store, err = ckpt.New(storeOpts); err != nil {
-			return st, fmt.Errorf("sweep: worker %s: %w", opts.ID, err)
-		}
-	}
+	// The worker builds its own in-memory store so the coordinator plugs
+	// in as the remote tier: every deposit is mirrored to it, and a
+	// series the worker holds nothing of is first asked of it
+	// (nearest-<=). Without a Dir, New does no I/O and cannot fail.
+	store, _ := ckpt.New(ckpt.Options{Remote: opts.Client, Obs: opts.Obs})
 
 	runner := experiments.NewRunner(experiments.Options{
 		Scale:       cfg.Scale,

@@ -18,7 +18,11 @@
 // is no MSHR limit beyond load-buffer occupancy.
 package timing
 
-import "repro/internal/cache"
+import (
+	"strconv"
+
+	"repro/internal/cache"
+)
 
 // Config is the microarchitecture configuration (Table 1 of the paper).
 type Config struct {
@@ -109,43 +113,21 @@ func DefaultConfig() Config {
 // Table 1, for the reproduction harness.
 func (c Config) TableRows() [][2]string {
 	return [][2]string{
-		{"Fetch/Issue/Retire Width", itoa(c.Width) + " instructions"},
-		{"Branch Mispred. Penalty", itoa(c.MispredictPenalty) + " processor cycles"},
-		{"Fetch Queue Size", itoa(c.FetchQueue) + " instructions"},
-		{"Instruction window size", itoa(c.Window) + " instructions"},
-		{"Load/Store buffer sizes", itoa(c.LoadBuf) + " load, " + itoa(c.StoreBuf) + " store"},
-		{"Functional units", itoa(c.IntALU) + " int, " + itoa(c.MemPorts) + " mem, " + itoa(c.FPUs) + " fp"},
+		{"Fetch/Issue/Retire Width", strconv.Itoa(c.Width) + " instructions"},
+		{"Branch Mispred. Penalty", strconv.Itoa(c.MispredictPenalty) + " processor cycles"},
+		{"Fetch Queue Size", strconv.Itoa(c.FetchQueue) + " instructions"},
+		{"Instruction window size", strconv.Itoa(c.Window) + " instructions"},
+		{"Load/Store buffer sizes", strconv.Itoa(c.LoadBuf) + " load, " + strconv.Itoa(c.StoreBuf) + " store"},
+		{"Functional units", strconv.Itoa(c.IntALU) + " int, " + strconv.Itoa(c.MemPorts) + " mem, " + strconv.Itoa(c.FPUs) + " fp"},
 		{"Branch Prediction", "16K-entry gshare; 32K-entry BTB; 16-entry RAS"},
 		{"L1 Instruction Cache", "64KB, 2-way, 64B line size"},
 		{"L1 Data Cache", "64KB, 2-way, 64B line size"},
 		{"L2 Unified Cache", "1MB, 4-way, 128B line size"},
-		{"L2 Unified Cache Hit Lat.", itoa(c.L2HitLat) + " processor cycles"},
-		{"L1 Instruction TLB", itoa(c.ITLB.Entries) + " entries, full-associative"},
-		{"L1 Data TLB", itoa(c.DTLB.Entries) + " entries, full-associative"},
-		{"L2 Unified TLB", itoa(c.L2TLB.Entries) + " entries, 4-way"},
+		{"L2 Unified Cache Hit Lat.", strconv.Itoa(c.L2HitLat) + " processor cycles"},
+		{"L1 Instruction TLB", strconv.Itoa(c.ITLB.Entries) + " entries, full-associative"},
+		{"L1 Data TLB", strconv.Itoa(c.DTLB.Entries) + " entries, full-associative"},
+		{"L2 Unified TLB", strconv.Itoa(c.L2TLB.Entries) + " entries, 4-way"},
 		{"TLB pagesize", "4KB"},
-		{"Memory Latency", itoa(c.MemLat) + " processor cycles"},
+		{"Memory Latency", strconv.Itoa(c.MemLat) + " processor cycles"},
 	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
