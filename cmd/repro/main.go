@@ -23,7 +23,7 @@
 //	repro -worker http://host:8080          # one per core/machine
 //
 // The coordinator leases cells to workers (re-issuing leases whose
-// heartbeats stop), serves warm checkpoints to every worker over the
+// heartbeats stop), collects the workers' checkpoint uploads over the
 // same HTTP surface, folds the workers' records into the canonical run
 // journal, and — once every cell is accounted for exactly once —
 // renders the same artifacts, byte-for-byte, as a sequential run.
@@ -305,8 +305,8 @@ func runSweepWorker(ctx context.Context, url, id string, timeout time.Duration,
 }
 
 // runSweepServe runs the coordinator side of a distributed sweep: it
-// leases the cell matrix to HTTP workers, serves the shared checkpoint
-// tier, and folds the returned records into the canonical run journal
+// leases the cell matrix to HTTP workers, collects their checkpoint
+// uploads, and folds the returned records into the canonical run journal
 // at opts.Journal. Returns 0 once every cell is accounted for, 130 on
 // interrupt (the partial journal is written so a rerun resumes), 1 on
 // error.
@@ -331,9 +331,9 @@ func runSweepServe(ctx context.Context, addr string, opts experiments.Options,
 	}
 	defer coord.CloseWAL()
 
-	// The coordinator-side in-memory store backs the shared checkpoint
-	// tier; with -no-ckpt the endpoints answer 503 and workers run from
-	// scratch.
+	// The coordinator-side in-memory store collects the workers'
+	// checkpoint uploads; with -no-ckpt uploads answer 503 and the
+	// workers' stores stop sending them.
 	var store *ckpt.Store
 	if !noCkpt {
 		store, _ = ckpt.New(ckpt.Options{Obs: opts.Obs}) // no Dir: no I/O to fail

@@ -8,8 +8,7 @@
 // as one full sweep over an httptest loopback, with the coordinator
 // actually killed and restarted from its write-ahead log mid-sweep. A
 // schedule draws only faults that can fire there: the workers have no
-// disk checkpoint tier, and in-flight corruption needs a remote nearest
-// hit, which the sweep's workers do not get (see check's sweepPlan).
+// disk checkpoint tier, so the network faults are upload outages.
 //
 // Per schedule it asserts the repo's strongest invariants:
 //
@@ -89,7 +88,7 @@ func SchedulePlan(seed uint64, i int) faults.Plan {
 		}
 	}
 	if (h>>32)%2 == 0 {
-		p.NetGet, p.NetPut = 0.25, 0.25
+		p.NetPut = 0.25
 	}
 	return p
 }

@@ -18,19 +18,13 @@ type SweepOptions struct {
 }
 
 // sweepPlan is the sweep fault schedule: most first deliveries die
-// mid-lease, and the remote checkpoint tier suffers outages in both
-// directions. All healable by construction — kills are bounded per cell
-// by KillAttempts, and the remote tier is a cache the store degrades
-// away from. In-flight corruption of a download is not drawn: it needs a
-// remote nearest hit, and this sweep's workers get none (the
-// coordinator store counts two or three nearest misses and no hit per
-// fault-free run, at 2 and at 4 workers); the kind is pinned in
-// internal/sweep's TestRemoteTierFaultMatrix and
-// TestEveryDoorRefusesTheSameDamage.
+// mid-lease, and the remote checkpoint tier suffers upload outages. All
+// healable by construction — kills are bounded per cell by
+// KillAttempts, and the remote tier is a mirror the store stops sending
+// to.
 var sweepPlan = faults.Plan{
 	WorkerKill:   0.6,
 	KillAttempts: 1,
-	NetGet:       0.25,
 	NetPut:       0.25,
 }
 
@@ -49,11 +43,6 @@ func SweepEquivalence(o SweepOptions) error {
 	// The fault kinds that must fire at least once across the matrix,
 	// and the injector seeds that make them. A matrix narrowed to one
 	// worker count sees fewer injector draws, so the seed set widens.
-	// A download outage is drawn but not required: a sweep asks the
-	// remote tier for about one nearest per benchmark, and whether the
-	// draw lands on a live tier depends on when put outages switched it
-	// off (the kind is pinned in internal/sweep's
-	// TestRemoteTierFaultMatrix).
 	seeds := []uint64{1, 2}
 	if len(o.Workers) < 2 {
 		seeds = []uint64{1, 2, 3, 4}

@@ -4,7 +4,9 @@
 // entries in memory under an LRU byte budget and, optionally, mirroring
 // every deposit to an on-disk directory so checkpoints survive the
 // process (the paper's methodology likewise restores stored SimNow
-// snapshots rather than re-executing prefixes).
+// snapshots rather than re-executing prefixes). Deposits may also be
+// mirrored to a remote tier (Options.Remote); lookups never read from
+// it.
 //
 // Correctness stance: the store is a pure cache. A hit must be
 // indistinguishable from cold execution (core.Session enforces the
@@ -71,15 +73,11 @@ type Options struct {
 	// Dir, when non-empty, persists every deposit to this directory and
 	// serves misses from it. Created if absent.
 	Dir string
-	// Remote, when non-nil, is a shared network checkpoint tier:
-	// mirrored on every deposit and asked for the nearest-<= snapshot
-	// of a series the local tiers hold nothing of, so a sweep worker
-	// new to a benchmark can start from another worker's checkpoint.
-	// Exact-key lookups never consult it: each replaces one base
-	// interval, which the fast engine runs far quicker than a fetch.
-	// Like the disk tier it is a pure cache — any remote failure or
-	// in-flight corruption degrades to the local tiers (and ultimately
-	// to scratch execution), never to a wrong restore.
+	// Remote, when non-nil, is a shared network checkpoint tier that
+	// every deposit is mirrored to. Nothing is ever read back from it:
+	// lookups are served by the local tiers alone, because the fast
+	// engine re-executes a prefix far quicker than a fetch would bring
+	// it. A failed mirror costs only the upload.
 	Remote Remote
 	// Faults, when non-nil, injects deterministic disk-tier faults
 	// (see FaultInjector); used by the robustness harness.
@@ -90,15 +88,10 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// Remote is a second-chance checkpoint tier served over a network (see
-// internal/sweep for the HTTP implementation). It moves bytes and is
-// trusted with nothing: the store runs accept on every body it is
-// handed and closes it. A miss is a nil body and a nil error; errors are
-// transport-level failures the store degrades on.
+// Remote is a deposit mirror served over a network (see internal/sweep
+// for the HTTP implementation). Errors are transport-level failures the
+// store degrades on.
 type Remote interface {
-	// Nearest opens the stored snapshot with the largest instruction
-	// count <= k.Instr in k's series, and says what that count is.
-	Nearest(k Key) (io.ReadCloser, uint64, error)
 	// Put uploads a snapshot under k. Uploads are idempotent: the
 	// encoding is deterministic, so concurrent workers racing the same
 	// key commit identical bytes.
@@ -112,10 +105,9 @@ type Remote interface {
 const maxWriteFails = 3
 
 // maxRemoteFails is the same ladder for the remote tier: after this
-// many consecutive failed remote operations (in either direction) the
-// store stops talking to it and runs on its local tiers alone, so a
+// many consecutive failed uploads the store stops mirroring to it, so a
 // dead or flaky coordinator costs a bounded burst of timeouts rather
-// than one per lookup for the rest of the sweep.
+// than one per deposit for the rest of the sweep.
 const maxRemoteFails = 3
 
 // Stats counts store activity; /v1/status serves them and the bench
@@ -133,10 +125,8 @@ type Stats struct {
 	DiskErrors    uint64 // corrupt/unreadable files degraded to misses
 	WriteFails    uint64 // failed disk writes (subset of DiskErrors)
 	Discards      uint64 // entries explicitly discarded by callers
-	RemoteHits    uint64 // nearest-≤ lookups served by the remote tier
-	RemoteMisses  uint64 // remote consultations that found nothing
 	RemotePuts    uint64 // deposits mirrored to the remote tier
-	RemoteErrors  uint64 // failed/corrupt remote transfers, degraded locally
+	RemoteErrors  uint64 // failed uploads to the remote tier
 	Entries       int    // current in-memory entries
 	DiskEntries   int    // current on-disk entries
 	Bytes         int64  // current in-memory bytes, shared state counted once
@@ -199,8 +189,6 @@ type storeObs struct {
 	diskErrors         *obs.Counter
 	writeFails         *obs.Counter
 	discards           *obs.Counter
-	remoteHits         *obs.Counter
-	remoteMisses       *obs.Counter
 	remotePuts         *obs.Counter
 	remoteErrors       *obs.Counter
 	loadSecs, writeSec *obs.Histogram
@@ -220,8 +208,6 @@ func newStoreObs(reg *obs.Registry) storeObs {
 		diskErrors:    reg.Counter("ckpt_store_disk_errors_total"),
 		writeFails:    reg.Counter("ckpt_store_write_fails_total"),
 		discards:      reg.Counter("ckpt_store_discards_total"),
-		remoteHits:    reg.Counter("ckpt_store_remote_hits_total"),
-		remoteMisses:  reg.Counter("ckpt_store_remote_misses_total"),
 		remotePuts:    reg.Counter("ckpt_store_remote_puts_total"),
 		remoteErrors:  reg.Counter("ckpt_store_remote_errors_total"),
 		loadSecs:      reg.Histogram("ckpt_disk_load_seconds", obs.TimeBuckets),
@@ -327,7 +313,7 @@ func (s *Store) heldLocked(k Key) bool {
 func (s *Store) Lookup(k Key) (*vm.Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if snap := s.lookupLocked(k, true); snap != nil {
+	if snap := s.lookupLocked(k); snap != nil {
 		s.stats.Hits++
 		s.ob.hits.Inc()
 		return snap, true
@@ -338,11 +324,10 @@ func (s *Store) Lookup(k Key) (*vm.Snapshot, bool) {
 }
 
 // lookupLocked serves k from memory or disk (in that order), nil on a
-// miss. A disk load joins the memory tier when keep is set. A disk-tier
-// failure degrades to a miss: the index entry is dropped (and the file
-// removed when the bytes themselves are corrupt) so later lookups don't
-// retry.
-func (s *Store) lookupLocked(k Key, keep bool) *vm.Snapshot {
+// miss. A disk load joins the memory tier. A disk-tier failure degrades
+// to a miss: the index entry is dropped (and the file removed when the
+// bytes themselves are corrupt) so later lookups don't retry.
+func (s *Store) lookupLocked(k Key) *vm.Snapshot {
 	if el, ok := s.mem[k]; ok {
 		s.lru.MoveToFront(el)
 		return el.Value.(*entry).snap
@@ -352,9 +337,7 @@ func (s *Store) lookupLocked(k Key, keep bool) *vm.Snapshot {
 		snap, err := s.loadLocked(k)
 		if err == nil {
 			s.ob.loadSecs.Observe(time.Since(loadStart).Seconds())
-			if keep {
-				s.insertLocked(k, snap)
-			}
+			s.insertLocked(k, snap)
 			return snap
 		}
 		s.stats.DiskErrors++
@@ -368,60 +351,6 @@ func (s *Store) lookupLocked(k Key, keep bool) *vm.Snapshot {
 		}
 	}
 	return nil
-}
-
-// remoteNearestLocked asks the remote tier for the nearest-<= snapshot
-// of k's series and runs accept on the body it is handed, which is the
-// only check there is: a Remote moves bytes. Nil on a miss, a failure, a
-// refused body, or no/degraded remote. The snapshot is handed on, not
-// kept: it is a full private copy, the tier it came from still holds
-// it, and a worker reaches for one only where it shares a benchmark with
-// another, so keeping them would make the worker's footprint depend on
-// which benchmark that happened to be.
-func (s *Store) remoteNearestLocked(k Key) *vm.Snapshot {
-	if s.opts.Remote == nil || s.remoteOff {
-		return nil
-	}
-	target := k.Instr
-	body, instr, err := s.opts.Remote.Nearest(k)
-	if err == nil && instr > target {
-		err = fmt.Errorf("%w: remote nearest for instr <= %d is at %d", ErrCorrupt, target, instr)
-	}
-	k.Instr = instr
-	var snap *vm.Snapshot
-	if body != nil {
-		if err == nil {
-			snap, err = accept(k, body)
-		}
-		body.Close()
-	}
-	switch {
-	case err != nil:
-		s.remoteFailLocked()
-	case snap == nil:
-		s.stats.RemoteMisses++
-		s.ob.remoteMisses.Inc()
-		s.remoteFails = 0
-	default:
-		s.stats.RemoteHits++
-		s.ob.remoteHits.Inc()
-		s.remoteFails = 0
-	}
-	return snap
-}
-
-// remoteFailLocked records one failed remote operation and trips the
-// degradation ladder after maxRemoteFails consecutive failures: the
-// remote tier is a cache of a cache, so the only correct response to a
-// sick one is to stop asking.
-func (s *Store) remoteFailLocked() {
-	s.stats.RemoteErrors++
-	s.ob.remoteErrors.Inc()
-	s.remoteFails++
-	if s.remoteFails >= maxRemoteFails {
-		s.remoteOff = true
-		s.stats.RemoteOff = true
-	}
 }
 
 // loadLocked opens k's disk file and runs accept on it: what fails
@@ -477,18 +406,7 @@ func (s *Store) Discard(k Key) {
 
 // Nearest returns the stored snapshot with the largest instruction
 // count ≤ k.Instr in k's series, along with its instruction count.
-func (s *Store) Nearest(k Key) (*vm.Snapshot, uint64, bool) { return s.nearest(k, true) }
-
-// FetchNearest is Nearest for a caller that passes the snapshot on
-// instead of restoring from it — the sweep server answering GET
-// /v1/ckpt/{key}/nearest: a snapshot that had to be decoded from the
-// disk file is returned without joining the memory tier. A decoded
-// snapshot shares no page with anything the tier holds, so each one
-// kept would cost its whole footprint, and whoever asked now has a copy
-// of its own.
-func (s *Store) FetchNearest(k Key) (*vm.Snapshot, uint64, bool) { return s.nearest(k, false) }
-
-func (s *Store) nearest(k Key, keep bool) (*vm.Snapshot, uint64, bool) {
+func (s *Store) Nearest(k Key) (*vm.Snapshot, uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ser := k.series()
@@ -506,23 +424,13 @@ func (s *Store) nearest(k Key, keep bool) (*vm.Snapshot, uint64, bool) {
 			}
 		}
 		if !found {
-			// Nothing local: ask the remote tier, which runs the same
-			// nearest-<= search over the whole fleet's deposits. Any
-			// stored checkpoint <= the target restores to the same
-			// trajectory, so preferring a (possibly nearer) local entry
-			// first costs at most some re-execution, never bits.
-			if snap := s.remoteNearestLocked(k); snap != nil {
-				s.stats.NearestHits++
-				s.ob.nearestHits.Inc()
-				return snap, snap.Instructions(), true
-			}
 			s.stats.NearestMisses++
 			s.ob.nearestMisses.Inc()
 			return nil, 0, false
 		}
 		bk := k
 		bk.Instr = best
-		if snap := s.lookupLocked(bk, keep); snap != nil {
+		if snap := s.lookupLocked(bk); snap != nil {
 			s.stats.NearestHits++
 			s.ob.nearestHits.Inc()
 			return snap, best, true
@@ -556,11 +464,17 @@ func (s *Store) Put(k Key, snap *vm.Snapshot) {
 		s.wroteLocked(k, writeStart, err)
 	}
 	if s.opts.Remote != nil && !s.remoteOff {
-		// Mirror the deposit so the rest of the fleet warm-starts from
-		// it. Failures only cost sharing: the local tiers already hold
-		// the snapshot.
+		// Mirror the deposit. A failure only costs the upload: the local
+		// tiers already hold the snapshot. Nothing reads the mirror back,
+		// so the only response to a sick one is to stop sending to it.
 		if err := s.opts.Remote.Put(k, snap); err != nil {
-			s.remoteFailLocked()
+			s.stats.RemoteErrors++
+			s.ob.remoteErrors.Inc()
+			s.remoteFails++
+			if s.remoteFails >= maxRemoteFails {
+				s.remoteOff = true
+				s.stats.RemoteOff = true
+			}
 		} else {
 			s.stats.RemotePuts++
 			s.ob.remotePuts.Inc()
@@ -656,7 +570,7 @@ func (sp *spool) Write(p []byte) (int, error) {
 }
 
 // accept is the one way a serialized snapshot enters a store — disk
-// file, upload, remote body: vm.ReadSnapshot (digest footer, bounds),
+// file or upload: vm.ReadSnapshot (digest footer, bounds),
 // the instruction count k names, and nothing after the footer (write
 // never produced a file with a tail and a server sends exactly WriteTo's
 // bytes). Every refusal is ErrCorrupt, with the cause beside it.
@@ -820,9 +734,8 @@ func (st Stats) String() string {
 	s := fmt.Sprintf("hits=%d misses=%d nearest=%d puts=%d dup=%d evict=%d mem=%d/%dB disk=%d (loads=%d writes=%d errors=%d)",
 		st.Hits, st.Misses, st.NearestHits, st.Puts, st.DupPuts, st.Evictions,
 		st.Entries, st.Bytes, st.DiskEntries, st.DiskLoads, st.DiskWrites, st.DiskErrors)
-	if st.RemoteHits+st.RemoteMisses+st.RemotePuts+st.RemoteErrors > 0 {
-		s += fmt.Sprintf(" remote(hits=%d misses=%d puts=%d errors=%d)",
-			st.RemoteHits, st.RemoteMisses, st.RemotePuts, st.RemoteErrors)
+	if st.RemotePuts+st.RemoteErrors > 0 {
+		s += fmt.Sprintf(" remote(puts=%d errors=%d)", st.RemotePuts, st.RemoteErrors)
 	}
 	if st.DiskDegraded {
 		s += " DISK-DEGRADED"

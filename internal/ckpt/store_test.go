@@ -105,6 +105,39 @@ func TestStoreNearest(t *testing.T) {
 			t.Errorf("Nearest(%d) snapshot at instr %d", c.target, snap.Instructions())
 		}
 	}
+
+	// On disk, the best candidate may be corrupt: it is dropped exactly
+	// as Lookup drops it, file and all, and the entry below it is served.
+	dir := t.TempDir()
+	d, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []uint64{1000, 2000} {
+		d.Put(testKey(n), snapAt(t, n))
+	}
+	d, err = New(Options{Dir: dir}) // a store over the same Dir, memory cold
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, testKey(2000).String()+".ckpt")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if snap, instr, ok := d.Nearest(testKey(2500)); !ok || instr != 1000 || snap.Instructions() != 1000 {
+		t.Fatalf("Nearest over a corrupt file = instr %d ok %v, want the entry below it, 1000", instr, ok)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("the corrupt file is still there (%v)", err)
+	}
+	if st := d.Stats(); st.DiskErrors != 1 || st.DiskEntries != 1 || st.NearestHits != 1 || d.Contains(testKey(2000)) {
+		t.Fatalf("after a nearest over a corrupt file: %+v", st)
+	}
 }
 
 func TestStoreLRUEviction(t *testing.T) {

@@ -51,15 +51,10 @@ const (
 	RunHang Kind = "run-hang"
 	// RunError fails a measurement attempt with a transient error.
 	RunError Kind = "run-error"
-	// NetGet fails a remote checkpoint-tier GET outright (connection
+	// NetPut fails a remote checkpoint-tier PUT outright (connection
 	// refused, 5xx, timeout — the shape doesn't matter, only that the
 	// bytes never arrive).
-	NetGet Kind = "net-get"
-	// NetPut fails a remote checkpoint-tier PUT outright.
 	NetPut Kind = "net-put"
-	// NetCorrupt flips or truncates bytes of a remote checkpoint GET in
-	// flight, so the snapshot digest footer must catch it client-side.
-	NetCorrupt Kind = "net-corrupt"
 	// WorkerKill kills a sweep worker mid-lease: the worker vanishes
 	// without completing (or even heartbeating), modelling SIGKILL, and
 	// the coordinator must re-issue the lease after expiry.
@@ -103,13 +98,10 @@ type Plan struct {
 	// attempts >= RunFaultAttempts never fault, so a bounded retry heals.
 	RunFaultAttempts int
 
-	// NetGet/NetPut/NetCorrupt are per-operation probabilities for the
-	// remote checkpoint tier. All three are healable by construction:
-	// the remote tier is a cache of a cache, so a failed or corrupt
-	// transfer degrades to the local tier or to scratch execution.
-	NetGet     float64
-	NetPut     float64
-	NetCorrupt float64
+	// NetPut is the per-upload probability of a remote checkpoint-tier
+	// outage. Healable by construction: nothing reads the remote tier
+	// back, so a failed upload costs only the upload.
+	NetPut float64
 	// WorkerKill is the probability that a sweep worker is killed while
 	// holding a lease on a given cell delivery. KillAttempts bounds how
 	// many leading deliveries of one cell may be killed, so a bounded
@@ -294,13 +286,7 @@ func (in *Injector) opFault(kind Kind, rate float64, tier, op, name string) erro
 // offset inside the first 2 KiB — always within a serialized snapshot's
 // digest-protected prefix, so the corruption is detectable.
 func (in *Injector) CorruptReader(name string, r io.Reader) io.Reader {
-	return in.corruptReader(CorruptRead, in.plan.CorruptRead, name, r)
-}
-
-// corruptReader is the wrapper behind CorruptReader and
-// NetCorruptReader: one draw of kind at site name.
-func (in *Injector) corruptReader(kind Kind, rate float64, name string, r io.Reader) io.Reader {
-	h, hit := in.roll(kind, name, rate)
+	h, hit := in.roll(CorruptRead, name, in.plan.CorruptRead)
 	if !hit {
 		return r
 	}
@@ -340,24 +326,11 @@ func (in *Injector) RunFault(bench, policy string, attempt int) Kind {
 	return kind
 }
 
-// NetFault implements the remote checkpoint tier's network-fault hook:
-// op is "get" or "put". A non-nil return is the injected failure.
-func (in *Injector) NetFault(op, name string) error {
-	switch op {
-	case "get":
-		return in.opFault(NetGet, in.plan.NetGet, "net ", op, name)
-	case "put":
-		return in.opFault(NetPut, in.plan.NetPut, "net ", op, name)
-	}
-	return nil
-}
-
-// NetCorruptReader wraps a remote checkpoint GET body. When the verdict
-// fires it flips or truncates bytes at a deterministic offset inside the
-// digest-protected prefix, exactly like CorruptReader but drawn from the
-// NetCorrupt budget — in-flight damage, not at-rest damage.
-func (in *Injector) NetCorruptReader(name string, r io.Reader) io.Reader {
-	return in.corruptReader(NetCorrupt, in.plan.NetCorrupt, name, r)
+// NetFault implements the remote checkpoint tier's network-fault hook,
+// drawn once per upload of name. A non-nil return is the injected
+// failure.
+func (in *Injector) NetFault(name string) error {
+	return in.opFault(NetPut, in.plan.NetPut, "net ", "put", name)
 }
 
 // KillWorker reports whether the worker holding cell on its delivery'th

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -41,17 +40,12 @@ var ErrBadResponse = errors.New("sweep: malformed coordinator response")
 var ErrTooLarge = errors.New("sweep: request body over the coordinator's limit")
 
 // maxResponseBytes bounds control-plane reply bodies (the largest,
-// /v1/status, is well under a megabyte; snapshots travel on their own
-// endpoints with their own framing).
+// /v1/status, is well under a megabyte).
 const maxResponseBytes = 16 << 20
 
 // Client is the worker side of the wire protocol. It also implements
-// ckpt.Remote, so a worker's checkpoint store plugs the coordinator in
-// as its network tier directly. It moves bytes in both directions and
-// decodes none of them: what a download is worth is for the store's
-// accept to say, so corruption in flight — injected or real — surfaces
-// there as a refusal the store degrades on, never as a restored wrong
-// state.
+// ckpt.Remote, so a worker's checkpoint store mirrors its deposits to
+// the coordinator directly.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -59,9 +53,9 @@ type Client struct {
 	// or a claim response); it is stamped on every lease verb so a
 	// restarted coordinator rejects messages meant for its predecessor.
 	epoch atomic.Uint64
-	// Faults, when non-nil, injects deterministic network faults into
-	// the checkpoint tier (NetGet/NetPut outage, NetCorrupt in-flight
-	// damage). Used by the robustness harness.
+	// Faults, when non-nil, injects deterministic upload outages
+	// (NetPut) into the checkpoint mirror. Used by the robustness
+	// harness.
 	Faults *faults.Injector
 }
 
@@ -205,55 +199,10 @@ func (cl *Client) Complete(id uint64, recs []experiments.JournalRecord) error {
 	return cl.postJSON(context.Background(), "/v1/complete", leaseRequest{Lease: id, Records: recs, Epoch: cl.epoch.Load()}, nil)
 }
 
-// ckptURL addresses a checkpoint route by its name: a key's, or a key's
-// plus "/nearest". The fault injector knows a transfer by the same name.
-func (cl *Client) ckptURL(name string) string {
-	return cl.base + "/v1/ckpt/" + name
-}
-
-// Nearest implements ckpt.Remote: fault hook, request, status, the
-// X-Ckpt-Instr header, and the body — through the injector's in-flight
-// damage when there is one — handed on unread. A 404 is a nil body and
-// a nil error.
-func (cl *Client) Nearest(k ckpt.Key) (io.ReadCloser, uint64, error) {
-	name := k.String() + "/nearest"
-	if cl.Faults != nil {
-		if err := cl.Faults.NetFault("get", name); err != nil {
-			return nil, 0, err
-		}
-	}
-	resp, err := cl.hc.Get(cl.ckptURL(name))
-	if err != nil {
-		return nil, 0, fmt.Errorf("sweep: ckpt get: %w", err)
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		resp.Body.Close()
-		return nil, 0, nil
-	default:
-		resp.Body.Close()
-		return nil, 0, fmt.Errorf("sweep: ckpt get: status %d", resp.StatusCode)
-	}
-	h := resp.Header.Get("X-Ckpt-Instr")
-	instr, err := strconv.ParseUint(h, 10, 64)
-	if err != nil {
-		resp.Body.Close()
-		return nil, 0, fmt.Errorf("sweep: ckpt get: bad X-Ckpt-Instr %q", h)
-	}
-	if cl.Faults == nil {
-		return resp.Body, instr, nil
-	}
-	return struct {
-		io.Reader
-		io.Closer
-	}{cl.Faults.NetCorruptReader(name, resp.Body), resp.Body}, instr, nil
-}
-
 // Put implements ckpt.Remote.
 func (cl *Client) Put(k ckpt.Key, snap *vm.Snapshot) error {
 	if cl.Faults != nil {
-		if err := cl.Faults.NetFault("put", k.String()); err != nil {
+		if err := cl.Faults.NetFault(k.String()); err != nil {
 			return err
 		}
 	}
@@ -266,7 +215,7 @@ func (cl *Client) Put(k ckpt.Key, snap *vm.Snapshot) error {
 	if _, err := snap.WriteTo(buf); err != nil {
 		return err
 	}
-	req, err := http.NewRequest(http.MethodPut, cl.ckptURL(k.String()), buf)
+	req, err := http.NewRequest(http.MethodPut, cl.base+"/v1/ckpt/"+k.String(), buf)
 	if err != nil {
 		return err
 	}

@@ -73,6 +73,10 @@ type Coordinator struct {
 	records map[recordKey]experiments.JournalRecord
 	stats   CoordStats
 	ob      coordObs
+	// on maps a worker ID to its latest grant: the benchmark Claim keeps
+	// the worker on, and the lease whose expiry forgets it. Soft state:
+	// never logged, empty after a restart.
+	on map[string]grant
 
 	// epoch numbers this coordinator incarnation (1 for an in-memory
 	// coordinator; WAL-backed ones increment it per restart). Immutable
@@ -81,6 +85,12 @@ type Coordinator struct {
 	// wal, when non-nil, makes every lease grant, accepted record, and
 	// completion durable before it is acknowledged.
 	wal *jsonl.Log
+}
+
+// grant is the benchmark and lease of one worker's latest claim.
+type grant struct {
+	bench string
+	lease uint64
 }
 
 // CoordStats counts coordinator activity; the equivalence harness
@@ -166,6 +176,7 @@ func newCoordinator(cfg Config, prior []experiments.JournalRecord, reg *obs.Regi
 		states:  make(map[Cell]*cellState),
 		leases:  make(map[uint64]*cellState),
 		records: make(map[recordKey]experiments.JournalRecord),
+		on:      make(map[string]grant),
 		ob:      newCoordObs(reg),
 		epoch:   st.epoch,
 		wal:     w,
@@ -280,12 +291,18 @@ func (c *Coordinator) gaugesLocked() {
 
 // expireLocked sweeps every lease whose TTL elapsed back to pending.
 // The cell keeps its delivery count (the next claim increments it) and
-// any records its late holder already delivered.
+// any records its late holder already delivered; the holder, presumed
+// dead, is no longer on the benchmark.
 func (c *Coordinator) expireLocked(now time.Time) {
 	for id, st := range c.leases {
 		if now.After(st.expiry) {
 			delete(c.leases, id)
 			st.leaseID = 0
+			for w, g := range c.on {
+				if g.lease == id {
+					delete(c.on, w)
+				}
+			}
 			c.stats.Reissues++
 			c.ob.reissues.Inc()
 			// Best-effort: an expiry lost to a crash only means the
@@ -297,20 +314,25 @@ func (c *Coordinator) expireLocked(now time.Time) {
 }
 
 // Claim leases one pending (unleased, incomplete) cell to a worker:
-// locality first, matrix order within. The cell chosen is the first in
-// matrix order whose benchmark no live lease holds; when every benchmark
-// with pending cells is held, the first pending cell, so no claimant
-// waits while work remains. All cells of a benchmark walk one canonical
-// trajectory (core/ckpt.go deposits only from a canonical session), so a
-// benchmark kept with one worker has its checkpoints produced, deposited
-// and uploaded once, and that worker's later cells hit its own memory
-// tier; two workers on one benchmark each walk it cold and each upload
-// every key. The rule reads only the lease table: it is sticky for free
-// (a worker that completes gzip/Full finds gzip idle and mcf held, so it
-// is handed gzip/SMARTS), expiry and WAL replay need nothing new, and a
-// given call sequence yields the same grants every time. The order of
-// claims does not reach the merge (Merged is a function of the record
-// set), exactly-once completion, or re-issue on expiry.
+// locality first, matrix order within. All cells of a benchmark walk one
+// canonical trajectory (core/ckpt.go deposits only from a canonical
+// session), so a benchmark kept with one worker has its checkpoints
+// produced, deposited and uploaded once, and that worker's later cells
+// hit its own memory tier; two workers on one benchmark each walk it
+// cold and each upload every key. The cell chosen is the first in matrix
+// order of the first kind there is: one of the worker's own benchmark
+// (that of its latest grant); one of a benchmark no live lease holds
+// and no other worker is on; one of a benchmark no live lease holds;
+// any pending cell, so no claimant waits while work remains. Reading
+// the lease table alone is not enough: a worker between a completion
+// and its next claim holds no lease, so whoever claims first would take
+// its benchmark, and two workers completing together would swap theirs.
+// Which worker is on which benchmark is soft state — an expiry forgets
+// the expired holder, a grant the WAL refuses is not remembered, and a
+// restart starts empty — and a given call sequence yields the same
+// grants every time. The order of claims does not reach the merge
+// (Merged is a function of the record set), exactly-once completion, or
+// re-issue on expiry.
 //
 // done reports the terminal state — every cell complete — and a
 // (nil, false) return means everything is currently leased out: the
@@ -327,18 +349,36 @@ func (c *Coordinator) Claim(worker string, now time.Time) (lease *Lease, done bo
 	for _, st := range c.leases {
 		held[st.cell.Bench] = true
 	}
+	own := c.on[worker].bench // "" names no benchmark
+	taken := make(map[string]bool, len(c.on))
+	for w, g := range c.on {
+		if w != worker {
+			taken[g.bench] = true
+		}
+	}
+	rank := func(bench string) int {
+		switch {
+		case bench == own:
+			return 0
+		case held[bench]:
+			return 3
+		case taken[bench]:
+			return 2
+		}
+		return 1
+	}
 	var st *cellState
+	best := 4
 	for _, cell := range c.cells {
 		cand := c.states[cell]
 		if cand.done || cand.leaseID != 0 {
 			continue
 		}
-		if !held[cell.Bench] {
-			st = cand
-			break
-		}
-		if st == nil {
-			st = cand
+		if r := rank(cell.Bench); r < best {
+			st, best = cand, r
+			if r == 0 {
+				break
+			}
 		}
 	}
 	if st == nil {
@@ -362,6 +402,7 @@ func (c *Coordinator) Claim(worker string, now time.Time) (lease *Lease, done bo
 		c.gaugesLocked()
 		return nil, false
 	}
+	c.on[worker] = grant{bench: st.cell.Bench, lease: st.leaseID}
 	c.stats.Claims++
 	c.ob.claims.Inc()
 	c.gaugesLocked()

@@ -415,11 +415,13 @@ func TestMergedCanonicalOrder(t *testing.T) {
 }
 
 // TestClaimLocality pins the scheduling rule — locality first, matrix
-// order within — at explicit virtual times: a benchmark with a live
-// lease is passed over while another has pending cells, the lease table
-// alone decides (so completion, expiry and a restart each free a
-// benchmark with no bookkeeping of their own), and when every benchmark
-// is held the first pending cell goes out, so no claimant starves.
+// order within — at explicit virtual times: a worker keeps its own
+// benchmark, even when it claims after another worker that completed at
+// the same time; a benchmark with a live lease, or whose worker is
+// between a completion and its next claim, is passed over while another
+// has pending cells; expiry and a restart free a benchmark; and when
+// every benchmark is held the first pending cell goes out, so no
+// claimant starves.
 func TestClaimLocality(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	cfg := Config{Scale: 2000, Benchmarks: []string{"gzip", "mcf", "swim"}, LeaseTTL: testTTL}
@@ -464,6 +466,28 @@ func TestClaimLocality(t *testing.T) {
 		// gzip exhausted: a moves to the idle benchmark, not onto b's.
 		complete(t, c, a, t0)
 		claim(t, c, "a", t0, cell(2, 0))
+	})
+
+	t.Run("two workers completing together keep their benchmarks", func(t *testing.T) {
+		c := NewCoordinator(cfg, nil, nil)
+		a := claim(t, c, "a", t0, cell(0, 0))
+		b := claim(t, c, "b", t0, cell(1, 0))
+		// Both complete before either claims again, and b claims first:
+		// gzip is idle then, but it is a's.
+		complete(t, c, b, t0)
+		complete(t, c, a, t0)
+		claim(t, c, "b", t0, cell(1, 1))
+		claim(t, c, "a", t0, cell(0, 1))
+	})
+
+	t.Run("a new worker does not take a benchmark between complete and claim", func(t *testing.T) {
+		c := NewCoordinator(cfg, nil, nil)
+		a := claim(t, c, "a", t0, cell(0, 0))
+		claim(t, c, "b", t0, cell(1, 0))
+		complete(t, c, a, t0)
+		// gzip is idle and first in matrix order, but a is on it.
+		claim(t, c, "c", t0, cell(2, 0))
+		claim(t, c, "a", t0, cell(0, 1))
 	})
 
 	t.Run("every benchmark held: matrix order, nobody starves", func(t *testing.T) {

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,28 +11,14 @@ import (
 	"repro/internal/ckpt"
 )
 
-// lyingCoordinator answers every nearest with whatever body it
-// currently holds and the instruction count it was told to claim: a
-// remote tier that serves what no honest one would.
-type lyingCoordinator struct {
-	body  []byte
-	instr uint64
-}
-
-func (lc *lyingCoordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("X-Ckpt-Instr", fmt.Sprint(lc.instr))
-	w.Write(lc.body)
-}
-
 // TestEveryDoorRefusesTheSameDamage offers one table of damaged
-// serializations at each of the three doors a serialized snapshot can
-// enter a store by — the disk file, PUT /v1/ckpt, and the body of a
-// remote nearest — and holds every door to the same answer: a
-// miss (400 for the upload), no index entry, no file, no temp file, and
-// the next clean offer of the same key is taken. On the parent of the
-// commit that made ckpt's accept the one check, the trailing-byte row
-// passes at the upload door only: a disk file and a remote body with
-// bytes after the digest footer were served.
+// serializations at each of the two doors a serialized snapshot can
+// enter a store by — the disk file and PUT /v1/ckpt — and holds both
+// to the same answer: a miss (400 for the upload), no index entry, no
+// file, no temp file, and the next clean offer of the same key is
+// taken. On the parent of the commit that made ckpt's accept the one
+// check, the trailing-byte row passes at the upload door only: a disk
+// file with bytes after the digest footer was served.
 func TestEveryDoorRefusesTheSameDamage(t *testing.T) {
 	k := testCkptKey(1000)
 	var clean, other bytes.Buffer
@@ -91,25 +76,6 @@ func TestEveryDoorRefusesTheSameDamage(t *testing.T) {
 				return rec.Code == http.StatusNoContent
 			}
 		}},
-		{"remote nearest body", func(t *testing.T, dir string) (func() *ckpt.Store, func([]byte) bool) {
-			lc := &lyingCoordinator{instr: k.Instr}
-			ts := httptest.NewServer(lc)
-			t.Cleanup(ts.Close)
-			w, err := ckpt.New(ckpt.Options{Dir: dir, Remote: NewClient(ts.URL, nil)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			errs := uint64(0)
-			return func() *ckpt.Store { return w }, func(data []byte) bool {
-				lc.body = data
-				_, _, ok := w.Nearest(k)
-				if st := w.Stats(); !ok && st.RemoteErrors != errs+1 {
-					t.Errorf("a refused remote body was not counted: RemoteErrors %d, was %d", st.RemoteErrors, errs)
-				}
-				errs = w.Stats().RemoteErrors
-				return ok
-			}
-		}},
 	}
 
 	for _, d := range doors {
@@ -152,20 +118,18 @@ func TestKeyCannotLeaveDir(t *testing.T) {
 	if _, err := snapAt(t, 4000).WriteTo(&body); err != nil {
 		t.Fatal(err)
 	}
-	for _, verb := range []struct{ method, suffix string }{{"PUT", ""}, {"GET", "/nearest"}} {
-		url := ts.URL + "/v1/ckpt/..%2F..%2Fescaped-0000000000000001-1-4000" + verb.suffix
-		req, err := http.NewRequest(verb.method, url, bytes.NewReader(body.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s %s answered %d, want 400", verb.method, url, resp.StatusCode)
-		}
+	url := ts.URL + "/v1/ckpt/..%2F..%2Fescaped-0000000000000001-1-4000"
+	req, err := http.NewRequest("PUT", url, bytes.NewReader(body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("PUT %s answered %d, want 400", url, resp.StatusCode)
 	}
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err == nil && !d.IsDir() {

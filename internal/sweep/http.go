@@ -13,7 +13,7 @@ import (
 	"repro/internal/obs"
 )
 
-// The wire protocol. Three lease verbs plus the remote checkpoint tier:
+// The wire protocol. Three lease verbs plus the checkpoint mirror:
 //
 //	GET  /v1/config            sweep Config (workers adopt it verbatim)
 //	POST /v1/claim             {"worker":W} -> {"done":bool,"lease":{...}}
@@ -21,7 +21,6 @@ import (
 //	POST /v1/complete          {"lease":ID,"records":[...]} the cell's whole record set
 //	GET  /v1/status            coordinator + store counters (JSON)
 //	PUT  /v1/ckpt/{key}        digest-checked upload (400 corrupt)
-//	GET  /v1/ckpt/{key}/nearest  nearest-<= snapshot; X-Ckpt-Instr header
 //
 // Request bodies are bounded (maxJSONBody, maxSnapshotBody): a larger
 // one answers 413 and nothing of it is acted on. Stale or superseded
@@ -29,18 +28,15 @@ import (
 // lease verbs stamped with a dead incarnation's epoch answer 410 (the
 // worker re-fetches /v1/config and re-claims); WAL append failures
 // answer 503 (retryable — nothing was acknowledged). Keys and snapshot
-// bodies are checked by the checkpoint store at either end, not by the
-// transport (ckpt.ParseKey, and ckpt's accept: digest footer, the key's
+// bodies are checked by the checkpoint store, not by the transport
+// (ckpt.ParseKey, and ckpt's accept: digest footer, the key's
 // instruction count, nothing after the footer) — the server never stores
-// an upload it could not decode, a worker never restores a download its
-// store refused, and no key names a file outside the store's directory.
-// The server decodes an upload only to verify it: what it keeps is the
-// bytes, spooled to the key's disk file as they are checked
-// (ckpt.Store.PutFrom). A nearest decodes the file, sends the snapshot
-// and drops it (ckpt.Store.FetchNearest), so a disk-backed server's
-// memory tier stays empty whatever the workers ask for. There is no
-// exact-key GET: a worker's exact-key lookup stands in for one base
-// interval, which its fast engine runs far quicker than a fetch.
+// an upload it could not decode, and no key names a file outside the
+// store's directory. The server decodes an upload only to verify it:
+// what it keeps is the bytes, spooled to the key's disk file as they are
+// checked (ckpt.Store.PutFrom), so a disk-backed server's memory tier
+// stays empty. Nothing is served back: a worker re-executes a prefix in
+// its fast engine far quicker than a fetch would bring it.
 
 // Request-body bounds. The largest bodies one traced pass of the
 // benchmark's sweep_dist workload sends are a 123 792-byte /v1/complete
@@ -74,18 +70,17 @@ type leaseRequest struct {
 }
 
 // Server adapts a Coordinator and a checkpoint store to HTTP. The
-// store is the coordinator-side tier behind /v1/ckpt: typically
-// disk-backed so checkpoints survive the coordinator process, shared
-// by every worker in the sweep.
+// store is the coordinator-side tier behind PUT /v1/ckpt: typically
+// disk-backed, it collects every worker's deposits.
 type Server struct {
 	coord *Coordinator
 	store *ckpt.Store
 	mux   *http.ServeMux
 }
 
-// NewServer builds the HTTP adapter. store may be nil (the checkpoint
-// endpoints then serve 404/503: the sweep still works, workers just
-// cannot share warm checkpoints). reg/tr, when non-nil, mount the obs
+// NewServer builds the HTTP adapter. store may be nil (uploads then
+// answer 503, which the workers' stores degrade on; the sweep still
+// works). reg/tr, when non-nil, mount the obs
 // exposition endpoints (/metrics, /metrics.json, /transitions) on the
 // same listener.
 func NewServer(coord *Coordinator, store *ckpt.Store, reg *obs.Registry, tr *obs.TransitionTrace) *Server {
@@ -96,7 +91,6 @@ func NewServer(coord *Coordinator, store *ckpt.Store, reg *obs.Registry, tr *obs
 	s.mux.HandleFunc("POST /v1/complete", s.handleComplete)
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
 	s.mux.HandleFunc("PUT /v1/ckpt/{key}", s.handleCkptPut)
-	s.mux.HandleFunc("GET /v1/ckpt/{key}/nearest", s.handleCkptNearest)
 	if reg != nil || tr != nil {
 		s.mux.Handle("/", obs.Handler(reg, tr))
 	}
@@ -233,25 +227,6 @@ func parseKeyParam(w http.ResponseWriter, r *http.Request) (ckpt.Key, bool) {
 		http.Error(w, "bad checkpoint key", http.StatusBadRequest)
 	}
 	return k, ok
-}
-
-func (s *Server) handleCkptNearest(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		http.Error(w, "no checkpoint store", http.StatusServiceUnavailable)
-		return
-	}
-	k, ok := parseKeyParam(w, r)
-	if !ok {
-		return
-	}
-	snap, instr, ok := s.store.FetchNearest(k)
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Ckpt-Instr", fmt.Sprintf("%d", instr))
-	_, _ = snap.WriteTo(w)
 }
 
 func (s *Server) handleCkptPut(w http.ResponseWriter, r *http.Request) {

@@ -40,6 +40,8 @@ func TestServerMalformedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	handler := NewServer(coord, store, nil, nil).Handler()
+	// A held snapshot, so a revived nearest route would serve it.
+	store.Put(testCkptKey(50), snapAt(t, 50))
 	// One live lease, so the coordinator has state worth protecting.
 	if lease, done := coord.Claim("holder", time.Now()); lease == nil || done {
 		t.Fatalf("claim: %v %v", lease, done)
@@ -81,7 +83,8 @@ func TestServerMalformedRequests(t *testing.T) {
 		{"deleted append verb", "POST", "/v1/append", strings.NewReader(`{"lease":1,"records":[{"kind":"result","bench":"gzip","policy":"Full timing"}]}`), 0, http.StatusNotFound},
 		// Exact-key lookups stay local: there is no GET of one key.
 		{"deleted exact-key get", "GET", key, nil, 0, http.StatusMethodNotAllowed},
-		{"bad checkpoint key, nearest", "GET", "/v1/ckpt/gzip-zz-1-2/nearest", nil, 0, http.StatusBadRequest},
+		// Nothing is read back: there is no nearest route either.
+		{"deleted nearest get", "GET", key + "/nearest", nil, 0, http.StatusNotFound},
 		{"bad checkpoint key, put", "PUT", "/v1/ckpt/not-a-key", bytes.NewReader(snap.Bytes()), 0, http.StatusBadRequest},
 		{"truncated snapshot", "PUT", key, bytes.NewReader(snap.Bytes()[:snap.Len()/2]), 0, http.StatusBadRequest},
 		{"snapshot of garbage", "PUT", key, io.LimitReader(fill(0xff), 4096), 0, http.StatusBadRequest},

@@ -3,17 +3,17 @@
 // matrix into expiring leases, workers that claim cells over HTTP and
 // execute them with an experiments.Runner, a remote checkpoint tier
 // collecting the workers' checkpoints in a content-addressed
-// internal/ckpt store and serving nearest-<= lookups over the same HTTP
-// surface, and a journal-merge step that folds the records the
-// workers' completions carry back into one canonical run journal.
+// internal/ckpt store over the same HTTP surface (nothing is served
+// back), and a journal-merge step that folds the records the workers'
+// completions carry back into one canonical run journal.
 //
 // Correctness stance: a distributed sweep is a scheduling optimization,
 // nothing more. Measurements are deterministic and journal records
 // round-trip exactly through JSON, so an N-worker sweep must produce
 // artifacts byte-identical to the single-process run — under worker
 // crashes (leases expire and are re-issued), duplicated executions
-// (records dedupe by identity), and remote checkpoint faults (the
-// store degrades to its local tiers, then to scratch execution).
+// (records dedupe by identity), and remote checkpoint faults (a failed
+// upload costs only the upload).
 // check.SweepEquivalence pins the whole contract.
 package sweep
 

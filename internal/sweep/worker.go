@@ -32,7 +32,7 @@ type WorkerOptions struct {
 	Timeout time.Duration
 	Retries int
 	// Faults, when non-nil, injects deterministic faults into the
-	// worker's measurements (panics, hangs, transient errors). Network
+	// worker's measurements (panics, hangs, transient errors). Upload
 	// faults on the remote tier are configured on the Client.
 	Faults *faults.Injector
 	// Kill, when non-nil, is the crash-injection hook: called at stage
@@ -205,10 +205,9 @@ func RunWorker(opts WorkerOptions) (st WorkerStats, _ error) {
 		}
 	}
 
-	// The worker builds its own in-memory store so the coordinator plugs
-	// in as the remote tier: every deposit is mirrored to it, and a
-	// series the worker holds nothing of is first asked of it
-	// (nearest-<=). Without a Dir, New does no I/O and cannot fail.
+	// The worker builds its own in-memory store with the coordinator as
+	// its remote tier: every deposit is mirrored to it, and nothing is
+	// read back. Without a Dir, New does no I/O and cannot fail.
 	store, _ := ckpt.New(ckpt.Options{Remote: opts.Client, Obs: opts.Obs})
 
 	runner := experiments.NewRunner(experiments.Options{
