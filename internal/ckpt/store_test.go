@@ -105,9 +105,15 @@ func TestStoreNearest(t *testing.T) {
 			t.Errorf("Nearest(%d) snapshot at instr %d", c.target, snap.Instructions())
 		}
 	}
+}
 
-	// On disk, the best candidate may be corrupt: it is dropped exactly
-	// as Lookup drops it, file and all, and the entry below it is served.
+// TestFetchKeepsNothing pins Nearest over the disk tier: a cold store
+// serves the best entry on disk, misses below every deposit, and when
+// the best candidate is corrupt it keeps nothing of it — the entry is
+// dropped exactly as Lookup drops it, file and all, and the entry below
+// it is served.
+func TestFetchKeepsNothing(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	d, err := New(Options{Dir: dir})
 	if err != nil {
@@ -119,6 +125,9 @@ func TestStoreNearest(t *testing.T) {
 	d, err = New(Options{Dir: dir}) // a store over the same Dir, memory cold
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, _, ok := d.Nearest(testKey(500)); ok {
+		t.Fatal("Nearest served a count below every deposit")
 	}
 	path := filepath.Join(dir, testKey(2000).String()+".ckpt")
 	data, err := os.ReadFile(path)
@@ -135,7 +144,7 @@ func TestStoreNearest(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("the corrupt file is still there (%v)", err)
 	}
-	if st := d.Stats(); st.DiskErrors != 1 || st.DiskEntries != 1 || st.NearestHits != 1 || d.Contains(testKey(2000)) {
+	if st := d.Stats(); st.DiskErrors != 1 || st.DiskEntries != 1 || st.NearestHits != 1 || st.NearestMisses != 1 || d.Contains(testKey(2000)) {
 		t.Fatalf("after a nearest over a corrupt file: %+v", st)
 	}
 }
