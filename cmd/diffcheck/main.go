@@ -23,14 +23,15 @@
 //	           reference that delivers and counts one event at a time
 //	obs        observability invariance: every policy, and the rendered
 //	           artifact bundle, identical with metrics and trace attached
-//	faults     fault equivalence: the runner under seeded disk, checkpoint
-//	           and measurement faults renders byte-identical artifacts
+//	faults     fault equivalence: the runner under seeded measurement
+//	           faults (panics, hangs, transient errors) renders
+//	           byte-identical artifacts
 //	sweep      sweep equivalence: a distributed coordinator/worker sweep
 //	           with worker kills and remote-tier faults merges to the
 //	           sequential run's bytes, exactly once (-sweep-workers)
 //	chaos      chaos schedules: the same sweep with the coordinator
 //	           killed at write-ahead-log offsets, torn tails, worker
-//	           kills, network and disk faults (-chaos-schedules)
+//	           kills and checkpoint upload outages (-chaos-schedules)
 //	stats      statistical validity of the Stratified/RankedSet
 //	           confidence intervals: coverage, seed determinism, journal
 //	           round trip, error targeting (-stats-runs)

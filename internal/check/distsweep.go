@@ -33,8 +33,8 @@ type DistSweep struct {
 	Scale      int
 	Benchmarks []string
 	Workers    int
-	// Injector decides every fault: worker kills, remote-tier network
-	// faults, disk faults, and (with WAL) coordinator kills and tears.
+	// Injector decides every fault: worker kills, checkpoint upload
+	// outages, and (with WAL) coordinator kills and tears.
 	Injector *faults.Injector
 	// WAL backs the coordinator with a write-ahead log and honours the
 	// injector's coordinator-kill verdicts; without it the coordinator is

@@ -1,9 +1,6 @@
 package ckpt
 
-import (
-	"errors"
-	"io"
-)
+import "errors"
 
 // ErrCorrupt classifies a disk-tier checkpoint whose bytes cannot be
 // trusted: digest-footer mismatch, structural decode failure, version
@@ -18,18 +15,3 @@ var ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
 // entry itself may be fine; the fault may be transient and a retry or
 // a degrade to the in-memory tier can heal it.
 var ErrIO = errors.New("ckpt: checkpoint I/O")
-
-// FaultInjector is the store's hook for deterministic fault injection
-// (implemented by faults.Injector). All methods must be safe for
-// concurrent use. A nil injector means no faults.
-type FaultInjector interface {
-	// DiskFault may fail a disk-tier operation; op is "read", "write",
-	// or "sync" and name identifies the checkpoint file.
-	DiskFault(op, name string) error
-	// CorruptReader may wrap a checkpoint read stream with one that
-	// flips or truncates bytes.
-	CorruptReader(name string, r io.Reader) io.Reader
-	// CorruptWriter may wrap a checkpoint write stream with one that
-	// silently drops bytes (a torn write).
-	CorruptWriter(name string, w io.Writer) io.Writer
-}

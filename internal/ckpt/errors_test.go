@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/vm"
 )
 
@@ -42,7 +41,6 @@ func TestLoadTypedErrors(t *testing.T) {
 	cases := []struct {
 		name        string
 		mangle      func(t *testing.T, path string)
-		faults      *faults.Injector
 		want        error
 		wantRemoved bool
 	}{
@@ -97,15 +95,18 @@ func TestLoadTypedErrors(t *testing.T) {
 			wantRemoved: true, // trivially: the mangle itself removed it
 		},
 		{
-			name:   "injected-read-fault",
-			faults: faults.New(1, faults.Plan{DiskRead: 1}),
-			want:   ErrIO,
-		},
-		{
-			name:        "injected-corrupt-read",
-			faults:      faults.New(1, faults.Plan{CorruptRead: 1}),
-			want:        ErrCorrupt,
-			wantRemoved: true,
+			// Open succeeds and the first read fails: the bytes were
+			// never seen, so the entry is dropped but the path kept.
+			name: "unreadable",
+			mangle: func(t *testing.T, path string) {
+				if err := os.Remove(path); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Mkdir(path, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: ErrIO,
 		},
 	}
 	for _, c := range cases {
@@ -124,17 +125,11 @@ func TestLoadTypedErrors(t *testing.T) {
 			// Open the store before mangling: New only indexes names,
 			// so the entry stays indexed and the load path is the one
 			// that meets the damage (as it would mid-run).
-			opts := Options{Dir: dir}
-			if c.faults != nil { // a typed-nil *Injector would make the interface non-nil
-				opts.Faults = c.faults
-			}
-			s, err := New(opts)
+			s, err := New(Options{Dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.mangle != nil {
-				c.mangle(t, path)
-			}
+			c.mangle(t, path)
 			snap, err := load(s, k)
 			if snap != nil {
 				t.Fatal("the load served a snapshot across a disk fault")
@@ -195,26 +190,45 @@ func TestLoadInstrMismatch(t *testing.T) {
 	}
 }
 
-// TestStoreWriteDegradation keeps a disk-write fault firing — refused
-// before the write, or at the sync after it — through both deposit
-// paths: after maxWriteFails consecutive failures the store must stop
-// writing (one bounded error burst, not one per deposit) while the
-// in-memory tier keeps serving every entry, and no file or temp file is
-// left behind.
+// TestStoreWriteDegradation makes every disk write fail for real, through
+// both deposit paths: "write" removes the store's directory, so the temp
+// file cannot be created; "rename" puts a directory at each key's file
+// name, so the commit fails after produce and fsync and the temp file
+// must be cleaned up. After maxWriteFails consecutive failures the store
+// must stop writing (one bounded error burst, not one per deposit) while
+// the in-memory tier keeps serving every entry, and no checkpoint or
+// temp file is left behind.
 func TestStoreWriteDegradation(t *testing.T) {
 	t.Parallel()
-	plans := map[string]faults.Plan{"write": {DiskWrite: 1}, "sync": {DiskSync: 1}}
+	const deposits = maxWriteFails + 3
+	damages := []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+	}{
+		{"write", func(t *testing.T, dir string) {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"rename", func(t *testing.T, dir string) {
+			for i := 1; i <= deposits; i++ {
+				if err := os.Mkdir(filepath.Join(dir, testKey(uint64(1000*i)).String()+".ckpt"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	}
 	for _, d := range depositors {
-		for op, plan := range plans {
-			d, plan := d, plan
-			t.Run(d.name+"/"+op, func(t *testing.T) {
+		for _, b := range damages {
+			d, b := d, b
+			t.Run(d.name+"/"+b.name, func(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
-				s, err := New(Options{Dir: dir, Faults: faults.New(7, plan)})
+				s, err := New(Options{Dir: dir})
 				if err != nil {
 					t.Fatal(err)
 				}
-				const deposits = maxWriteFails + 3
+				b.damage(t, dir)
 				for i := 1; i <= deposits; i++ {
 					n := uint64(1000 * i)
 					d.put(t, s, testKey(n), snapAt(t, n))
@@ -229,8 +243,12 @@ func TestStoreWriteDegradation(t *testing.T) {
 				if st.DiskWrites != 0 || st.DiskEntries != 0 || st.Puts != deposits {
 					t.Fatalf("degraded store persisted entries or lost deposits: %+v", st)
 				}
-				if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-					t.Fatalf("failed writes left %d files behind (%v)", len(ents), err)
+				if ents, err := os.ReadDir(dir); err == nil {
+					for _, e := range ents {
+						if !e.IsDir() {
+							t.Fatalf("failed writes left %s behind", e.Name())
+						}
+					}
 				}
 				for i := 1; i <= deposits; i++ {
 					if _, ok := s.Lookup(testKey(uint64(1000 * i))); !ok {
@@ -242,10 +260,11 @@ func TestStoreWriteDegradation(t *testing.T) {
 	}
 }
 
-// TestStoreTornWriteDetectedOnRead injects a torn write into both
-// deposit paths: the deposit reports success (as a crash mid-write
-// would), and the short file is caught by the digest footer when a later
-// process reads it.
+// TestStoreTornWriteDetectedOnRead commits a checkpoint through both
+// deposit paths and then truncates the file, as a crash that reached
+// the disk only partly would leave it: the deposit reported success, and
+// the short file is caught by the digest footer when a later process
+// reads it.
 func TestStoreTornWriteDetectedOnRead(t *testing.T) {
 	t.Parallel()
 	for _, d := range depositors {
@@ -253,19 +272,17 @@ func TestStoreTornWriteDetectedOnRead(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			inj := faults.New(3, faults.Plan{TornWrite: 1})
-			s1, err := New(Options{Dir: dir, Faults: inj})
+			s1, err := New(Options{Dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
 			k := testKey(1000)
 			d.put(t, s1, k, snapAt(t, 1000))
 			if st := s1.Stats(); st.DiskWrites != 1 || st.WriteFails != 0 {
-				t.Fatalf("torn write must look like success at write time: %+v", st)
+				t.Fatalf("the deposit did not commit a file: %+v", st)
 			}
-			if inj.Fired()[faults.TornWrite] == 0 {
-				t.Fatal("vacuous: the torn write never fired")
-			}
+			path := filepath.Join(dir, k.String()+".ckpt")
+			mangleFile(t, path, func(b []byte) []byte { return b[:len(b)-len(b)/3] })
 			s2, err := New(Options{Dir: dir})
 			if err != nil {
 				t.Fatal(err)

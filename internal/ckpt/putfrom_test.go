@@ -22,7 +22,7 @@ func encode(t testing.TB, snap *vm.Snapshot) []byte {
 }
 
 // depositors are the store's two deposit paths; what must hold for both
-// (the disk-fault ladder, torn writes) ranges over them.
+// (the write-failure ladder, torn files) ranges over them.
 var depositors = []struct {
 	name string
 	put  func(t *testing.T, s *Store, k Key, snap *vm.Snapshot)

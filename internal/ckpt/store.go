@@ -10,10 +10,12 @@
 //
 // Correctness stance: the store is a pure cache. A hit must be
 // indistinguishable from cold execution (core.Session enforces the
-// sharing discipline; internal/vm makes restores stats-exact), and any
+// sharing discipline; internal/vm makes restores stats-exact). Any
 // disk-level corruption — truncated file, flipped byte, stale version —
-// is detected by the snapshot digest footer and degrades to a miss,
-// never to a panic or a silently-restored corrupt state.
+// is detected by the snapshot digest footer and degrades to a miss
+// (ErrCorrupt; the file is removed), never to a panic or a
+// silently-restored corrupt state; a file the filesystem will not open
+// or read degrades to a miss too (ErrIO; the file is kept).
 package ckpt
 
 import (
@@ -79,9 +81,6 @@ type Options struct {
 	// engine re-executes a prefix far quicker than a fetch would bring
 	// it. A failed mirror costs only the upload.
 	Remote Remote
-	// Faults, when non-nil, injects deterministic disk-tier faults
-	// (see FaultInjector); used by the robustness harness.
-	Faults FaultInjector
 	// Obs, when non-nil, mirrors the Stats counters into a metrics
 	// registry and times disk loads/writes. Write-only: never consulted
 	// by cache decisions, so hit/miss behaviour is identical without it.
@@ -353,33 +352,42 @@ func (s *Store) lookupLocked(k Key) *vm.Snapshot {
 	return nil
 }
 
-// loadLocked opens k's disk file and runs accept on it: what fails
-// before the decode is ErrIO (filesystem-level), what accept refuses is
-// ErrCorrupt (bad bytes).
+// loadLocked opens k's disk file and runs accept on it. Whatever the
+// filesystem refuses — the open, or a read during the decode — is ErrIO
+// (the file may be fine); what accept refuses is ErrCorrupt (bad bytes).
 func (s *Store) loadLocked(k Key) (*vm.Snapshot, error) {
-	name := k.String()
-	fi := s.opts.Faults
-	if fi != nil {
-		if err := fi.DiskFault("read", name); err != nil {
-			return nil, errors.Join(ErrIO, err)
-		}
-	}
 	f, err := os.Open(s.path(k))
 	if err != nil {
 		return nil, errors.Join(ErrIO, err)
 	}
 	defer f.Close()
-	var r io.Reader = f
-	if fi != nil {
-		r = fi.CorruptReader(name, r)
-	}
+	r := &readErr{r: f}
 	snap, err := accept(k, r)
+	if r.err != nil {
+		return nil, errors.Join(ErrIO, r.err)
+	}
 	if err != nil {
 		return nil, err
 	}
 	s.stats.DiskLoads++
 	s.ob.diskLoads.Inc()
 	return snap, nil
+}
+
+// readErr keeps the first error other than io.EOF that its reader
+// returns, so a load can tell a file it could not read from bytes it
+// read and refused.
+type readErr struct {
+	r   io.Reader
+	err error
+}
+
+func (re *readErr) Read(p []byte) (int, error) {
+	n, err := re.r.Read(p)
+	if err != nil && err != io.EOF && re.err == nil {
+		re.err = err
+	}
+	return n, err
 }
 
 // Discard removes k from every tier — memory, the disk index, and the
@@ -674,18 +682,9 @@ func (s *Store) wroteLocked(k Key, start time.Time, err error) {
 // an upload — and reads no mutable store state, so it runs with or
 // without the store lock. Concurrent writers of the same key are
 // harmless — the encoding is deterministic, so both temp files hold
-// identical bytes and either rename wins. All failures are ErrIO-wrapped.
-// Note an injected torn write is NOT an error here: it silently commits
-// a short file, which a later read detects via the digest footer —
-// exactly the crash shape it models.
+// identical bytes and either rename wins. All failures are ErrIO-wrapped,
+// and a failure after the temp file exists removes it.
 func (s *Store) write(k Key, produce func(io.Writer) error) (err error) {
-	name := k.String()
-	fi := s.opts.Faults
-	if fi != nil {
-		if err := fi.DiskFault("write", name); err != nil {
-			return errors.Join(ErrIO, err)
-		}
-	}
 	f, err := os.CreateTemp(s.opts.Dir, ".tmp-*")
 	if err != nil {
 		return errors.Join(ErrIO, err)
@@ -697,17 +696,8 @@ func (s *Store) write(k Key, produce func(io.Writer) error) (err error) {
 			err = errors.Join(ErrIO, err)
 		}
 	}()
-	var w io.Writer = f
-	if fi != nil {
-		w = fi.CorruptWriter(name, w)
-	}
-	if err = produce(w); err != nil {
+	if err = produce(f); err != nil {
 		return err
-	}
-	if fi != nil {
-		if err = fi.DiskFault("sync", name); err != nil {
-			return err
-		}
 	}
 	if err = f.Sync(); err != nil {
 		return err

@@ -227,11 +227,11 @@ func TestStoreDiskPersistence(t *testing.T) {
 	}
 }
 
-// TestStoreDiskFaultInjection corrupts persisted checkpoints three ways
+// TestStoreDiskCorruption corrupts persisted checkpoints three ways
 // — truncation, a flipped payload byte, a stale version header — and
 // requires every case to degrade to a miss (cold execution) with the
 // error counted, never a panic or a corrupt restore.
-func TestStoreDiskFaultInjection(t *testing.T) {
+func TestStoreDiskCorruption(t *testing.T) {
 	t.Parallel()
 	corruptions := []struct {
 		name    string

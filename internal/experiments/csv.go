@@ -46,17 +46,9 @@ func Figure2CSV(r *Runner, w io.Writer) error {
 // Figure5CSV writes the accuracy/speed scatter: policy, mean error %,
 // speedup, Pareto flag.
 func Figure5CSV(r *Runner, w io.Writer) error {
-	policies := AllPolicies(r.Options().Scale)
-	results, err := r.RunAll(policies)
+	aggs, err := fig5Aggregates(r)
 	if err != nil {
 		return err
-	}
-	var aggs []Aggregate
-	for _, p := range policies {
-		if p.Name() == "Full timing" {
-			continue
-		}
-		aggs = append(aggs, AggregateFor(results, r.Benchmarks(), p.Name()))
 	}
 	pareto := ParetoOptimal(aggs)
 	cw := csv.NewWriter(w)
@@ -81,8 +73,7 @@ func Figure5CSV(r *Runner, w io.Writer) error {
 // Figure67CSV writes mean IPC, error, total modelled seconds, and
 // speedup per policy (the data of Figures 6 and 7 combined).
 func Figure67CSV(r *Runner, w io.Writer) error {
-	policies := append(BaselinePolicies(r.Options().Scale), Fig67Policies()...)
-	results, err := r.RunAll(policies)
+	results, err := fig67Results(r)
 	if err != nil {
 		return err
 	}
@@ -115,10 +106,9 @@ func Figure89CSV(r *Runner, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cols := []string{"Full timing", "SMARTS", "SimPoint", "SimPoint+prof", "CPU-300-1M-∞"}
 	cw := csv.NewWriter(w)
 	header := []string{"benchmark"}
-	for _, c := range cols {
+	for _, c := range fig9Cols {
 		header = append(header, c+"_ipc", c+"_seconds")
 	}
 	if err := cw.Write(header); err != nil {
@@ -126,7 +116,7 @@ func Figure89CSV(r *Runner, w io.Writer) error {
 	}
 	for _, b := range r.Benchmarks() {
 		rec := []string{b}
-		for _, c := range cols {
+		for _, c := range fig9Cols {
 			rec = append(rec,
 				cellText(r, results, b, c, "%.4f", func(res sampling.Result) interface{} { return res.EstIPC }),
 				cellText(r, results, b, c, "%.0f", func(res sampling.Result) interface{} { return res.Cost.PaperSeconds }))

@@ -265,13 +265,13 @@ func ParetoOptimal(aggs []Aggregate) []bool {
 	return opt
 }
 
-// Figure5 renders the accuracy-vs-speed scatter as a sorted table with
-// Pareto-optimal points marked.
-func Figure5(r *Runner, w io.Writer) error {
+// fig5Aggregates is the data of Figure 5: the suite aggregate of every
+// policy but full timing, in AllPolicies order.
+func fig5Aggregates(r *Runner) ([]Aggregate, error) {
 	policies := AllPolicies(r.Options().Scale)
 	results, err := r.RunAll(policies)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var aggs []Aggregate
 	for _, p := range policies {
@@ -279,6 +279,16 @@ func Figure5(r *Runner, w io.Writer) error {
 			continue
 		}
 		aggs = append(aggs, AggregateFor(results, r.Benchmarks(), p.Name()))
+	}
+	return aggs, nil
+}
+
+// Figure5 renders the accuracy-vs-speed scatter as a sorted table with
+// Pareto-optimal points marked.
+func Figure5(r *Runner, w io.Writer) error {
+	aggs, err := fig5Aggregates(r)
+	if err != nil {
+		return err
 	}
 	sort.Slice(aggs, func(i, j int) bool { return aggs[i].Speedup > aggs[j].Speedup })
 	pareto := ParetoOptimal(aggs)
@@ -312,10 +322,15 @@ func fig67Order(includeProf bool) []string {
 	return order
 }
 
+// fig67Results runs the policies of Figures 6 and 7: the baselines and
+// the Dynamic Sampling configurations.
+func fig67Results(r *Runner) (map[string]map[string]sampling.Result, error) {
+	return r.RunAll(append(BaselinePolicies(r.Options().Scale), Fig67Policies()...))
+}
+
 // Figure6 renders mean IPC per policy with accuracy-error labels.
 func Figure6(r *Runner, w io.Writer) error {
-	policies := append(BaselinePolicies(r.Options().Scale), Fig67Policies()...)
-	results, err := r.RunAll(policies)
+	results, err := fig67Results(r)
 	if err != nil {
 		return err
 	}
@@ -340,8 +355,7 @@ func Figure6(r *Runner, w io.Writer) error {
 // Figure7 renders total simulation time per policy (modelled,
 // paper-equivalent) with speedup labels.
 func Figure7(r *Runner, w io.Writer) error {
-	policies := append(BaselinePolicies(r.Options().Scale), Fig67Policies()...)
-	results, err := r.RunAll(policies)
+	results, err := fig67Results(r)
 	if err != nil {
 		return err
 	}
@@ -368,6 +382,10 @@ func fig89Policies(scale int) []sampling.Policy {
 	return append(BaselinePolicies(scale),
 		sampling.NewDynamic(vm.MetricCPU, 300, 1, 0))
 }
+
+// fig9Cols are the columns of Figure 9 and of Figure89CSV: every
+// fig89Policies result, SimPoint+prof included.
+var fig9Cols = []string{"Full timing", "SMARTS", "SimPoint", "SimPoint+prof", "CPU-300-1M-∞"}
 
 // Figure8 renders per-benchmark IPC for full timing, SMARTS, SimPoint
 // and CPU-300-1M-∞.
@@ -406,17 +424,16 @@ func Figure9(r *Runner, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cols := []string{"Full timing", "SMARTS", "SimPoint", "SimPoint+prof", "CPU-300-1M-∞"}
 	fmt.Fprintln(w, "Figure 9. Simulation time per benchmark (modelled, paper-equivalent)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "benchmark")
-	for _, c := range cols {
+	for _, c := range fig9Cols {
 		fmt.Fprintf(tw, "\t%s", c)
 	}
 	fmt.Fprintln(tw)
 	for _, b := range r.Benchmarks() {
 		fmt.Fprintf(tw, "%s", b)
-		for _, c := range cols {
+		for _, c := range fig9Cols {
 			fmt.Fprintf(tw, "\t%s", cellText(r, results, b, c, "%s",
 				func(res sampling.Result) interface{} { return hostcost.FormatDuration(res.Cost.PaperSeconds) }))
 		}

@@ -1,9 +1,10 @@
 // Package faults is a deterministic, seed-driven fault injector for the
 // robustness harness. It simulates the partial failures a production-
-// scale experiment sweep meets — disk read/write/fsync errors and
-// torn or bit-flipped bytes in the checkpoint disk tier, snapshot-decode
-// corruption, and per-(benchmark, policy) run failures (panics, hangs,
-// transient errors) — without any real flaky hardware.
+// scale experiment sweep meets — per-(benchmark, policy) run failures
+// (panics, hangs, transient errors), checkpoint upload outages, worker
+// kills, and coordinator kills with WAL tears — without any real flaky
+// hardware. The checkpoint store's disk tier is not injected into: its
+// tests damage real files and directories instead.
 //
 // Every decision is a pure function of (seed, fault kind, site key,
 // per-site sequence number), so a schedule is reproducible from its seed
@@ -12,9 +13,9 @@
 // though the sites are visited in different global orders.
 //
 // The injector only produces *healable* classes of damage when the plan
-// keeps run-level faults below the runner's retry budget: disk-tier
-// faults always degrade to cache misses (the store re-executes), and
-// corrupted checkpoint bytes are caught by the snapshot digest footer.
+// keeps run-level faults below the runner's retry budget: a failed
+// upload costs only the upload, a killed worker's lease is re-issued,
+// and a restarted coordinator rebuilds from its WAL.
 // check.FaultEquivalence pins the resulting contract — under any such
 // schedule the rendered artifacts are byte-identical to a fault-free
 // run; faults may only cost wall-clock, never bits.
@@ -23,7 +24,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -33,18 +33,6 @@ import (
 type Kind string
 
 const (
-	// DiskRead fails a checkpoint disk-tier open/read outright.
-	DiskRead Kind = "disk-read"
-	// DiskWrite fails a checkpoint disk-tier write outright.
-	DiskWrite Kind = "disk-write"
-	// DiskSync fails the fsync before a checkpoint file is committed.
-	DiskSync Kind = "disk-sync"
-	// CorruptRead flips or truncates bytes while a checkpoint is read,
-	// so the snapshot digest (or a structural length check) must catch it.
-	CorruptRead Kind = "corrupt-read"
-	// TornWrite silently drops the tail of a checkpoint file while it is
-	// written — the classic torn write a crash mid-write leaves behind.
-	TornWrite Kind = "torn-write"
 	// RunPanic panics a (benchmark, policy) measurement attempt.
 	RunPanic Kind = "run-panic"
 	// RunHang blocks a measurement attempt until its deadline expires.
@@ -78,19 +66,13 @@ const (
 // classify injected faults as transient (errors.Is).
 var ErrInjected = errors.New("injected fault")
 
-// Plan sets per-kind firing rates. Disk-tier rates are probabilities per
-// operation; RunFaultRate is the probability that a (benchmark, policy)
-// cell suffers a run-level fault on each of its first RunFaultAttempts
-// attempts. A plan is healable by a runner configured with
-// retries >= RunFaultAttempts: disk faults always degrade to cache
-// misses, and run faults stop firing once the attempt index reaches
-// RunFaultAttempts.
+// Plan sets per-kind firing rates. RunFaultRate is the probability that
+// a (benchmark, policy) cell suffers a run-level fault on each of its
+// first RunFaultAttempts attempts, so a plan is healable by a runner
+// configured with retries >= RunFaultAttempts: run faults stop firing
+// once the attempt index reaches RunFaultAttempts. The sweep kinds are
+// bounded the same way (KillAttempts, CoordKills).
 type Plan struct {
-	DiskRead    float64
-	DiskWrite   float64
-	DiskSync    float64
-	CorruptRead float64
-	TornWrite   float64
 	// RunFaultRate is the per-attempt probability of a run-level fault
 	// (panic, hang, or transient error, chosen deterministically).
 	RunFaultRate float64
@@ -128,7 +110,6 @@ type Plan struct {
 // DefaultPlan is the schedule the fault-equivalence matrix runs: run
 // faults at a rate high enough that every run kind fires in a small
 // sweep, transient by construction (one faulting attempt per cell).
-// Runners keep checkpoints in memory, so the plan has no disk rates.
 func DefaultPlan() Plan {
 	return Plan{
 		RunFaultRate:     0.75,
@@ -199,7 +180,7 @@ func (in *Injector) hash(kind Kind, key string, n uint64) uint64 {
 func frac(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // next returns the per-(kind, key) sequence number, so repeated
-// operations on one site (e.g. retried reads of one file) draw fresh,
+// operations on one site (e.g. retried uploads of one key) draw fresh,
 // still-deterministic verdicts.
 func (in *Injector) next(kind Kind, key string) uint64 {
 	sk := string(kind) + "\x00" + key
@@ -258,57 +239,6 @@ func (in *Injector) String() string {
 	return b.String()
 }
 
-// DiskFault implements the checkpoint store's disk-fault hook: op is
-// "read", "write", or "sync". A non-nil return is the injected failure.
-func (in *Injector) DiskFault(op, name string) error {
-	switch op {
-	case "read":
-		return in.opFault(DiskRead, in.plan.DiskRead, "", op, name)
-	case "write":
-		return in.opFault(DiskWrite, in.plan.DiskWrite, "", op, name)
-	case "sync":
-		return in.opFault(DiskSync, in.plan.DiskSync, "", op, name)
-	}
-	return nil
-}
-
-// opFault is the verdict behind DiskFault and NetFault: one draw of
-// kind at site name, failing as "<tier><op> <name>".
-func (in *Injector) opFault(kind Kind, rate float64, tier, op, name string) error {
-	if _, hit := in.roll(kind, name, rate); hit {
-		return fmt.Errorf("%w: %s%s %s", ErrInjected, tier, op, name)
-	}
-	return nil
-}
-
-// CorruptReader wraps a checkpoint read stream. When the verdict fires
-// it either flips one byte or truncates the stream at a deterministic
-// offset inside the first 2 KiB — always within a serialized snapshot's
-// digest-protected prefix, so the corruption is detectable.
-func (in *Injector) CorruptReader(name string, r io.Reader) io.Reader {
-	h, hit := in.roll(CorruptRead, name, in.plan.CorruptRead)
-	if !hit {
-		return r
-	}
-	offset := int64(16 + h%2032) // within [16, 2048)
-	if h&(1<<60) != 0 {
-		return &truncatingReader{r: r, remain: offset}
-	}
-	return &flippingReader{r: r, offset: offset}
-}
-
-// CorruptWriter wraps a checkpoint write stream. When the verdict fires
-// the stream is silently truncated at a deterministic offset — a torn
-// write: the caller believes the write succeeded and the corrupt file is
-// only discovered (and healed to a miss) by a later read.
-func (in *Injector) CorruptWriter(name string, w io.Writer) io.Writer {
-	h, hit := in.roll(TornWrite, name, in.plan.TornWrite)
-	if !hit {
-		return w
-	}
-	return &tornWriter{w: w, remain: int64(16 + h%2032)}
-}
-
 // RunFault returns the fault a (benchmark, policy) measurement attempt
 // suffers: RunPanic, RunHang, RunError, or "" for none. Attempts at or
 // beyond the plan's RunFaultAttempts never fault, so a runner with at
@@ -330,7 +260,10 @@ func (in *Injector) RunFault(bench, policy string, attempt int) Kind {
 // drawn once per upload of name. A non-nil return is the injected
 // failure.
 func (in *Injector) NetFault(name string) error {
-	return in.opFault(NetPut, in.plan.NetPut, "net ", "put", name)
+	if _, hit := in.roll(NetPut, name, in.plan.NetPut); hit {
+		return fmt.Errorf("%w: net put %s", ErrInjected, name)
+	}
+	return nil
 }
 
 // KillWorker reports whether the worker holding cell on its delivery'th
@@ -392,59 +325,4 @@ func (in *Injector) WALTearBytes(kill int) int {
 		return 0
 	}
 	return int(1 + h%64)
-}
-
-// flippingReader XORs one byte at a fixed stream offset.
-type flippingReader struct {
-	r      io.Reader
-	offset int64
-	pos    int64
-}
-
-func (f *flippingReader) Read(p []byte) (int, error) {
-	n, err := f.r.Read(p)
-	if i := f.offset - f.pos; i >= 0 && i < int64(n) {
-		p[i] ^= 0x40
-	}
-	f.pos += int64(n)
-	return n, err
-}
-
-// truncatingReader ends the stream early.
-type truncatingReader struct {
-	r      io.Reader
-	remain int64
-}
-
-func (t *truncatingReader) Read(p []byte) (int, error) {
-	if t.remain <= 0 {
-		return 0, io.EOF
-	}
-	if int64(len(p)) > t.remain {
-		p = p[:t.remain]
-	}
-	n, err := t.r.Read(p)
-	t.remain -= int64(n)
-	return n, err
-}
-
-// tornWriter silently drops every byte past a fixed offset while
-// reporting full success to the caller.
-type tornWriter struct {
-	w      io.Writer
-	remain int64
-}
-
-func (t *tornWriter) Write(p []byte) (int, error) {
-	keep := int64(len(p))
-	if keep > t.remain {
-		keep = t.remain
-	}
-	if keep > 0 {
-		if n, err := t.w.Write(p[:keep]); err != nil {
-			return n, err
-		}
-		t.remain -= keep
-	}
-	return len(p), nil
 }

@@ -1,8 +1,7 @@
 package faults
 
 import (
-	"bytes"
-	"io"
+	"errors"
 	"sync"
 	"testing"
 )
@@ -13,7 +12,7 @@ import (
 // (seed, kind, key, seq), never of global visit order.
 func TestDeterminismAcrossInterleavings(t *testing.T) {
 	t.Parallel()
-	plan := Plan{DiskRead: 0.5, RunFaultRate: 0.5, RunFaultAttempts: 2}
+	plan := Plan{NetPut: 0.5, RunFaultRate: 0.5, RunFaultAttempts: 2}
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	const opsPerKey = 16
 
@@ -21,7 +20,7 @@ func TestDeterminismAcrossInterleavings(t *testing.T) {
 	want := make(map[string][]bool)
 	for _, k := range keys {
 		for i := 0; i < opsPerKey; i++ {
-			want[k] = append(want[k], sequential.DiskFault("read", k) != nil)
+			want[k] = append(want[k], sequential.NetFault(k) != nil)
 		}
 	}
 
@@ -36,7 +35,7 @@ func TestDeterminismAcrossInterleavings(t *testing.T) {
 			defer wg.Done()
 			verdicts := make([]bool, opsPerKey)
 			for i := range verdicts {
-				verdicts[i] = racing.DiskFault("read", k) != nil
+				verdicts[i] = racing.NetFault(k) != nil
 			}
 			mu.Lock()
 			got[k] = verdicts
@@ -56,15 +55,13 @@ func TestDeterminismAcrossInterleavings(t *testing.T) {
 func TestRatesZeroAndOne(t *testing.T) {
 	t.Parallel()
 	never := New(1, Plan{})
-	always := New(1, Plan{DiskRead: 1, DiskWrite: 1, DiskSync: 1, RunFaultRate: 1, RunFaultAttempts: 1})
+	always := New(1, Plan{NetPut: 1, RunFaultRate: 1, RunFaultAttempts: 1})
 	for i := 0; i < 100; i++ {
-		for _, op := range []string{"read", "write", "sync"} {
-			if err := never.DiskFault(op, "k"); err != nil {
-				t.Fatalf("zero-rate plan fired %s", op)
-			}
-			if err := always.DiskFault(op, "k"); err == nil {
-				t.Fatalf("rate-1 plan skipped %s", op)
-			}
+		if err := never.NetFault("k"); err != nil {
+			t.Fatal("zero-rate plan fired a put")
+		}
+		if err := always.NetFault("k"); !errors.Is(err, ErrInjected) {
+			t.Fatalf("rate-1 plan skipped a put: %v", err)
 		}
 	}
 	if got := never.RunFault("b", "p", 0); got != "" {
@@ -109,78 +106,16 @@ func TestRunFaultKindsCovered(t *testing.T) {
 	}
 }
 
-// TestCorruptReader asserts the wrapped stream differs from the
-// original in exactly one of the two modeled ways: a single flipped
-// byte, or truncation.
-func TestCorruptReader(t *testing.T) {
-	t.Parallel()
-	in := New(5, Plan{CorruptRead: 1})
-	payload := bytes.Repeat([]byte{0xaa}, 4096)
-	sawFlip, sawTrunc := false, false
-	for i := 0; i < 64 && !(sawFlip && sawTrunc); i++ {
-		r := in.CorruptReader("k", bytes.NewReader(payload))
-		got, err := io.ReadAll(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch {
-		case len(got) < len(payload):
-			sawTrunc = true
-			if len(got) < 16 || len(got) >= 2048 {
-				t.Fatalf("truncation at %d, want [16, 2048)", len(got))
-			}
-		case bytes.Equal(got, payload):
-			t.Fatal("rate-1 corrupt reader left the stream intact")
-		default:
-			sawFlip = true
-			diffs := 0
-			for j := range got {
-				if got[j] != payload[j] {
-					diffs++
-				}
-			}
-			if diffs != 1 {
-				t.Fatalf("flip mode changed %d bytes, want 1", diffs)
-			}
-		}
-	}
-	if !sawFlip || !sawTrunc {
-		t.Fatalf("corruption modes seen: flip=%v trunc=%v; want both", sawFlip, sawTrunc)
-	}
-}
-
-// TestTornWriter asserts the writer reports full success while the
-// sink receives only a prefix — the crash-mid-write shape.
-func TestTornWriter(t *testing.T) {
-	t.Parallel()
-	in := New(6, Plan{TornWrite: 1})
-	var sink bytes.Buffer
-	w := in.CorruptWriter("k", &sink)
-	payload := bytes.Repeat([]byte{0x55}, 4096)
-	for off := 0; off < len(payload); off += 256 {
-		n, err := w.Write(payload[off : off+256])
-		if n != 256 || err != nil {
-			t.Fatalf("torn write reported n=%d err=%v, want silent success", n, err)
-		}
-	}
-	if sink.Len() >= len(payload) || sink.Len() < 16 {
-		t.Fatalf("sink got %d bytes, want a strict prefix of %d no shorter than 16", sink.Len(), len(payload))
-	}
-	if !bytes.Equal(sink.Bytes(), payload[:sink.Len()]) {
-		t.Fatal("torn writer altered the prefix it kept")
-	}
-}
-
 func TestFiredCounts(t *testing.T) {
 	t.Parallel()
-	in := New(8, Plan{DiskRead: 1, RunFaultRate: 1, RunFaultAttempts: 1})
+	in := New(8, Plan{NetPut: 1, RunFaultRate: 1, RunFaultAttempts: 1})
 	for i := 0; i < 5; i++ {
-		in.DiskFault("read", "k")
+		in.NetFault("k")
 	}
 	kind := in.RunFault("b", "p", 0)
 	fired := in.Fired()
-	if fired[DiskRead] != 5 {
-		t.Fatalf("DiskRead fired = %d, want 5", fired[DiskRead])
+	if fired[NetPut] != 5 {
+		t.Fatalf("NetPut fired = %d, want 5", fired[NetPut])
 	}
 	if kind == "" || fired[kind] != 1 {
 		t.Fatalf("run fault %q fired = %d, want 1", kind, fired[kind])
