@@ -50,9 +50,10 @@ diffcheck:
 
 # Chaos-schedule exploration: CHAOS_SCHEDULES seeded fault schedules
 # (coordinator SIGKILL/restart at arbitrary WAL offsets with torn
-# tails, worker kills, checkpoint-tier outages), each a full distributed
-# sweep whose merged journal must render byte-identical artifacts with
-# exactly-once accounting (see internal/chaos).
+# tails, worker kills, checkpoint upload outages), each a full
+# distributed sweep whose merged journal must render byte-identical
+# artifacts, with completions and re-executions explained by the kills
+# and tears that fired (see check.ChaosExploration in internal/check).
 CHAOS_SCHEDULES ?= 8
 chaos:
 	$(GO) run ./cmd/diffcheck -legs chaos -chaos-schedules $(CHAOS_SCHEDULES)

@@ -27,8 +27,8 @@
 //	           faults (panics, hangs, transient errors) renders
 //	           byte-identical artifacts
 //	sweep      sweep equivalence: a distributed coordinator/worker sweep
-//	           with worker kills and remote-tier faults merges to the
-//	           sequential run's bytes, exactly once (-sweep-workers)
+//	           with worker kills and checkpoint upload outages merges to
+//	           the sequential run's bytes, exactly once (-sweep-workers)
 //	chaos      chaos schedules: the same sweep with the coordinator
 //	           killed at write-ahead-log offsets, torn tails, worker
 //	           kills and checkpoint upload outages (-chaos-schedules)
@@ -51,7 +51,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/chaos"
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/sampling"
@@ -111,11 +110,11 @@ var legs = []struct {
 			"sweep equivalence ok (distributed sweep byte-identical to sequential run, exactly-once accounting)")
 	}},
 	{"chaos", func(e *env) error {
-		co := chaos.Options{Seed: e.seed, Schedules: e.chaosN, Progress: os.Stdout}
+		co := check.ChaosOptions{Seed: e.seed, Schedules: e.chaosN, Progress: os.Stdout}
 		if e.verbose {
 			co.Progress, co.Verbose = os.Stderr, true
 		}
-		if err := chaos.ExploreWith(co); err != nil {
+		if err := check.ChaosExploration(co); err != nil {
 			return fmt.Errorf("%w\ndiffcheck: reproduce with: diffcheck -legs chaos -seed %d -chaos-schedules %d",
 				err, e.seed, e.chaosN)
 		}

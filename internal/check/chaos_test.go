@@ -1,14 +1,11 @@
-package chaos
+package check
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/jsonl"
 )
 
 // TestSchedulePlanDeterministic pins the schedule generator's contract:
@@ -44,77 +41,39 @@ func TestSchedulePlanDeterministic(t *testing.T) {
 	if diff == 0 {
 		t.Fatal("seeds 1 and 2 generate identical schedules")
 	}
-}
-
-// TestTearWAL pins the tear model: damage is clamped so it never
-// reaches past the start of the final line — earlier entries were
-// acknowledged single writes, which only the last can lose.
-func TestTearWAL(t *testing.T) {
-	dir := t.TempDir()
-	lines := "{\"kind\":\"epoch\"}\n{\"kind\":\"grant\"}\n{\"kind\":\"complete\"}\n"
-	write := func() string {
-		p := filepath.Join(dir, "t.wal")
-		if err := os.WriteFile(p, []byte(lines), 0o644); err != nil {
-			t.Fatal(err)
+	// Seed 1's first eight plans are pinned: `make chaos` runs them, and
+	// a changed draw would replay a reported schedule as another one.
+	pinned := []faults.Plan{
+		{WorkerKill: 1, KillAttempts: 1, CoordKills: 1, CoordKillWindow: 3, WALTear: 1},
+		{KillAttempts: 1, CoordKills: 2, CoordKillWindow: 4, WALTear: 1},
+		{NetPut: 0.25, WorkerKill: 0.5, KillAttempts: 1, CoordKills: 1, CoordKillWindow: 4},
+		{WorkerKill: 1, KillAttempts: 1},
+		{NetPut: 0.25, WorkerKill: 0.5, KillAttempts: 1, CoordKills: 2, CoordKillWindow: 4, WALTear: 1},
+		{WorkerKill: 0.5, KillAttempts: 1, CoordKills: 1, CoordKillWindow: 4, WALTear: 1},
+		{NetPut: 0.25, WorkerKill: 1, KillAttempts: 1, CoordKills: 1, CoordKillWindow: 4},
+		{NetPut: 0.25, WorkerKill: 1, KillAttempts: 1},
+	}
+	for i, want := range pinned {
+		if got := SchedulePlan(1, i); got != want {
+			t.Errorf("SchedulePlan(1, %d) = %+v, want %+v", i, got, want)
 		}
-		return p
-	}
-	read := func(p string) string {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
-	}
-
-	p := write()
-	if err := jsonl.Tear(p, 5); err != nil {
-		t.Fatal(err)
-	}
-	got := read(p)
-	if got != lines[:len(lines)-5] {
-		t.Fatalf("tear 5: got %q", got)
-	}
-
-	// A huge tear must stop at the start of the final line, keeping every
-	// earlier entry intact.
-	p = write()
-	if err := jsonl.Tear(p, 10_000); err != nil {
-		t.Fatal(err)
-	}
-	got = read(p)
-	want := lines[:strings.LastIndex(strings.TrimSuffix(lines, "\n"), "\n")+1]
-	if got != want {
-		t.Fatalf("clamped tear: got %q, want %q", got, want)
-	}
-	if !strings.HasSuffix(got, "{\"kind\":\"grant\"}\n") {
-		t.Fatalf("clamped tear damaged an acknowledged entry: %q", got)
-	}
-
-	// Empty files tear to nothing, quietly.
-	p = filepath.Join(dir, "empty.wal")
-	if err := os.WriteFile(p, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := jsonl.Tear(p, 64); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestCoordinatorKilledMidSweep is the PR's acceptance test: a sweep
+// TestCoordinatorKilledMidSweep pins WAL recovery end to end: a sweep
 // whose coordinator is SIGKILLed twice mid-run (with WAL tail tears)
 // and restarted against the same directory must produce a merged
 // journal byte-identical to an uninterrupted run's — and the restarts
 // must resume from the WAL, re-executing strictly less than a full
 // redo per incarnation. Artifact identity against the sequential
 // golden, journal identity and the exactly-once/re-execution bounds are
-// asserted inside check.DistSweep.Run for both runs.
+// asserted inside distSweep.Run for both runs.
 func TestCoordinatorKilledMidSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real measurements; skipped in -short")
 	}
 	const seed = 7
-	sweeps := newSweeps(Options{})
+	sweeps := chaosSweep()
 
 	// Uninterrupted distributed run: the journal bytes the crashy run
 	// must reproduce.
@@ -165,8 +124,8 @@ func TestExplore(t *testing.T) {
 		t.Skip("runs real measurements; skipped in -short")
 	}
 	var buf bytes.Buffer
-	if err := ExploreWith(Options{Seed: 1, Schedules: 2, Progress: &buf}); err != nil {
-		t.Fatalf("ExploreWith: %v\n%s", err, buf.String())
+	if err := ChaosExploration(ChaosOptions{Seed: 1, Schedules: 2, Progress: &buf}); err != nil {
+		t.Fatalf("ChaosExploration: %v\n%s", err, buf.String())
 	}
 	if got := strings.Count(buf.String(), "ok:"); got != 2 {
 		t.Fatalf("progress reported %d schedules, want 2:\n%s", got, buf.String())

@@ -29,7 +29,7 @@
 // require equality, require that the run was not vacuous — and the
 // package holds that shape once per granularity: lockstep and roundTrip
 // for generated programs, comparePolicies for sampling results,
-// compareArtifacts for rendered bundles, DistSweep.Run for distributed
+// compareArtifacts for rendered bundles, distSweep.Run for distributed
 // sweeps. DESIGN.md §7 tabulates the legs.
 //
 // A reported Divergence carries the first differing field and a

@@ -19,40 +19,28 @@ import (
 	"repro/internal/sweep"
 )
 
-// DistSweep runs full distributed sweeps of one cell matrix over a real
-// HTTP loopback: a coordinator with a disk-backed checkpoint store
-// behind a stable front, Workers workers whose leases the injector
-// kills, and — when WAL is set — a coordinator that the injector kills
-// at write-ahead-log offsets and that is restarted from the log,
-// optionally with a torn tail. It is plain configuration: what ties the
-// runs of a series together is the previous result handed to Run.
-// SweepEquivalence is the configuration without coordinator kills; the
-// chaos harness drives the one with them.
-type DistSweep struct {
-	// Scale and Benchmarks define the cell matrix.
-	Scale      int
+// distSweep runs full distributed sweeps of one cell matrix at
+// artifactScale over a real HTTP loopback, set up as `repro -serve`
+// runs one: a WAL-backed coordinator with an in-memory checkpoint store
+// behind a stable front, and Workers workers. The injector kills
+// workers' leases, and kills the coordinator at write-ahead-log offsets,
+// which is then restarted from the log, optionally with a torn tail. It
+// is plain configuration: what ties the runs of a series together is
+// the previous result handed to Run. SweepEquivalence draws no
+// coordinator kills; ChaosExploration does.
+type distSweep struct {
 	Benchmarks []string
 	Workers    int
 	// Injector decides every fault: worker kills, checkpoint upload
-	// outages, and (with WAL) coordinator kills and tears.
+	// outages, coordinator kills and WAL tears.
 	Injector *faults.Injector
-	// WAL backs the coordinator with a write-ahead log and honours the
-	// injector's coordinator-kill verdicts; without it the coordinator is
-	// in memory and never restarts.
-	WAL bool
-	// Poll is the worker claim-poll interval.
-	Poll time.Duration
 	// Progress, when non-nil, receives worker progress lines.
 	Progress io.Writer
-	// Account checks the caller's accounting invariants on the finished
-	// sweep's counters, before the journal is rendered: a broken count is
-	// the more useful failure to report first.
-	Account func(*DistSweepResult) error
 }
 
-// DistSweepResult aggregates one sweep's counters across coordinator
+// distSweepResult aggregates one sweep's counters across coordinator
 // incarnations and workers.
-type DistSweepResult struct {
+type distSweepResult struct {
 	Journal      []byte // the merged journal
 	Cells        int
 	Incarnations int
@@ -82,18 +70,20 @@ const (
 	// sweepTimeout bounds one whole sweep: a deadlocked protocol fails
 	// the check instead of hanging it.
 	sweepTimeout = 120 * time.Second
+	// sweepPoll is the workers' claim-poll interval.
+	sweepPoll = 10 * time.Millisecond
 )
 
 // Run executes one sweep and verifies what every distributed sweep must
 // satisfy: all workers exit cleanly with the sweep complete, the
-// caller's accounting holds, the merged journal alone renders the
+// counters pass account, the merged journal alone renders the
 // sequential run's artifacts while executing nothing, and the faults
 // the injector's plan makes certain did fire. prev is the previous run
 // of a series over one cell matrix, nil for the first: the first run
 // renders the sequential artifacts, every later one reuses them and
 // must also reproduce prev's merged journal byte for byte — so every
 // run of the series is held to the first.
-func (d DistSweep) Run(prev *DistSweepResult) (*DistSweepResult, error) {
+func (d distSweep) Run(prev *distSweepResult) (*distSweepResult, error) {
 	inj := d.Injector
 	dir, err := os.MkdirTemp("", "dist-sweep-*")
 	if err != nil {
@@ -102,12 +92,12 @@ func (d DistSweep) Run(prev *DistSweepResult) (*DistSweepResult, error) {
 	defer os.RemoveAll(dir)
 	walPath := filepath.Join(dir, "coord.wal")
 
-	res := &DistSweepResult{}
+	res := &distSweepResult{}
 	if prev != nil {
 		res.golden = prev.golden
 	} else {
 		res.golden, err = renderWith(experiments.Options{
-			Scale:      d.Scale,
+			Scale:      artifactScale,
 			Benchmarks: d.Benchmarks,
 			Progress:   d.Progress,
 		})
@@ -116,13 +106,11 @@ func (d DistSweep) Run(prev *DistSweepResult) (*DistSweepResult, error) {
 		}
 	}
 
-	// The checkpoint store is disk-backed in dir: the shared remote tier,
-	// which like the WAL survives coordinator restarts.
-	store, err := ckpt.New(ckpt.Options{Dir: filepath.Join(dir, "ckpt")})
-	if err != nil {
-		return nil, err
-	}
-	cfg := sweep.Config{Scale: d.Scale, Benchmarks: d.Benchmarks, LeaseTTL: sweepLeaseTTL}
+	// The coordinator-side store collects the workers' uploads. Nothing
+	// reads it back; it outlives the incarnations only so that its Puts
+	// count the whole sweep.
+	store := ckpt.NewMemory()
+	cfg := sweep.Config{Scale: artifactScale, Benchmarks: d.Benchmarks, LeaseTTL: sweepLeaseTTL}
 	res.Cells = len(cfg.Cells())
 
 	// The stable HTTP address the workers talk to across coordinator
@@ -146,14 +134,11 @@ func (d DistSweep) Run(prev *DistSweepResult) (*DistSweepResult, error) {
 	killCh := make(chan struct{}, 1)
 	var coord *sweep.Coordinator
 	start := func() error {
-		c := sweep.NewCoordinator(cfg, nil, nil)
-		if d.WAL {
-			var err error
-			if c, err = sweep.NewWALCoordinator(cfg, walPath, nil, nil); err != nil {
-				return err
-			}
+		c, err := sweep.NewWALCoordinator(cfg, walPath, nil, nil)
+		if err != nil {
+			return err
 		}
-		c.SetWALHook(func(n uint64) { // never called without a WAL
+		c.SetWALHook(func(n uint64) {
 			if inj.KillCoordinatorAt(n) {
 				select {
 				case killCh <- struct{}{}:
@@ -205,7 +190,7 @@ func (d DistSweep) Run(prev *DistSweepResult) (*DistSweepResult, error) {
 				Client:   cl,
 				ID:       fmt.Sprintf("w%d", i),
 				Context:  ctx,
-				Poll:     d.Poll,
+				Poll:     sweepPoll,
 				Progress: d.Progress,
 				Faults:   inj,
 				Kill:     kill,
@@ -269,7 +254,7 @@ func (d DistSweep) Run(prev *DistSweepResult) (*DistSweepResult, error) {
 	if err := coord.CloseWAL(); err != nil {
 		return nil, fmt.Errorf("closing wal: %w", err)
 	}
-	if err := d.Account(res); err != nil {
+	if err := res.account(d.Workers); err != nil {
 		return nil, err
 	}
 
@@ -284,7 +269,7 @@ func (d DistSweep) Run(prev *DistSweepResult) (*DistSweepResult, error) {
 		return nil, err
 	}
 	r := experiments.NewRunner(experiments.Options{
-		Scale:      d.Scale,
+		Scale:      artifactScale,
 		Benchmarks: d.Benchmarks,
 		Journal:    mergedPath,
 		CkptOff:    true,
@@ -318,4 +303,53 @@ func (d DistSweep) Run(prev *DistSweepResult) (*DistSweepResult, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// account bounds a finished sweep's completions and executions by the
+// faults that fired. With no coordinator kill and no tear it is
+// exactly-once: one completion per cell, and every re-execution a
+// worker kill or a TTL re-issue.
+func (res *distSweepResult) account(workers int) error {
+	// Every completion past one per cell must be bought by a WAL tear
+	// (the lost record forces one re-completion), and completions may
+	// fall short of the cell count only where a coordinator kill cut a
+	// worker's Complete between its WAL entries and its acknowledgement
+	// (at most one in-flight Complete per worker per kill).
+	cells := uint64(res.Cells)
+	if res.Completions > cells+res.Tears {
+		return fmt.Errorf("exactly-once violated: %d completions for %d cells with %d tears (%+v)",
+			res.Completions, res.Cells, res.Tears, res.Coord)
+	}
+	if min := int64(cells) - int64(res.CoordKills)*int64(workers); int64(res.Completions) < min {
+		return fmt.Errorf("lost completions: %d acked for %d cells (%d coordinator kills, %d workers)",
+			res.Completions, res.Cells, res.CoordKills, workers)
+	}
+
+	// Every execution past one per cell needs a cause: a worker kill, a
+	// lease orphaned by a coordinator kill (at most one per worker per
+	// kill), a torn record, or a TTL re-issue.
+	reexec := int64(res.Executions) - int64(res.Cells)
+	if reexec < 0 {
+		return fmt.Errorf("%d executions for %d cells: cells completed without execution",
+			res.Executions, res.Cells)
+	}
+	bound := int64(res.Abandons) + int64(res.CoordKills)*int64(workers) +
+		int64(res.Tears) + int64(res.Reissues)
+	if reexec > bound {
+		return fmt.Errorf("re-executions unbounded by kills: %d extra executions > %d explained (%d worker kills, %d coord kills × %d workers, %d tears, %d reissues)",
+			reexec, bound, res.Abandons, res.CoordKills, workers, res.Tears, res.Reissues)
+	}
+
+	// Non-vacuity. A worker kill leaves its lease to expire into a TTL
+	// re-issue, unless a coordinator restart orphaned the lease first
+	// (the new incarnation re-grants it without one). And every sweep at
+	// this scale deposits checkpoints that the workers mirror to the
+	// coordinator: an empty store means the upload path is dead.
+	if res.CoordKills == 0 && res.Abandons > 0 && res.Reissues == 0 {
+		return fmt.Errorf("%d kills but no lease re-issues (%+v)", res.Abandons, res.Coord)
+	}
+	if res.Store.Puts == 0 {
+		return fmt.Errorf("no checkpoints reached the coordinator's store (%s)", res.Store)
+	}
+	return nil
 }

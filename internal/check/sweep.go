@@ -3,7 +3,6 @@ package check
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/faults"
 )
@@ -49,15 +48,9 @@ func SweepEquivalence(o SweepOptions) error {
 	}
 	kinds := []faults.Kind{faults.WorkerKill, faults.NetPut}
 
-	sweeps := DistSweep{
-		Scale:      artifactScale,
-		Benchmarks: artifactBenchmarks,
-		Poll:       25 * time.Millisecond,
-		Progress:   o.Progress,
-		Account:    sweepAccounting,
-	}
+	sweeps := distSweep{Benchmarks: artifactBenchmarks, Progress: o.Progress}
 	var injectors []*faults.Injector
-	var prev *DistSweepResult
+	var prev *distSweepResult
 	for _, workers := range o.Workers {
 		for _, seed := range seeds {
 			inj := faults.New(seed, sweepPlan)
@@ -71,27 +64,4 @@ func SweepEquivalence(o SweepOptions) error {
 		}
 	}
 	return requireFired("sweep-equivalence", kinds, injectors)
-}
-
-// sweepAccounting is the accounting of a sweep whose coordinator never
-// restarts.
-func sweepAccounting(res *DistSweepResult) error {
-	// Exactly-once: every cell completed exactly once, no matter how many
-	// kills, re-issues, and duplicate executions the schedule produced;
-	// and when kills fired, re-issues must have too (the kill path is
-	// live, not vacuous).
-	if res.Completions != uint64(res.Cells) {
-		return fmt.Errorf("exactly-once violated: %d completions for %d cells (%+v)",
-			res.Completions, res.Cells, res.Coord)
-	}
-	if res.Abandons > 0 && res.Reissues == 0 {
-		return fmt.Errorf("%d kills but no lease re-issues (%+v)", res.Abandons, res.Coord)
-	}
-	// Warm-checkpoint sharing: workers run without local disk tiers, so
-	// any sweep at these scales must have mirrored deposits into the
-	// coordinator store.
-	if res.Store.Puts == 0 {
-		return fmt.Errorf("no checkpoints reached the shared remote tier (%s)", res.Store)
-	}
-	return nil
 }

@@ -369,3 +369,58 @@ func TestWriteFile(t *testing.T) {
 	}
 	onlyFile()
 }
+
+// TestTearWAL pins the tear model: damage is clamped so it never
+// reaches past the start of the final line — earlier entries were
+// acknowledged single writes, which only the last can lose.
+func TestTearWAL(t *testing.T) {
+	dir := t.TempDir()
+	lines := "{\"kind\":\"epoch\"}\n{\"kind\":\"grant\"}\n{\"kind\":\"complete\"}\n"
+	write := func() string {
+		p := filepath.Join(dir, "t.wal")
+		if err := os.WriteFile(p, []byte(lines), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	read := func(p string) string {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+
+	p := write()
+	if err := Tear(p, 5); err != nil {
+		t.Fatal(err)
+	}
+	got := read(p)
+	if got != lines[:len(lines)-5] {
+		t.Fatalf("tear 5: got %q", got)
+	}
+
+	// A huge tear must stop at the start of the final line, keeping every
+	// earlier entry intact.
+	p = write()
+	if err := Tear(p, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	got = read(p)
+	want := lines[:strings.LastIndex(strings.TrimSuffix(lines, "\n"), "\n")+1]
+	if got != want {
+		t.Fatalf("clamped tear: got %q, want %q", got, want)
+	}
+	if !strings.HasSuffix(got, "{\"kind\":\"grant\"}\n") {
+		t.Fatalf("clamped tear damaged an acknowledged entry: %q", got)
+	}
+
+	// Empty files tear to nothing, quietly.
+	p = filepath.Join(dir, "empty.wal")
+	if err := os.WriteFile(p, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Tear(p, 64); err != nil {
+		t.Fatal(err)
+	}
+}

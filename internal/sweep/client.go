@@ -151,10 +151,18 @@ func errBody(resp *http.Response) string {
 }
 
 // FetchConfig retrieves the sweep configuration workers must adopt,
-// recording the serving coordinator's epoch.
-func (cl *Client) FetchConfig() (Config, error) {
-	resp, err := cl.hc.Get(cl.base + "/v1/config")
+// recording the serving coordinator's epoch. The context cancels the
+// in-flight request.
+func (cl *Client) FetchConfig(ctx context.Context) (Config, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.base+"/v1/config", nil)
 	if err != nil {
+		return Config{}, err
+	}
+	resp, err := cl.hc.Do(req)
+	if err != nil {
+		if ctx.Err() != nil {
+			return Config{}, ctx.Err()
+		}
 		return Config{}, fmt.Errorf("%w: config: %v", ErrCoordinatorDown, err)
 	}
 	defer resp.Body.Close()
@@ -174,10 +182,10 @@ func (cl *Client) FetchConfig() (Config, error) {
 
 // Claim asks for a lease. done=true means the sweep is finished; a
 // (nil, false) return means every remaining cell is leased elsewhere —
-// poll again.
-func (cl *Client) Claim(worker string) (*Lease, bool, error) {
+// poll again. The context cancels the in-flight request.
+func (cl *Client) Claim(ctx context.Context, worker string) (*Lease, bool, error) {
 	var resp claimResponse
-	if err := cl.postJSON(context.Background(), "/v1/claim", claimRequest{Worker: worker}, &resp); err != nil {
+	if err := cl.postJSON(ctx, "/v1/claim", claimRequest{Worker: worker}, &resp); err != nil {
 		return nil, false, err
 	}
 	if resp.Lease != nil && resp.Lease.ID == 0 {
@@ -194,9 +202,10 @@ func (cl *Client) Heartbeat(ctx context.Context, id uint64) error {
 	return cl.postJSON(ctx, "/v1/heartbeat", leaseRequest{Lease: id, Epoch: cl.epoch.Load()}, nil)
 }
 
-// Complete ships the records of a lease's cell and marks it done.
-func (cl *Client) Complete(id uint64, recs []experiments.JournalRecord) error {
-	return cl.postJSON(context.Background(), "/v1/complete", leaseRequest{Lease: id, Records: recs, Epoch: cl.epoch.Load()}, nil)
+// Complete ships the records of a lease's cell and marks it done. The
+// context cancels the in-flight request.
+func (cl *Client) Complete(ctx context.Context, id uint64, recs []experiments.JournalRecord) error {
+	return cl.postJSON(ctx, "/v1/complete", leaseRequest{Lease: id, Records: recs, Epoch: cl.epoch.Load()}, nil)
 }
 
 // Put implements ckpt.Remote.

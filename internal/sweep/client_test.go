@@ -87,7 +87,7 @@ func TestClientMalformedResponses(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cl := misbehaving(t, tc.handler)
-			if _, _, err := cl.Claim("w"); !errors.Is(err, tc.want) {
+			if _, _, err := cl.Claim(context.Background(), "w"); !errors.Is(err, tc.want) {
 				t.Errorf("Claim: err = %v, want %v", err, tc.want)
 			}
 			// Heartbeat exercises the out==nil decode path.
@@ -107,14 +107,14 @@ func TestClientFetchConfigMalformed(t *testing.T) {
 	cl := misbehaving(t, func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "not json at all")
 	})
-	if _, err := cl.FetchConfig(); !errors.Is(err, ErrBadResponse) {
+	if _, err := cl.FetchConfig(context.Background()); !errors.Is(err, ErrBadResponse) {
 		t.Errorf("FetchConfig non-json: err = %v, want ErrBadResponse", err)
 	}
 
 	cl = misbehaving(t, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "warming up", http.StatusServiceUnavailable)
 	})
-	if _, err := cl.FetchConfig(); !errors.Is(err, ErrCoordinatorDown) {
+	if _, err := cl.FetchConfig(context.Background()); !errors.Is(err, ErrCoordinatorDown) {
 		t.Errorf("FetchConfig 503: err = %v, want ErrCoordinatorDown", err)
 	}
 }
@@ -126,10 +126,10 @@ func TestClientConnectionRefused(t *testing.T) {
 	url := ts.URL
 	ts.Close()
 	cl := NewClient(url, nil)
-	if _, _, err := cl.Claim("w"); !errors.Is(err, ErrCoordinatorDown) {
+	if _, _, err := cl.Claim(context.Background(), "w"); !errors.Is(err, ErrCoordinatorDown) {
 		t.Errorf("Claim vs closed server: err = %v, want ErrCoordinatorDown", err)
 	}
-	if _, err := cl.FetchConfig(); !errors.Is(err, ErrCoordinatorDown) {
+	if _, err := cl.FetchConfig(context.Background()); !errors.Is(err, ErrCoordinatorDown) {
 		t.Errorf("FetchConfig vs closed server: err = %v, want ErrCoordinatorDown", err)
 	}
 }
@@ -152,7 +152,7 @@ func TestClientAdoptsEpoch(t *testing.T) {
 	}))
 	defer ts.Close()
 	cl := NewClient(ts.URL, nil)
-	if _, err := cl.FetchConfig(); err != nil {
+	if _, err := cl.FetchConfig(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if cl.Epoch() != 7 {

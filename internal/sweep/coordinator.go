@@ -239,7 +239,7 @@ func (c *Coordinator) CheckEpoch(epoch uint64) error {
 	return fmt.Errorf("%w: message epoch %d, coordinator epoch %d", ErrStaleEpoch, epoch, c.epoch)
 }
 
-// SetWALHook installs the chaos harness's per-append callback on the
+// SetWALHook installs the sweep harness's per-append callback on the
 // coordinator WAL (no-op without one); n counts entries appended by
 // this incarnation. The hook runs after the entry is durable and must
 // not call back into the coordinator.
@@ -249,7 +249,7 @@ func (c *Coordinator) SetWALHook(fn func(n uint64)) {
 	}
 }
 
-// Kill simulates SIGKILL for the chaos harness: the WAL closes without
+// Kill simulates SIGKILL for the sweep harness: the WAL closes without
 // sync and every later mutation fails, exactly as if the process died.
 // The object must be abandoned; a successor may reopen the WAL path.
 func (c *Coordinator) Kill() {

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -140,7 +141,7 @@ func TestClientMapsTooLarge(t *testing.T) {
 		http.Error(w, "request body over 16777216 bytes", http.StatusRequestEntityTooLarge)
 	})
 	errs := map[string]error{
-		"complete": cl.Complete(1, nil),
+		"complete": cl.Complete(context.Background(), 1, nil),
 		"put":      cl.Put(testCkptKey(100), snapAt(t, 100)),
 	}
 	for verb, err := range errs {

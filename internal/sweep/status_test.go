@@ -101,7 +101,7 @@ func TestHTTPEpochGate(t *testing.T) {
 	defer ts.Close()
 	cl := NewClient(ts.URL, nil)
 
-	cfg, err := cl.FetchConfig()
+	cfg, err := cl.FetchConfig(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestHTTPEpochGate(t *testing.T) {
 		t.Fatalf("config epoch = %d, want 1", cfg.Epoch)
 	}
 
-	lease, done, err := cl.Claim("w")
+	lease, done, err := cl.Claim(context.Background(), "w")
 	if err != nil || done || lease == nil {
 		t.Fatalf("claim: %v %v %v", lease, done, err)
 	}

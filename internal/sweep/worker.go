@@ -244,7 +244,7 @@ func RunWorker(opts WorkerOptions) (st WorkerStats, _ error) {
 		if err := opts.Context.Err(); err != nil {
 			return st, err
 		}
-		lease, done, err := opts.Client.Claim(opts.ID)
+		lease, done, err := opts.Client.Claim(opts.Context, opts.ID)
 		if err != nil {
 			if !retryableErr(err) {
 				return st, fmt.Errorf("sweep: worker %s: claim: %w", opts.ID, err)
@@ -308,7 +308,7 @@ func RunWorker(opts WorkerOptions) (st WorkerStats, _ error) {
 			continue
 		}
 
-		err = opts.Client.Complete(lease.ID, runner.CellRecords(lease.Cell.Bench, lease.Cell.Policy))
+		err = opts.Client.Complete(opts.Context, lease.ID, runner.CellRecords(lease.Cell.Bench, lease.Cell.Policy))
 		hb.Stop()
 		switch {
 		case err == nil:
@@ -350,7 +350,7 @@ func fetchConfigRetry(cl *Client, ctx context.Context) (Config, error) {
 		if err := ctx.Err(); err != nil {
 			return Config{}, err
 		}
-		cfg, err := cl.FetchConfig()
+		cfg, err := cl.FetchConfig(ctx)
 		if err == nil {
 			return cfg, nil
 		}

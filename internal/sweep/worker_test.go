@@ -2,7 +2,10 @@ package sweep
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -163,6 +166,54 @@ func TestWorkerKilledBetweenExecuteAndComplete(t *testing.T) {
 	unkilled, _ := runOneWorker(t, cfg, nil, nil)
 	if !bytes.Equal(mergedJournal(t, coord), mergedJournal(t, unkilled)) {
 		t.Fatal("merged journal differs from the unkilled sweep's")
+	}
+}
+
+// TestWorkerStopsOnCancelDuringHungClaim pins that cancelling a
+// worker's context aborts its in-flight coordinator round trip: a
+// coordinator that accepts a claim and never answers must not hold the
+// worker until the HTTP client's own timeout.
+func TestWorkerStopsOnCancelDuringHungClaim(t *testing.T) {
+	coord := NewCoordinator(testConfig(), nil, nil)
+	h := NewServer(coord, nil, nil, nil).Handler()
+	claimed := make(chan struct{}, 1)
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/claim" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		select {
+		case claimed <- struct{}{}:
+		default:
+		}
+		<-release
+	}))
+	defer ts.Close()
+	defer close(release) // before ts.Close, which waits for the handler
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := RunWorker(WorkerOptions{Client: NewClient(ts.URL, nil), ID: "w", Context: ctx})
+		errc <- err
+	}()
+	select {
+	case <-claimed:
+	case err := <-errc:
+		t.Fatalf("worker exited before claiming: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never sent a claim")
+	}
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunWorker = %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("RunWorker still blocked 2 s after its context was cancelled")
 	}
 }
 
