@@ -12,9 +12,11 @@ package asm
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 
 	"repro/internal/isa"
+	"repro/internal/mix"
 )
 
 // Builder assembles a contiguous run of instructions starting at Base.
@@ -191,26 +193,13 @@ func (im *Image) AddSegment(base uint64, words []uint64) {
 // iff they load identical guest state, so the checkpoint store uses
 // this as the workload-identity component of its keys.
 func (im *Image) Digest() uint64 {
-	const (
-		offset = 0xcbf29ce484222325
-		prime  = 0x100000001b3
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v >> (8 * i) & 0xff
-			h *= prime
-		}
-	}
-	mix(im.Entry)
+	h := fnv.New64a()
+	mix.Words(h, []uint64{im.Entry})
 	for _, s := range im.Segments {
-		mix(s.Base)
-		mix(uint64(len(s.Words)))
-		for _, w := range s.Words {
-			mix(w)
-		}
+		mix.Words(h, []uint64{s.Base, uint64(len(s.Words))})
+		mix.Words(h, s.Words)
 	}
-	return h
+	return h.Sum64()
 }
 
 // Bytes returns the total initialised size of the image in bytes.

@@ -3,7 +3,12 @@
 // return address stack, with the Table 1 geometry as defaults.
 package branch
 
-import "fmt"
+import (
+	"fmt"
+	"hash/fnv"
+
+	"repro/internal/mix"
+)
 
 // Config describes the predictor complex.
 type Config struct {
@@ -99,36 +104,22 @@ func New(cfg Config) *Predictor {
 // Stats returns prediction counters.
 func (p *Predictor) Stats() Stats { return p.stats }
 
-// Digest returns an FNV-1a-style hash (one round per word) over the
-// predictor's complete state: every gshare counter, the global history,
-// the BTB tags and targets, the RAS contents and top-of-stack, and the
-// statistics. Two predictors with equal digests predict every future
-// stream identically; timing.Snapshot carries it so the equivalence
-// harnesses pin predictor state the way cache.Digest pins replacement
-// state.
+// Digest returns an FNV-1a hash over the predictor's complete state:
+// every gshare counter, the global history, the BTB tags and targets,
+// the RAS contents and top-of-stack, and the statistics. Two predictors
+// with equal digests predict every future stream identically;
+// timing.Snapshot carries it so the equivalence harnesses pin predictor
+// state the way cache.Digest pins replacement state.
 func (p *Predictor) Digest() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range p.counters {
-		h = (h ^ uint64(c)) * prime64
-	}
-	h = (h ^ p.history) * prime64
-	for i, t := range p.btbTags {
-		h = (h ^ t) * prime64
-		h = (h ^ p.btbTargets[i]) * prime64
-	}
-	for _, r := range p.ras {
-		h = (h ^ r) * prime64
-	}
-	h = (h ^ uint64(p.rasTop)) * prime64
+	h := fnv.New64a()
+	h.Write(p.counters)
+	mix.Words(h, []uint64{p.history})
+	mix.Words(h, p.btbTags)
+	mix.Words(h, p.btbTargets)
+	mix.Words(h, p.ras)
 	s := p.stats
-	for _, v := range [...]uint64{s.Branches, s.DirMispred, s.TargetPred, s.TargetMiss, s.Returns, s.ReturnMiss} {
-		h = (h ^ v) * prime64
-	}
-	return h
+	mix.Words(h, []uint64{uint64(p.rasTop), s.Branches, s.DirMispred, s.TargetPred, s.TargetMiss, s.Returns, s.ReturnMiss})
+	return h.Sum64()
 }
 
 // OnBranch predicts a conditional branch at pc, updates the predictor

@@ -4,7 +4,12 @@
 // data). They are deterministic and allocation-free on the access path.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"hash/fnv"
+
+	"repro/internal/mix"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -131,24 +136,10 @@ func (c *Cache) Flush() {
 // pin a shared cache's state byte-for-byte across schedules without
 // exporting the tag array.
 func (c *Cache) Digest() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	for _, t := range c.tags {
-		mix(t)
-	}
-	mix(c.stats.Hits)
-	mix(c.stats.Misses)
-	return h
+	h := fnv.New64a()
+	mix.Words(h, c.tags)
+	mix.Words(h, []uint64{c.stats.Hits, c.stats.Misses})
+	return h.Sum64()
 }
 
 // TLBConfig describes a TLB level. Ways == 0 means fully associative.
@@ -202,10 +193,4 @@ func (t *TLB) Flush() { t.inner.Flush() }
 
 // Digest returns an FNV-1a hash over the TLB's full entry and
 // replacement state plus its hit/miss counters (see Cache.Digest).
-func (t *TLB) Digest() uint64 {
-	// The counters are folded in a second time, on top of the inner
-	// digest that already covers them: the value predates the TLB
-	// sharing its counters with the inner cache and is kept as it was.
-	st := t.inner.stats
-	return t.inner.Digest() ^ (st.Hits*0x9e3779b97f4a7c15 + st.Misses)
-}
+func (t *TLB) Digest() uint64 { return t.inner.Digest() }

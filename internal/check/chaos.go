@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/faults"
+	"repro/internal/mix"
 )
 
 // ChaosOptions configures ChaosExploration.
@@ -21,13 +22,6 @@ type ChaosOptions struct {
 	Verbose bool
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // SchedulePlan draws schedule i's fault plan from the exploration seed
 // — a pure function, so a schedule is reproducible from (seed, i)
 // alone. Every schedule carries at least one deterministic fault
@@ -36,7 +30,7 @@ func splitmix64(x uint64) uint64 {
 // delivery; upload outages vary independently on top. A schedule draws
 // only faults that can fire: the workers have no disk checkpoint tier.
 func SchedulePlan(seed uint64, i int) faults.Plan {
-	h := splitmix64(seed ^ splitmix64(uint64(i)*0x9e3779b97f4a7c15+1))
+	h := mix.NewRNG(seed ^ mix.NewRNG(uint64(i)*0x9e3779b97f4a7c15+1).Next()).Next()
 	p := faults.Plan{
 		WorkerKill:   []float64{0, 0.5, 1.0}[(h>>24)%3],
 		KillAttempts: 1,

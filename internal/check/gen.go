@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/mix"
 	"repro/internal/vm"
-	"repro/internal/workload"
 )
 
 // Guest memory layout for generated checker programs. Deliberately
@@ -63,7 +63,7 @@ const (
 )
 
 type progGen struct {
-	rng    *workload.RNG
+	rng    *mix.RNG
 	b      *asm.Builder
 	slots  []uint64
 	labels int
@@ -87,7 +87,7 @@ func (g *progGen) work() uint8 {
 // device, phase-mark, and time-query syscalls.
 func Generate(seed uint64) *Program {
 	g := &progGen{
-		rng: workload.NewRNG(seed ^ 0xd1f5c4ec_0ffe_11ed),
+		rng: mix.NewRNG(seed ^ 0xd1f5c4ec_0ffe_11ed),
 		b:   asm.NewBuilder(genCodeBase),
 	}
 	b := g.b

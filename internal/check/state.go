@@ -2,9 +2,11 @@ package check
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 
 	"repro/internal/isa"
+	"repro/internal/mix"
 	"repro/internal/vm"
 )
 
@@ -51,12 +53,11 @@ func capture(m *vm.Machine, hostStats bool) machineState {
 	}
 	log := m.PhaseLog()
 	st.PhaseLen = len(log)
-	h := uint64(0xcbf29ce484222325)
+	h := fnv.New64a()
 	for _, pm := range log {
-		h = (h ^ pm.Instr) * 0x100000001b3
-		h = (h ^ pm.Value) * 0x100000001b3
+		mix.Words(h, []uint64{pm.Instr, pm.Value})
 	}
-	st.PhaseDigest = h
+	st.PhaseDigest = h.Sum64()
 	if !hostStats {
 		st.Stats = archStats(st.Stats)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mix"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -266,7 +267,7 @@ func TestStoreSharedSnapshotsConcurrent(t *testing.T) {
 	// worker restores even-numbered entries only; the odd ones are the
 	// discarder's.
 	worker := func(s *Store, keys []Key, g int) ([]uint64, error) {
-		rng := workload.NewRNG(uint64(g) + 1)
+		rng := mix.NewRNG(uint64(g) + 1)
 		m := testMachine(t)
 		var out []uint64
 		for r := 0; r < rounds; r++ {

@@ -30,34 +30,26 @@ package core
 // pre-warmed — the cache-equivalence tests pin this.
 
 import (
+	"hash/fnv"
+
 	"repro/internal/ckpt"
 	"repro/internal/hostcost"
+	"repro/internal/mix"
 	"repro/internal/vm"
 )
-
-// mix64 folds v into an FNV-1a hash byte by byte.
-func mix64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * 0x100000001b3
-		v >>= 8
-	}
-	return h
-}
 
 // workloadHash identifies one execution trajectory: the guest image
 // plus every parameter that influences what the machine computes. Two
 // sessions with equal hashes (and scales) may exchange checkpoints.
 func workloadHash(digest, total, interval uint64, cfg vm.Config) uint64 {
 	n := cfg.Normalized()
-	h := uint64(0xcbf29ce484222325)
-	for _, v := range []uint64{
+	h := fnv.New64a()
+	mix.Words(h, []uint64{
 		digest, total, interval,
 		n.MemSpan, uint64(n.TCMaxBlocks), uint64(n.TLBEntries),
 		uint64(n.MaxBlockLen), 0, // the block device's seed, when it had one
-	} {
-		h = mix64(h, v)
-	}
-	return h
+	})
+	return h.Sum64()
 }
 
 // ckptKey addresses this session's checkpoint at an absolute

@@ -5,7 +5,12 @@
 // interface.
 package device
 
-import "sort"
+import (
+	"hash/fnv"
+	"sort"
+
+	"repro/internal/mix"
+)
 
 // Console is a write-only character device. Output is counted, not
 // stored, except for a small tail kept for tests and debugging.
@@ -65,17 +70,6 @@ func NewBlock(seed uint64) *Block {
 	return &Block{Seed: seed}
 }
 
-// fillWord is the deterministic content of word i of an unwritten sector.
-func (b *Block) fillWord(sector, i uint64) uint64 {
-	x := sector*0x9e3779b97f4a7c15 + i*0xbf58476d1ce4e5b9 + b.Seed
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // ReadSector copies one sector into dst.
 func (b *Block) ReadSector(sector uint64, dst *[SectorWords]uint64) {
 	b.Reads++
@@ -84,8 +78,9 @@ func (b *Block) ReadSector(sector uint64, dst *[SectorWords]uint64) {
 		*dst = *s
 		return
 	}
+	// Unwritten sectors read as rows of the matrix b.Seed names.
 	for i := range dst {
-		dst[i] = b.fillWord(sector, uint64(i))
+		dst[i] = mix.Entry(b.Seed, sector, uint64(i))
 	}
 }
 
@@ -112,30 +107,18 @@ func (b *Block) DirtySectors() int { return len(b.dirty) }
 // counters are excluded — they are mirrored in the VM statistics and
 // compared there.
 func (b *Block) Digest() uint64 {
-	const (
-		offset = 0xcbf29ce484222325
-		prime  = 0x100000001b3
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v >> (8 * i) & 0xff
-			h *= prime
-		}
-	}
-	mix(b.Seed)
+	h := fnv.New64a()
+	mix.Words(h, []uint64{b.Seed})
 	sectors := make([]uint64, 0, len(b.dirty))
 	for sec := range b.dirty {
 		sectors = append(sectors, sec)
 	}
 	sort.Slice(sectors, func(i, j int) bool { return sectors[i] < sectors[j] })
 	for _, sec := range sectors {
-		mix(sec)
-		for _, w := range b.dirty[sec] {
-			mix(w)
-		}
+		mix.Words(h, []uint64{sec})
+		mix.Words(h, b.dirty[sec][:])
 	}
-	return h
+	return h.Sum64()
 }
 
 // Clone returns a deep copy (for VM snapshots).

@@ -24,9 +24,12 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/mix"
 )
 
 // Kind names one injectable fault class.
@@ -150,30 +153,17 @@ func (in *Injector) Seed() uint64 { return in.seed }
 // Plan returns the injector's plan.
 func (in *Injector) Plan() Plan { return in.plan }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // hash derives the verdict word for one (kind, key, n) site. It is the
 // only source of randomness: decisions never depend on global state, so
 // they are stable under any goroutine interleaving.
 func (in *Injector) hash(kind Kind, key string, n uint64) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * 0x100000001b3
-		}
-		h = (h ^ 0xff) * 0x100000001b3
+	h := fnv.New64a()
+	for _, s := range []string{string(kind), key} {
+		h.Write([]byte(s))
+		h.Write([]byte{0xff})
 	}
-	mix(string(kind))
-	mix(key)
-	for i := 0; i < 8; i++ {
-		h = (h ^ (n >> (8 * i) & 0xff)) * 0x100000001b3
-	}
-	return splitmix64(h ^ splitmix64(in.seed))
+	mix.Words(h, []uint64{n})
+	return mix.NewRNG(h.Sum64() ^ mix.NewRNG(in.seed).Next()).Next()
 }
 
 // frac maps a hash word to [0, 1).

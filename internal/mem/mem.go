@@ -11,8 +11,11 @@ package mem
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"unsafe"
+
+	"repro/internal/mix"
 )
 
 const (
@@ -181,29 +184,17 @@ func (m *Memory) unseal(vpn uint64) *Page {
 // same guest operations digest identically; the differential harness
 // (internal/check) uses this as its memory-equality witness.
 func (m *Memory) Digest() uint64 {
-	const (
-		offset = 0xcbf29ce484222325
-		prime  = 0x100000001b3
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v >> (8 * i) & 0xff
-			h *= prime
-		}
-	}
+	h := fnv.New64a()
 	for d, l := range m.dir {
 		for i, p := range l.Pages {
 			if p == nil {
 				continue
 			}
-			mix(uint64(d<<LeafShift + i))
-			for _, w := range p {
-				mix(w)
-			}
+			mix.Words(h, []uint64{uint64(d<<LeafShift + i)})
+			mix.Words(h, p[:])
 		}
 	}
-	return h
+	return h.Sum64()
 }
 
 // pageEntry is one materialised page of a snapshot.

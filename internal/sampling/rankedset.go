@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/mix"
 	"repro/internal/stats"
 )
 
@@ -103,7 +104,7 @@ func (p RankedSet) Run(s *core.Session) (Result, error) {
 
 	// The candidate pool: a seeded permutation of the frame, refreshed
 	// (skipping already-selected intervals) whenever it runs dry.
-	rng := stats.NewRNG(p.Seed)
+	rng := mix.NewRNG(p.Seed)
 	pool := rng.Perm(n)
 	poolPos := 0
 	selected := make(map[int]bool, p.Cycles*m)

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/mix"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/vm"
@@ -268,7 +269,7 @@ func refStratified(p Stratified, s *core.Session) (Result, error) {
 		return byProxy[a] < byProxy[b]
 	})
 	strata := make([]refStratum, k)
-	rng := stats.NewRNG(p.Seed)
+	rng := mix.NewRNG(p.Seed)
 	pos := 0
 	for h := 0; h < k; h++ {
 		size := n / k
@@ -405,7 +406,7 @@ func refRankedSet(p RankedSet, s *core.Session) (Result, error) {
 		m = n
 	}
 
-	rng := stats.NewRNG(p.Seed)
+	rng := mix.NewRNG(p.Seed)
 	pool := rng.Perm(n)
 	poolPos := 0
 	selected := make(map[int]bool, p.Cycles*m)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/mix"
 	"repro/internal/stats"
 )
 
@@ -137,7 +138,7 @@ func (p Stratified) Run(s *core.Session) (Result, error) {
 	weights := make([]float64, k)
 	sizes := make([]int, k)
 	proxySDs := make([]float64, k)
-	rng := stats.NewRNG(p.Seed)
+	rng := mix.NewRNG(p.Seed)
 	pos := 0
 	for h := range strata {
 		size := n / k

@@ -9,6 +9,7 @@ package simpoint
 import (
 	"sort"
 
+	"repro/internal/mix"
 	"repro/internal/vm"
 )
 
@@ -54,13 +55,7 @@ func (p *Profiler) OnEvents(evs []vm.Event) {
 // for (bucket, dimension), derived by hashing — equivalent to a fixed
 // random matrix without materialising it.
 func (p *Profiler) projEntry(bucket uint64, d int) float64 {
-	x := bucket*0x9e3779b97f4a7c15 + uint64(d)*0xbf58476d1ce4e5b9 + p.seed
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
+	return float64(mix.Entry(p.seed, bucket, uint64(d))>>11) / float64(1<<53)
 }
 
 // EndInterval closes the current interval: the accumulated basic-block

@@ -3,7 +3,7 @@ package simpoint
 import (
 	"math"
 
-	"repro/internal/stats"
+	"repro/internal/mix"
 )
 
 // KMeansResult is the outcome of one clustering run.
@@ -38,7 +38,7 @@ func KMeans(vectors [][]float64, k, iters int, seed uint64) KMeansResult {
 		k = 1
 	}
 	dim := len(vectors[0])
-	rng := stats.NewRNG(seed)
+	rng := mix.NewRNG(seed)
 
 	// Centroid c is cen[c*dim:(c+1)*dim]; sums is laid out the same way.
 	cen, sums := make([]float64, k*dim), make([]float64, k*dim)

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/stats"
+	"repro/internal/mix"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -45,7 +45,7 @@ func refKMeans(vectors [][]float64, k, iters int, seed uint64) (KMeansResult, re
 		k = 1
 	}
 	dim := len(vectors[0])
-	rng := stats.NewRNG(seed)
+	rng := mix.NewRNG(seed)
 
 	// k-means++ seeding.
 	centroids := make([][]float64, 0, k)
@@ -259,7 +259,7 @@ const (
 )
 
 func genVectors(kind, n, dim int, seed uint64) [][]float64 {
-	r := stats.NewRNG(seed)
+	r := mix.NewRNG(seed)
 	vecs := make([][]float64, n)
 	for i := range vecs {
 		v := make([]float64, dim)
@@ -375,7 +375,7 @@ func FuzzKMeansMatchesReference(f *testing.F) {
 // run of one bucket, empty batches, one event at a time — and compares
 // the projected vectors bit for bit.
 func TestProfilerMatchesReference(t *testing.T) {
-	r := stats.NewRNG(9)
+	r := mix.NewRNG(9)
 	const intervals = 4
 	streams := make([][]vm.Event, intervals)
 	for iv := range streams {

@@ -6,15 +6,15 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/mix"
 	"repro/internal/sampling"
-	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
 // blobs generates n points around k well-separated centres.
 func blobs(n, k, dim int, seed uint64) ([][]float64, []int) {
-	r := stats.NewRNG(seed)
+	r := mix.NewRNG(seed)
 	centres := make([][]float64, k)
 	for c := range centres {
 		centres[c] = make([]float64, dim)

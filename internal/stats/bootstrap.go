@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"sort"
+
+	"repro/internal/mix"
 )
 
 // BootstrapMeanInterval estimates a confidence interval for the mean of
@@ -29,7 +31,7 @@ func BootstrapMeanInterval(groups []float64, b int, seed uint64, confidence floa
 		b = 2
 	}
 	n := len(groups)
-	rng := NewRNG(seed)
+	rng := mix.NewRNG(seed)
 	means := make([]float64, b)
 	for i := 0; i < b; i++ {
 		var sum float64

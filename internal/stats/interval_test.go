@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mix"
 )
 
 func almost(t *testing.T, name string, got, want float64) {
@@ -246,7 +248,7 @@ func TestNeymanAllocation(t *testing.T) {
 func TestNeymanAllocationProperties(t *testing.T) {
 	t.Parallel()
 	f := func(seed uint64) bool {
-		rng := NewRNG(seed)
+		rng := mix.NewRNG(seed)
 		k := 1 + rng.Intn(6)
 		weights := make([]float64, k)
 		sds := make([]float64, k)
@@ -327,28 +329,12 @@ func TestBootstrapMeanInterval(t *testing.T) {
 	}
 }
 
-func TestRNGPermDeterministic(t *testing.T) {
-	t.Parallel()
-	a := NewRNG(7).Perm(20)
-	b := NewRNG(7).Perm(20)
-	seen := make([]bool, 20)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Perm not deterministic")
-		}
-		if seen[a[i]] {
-			t.Fatalf("Perm repeated element %d", a[i])
-		}
-		seen[a[i]] = true
-	}
-}
-
 // A single stratum over an unbounded population must agree exactly with
 // the plain t interval for the same sample.
 func TestStratifiedMatchesMeanIntervalSingleStratum(t *testing.T) {
 	t.Parallel()
 	f := func(seed uint64) bool {
-		rng := NewRNG(seed)
+		rng := mix.NewRNG(seed)
 		n := 2 + rng.Intn(10)
 		xs := make([]float64, n)
 		for i := range xs {

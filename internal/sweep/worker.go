@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/mix"
 	"repro/internal/obs"
 	"repro/internal/sampling"
 )
@@ -85,9 +87,8 @@ func (o *WorkerOptions) setDefaults() {
 
 // backoffDelay is the deterministic jittered exponential delay for the
 // n-th consecutive retryable failure (0-based): base·2ⁿ capped at max,
-// then scaled into [½d, d) by an FNV/splitmix-style hash of (seed, id,
-// n) — pure, so a chaos schedule replays the exact same reconnect
-// timeline every run.
+// then scaled into [½d, d) by a hash of (seed, id, n) — pure, so a
+// chaos schedule replays the exact same reconnect timeline every run.
 func backoffDelay(seed uint64, id string, n int, base, max time.Duration) time.Duration {
 	d := base
 	for i := 0; i < n && d < max; i++ {
@@ -96,15 +97,9 @@ func backoffDelay(seed uint64, id string, n int, base, max time.Duration) time.D
 	if d > max {
 		d = max
 	}
-	h := seed ^ 0x9e3779b97f4a7c15
-	for _, b := range []byte(id) {
-		h = (h ^ uint64(b)) * 0x100000001b3
-	}
-	h ^= uint64(n+1) * 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	frac := float64(h%1024) / 1024
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	frac := float64(mix.Entry(seed, h.Sum64(), uint64(n))%1024) / 1024
 	return d/2 + time.Duration(float64(d/2)*frac)
 }
 

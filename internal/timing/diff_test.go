@@ -8,6 +8,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cache"
 	"repro/internal/isa"
+	"repro/internal/mix"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -205,7 +206,7 @@ func TestStreamsCoverTheModel(t *testing.T) {
 // the fixed sizes the batch-invariance sweep uses (1, 3, 64, 4096) and
 // arbitrary ones.
 func splitSizes(n int, seed uint64) []int {
-	rng := workload.NewRNG(seed)
+	rng := mix.NewRNG(seed)
 	fixed := []int{1, 3, 64, 4096}
 	var sizes []int
 	for n > 0 {
@@ -266,7 +267,7 @@ func runDiff(t *testing.T, cfg Config, evs []vm.Event, sizes []int, mode deliver
 	t.Helper()
 	c, r := NewCore(cfg), newRefCore(cfg)
 	warm, refDetail, refWarm := c.WarmSink(), perEvent(r.OnEvent), perEvent(r.warm)
-	rng := workload.NewRNG(seed ^ 0x5eed)
+	rng := mix.NewRNG(seed ^ 0x5eed)
 	at := 0
 	for bi, s := range sizes {
 		batch := evs[at : at+s]

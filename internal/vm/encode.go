@@ -5,12 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"io"
 	"slices"
 
 	"repro/internal/device"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/mix"
 )
 
 // Serialized snapshot format (all integers little-endian):
@@ -27,7 +30,7 @@ import (
 //	disk     device.Block.EncodeTo
 //	memory   mem.Snapshot.EncodeTo
 //	blocks   u64 count, then ascending translation-cache block PCs
-//	footer   u64 FNV-1a over every preceding byte
+//	footer   u64 FNV-1a (hash/fnv New64a) over every preceding byte
 //
 // The footer makes corruption — truncation, a flipped bit, a stale
 // version header — detectable before any machine state is restored;
@@ -41,9 +44,6 @@ import (
 const (
 	snapMagic   = 0x4b435344 // "DSCK"
 	snapVersion = 1
-
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
 
 	// maxSavedBlocks bounds the block count a decoded snapshot may
 	// claim (far above any real translation-cache capacity).
@@ -60,53 +60,19 @@ var ErrCorruptSnapshot = errors.New("vm: corrupt snapshot (digest mismatch)")
 // format version.
 var ErrSnapshotVersion = errors.New("vm: unsupported snapshot version")
 
-// fnvWriter hashes every byte written through it with FNV-1a.
-type fnvWriter struct {
+// hashWriter feeds every byte written through it to h and counts the
+// bytes w accepted, for WriteTo's result.
+type hashWriter struct {
 	w io.Writer
-	h uint64
+	h hash.Hash64
 	n int64
 }
 
-func (f *fnvWriter) Write(p []byte) (int, error) {
-	for _, b := range p {
-		f.h = (f.h ^ uint64(b)) * fnvPrime
-	}
+func (f *hashWriter) Write(p []byte) (int, error) {
+	f.h.Write(p)
 	n, err := f.w.Write(p)
 	f.n += int64(n)
 	return n, err
-}
-
-// fnvReader hashes every byte read through it with FNV-1a.
-type fnvReader struct {
-	r io.Reader
-	h uint64
-}
-
-func (f *fnvReader) Read(p []byte) (int, error) {
-	n, err := f.r.Read(p)
-	for _, b := range p[:n] {
-		f.h = (f.h ^ uint64(b)) * fnvPrime
-	}
-	return n, err
-}
-
-// writeU64s writes values little-endian through a small batch buffer.
-func writeU64s(w io.Writer, vs []uint64) error {
-	var buf [512]byte
-	for len(vs) > 0 {
-		n := len(vs)
-		if n > len(buf)/8 {
-			n = len(buf) / 8
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], vs[i])
-		}
-		if _, err := w.Write(buf[:n*8]); err != nil {
-			return err
-		}
-		vs = vs[n:]
-	}
-	return nil
 }
 
 // readU64s fills vs with little-endian values.
@@ -158,12 +124,12 @@ func readU64Slice(r io.Reader, count uint64) ([]uint64, error) {
 // returned count includes the digest footer.
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	fw := &fnvWriter{w: bw, h: fnvOffset}
+	fw := &hashWriter{w: bw, h: fnv.New64a()}
 	if err := s.encodePayload(fw); err != nil {
 		return fw.n, err
 	}
 	var foot [8]byte
-	binary.LittleEndian.PutUint64(foot[:], fw.h)
+	binary.LittleEndian.PutUint64(foot[:], fw.h.Sum64())
 	n, err := bw.Write(foot[:])
 	total := fw.n + int64(n)
 	if err != nil {
@@ -186,17 +152,17 @@ func (s *Snapshot) encodePayload(w io.Writer) error {
 	fixed := make([]uint64, 0, 3+isa.NumRegs)
 	fixed = append(fixed, s.pc, s.exitCode, halted)
 	fixed = append(fixed, s.regs[:]...)
-	if err := writeU64s(w, fixed); err != nil {
+	if err := mix.Words(w, fixed); err != nil {
 		return err
 	}
 	if err := binary.Write(w, binary.LittleEndian, &s.stats); err != nil {
 		return err
 	}
-	if err := writeU64s(w, []uint64{uint64(s.tlbEntries)}); err != nil {
+	if err := mix.Words(w, []uint64{uint64(s.tlbEntries)}); err != nil {
 		return err
 	}
 	for i, l := range s.tlb {
-		if err := writeU64s(w, l.entries[:min(tlbLineLen, s.tlbEntries-i*tlbLineLen)]); err != nil {
+		if err := mix.Words(w, l.entries[:min(tlbLineLen, s.tlbEntries-i*tlbLineLen)]); err != nil {
 			return err
 		}
 	}
@@ -205,7 +171,7 @@ func (s *Snapshot) encodePayload(w io.Writer) error {
 	for _, pm := range s.phaseLog {
 		phase = append(phase, pm.Instr, pm.Value)
 	}
-	if err := writeU64s(w, phase); err != nil {
+	if err := mix.Words(w, phase); err != nil {
 		return err
 	}
 	if err := s.console.EncodeTo(w); err != nil {
@@ -224,7 +190,7 @@ func (s *Snapshot) encodePayload(w io.Writer) error {
 		}
 	}
 	pcs[0] = uint64(len(pcs) - 1)
-	return writeU64s(w, pcs)
+	return mix.Words(w, pcs)
 }
 
 // ReadSnapshot deserialises a snapshot written by WriteTo, verifying
@@ -236,7 +202,8 @@ func (s *Snapshot) encodePayload(w io.Writer) error {
 // is used as it is: a caller that must know where the snapshot ended
 // (ckpt.Store.PutFrom) passes one and asks it what is left.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	fr := &fnvReader{r: bufio.NewReaderSize(r, 1<<16), h: fnvOffset}
+	br, h := bufio.NewReaderSize(r, 1<<16), fnv.New64a()
+	fr := io.TeeReader(br, h)
 	var head [8]byte
 	if _, err := io.ReadFull(fr, head[:]); err != nil {
 		return nil, fmt.Errorf("vm: snapshot header: %w", err)
@@ -316,9 +283,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	s.code = pagesOf(blocks)
 	// The footer is read around the hasher: it authenticates the
 	// payload, not itself.
-	want := fr.h
+	want := h.Sum64()
 	var foot [8]byte
-	if _, err := io.ReadFull(fr.r, foot[:]); err != nil {
+	if _, err := io.ReadFull(br, foot[:]); err != nil {
 		return nil, fmt.Errorf("%w (missing footer)", ErrCorruptSnapshot)
 	}
 	if binary.LittleEndian.Uint64(foot[:]) != want {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/workload"
+	"repro/internal/mix"
 )
 
 // deepSnapshot is the reference capture: every part of the machine
@@ -142,7 +142,7 @@ const (
 // runs of stores to TLB-conflicting pages, and the console, block,
 // phase-mark and time syscalls.
 func sharingProgram(seed uint64) *asm.Image {
-	rng := workload.NewRNG(seed ^ 0x5ba12e_5eed)
+	rng := mix.NewRNG(seed ^ 0x5ba12e_5eed)
 	b := asm.NewBuilder(shCode)
 	work := func() uint8 { return uint8(1 + rng.Intn(shWork)) }
 	labels := 0
@@ -336,7 +336,7 @@ func TestSnapshotSharingIsInvisible(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d/burst%d", seed, maxBurst), func(t *testing.T) {
 			cfg := sharingConfig(seed)
 			img := sharingProgram(seed)
-			rng := workload.NewRNG(seed)
+			rng := mix.NewRNG(seed)
 			machines := [2]*Machine{New(cfg), New(cfg)}
 			for _, m := range machines {
 				m.Load(img)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/mix"
 )
 
 // Guest memory layout for generated benchmarks.
@@ -166,7 +167,7 @@ func Build(spec Spec, totalInstr, intervalLen uint64) (*asm.Image, *Plan) {
 		spec:     spec,
 		total:    totalInstr,
 		interval: intervalLen,
-		rng:      NewRNG(spec.Seed()),
+		rng:      mix.NewRNG(spec.Seed()),
 		code:     asm.NewBuilder(CodeBase),
 		data:     asm.NewDataSeg(DataBase),
 		plan: &Plan{
@@ -190,7 +191,7 @@ type generator struct {
 	spec     Spec
 	total    uint64
 	interval uint64
-	rng      *RNG
+	rng      *mix.RNG
 	code     *asm.Builder
 	data     *asm.DataSeg
 	plan     *Plan

@@ -1,58 +1,22 @@
 package workload
 
-// RNG is a splitmix64 generator. The workload generator must be
-// deterministic across Go releases (benchmark programs are part of the
-// experimental setup), so it does not use math/rand. It is exported so
-// that other deterministic generators (internal/check's random guest
-// programs) share the same primitive.
-type RNG struct{ state uint64 }
+import (
+	"hash/fnv"
 
-// NewRNG returns a generator seeded with seed.
-func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
+	"repro/internal/mix"
+)
 
-// Next returns the next 64-bit value of the stream.
-func (r *RNG) Next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// RNG and NewRNG are mix's generator under the names the benchmark
+// harness (bench/workloads.go) spells; new code uses mix directly.
+type RNG = mix.RNG
 
-// Intn returns a deterministic value in [0, n).
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.Next() % uint64(n))
-}
+// NewRNG returns mix.NewRNG(seed).
+func NewRNG(seed uint64) *RNG { return mix.NewRNG(seed) }
 
-// Pick returns a weighted choice index given non-negative weights.
-func (r *RNG) Pick(weights []int) int {
-	total := 0
-	for _, w := range weights {
-		total += w
-	}
-	if total == 0 {
-		return 0
-	}
-	v := r.Intn(total)
-	for i, w := range weights {
-		if v < w {
-			return i
-		}
-		v -= w
-	}
-	return len(weights) - 1
-}
-
-// SeedFromName derives a stable 64-bit seed from a benchmark name
-// (FNV-1a).
+// SeedFromName derives a stable 64-bit seed from a benchmark name: the
+// FNV-1a hash of its bytes. It decides every generated guest program.
 func SeedFromName(name string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 0x100000001b3
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return h.Sum64()
 }

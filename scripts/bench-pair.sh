@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of the working tree against a git ref: the
-# protocol the bounds in BENCHMARK.json assume. Unpacks `git archive
-# <git-ref>` into a temporary directory (no .git metadata, nothing to
-# deregister afterwards), runs one workload on both trees in alternating
-# order (parent first in odd pairs, change first in even ones), and
-# prints, per end-to-end metric, each side's median and quartiles and
-# in how many pairs the change read better.
+# protocol the bounds in BENCHMARK.json assume. Both sides run from
+# fresh trees in one temporary directory, with no .git metadata and no
+# build output: `git archive <git-ref>` for the parent, and for the
+# change a copy of the working tree's tracked and untracked,
+# not-ignored files (what `git ls-files -co --exclude-standard` lists).
+# Runs one workload on both trees in alternating order (parent first in
+# odd pairs, change first in even ones), and prints, per end-to-end
+# metric, each side's median and quartiles and in how many pairs the
+# change read better.
 #
 #   scripts/bench-pair.sh <git-ref> <workload> [pairs=10] [seed=1]
 #
@@ -14,7 +17,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,13p' "$0" | sed 's/^# \{0,1\}//' >&2
+	sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
 	exit 2
 fi
 ref=$1 workload=$2 pairs=${3:-10} seed=${4:-1}
@@ -24,10 +27,14 @@ cd "$root"
 git rev-parse --verify --quiet "$ref^{commit}" >/dev/null || { echo "bench-pair: unknown git ref $ref" >&2; exit 2; }
 
 tmp=$(mktemp -d)
-parent="$tmp/parent"
+parent="$tmp/parent" change="$tmp/change"
 trap 'rm -rf "$tmp"' EXIT
-mkdir "$parent"
+mkdir "$parent" "$change"
 git archive "$ref" | tar -x -C "$parent"
+# Files deleted in the working tree but still in the index are skipped.
+git ls-files -z -co --exclude-standard |
+	while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
+	tar --null -T - -cf - | tar -xf - -C "$change"
 
 # run <tree> <side>: one benchmark run of pair $pair; appends one
 # "<side> <pair> <metric> <value>" line per metric to $tmp/runs.
@@ -47,9 +54,9 @@ echo "bench-pair: $workload, seed $seed, $pairs pairs of 20 s runs, parent = $re
 for pair in $(seq "$pairs"); do
 	if [ $((pair % 2)) -eq 1 ]; then
 		run "$parent" parent
-		run "$root" change
+		run "$change" change
 	else
-		run "$root" change
+		run "$change" change
 		run "$parent" parent
 	fi
 done
