@@ -194,10 +194,11 @@ func (im *Image) AddSegment(base uint64, words []uint64) {
 // this as the workload-identity component of its keys.
 func (im *Image) Digest() uint64 {
 	h := fnv.New64a()
-	mix.Words(h, []uint64{im.Entry})
+	w := mix.NewWriter(h)
+	w.Words(im.Entry)
 	for _, s := range im.Segments {
-		mix.Words(h, []uint64{s.Base, uint64(len(s.Words))})
-		mix.Words(h, s.Words)
+		w.Words(s.Base, uint64(len(s.Words)))
+		w.Words(s.Words...)
 	}
 	return h.Sum64()
 }

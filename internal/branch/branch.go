@@ -113,12 +113,13 @@ func (p *Predictor) Stats() Stats { return p.stats }
 func (p *Predictor) Digest() uint64 {
 	h := fnv.New64a()
 	h.Write(p.counters)
-	mix.Words(h, []uint64{p.history})
-	mix.Words(h, p.btbTags)
-	mix.Words(h, p.btbTargets)
-	mix.Words(h, p.ras)
+	w := mix.NewWriter(h)
+	w.Words(p.history)
+	w.Words(p.btbTags...)
+	w.Words(p.btbTargets...)
+	w.Words(p.ras...)
 	s := p.stats
-	mix.Words(h, []uint64{uint64(p.rasTop), s.Branches, s.DirMispred, s.TargetPred, s.TargetMiss, s.Returns, s.ReturnMiss})
+	w.Words(uint64(p.rasTop), s.Branches, s.DirMispred, s.TargetPred, s.TargetMiss, s.Returns, s.ReturnMiss)
 	return h.Sum64()
 }
 

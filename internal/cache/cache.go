@@ -137,8 +137,9 @@ func (c *Cache) Flush() {
 // exporting the tag array.
 func (c *Cache) Digest() uint64 {
 	h := fnv.New64a()
-	mix.Words(h, c.tags)
-	mix.Words(h, []uint64{c.stats.Hits, c.stats.Misses})
+	w := mix.NewWriter(h)
+	w.Words(c.tags...)
+	w.Words(c.stats.Hits, c.stats.Misses)
 	return h.Sum64()
 }
 

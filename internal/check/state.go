@@ -54,8 +54,9 @@ func capture(m *vm.Machine, hostStats bool) machineState {
 	log := m.PhaseLog()
 	st.PhaseLen = len(log)
 	h := fnv.New64a()
+	w := mix.NewWriter(h)
 	for _, pm := range log {
-		mix.Words(h, []uint64{pm.Instr, pm.Value})
+		w.Words(pm.Instr, pm.Value)
 	}
 	st.PhaseDigest = h.Sum64()
 	if !hostStats {

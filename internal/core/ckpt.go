@@ -44,11 +44,11 @@ import (
 func workloadHash(digest, total, interval uint64, cfg vm.Config) uint64 {
 	n := cfg.Normalized()
 	h := fnv.New64a()
-	mix.Words(h, []uint64{
+	mix.NewWriter(h).Words(
 		digest, total, interval,
 		n.MemSpan, uint64(n.TCMaxBlocks), uint64(n.TLBEntries),
 		uint64(n.MaxBlockLen), 0, // the block device's seed, when it had one
-	})
+	)
 	return h.Sum64()
 }
 

@@ -108,15 +108,16 @@ func (b *Block) DirtySectors() int { return len(b.dirty) }
 // compared there.
 func (b *Block) Digest() uint64 {
 	h := fnv.New64a()
-	mix.Words(h, []uint64{b.Seed})
+	w := mix.NewWriter(h)
+	w.Words(b.Seed)
 	sectors := make([]uint64, 0, len(b.dirty))
 	for sec := range b.dirty {
 		sectors = append(sectors, sec)
 	}
 	sort.Slice(sectors, func(i, j int) bool { return sectors[i] < sectors[j] })
 	for _, sec := range sectors {
-		mix.Words(h, []uint64{sec})
-		mix.Words(h, b.dirty[sec][:])
+		w.Words(sec)
+		w.Words(b.dirty[sec][:]...)
 	}
 	return h.Sum64()
 }

@@ -162,7 +162,7 @@ func (in *Injector) hash(kind Kind, key string, n uint64) uint64 {
 		h.Write([]byte(s))
 		h.Write([]byte{0xff})
 	}
-	mix.Words(h, []uint64{n})
+	mix.NewWriter(h).Words(n)
 	return mix.NewRNG(h.Sum64() ^ mix.NewRNG(in.seed).Next()).Next()
 }
 

@@ -185,13 +185,14 @@ func (m *Memory) unseal(vpn uint64) *Page {
 // (internal/check) uses this as its memory-equality witness.
 func (m *Memory) Digest() uint64 {
 	h := fnv.New64a()
+	w := mix.NewWriter(h)
 	for d, l := range m.dir {
 		for i, p := range l.Pages {
 			if p == nil {
 				continue
 			}
-			mix.Words(h, []uint64{uint64(d<<LeafShift + i)})
-			mix.Words(h, p[:])
+			w.Words(uint64(d<<LeafShift + i))
+			w.Words(p[:]...)
 		}
 	}
 	return h.Sum64()

@@ -370,3 +370,19 @@ func TestRawAliasesPageTables(t *testing.T) {
 		t.Fatal("restore invisible through the directory")
 	}
 }
+
+// TestDigestAllocsIndependentOfPages holds Digest's allocations to a
+// per-call constant: the word stream must not allocate per page.
+func TestDigestAllocsIndependentOfPages(t *testing.T) {
+	allocs := func(pages int) float64 {
+		m := New(1 << 30)
+		for p := 0; p < pages; p++ {
+			// Every 3rd page, so the pages span several leaves.
+			m.Write64(uint64(p)*3*PageBytes, uint64(p)+1)
+		}
+		return testing.AllocsPerRun(20, func() { m.Digest() })
+	}
+	if one, many := allocs(1), allocs(256); one != many {
+		t.Fatalf("Digest allocates %v times at 1 page, %v at 256", one, many)
+	}
+}

@@ -87,18 +87,27 @@ func (r *RNG) Pick(weights []int) int {
 	return len(weights) - 1
 }
 
-// Words writes ws to w little-endian through one small buffer. Written
-// to a hash/fnv hash, it gives the byte-wise FNV-1a of the words that
-// the simulator's digests and checkpoint keys are defined as; a
-// hash.Hash never returns a write error, so those callers drop it.
-func Words(w io.Writer, ws []uint64) error {
-	var buf [512]byte
+// Writer writes words little-endian through a buffer it owns, so the
+// buffer reaches the heap once per Writer and not once per Words call.
+// Through a hash/fnv hash the words give the byte-wise FNV-1a that the
+// digests and checkpoint keys are defined as; a hash.Hash never returns
+// a write error, so those callers drop it.
+type Writer struct {
+	w   io.Writer
+	buf [512]byte
+}
+
+// NewWriter returns a Writer onto w.
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+
+// Words writes ws.
+func (x *Writer) Words(ws ...uint64) error {
 	for len(ws) > 0 {
-		n := min(len(ws), len(buf)/8)
+		n := min(len(ws), len(x.buf)/8)
 		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], ws[i])
+			binary.LittleEndian.PutUint64(x.buf[i*8:], ws[i])
 		}
-		if _, err := w.Write(buf[:n*8]); err != nil {
+		if _, err := x.w.Write(x.buf[:n*8]); err != nil {
 			return err
 		}
 		ws = ws[n:]

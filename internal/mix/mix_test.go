@@ -39,7 +39,7 @@ func TestWordsIsBytewiseFNV(t *testing.T) {
 		ws[i] = uint64(i) * gamma
 	}
 	h := fnv.New64a()
-	if err := Words(h, ws); err != nil {
+	if err := NewWriter(h).Words(ws...); err != nil {
 		t.Fatal(err)
 	}
 	want := uint64(0xcbf29ce484222325)

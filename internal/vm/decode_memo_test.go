@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -62,6 +63,46 @@ func TestDecodedSuffixReuse(t *testing.T) {
 	host.dead = true
 	if s := m.decodedSuffix(midPC, m.cfg.MaxBlockLen); s != nil && &s[0] == &host.insts[2] {
 		t.Fatal("dead block donated its decoded storage")
+	}
+}
+
+// TestDecodedSuffixMatchesFreshDecode holds the memo to representational
+// identity: each dinst is a function of its own word and address, so the
+// suffix shared from a host block must equal, element by element, what a
+// fresh decodeInsts at the interior pc returns. The body alternates
+// slli/add, so a decode that rewrote instructions by their neighbours
+// would differ between an even and an odd starting pc.
+func TestDecodedSuffixMatchesFreshDecode(t *testing.T) {
+	b := asm.NewBuilder(0x1000)
+	for i := 0; i < 12; i++ {
+		b.I(isa.OpSlli, 2, 2, 1)
+		b.R(isa.OpAdd, 3, 3, 2)
+	}
+	b.Halt()
+	img := &asm.Image{Entry: 0x1000}
+	img.AddSegment(0x1000, b.Words())
+
+	m := New(Config{MemSpan: 64 << 20})
+	m.Load(img)
+	host := m.lookup(0x1000)
+	for i := 1; i < len(host.insts); i++ {
+		pc := 0x1000 + uint64(i)*isa.InstBytes
+		suffix := m.decodedSuffix(pc, m.cfg.MaxBlockLen)
+		if suffix == nil {
+			t.Fatalf("memo missed interior pc %#x", pc)
+		}
+		fresh, err := decodeInsts(m.mem.Peek, pc, m.cfg.MaxBlockLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(suffix, fresh) {
+			j := 0
+			for j < min(len(suffix), len(fresh)) && suffix[j] == fresh[j] {
+				j++
+			}
+			t.Fatalf("pc %#x: shared suffix (%d insts) and fresh decode (%d) differ at element %d",
+				pc, len(suffix), len(fresh), j)
+		}
 	}
 }
 

@@ -139,6 +139,7 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 }
 
 func (s *Snapshot) encodePayload(w io.Writer) error {
+	ww := mix.NewWriter(w)
 	var head [8]byte
 	binary.LittleEndian.PutUint32(head[0:4], snapMagic)
 	binary.LittleEndian.PutUint16(head[4:6], snapVersion)
@@ -152,17 +153,17 @@ func (s *Snapshot) encodePayload(w io.Writer) error {
 	fixed := make([]uint64, 0, 3+isa.NumRegs)
 	fixed = append(fixed, s.pc, s.exitCode, halted)
 	fixed = append(fixed, s.regs[:]...)
-	if err := mix.Words(w, fixed); err != nil {
+	if err := ww.Words(fixed...); err != nil {
 		return err
 	}
 	if err := binary.Write(w, binary.LittleEndian, &s.stats); err != nil {
 		return err
 	}
-	if err := mix.Words(w, []uint64{uint64(s.tlbEntries)}); err != nil {
+	if err := ww.Words(uint64(s.tlbEntries)); err != nil {
 		return err
 	}
 	for i, l := range s.tlb {
-		if err := mix.Words(w, l.entries[:min(tlbLineLen, s.tlbEntries-i*tlbLineLen)]); err != nil {
+		if err := ww.Words(l.entries[:min(tlbLineLen, s.tlbEntries-i*tlbLineLen)]...); err != nil {
 			return err
 		}
 	}
@@ -171,7 +172,7 @@ func (s *Snapshot) encodePayload(w io.Writer) error {
 	for _, pm := range s.phaseLog {
 		phase = append(phase, pm.Instr, pm.Value)
 	}
-	if err := mix.Words(w, phase); err != nil {
+	if err := ww.Words(phase...); err != nil {
 		return err
 	}
 	if err := s.console.EncodeTo(w); err != nil {
@@ -190,7 +191,7 @@ func (s *Snapshot) encodePayload(w io.Writer) error {
 		}
 	}
 	pcs[0] = uint64(len(pcs) - 1)
-	return mix.Words(w, pcs)
+	return ww.Words(pcs...)
 }
 
 // ReadSnapshot deserialises a snapshot written by WriteTo, verifying

@@ -86,13 +86,13 @@ func (c Config) Normalized() Config {
 // precomputations the interpreter hot loop would otherwise re-derive
 // on every retirement — the dispatch kind (xc), the instruction class,
 // the absolute PC-relative control-transfer target, and whether the op
-// terminates the block. Every field is position-independent (targets
-// are absolute), so a decoded suffix is valid from any block that
-// covers the same addresses.
-// dinst is one decoded instruction. The op..rs2 fields are laid out
-// contiguously in exactly the order of the corresponding Event fields,
-// so the event-mode store of the five static bytes compiles to wide
-// moves instead of five byte copies.
+// terminates the block. Each dinst is a pure function of its
+// instruction word and address, and every field is position-independent
+// (targets are absolute), so a decoded suffix equals a fresh decode
+// from any block that covers the same addresses. The op..rs2 fields are
+// laid out contiguously in exactly the order of the corresponding Event
+// fields, so the event-mode store of the five static bytes compiles to
+// wide moves instead of five byte copies.
 type dinst struct {
 	target    uint64 // absolute pc+imm for PC-relative branches/jumps
 	imm       int32
@@ -159,29 +159,6 @@ const (
 	xFdiv
 	xFcvtIF
 	xFcvtFI
-	// Fused superinstruction kinds: a decode-time pass rewrites the
-	// first instruction of a frequent pure-ALU pair to one of these,
-	// and the dispatch case executes both instructions in a single
-	// round of loop scaffolding (the second slot keeps its original
-	// kind for mid-block re-entry and budget-window cuts). The pair set
-	// was chosen from the dynamic pair histogram of the generated SPEC
-	// workload bodies; every constituent is a pure register-writing op,
-	// so a fused pair has no side effects beyond two register writes
-	// and cannot end a block, fault, or die mid-pair.
-	xPSlliAdd
-	xPAddAddi
-	xPAndSlli
-	xPSrliAnd
-	xPXorAdd
-	xPAddiSrli
-	xPAddXor
-	xPAddiAnd
-	xPAddSrli
-	xPSrliAndi
-	xPAddSlli
-	xPSlliOr
-	xPOrSrli
-	xPAddiSlli
 	xBeq // first block-terminating kind — see the xc >= xBeq test
 	xBne
 	xBlt
@@ -520,65 +497,7 @@ func decodeInsts(peek func(uint64) uint64, pc uint64, maxLen int) ([]dinst, erro
 	if len(insts) == 0 {
 		return nil, fmt.Errorf("vm: empty translation at pc=%#x", pc)
 	}
-	fusePairs(insts)
 	return insts, nil
-}
-
-// fuseKind maps a pair of dispatch kinds to the fused superinstruction
-// kind that executes both, or 0 (no fusion). Only pure register-
-// writing ALU pairs are fused, so a fused pair cannot fault, end a
-// block, or observe a mid-pair invalidation.
-func fuseKind(a, b uint8) uint8 {
-	switch uint16(a)<<8 | uint16(b) {
-	case uint16(xSlli)<<8 | uint16(xAdd):
-		return xPSlliAdd
-	case uint16(xAdd)<<8 | uint16(xAddi):
-		return xPAddAddi
-	case uint16(xAnd)<<8 | uint16(xSlli):
-		return xPAndSlli
-	case uint16(xSrli)<<8 | uint16(xAnd):
-		return xPSrliAnd
-	case uint16(xXor)<<8 | uint16(xAdd):
-		return xPXorAdd
-	case uint16(xAddi)<<8 | uint16(xSrli):
-		return xPAddiSrli
-	case uint16(xAdd)<<8 | uint16(xXor):
-		return xPAddXor
-	case uint16(xAddi)<<8 | uint16(xAnd):
-		return xPAddiAnd
-	case uint16(xAdd)<<8 | uint16(xSrli):
-		return xPAddSrli
-	case uint16(xSrli)<<8 | uint16(xAndi):
-		return xPSrliAndi
-	case uint16(xAdd)<<8 | uint16(xSlli):
-		return xPAddSlli
-	case uint16(xSlli)<<8 | uint16(xOr):
-		return xPSlliOr
-	case uint16(xOr)<<8 | uint16(xSrli):
-		return xPOrSrli
-	case uint16(xAddi)<<8 | uint16(xSlli):
-		return xPAddiSlli
-	}
-	return 0
-}
-
-// fusePairs greedily rewrites the first slot of each recognised ALU
-// pair to its fused kind. The second slot keeps its original kind: a
-// block entered mid-pair (budget-window cut, or a separate translation
-// starting at the partner's pc) executes it standalone, and the fused
-// case itself falls back to first-half-only execution when its partner
-// lies beyond the current budget window. Fusion is purely an execution
-// mechanic — retirement order, events, and statistics are identical to
-// unfused execution — so blocks that share decoded storage (the
-// decodedSuffix memo) may legally pair differently than a fresh decode
-// at the same pc would.
-func fusePairs(insts []dinst) {
-	for i := 0; i+1 < len(insts); i++ {
-		if fk := fuseKind(insts[i].xc, insts[i+1].xc); fk != 0 {
-			insts[i].xc = fk
-			i++ // greedy: the partner cannot also start a pair
-		}
-	}
 }
 
 // installBlock registers a decoded block in the translation cache and
@@ -877,14 +796,11 @@ dispatch:
 			}
 			var nextPC uint64
 			exited := false
-			// Manual index: a fused case consumes its partner slot too,
-			// advancing ii past it after retirement.
-			for ii := 0; ii < len(win); ii++ {
+			for ii := range win {
 				in := &win[ii]
 				nextPC = pc + isa.InstBytes
 				var memAddr, target uint64
 				taken := false
-				fused := false
 
 				switch in.xc {
 				case xNop:
@@ -954,113 +870,6 @@ dispatch:
 					regs[in.rd&31] = uint64(int64(in.imm))
 				case xMovhi:
 					regs[in.rd&31] |= uint64(uint32(in.imm)) << 32
-
-				// Fused ALU pairs. Each executes its own operation, then —
-				// when the partner slot lies inside the budget window — the
-				// partner's too, in program order against the same register
-				// file, and marks the pair fused so the retirement path
-				// below accounts for both. With the partner outside the
-				// window only the first half runs, and the budget exit
-				// leaves m.pc at the partner, whose slot kept its original
-				// unfused kind.
-				case xPSlliAdd:
-					regs[in.rd&31] = regs[in.rs1&31] << (uint32(in.imm) & 63)
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] + regs[in2.rs2&31]
-						fused = true
-					}
-				case xPAddAddi:
-					regs[in.rd&31] = regs[in.rs1&31] + regs[in.rs2&31]
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] + uint64(int64(in2.imm))
-						fused = true
-					}
-				case xPAndSlli:
-					regs[in.rd&31] = regs[in.rs1&31] & regs[in.rs2&31]
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] << (uint32(in2.imm) & 63)
-						fused = true
-					}
-				case xPSrliAnd:
-					regs[in.rd&31] = regs[in.rs1&31] >> (uint32(in.imm) & 63)
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] & regs[in2.rs2&31]
-						fused = true
-					}
-				case xPXorAdd:
-					regs[in.rd&31] = regs[in.rs1&31] ^ regs[in.rs2&31]
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] + regs[in2.rs2&31]
-						fused = true
-					}
-				case xPAddiSrli:
-					regs[in.rd&31] = regs[in.rs1&31] + uint64(int64(in.imm))
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] >> (uint32(in2.imm) & 63)
-						fused = true
-					}
-				case xPAddXor:
-					regs[in.rd&31] = regs[in.rs1&31] + regs[in.rs2&31]
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] ^ regs[in2.rs2&31]
-						fused = true
-					}
-				case xPAddiAnd:
-					regs[in.rd&31] = regs[in.rs1&31] + uint64(int64(in.imm))
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] & regs[in2.rs2&31]
-						fused = true
-					}
-				case xPAddSrli:
-					regs[in.rd&31] = regs[in.rs1&31] + regs[in.rs2&31]
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] >> (uint32(in2.imm) & 63)
-						fused = true
-					}
-				case xPSrliAndi:
-					regs[in.rd&31] = regs[in.rs1&31] >> (uint32(in.imm) & 63)
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] & uint64(int64(in2.imm))
-						fused = true
-					}
-				case xPAddSlli:
-					regs[in.rd&31] = regs[in.rs1&31] + regs[in.rs2&31]
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] << (uint32(in2.imm) & 63)
-						fused = true
-					}
-				case xPSlliOr:
-					regs[in.rd&31] = regs[in.rs1&31] << (uint32(in.imm) & 63)
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] | regs[in2.rs2&31]
-						fused = true
-					}
-				case xPOrSrli:
-					regs[in.rd&31] = regs[in.rs1&31] | regs[in.rs2&31]
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] >> (uint32(in2.imm) & 63)
-						fused = true
-					}
-				case xPAddiSlli:
-					regs[in.rd&31] = regs[in.rs1&31] + uint64(int64(in.imm))
-					if ii+1 < len(win) {
-						in2 := &win[ii+1]
-						regs[in2.rd&31] = regs[in2.rs1&31] << (uint32(in2.imm) & 63)
-						fused = true
-					}
 
 				case xLd:
 					memAddr = (regs[in.rs1&31] + uint64(int64(in.imm))) &^ 7
@@ -1230,30 +1039,6 @@ dispatch:
 						bs.OnEvents(batch)
 						bi = 0
 					}
-				}
-
-				if fused {
-					// The partner already executed inside the fused case;
-					// retire it with the scaffolding a standalone ALU slot
-					// would get: its own count, its own event (pure ALU —
-					// no memory address, target, or taken bit), and the
-					// same flush point the unfused sequence would hit.
-					executed++
-					if bs != nil {
-						in2 := &win[ii+1]
-						e := &batch[bi]
-						e.PC, e.NextPC, e.MemAddr, e.Target = nextPC, nextPC+isa.InstBytes, 0, 0
-						e.Op, e.Class, e.Rd, e.Rs1, e.Rs2 = in2.op, in2.cls, in2.rd, in2.rs1, in2.rs2
-						e.Taken = false
-						bi++
-						if bi == len(batch) {
-							m.batchFlushes++
-							bs.OnEvents(batch)
-							bi = 0
-						}
-					}
-					ii++
-					nextPC += isa.InstBytes
 				}
 
 				// Only control transfers change nextPC, and every one
