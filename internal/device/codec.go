@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/mix"
 )
 
 // The encode/decode helpers below serialise device state for the VM's
@@ -20,11 +22,7 @@ const maxDirtySectors = 1 << 16
 
 // EncodeTo writes the console state: counters, then the retained tail.
 func (c *Console) EncodeTo(w io.Writer) error {
-	var buf [24]byte
-	binary.LittleEndian.PutUint64(buf[0:8], c.BytesWritten)
-	binary.LittleEndian.PutUint64(buf[8:16], c.Writes)
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(len(c.tail)))
-	if _, err := w.Write(buf[:]); err != nil {
+	if err := mix.NewWriter(w).Words(c.BytesWritten, c.Writes, uint64(len(c.tail))); err != nil {
 		return err
 	}
 	_, err := w.Write(c.tail)
@@ -57,14 +55,8 @@ func DecodeConsole(r io.Reader) (*Console, error) {
 // EncodeTo writes the block-device state: seed, transfer counters, and
 // every dirty sector in ascending sector order.
 func (b *Block) EncodeTo(w io.Writer) error {
-	var buf [48]byte
-	binary.LittleEndian.PutUint64(buf[0:8], b.Seed)
-	binary.LittleEndian.PutUint64(buf[8:16], b.Reads)
-	binary.LittleEndian.PutUint64(buf[16:24], b.Writes)
-	binary.LittleEndian.PutUint64(buf[24:32], b.BytesRead)
-	binary.LittleEndian.PutUint64(buf[32:40], b.BytesWritten)
-	binary.LittleEndian.PutUint64(buf[40:48], uint64(len(b.dirty)))
-	if _, err := w.Write(buf[:]); err != nil {
+	x := mix.NewWriter(w)
+	if err := x.Words(b.Seed, b.Reads, b.Writes, b.BytesRead, b.BytesWritten, uint64(len(b.dirty))); err != nil {
 		return err
 	}
 	sectors := make([]uint64, 0, len(b.dirty))
@@ -72,14 +64,11 @@ func (b *Block) EncodeTo(w io.Writer) error {
 		sectors = append(sectors, sec)
 	}
 	sort.Slice(sectors, func(i, j int) bool { return sectors[i] < sectors[j] })
-	var sec [8 + SectorBytes]byte
 	for _, s := range sectors {
-		binary.LittleEndian.PutUint64(sec[0:8], s)
-		data := b.dirty[s]
-		for i, word := range data {
-			binary.LittleEndian.PutUint64(sec[8+i*8:], word)
+		if err := x.Words(s); err != nil {
+			return err
 		}
-		if _, err := w.Write(sec[:]); err != nil {
+		if err := x.Words(b.dirty[s][:]...); err != nil {
 			return err
 		}
 	}

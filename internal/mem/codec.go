@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/mix"
 )
 
 // maxSpanBytes bounds the address-space size a decoded snapshot may
@@ -31,19 +33,15 @@ func (s *Snapshot) Peek(addr uint64) uint64 {
 // consumed by DecodeSnapshot: span, page count, then each materialised
 // page (ascending vpn) as vpn followed by its words, all little-endian.
 func (s *Snapshot) EncodeTo(w io.Writer) error {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:8], s.spanBytes)
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(s.pages)))
-	if _, err := w.Write(buf[:]); err != nil {
+	x := mix.NewWriter(w)
+	if err := x.Words(s.spanBytes, uint64(len(s.pages))); err != nil {
 		return err
 	}
-	var page [8 + PageBytes]byte
 	for _, e := range s.pages {
-		binary.LittleEndian.PutUint64(page[0:8], e.vpn)
-		for i, word := range e.pg {
-			binary.LittleEndian.PutUint64(page[8+i*8:], word)
+		if err := x.Words(e.vpn); err != nil {
+			return err
 		}
-		if _, err := w.Write(page[:]); err != nil {
+		if err := x.Words(e.pg[:]...); err != nil {
 			return err
 		}
 	}

@@ -167,9 +167,9 @@ func TestDynamicSampleErrors(t *testing.T) {
 // chained-block interpreter: two guests interleaved at a prime quantum
 // (so quantum boundaries land mid-block) must each produce exactly the
 // architectural state and statistics of the same workload run alone
-// with the scheduler's partitioning. Chain memos and TLB fast-path
-// state persist inside a guest across its scheduling gaps — and must
-// never bleed between guests.
+// with the scheduler's partitioning. Chain memos and TLB contents
+// persist inside a guest across its scheduling gaps — and must never
+// bleed between guests.
 func TestGuestIsolationAcrossQuanta(t *testing.T) {
 	t.Parallel()
 	const scale = 60_000

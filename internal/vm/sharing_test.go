@@ -265,8 +265,7 @@ func (discardSink) OnEvents([]Event) {}
 // state, compared field by field — everything a snapshot serializes
 // (registers, statistics, TLB contents, devices, phase log, the memory
 // image word for word, the live block set) and the decoded contents of
-// every live block — and each machine's host-side TLB fast paths still
-// tell the truth about its own TLB.
+// every live block.
 func requireSameMachine(t *testing.T, when string, a, b *Machine) {
 	t.Helper()
 	switch {
@@ -302,16 +301,6 @@ func requireSameMachine(t *testing.T, when string, a, b *Machine) {
 		bb, ok := b.tc[pc]
 		if !ok || bb.dead || !slices.Equal(ab.insts, bb.insts) {
 			t.Fatalf("%s: live block at pc=%#x differs", when, pc)
-		}
-	}
-	for _, m := range []*Machine{a, b} {
-		if v := m.tlbLast; v != 0 && m.tlb[(v-1)&m.tlbMask] != v {
-			t.Fatalf("%s: tlbLast %#x contradicts the TLB", when, v)
-		}
-		for _, v := range m.tlbL2 {
-			if v != 0 && m.tlb[(v-1)&m.tlbMask] != v {
-				t.Fatalf("%s: tlbL2 entry %#x contradicts the TLB", when, v)
-			}
 		}
 	}
 }

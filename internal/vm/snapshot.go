@@ -140,7 +140,7 @@ type Snapshot struct {
 // was restored from, and what the machine changed since: no code page
 // while tcStamp is codeStamp, else those in codeDirty (translate,
 // invalidate and flush mark them); no TLB line while no refill was
-// counted since tlbRefills (tlbRefill is the TLB's only writer), else
+// counted since tlbRefills (tlbLookup is the TLB's only writer), else
 // those in tlbDirty. Snapshot rebuilds and Restore reconciles or copies
 // only those. The memory image has the same arrangement in mem.Memory.
 type sharedParts struct {
@@ -335,8 +335,9 @@ func (m *Machine) Restore(s *Snapshot) error {
 	return nil
 }
 
-// restoreTLB makes the machine's TLB the snapshot's, copying only the
-// lines that differ from the ones the machine agrees with.
+// restoreTLB makes the machine's TLB array the snapshot's, copying only
+// the lines that differ from the ones the machine agrees with. It
+// replaces m.tlb only when the snapshot's geometry differs.
 func (m *Machine) restoreTLB(s *Snapshot) {
 	sh := &m.shared
 	if len(m.tlb) != s.tlbEntries {
@@ -344,7 +345,7 @@ func (m *Machine) restoreTLB(s *Snapshot) {
 	}
 	// The TLB is already the snapshot's when the snapshot's line table
 	// is the one this machine last agreed with and it has counted no
-	// refill since; the fast paths in front of it then still hold too.
+	// refill since.
 	if unsafe.SliceData(s.tlb) != unsafe.SliceData(sh.tlb) || m.stats.TLBRefills != sh.tlbRefills {
 		for i, l := range s.tlb {
 			if l != sh.tlb[i] || sh.tlbDirty[i] {
@@ -353,10 +354,6 @@ func (m *Machine) restoreTLB(s *Snapshot) {
 		}
 		clear(sh.tlbDirty)
 		sh.tlb = s.tlb
-		// The fast paths must not claim hits on stale evidence; dropping
-		// them never changes statistics (they only skip sure hits).
-		m.tlbLast = 0
-		clear(m.tlbL2[:])
 	}
 	sh.tlbRefills = s.stats.TLBRefills
 }

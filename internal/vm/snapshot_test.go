@@ -44,10 +44,9 @@ func loadInto(t *testing.T, cfg Config, build func(*asm.Builder)) *Machine {
 // the restoring machine was configured with a different TLBEntries than
 // the snapshotted one. The snapshot's TLB geometry must win: resuming
 // from the restore must reproduce the donor machine's exact statistics,
-// refills included. Donors smaller than the second-level fast path
-// (64 entries) restored into a large machine also pin that its mask
-// follows the restored geometry: a mask left wider than the TLB lets
-// stale second-level entries skip refills.
+// refills included. Small donors restored into a large machine also pin
+// that tlbMask follows the restored geometry: a mask left wider than
+// the TLB would probe slots the restored array does not have.
 func TestRestoreReallocatesTLB(t *testing.T) {
 	for _, c := range []struct{ donor, into int }{
 		{256, 16}, {256, 4096}, {4, 1024}, {16, 1024}, {32, 1024},
@@ -328,15 +327,15 @@ func TestReadSnapshotRejectsCorruption(t *testing.T) {
 }
 
 // TestRestoreMidBlockClearsFastPaths is the regression test for the
-// interpreter's host-side acceleration state — the one-entry and
-// second-level TLB memos (tlbLast, tlbL2) and chain links — across a
-// snapshot restore. The snapshot is taken mid-block
-// (prime chunk) with the memos hot; the restoring machine then runs
-// far past the snapshot so every memo describes later execution.
-// Restore must drop the stale evidence — a wrongly-kept TLB memo would
-// skip refills the donor performed, skewing the refill statistics —
-// and the resumed run must match a cold machine executing the same
-// partition sequence bit-for-bit, statistics included.
+// interpreter's state that outlives a block — the chain links and the
+// TLB array's contents — across a snapshot restore. The snapshot is
+// taken mid-block (prime chunk) with the chains formed; the restoring
+// machine then runs far past the snapshot so every chain link and TLB
+// line describes later execution. Restore must bring the TLB back to
+// the snapshot's contents — a line left from the later run would skip
+// refills the donor performed, skewing the refill statistics — and the
+// resumed run must match a cold machine executing the same partition
+// sequence bit-for-bit, statistics included.
 func TestRestoreMidBlockClearsFastPaths(t *testing.T) {
 	const j = 41 // prime: snapshot and resume points land mid-block
 	cfg := Config{MemSpan: 64 << 20}

@@ -272,29 +272,60 @@ func TestIllegalInstructionPanics(t *testing.T) {
 	m.Run(1, nil)
 }
 
+// TestTLBRefillCounting pins the exact refill count of a program that
+// reads 64 data pages (vpns 0x1000..0x103f) in order, twice, from code
+// on page 1, under two TLB geometries. Data page 0x1000+k maps to slot
+// k mod entries; the code page maps to slot 1. Instruction-side lookups
+// happen only when a block is translated, and five blocks are: the
+// entry block (Ld of page 0), the inner loop (pages 1..63), the outer
+// loop's tail, the second pass's head (Ld of page 0) and the halt block.
+//
+//   - 16 entries (every access conflicts): pass 1 refills for the entry
+//     block's translation, the 64 data pages and the tail's translation
+//     (page 49 now holds slot 1); the inner loop's and the second
+//     head's translations find the code page in slot 1 (66). Pass 2
+//     finds every data slot holding the page 16 or 48 before it, so all
+//     64 refill, and the halt block's translation finds page 49 in
+//     slot 1 (65). Total 131.
+//   - 1024 entries (only slot 1 is shared): pass 1 is the same 66. Pass
+//     2 hits every data page but page 1, whose slot the tail's
+//     translation refilled with the code page, and the halt block's
+//     translation finds page 1 there (2). Total 68.
+//
+// A memo in front of the TLB that skipped a probe which should have
+// refilled would break either count. Every refill is an exception, and
+// so is each first touch of a data page.
 func TestTLBRefillCounting(t *testing.T) {
-	// Touch more pages than the TLB holds, twice: the second pass must
-	// also refill (capacity), and every refill counts as an exception.
 	b := asm.NewBuilder(0x1000)
+	b.Movi(4, 2) // passes
+	b.Label("outer")
 	b.Movi(1, 0x100_0000)
-	b.Movi(2, 64) // pages, TLB has 16 entries
+	b.Movi(2, 64) // pages
 	b.Label("loop")
 	b.Ld(3, 1, 0)
 	b.I(isa.OpAddi, 1, 1, 4096)
 	b.I(isa.OpAddi, 2, 2, -1)
 	b.Br(isa.OpBne, 2, 0, "loop")
+	b.I(isa.OpAddi, 4, 4, -1)
+	b.Br(isa.OpBne, 4, 0, "outer")
 	b.Halt()
 	img := &asm.Image{Entry: 0x1000}
 	img.AddSegment(0x1000, b.Words())
-	m := New(Config{MemSpan: 64 << 20, TLBEntries: 16})
-	m.Load(img)
-	m.RunToCompletion(0, nil)
-	st := m.Stats()
-	if st.TLBRefills < 64 {
-		t.Fatalf("TLB refills = %d, want >= 64", st.TLBRefills)
-	}
-	if st.Exceptions < st.TLBRefills {
-		t.Fatal("TLB refills must count toward exceptions")
+	for _, c := range []struct {
+		entries int
+		refills uint64
+	}{{16, 131}, {1024, 68}} {
+		m := New(Config{MemSpan: 64 << 20, TLBEntries: c.entries})
+		m.Load(img)
+		m.RunToCompletion(0, nil)
+		st := m.Stats()
+		if st.TLBRefills != c.refills {
+			t.Errorf("%d entries: TLB refills = %d, want %d", c.entries, st.TLBRefills, c.refills)
+		}
+		if st.PageFaults != 64 || st.Exceptions != st.TLBRefills+st.PageFaults {
+			t.Errorf("%d entries: %d exceptions, want %d refills + %d page faults (64)",
+				c.entries, st.Exceptions, st.TLBRefills, st.PageFaults)
+		}
 	}
 }
 

@@ -274,26 +274,10 @@ type Machine struct {
 	// influence guest-visible behaviour or statistics.
 	tcStamp uint64
 
-	// Software TLB: direct-mapped, stores vpn+1 (0 = invalid).
+	// Software TLB: direct-mapped, stores vpn+1 (0 = invalid); vpn's
+	// slot is vpn & tlbMask.
 	tlb     []uint64
 	tlbMask uint64
-	// tlbLast is a one-entry last-vpn fast path in front of the masked
-	// probe (vpn+1; 0 = invalid). Invariant: when non-zero, the TLB slot
-	// it maps to holds exactly this value, so a repeat access can skip
-	// the probe without missing a refill. It is pure host-side caching:
-	// it never changes which refills are counted.
-	tlbLast uint64
-	// tlbL2 is a second-level fast path behind tlbLast: a small
-	// direct-mapped cache of recent vpn+1 values indexed by
-	// vpn & tlbL2Mask. Invariant: a non-zero entry v implies the main
-	// TLB slot (v-1) & tlbMask holds exactly v, so an L2 hit can skip
-	// the main probe without hiding a refill. The invariant holds
-	// because tlbL2Mask's bits are a subset of tlbMask's: any two vpns
-	// that conflict in a main slot conflict in the same L2 slot, and
-	// every main-slot write repoints that shared L2 slot at the new
-	// occupant (tlbRefill). Host-side only, cleared on Restore.
-	tlbL2     [tlbL2Size]uint64
-	tlbL2Mask uint64
 
 	// shared is what the next Snapshot may reuse and the next Restore
 	// may skip (see sharedParts). Host-side only.
@@ -326,11 +310,6 @@ type Machine struct {
 // maxPhaseLog bounds the retained phase-mark log.
 const maxPhaseLog = 1 << 20
 
-// tlbL2Size is the second-level TLB capacity; the effective index mask
-// is min(TLBEntries, tlbL2Size)-1 so the subset-of-tlbMask invariant
-// holds even for tiny configured TLBs.
-const tlbL2Size = 64
-
 // tcStampCounter issues globally unique translation-set stamps.
 var tcStampCounter atomic.Uint64
 
@@ -355,11 +334,10 @@ func New(cfg Config) *Machine {
 }
 
 // resizeTLB gives the machine an empty TLB of n entries (a power of
-// two), the masks that go with it, and the line table it agrees with.
+// two), the mask that goes with it, and the line table it agrees with.
 func (m *Machine) resizeTLB(n int) {
 	m.tlb = make([]uint64, n)
 	m.tlbMask = uint64(n - 1)
-	m.tlbL2Mask = uint64(min(n, tlbL2Size) - 1)
 	m.shared.tlb = linesOf(m.tlb)
 	m.shared.tlbDirty = make([]bool, len(m.shared.tlb))
 }
@@ -421,43 +399,18 @@ func (m *Machine) Mem() *mem.Memory { return m.mem }
 // restores the default fixed-IPC model, i.e. retired instructions).
 func (m *Machine) SetTimeSource(f func() uint64) { m.timeSource = f }
 
-// tlbLookup performs a software-TLB access for vpn, counting a refill
-// (an EXC-visible event) on miss. A one-entry last-vpn fast path
-// short-circuits the common case of repeated accesses to one page; it
-// is sound because tlbLast is only set right after its slot was
-// verified (or filled), and the only writer of a slot immediately
-// repoints tlbLast at the new occupant, so a cached hit can never hide
-// a refill.
+// tlbLookup performs a software-TLB access for vpn: probe slot
+// vpn & tlbMask and, when it does not hold vpn, fill it and count a
+// refill (an EXC-visible event). Outside Restore it is the TLB's only
+// writer.
 func (m *Machine) tlbLookup(vpn uint64) {
-	v := vpn + 1
-	if v == m.tlbLast {
-		return
-	}
-	if m.tlbL2[vpn&m.tlbL2Mask&(tlbL2Size-1)] == v {
-		// L2 invariant: the main slot already holds v, so probing it
-		// would not count a refill either.
-		m.tlbLast = v
-		return
-	}
-	m.tlbLast = m.tlbRefill(vpn)
-}
-
-// tlbRefill is the miss path behind tlbLast and tlbL2: probe the main
-// direct-mapped array, count a refill (an EXC-visible event) when the
-// slot does not hold vpn, and repoint the L2 slot at the new occupant
-// to maintain the L2 invariant. Returns vpn+1 for the caller to adopt
-// as its last-vpn value.
-func (m *Machine) tlbRefill(vpn uint64) uint64 {
-	v := vpn + 1
 	idx := vpn & m.tlbMask
-	if m.tlb[idx] != v {
-		m.tlb[idx] = v
+	if m.tlb[idx] != vpn+1 {
+		m.tlb[idx] = vpn + 1
 		m.shared.tlbDirty[idx/tlbLineLen] = true
 		m.stats.TLBRefills++
 		m.stats.Exceptions++
 	}
-	m.tlbL2[vpn&m.tlbL2Mask&(tlbL2Size-1)] = v
-	return v
 }
 
 // decodeInsts decodes one basic block starting at pc, reading guest
@@ -701,14 +654,15 @@ func (m *Machine) Run(n uint64, sink Sink) uint64 {
 // fast mode and a batch-delivering sink in event mode.
 //
 // The loop holds the guest machine state in function locals — the full
-// register file (regs), the last-vpn TLB entry (tlbLast), and deltas
-// for the five per-retirement statistics — and spills them back to the
-// Machine only where something actually reads them: in full before
-// syscalls (the syscall layer reads stats.Instructions and reads and
-// writes registers) and on every return path; tlbLast alone before any
-// translation-cache lookup that may translate (translate performs the
-// instruction-side TLB lookup against m.tlbLast). Event delivery needs
-// no spill at all: sinks receive events, never machine pointers.
+// register file (regs) and deltas for the five per-retirement
+// statistics — and spills them back to the Machine only where something
+// actually reads them: before syscalls (the syscall layer reads
+// stats.Instructions and reads and writes registers) and on every
+// return path. Translation-cache lookups and event delivery need no
+// spill: translate reads neither, and sinks receive events, never
+// machine pointers. The TLB needs no spill either: the load/store
+// probes and translate's instruction-side lookup share the one array
+// m.tlb.
 // Everywhere else m.regs/m.stats/m.pc are stale — nothing observes
 // them there, the machine being single-threaded per goroutine. The one
 // visible consequence is that a panic out of the hot loop (illegal
@@ -723,8 +677,8 @@ func (m *Machine) Run(n uint64, sink Sink) uint64 {
 // translation-cache map, the TLB or the event batch. At most one live
 // block exists per pc, so a chain hit runs the block a lookup would
 // return, and looking up a live block moves no statistic. On a chain
-// miss the loop syncs tlbLast, delivers buffered events, looks the pc
-// up (which may translate) and makes the result the new memo.
+// miss the loop delivers buffered events, looks the pc up (which may
+// translate) and makes the result the new memo.
 //
 // The per-instruction budget check is hoisted: each block iteration
 // executes a window insts[:min(len, n-executed)], so the inner loop
@@ -743,8 +697,9 @@ func (m *Machine) run(n uint64, bs Sink) uint64 {
 		blk      *block // current block; live whenever blockLoop runs it
 	)
 	regs := m.regs
-	tlbLast := m.tlbLast
-	l2m := m.tlbL2Mask & (tlbL2Size - 1)
+	// The load/store probes read the TLB through these locals: only
+	// Restore replaces m.tlb, and never inside run.
+	tlb, tlbMask := m.tlb, m.tlbMask
 	// Direct view of the guest page directory for the inlined load/store
 	// fast path: page vpn is dir[vpn>>LeafShift].Pages[vpn&(LeafPages-1)].
 	// The directory is the Memory's own (fixed length for its lifetime)
@@ -761,13 +716,11 @@ func (m *Machine) run(n uint64, bs Sink) uint64 {
 dispatch:
 	for {
 		// Sync point before returning or consulting the translation
-		// cache: the instruction-side TLB view must be current
-		// (translate performs its lookup against m.tlbLast) and buffered
-		// events must be delivered in order before translation, which
-		// can panic on illegal code. Registers and the statistic deltas
-		// stay local — nothing on the lookup path reads them — and are
-		// spilled in full only on the return path below.
-		m.tlbLast = tlbLast
+		// cache: buffered events must be delivered in order before
+		// translation, which can panic on illegal code. Registers and
+		// the statistic deltas stay local — nothing on the lookup path
+		// reads them — and are spilled in full only on the return path
+		// below.
 		if bi != 0 {
 			m.batchFlushes++
 			bs.OnEvents(batch[:bi])
@@ -783,7 +736,6 @@ dispatch:
 			return executed
 		}
 		blk = m.lookup(m.pc)
-		tlbLast = m.tlbLast
 
 	blockLoop:
 		for {
@@ -874,12 +826,8 @@ dispatch:
 				case xLd:
 					memAddr = (regs[in.rs1&31] + uint64(int64(in.imm))) &^ 7
 					vpn := memAddr >> mem.PageShift
-					if v := vpn + 1; v != tlbLast {
-						if m.tlbL2[vpn&l2m] == v {
-							tlbLast = v
-						} else {
-							tlbLast = m.tlbRefill(vpn)
-						}
+					if tlb[vpn&tlbMask] != vpn+1 {
+						m.tlbLookup(vpn)
 					}
 					if d, i := vpn>>mem.LeafShift, vpn&(mem.LeafPages-1); d < ndir && dir[d].Pages[i] != nil {
 						regs[in.rd&31] = dir[d].Pages[i][memAddr>>3&(mem.WordsPerPage-1)]
@@ -895,12 +843,8 @@ dispatch:
 				case xLdZ:
 					memAddr = (regs[in.rs1&31] + uint64(int64(in.imm))) &^ 7
 					vpn := memAddr >> mem.PageShift
-					if v := vpn + 1; v != tlbLast {
-						if m.tlbL2[vpn&l2m] == v {
-							tlbLast = v
-						} else {
-							tlbLast = m.tlbRefill(vpn)
-						}
+					if tlb[vpn&tlbMask] != vpn+1 {
+						m.tlbLookup(vpn)
 					}
 					// Mapped pages need no work (the loaded value is
 					// discarded); only the materialising/faulting path has
@@ -915,12 +859,8 @@ dispatch:
 				case xSt:
 					memAddr = (regs[in.rs1&31] + uint64(int64(in.imm))) &^ 7
 					vpn := memAddr >> mem.PageShift
-					if v := vpn + 1; v != tlbLast {
-						if m.tlbL2[vpn&l2m] == v {
-							tlbLast = v
-						} else {
-							tlbLast = m.tlbRefill(vpn)
-						}
+					if tlb[vpn&tlbMask] != vpn+1 {
+						m.tlbLookup(vpn)
 					}
 					if d, i := vpn>>mem.LeafShift, vpn&(mem.LeafPages-1); d < ndir && dir[d].Pages[i] != nil && !dir[d].Sealed[i] {
 						dir[d].Pages[i][memAddr>>3&(mem.WordsPerPage-1)] = regs[in.rs2&31]
@@ -1002,7 +942,6 @@ dispatch:
 					// must be caught up to the retired-instruction
 					// stream, exactly as under per-event delivery.
 					m.regs = regs
-					m.tlbLast = tlbLast
 					m.stats.Instructions += executed - instBase
 					instBase = executed
 					m.stats.MemReads += sReads
@@ -1053,7 +992,6 @@ dispatch:
 					if m.halted {
 						m.pc = pc
 						m.regs = regs
-						m.tlbLast = tlbLast
 						m.stats.Instructions += executed - instBase
 						instBase = executed
 						m.stats.MemReads += sReads
@@ -1102,22 +1040,19 @@ dispatch:
 					continue blockLoop
 				}
 			}
-			// Chain miss: sync the instruction-TLB view, deliver
-			// buffered events, look up and remember the successor.
-			// Registers and stat deltas stay local: translation reads
-			// neither. The lookup runs even when the budget is exhausted
+			// Chain miss: deliver buffered events, look up and remember
+			// the successor. Registers and stat deltas stay local:
+			// translation reads neither. The lookup runs even when the budget is exhausted
 			// (the next dispatch returns without executing the block),
 			// because the translation statistics it moves are part of
 			// the golden trajectories.
 			m.pc = nextPC
-			m.tlbLast = tlbLast
 			if bi != 0 {
 				m.batchFlushes++
 				bs.OnEvents(batch[:bi])
 				bi = 0
 			}
 			nb := m.lookup(nextPC)
-			tlbLast = m.tlbLast
 			blk.chainPC = nextPC
 			blk.chainBlk = nb
 			blk = nb
