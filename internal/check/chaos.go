@@ -73,17 +73,18 @@ func ChaosExploration(o ChaosOptions) error {
 	}
 	var prev *distSweepResult
 	for i := 0; i < o.Schedules; i++ {
-		inj := faults.New(o.Seed+uint64(i)*7919, SchedulePlan(o.Seed, i))
+		plan := SchedulePlan(o.Seed, i)
+		inj := faults.New(o.Seed+uint64(i)*7919, plan)
 		sweeps.Injector = inj
 		res, err := sweeps.Run(prev)
 		if err != nil {
-			return fmt.Errorf("chaos: schedule %d/%d: %w [%s]", i+1, o.Schedules, err, inj)
+			return fmt.Errorf("chaos: schedule %d/%d plan %+v: %w [%s]", i+1, o.Schedules, plan, err, inj)
 		}
 		prev = res
 		if o.Progress != nil {
 			fmt.Fprintf(o.Progress,
-				"chaos: schedule %d/%d ok: %d incarnations, %d executions for %d cells, %d completions, %d restored [%s]\n",
-				i+1, o.Schedules, res.Incarnations, res.Executions, res.Cells,
+				"chaos: schedule %d/%d ok: plan %+v; by worker interleaving: %d incarnations, %d executions for %d cells, %d completions, %d restored, fired %s\n",
+				i+1, o.Schedules, plan, res.Incarnations, res.Executions, res.Cells,
 				res.Completions, res.Restored, inj)
 		}
 	}

@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -114,6 +115,43 @@ func TestCoordinatorKilledMidSweep(t *testing.T) {
 	if full := crashed.Cells * crashed.Incarnations; crashed.Executions >= full {
 		t.Fatalf("%d executions across %d incarnations (full redo = %d): restart did not resume",
 			crashed.Executions, crashed.Incarnations, full)
+	}
+}
+
+// TestChaosPlanLinesReplay runs one seed's exploration twice: the plan
+// part of every schedule's progress line, everything before the "; ",
+// must be the same both times and name SchedulePlan's plan, so two
+// runs (or two commits) can be diffed on it. The tallies after it
+// depend on worker interleaving and are not compared.
+func TestChaosPlanLinesReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real measurements; skipped in -short")
+	}
+	const schedules = 2
+	var plans [2][]string
+	for run := range plans {
+		var buf bytes.Buffer
+		if err := ChaosExploration(ChaosOptions{Seed: 1, Schedules: schedules, Progress: &buf}); err != nil {
+			t.Fatalf("run %d: %v\n%s", run+1, err, buf.String())
+		}
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			head, _, ok := strings.Cut(line, "; ")
+			if !ok {
+				t.Fatalf("run %d: no plan part in %q", run+1, line)
+			}
+			plans[run] = append(plans[run], head)
+		}
+	}
+	if len(plans[0]) != schedules {
+		t.Fatalf("%d schedule lines, want %d: %q", len(plans[0]), schedules, plans[0])
+	}
+	for i := range plans[0] {
+		if plans[0][i] != plans[1][i] {
+			t.Errorf("schedule %d: plan part differs between runs:\n%s\n%s", i+1, plans[0][i], plans[1][i])
+		}
+		if want := fmt.Sprintf("plan %+v", SchedulePlan(1, i)); !strings.HasSuffix(plans[0][i], want) {
+			t.Errorf("schedule %d: %q does not end with %q", i+1, plans[0][i], want)
+		}
 	}
 }
 

@@ -8,6 +8,11 @@
 // mirrored to a remote tier (Options.Remote); lookups never read from
 // it.
 //
+// Beside the snapshots, the store keeps trajectory records: the three
+// monitored VM statistics at every canonical interval boundary a
+// session's fast burst ended on (Record). They are memory-only: never written to Dir,
+// never mirrored to Remote, never charged against MaxBytes.
+//
 // Correctness stance: the store is a pure cache. A hit must be
 // indistinguishable from cold execution (core.Session enforces the
 // sharing discipline; internal/vm makes restores stats-exact). Any
@@ -26,6 +31,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -124,6 +130,7 @@ type Stats struct {
 	DiskErrors    uint64 // corrupt/unreadable files degraded to misses
 	WriteFails    uint64 // failed disk writes (subset of DiskErrors)
 	Discards      uint64 // entries explicitly discarded by callers
+	Skips         uint64 // record lookups served: fast intervals skipped
 	RemotePuts    uint64 // deposits mirrored to the remote tier
 	RemoteErrors  uint64 // failed uploads to the remote tier
 	Entries       int    // current in-memory entries
@@ -161,6 +168,8 @@ type Store struct {
 	// counted, not once per entry.
 	refs map[any]int
 	disk map[Key]bool
+	// trails holds each series' trajectory records.
+	trails map[series]*trail
 	// writeFails counts consecutive disk-write failures; at
 	// maxWriteFails the disk tier degrades to read-only.
 	writeFails int
@@ -188,6 +197,7 @@ type storeObs struct {
 	diskErrors         *obs.Counter
 	writeFails         *obs.Counter
 	discards           *obs.Counter
+	skips              *obs.Counter
 	remotePuts         *obs.Counter
 	remoteErrors       *obs.Counter
 	loadSecs, writeSec *obs.Histogram
@@ -207,6 +217,7 @@ func newStoreObs(reg *obs.Registry) storeObs {
 		diskErrors:    reg.Counter("ckpt_store_disk_errors_total"),
 		writeFails:    reg.Counter("ckpt_store_write_fails_total"),
 		discards:      reg.Counter("ckpt_store_discards_total"),
+		skips:         reg.Counter("ckpt_store_skips_total"),
 		remotePuts:    reg.Counter("ckpt_store_remote_puts_total"),
 		remoteErrors:  reg.Counter("ckpt_store_remote_errors_total"),
 		loadSecs:      reg.Histogram("ckpt_disk_load_seconds", obs.TimeBuckets),
@@ -222,12 +233,13 @@ func New(opts Options) (*Store, error) {
 		opts.MaxBytes = 512 << 20
 	}
 	s := &Store{
-		opts: opts,
-		mem:  make(map[Key]*list.Element),
-		lru:  list.New(),
-		refs: make(map[any]int),
-		disk: make(map[Key]bool),
-		ob:   newStoreObs(opts.Obs),
+		opts:   opts,
+		mem:    make(map[Key]*list.Element),
+		lru:    list.New(),
+		refs:   make(map[any]int),
+		disk:   make(map[Key]bool),
+		trails: make(map[series]*trail),
+		ob:     newStoreObs(opts.Obs),
 	}
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -446,6 +458,74 @@ func (s *Store) Nearest(k Key) (*vm.Snapshot, uint64, bool) {
 		// The best candidate was a corrupt disk entry (now dropped);
 		// try the next-lower one.
 	}
+}
+
+// Record is a trajectory record: the VM statistics Dynamic Sampling
+// monitors (vm.MetricCPU, MetricEXC and MetricIO, indexed by metric) at
+// one interval boundary of a series. It is what a session reads between
+// fast intervals, so a session holding the record at an interval's end
+// may skip the interval (core.Session.fastHit). 24 bytes.
+type Record [3]uint64
+
+// RecordOf reads the monitored statistics out of a statistics record.
+func RecordOf(st vm.Stats) Record {
+	return Record{st.Value(vm.MetricCPU), st.Value(vm.MetricEXC), st.Value(vm.MetricIO)}
+}
+
+// trail is one series' trajectory records, indexed by interval number:
+// recs[i] is the record at instruction i·every when bit i of have is
+// set.
+type trail struct {
+	every uint64
+	have  []uint64
+	recs  []Record
+}
+
+// index is the slot of instruction count instr, false when instr is
+// not on the trail's interval grid.
+func (t *trail) index(instr, every uint64) (uint64, bool) {
+	return instr / every, every == t.every && instr%every == 0
+}
+
+// PutRecord deposits r as the record at k.Instr, the end of interval
+// k.Instr/every of k's series. A series keeps the interval length of
+// its first record, and a key off that grid is ignored.
+func (s *Store) PutRecord(k Key, every uint64, r Record) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.trails[k.series()]
+	if t == nil {
+		t = &trail{every: every}
+		s.trails[k.series()] = t
+	}
+	i, ok := t.index(k.Instr, every)
+	if !ok {
+		return
+	}
+	if n := int(i) + 1; n > len(t.recs) {
+		t.recs = slices.Grow(t.recs, n-len(t.recs))[:n]
+		t.have = slices.Grow(t.have, (n+63)/64-len(t.have))[:(n+63)/64]
+	}
+	t.recs[i] = r
+	t.have[i/64] |= 1 << (i % 64)
+}
+
+// LookupRecord returns the record at k.Instr in k's series (see
+// PutRecord). A record served counts as a skip.
+func (s *Store) LookupRecord(k Key, every uint64) (Record, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.trails[k.series()]
+	if t == nil {
+		return Record{}, false
+	}
+	i, ok := t.index(k.Instr, every)
+	if !ok || i >= uint64(len(t.recs)) || t.have[i/64]&(1<<(i%64)) == 0 {
+		return Record{}, false
+	}
+	s.stats.Skips++
+	s.ob.skips.Inc()
+	return t.recs[i], true
 }
 
 // Put deposits a snapshot under k. Deposits of an existing key are
@@ -721,8 +801,8 @@ func (s *Store) Stats() Stats {
 
 // String summarises the store for CLI output.
 func (st Stats) String() string {
-	s := fmt.Sprintf("hits=%d misses=%d nearest=%d puts=%d dup=%d evict=%d mem=%d/%dB disk=%d (loads=%d writes=%d errors=%d)",
-		st.Hits, st.Misses, st.NearestHits, st.Puts, st.DupPuts, st.Evictions,
+	s := fmt.Sprintf("hits=%d misses=%d nearest=%d skips=%d puts=%d dup=%d evict=%d mem=%d/%dB disk=%d (loads=%d writes=%d errors=%d)",
+		st.Hits, st.Misses, st.NearestHits, st.Skips, st.Puts, st.DupPuts, st.Evictions,
 		st.Entries, st.Bytes, st.DiskEntries, st.DiskLoads, st.DiskWrites, st.DiskErrors)
 	if st.RemotePuts+st.RemoteErrors > 0 {
 		s += fmt.Sprintf(" remote(puts=%d errors=%d)", st.RemotePuts, st.RemoteErrors)

@@ -1,33 +1,43 @@
 package core
 
-// Checkpoint participation: how a Session deposits snapshots into and
-// resumes from a ckpt.Store without perturbing either the simulation
-// results or the modelled paper cost.
+// Checkpoint participation: how a Session deposits snapshots and
+// trajectory records into a ckpt.Store and skips or resumes from them
+// without perturbing either the simulation results or the modelled
+// paper cost.
 //
 // The ground rule is that VM statistics are *partition-sensitive*: the
 // architectural state at instruction N is independent of how the run
 // was divided into Run calls, but the translation-cache counters are
 // not (stopping mid-block costs a retranslation on resume). Dynamic
 // Sampling monitors those counters, so a warm start is only
-// indistinguishable from cold execution when the stored snapshot lies
-// on the exact trajectory the session would itself have produced.
+// indistinguishable from cold execution when the stored state lies on
+// the exact trajectory the session would itself have produced.
 //
 // A session therefore tracks whether it is on the *canonical*
 // trajectory: every Run call so far started at a multiple of the base
 // interval L and was exactly L long (the partitioning FullTiming,
 // Dynamic at 1M, and the SimPoint measurement pass naturally use). All
 // canonical sessions of one workload share bit-identical machine state
-// at every interval boundary, so their checkpoints are interchangeable.
+// at every interval boundary, so what one deposits there serves all.
 // The first non-aligned Run call makes the session non-canonical and it
 // silently stops participating — SMARTS and coarse-interval Dynamic
 // run exactly as they would without a store.
 //
-// Host-cost accounting stays checkpoint-blind: a transparent fast-mode
-// hit charges the same hostcost.Fast units the skipped execution would
-// have, and FastForwardVia charges nothing (callers still model the
-// paper's fixed restore overhead via Meter().ChargeRestore). Tables 1–2
-// and Figure 2 are therefore byte-identical with the store on, off, or
-// pre-warmed — the cache-equivalence tests pin this.
+// A canonical session leaves a trajectory record (the three monitored
+// statistics, 24 bytes) at every interval boundary a fast burst ends
+// on, and a snapshot at every stride boundary. Between fast intervals a policy
+// reads only those statistics, so a fast interval whose end has a
+// record (or a snapshot) is skipped: the session moves, the machine
+// stays. It catches up only when something reads it (settle), from the
+// nearest snapshot ahead of it and then in base intervals; the stride
+// bounds that walk.
+//
+// Host-cost accounting stays checkpoint-blind: a skip charges the same
+// hostcost.Fast units the skipped execution would have, and
+// FastForwardVia and the catch-up walk charge nothing (callers still
+// model the paper's fixed restore overhead via Meter().ChargeRestore).
+// Tables 1–2 and Figure 2 are therefore byte-identical with the store
+// on, off, or pre-warmed — the cache-equivalence tests pin this.
 
 import (
 	"hash/fnv"
@@ -75,88 +85,102 @@ func (s *Session) noteRun(n uint64) {
 	}
 }
 
-// maybeDeposit stores a snapshot of the current machine state when the
-// session sits on a canonical stride boundary. Contains is checked
-// first so only the first session to reach a boundary pays for the
+// maybeDeposit leaves a trajectory record when a fast burst ends on a
+// canonical interval boundary, and a snapshot when a burst in any mode
+// ends on a canonical stride boundary. Contains is checked first so
+// only the first session to reach a stride boundary pays for the
 // capture; later sessions (whose state is bit-identical there) skip.
-func (s *Session) maybeDeposit() {
+func (s *Session) maybeDeposit(mode hostcost.Mode) {
 	if s.ckpt == nil || !s.canonical || s.executed == 0 {
 		return
 	}
-	if s.executed%s.ckptEvery != 0 || s.halted() {
+	if s.executed%s.interval != 0 || s.halted() {
 		return
 	}
 	k := s.ckptKey(s.executed)
-	if s.ckpt.Contains(k) {
+	if mode == hostcost.Fast {
+		s.ckpt.PutRecord(k, s.interval, ckpt.RecordOf(s.machine.Stats()))
+	}
+	if s.executed%s.ckptEvery != 0 || s.ckpt.Contains(k) {
 		return
 	}
 	s.ckpt.Put(k, s.machine.Snapshot())
 }
 
-// fastHit transparently substitutes a stored checkpoint for one
-// fast-mode base interval. It only fires when the restored state is
-// provably the state execution would produce (canonical trajectory,
-// aligned interval, stride boundary) and charges exactly what the
-// skipped execution would have, so results and modelled cost are
-// unchanged — only host wall-clock shrinks.
+// fastHit skips one fast-mode base interval when the store holds the
+// statistics at its end: a trajectory record, or else a snapshot at a
+// stride boundary. It only fires when those are provably what execution
+// would produce (canonical trajectory, aligned interval) and charges
+// exactly what the skipped execution would have, so results and
+// modelled cost are unchanged — only host wall-clock shrinks. The
+// session moves ahead of its machine; Stat and Done answer from the
+// record until settle catches the machine up.
 func (s *Session) fastHit(n uint64) bool {
-	if s.ckpt == nil || !s.canonical {
+	if s.ckpt == nil || !s.canonical || n != s.interval || s.executed%s.interval != 0 {
 		return false
 	}
-	if n != s.interval || s.executed%s.interval != 0 || (s.executed+n)%s.ckptEvery != 0 {
-		return false
+	end := s.executed + n
+	k := s.ckptKey(end)
+	rec, ok := s.ckpt.LookupRecord(k, s.interval)
+	if !ok && end%s.ckptEvery == 0 {
+		var snap *vm.Snapshot
+		if snap, ok = s.ckpt.Lookup(k); ok {
+			rec = ckpt.RecordOf(snap.Stats())
+		}
 	}
-	snap, ok := s.ckpt.Lookup(s.ckptKey(s.executed + n))
 	if ok {
-		s.pending = snap
 		s.ob.hit(n)
-		s.executed += n
+		s.executed = end
+		s.ahead, s.rec = true, rec
 		s.charge(hostcost.Fast, n)
 	}
 	return ok
 }
 
-// settle restores the machine to the pending checkpoint, if any. One that
-// fails to restore is discarded, and the session walks free from where
-// the machine is back to the position its hits were charged for.
+// settle catches the machine up with a session that skipped ahead of
+// it: it restores the nearest stride-boundary snapshot at or below the
+// session's position that is ahead of the machine, trying the next
+// lower one when one fails to restore (which is discarded), then walks
+// the rest in base intervals, depositing on the way. The walk is
+// neither charged nor observed: the skips were charged, and obs counted
+// their instructions as restored.
 func (s *Session) settle() {
-	if s.pending == nil {
+	if !s.ahead {
 		return
 	}
-	snap, target, start := s.pending, s.executed, s.ob.now()
-	s.pending = nil
-	if s.machine.Restore(snap) == nil {
-		s.ob.restored(start)
-		return
+	s.ahead = false
+	target, at := s.executed, s.machine.Stats().Instructions
+	for k := target - target%s.ckptEvery; k > at; k -= s.ckptEvery {
+		if snap, ok := s.ckpt.Lookup(s.ckptKey(k)); ok && s.restore(snap, k) {
+			at = k
+			break
+		}
 	}
-	s.ckpt.Discard(s.ckptKey(target))
-	s.executed = s.machine.Stats().Instructions
-	s.FastForwardVia(target)
+	for s.executed = at; s.executed < target && !s.stopped(); {
+		ex := s.machine.Run(s.interval, nil)
+		if ex == 0 {
+			break
+		}
+		s.executed += ex
+		s.maybeDeposit(hostcost.Fast)
+	}
 }
 
-// halted reads the session's position: the pending checkpoint when fast
-// hits have moved the session past the machine (as StatsDelta does).
-func (s *Session) halted() bool {
-	if s.pending != nil {
-		return s.pending.Halted()
-	}
-	return s.machine.Halted()
-}
+// halted reads the session's position. Records and snapshots are only
+// deposited where the guest runs on, so a session ahead of its machine
+// has not halted.
+func (s *Session) halted() bool { return !s.ahead && s.machine.Halted() }
 
-// restoreTo moves the session to the absolute instruction count instr
-// by restoring snap, the store's checkpoint there; the restore replaces
-// any pending one. A snapshot that decoded cleanly but fails to restore
-// is discarded from every tier and the session stays where it was.
-func (s *Session) restoreTo(snap *vm.Snapshot, instr uint64) bool {
+// restore moves the machine to snap, the store's checkpoint at instr.
+// A snapshot that decoded cleanly but fails to restore is discarded
+// from every tier and the machine stays where it was.
+func (s *Session) restore(snap *vm.Snapshot, instr uint64) bool {
 	start := s.ob.now()
 	if err := s.machine.Restore(snap); err != nil {
 		s.ckpt.Discard(s.ckptKey(instr))
 		return false
 	}
 	s.ob.restored(start)
-	s.ob.hit(instr - s.executed)
-	s.pending = nil
-	s.executed = instr
 	return true
 }
 
@@ -183,12 +207,14 @@ func (s *Session) FastForwardVia(target uint64) uint64 {
 		if !ok || instr <= s.executed {
 			break
 		}
-		if !s.restoreTo(snap, instr) {
+		if !s.restore(snap, instr) {
 			// Degradation ladder: with the bad snapshot discarded, the
 			// next-lower checkpoint is tried; with none left we fall
 			// through and walk from scratch.
 			continue
 		}
+		s.ob.hit(instr - s.executed)
+		s.executed, s.ahead = instr, false
 		s.canonical = instr%s.interval == 0
 		break
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -205,4 +206,94 @@ func TestFastForwardViaMatchesFree(t *testing.T) {
 		t.Fatalf("warm resume stats diverged:\n got %+v\nwant %+v",
 			b.Machine().Stats(), a.Machine().Stats())
 	}
+}
+
+// TestSkippedIntervalsCatchUp pins the skip protocol. Session A runs a
+// range of the trajectory; session B then makes the same range's
+// RunFast calls on A's store and must skip every one: its machine does
+// not move, and at every boundary its Stat, Done and Executed equal a
+// store-off session's. B's next burst catches the machine up from the
+// snapshot below it and must leave everything as the store-off run
+// does. "timed" ends the range between two snapshots and times the next
+// interval; "halt" runs A to the guest's halt, mid-interval, and walks
+// B there.
+func TestSkippedIntervalsCatchUp(t *testing.T) {
+	spec, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(store *ckpt.Store) *Session { return NewSession(spec, Options{Scale: 50_000, Ckpt: store}) }
+	metrics := []vm.Metric{vm.MetricCPU, vm.MetricEXC, vm.MetricIO}
+	// step makes one RunFast(L) call on b and on the store-off ref and
+	// compares what a policy reads afterwards.
+	step := func(t *testing.T, b, ref *Session) {
+		t.Helper()
+		L := ref.IntervalLen()
+		if got, want := b.RunFast(L), ref.RunFast(L); got != want {
+			t.Fatalf("RunFast ran %d, store-off %d", got, want)
+		}
+		for _, m := range metrics {
+			if got, want := b.Stat(m), ref.Stat(m); got != want {
+				t.Errorf("at %d: Stat(%v) = %d, store-off %d", ref.Executed(), m, got, want)
+			}
+		}
+		if b.Executed() != ref.Executed() || b.Done() != ref.Done() {
+			t.Fatalf("at %d: Executed %d, Done %v; store-off Done %v", ref.Executed(), b.Executed(), b.Done(), ref.Done())
+		}
+	}
+	same := func(t *testing.T, b, ref *Session) {
+		t.Helper()
+		if got, want := stateOf(b.Machine()), stateOf(ref.Machine()); got != want {
+			t.Errorf("machine after the catch-up:\n got %+v\nwant %+v", got, want)
+		}
+		if got, want := b.Meter().Report(b.Scale()), ref.Meter().Report(ref.Scale()); got != want {
+			t.Errorf("charge diverged:\n got %+v\nwant %+v", got, want)
+		}
+	}
+
+	t.Run("timed", func(t *testing.T) {
+		store := ckpt.NewMemory()
+		b, ref := open(store), open(nil)
+		L, stride := b.IntervalLen(), b.ckptEvery/b.IntervalLen()
+		if stride < 4 {
+			t.Fatalf("default stride is %d intervals: the catch-up would not walk", stride)
+		}
+		k := 2*stride + stride/2
+		open(store).FastForwardVia(k * L)
+		for i := uint64(0); i < k; i++ {
+			step(t, b, ref)
+			if at := b.machine.Stats().Instructions; at != 0 {
+				t.Fatalf("skip %d moved the machine to %d", i+1, at)
+			}
+		}
+		if got := store.Stats().Skips; got != k {
+			t.Errorf("store served %d records, want %d", got, k)
+		}
+		ipc, ex := b.RunTimed(L)
+		refIPC, refEx := ref.RunTimed(L)
+		if math.Float64bits(ipc) != math.Float64bits(refIPC) || ex != refEx {
+			t.Errorf("RunTimed = (%v, %d), store-off (%v, %d)", ipc, ex, refIPC, refEx)
+		}
+		if got, want := b.Core().Snapshot(), ref.Core().Snapshot(); got != want {
+			t.Errorf("timing core diverged:\n got %+v\nwant %+v", got, want)
+		}
+		same(t, b, ref)
+	})
+
+	t.Run("halt", func(t *testing.T) {
+		store := ckpt.NewMemory()
+		b, ref := open(store), open(nil)
+		a := open(store)
+		a.FastForwardVia(a.Total())
+		if !a.machine.Halted() || a.Executed()%a.IntervalLen() == 0 {
+			t.Fatalf("A stopped at %d, halted %v: want a halt inside an interval", a.Executed(), a.machine.Halted())
+		}
+		for !ref.Done() {
+			step(t, b, ref)
+		}
+		if got, want := store.Stats().Skips, a.Executed()/a.IntervalLen(); got != want {
+			t.Errorf("store served %d records, want one per full interval, %d", got, want)
+		}
+		same(t, b, ref)
+	})
 }

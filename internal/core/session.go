@@ -37,13 +37,16 @@ type Options struct {
 	// VM overrides the VM configuration.
 	VM vm.Config
 	// Ckpt attaches a checkpoint store, shared across sessions: the
-	// session deposits snapshots at canonical interval boundaries and
-	// transparently resumes fast-mode intervals from stored state.
-	// Results and modelled paper cost are unchanged (see ckpt.go); only
-	// host wall-clock shrinks. Nil disables checkpointing.
+	// session deposits trajectory records and snapshots at canonical
+	// interval boundaries and transparently skips fast-mode intervals
+	// whose end is stored. Results and modelled paper cost are unchanged
+	// (see ckpt.go); only host wall-clock shrinks. Nil disables
+	// checkpointing.
 	Ckpt *ckpt.Store
-	// CkptStride is the deposit stride in base intervals (0 = auto:
-	// about 32 deposits per workload).
+	// CkptStride is the snapshot stride in base intervals (0 = auto:
+	// about 32 snapshots per workload). Records are left at every
+	// interval; the stride bounds the walk that catches a machine up
+	// with skips.
 	CkptStride uint64
 	// Obs mirrors execution into a metrics registry (per-mode
 	// instruction/stat/wall-clock counters, checkpoint restore timings,
@@ -91,10 +94,11 @@ type Session struct {
 
 	// Checkpoint participation (see ckpt.go).
 	ckpt      *ckpt.Store
-	ckptEvery uint64       // deposit stride in instructions
-	wlHash    uint64       // workload-identity hash for checkpoint keys
-	canonical bool         // still on the canonical interval partitioning
-	pending   *vm.Snapshot // the last fast hit's, not yet restored
+	ckptEvery uint64      // snapshot stride in instructions
+	wlHash    uint64      // workload-identity hash for checkpoint keys
+	canonical bool        // still on the canonical interval partitioning
+	ahead     bool        // skips moved the session past its machine
+	rec       ckpt.Record // the monitored statistics at executed, when ahead
 }
 
 // NewSession builds a session for one suite benchmark.
@@ -118,9 +122,11 @@ func NewSession(spec workload.Spec, opts Options) *Session {
 	if opts.Ckpt != nil {
 		stride := opts.CkptStride
 		if stride == 0 {
-			// Default: bound the deposit count per workload (~32) so the
+			// Default: bound the snapshot count per workload (~32) so the
 			// snapshot-copy overhead stays a small fraction of execution
-			// regardless of how many intervals the budget spans.
+			// regardless of how many intervals the budget spans. Skips
+			// need only the per-interval records; a catch-up walks at
+			// most one stride from the snapshot below it.
 			stride = 1
 			if n := total / interval; n > 32 {
 				stride = n / 32
@@ -152,7 +158,7 @@ func (s *Session) resetMachines() {
 	s.executed = 0
 	s.lastMode = hostcost.Fast
 	s.canonical = true
-	s.pending = nil
+	s.ahead = false
 }
 
 // Reset rewinds the session to the start of the benchmark with cold
@@ -167,7 +173,7 @@ func (s *Session) Spec() workload.Spec { return s.spec }
 // Plan returns the generated workload's ground-truth plan.
 func (s *Session) Plan() *workload.Plan { return s.plan }
 
-// Machine exposes the VM after applying any restore fast hits left pending.
+// Machine exposes the VM, caught up with any skipped fast intervals.
 func (s *Session) Machine() *vm.Machine { s.settle(); return s.machine }
 
 // Core exposes the timing core.
@@ -231,11 +237,11 @@ func (s *Session) ResetMeter() {
 
 // burst is the one body of the burst protocol every mode-switch
 // operation goes through: refuse once the context is cancelled, clamp
-// to the remaining budget, update the canonical-trajectory flag, let a
-// stored checkpoint stand in for a charged fast interval, otherwise
-// settle and run the machine under observation, charge the host cost,
-// and deposit a checkpoint at a canonical stride boundary. free skips
-// the charge and the checkpoint substitution (FastForwardVia's walk).
+// to the remaining budget, update the canonical-trajectory flag, skip a
+// charged fast interval whose end is stored, otherwise settle and run
+// the machine under observation, charge the host cost, and deposit at a
+// canonical boundary. free skips the charge and the skip
+// (FastForwardVia's walk).
 func (s *Session) burst(mode hostcost.Mode, n uint64, sink vm.Sink, free bool) uint64 {
 	if s.stopped() {
 		return 0
@@ -250,14 +256,14 @@ func (s *Session) burst(mode hostcost.Mode, n uint64, sink vm.Sink, free bool) u
 	if !free {
 		s.charge(mode, ex)
 	}
-	s.maybeDeposit()
+	s.maybeDeposit(mode)
 	return ex
 }
 
 // RunFast executes up to n instructions at full VM speed. With a
-// checkpoint store attached, a canonical aligned interval whose end
-// state is already stored is satisfied by that checkpoint instead of
-// execution (bit-identical state and statistics, identical charge).
+// checkpoint store attached, a canonical aligned interval whose end is
+// already stored is skipped instead of executed (bit-identical
+// statistics, identical charge; the machine catches up when read).
 func (s *Session) RunFast(n uint64) uint64 {
 	return s.burst(hostcost.Fast, n, nil, false)
 }
@@ -291,20 +297,19 @@ func (s *Session) RunProfile(n uint64, sink vm.Sink) uint64 {
 }
 
 // StatsDelta returns the VM statistics accumulated since prev, and the
-// new snapshot.
+// new snapshot. A trajectory record holds only the monitored
+// statistics, so this catches the machine up with any skips first.
 func (s *Session) StatsDelta(prev vm.Stats) (delta, now vm.Stats) {
+	s.settle()
 	now = s.machine.Stats()
-	if s.pending != nil {
-		now = s.pending.Stats()
-	}
 	return now.Sub(prev), now
 }
 
-// Stat returns the current value of one VM statistic, read as
-// StatsDelta reads it but without building a delta.
+// Stat returns the current value of one VM statistic, from the
+// trajectory record while the session is ahead of its machine.
 func (s *Session) Stat(m vm.Metric) uint64 {
-	if s.pending != nil {
-		return s.pending.Stat(m)
+	if s.ahead {
+		return s.rec[m]
 	}
 	return s.machine.Stat(m)
 }

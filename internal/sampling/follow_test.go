@@ -11,6 +11,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/hostcost"
 	"repro/internal/obs"
 	"repro/internal/sampling"
 	"repro/internal/simpoint"
@@ -235,6 +236,47 @@ func TestSamplesCounterMatchesResult(t *testing.T) {
 		if n != uint64(res.Samples) || n == 0 {
 			t.Errorf("%s: sampling_samples_total %d, Result.Samples %d", p.Name(), n, res.Samples)
 		}
+	}
+}
+
+// TestObsCountsEachInstructionOnce requires obs to count every
+// instruction of a run once: executed in some mode
+// (vm_instructions_total) or skipped on the checkpoint store
+// (ckpt_restored_instructions_total), never both. Three Dynamic cells
+// run in sequence on one store, so the later two skip the fast
+// intervals the first ran and catch their machine up before each
+// sample, and then again with no store.
+func TestObsCountsEachInstructionOnce(t *testing.T) {
+	t.Parallel()
+	spec, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := ckpt.NewMemory()
+	for _, st := range []*ckpt.Store{store, nil} {
+		for _, p := range []sampling.Policy{
+			sampling.NewDynamic(vm.MetricCPU, 300, 1, 0),
+			sampling.NewDynamic(vm.MetricCPU, 500, 1, 0),
+			sampling.NewDynamic(vm.MetricEXC, 300, 1, 0),
+		} {
+			reg := obs.NewRegistry()
+			res, err := p.Run(core.NewSession(spec, core.Options{Scale: 20_000, Ckpt: st, Obs: reg}))
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+			var executed uint64
+			for m := hostcost.Mode(0); int(m) < hostcost.NumModes; m++ {
+				executed += reg.Counter("vm_instructions_total", "mode", m.String()).Value()
+			}
+			restored := reg.Counter("ckpt_restored_instructions_total").Value()
+			if executed+restored != res.Instructions {
+				t.Errorf("%s (store %v): %d executed + %d restored, Result.Instructions %d",
+					p.Name(), st != nil, executed, restored, res.Instructions)
+			}
+		}
+	}
+	if store.Stats().Skips == 0 {
+		t.Error("no cell skipped an interval on the store (vacuous)")
 	}
 }
 

@@ -223,9 +223,6 @@ func (s *Snapshot) Instructions() uint64 { return s.stats.Instructions }
 // Stats returns the machine statistics at the snapshot point.
 func (s *Snapshot) Stats() Stats { return s.stats }
 
-// Halted reports whether the guest had halted at the snapshot point.
-func (s *Snapshot) Halted() bool { return s.halted }
-
 // Parts reports the snapshot's separately allocated pieces by identity
 // and size: its own state (struct, phase log, console tail, dirty disk
 // sectors); the TLB line table and, if visit returned true for it, its

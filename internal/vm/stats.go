@@ -109,9 +109,6 @@ func (s Stats) Value(m Metric) uint64 { return metricOf(&s, m) }
 // without copying the record, for callers that poll it every interval.
 func (m *Machine) Stat(metric Metric) uint64 { return metricOf(&m.stats, metric) }
 
-// Stat returns one monitored statistic at the snapshot point.
-func (s *Snapshot) Stat(metric Metric) uint64 { return metricOf(&s.stats, metric) }
-
 // metricOf reads the monitored statistic m of *s.
 func metricOf(s *Stats, m Metric) uint64 {
 	switch m {
