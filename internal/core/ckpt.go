@@ -139,24 +139,17 @@ func (s *Session) fastHit(n uint64) bool {
 
 // settle catches the machine up with a session that skipped ahead of
 // it: it restores the nearest stride-boundary snapshot at or below the
-// session's position that is ahead of the machine, trying the next
-// lower one when one fails to restore (which is discarded), then walks
-// the rest in base intervals, depositing on the way. The walk is
-// neither charged nor observed: the skips were charged, and obs counted
-// their instructions as restored.
+// session's position that is ahead of the machine, then walks the rest
+// in base intervals, depositing on the way. The walk is neither charged
+// nor observed: the skips were charged, and obs counted their
+// instructions as restored.
 func (s *Session) settle() {
 	if !s.ahead {
 		return
 	}
 	s.ahead = false
-	target, at := s.executed, s.machine.Stats().Instructions
-	for k := target - target%s.ckptEvery; k > at; k -= s.ckptEvery {
-		if snap, ok := s.ckpt.Lookup(s.ckptKey(k)); ok && s.restore(snap, k) {
-			at = k
-			break
-		}
-	}
-	for s.executed = at; s.executed < target && !s.stopped(); {
+	target := s.executed
+	for s.executed = s.restoreBelow(target); s.executed < target && !s.stopped(); {
 		ex := s.machine.Run(s.interval, nil)
 		if ex == 0 {
 			break
@@ -166,66 +159,72 @@ func (s *Session) settle() {
 	}
 }
 
+// restoreBelow restores the highest stride-boundary snapshot at or
+// below target that is ahead of the machine and returns the machine's
+// position. A snapshot that decoded cleanly but fails to restore is
+// discarded from every tier, the machine stays where it was, and the
+// next lower boundary is tried.
+func (s *Session) restoreBelow(target uint64) uint64 {
+	at := s.machine.Stats().Instructions
+	for k := target - target%s.ckptEvery; k > at; k -= s.ckptEvery {
+		snap, ok := s.ckpt.Lookup(s.ckptKey(k))
+		if !ok {
+			continue
+		}
+		start := s.ob.now()
+		if err := s.machine.Restore(snap); err != nil {
+			s.ckpt.Discard(s.ckptKey(k))
+			continue
+		}
+		s.ob.restored(start)
+		return k
+	}
+	return at
+}
+
 // halted reads the session's position. Records and snapshots are only
 // deposited where the guest runs on, so a session ahead of its machine
 // has not halted.
 func (s *Session) halted() bool { return !s.ahead && s.machine.Halted() }
 
-// restore moves the machine to snap, the store's checkpoint at instr.
-// A snapshot that decoded cleanly but fails to restore is discarded
-// from every tier and the machine stays where it was.
-func (s *Session) restore(snap *vm.Snapshot, instr uint64) bool {
-	start := s.ob.now()
-	if err := s.machine.Restore(snap); err != nil {
-		s.ckpt.Discard(s.ckptKey(instr))
-		return false
-	}
-	s.ob.restored(start)
-	return true
-}
-
 // FastForwardVia advances the session to the absolute instruction
 // count target at full VM speed without charging host cost, resuming
 // from the nearest stored checkpoint at or below target when one is
-// available. It models the paper's dispatch-to-checkpoint: SimPoint
-// reaches each simulation point from stored state rather than by
-// re-executing, paying only the fixed restore overhead (charged by the
-// caller via Meter().ChargeRestore, store hit or not).
+// ahead of the session. It models the paper's dispatch-to-checkpoint:
+// SimPoint reaches each simulation point from stored state rather than
+// by re-executing, paying only the fixed restore overhead (charged by
+// the caller via Meter().ChargeRestore, store hit or not).
 //
 // Without an attached store this devolves to a single free run to
-// target. After a successful restore the session is back on the
-// canonical trajectory (checkpoints are only deposited there), so the
-// remaining gap is walked in base-interval steps, depositing at stride
-// boundaries along the way for later sessions.
+// target. After a restore the session is back on the canonical
+// trajectory (checkpoints are only deposited there), so the remaining
+// gap is walked in base-interval steps, depositing at stride
+// boundaries along the way for later sessions. The walk is observed
+// like any fast burst.
 func (s *Session) FastForwardVia(target uint64) uint64 {
-	if target > s.total {
-		target = s.total
+	if s.stopped() {
+		return 0
 	}
+	target = min(target, s.total)
 	start := s.executed
-	for s.ckpt != nil && target > s.executed {
-		snap, instr, ok := s.ckpt.Nearest(s.ckptKey(target))
-		if !ok || instr <= s.executed {
-			break
+	s.ob.transition(s, hostcost.Fast)
+	if s.ckpt != nil {
+		if at := s.restoreBelow(target); at > s.executed {
+			s.ob.hit(at - s.executed)
+			s.executed, s.ahead, s.canonical = at, false, true
 		}
-		if !s.restore(snap, instr) {
-			// Degradation ladder: with the bad snapshot discarded, the
-			// next-lower checkpoint is tried; with none left we fall
-			// through and walk from scratch.
-			continue
-		}
-		s.ob.hit(instr - s.executed)
-		s.executed, s.ahead = instr, false
-		s.canonical = instr%s.interval == 0
-		break
 	}
-	for s.executed < target && !s.halted() {
+	s.settle()
+	for s.executed < target && !s.halted() && !s.stopped() {
 		n := target - s.executed
 		if s.ckpt != nil && s.canonical && s.executed%s.interval == 0 && n > s.interval {
 			n = s.interval
 		}
-		if s.burst(hostcost.Fast, n, nil, true) == 0 {
+		s.noteRun(n)
+		if s.runObserved(hostcost.Fast, n, nil) == 0 {
 			break
 		}
+		s.maybeDeposit(hostcost.Fast)
 	}
 	return s.executed - start
 }

@@ -189,7 +189,7 @@ func TestFastForwardViaMatchesFree(t *testing.T) {
 	if ex := b.FastForwardVia(target); ex != target {
 		t.Fatalf("warm fast-forward advanced %d, want %d", ex, target)
 	}
-	if store.Stats().NearestHits == 0 {
+	if store.Stats().Hits == 0 {
 		t.Fatal("warm fast-forward did not resume from the store")
 	}
 

@@ -12,6 +12,7 @@ package core
 import (
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/hostcost"
 	"repro/internal/obs"
 	"repro/internal/vm"
@@ -29,7 +30,6 @@ type sessionObs struct {
 	// Per-mode handles, indexed by hostcost.Mode.
 	instr   [hostcost.NumModes]*obs.Counter
 	wallNs  [hostcost.NumModes]*obs.Counter
-	mips    [hostcost.NumModes]*obs.Gauge
 	memAcc  [hostcost.NumModes]*obs.Counter
 	tcInval [hostcost.NumModes]*obs.Counter
 	excs    [hostcost.NumModes]*obs.Counter
@@ -40,11 +40,11 @@ type sessionObs struct {
 	restoredInstr *obs.Counter
 	restoreSecs   *obs.Histogram
 
-	// Transition tracking: the mode observed last, the stats and time
-	// at the moment it was entered.
+	// Transition tracking: the mode observed last, the monitored
+	// statistics and the time at the moment it was entered.
 	mode       hostcost.Mode
 	haveMode   bool
-	transStats vm.Stats
+	transStats ckpt.Record
 	transTime  time.Time
 
 	// Per-Run pre-state captured by enter, consumed by exit.
@@ -64,7 +64,6 @@ func newSessionObs(reg *obs.Registry, trace *obs.TransitionTrace, bench string) 
 		lbl := m.String()
 		so.instr[m] = reg.Counter("vm_instructions_total", "mode", lbl)
 		so.wallNs[m] = reg.Counter("vm_wall_ns_total", "mode", lbl)
-		so.mips[m] = reg.Gauge("vm_mips", "mode", lbl)
 		so.memAcc[m] = reg.Counter("vm_mem_accesses_total", "mode", lbl)
 		so.tcInval[m] = reg.Counter("vm_tc_invalidations_total", "mode", lbl)
 		so.excs[m] = reg.Counter("vm_exceptions_total", "mode", lbl)
@@ -77,53 +76,55 @@ func newSessionObs(reg *obs.Registry, trace *obs.TransitionTrace, bench string) 
 	return so
 }
 
-// enter observes the start of one machine.Run in mode: it records a
-// mode transition when the mode changed and captures the pre-run stats
-// for exit's deltas.
-func (so *sessionObs) enter(s *Session, mode hostcost.Mode) {
-	now := time.Now()
-	st := s.machine.Stats()
-	if !so.haveMode || mode != so.mode {
-		from := "init"
-		var wall int64
-		var d vm.Stats
-		if so.haveMode {
-			from = so.mode.String()
-			wall = now.Sub(so.transTime).Nanoseconds()
-			d = st.Sub(so.transStats)
-		}
-		so.reg.Counter("core_mode_transitions_total", "from", from, "to", mode.String()).Inc()
-		so.trace.Record(obs.Transition{
-			Bench:           so.bench,
-			From:            from,
-			To:              mode.String(),
-			Instr:           s.executed,
-			WallNs:          wall,
-			DeltaTCInval:    d.TCInvalidations,
-			DeltaExceptions: d.Exceptions,
-			DeltaIOOps:      d.IOOps,
-		})
-		so.mode = mode
-		so.haveMode = true
-		so.transStats = st
-		so.transTime = now
+// transition records a mode transition when a burst in mode follows
+// one in another mode. It is called once per session burst, skipped
+// ones included, and reads the session's position and monitored
+// statistics (the trajectory record while the session is ahead of its
+// machine), so what the store holds never changes what it records.
+func (so *sessionObs) transition(s *Session, mode hostcost.Mode) {
+	if so == nil || (so.haveMode && mode == so.mode) {
+		return
 	}
-	so.preStats = st
+	now := time.Now()
+	var st, d ckpt.Record
+	for m := range st {
+		st[m] = s.Stat(vm.Metric(m))
+	}
+	from := "init"
+	var wall int64
+	if so.haveMode {
+		from = so.mode.String()
+		wall = now.Sub(so.transTime).Nanoseconds()
+		for m := range d {
+			d[m] = st[m] - so.transStats[m]
+		}
+	}
+	so.reg.Counter("core_mode_transitions_total", "from", from, "to", mode.String()).Inc()
+	so.trace.Record(obs.Transition{
+		Bench:           so.bench,
+		From:            from,
+		To:              mode.String(),
+		Instr:           s.executed,
+		WallNs:          wall,
+		DeltaTCInval:    d[vm.MetricCPU],
+		DeltaExceptions: d[vm.MetricEXC],
+		DeltaIOOps:      d[vm.MetricIO],
+	})
+	so.mode, so.haveMode = mode, true
+	so.transStats, so.transTime = st, now
+}
+
+// enter captures the pre-run statistics for exit's per-mode deltas.
+func (so *sessionObs) enter(s *Session) {
+	so.preStats = s.machine.Stats()
 	so.preFlushes = s.machine.BatchFlushes()
 }
 
 // exit observes the end of the machine.Run started by the matching
-// enter: per-mode instruction, stat-delta, wall-clock, and MIPS
-// accounting.
+// enter: per-mode instruction, stat-delta and wall-clock accounting.
 func (so *sessionObs) exit(s *Session, mode hostcost.Mode, start time.Time, ex uint64) {
-	el := time.Since(start)
 	so.instr[mode].Add(ex)
-	so.wallNs[mode].Add(uint64(el.Nanoseconds()))
-	if w := so.wallNs[mode].Value(); w > 0 {
-		// Cumulative across every session sharing the registry; benign
-		// last-writer-wins race between parallel sessions.
-		so.mips[mode].Set(float64(so.instr[mode].Value()) / float64(w) * 1e9 / 1e6)
-	}
+	so.wallNs[mode].Add(uint64(time.Since(start).Nanoseconds()))
 	d := s.machine.Stats().Sub(so.preStats)
 	so.memAcc[mode].Add(d.MemReads + d.MemWrites)
 	so.tcInval[mode].Add(d.TCInvalidations)
@@ -163,7 +164,7 @@ func (s *Session) runObserved(mode hostcost.Mode, n uint64, sink vm.Sink) uint64
 		s.executed += ex
 		return ex
 	}
-	s.ob.enter(s, mode)
+	s.ob.enter(s)
 	start := time.Now()
 	ex := s.machine.Run(n, sink)
 	s.ob.exit(s, mode, start, ex)

@@ -237,25 +237,23 @@ func (s *Session) ResetMeter() {
 
 // burst is the one body of the burst protocol every mode-switch
 // operation goes through: refuse once the context is cancelled, clamp
-// to the remaining budget, update the canonical-trajectory flag, skip a
-// charged fast interval whose end is stored, otherwise settle and run
-// the machine under observation, charge the host cost, and deposit at a
-// canonical boundary. free skips the charge and the skip
-// (FastForwardVia's walk).
-func (s *Session) burst(mode hostcost.Mode, n uint64, sink vm.Sink, free bool) uint64 {
+// to the remaining budget, update the canonical-trajectory flag, observe
+// the mode transition, skip a charged fast interval whose end is stored,
+// otherwise settle and run the machine under observation, charge the
+// host cost, and deposit at a canonical boundary.
+func (s *Session) burst(mode hostcost.Mode, n uint64, sink vm.Sink) uint64 {
 	if s.stopped() {
 		return 0
 	}
 	n = s.clamp(n)
 	s.noteRun(n)
-	if mode == hostcost.Fast && !free && s.fastHit(n) {
+	s.ob.transition(s, mode)
+	if mode == hostcost.Fast && s.fastHit(n) {
 		return n
 	}
 	s.settle()
 	ex := s.runObserved(mode, n, sink)
-	if !free {
-		s.charge(mode, ex)
-	}
+	s.charge(mode, ex)
 	s.maybeDeposit(mode)
 	return ex
 }
@@ -265,35 +263,35 @@ func (s *Session) burst(mode hostcost.Mode, n uint64, sink vm.Sink, free bool) u
 // already stored is skipped instead of executed (bit-identical
 // statistics, identical charge; the machine catches up when read).
 func (s *Session) RunFast(n uint64) uint64 {
-	return s.burst(hostcost.Fast, n, nil, false)
+	return s.burst(hostcost.Fast, n, nil)
 }
 
 // RunFuncWarm executes up to n instructions with functional warming:
 // the event stream updates caches, TLBs and the branch predictor but no
 // timing is modelled (SMARTS's inter-unit mode).
 func (s *Session) RunFuncWarm(n uint64) uint64 {
-	return s.burst(hostcost.FuncWarm, n, s.core.WarmSink(), false)
+	return s.burst(hostcost.FuncWarm, n, s.core.WarmSink())
 }
 
 // RunDetailWarm executes up to n instructions through the detailed core
 // without recording a measurement (microarchitectural warm-up before a
 // sample).
 func (s *Session) RunDetailWarm(n uint64) uint64 {
-	return s.burst(hostcost.DetailWarm, n, s.core, false)
+	return s.burst(hostcost.DetailWarm, n, s.core)
 }
 
 // RunTimed executes up to n instructions through the detailed core and
 // returns the measured IPC of the interval.
 func (s *Session) RunTimed(n uint64) (ipc float64, executed uint64) {
 	from := s.core.Marker()
-	ex := s.burst(hostcost.Timing, n, s.core, false)
+	ex := s.burst(hostcost.Timing, n, s.core)
 	return timing.IPC(from, s.core.Marker()), ex
 }
 
 // RunProfile executes up to n instructions delivering events to a
 // caller-supplied profiler (charged at BBV-profiling cost).
 func (s *Session) RunProfile(n uint64, sink vm.Sink) uint64 {
-	return s.burst(hostcost.BBVProfile, n, sink, false)
+	return s.burst(hostcost.BBVProfile, n, sink)
 }
 
 // StatsDelta returns the VM statistics accumulated since prev, and the

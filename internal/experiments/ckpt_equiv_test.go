@@ -69,7 +69,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 		t.Fatalf("warm-store render differs from store-off render:\n--- warm ---\n%s\n--- off ---\n%s", got, want)
 	}
 	wst, _ := rWarm.CkptStats()
-	if wst.Hits+wst.NearestHits == 0 {
+	if wst.Hits == 0 {
 		t.Fatalf("warm run never hit the persisted store (vacuous equivalence): %+v", wst)
 	}
 }

@@ -121,8 +121,8 @@ func (o *Options) setDefaults() {
 }
 
 // Runner memoises measurements across experiments and heals the
-// failures a long sweep meets: each measurement runs in an isolated
-// goroutine with a recover guard and an optional per-attempt deadline,
+// failures a long sweep meets: each measurement attempt runs under a
+// recover guard and an optional per-attempt deadline,
 // transient failures are retried with backoff, and a cell that exhausts
 // the ladder is recorded as a CellFailure instead of killing the sweep.
 // With Options.Journal set, completed measurements are also appended to
@@ -160,28 +160,26 @@ type Runner struct {
 // from the nil-safe obs API, so with no registry attached every
 // increment is a no-op and call sites need no guards.
 type runnerObs struct {
-	started   *obs.Counter // measurements actually executed
-	memoHits  *obs.Counter // Run calls served from memoisation
-	retried   *obs.Counter // failed attempts that got another try
-	failed    *obs.Counter // cells that exhausted the retry ladder
-	healed    *obs.Counter // cells that succeeded after >=1 retry
-	abandoned *obs.Counter // timed-out attempts whose goroutine didn't drain
-	replayed  *obs.Counter // journal records consumed on construction
-	appends   *obs.Counter // journal records appended
-	running   *obs.Gauge   // measurements executing right now
+	started  *obs.Counter // measurements actually executed
+	memoHits *obs.Counter // Run calls served from memoisation
+	retried  *obs.Counter // failed attempts that got another try
+	failed   *obs.Counter // cells that exhausted the retry ladder
+	healed   *obs.Counter // cells that succeeded after >=1 retry
+	replayed *obs.Counter // journal records consumed on construction
+	appends  *obs.Counter // journal records appended
+	running  *obs.Gauge   // measurements executing right now
 }
 
 func newRunnerObs(reg *obs.Registry) runnerObs {
 	return runnerObs{
-		started:   reg.Counter("experiments_cells_started_total"),
-		memoHits:  reg.Counter("experiments_memo_hits_total"),
-		retried:   reg.Counter("experiments_attempts_retried_total"),
-		failed:    reg.Counter("experiments_cells_failed_total"),
-		healed:    reg.Counter("experiments_cells_healed_total"),
-		abandoned: reg.Counter("experiments_attempts_abandoned_total"),
-		replayed:  reg.Counter("experiments_journal_replayed_total"),
-		appends:   reg.Counter("experiments_journal_appends_total"),
-		running:   reg.Gauge("experiments_cells_running"),
+		started:  reg.Counter("experiments_cells_started_total"),
+		memoHits: reg.Counter("experiments_memo_hits_total"),
+		retried:  reg.Counter("experiments_attempts_retried_total"),
+		failed:   reg.Counter("experiments_cells_failed_total"),
+		healed:   reg.Counter("experiments_cells_healed_total"),
+		replayed: reg.Counter("experiments_journal_replayed_total"),
+		appends:  reg.Counter("experiments_journal_appends_total"),
+		running:  reg.Gauge("experiments_cells_running"),
 	}
 }
 
@@ -404,7 +402,7 @@ func (r *Runner) Run(bench string, p sampling.Policy) (sampling.Result, error) {
 	}
 }
 
-// executeGuarded drives the retry ladder for one measurement: isolated
+// executeGuarded drives the retry ladder for one measurement: guarded
 // attempts with optional deadlines, exponential backoff between them,
 // and a recorded CellFailure when the ladder is exhausted. Context
 // cancellation short-circuits everything and is never recorded — a
@@ -461,23 +459,11 @@ func (r *Runner) executeGuarded(bench string, p sampling.Policy, key string) (sa
 	return sampling.Result{}, fail
 }
 
-// abandonGrace bounds how long a timed-out attempt waits for its child
-// goroutine to observe the cancelled context and drain. Sessions check
-// the context at every Run-call boundary, so a healthy child exits
-// within one interval of simulation; a child that overruns the grace is
-// wedged somewhere that can't observe cancellation and is abandoned
-// (counted in experiments_attempts_abandoned_total).
-const abandonGrace = time.Second
-
-// attempt runs one isolated measurement attempt: a child goroutine with
-// a recover guard, raced against the per-attempt deadline. The attempt
-// context reaches the child's session, so on overrun the child stops at
-// its next Run-call boundary and the attempt waits (briefly) for it to
-// drain before releasing the caller's Parallelism slot — a timed-out
-// cell no longer keeps simulating concurrently with its own retry. A
-// child that fails to drain is abandoned; since executions are
-// deterministic and stores idempotent, its late completion is harmless.
-func (r *Runner) attempt(ctx context.Context, bench string, p sampling.Policy, attempt int) (sampling.Result, error) {
+// attempt runs one measurement attempt on the caller's goroutine under
+// a recover guard and the per-attempt deadline. The attempt context
+// reaches the session, which stops at its next burst once the deadline
+// trips, so a timed-out cell never keeps simulating beside its retry.
+func (r *Runner) attempt(ctx context.Context, bench string, p sampling.Policy, attempt int) (res sampling.Result, err error) {
 	var injected faults.Kind
 	if r.opts.Faults != nil {
 		injected = r.opts.Faults.RunFault(bench, policyKey(p), attempt)
@@ -491,46 +477,24 @@ func (r *Runner) attempt(ctx context.Context, bench string, p sampling.Policy, a
 		ctx, cancel = context.WithTimeout(ctx, r.opts.Timeout)
 		defer cancel()
 	}
-	type outcome struct {
-		res sampling.Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				ch <- outcome{err: fmt.Errorf("%w: %v\n%s", errPanic, v, debug.Stack())}
-			}
-		}()
-		switch injected {
-		case faults.RunPanic:
-			panic(fmt.Sprintf("injected fault: run-panic %s/%s attempt %d", bench, policyKey(p), attempt))
-		case faults.RunHang:
-			// Model a wedged measurement: hold the attempt until its
-			// deadline trips, then exit when the context is released.
-			<-ctx.Done()
-			ch <- outcome{err: ctx.Err()}
-			return
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = sampling.Result{}, fmt.Errorf("%w: %v\n%s", errPanic, v, debug.Stack())
 		}
-		res, err := r.execute(ctx, bench, p)
-		ch <- outcome{res, err}
+		if errors.Is(err, context.DeadlineExceeded) {
+			err = fmt.Errorf("attempt deadline (%v) exceeded: %w", r.opts.Timeout, err)
+		}
 	}()
-	select {
-	case o := <-ch:
-		if o.err != nil && errors.Is(o.err, context.DeadlineExceeded) {
-			return sampling.Result{}, fmt.Errorf("attempt deadline (%v) exceeded: %w", r.opts.Timeout, o.err)
-		}
-		return o.res, o.err
-	case <-ctx.Done():
-		drain := time.NewTimer(abandonGrace)
-		defer drain.Stop()
-		select {
-		case <-ch:
-		case <-drain.C:
-			r.ob.abandoned.Inc()
-		}
-		return sampling.Result{}, fmt.Errorf("attempt deadline (%v) exceeded: %w", r.opts.Timeout, ctx.Err())
+	switch injected {
+	case faults.RunPanic:
+		panic(fmt.Sprintf("injected fault: run-panic %s/%s attempt %d", bench, policyKey(p), attempt))
+	case faults.RunHang:
+		// Model a wedged measurement: hold the attempt until its
+		// deadline trips.
+		<-ctx.Done()
+		return sampling.Result{}, ctx.Err()
 	}
+	return r.execute(ctx, bench, p)
 }
 
 // noteLive tracks the number of concurrently-executing measurements and

@@ -280,6 +280,51 @@ func TestObsCountsEachInstructionOnce(t *testing.T) {
 	}
 }
 
+// TestTransitionsIgnoreTheStore runs the cells of
+// TestObsCountsEachInstructionOnce with a transition trace attached, in
+// sequence on one store and then with none. The later cells skip fast
+// intervals the first one ran, and the trace must not show it: every
+// transition equals the store-off run's except in Seq and WallNs.
+func TestTransitionsIgnoreTheStore(t *testing.T) {
+	t.Parallel()
+	spec, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := ckpt.NewMemory()
+	var traces [2][]obs.Transition
+	for i, st := range []*ckpt.Store{store, nil} {
+		tr := obs.NewTransitionTrace(1 << 12)
+		for _, p := range []sampling.Policy{
+			sampling.NewDynamic(vm.MetricCPU, 300, 1, 0),
+			sampling.NewDynamic(vm.MetricCPU, 500, 1, 0),
+			sampling.NewDynamic(vm.MetricEXC, 300, 1, 0),
+		} {
+			if _, err := p.Run(core.NewSession(spec, core.Options{Scale: 20_000, Ckpt: st, Trace: tr})); err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+		}
+		if tr.Total() > 1<<12 {
+			t.Fatalf("%d transitions overflow the trace", tr.Total())
+		}
+		for _, x := range tr.Snapshot() {
+			x.Seq, x.WallNs = 0, 0
+			traces[i] = append(traces[i], x)
+		}
+	}
+	if store.Stats().Skips == 0 || len(traces[1]) == 0 {
+		t.Fatalf("%d skips, %d transitions (vacuous)", store.Stats().Skips, len(traces[1]))
+	}
+	if len(traces[0]) != len(traces[1]) {
+		t.Fatalf("%d transitions with the store, %d without", len(traces[0]), len(traces[1]))
+	}
+	for i := range traces[0] {
+		if traces[0][i] != traces[1][i] {
+			t.Fatalf("transition %d with the store %+v, without %+v", i, traces[0][i], traces[1][i])
+		}
+	}
+}
+
 // fuzzPolicy decodes one FuzzScheduleMatchesReference input: kind picks
 // the design, the rest are its parameters folded into small ranges.
 //

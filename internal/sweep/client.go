@@ -97,20 +97,27 @@ func decodeStrict(r io.Reader, out interface{}, what string) error {
 	return nil
 }
 
-// postJSON posts a JSON body and decodes a JSON response into out (when
-// non-nil), mapping protocol statuses back to the coordinator's typed
-// errors and transport/5xx/malformed-body failures to the retryable
-// classes.
-func (cl *Client) postJSON(ctx context.Context, path string, in, out interface{}) error {
-	body, err := json.Marshal(in)
+// do sends a request with in (when non-nil) as its JSON body and
+// decodes the JSON response into out, mapping protocol statuses back to
+// the coordinator's typed errors and transport/5xx/malformed-body
+// failures to the retryable classes. Every control-plane verb goes
+// through it.
+func (cl *Client) do(ctx context.Context, method, path string, in, out interface{}) error {
+	var body io.Reader
+	if in != nil {
+		data, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, cl.base+path, body)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cl.base+path, bytes.NewReader(body))
-	if err != nil {
-		return err
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := cl.hc.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -154,26 +161,8 @@ func errBody(resp *http.Response) string {
 // recording the serving coordinator's epoch. The context cancels the
 // in-flight request.
 func (cl *Client) FetchConfig(ctx context.Context) (Config, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.base+"/v1/config", nil)
-	if err != nil {
-		return Config{}, err
-	}
-	resp, err := cl.hc.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return Config{}, ctx.Err()
-		}
-		return Config{}, fmt.Errorf("%w: config: %v", ErrCoordinatorDown, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 500 {
-		return Config{}, fmt.Errorf("%w: config: status %d", ErrCoordinatorDown, resp.StatusCode)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return Config{}, fmt.Errorf("sweep: config: status %d", resp.StatusCode)
-	}
 	var cfg Config
-	if err := decodeStrict(resp.Body, &cfg, "config"); err != nil {
+	if err := cl.do(ctx, http.MethodGet, "/v1/config", nil, &cfg); err != nil {
 		return Config{}, err
 	}
 	cl.observeEpoch(cfg.Epoch)
@@ -185,7 +174,7 @@ func (cl *Client) FetchConfig(ctx context.Context) (Config, error) {
 // poll again. The context cancels the in-flight request.
 func (cl *Client) Claim(ctx context.Context, worker string) (*Lease, bool, error) {
 	var resp claimResponse
-	if err := cl.postJSON(ctx, "/v1/claim", claimRequest{Worker: worker}, &resp); err != nil {
+	if err := cl.do(ctx, http.MethodPost, "/v1/claim", claimRequest{Worker: worker}, &resp); err != nil {
 		return nil, false, err
 	}
 	if resp.Lease != nil && resp.Lease.ID == 0 {
@@ -199,13 +188,13 @@ func (cl *Client) Claim(ctx context.Context, worker string) (*Lease, bool, error
 // request, so a heartbeater can stop promptly even while the
 // coordinator is unreachable.
 func (cl *Client) Heartbeat(ctx context.Context, id uint64) error {
-	return cl.postJSON(ctx, "/v1/heartbeat", leaseRequest{Lease: id, Epoch: cl.epoch.Load()}, nil)
+	return cl.do(ctx, http.MethodPost, "/v1/heartbeat", leaseRequest{Lease: id, Epoch: cl.epoch.Load()}, nil)
 }
 
 // Complete ships the records of a lease's cell and marks it done. The
 // context cancels the in-flight request.
 func (cl *Client) Complete(ctx context.Context, id uint64, recs []experiments.JournalRecord) error {
-	return cl.postJSON(ctx, "/v1/complete", leaseRequest{Lease: id, Records: recs, Epoch: cl.epoch.Load()}, nil)
+	return cl.do(ctx, http.MethodPost, "/v1/complete", leaseRequest{Lease: id, Records: recs, Epoch: cl.epoch.Load()}, nil)
 }
 
 // Put implements ckpt.Remote.

@@ -101,8 +101,8 @@ func TestClientMalformedResponses(t *testing.T) {
 	}
 }
 
-// TestClientFetchConfigMalformed covers the GET path separately (it
-// does not go through postJSON).
+// TestClientFetchConfigMalformed covers the one GET verb: it shares the
+// lease verbs' helper, so a damaged reply is classified the same way.
 func TestClientFetchConfigMalformed(t *testing.T) {
 	cl := misbehaving(t, func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "not json at all")

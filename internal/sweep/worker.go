@@ -181,22 +181,49 @@ func RunWorker(opts WorkerOptions) (st WorkerStats, _ error) {
 	if opts.Client == nil {
 		return st, fmt.Errorf("sweep: worker %s: no client", opts.ID)
 	}
-	cfg, err := fetchConfigRetry(opts.Client, opts.Context)
-	if err != nil {
-		return st, fmt.Errorf("sweep: worker %s: %w", opts.ID, err)
+	progress := func(format string, args ...interface{}) {
+		if opts.Progress != nil {
+			fmt.Fprintf(opts.Progress, "worker %s: "+format+"\n", append([]interface{}{opts.ID}, args...)...)
+		}
 	}
+	// fails counts consecutive retryable round-trip failures (the config
+	// fetch, claims and completions); any success resets it, so the
+	// reconnect budget measures one continuous outage, not lifetime
+	// flakiness.
+	fails := 0
+	downRetry := func(stage string, err error) (give bool, werr error) {
+		fails++
+		if fails > opts.ReconnectBudget {
+			return true, fmt.Errorf("sweep: worker %s: %s: reconnect budget (%d) exhausted: %w",
+				opts.ID, stage, opts.ReconnectBudget, err)
+		}
+		d := backoffDelay(opts.Seed, opts.ID, fails-1, opts.BackoffBase, opts.BackoffMax)
+		progress("%s failed (%v); retry %d/%d in %v", stage, err, fails, opts.ReconnectBudget, d)
+		sleepCtx(opts.Context, d)
+		return false, nil
+	}
+	// The config fetch climbs the same ladder, so a worker may start
+	// before the coordinator finishes binding.
+	var cfg Config
+	for {
+		var err error
+		if cfg, err = opts.Client.FetchConfig(opts.Context); err == nil {
+			break
+		}
+		if !retryableErr(err) {
+			return st, fmt.Errorf("sweep: worker %s: config: %w", opts.ID, err)
+		}
+		if give, werr := downRetry("config", err); give {
+			return st, werr
+		}
+	}
+	fails = 0
 
 	policies := make(map[string]sampling.Policy)
 	for _, p := range experiments.ArtifactPolicies(cfg.Scale) {
 		key := experiments.PolicyKeyOf(p)
 		if _, ok := policies[key]; !ok {
 			policies[key] = p
-		}
-	}
-
-	progress := func(format string, args ...interface{}) {
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "worker %s: "+format+"\n", append([]interface{}{opts.ID}, args...)...)
 		}
 	}
 
@@ -220,21 +247,6 @@ func RunWorker(opts WorkerOptions) (st WorkerStats, _ error) {
 	defer runner.Close()
 	defer func() { st.Executions = runner.Executions() }()
 
-	// fails counts consecutive retryable round-trip failures (claims and
-	// completions both); any success resets it, so the reconnect budget
-	// measures one continuous outage, not lifetime flakiness.
-	fails := 0
-	downRetry := func(stage string, err error) (give bool, werr error) {
-		fails++
-		if fails > opts.ReconnectBudget {
-			return true, fmt.Errorf("sweep: worker %s: %s: reconnect budget (%d) exhausted: %w",
-				opts.ID, stage, opts.ReconnectBudget, err)
-		}
-		d := backoffDelay(opts.Seed, opts.ID, fails-1, opts.BackoffBase, opts.BackoffMax)
-		progress("%s failed (%v); retry %d/%d in %v", stage, err, fails, opts.ReconnectBudget, d)
-		sleepCtx(opts.Context, d)
-		return false, nil
-	}
 	for {
 		if err := opts.Context.Err(); err != nil {
 			return st, err
@@ -335,24 +347,6 @@ func RunWorker(opts WorkerOptions) (st WorkerStats, _ error) {
 			return st, fmt.Errorf("sweep: worker %s: complete %s: %w", opts.ID, lease.Cell, err)
 		}
 	}
-}
-
-// fetchConfigRetry fetches the sweep config, retrying briefly so
-// workers may start before the coordinator finishes binding.
-func fetchConfigRetry(cl *Client, ctx context.Context) (Config, error) {
-	var lastErr error
-	for i := 0; i < 5; i++ {
-		if err := ctx.Err(); err != nil {
-			return Config{}, err
-		}
-		cfg, err := cl.FetchConfig(ctx)
-		if err == nil {
-			return cfg, nil
-		}
-		lastErr = err
-		sleepCtx(ctx, time.Duration(i+1)*100*time.Millisecond)
-	}
-	return Config{}, lastErr
 }
 
 // sleepCtx sleeps d or until the context is cancelled.

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -214,6 +215,59 @@ func TestWorkerStopsOnCancelDuringHungClaim(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("RunWorker still blocked 2 s after its context was cancelled")
+	}
+}
+
+// TestWorkerConfigFetchRetriesOnTheReconnectLadder: a coordinator that
+// answers 503 to the first three config fetches still gets the worker,
+// which joins and completes the sweep; a 404 is outside the reconnect
+// class and ends RunWorker after exactly one request.
+func TestWorkerConfigFetchRetriesOnTheReconnectLadder(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		status   int
+		failures int64 // config fetches answered with status
+		wantErr  bool
+	}{
+		{"503 three times", http.StatusServiceUnavailable, 3, false},
+		{"404", http.StatusNotFound, 1 << 30, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Scale: 200_000, Benchmarks: []string{"gzip"}, LeaseTTL: 30 * time.Second}
+			coord := NewCoordinator(cfg, nil, nil)
+			h := NewServer(coord, nil, nil, nil).Handler()
+			var fetches atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/config" && fetches.Add(1) <= tc.failures {
+					http.Error(w, "not now", tc.status)
+					return
+				}
+				h.ServeHTTP(w, r)
+			}))
+			defer ts.Close()
+			st, err := RunWorker(WorkerOptions{
+				Client:      NewClient(ts.URL, nil),
+				ID:          "w",
+				Poll:        10 * time.Millisecond,
+				BackoffBase: time.Millisecond,
+				BackoffMax:  5 * time.Millisecond,
+			})
+			if tc.wantErr {
+				if err == nil || fetches.Load() != 1 {
+					t.Fatalf("RunWorker = %v after %d config requests, want an error after 1", err, fetches.Load())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fetches.Load(); got != tc.failures+1 {
+				t.Errorf("%d config requests, want %d", got, tc.failures+1)
+			}
+			if want := uint64(len(cfg.Cells())); !coord.Done() || st.Completions != want {
+				t.Fatalf("worker completed %d of %d cells (done = %v)", st.Completions, want, coord.Done())
+			}
+		})
 	}
 }
 
