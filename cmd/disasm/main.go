@@ -53,8 +53,8 @@ func main() {
 		fmt.Printf("plan: %d phases over %d instructions (interval %d)\n",
 			len(plan.Phases), plan.TotalTarget, plan.IntervalLen)
 		for _, ph := range plan.Phases {
-			fmt.Printf("  phase %2d %-10s %-5s start=%-12d budget=%-11d ws=%d words\n",
-				ph.ID, ph.Kernel, ph.Transition, ph.StartApprox, ph.Budget, ph.WSWords)
+			fmt.Printf("  phase %2d %-10s %-5s budget=%-11d ws=%d words\n",
+				ph.ID, ph.Kernel, ph.Transition, ph.Budget, ph.WSWords)
 		}
 		fmt.Printf("dispatcher at %#x (%d instructions)\n",
 			img.Segments[0].Base, len(img.Segments[0].Words))

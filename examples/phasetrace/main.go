@@ -46,10 +46,13 @@ func main() {
 			tr.Index, tr.IPC, tr.TCInvalidations, tr.Exceptions, tr.IOOps)
 	}
 
-	// Ground truth from the generator, for checking detections.
-	fmt.Fprintln(os.Stderr, "planned phases (interval, kernel, transition):")
-	for _, ph := range s.Plan().Phases {
-		fmt.Fprintf(os.Stderr, "  %6d %-10s %s\n",
-			ph.StartApprox/s.IntervalLen(), ph.Kernel, ph.Transition)
+	// Ground truth from the guest, for checking detections: each phase
+	// marks its own start with its plan ID (counted from 1, in plan
+	// order).
+	fmt.Fprintln(os.Stderr, "marked phase starts (instruction, interval, kernel, transition):")
+	for _, mark := range s.Machine().PhaseLog() {
+		ph := s.Plan().Phases[mark.Value-1]
+		fmt.Fprintf(os.Stderr, "  %10d %6d %-10s %s\n",
+			mark.Instr, mark.Instr/s.IntervalLen(), ph.Kernel, ph.Transition)
 	}
 }

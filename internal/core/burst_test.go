@@ -150,10 +150,11 @@ func TestBurstProtocolPerMode(t *testing.T) {
 				for i := 0; i < 3; i++ {
 					c.RunFast(n)
 					cold.RunFast(n)
-					d, prev = c.StatsDelta(prev)
-					coldD, coldPrev = cold.StatsDelta(coldPrev)
+					now, coldNow := c.Machine().Stats(), cold.Machine().Stats()
+					d, coldD = now.Sub(prev), coldNow.Sub(coldPrev)
+					prev, coldPrev = now, coldNow
 					if d != coldD {
-						t.Errorf("hit %d: StatsDelta = %+v, cold run's %+v", i+1, d, coldD)
+						t.Errorf("hit %d: statistics delta = %+v, cold run's %+v", i+1, d, coldD)
 					}
 					if i == 1 {
 						mid = stateOf(cold.Machine())

@@ -86,10 +86,7 @@ func (so *sessionObs) transition(s *Session, mode hostcost.Mode) {
 		return
 	}
 	now := time.Now()
-	var st, d ckpt.Record
-	for m := range st {
-		st[m] = s.Stat(vm.Metric(m))
-	}
+	st, d := s.Monitored(), ckpt.Record{}
 	from := "init"
 	var wall int64
 	if so.haveMode {

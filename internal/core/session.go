@@ -294,23 +294,19 @@ func (s *Session) RunProfile(n uint64, sink vm.Sink) uint64 {
 	return s.burst(hostcost.BBVProfile, n, sink)
 }
 
-// StatsDelta returns the VM statistics accumulated since prev, and the
-// new snapshot. A trajectory record holds only the monitored
-// statistics, so this catches the machine up with any skips first.
-func (s *Session) StatsDelta(prev vm.Stats) (delta, now vm.Stats) {
-	s.settle()
-	now = s.machine.Stats()
-	return now.Sub(prev), now
+// Monitored returns every monitored VM statistic, indexed by
+// vm.Metric: the trajectory record while the session is ahead of its
+// machine, so reading it between skipped intervals leaves them skipped.
+func (s *Session) Monitored() ckpt.Record {
+	if s.ahead {
+		return s.rec
+	}
+	return ckpt.RecordOf(s.machine.Stats())
 }
 
-// Stat returns the current value of one VM statistic, from the
-// trajectory record while the session is ahead of its machine.
-func (s *Session) Stat(m vm.Metric) uint64 {
-	if s.ahead {
-		return s.rec[m]
-	}
-	return s.machine.Stat(m)
-}
+// Stat returns the current value of one monitored VM statistic (see
+// Monitored).
+func (s *Session) Stat(m vm.Metric) uint64 { return s.Monitored()[m] }
 
 // String identifies the session.
 func (s *Session) String() string {

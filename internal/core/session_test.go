@@ -108,9 +108,9 @@ func TestSessionReset(t *testing.T) {
 
 func TestStatsDelta(t *testing.T) {
 	s := newTestSession(t)
-	_, snap := s.StatsDelta(vm.Stats{})
+	snap := s.Machine().Stats()
 	s.RunFast(5000)
-	delta, _ := s.StatsDelta(snap)
+	delta := s.Machine().Stats().Sub(snap)
 	if delta.Instructions != 5000 {
 		t.Fatalf("delta instructions = %d", delta.Instructions)
 	}

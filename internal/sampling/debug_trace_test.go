@@ -20,14 +20,15 @@ func TestDebugTrace(t *testing.T) {
 	opts := core.Options{Scale: 2_000}
 
 	s := core.NewSession(spec, opts)
-	for _, ph := range s.Plan().Phases {
-		t.Logf("plan phase %2d %-10s trans=%-5s start-int=%d ws=%d",
-			ph.ID, ph.Kernel, ph.Transition, ph.StartApprox/s.IntervalLen(), ph.WSWords)
-	}
 	ft := FullTiming{TraceIntervals: 1 << 20}
 	base, err := ft.Run(s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, mark := range s.Machine().PhaseLog() {
+		ph := s.Plan().Phases[mark.Value-1]
+		t.Logf("plan phase %2d %-10s trans=%-5s start-int=%d ws=%d",
+			ph.ID, ph.Kernel, ph.Transition, mark.Instr/s.IntervalLen(), ph.WSWords)
 	}
 	// Print a decimated trace with phase-relevant activity.
 	for i, tr := range base.Trace {

@@ -166,7 +166,8 @@ func refDynamic(p Dynamic, s *core.Session) Result {
 				break
 			}
 		}
-		delta, now := s.StatsDelta(prev)
+		now := s.Machine().Stats()
+		delta := now.Sub(prev)
 		prev = now
 		d, gap := det.observe(delta.Value(p.Metric))
 		if d == "arm" {

@@ -325,6 +325,54 @@ func TestTransitionsIgnoreTheStore(t *testing.T) {
 	}
 }
 
+// TestTwoPhaseWalkSkipsRecordedIntervals runs Stratified and then
+// RankedSet on gzip, in sequence on one store and then with none. The
+// two designs' first phase is the same canonical fast walk, and it
+// reads only the monitored statistics, so RankedSet's walk must be a
+// chain of skips over the records Stratified left: Skips rises by its
+// frame length, and the machine catches up only for the partial tail
+// interval the walk still executes, where gzip halts (the Reset before
+// the measurement pass drops any lead). Both Results must equal the
+// store-off runs' bit for bit.
+func TestTwoPhaseWalkSkipsRecordedIntervals(t *testing.T) {
+	t.Parallel()
+	spec, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := []sampling.Policy{sampling.NewStratified(17), sampling.NewRankedSet(17)}
+	run := func(p sampling.Policy, st *ckpt.Store) sampling.Result {
+		res, err := p.Run(core.NewSession(spec, core.Options{Scale: 20_000, Ckpt: st}))
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		return res
+	}
+	store := ckpt.NewMemory()
+	warm := run(policies[0], store)
+	before := store.Stats()
+	skipped := run(policies[1], store)
+	after := store.Stats()
+	// gzip halts inside the interval after its frame: that tail runs,
+	// so the machine catches up once, from one snapshot lookup.
+	interval := workload.DefaultIntervalLen(spec.ScaledInstr(20_000))
+	frame, tail := skipped.Instructions/interval, skipped.Instructions%interval
+	if tail == 0 {
+		t.Fatalf("the walk ends on an interval boundary (%d instructions): the tail case is not exercised", skipped.Instructions)
+	}
+	if got := after.Skips - before.Skips; got != frame {
+		t.Errorf("RankedSet skipped %d intervals, want its frame length %d", got, frame)
+	}
+	if got := after.Hits + after.Misses - before.Hits - before.Misses; got != 1 {
+		t.Errorf("RankedSet looked up %d snapshots, want 1 (the catch-up before its tail)", got)
+	}
+	for i, got := range []sampling.Result{warm, skipped} {
+		if d := diffBits("Result", reflect.ValueOf(got), reflect.ValueOf(run(policies[i], nil))); d != "" {
+			t.Errorf("%s with the store: %s", policies[i].Name(), d)
+		}
+	}
+}
+
 // fuzzPolicy decodes one FuzzScheduleMatchesReference input: kind picks
 // the design, the rest are its parameters folded into small ranges.
 //

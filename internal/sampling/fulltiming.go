@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"repro/internal/core"
+	"repro/internal/vm"
 )
 
 // FullTiming simulates every interval in full detail: the accuracy and
@@ -19,21 +20,21 @@ func (FullTiming) Name() string { return "Full timing" }
 // first TraceIntervals of them traced.
 func (p FullTiming) Run(s *core.Session) (Result, error) {
 	d := NewDriver(s, p.Name())
-	prev := s.Machine().Stats()
+	prev := s.Monitored()
 	d.run(func() (step, bool) { return d.at(nil, 0, 0, s.IntervalLen()), true }, func(ipc float64, _ uint64) {
 		idx := len(d.res.Trace)
 		if idx >= p.TraceIntervals {
 			return
 		}
-		delta, now := s.StatsDelta(prev)
-		prev = now
+		now := s.Monitored()
 		d.res.Trace = append(d.res.Trace, IntervalTrace{
 			Index:           uint64(idx),
 			IPC:             ipc,
-			TCInvalidations: delta.TCInvalidations,
-			Exceptions:      delta.Exceptions,
-			IOOps:           delta.IOOps,
+			TCInvalidations: now[vm.MetricCPU] - prev[vm.MetricCPU],
+			Exceptions:      now[vm.MetricEXC] - prev[vm.MetricEXC],
+			IOOps:           now[vm.MetricIO] - prev[vm.MetricIO],
 		})
+		prev = now
 	})
 	return d.Result(), nil
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/mix"
 	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/vm"
 )
 
 // The reference schedules: every policy's loop written out in full, the
@@ -73,7 +72,8 @@ func refFullTiming(p FullTiming, s *core.Session) Result {
 		res.Samples++
 		po.sample(ipc)
 		if int(idx) < p.TraceIntervals {
-			delta, now := s.StatsDelta(prev)
+			now := s.Machine().Stats()
+			delta := now.Sub(prev)
 			prev = now
 			res.Trace = append(res.Trace, IntervalTrace{
 				Index:           idx,
@@ -140,8 +140,9 @@ func refProxyProfile(s *core.Session) []float64 {
 		if ex == 0 {
 			break
 		}
-		var delta vm.Stats
-		delta, prev = s.StatsDelta(prev)
+		now := s.Machine().Stats()
+		delta := now.Sub(prev)
+		prev = now
 		if ex < interval {
 			break
 		}

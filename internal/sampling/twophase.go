@@ -48,18 +48,17 @@ func beginTwoPhase(s *core.Session, name string) (*twoPhase, error) {
 		metC:    reg.Counter("sampling_error_target_total", "policy", name, "outcome", "met"),
 		missC:   reg.Counter("sampling_error_target_total", "policy", name, "outcome", "budget"),
 	}
-	prev := s.Machine().Stats()
+	prev := s.Monitored()
 	t.d.Walk(nil, 0, func(ex uint64) {
-		var delta vm.Stats
-		delta, prev = s.StatsDelta(prev)
-		if ex < s.IntervalLen() {
-			return
-		}
+		now := s.Monitored()
 		v := 0.0
 		for _, m := range proxyMetrics {
-			v += float64(delta.Value(m))
+			v += float64(now[m] - prev[m])
 		}
-		t.proxy = append(t.proxy, v)
+		prev = now
+		if ex == s.IntervalLen() {
+			t.proxy = append(t.proxy, v)
+		}
 	})
 	if len(t.proxy) == 0 {
 		return t, fmt.Errorf("sampling: %s: budget %d shorter than one interval (%d)", name, s.Total(), s.IntervalLen())

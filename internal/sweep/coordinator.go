@@ -224,13 +224,12 @@ func newCoordinator(cfg Config, prior []experiments.JournalRecord, reg *obs.Regi
 // in-memory coordinator, incremented per restart for a WAL-backed one.
 func (c *Coordinator) Epoch() uint64 { return c.epoch }
 
-// CheckEpoch validates a message's claimed epoch: 0 (a legacy client
-// that does not track epochs) always passes; anything else must match
-// this incarnation exactly or the message is rejected with
-// ErrStaleEpoch, telling the worker to re-fetch the config and
-// re-claim.
+// CheckEpoch validates a message's claimed epoch: it must match this
+// incarnation exactly, or the message is rejected with ErrStaleEpoch,
+// telling the worker to re-fetch the config and re-claim. An unstamped
+// message (epoch 0) matches none.
 func (c *Coordinator) CheckEpoch(epoch uint64) error {
-	if epoch == 0 || epoch == c.epoch {
+	if epoch == c.epoch {
 		return nil
 	}
 	c.mu.Lock()

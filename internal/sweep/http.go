@@ -16,18 +16,19 @@ import (
 // The wire protocol. Three lease verbs plus the checkpoint mirror:
 //
 //	GET  /v1/config            sweep Config (workers adopt it verbatim)
-//	POST /v1/claim             {"worker":W} -> {"done":bool,"lease":{...}}
-//	POST /v1/heartbeat         {"lease":ID}
-//	POST /v1/complete          {"lease":ID,"records":[...]} the cell's whole record set
+//	POST /v1/claim             {"worker":W} -> {"done":bool,"lease":{...},"epoch":E}
+//	POST /v1/heartbeat         {"lease":ID,"epoch":E}
+//	POST /v1/complete          {"lease":ID,"records":[...],"epoch":E} the cell's whole record set
 //	GET  /v1/status            coordinator + store counters (JSON)
 //	PUT  /v1/ckpt/{key}        digest-checked upload (400 corrupt)
 //
 // Request bodies are bounded (maxJSONBody, maxSnapshotBody): a larger
 // one answers 413 and nothing of it is acted on. Stale or superseded
 // leases answer 409; completions with missing records answer 422;
-// lease verbs stamped with a dead incarnation's epoch answer 410 (the
-// worker re-fetches /v1/config and re-claims); WAL append failures
-// answer 503 (retryable — nothing was acknowledged). Keys and snapshot
+// lease verbs not stamped with this incarnation's epoch E (from
+// /v1/config or /v1/claim) answer 410 (the worker re-fetches /v1/config
+// and re-claims); WAL append failures answer 503 (retryable — nothing
+// was acknowledged). Keys and snapshot
 // bodies are checked by the checkpoint store, not by the transport
 // (ckpt.ParseKey, and ckpt's accept: digest footer, the key's
 // instruction count, nothing after the footer) — the server never stores
@@ -65,7 +66,7 @@ type leaseRequest struct {
 	Lease   uint64                      `json:"lease"`
 	Records []experiments.JournalRecord `json:"records,omitempty"`
 	// Epoch is the coordinator incarnation the sender believes it is
-	// talking to (0 from legacy clients = unchecked).
+	// talking to.
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 

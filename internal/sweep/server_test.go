@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -53,6 +54,7 @@ func TestServerMalformedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := "/v1/ckpt/" + testCkptKey(100).String()
+	epoch := fmt.Sprintf(`"epoch":%d`, coord.Epoch())
 	hugeJSON := func() io.Reader {
 		return io.MultiReader(strings.NewReader(`{"worker":"`), io.LimitReader(fill('a'), maxJSONBody), strings.NewReader(`"}`))
 	}
@@ -77,9 +79,12 @@ func TestServerMalformedRequests(t *testing.T) {
 		{"wrong method on config", "POST", "/v1/config", strings.NewReader("{}"), 0, http.StatusMethodNotAllowed},
 		{"wrong method on a checkpoint", "DELETE", key, nil, 0, http.StatusMethodNotAllowed},
 		{"unknown path", "POST", "/v1/claims", strings.NewReader("{}"), 0, http.StatusNotFound},
-		{"unknown lease, heartbeat", "POST", "/v1/heartbeat", strings.NewReader(`{"lease":999}`), 0, http.StatusConflict},
-		{"unknown lease, complete", "POST", "/v1/complete", strings.NewReader(`{"lease":999}`), 0, http.StatusConflict},
-		{"unknown lease, complete with records", "POST", "/v1/complete", strings.NewReader(`{"lease":999,"records":[{"kind":"result","bench":"gzip","policy":"full"}]}`), 0, http.StatusConflict},
+		{"unknown lease, heartbeat", "POST", "/v1/heartbeat", strings.NewReader(`{"lease":999,` + epoch + `}`), 0, http.StatusConflict},
+		{"unknown lease, complete", "POST", "/v1/complete", strings.NewReader(`{"lease":999,` + epoch + `}`), 0, http.StatusConflict},
+		{"unknown lease, complete with records", "POST", "/v1/complete", strings.NewReader(`{"lease":999,"records":[{"kind":"result","bench":"gzip","policy":"full"}],` + epoch + `}`), 0, http.StatusConflict},
+		// An unstamped lease verb is refused before its lease is looked up.
+		{"unstamped heartbeat", "POST", "/v1/heartbeat", strings.NewReader(`{"lease":999}`), 0, http.StatusGone},
+		{"unstamped complete", "POST", "/v1/complete", strings.NewReader(`{"lease":999}`), 0, http.StatusGone},
 		// The streaming verb is gone: records travel in /v1/complete only.
 		{"deleted append verb", "POST", "/v1/append", strings.NewReader(`{"lease":1,"records":[{"kind":"result","bench":"gzip","policy":"Full timing"}]}`), 0, http.StatusNotFound},
 		// Exact-key lookups stay local: there is no GET of one key.
@@ -110,9 +115,13 @@ func TestServerMalformedRequests(t *testing.T) {
 				t.Errorf("status %d, want %d (%s)", rec.Code, tc.want, strings.TrimSpace(rec.Body.String()))
 			}
 
-			// Rejections may be counted; nothing else may move.
+			// Rejections may be counted, an epoch refusal exactly once;
+			// nothing else may move.
 			after := coord.Stats()
 			after.StaleDrops = before.StaleDrops
+			if tc.want == http.StatusGone {
+				after.EpochDrops--
+			}
 			if after != before {
 				t.Errorf("coordinator state changed:\n before %+v\n after  %+v", before, after)
 			}

@@ -93,8 +93,8 @@ func TestStatusShape(t *testing.T) {
 
 // TestHTTPEpochGate pins the wire half of the epoch protocol: lease
 // verbs stamped with a wrong epoch answer 410 before the lease is even
-// looked up, legacy epoch-0 messages pass, and /v1/config + claim
-// responses carry the current epoch.
+// looked up, unstamped (epoch-0) messages are refused the same way, and
+// /v1/config + claim responses carry the current epoch.
 func TestHTTPEpochGate(t *testing.T) {
 	coord := NewCoordinator(testConfig(), nil, nil)
 	ts := httptest.NewServer(NewServer(coord, nil, nil, nil).Handler())
@@ -126,9 +126,9 @@ func TestHTTPEpochGate(t *testing.T) {
 	if coord.Stats().EpochDrops == 0 {
 		t.Fatal("epoch drop not counted")
 	}
-	// Legacy epoch 0: passes the gate.
+	// Unstamped (epoch 0): refused too.
 	cl.epoch.Store(0)
-	if err := cl.Heartbeat(context.Background(), lease.ID); err != nil {
-		t.Fatalf("legacy heartbeat: %v", err)
+	if err := cl.Heartbeat(context.Background(), lease.ID); !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("unstamped heartbeat: err = %v, want ErrStaleEpoch", err)
 	}
 }

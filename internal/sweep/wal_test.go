@@ -90,8 +90,8 @@ func TestWALRestartRestoresState(t *testing.T) {
 	if err := c2.CheckEpoch(1); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("CheckEpoch(1) = %v, want ErrStaleEpoch", err)
 	}
-	if err := c2.CheckEpoch(0); err != nil {
-		t.Fatalf("CheckEpoch(0) legacy = %v, want nil", err)
+	if err := c2.CheckEpoch(0); !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("CheckEpoch(0) unstamped = %v, want ErrStaleEpoch", err)
 	}
 	// The dead incarnation's live lease is orphaned, not restored.
 	if err := c2.Heartbeat(liveLease.ID, now); !errors.Is(err, ErrStaleLease) {

@@ -130,22 +130,18 @@ type Snapshot struct {
 	disk       *device.Block
 	phaseLog   []PhaseMark
 	code       []codePage // ascending vpn, no empty page
-	// tcStamp is the translation-set identity the blocks were captured
-	// under (see Machine.tcStamp). Deserialized snapshots carry zero,
-	// which no live machine ever holds, so they always rebuild.
-	tcStamp uint64
 }
 
 // sharedParts are the tables of the snapshot a machine last captured or
-// was restored from, and what the machine changed since: no code page
-// while tcStamp is codeStamp, else those in codeDirty (translate,
-// invalidate and flush mark them); no TLB line while no refill was
-// counted since tlbRefills (tlbLookup is the TLB's only writer), else
-// those in tlbDirty. Snapshot rebuilds and Restore reconciles or copies
-// only those. The memory image has the same arrangement in mem.Memory.
+// was restored from, and what the machine changed since: the code pages
+// in codeDirty (translate, invalidate and flush mark them, and they are
+// the only record of a translation-cache change); no TLB line while no
+// refill was counted since tlbRefills (tlbLookup is the TLB's only
+// writer), else those in tlbDirty. Snapshot rebuilds and Restore
+// reconciles or copies only those. The memory image has the same
+// arrangement in mem.Memory.
 type sharedParts struct {
 	code       []codePage
-	codeStamp  uint64
 	codeDirty  map[uint64]bool
 	tlb        []*tlbLine
 	tlbDirty   []bool
@@ -156,8 +152,8 @@ type sharedParts struct {
 // previous capture or restore every part that has not changed since.
 func (m *Machine) Snapshot() *Snapshot {
 	sh := &m.shared
-	if sh.codeStamp != m.tcStamp {
-		sh.code, sh.codeStamp = m.captureCode(), m.tcStamp
+	if len(sh.codeDirty) != 0 {
+		sh.code = m.captureCode()
 	}
 	if sh.tlbRefills != m.stats.TLBRefills {
 		sh.tlb = relined(sh.tlb, m.tlb, sh.tlbDirty)
@@ -177,7 +173,6 @@ func (m *Machine) Snapshot() *Snapshot {
 		disk:       m.disk.Clone(),
 		phaseLog:   append([]PhaseMark(nil), m.phaseLog...),
 		code:       sh.code,
-		tcStamp:    m.tcStamp,
 	}
 }
 
@@ -293,7 +288,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 		return fmt.Errorf("vm: snapshot TLB size %d is not a power of two", s.tlbEntries)
 	}
 	code := s.code
-	if s.tcStamp == 0 { // deserialized: pc-only blocks
+	if len(code) != 0 && code[0].blocks[0].insts == nil { // deserialized: pc-only blocks
 		code = make([]codePage, len(s.code))
 		for i, p := range s.code {
 			code[i] = codePage{vpn: p.vpn, blocks: make([]savedBlock, len(p.blocks))}
@@ -319,16 +314,17 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.disk = s.disk.Clone()
 	m.phaseLog = append(m.phaseLog[:0], s.phaseLog...)
 
-	// Equal stamps (neither side has translated, invalidated or flushed
-	// since they last agreed) mean the live set, chain links included, is
+	// With no code page changed since the machine agreed with the very
+	// table being restored (tables are never written after capture, so
+	// identity is equality), the live set, chain links included, is
 	// already the restored one: what makes a checkpoint-walk restore
 	// cheaper than re-executing the interval it skips. Otherwise it is
-	// reconciled in place; a deserialized set takes a fresh identity.
-	if s.tcStamp == 0 || s.tcStamp != m.tcStamp {
+	// reconciled in place; a re-decoded table is always a fresh one.
+	if sh := &m.shared; len(sh.codeDirty) != 0 || len(code) != len(sh.code) ||
+		unsafe.SliceData(code) != unsafe.SliceData(sh.code) {
 		m.reconcileTC(code)
-		m.tcStamp = cmp.Or(s.tcStamp, newTCStamp())
 	}
-	m.shared.code, m.shared.codeStamp = code, m.tcStamp
+	m.shared.code = code
 	return nil
 }
 

@@ -20,7 +20,6 @@ package vm
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/asm"
 	"repro/internal/device"
@@ -266,13 +265,6 @@ type Machine struct {
 	tcCount   int
 	pageBlk   map[uint64][]*block // vpn -> blocks with code on that page
 	codePages []uint64            // bit vpn: page holds translated code
-	// tcStamp identifies the live translation set. Every mutation
-	// (translate, invalidate, flush) assigns a globally fresh value;
-	// Snapshot records it and Restore adopts it, so a restore whose
-	// target stamp equals the machine's can skip the TC rebuild — the
-	// live set is already bit-identical. Purely host-side: stamps never
-	// influence guest-visible behaviour or statistics.
-	tcStamp uint64
 
 	// Software TLB: direct-mapped, stores vpn+1 (0 = invalid); vpn's
 	// slot is vpn & tlbMask.
@@ -289,8 +281,8 @@ type Machine struct {
 	batch []Event
 
 	// batchFlushes counts event-batch deliveries (OnEvents calls).
-	// Purely host-side observability, like tcStamp: never serialized,
-	// never restored, and excluded from Stats and state comparisons.
+	// Purely host-side observability: never serialized, never
+	// restored, and excluded from Stats and state comparisons.
 	batchFlushes uint64
 
 	stats    Stats
@@ -310,11 +302,6 @@ type Machine struct {
 // maxPhaseLog bounds the retained phase-mark log.
 const maxPhaseLog = 1 << 20
 
-// tcStampCounter issues globally unique translation-set stamps.
-var tcStampCounter atomic.Uint64
-
-func newTCStamp() uint64 { return tcStampCounter.Add(1) }
-
 // New creates a machine with the given configuration.
 func New(cfg Config) *Machine {
 	cfg.setDefaults()
@@ -325,7 +312,6 @@ func New(cfg Config) *Machine {
 		disk:    device.NewBlock(0),
 		tc:      make(map[uint64]*block),
 		pageBlk: make(map[uint64][]*block),
-		tcStamp: newTCStamp(),
 		shared:  sharedParts{codeDirty: make(map[uint64]bool)},
 	}
 	m.codePages = make([]uint64, (m.mem.Span()>>mem.PageShift+63)/64)
@@ -539,7 +525,6 @@ func (m *Machine) translate(pc uint64) *block {
 	b := &block{pc: pc, insts: insts}
 	m.installBlock(b)
 	m.stats.TCTranslations++
-	m.tcStamp = newTCStamp()
 	m.shared.codeDirty[pc>>mem.PageShift] = true
 	return b
 }
@@ -566,7 +551,6 @@ func (m *Machine) invalidatePage(vpn uint64) {
 			delete(m.tc, b.pc)
 			m.tcCount--
 			m.stats.TCInvalidations++
-			m.tcStamp = newTCStamp()
 			first := b.pc >> mem.PageShift
 			m.shared.codeDirty[first] = true
 			last := (b.pc + uint64(len(b.insts))*isa.InstBytes - 1) >> mem.PageShift
@@ -622,7 +606,6 @@ func (m *Machine) flushTC() {
 	}
 	m.pageBlk = make(map[uint64][]*block)
 	m.tcCount = 0
-	m.tcStamp = newTCStamp()
 }
 
 // TCBlocks returns the number of live translation-cache blocks.
@@ -657,10 +640,10 @@ func (m *Machine) Run(n uint64, sink Sink) uint64 {
 // register file (regs) and deltas for the five per-retirement
 // statistics — and spills them back to the Machine only where something
 // actually reads them: before syscalls (the syscall layer reads
-// stats.Instructions and reads and writes registers) and on every
-// return path. Translation-cache lookups and event delivery need no
-// spill: translate reads neither, and sinks receive events, never
-// machine pointers. The TLB needs no spill either: the load/store
+// stats.Instructions and reads and writes registers) and on the one
+// return path, after the dispatch loop. Translation-cache lookups and
+// event delivery need no spill: translate reads neither, and sinks
+// receive events, never machine pointers. The TLB needs no spill either: the load/store
 // probes and translate's instruction-side lookup share the one array
 // m.tlb.
 // Everywhere else m.regs/m.stats/m.pc are stale — nothing observes
@@ -714,26 +697,16 @@ func (m *Machine) run(n uint64, bs Sink) uint64 {
 	}
 
 dispatch:
-	for {
-		// Sync point before returning or consulting the translation
-		// cache: buffered events must be delivered in order before
-		// translation, which can panic on illegal code. Registers and
-		// the statistic deltas stay local — nothing on the lookup path
-		// reads them — and are spilled in full only on the return path
-		// below.
+	for executed != n {
+		// Sync point before consulting the translation cache: buffered
+		// events must be delivered in order before translation, which
+		// can panic on illegal code. Registers and the statistic deltas
+		// stay local — nothing on the lookup path reads them — and are
+		// spilled in full only on the return path below.
 		if bi != 0 {
 			m.batchFlushes++
 			bs.OnEvents(batch[:bi])
 			bi = 0
-		}
-		if executed == n {
-			m.regs = regs
-			m.stats.Instructions += executed - instBase
-			m.stats.MemReads += sReads
-			m.stats.MemWrites += sWrites
-			m.stats.Branches += sBr
-			m.stats.TakenBr += sTaken
-			return executed
 		}
 		blk = m.lookup(m.pc)
 
@@ -990,21 +963,8 @@ dispatch:
 				// nothing else can kill the current block mid-flight).
 				if in.xc >= xBeq || blkDead {
 					if m.halted {
-						m.pc = pc
-						m.regs = regs
-						m.stats.Instructions += executed - instBase
-						instBase = executed
-						m.stats.MemReads += sReads
-						m.stats.MemWrites += sWrites
-						m.stats.Branches += sBr
-						m.stats.TakenBr += sTaken
-						sReads, sWrites, sBr, sTaken = 0, 0, 0, 0
-						if bi != 0 {
-							m.batchFlushes++
-							bs.OnEvents(batch[:bi])
-							bi = 0
-						}
-						return executed
+						m.pc = pc // the halting instruction
+						break dispatch
 					}
 					if blkDead {
 						// The block died under us mid-execution; the
@@ -1043,7 +1003,7 @@ dispatch:
 			// Chain miss: deliver buffered events, look up and remember
 			// the successor. Registers and stat deltas stay local:
 			// translation reads neither. The lookup runs even when the budget is exhausted
-			// (the next dispatch returns without executing the block),
+			// (the dispatch loop then ends without executing the block),
 			// because the translation statistics it moves are part of
 			// the golden trajectories.
 			m.pc = nextPC
@@ -1058,6 +1018,18 @@ dispatch:
 			blk = nb
 		}
 	}
+	// The one return path: the budget is spent or the guest halted.
+	if bi != 0 {
+		m.batchFlushes++
+		bs.OnEvents(batch[:bi])
+	}
+	m.regs = regs
+	m.stats.Instructions += executed - instBase
+	m.stats.MemReads += sReads
+	m.stats.MemWrites += sWrites
+	m.stats.Branches += sBr
+	m.stats.TakenBr += sTaken
+	return executed
 }
 
 // RunToCompletion executes until the guest halts, in chunks.

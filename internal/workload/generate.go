@@ -52,15 +52,16 @@ func (t TransitionKind) String() string {
 	return fmt.Sprintf("transition(%d)", uint8(t))
 }
 
-// PhasePlan is the ground truth for one generated phase.
+// PhasePlan is the ground truth for one generated phase. Where it
+// starts is marked by the guest itself: a SysPhaseMark with the phase
+// ID at its entry, which the VM logs (vm.Machine.PhaseLog).
 type PhasePlan struct {
-	ID          int
-	Kernel      string
-	Transition  TransitionKind
-	Budget      uint64 // planned instructions for this phase
-	StartApprox uint64 // cumulative planned start
-	WSWords     uint64 // working-set size in 8-byte words
-	Segment     int    // owning macro-segment
+	ID         int
+	Kernel     string
+	Transition TransitionKind
+	Budget     uint64 // planned instructions for this phase
+	WSWords    uint64 // working-set size in 8-byte words
+	Segment    int    // owning macro-segment
 }
 
 // Plan is the generated benchmark's ground truth, used by the experiment
@@ -288,10 +289,8 @@ func (g *generator) build() {
 
 	// Schedule: init subphases then the macro-segment schedule.
 	schedule := g.makeSchedule()
-	var cum uint64
 	for _, ph := range schedule {
-		g.emitPhase(ph, ioBuf, cum)
-		cum += ph.Budget
+		g.emitPhase(ph, ioBuf)
 	}
 
 	// Orderly exit if the budget cap never fires.
@@ -522,7 +521,7 @@ func (g *generator) makeSchedule() []scheduledPhase {
 }
 
 // emitPhase emits the dispatcher code for one phase.
-func (g *generator) emitPhase(ph scheduledPhase, ioBuf uint64, cum uint64) {
+func (g *generator) emitPhase(ph scheduledPhase, ioBuf uint64) {
 	c := g.code
 	bh := g.behaviors[ph.behavior]
 	variant := ph.variant
@@ -609,12 +608,11 @@ func (g *generator) emitPhase(ph scheduledPhase, ioBuf uint64, cum uint64) {
 	c.Jalr(rLink, 28, 0)
 
 	g.plan.Phases = append(g.plan.Phases, PhasePlan{
-		ID:          g.phaseID,
-		Kernel:      fr.Name(),
-		Transition:  ph.transition,
-		Budget:      ph.Budget,
-		StartApprox: cum,
-		WSWords:     ws,
-		Segment:     ph.segment,
+		ID:         g.phaseID,
+		Kernel:     fr.Name(),
+		Transition: ph.transition,
+		Budget:     ph.Budget,
+		WSWords:    ws,
+		Segment:    ph.segment,
 	})
 }
