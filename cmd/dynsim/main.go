@@ -111,12 +111,8 @@ func main() {
 
 	var p sampling.Policy
 	switch *policy {
-	case "full":
-		p = sampling.FullTiming{}
-	case "smarts":
-		p = sampling.DefaultSMARTS(spec.ScaledInstr(*scale))
-	case "simpoint":
-		p = simpoint.New(*prof)
+	case "full", "smarts", "simpoint":
+		p = artifactPolicy(*policy, *prof, *scale)
 	case "dynamic":
 		m, err := vm.ParseMetric(*metric)
 		if err != nil {
@@ -250,6 +246,24 @@ func main() {
 	if store != nil {
 		fmt.Printf("checkpoints    %s\n", store.Stats())
 	}
+}
+
+// artifactPolicy returns the configuration of the full, smarts or
+// simpoint policy that repro's figures report under the same name
+// (experiments.BaselinePolicies): SMARTS's period comes from gzip's
+// budget whatever the benchmark.
+func artifactPolicy(name string, prof bool, scale int) sampling.Policy {
+	want := map[string]string{
+		"full":     sampling.FullTiming{}.Name(),
+		"smarts":   sampling.SMARTS{}.Name(),
+		"simpoint": simpoint.New(prof).Name(),
+	}[name]
+	for _, p := range experiments.BaselinePolicies(scale) {
+		if p.Name() == want {
+			return p
+		}
+	}
+	panic("dynsim: no artifact configuration of policy " + name)
 }
 
 // flagError names the first flag value the run would ignore or silently

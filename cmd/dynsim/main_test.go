@@ -5,8 +5,13 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/sampling"
+	"repro/internal/workload"
 )
 
 func TestFlagError(t *testing.T) {
@@ -27,6 +32,30 @@ func TestFlagError(t *testing.T) {
 		got := flagError(c.scale, c.conf)
 		if (c.want == "") != (got == "") || !strings.Contains(got, c.want) {
 			t.Errorf("flagError(%d, %v) = %q, want %q", c.scale, c.conf, got, c.want)
+		}
+	}
+}
+
+// dynsim's full, smarts and simpoint policies are the artifact's
+// configurations: on mcf, SMARTS runs gzip's period, not the shorter
+// one DefaultSMARTS derives from mcf's own budget.
+func TestArtifactPolicies(t *testing.T) {
+	const scale = 2000
+	spec, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := experiments.BaselinePolicies(scale)
+	if own := sampling.DefaultSMARTS(spec.ScaledInstr(scale)); reflect.DeepEqual(own, want[1]) {
+		t.Fatalf("mcf's own SMARTS %+v equals the artifact's: the test cannot tell them apart", own)
+	}
+	for _, c := range []struct {
+		name string
+		prof bool
+		i    int // position in BaselinePolicies
+	}{{"full", false, 0}, {"smarts", false, 1}, {"simpoint", false, 2}, {"simpoint", true, 3}} {
+		if got := artifactPolicy(c.name, c.prof, scale); !reflect.DeepEqual(got, want[c.i]) {
+			t.Errorf("%s (prof %v) = %+v, artifact %+v", c.name, c.prof, got, want[c.i])
 		}
 	}
 }

@@ -273,9 +273,7 @@ func runSweepWorker(ctx context.Context, url, id string, timeout time.Duration,
 		wo.Progress = os.Stderr
 	}
 	if faultSeed != 0 {
-		inj := faults.New(faultSeed, faults.DefaultPlan())
-		wo.Faults = inj
-		wo.Client.Faults = inj
+		wo.Faults = faults.New(faultSeed, faults.DefaultPlan())
 	}
 	if metricsAddr != "" {
 		wo.Obs = obs.NewRegistry()

@@ -31,7 +31,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "tracing %s: %d instructions, interval %d\n",
 		spec.Name, s.Total(), s.IntervalLen())
 
-	ft := sampling.FullTiming{TraceIntervals: 1 << 20}
+	ft := sampling.FullTiming{}
 	res, err := ft.Run(s)
 	if err != nil {
 		log.Fatal(err)

@@ -51,4 +51,4 @@ func TestDiagPerBench(t *testing.T) {
 	}
 }
 
-func nil2() sampling.Policy { return sampling.FullTiming{TraceIntervals: 1 << 20} }
+func nil2() sampling.Policy { return sampling.FullTiming{} }

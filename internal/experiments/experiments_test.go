@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -30,6 +31,38 @@ func TestMemoisation(t *testing.T) {
 	}
 	if a.EstIPC != b.EstIPC || a.Cost.Units != b.Cost.Units {
 		t.Fatal("memoised result differs")
+	}
+}
+
+// Run(FullTiming{}) and Baseline name one policy, "Full timing", and
+// share one memo slot. A Baseline after a Run must still carry the
+// interval trace Figures 2 and 4 read, bit for bit what a fresh
+// runner's Baseline returns.
+func TestBaselineAfterFullTimingRun(t *testing.T) {
+	t.Parallel()
+	newRunner := func() *Runner { return NewRunner(Options{Scale: 50_000, Benchmarks: []string{"perlbmk"}}) }
+	r := newRunner()
+	if _, err := r.Run("perlbmk", sampling.FullTiming{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Baseline("perlbmk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newRunner().Baseline("perlbmk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Trace) == 0 || len(got.Trace) != len(want.Trace) {
+		t.Fatalf("Baseline after Run(FullTiming{}) traces %d intervals, a fresh Baseline %d", len(got.Trace), len(want.Trace))
+	}
+	if math.Float64bits(got.EstIPC) != math.Float64bits(want.EstIPC) {
+		t.Errorf("EstIPC %x, fresh %x", math.Float64bits(got.EstIPC), math.Float64bits(want.EstIPC))
+	}
+	for i, w := range want.Trace {
+		if g := got.Trace[i]; g != w || math.Float64bits(g.IPC) != math.Float64bits(w.IPC) {
+			t.Fatalf("interval %d: %+v, fresh %+v", i, g, w)
+		}
 	}
 }
 

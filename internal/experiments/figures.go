@@ -134,7 +134,7 @@ func Figure3(r *Runner, w io.Writer) error {
 	// SMARTS: its periodic (functional warming, detailed warming,
 	// timed) unit, laid out from the configuration the runner uses.
 	sm := sampling.DefaultSMARTS(total)
-	warm := sm.UnitInstr * sm.DetailWarmUnits
+	warm := sm.UnitInstr * sampling.SMARTSWarmUnits
 	row := newRow()
 	for at := uint64(0); at < spanIntervals*L; at += sm.PeriodInstr {
 		timed := at + sm.PeriodInstr - sm.UnitInstr
@@ -204,9 +204,9 @@ func Figure4(r *Runner, w io.Writer) error {
 		return err
 	}
 	s := core.NewSession(spec, core.Options{Scale: r.Options().Scale})
-	prof := simpoint.NewProfiler(simpoint.DefaultDim, 0x51a9)
+	prof := simpoint.NewProfiler(simpoint.DefaultDim, simpoint.Seed)
 	sampling.NewDriver(s, "SimPoint").Walk(prof, n, func(uint64) { prof.EndInterval() })
-	spPts, _ := simpoint.Representatives(prof.Vectors(), simpoint.ChooseK(prof.Vectors(), 16, 8, 0.9, 0x51a9))
+	spPts, _ := simpoint.Representatives(prof.Vectors(), simpoint.ChooseK(prof.Vectors(), 16, 8, 0.9, simpoint.Seed))
 	var dsPts []int
 	for _, d := range ds.Detections {
 		if int(d) < n {

@@ -595,10 +595,10 @@ func (r *Runner) Analysis(bench string) (simpoint.Analysis, error) {
 	return r.analyses[bench], nil
 }
 
-// Baseline returns the full-timing result for a benchmark. The baseline
-// always records its interval trace (Figures 2 and 4 consume it).
+// Baseline returns the full-timing result for a benchmark, with the
+// interval trace Figures 2 and 4 read.
 func (r *Runner) Baseline(bench string) (sampling.Result, error) {
-	return r.Run(bench, sampling.FullTiming{TraceIntervals: 1 << 20})
+	return r.Run(bench, sampling.FullTiming{})
 }
 
 // RunAll executes a set of policies over the whole benchmark subset in

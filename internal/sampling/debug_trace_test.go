@@ -20,7 +20,7 @@ func TestDebugTrace(t *testing.T) {
 	opts := core.Options{Scale: 2_000}
 
 	s := core.NewSession(spec, opts)
-	ft := FullTiming{TraceIntervals: 1 << 20}
+	ft := FullTiming{}
 	base, err := ft.Run(s)
 	if err != nil {
 		t.Fatal(err)

@@ -140,14 +140,18 @@ func (d *Driver) Walk(prof vm.Sink, limit int, look func(ex uint64)) {
 	}, func(_ float64, ex uint64) { look(ex) })
 }
 
+// measureWarm is Measure's detailed warm-up before each measured
+// interval, in base intervals: SimPoint's, Stratified's and RankedSet's.
+const measureWarm = 2
+
 // Measure times the base interval at each of indices (ascending, the
-// session not past the first), each after warmIntervals of detailed
-// warming reached at full speed or, with dispatch, by free checkpoint
-// dispatch. visit sees each measurement's position in indices and its
-// IPC.
-func (d *Driver) Measure(indices []int, warmIntervals int, dispatch bool, visit func(i int, ipc float64)) {
+// session not past the first), each after measureWarm intervals of
+// detailed warming reached at full speed or, with dispatch, by free
+// checkpoint dispatch. visit sees each measurement's position in
+// indices and its IPC.
+func (d *Driver) Measure(indices []int, dispatch bool, visit func(i int, ipc float64)) {
 	s := d.s
-	warmLen := s.IntervalLen() * uint64(warmIntervals)
+	warmLen := s.IntervalLen() * measureWarm
 	lead := s.RunFast
 	if dispatch {
 		lead = func(n uint64) uint64 { return s.FastForwardVia(s.Executed() + n) }

@@ -4,3 +4,6 @@ package sampling
 // external test package, which can reach check.DefaultPolicies and
 // SimPoint.
 var RefRun = refRun
+
+// MeasureWarm exposes Measure's warm-up to refSimPointRunBoth.
+const MeasureWarm = measureWarm

@@ -36,7 +36,7 @@ func refSimPointRunBoth(p simpoint.Policy, s *core.Session) (noProf, withProf sa
 	s.ResetMeter()
 	s.Reset()
 	interval := s.IntervalLen()
-	warm := interval * uint64(p.WarmIntervals)
+	warm := interval * sampling.MeasureWarm
 	var cpi, wsum float64
 	for j, point := range an.Points {
 		target := uint64(point) * interval
@@ -375,27 +375,26 @@ func TestTwoPhaseWalkSkipsRecordedIntervals(t *testing.T) {
 
 // fuzzPolicy decodes one FuzzScheduleMatchesReference input: kind picks
 // the design, the rest are its parameters folded into small ranges.
+// An argument a design does not list is ignored.
 //
-//	SMARTS:     a unit, b detailed-warm units, c period
+//	SMARTS:     a unit, c period
 //	Dynamic:    x metric, a sensitivity %, b interval multiplier,
 //	            c max_func, y warm intervals, z settle intervals
-//	Stratified: a strata K, b samples n, y warm intervals, x target %,
-//	            z budget/4
-//	RankedSet:  a set size m, b cycles, y warm intervals, x target %,
-//	            z max cycles
+//	Stratified: a strata K, b samples n, x target %, z budget/4
+//	RankedSet:  a set size m, b cycles, x target %, z max cycles
 func fuzzPolicy(kind uint8, a, b, c uint16, x, y, z uint8, seed uint64) sampling.Policy {
 	target := float64(x%20) / 100
 	switch kind % 4 {
 	case 0:
-		return sampling.SMARTS{UnitInstr: uint64(a % 4096), DetailWarmUnits: uint64(b % 4), PeriodInstr: uint64(c)}
+		return sampling.SMARTS{UnitInstr: uint64(a % 4096), PeriodInstr: uint64(c)}
 	case 1:
 		return sampling.Dynamic{Metric: vm.Metric(x % 3), SensitivityPct: float64(a % 1000), IntervalMul: uint64(b % 4),
 			MaxFunc: int(c % 32), WarmIntervals: int(y % 3), SettleIntervals: int(z % 3)}
 	case 2:
-		return sampling.Stratified{Strata: int(a % 12), Samples: int(b % 96), WarmIntervals: int(y % 3),
+		return sampling.Stratified{Strata: int(a % 12), Samples: int(b % 96),
 			Confidence: 0.95, TargetRelHW: target, Budget: 4 * int(z), Seed: seed}
 	default:
-		return sampling.RankedSet{SetSize: int(a % 8), Cycles: int(b % 16), WarmIntervals: int(y % 3),
+		return sampling.RankedSet{SetSize: int(a % 8), Cycles: int(b % 16),
 			Confidence: 0.95, TargetRelHW: target, MaxCycles: int(z), Seed: seed}
 	}
 }
@@ -413,7 +412,7 @@ func FuzzScheduleMatchesReference(f *testing.F) {
 		f.Fatal(err)
 	}
 	sm := sampling.DefaultSMARTS(spec.ScaledInstr(scale))
-	f.Add(uint8(0), uint16(sm.UnitInstr), uint16(sm.DetailWarmUnits), uint16(sm.PeriodInstr), uint8(0), uint8(0), uint8(0), uint64(0))
+	f.Add(uint8(0), uint16(sm.UnitInstr), uint16(0), uint16(sm.PeriodInstr), uint8(0), uint8(0), uint8(0), uint64(0))
 	f.Add(uint8(1), uint16(300), uint16(1), uint16(10), uint8(vm.MetricCPU), uint8(1), uint8(1), uint64(0))
 	f.Add(uint8(1), uint16(300), uint16(1), uint16(10), uint8(vm.MetricCPU), uint8(1), uint8(0), uint64(0))
 	f.Add(uint8(2), uint16(6), uint16(48), uint16(0), uint8(0), uint8(2), uint8(0), uint64(17))

@@ -28,8 +28,6 @@ type RankedSet struct {
 	SetSize int
 	// Cycles is the number of balanced cycles (m measurements each).
 	Cycles int
-	// WarmIntervals is the detailed warm-up before each measurement.
-	WarmIntervals int
 	// Confidence is the level of the reported interval.
 	Confidence float64
 	// TargetRelHW, when positive, requests an interval no wider than
@@ -48,7 +46,7 @@ const bootstrapResamples = 200
 // NewRankedSet returns the standard configuration: sets of four,
 // twelve cycles (48 measurements), 95% confidence.
 func NewRankedSet(seed uint64) RankedSet {
-	return RankedSet{SetSize: 4, Cycles: 12, WarmIntervals: 2, Confidence: 0.95, Seed: seed}
+	return RankedSet{SetSize: 4, Cycles: 12, Confidence: 0.95, Seed: seed}
 }
 
 // WithTarget returns a copy in error-targeting mode: add cycles until
@@ -76,9 +74,6 @@ func (p RankedSet) withDefaults() RankedSet {
 	}
 	if p.Cycles <= 0 {
 		p.Cycles = 12
-	}
-	if p.WarmIntervals <= 0 {
-		p.WarmIntervals = 2
 	}
 	if p.Confidence <= 0 || p.Confidence >= 1 {
 		p.Confidence = 0.95
@@ -171,7 +166,7 @@ func (p RankedSet) Run(s *core.Session) (Result, error) {
 	measureCycles := func(cycles int) bool {
 		byCycle := selectCycles(cycles)
 		record := func(idx int, cpi float64) { cpiOf[idx] = cpi }
-		if tp.measure(slices.Concat(byCycle...), p.WarmIntervals, record) == 0 {
+		if tp.measure(slices.Concat(byCycle...), record) == 0 {
 			return false
 		}
 		for _, cycle := range byCycle {

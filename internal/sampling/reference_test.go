@@ -71,18 +71,16 @@ func refFullTiming(p FullTiming, s *core.Session) Result {
 		est.Sample(ipc, ex)
 		res.Samples++
 		po.sample(ipc)
-		if int(idx) < p.TraceIntervals {
-			now := s.Machine().Stats()
-			delta := now.Sub(prev)
-			prev = now
-			res.Trace = append(res.Trace, IntervalTrace{
-				Index:           idx,
-				IPC:             ipc,
-				TCInvalidations: delta.TCInvalidations,
-				Exceptions:      delta.Exceptions,
-				IOOps:           delta.IOOps,
-			})
-		}
+		now := s.Machine().Stats()
+		delta := now.Sub(prev)
+		prev = now
+		res.Trace = append(res.Trace, IntervalTrace{
+			Index:           idx,
+			IPC:             ipc,
+			TCInvalidations: delta.TCInvalidations,
+			Exceptions:      delta.Exceptions,
+			IOOps:           delta.IOOps,
+		})
 		idx++
 	}
 	res.EstIPC = est.IPC()
@@ -92,14 +90,14 @@ func refFullTiming(p FullTiming, s *core.Session) Result {
 }
 
 func refSMARTS(p SMARTS, s *core.Session) (Result, error) {
-	if p.UnitInstr == 0 || p.PeriodInstr <= p.UnitInstr*(1+p.DetailWarmUnits) {
+	if p.UnitInstr == 0 || p.PeriodInstr <= p.UnitInstr*(1+SMARTSWarmUnits) {
 		return Result{}, fmt.Errorf("bad configuration %+v", p)
 	}
 	var est Estimator
 	var cpiStream stats.Stream
 	res := Result{Policy: p.Name(), Bench: s.Spec().Name}
 	po := newRefPolicyObs(s, p.Name())
-	warm := p.UnitInstr * p.DetailWarmUnits
+	warm := p.UnitInstr * SMARTSWarmUnits
 	funcWarm := p.PeriodInstr - p.UnitInstr - warm
 	for !s.Done() {
 		fw := s.RunFuncWarm(funcWarm)
@@ -158,9 +156,9 @@ func refProxyProfile(s *core.Session) []float64 {
 // refMeasureIntervals is one ascending measurement pass over a freshly
 // Reset session: fast to the warm-up start, detailed warming into the
 // interval, one timed interval, per index.
-func refMeasureIntervals(s *core.Session, indices []int, warmIntervals int, po refPolicyObs, visit func(idx int, cpi float64)) int {
+func refMeasureIntervals(s *core.Session, indices []int, po refPolicyObs, visit func(idx int, cpi float64)) int {
 	interval := s.IntervalLen()
-	warmLen := interval * uint64(warmIntervals)
+	warmLen := interval * measureWarm
 	taken := 0
 	for _, idx := range indices {
 		start := uint64(idx) * interval
@@ -317,7 +315,7 @@ func refStratified(p Stratified, s *core.Session) (Result, error) {
 		}
 		sort.Ints(indices)
 		s.Reset()
-		return refMeasureIntervals(s, indices, p.WarmIntervals, po, func(idx int, cpi float64) {
+		return refMeasureIntervals(s, indices, po, func(idx int, cpi float64) {
 			strata[stratumOf[idx]].cpi.Add(cpi)
 		})
 	}
@@ -474,7 +472,7 @@ func refRankedSet(p RankedSet, s *core.Session) (Result, error) {
 		}
 		sort.Ints(indices)
 		s.Reset()
-		got := refMeasureIntervals(s, indices, p.WarmIntervals, po, func(idx int, cpi float64) {
+		got := refMeasureIntervals(s, indices, po, func(idx int, cpi float64) {
 			cpiOf[idx] = cpi
 		})
 		return byCycle, got

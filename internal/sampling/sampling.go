@@ -28,8 +28,8 @@ type Policy interface {
 	Run(s *core.Session) (Result, error)
 }
 
-// IntervalTrace records one base interval of a traced run (used for the
-// paper's Figures 2 and 4).
+// IntervalTrace records one base interval of a full-timing run (used
+// for the paper's Figures 2 and 4).
 type IntervalTrace struct {
 	Index uint64
 	IPC   float64
@@ -73,7 +73,8 @@ type Result struct {
 	// ended. Empty for other policies.
 	Detections []uint64
 
-	// Trace holds per-interval records when tracing was requested.
+	// Trace holds FullTiming's per-interval records (empty for every
+	// other policy).
 	Trace []IntervalTrace
 
 	// Cost is the modelled host cost report.

@@ -22,12 +22,13 @@ import (
 type SMARTS struct {
 	// UnitInstr is the detailed sampling-unit length (paper: 1000).
 	UnitInstr uint64
-	// DetailWarmUnits is the detailed warm-up length as a multiple of
-	// UnitInstr (paper: 2).
-	DetailWarmUnits uint64
 	// PeriodInstr is the sampling period (paper: ~100 K = 100 units).
 	PeriodInstr uint64
 }
+
+// SMARTSWarmUnits is SMARTS's detailed warm-up before each sampling
+// unit, as a multiple of UnitInstr (paper: 2).
+const SMARTSWarmUnits = 2
 
 // DefaultSMARTS derives the paper's configuration for a total budget:
 // the period is chosen to give ~2000 sampling units (the paper's SPEC
@@ -37,7 +38,7 @@ type SMARTS struct {
 func DefaultSMARTS(totalInstr uint64) SMARTS {
 	period := max(totalInstr/2000, 1000)
 	unit := max(period/100, 50)
-	return SMARTS{UnitInstr: unit, DetailWarmUnits: 2, PeriodInstr: period}
+	return SMARTS{UnitInstr: unit, PeriodInstr: period}
 }
 
 // Name implements Policy.
@@ -46,12 +47,12 @@ func (SMARTS) Name() string { return "SMARTS" }
 // Run implements Policy: the periodic (functional warming, detailed
 // warming, timed) unit.
 func (p SMARTS) Run(s *core.Session) (Result, error) {
-	if p.UnitInstr == 0 || p.PeriodInstr <= p.UnitInstr*(1+p.DetailWarmUnits) {
+	if p.UnitInstr == 0 || p.PeriodInstr <= p.UnitInstr*(1+SMARTSWarmUnits) {
 		return Result{}, fmt.Errorf("sampling: SMARTS: bad configuration %+v", p)
 	}
 	d := NewDriver(s, p.Name())
 	var cpiStream stats.Stream
-	warm := p.UnitInstr * p.DetailWarmUnits
+	warm := p.UnitInstr * SMARTSWarmUnits
 	funcWarm := p.PeriodInstr - p.UnitInstr - warm
 	funcWarmRun := s.RunFuncWarm // once, not a heap allocation per unit
 	d.run(func() (step, bool) { return d.at(funcWarmRun, funcWarm, warm, p.UnitInstr), true }, func(ipc float64, _ uint64) {

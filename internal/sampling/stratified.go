@@ -29,9 +29,6 @@ type Stratified struct {
 	Strata int
 	// Samples is the initial number of timed measurements.
 	Samples int
-	// WarmIntervals is the detailed warm-up before each measurement,
-	// in base intervals.
-	WarmIntervals int
 	// Confidence is the level of the reported interval.
 	Confidence float64
 	// TargetRelHW, when positive, requests an interval no wider than
@@ -53,13 +50,12 @@ const (
 )
 
 // NewStratified returns the standard configuration: six strata, 48
-// samples, two warm-up intervals, 95% confidence. (Six strata beat
-// four empirically on the repo's workloads: finer phase strata capture
-// more of the CPI variance in the between-strata component, narrowing
-// the interval and improving its coverage; check.StatisticalValidity
-// pins the result.)
+// samples, 95% confidence. (Six strata beat four empirically on the
+// repo's workloads: finer phase strata capture more of the CPI variance
+// in the between-strata component, narrowing the interval and improving
+// its coverage; check.StatisticalValidity pins the result.)
 func NewStratified(seed uint64) Stratified {
-	return Stratified{Strata: 6, Samples: 48, WarmIntervals: 2, Confidence: 0.95, Seed: seed}
+	return Stratified{Strata: 6, Samples: 48, Confidence: 0.95, Seed: seed}
 }
 
 // WithTarget returns a copy running in error-targeting mode: sample
@@ -88,9 +84,6 @@ func (p Stratified) withDefaults() Stratified {
 	}
 	if p.Samples <= 0 {
 		p.Samples = 48
-	}
-	if p.WarmIntervals <= 0 {
-		p.WarmIntervals = 2
 	}
 	if p.Confidence <= 0 || p.Confidence >= 1 {
 		p.Confidence = 0.95
@@ -172,7 +165,7 @@ func (p Stratified) Run(s *core.Session) (Result, error) {
 			indices = append(indices, st.order[st.next:st.next+take]...)
 			st.next += take
 		}
-		return tp.measure(indices, p.WarmIntervals, func(idx int, cpi float64) {
+		return tp.measure(indices, func(idx int, cpi float64) {
 			strata[stratumOf[idx]].cpi.Add(cpi)
 		})
 	}

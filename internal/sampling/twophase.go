@@ -69,16 +69,17 @@ func beginTwoPhase(s *core.Session, name string) (*twoPhase, error) {
 
 // measure replays the guest from the start and times the base interval
 // at each of indices (any order; sorted in place), each after
-// warmIntervals of detailed warming; visit receives every measured
-// index with its CPI. It returns the number of measurements taken.
-func (t *twoPhase) measure(indices []int, warmIntervals int, visit func(idx int, cpi float64)) int {
+// measureWarm intervals of detailed warming; visit receives every
+// measured index with its CPI. It returns the number of measurements
+// taken.
+func (t *twoPhase) measure(indices []int, visit func(idx int, cpi float64)) int {
 	if len(indices) == 0 {
 		return 0
 	}
 	sort.Ints(indices)
 	before := t.d.res.Samples
 	t.d.s.Reset()
-	t.d.Measure(indices, warmIntervals, false, func(i int, ipc float64) { visit(indices[i], 1/ipc) })
+	t.d.Measure(indices, false, func(i int, ipc float64) { visit(indices[i], 1/ipc) })
 	return t.d.res.Samples - before
 }
 

@@ -12,16 +12,15 @@ import (
 // two is the kernel's gain.
 func BenchmarkChooseK(b *testing.B) {
 	vectors := profileBBVs(b, "ammp", 40_000)
-	p := New(false)
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ChooseK(vectors, maxK, kmeansIters, bicThreshold, p.Seed)
+			ChooseK(vectors, maxK, kmeansIters, bicThreshold, Seed)
 		}
 	})
 	b.Run("reference", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, k := range ladder(maxK) {
-				refKMeans(vectors, k, kmeansIters, p.Seed+uint64(k))
+				refKMeans(vectors, k, kmeansIters, Seed+uint64(k))
 			}
 		}
 	})

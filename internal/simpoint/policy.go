@@ -21,14 +21,12 @@ import (
 //     and the clustering tool are charged too, which collapses the
 //     speedup to SMARTS levels (the paper's 9.5x bar).
 type Policy struct {
-	// WarmIntervals is the detailed warm-up before each simulation
-	// point, in base intervals (the paper uses 1).
-	WarmIntervals int
 	// ChargeProfiling selects the "+prof" accounting.
 	ChargeProfiling bool
-	// Seed makes projection and clustering deterministic.
-	Seed uint64
 }
+
+// Seed makes SimPoint's projection and clustering deterministic.
+const Seed uint64 = 0x51a9
 
 // The paper's clustering configuration. BBVs are projected to DefaultDim
 // dimensions.
@@ -44,13 +42,11 @@ const (
 )
 
 // New returns the paper's configuration (300 clusters max, 15-dim
-// projection, 1-interval warm-up).
+// projection) under the accounting chargeProfiling selects. Each
+// simulation point is warmed in detail for two base intervals, the
+// driver's Measure warm-up.
 func New(chargeProfiling bool) Policy {
-	return Policy{
-		WarmIntervals:   2,
-		ChargeProfiling: chargeProfiling,
-		Seed:            0x51a9,
-	}
+	return Policy{ChargeProfiling: chargeProfiling}
 }
 
 // The policy names of the two accounting variants.
@@ -82,7 +78,7 @@ type Analysis struct {
 // The session is left at the end of the benchmark; callers Reset() it
 // before the measurement pass.
 func (p Policy) Analyse(s *core.Session) (Analysis, error) {
-	prof := NewProfiler(DefaultDim, p.Seed)
+	prof := NewProfiler(DefaultDim, Seed)
 	sampling.NewDriver(s, p.Name()).Walk(prof, 0, func(uint64) { prof.EndInterval() })
 	vectors := prof.Vectors()
 	n := len(vectors)
@@ -92,8 +88,8 @@ func (p Policy) Analyse(s *core.Session) (Analysis, error) {
 
 	// Model selection on a stride subsample, final clustering on all.
 	sub := subsample(vectors)
-	chosen := ChooseK(sub, maxK, kmeansIters, bicThreshold, p.Seed)
-	final := KMeans(vectors, chosen.K, kmeansIters, p.Seed+7)
+	chosen := ChooseK(sub, maxK, kmeansIters, bicThreshold, Seed)
+	final := KMeans(vectors, chosen.K, kmeansIters, Seed+7)
 
 	// Clustering tool cost: proportional to the k-means work performed.
 	work := float64(len(sub))*ladderSum(len(sub)) + float64(n)*float64(final.K)
@@ -195,7 +191,7 @@ func (p Policy) RunBoth(s *core.Session) (an Analysis, noProf, withProf sampling
 	s.Reset()
 	d := sampling.NewDriver(s, p.Name())
 	var cpi, wsum float64
-	d.Measure(an.Points, p.WarmIntervals, true, func(j int, ipc float64) {
+	d.Measure(an.Points, true, func(j int, ipc float64) {
 		if ipc > 0 {
 			cpi += an.Weights[j] / ipc
 			wsum += an.Weights[j]

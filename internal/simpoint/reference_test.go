@@ -237,7 +237,7 @@ func newSession(tb testing.TB, bench string, scale int) *core.Session {
 func profileBBVs(tb testing.TB, bench string, scale int) [][]float64 {
 	tb.Helper()
 	s := newSession(tb, bench, scale)
-	prof := NewProfiler(DefaultDim, New(false).Seed)
+	prof := NewProfiler(DefaultDim, Seed)
 	for !s.Done() {
 		if s.RunProfile(s.IntervalLen(), prof) == 0 {
 			break
@@ -304,7 +304,7 @@ func genVectors(kind, n, dim int, seed uint64) [][]float64 {
 func TestKMeansMatchesReference(t *testing.T) {
 	t.Run("ladder", func(t *testing.T) {
 		const iters = kmeansIters
-		seed := New(false).Seed
+		seed := Seed
 		for _, bench := range []string{"gzip", "mcf", "ammp"} {
 			vectors := profileBBVs(t, bench, 40_000)
 			sub := subsample(vectors)
@@ -434,7 +434,7 @@ func TestProfilerMatchesReference(t *testing.T) {
 // one base interval into the profiler, then close the vector, until the
 // session is done.
 func refAnalyse(p Policy, s *core.Session) (Analysis, error) {
-	prof := NewProfiler(DefaultDim, p.Seed)
+	prof := NewProfiler(DefaultDim, Seed)
 	for !s.Done() {
 		if s.RunProfile(s.IntervalLen(), prof) == 0 {
 			break
@@ -447,8 +447,8 @@ func refAnalyse(p Policy, s *core.Session) (Analysis, error) {
 		return Analysis{}, fmt.Errorf("simpoint: no intervals profiled")
 	}
 	sub := subsample(vectors)
-	chosen := ChooseK(sub, maxK, kmeansIters, bicThreshold, p.Seed)
-	final := KMeans(vectors, chosen.K, kmeansIters, p.Seed+7)
+	chosen := ChooseK(sub, maxK, kmeansIters, bicThreshold, Seed)
+	final := KMeans(vectors, chosen.K, kmeansIters, Seed+7)
 	work := float64(len(sub))*ladderSum(len(sub)) + float64(n)*float64(final.K)
 	s.Meter().ChargeUnits(work * 0.02 * kmeansIters)
 	points, weights := Representatives(vectors, final)

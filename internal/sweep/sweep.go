@@ -66,8 +66,8 @@ type Config struct {
 	// It is response metadata, not sweep configuration: clients stamp it
 	// on lease verbs, and a coordinator restarted from its WAL bumps it
 	// so messages from before the restart are rejected (ErrStaleEpoch)
-	// instead of acting on dead lease IDs. Zero means "unknown" and is
-	// accepted everywhere, keeping old clients working.
+	// instead of acting on dead lease IDs. No incarnation has epoch 0,
+	// so an unstamped lease verb is rejected too (HTTP 410).
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 

@@ -111,15 +111,12 @@ func (m *Machine) syscall(num int32) {
 		}
 
 	case isa.SysTimeQuery:
-		// The VM's functional mode subsumes a fixed-IPC timing model
-		// (retired instructions); with a timing back-end attached, the
-		// session installs a cycle-based time source instead (timing
-		// feedback, Section 3.1 of the paper).
-		if m.timeSource != nil {
-			m.regs[sysA0] = m.timeSource()
-		} else {
-			m.regs[sysA0] = m.stats.Instructions
-		}
+		// The guest's time base is a fixed-IPC model: retired
+		// instructions, in every mode. Modelled cycles never feed back
+		// into the guest (the paper disables timing feedback for its
+		// SPEC runs), so a sampled run executes the same instructions
+		// as a full-timing one.
+		m.regs[sysA0] = m.stats.Instructions
 
 	default:
 		panic(fmt.Sprintf("vm: unknown syscall %d at pc=%#x", num, m.pc))

@@ -289,14 +289,6 @@ type Machine struct {
 	phaseLog []PhaseMark
 	exitCode uint64
 	secBuf   [device.SectorWords]uint64
-
-	// timeSource, when set, supplies the guest-visible time base for
-	// SysTimeQuery — the paper's timing-feedback path: when a timing
-	// simulator is attached, guest time advances with *modelled cycles*
-	// instead of the functional mode's fixed-IPC instruction count, so
-	// timing-dependent guest behaviour (spin loops, protocol timeouts)
-	// responds to the simulated microarchitecture.
-	timeSource func() uint64
 }
 
 // maxPhaseLog bounds the retained phase-mark log.
@@ -380,10 +372,6 @@ func (m *Machine) PhaseLog() []PhaseMark { return m.phaseLog }
 // Mem exposes the guest memory (read-mostly; used by tests and the
 // experiment harness).
 func (m *Machine) Mem() *mem.Memory { return m.mem }
-
-// SetTimeSource installs the guest time base used by SysTimeQuery (nil
-// restores the default fixed-IPC model, i.e. retired instructions).
-func (m *Machine) SetTimeSource(f func() uint64) { m.timeSource = f }
 
 // tlbLookup performs a software-TLB access for vpn: probe slot
 // vpn & tlbMask and, when it does not hold vpn, fill it and count a
