@@ -43,16 +43,29 @@ func perEventLane(prog *Program, o Options) *lane {
 // once per entry in BatchSizes into vm.CountingSink, in the same o.Chunk
 // partitioning, comparing complete machine state and delivered event
 // counts at every sync point. Any dependence of architectural state,
-// vm.Stats, or the event stream on the batch capacity — a missed flush
-// before a syscall, an event materialised with post-batch state, a
-// dropped tail at Run return — is reported as a Divergence.
+// vm.Stats, or the event stream on the batch capacity — an event
+// materialised with post-batch state, a dropped tail at Run return — is
+// reported as a Divergence, and so is a flush anywhere but a full batch
+// and Run's return: each lane must make ⌈events/capacity⌉ per chunk.
 func BatchInvariance(prog *Program, o Options) (*Divergence, error) {
 	o.setDefaults()
-	lanes := []*lane{perEventLane(prog, o)}
+	lanes, caps := []*lane{perEventLane(prog, o)}, append([]int{1}, BatchSizes...)
 	for _, bs := range BatchSizes {
 		lanes = append(lanes, batchLane(fmt.Sprintf("batch=%d", bs), prog, o, bs))
 	}
-	div, _, err := lockstep("batch-invariance", prog, o, lanes, nil)
+	// Each lane's delivered events and flushes at the last sync point.
+	events, flushes := make([]uint64, len(lanes)), make([]uint64, len(lanes))
+	div, _, err := lockstep("batch-invariance", prog, o, lanes, func() (field, a, b string, ok bool) {
+		for i, l := range lanes {
+			ran, made := l.count.Total-events[i], l.m.BatchFlushes()-flushes[i]
+			events[i], flushes[i] = l.count.Total, l.m.BatchFlushes()
+			c := uint64(caps[i])
+			if want := (ran + c - 1) / c; made != want {
+				return "batch flushes in chunk vs ⌈events/capacity⌉ (" + l.label + ")", fmt.Sprint(made), fmt.Sprint(want), false
+			}
+		}
+		return "", "", "", true
+	})
 	return div, err
 }
 

@@ -161,12 +161,16 @@ func (s *Session) settle() {
 
 // restoreBelow restores the highest stride-boundary snapshot at or
 // below target that is ahead of the machine and returns the machine's
-// position. A snapshot that decoded cleanly but fails to restore is
-// discarded from every tier, the machine stays where it was, and the
-// next lower boundary is tried.
+// position. Boundaries are probed with Contains, which counts nothing,
+// so only a held key reaches the counted Lookup. A snapshot that
+// decoded cleanly but fails to restore is discarded from every tier,
+// the machine stays where it was, and the next lower boundary is tried.
 func (s *Session) restoreBelow(target uint64) uint64 {
 	at := s.machine.Stats().Instructions
 	for k := target - target%s.ckptEvery; k > at; k -= s.ckptEvery {
+		if !s.ckpt.Contains(s.ckptKey(k)) {
+			continue
+		}
 		snap, ok := s.ckpt.Lookup(s.ckptKey(k))
 		if !ok {
 			continue

@@ -208,6 +208,23 @@ func TestFastForwardViaMatchesFree(t *testing.T) {
 	}
 }
 
+// TestColdPrimingCountsNoMiss: priming a cold stride-1 store, as
+// check.CheckpointEquivalence does, finds no snapshot below the target
+// to restore, and scanning the stride boundaries for one must not count
+// a lookup miss per boundary (one per interval of the budget: 350 on
+// gzip at this scale).
+func TestColdPrimingCountsNoMiss(t *testing.T) {
+	spec, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := ckpt.NewMemory()
+	NewSession(spec, Options{Scale: 50_000, Ckpt: store, CkptStride: 1}).FastForwardVia(^uint64(0))
+	if st := store.Stats(); st.Misses != 0 || st.Puts == 0 {
+		t.Errorf("cold stride-1 priming made %d lookup misses and %d puts, want 0 misses and some puts", st.Misses, st.Puts)
+	}
+}
+
 // TestSkippedIntervalsCatchUp pins the skip protocol. Session A runs a
 // range of the trajectory; session B then makes the same range's
 // RunFast calls on A's store and must skip every one: its machine does

@@ -31,13 +31,13 @@ type Event struct {
 // delivers them in slices, amortising interface dispatch and event
 // copies across hundreds of instructions.
 //
-// Delivery boundaries (the flush points) are: batch full, block exit to
-// a translation-cache lookup, immediately before a system call is
-// serviced (so timing-feedback state owned by the sink is caught up to
-// the instruction stream), guest halt, and Run return. Events arrive in
-// retirement order, and results are bit-identical for every batch
-// capacity (internal/check's batch-invariance checker enforces this
-// against one-event batches).
+// A batch is delivered (flushed) at two points only: when it is full,
+// and when Run returns, whether the budget is spent or the guest
+// halted. Sinks read no machine state, so nothing else needs a flush.
+// Events arrive in retirement order, and results are bit-identical for
+// every batch capacity (internal/check's batch-invariance checker
+// enforces this against one-event batches, and that each Run call
+// makes exactly ⌈executed/capacity⌉ deliveries).
 //
 // The slice is only valid for the duration of the call and is reused
 // for the next batch; sinks must copy anything they keep.

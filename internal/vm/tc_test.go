@@ -346,11 +346,17 @@ func liveChains(m *Machine) [][2]*block {
 }
 
 // TestChainKeepsHotLoopOffLookup is the chain memo's non-vacuity
-// check. A hot two-block loop in event mode must find each successor
-// through the memo: only a chain miss flushes the event batch early,
-// so with the default capacity (256) the flushes stay within one per
-// full batch plus the first iterations' misses. A memo that never
-// engages flushes at every block end, twice per iteration.
+// check. The program is an entry block A (movi; slli; beq), whose beq
+// jumps into the loop's second block B (addi; addi; bne), and the loop
+// head C (slli; beq) at B's taken target. One Run executes it all
+// (50 002 instructions, under one chunk), and it makes exactly five
+// translation-cache lookups: A at the top of dispatch; the first chain
+// misses A→B and B→C; C→B, the loop head's first miss (B is already
+// live, so it translates nothing); and B→halt on the last iteration,
+// where the not-taken bne misses B's memo of C. Every other block end
+// is a chain hit. A memo that never engages looks up at every block
+// end: 20 001 lookups. The batch count is the delivery rule: one per
+// full batch of 256 and one at Run's return.
 func TestChainKeepsHotLoopOffLookup(t *testing.T) {
 	const iters = 10000
 	b := asm.NewBuilder(0x1000)
@@ -373,12 +379,15 @@ func TestChainKeepsHotLoopOffLookup(t *testing.T) {
 	if m.Reg(2) != 3*iters {
 		t.Fatalf("r2 = %d, want %d", m.Reg(2), 3*iters)
 	}
-	if sink.Total != m.Stats().Instructions {
-		t.Fatalf("events %d != instructions %d", sink.Total, m.Stats().Instructions)
+	const instrs = 1 + 5*iters + 1
+	if sink.Total != instrs || m.Stats().Instructions != instrs {
+		t.Fatalf("%d events, %d instructions, want %d each", sink.Total, m.Stats().Instructions, instrs)
 	}
-	if limit := sink.Total/256 + 8; m.BatchFlushes() > limit {
-		t.Fatalf("%d batch flushes for %d events, want <= %d: the chain memo is not engaging",
-			m.BatchFlushes(), sink.Total, limit)
+	if m.lookups != 5 {
+		t.Fatalf("%d translation-cache lookups, want 5: the chain memo is not engaging", m.lookups)
+	}
+	if want := uint64((instrs + 255) / 256); m.BatchFlushes() != want {
+		t.Fatalf("%d batch flushes for %d events, want %d", m.BatchFlushes(), sink.Total, want)
 	}
 }
 

@@ -285,6 +285,10 @@ type Machine struct {
 	// restored, and excluded from Stats and state comparisons.
 	batchFlushes uint64
 
+	// lookups counts Machine.lookup calls, host-side like batchFlushes:
+	// tests read it to see whether the chain memo keeps a loop off it.
+	lookups uint64
+
 	stats    Stats
 	phaseLog []PhaseMark
 	exitCode uint64
@@ -519,6 +523,7 @@ func (m *Machine) translate(pc uint64) *block {
 
 // lookup returns the live translation for pc, translating on miss.
 func (m *Machine) lookup(pc uint64) *block {
+	m.lookups++
 	if b, ok := m.tc[pc]; ok && !b.dead {
 		return b
 	}
@@ -602,9 +607,9 @@ func (m *Machine) TCBlocks() int { return m.tcCount }
 // Run executes up to n guest instructions, stopping early on HALT or
 // SysExit. If sink is non-nil the machine runs in event-generating mode
 // and delivers one Event per retired instruction, in batches, through
-// sink.OnEvents. Run returns the number of instructions actually
-// executed; every buffered event has been delivered by the time it
-// returns.
+// sink.OnEvents when a batch is full and when Run returns, nowhere
+// else. Run returns the number of instructions actually executed; every
+// buffered event has been delivered by the time it returns.
 //
 // Architectural behaviour is identical in both modes, independent of
 // how a long run is partitioned into Run calls, and independent of the
@@ -631,25 +636,24 @@ func (m *Machine) Run(n uint64, sink Sink) uint64 {
 // stats.Instructions and reads and writes registers) and on the one
 // return path, after the dispatch loop. Translation-cache lookups and
 // event delivery need no spill: translate reads neither, and sinks
-// receive events, never machine pointers. The TLB needs no spill either: the load/store
-// probes and translate's instruction-side lookup share the one array
-// m.tlb.
+// receive events, never machine pointers. The TLB needs no spill
+// either: the load/store probes and translate's instruction-side lookup
+// share the one array m.tlb.
 // Everywhere else m.regs/m.stats/m.pc are stale — nothing observes
 // them there, the machine being single-threaded per goroutine. The one
 // visible consequence is that a panic out of the hot loop (illegal
 // instruction, guest memory out of range) leaves the Machine's
-// registers and statistics behind the point of the fault; panics are
-// fatal diagnostics, not a recovery surface, so no caller inspects
-// machine state across one.
+// registers and statistics behind the point of the fault and drops the
+// events still buffered; panics are fatal diagnostics, not a recovery
+// surface, so no caller inspects machine state across one.
 //
 // A block's successor is resolved through the block's 1-entry chain
 // memo (chainPC, chainBlk): when the successor pc is chainPC and that
 // block is live, the loop runs it next without touching the
-// translation-cache map, the TLB or the event batch. At most one live
-// block exists per pc, so a chain hit runs the block a lookup would
-// return, and looking up a live block moves no statistic. On a chain
-// miss the loop delivers buffered events, looks the pc up (which may
-// translate) and makes the result the new memo.
+// translation-cache map or the TLB. At most one live block exists per
+// pc, so a chain hit runs the block a lookup would return, and looking
+// up a live block moves no statistic. On a chain miss the loop looks
+// the pc up (which may translate) and makes the result the new memo.
 //
 // The per-instruction budget check is hoisted: each block iteration
 // executes a window insts[:min(len, n-executed)], so the inner loop
@@ -686,16 +690,6 @@ func (m *Machine) run(n uint64, bs Sink) uint64 {
 
 dispatch:
 	for executed != n {
-		// Sync point before consulting the translation cache: buffered
-		// events must be delivered in order before translation, which
-		// can panic on illegal code. Registers and the statistic deltas
-		// stay local — nothing on the lookup path reads them — and are
-		// spilled in full only on the return path below.
-		if bi != 0 {
-			m.batchFlushes++
-			bs.OnEvents(batch[:bi])
-			bi = 0
-		}
 		blk = m.lookup(m.pc)
 
 	blockLoop:
@@ -896,12 +890,9 @@ dispatch:
 					regs[in.rd&31] = uint64(int64(b2f(regs[in.rs1&31])))
 				case xSys:
 					// Spill before servicing: the syscall layer reads
-					// stats.Instructions (SysPhaseMark, the fixed-IPC
-					// time base) and reads/writes registers, and the
-					// timing-feedback path (SysTimeQuery) reads state
-					// the sink owns — the modelled cycle count — which
-					// must be caught up to the retired-instruction
-					// stream, exactly as under per-event delivery.
+					// stats.Instructions (SysPhaseMark, SysTimeQuery)
+					// and reads and writes registers. Sinks read no
+					// machine state, so buffered events stay buffered.
 					m.regs = regs
 					m.stats.Instructions += executed - instBase
 					instBase = executed
@@ -910,11 +901,6 @@ dispatch:
 					m.stats.Branches += sBr
 					m.stats.TakenBr += sTaken
 					sReads, sWrites, sBr, sTaken = 0, 0, 0, 0
-					if bi != 0 {
-						m.batchFlushes++
-						bs.OnEvents(batch[:bi])
-						bi = 0
-					}
 					m.syscall(in.imm)
 					regs = m.regs
 				default:
@@ -980,26 +966,20 @@ dispatch:
 
 			// A live block ended (control transfer, or fall-through
 			// with budget remaining). Resolve the successor through the
-			// block's chain memo, else through the spill-flush-lookup
-			// slow path.
+			// block's chain memo, else through a lookup.
 			if blk.chainPC == nextPC {
 				if nb := blk.chainBlk; nb != nil && !nb.dead {
 					blk = nb
 					continue blockLoop
 				}
 			}
-			// Chain miss: deliver buffered events, look up and remember
-			// the successor. Registers and stat deltas stay local:
-			// translation reads neither. The lookup runs even when the budget is exhausted
-			// (the dispatch loop then ends without executing the block),
-			// because the translation statistics it moves are part of
-			// the golden trajectories.
+			// Chain miss: look up and remember the successor. Registers,
+			// stat deltas and buffered events stay local: translation
+			// reads none of them. The lookup runs even when the budget
+			// is exhausted (the dispatch loop then ends without
+			// executing the block), because the translation statistics
+			// it moves are part of the golden trajectories.
 			m.pc = nextPC
-			if bi != 0 {
-				m.batchFlushes++
-				bs.OnEvents(batch[:bi])
-				bi = 0
-			}
 			nb := m.lookup(nextPC)
 			blk.chainPC = nextPC
 			blk.chainBlk = nb

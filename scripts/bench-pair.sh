@@ -8,7 +8,8 @@
 # Runs one workload on both trees in alternating order (parent first in
 # odd pairs, change first in even ones), and prints, per end-to-end
 # metric, each side's median and quartiles and in how many pairs the
-# change read better.
+# change read better, then in how many pairs the two sides' runs
+# reported the same sim_fingerprint (both values where they differ).
 #
 #   scripts/bench-pair.sh <git-ref> <workload> [pairs=10] [seed=1]
 #
@@ -17,7 +18,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
+	sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//' >&2
 	exit 2
 fi
 ref=$1 workload=$2 pairs=${3:-10} seed=${4:-1}
@@ -36,17 +37,21 @@ git ls-files -z -co --exclude-standard |
 	while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
 	tar --null -T - -cf - | tar -xf - -C "$change"
 
-# run <tree> <side>: one benchmark run of pair $pair; appends one
-# "<side> <pair> <metric> <value>" line per metric to $tmp/runs.
+# run <tree> <side>: one benchmark run of pair $pair, its whole stdout
+# kept in $tmp/<side>.<pair>.out; appends one "<side> <pair> <metric>
+# <value>" line per metric to $tmp/runs and one "<side> <pair>
+# <sim_fingerprint>" line to $tmp/fingerprints.
 run() {
-	local line
-	line=$(cd "$1" && bash bench/run.sh --workload "$workload" --seed "$seed" --seconds 20 --trace 0 | tail -n 1)
+	local out="$tmp/$2.$pair.out" line
+	(cd "$1" && bash bench/run.sh --workload "$workload" --seed "$seed" --seconds 20 --trace 0) >"$out" || :
+	line=$(tail -n 1 "$out")
 	case $line in
 	*'"correct":true'*) ;;
 	*) echo "bench-pair: $2 run failed: $line" >&2; exit 1 ;;
 	esac
 	echo "$line" | grep -o '"[a-z_]*":{"value":[^,}]*' |
 		sed -e 's/^"\([a-z_]*\)":{"value":/\1 /' -e "s/^/$2 $pair /" >>"$tmp/runs"
+	echo "$2 $pair $(grep -o 'sim_fingerprint=[^ ]*' "$out" | head -n 1 | cut -d= -f2)" >>"$tmp/fingerprints"
 	echo "  pair $pair $2: $(echo "$line" | grep -o '"minstr_per_s":{"value":[^,}]*' | sed 's/.*://') Minstr/s" >&2
 }
 
@@ -90,3 +95,15 @@ END {
 		printf "\n"
 	}
 }' "$tmp/runs"
+
+# The simulated results are the same on both sides exactly when every
+# pair's two fingerprints are.
+awk -v pairs="$pairs" '
+{ fp[$1, $2] = $3 }
+END {
+	for (i = 1; i <= pairs; i++) {
+		if (fp["parent", i] == fp["change", i]) equal++
+		else diff = diff sprintf("  pair %d: parent %s, change %s\n", i, fp["parent", i], fp["change", i])
+	}
+	printf "sim_fingerprint equal in %d of %d pairs\n%s", equal, pairs, diff
+}' "$tmp/fingerprints"
