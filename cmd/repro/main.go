@@ -77,7 +77,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "concurrent simulations (default: NumCPU)")
 	quiet := flag.Bool("q", false, "suppress per-run progress output")
 	csvDir := flag.String("csv", "", "also export figure data as CSV files into this directory")
-	ckptStride := flag.Uint64("ckpt-stride", 0, "checkpoint deposit stride in base intervals (0 = auto)")
+	ckptStride := flag.Uint64("ckpt-stride", 0, "snapshot grid stride in base intervals (0 = snapshots only where a session leaves fast mode)")
 	noCkpt := flag.Bool("no-ckpt", false, "disable the warm-start checkpoint cache")
 	out := flag.String("out", "", "directory for the crash-safe run journal; rerunning with the same -out resumes completed measurements")
 	timeout := flag.Duration("timeout", 0, "per-measurement-attempt deadline (0 = none)")

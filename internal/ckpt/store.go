@@ -118,7 +118,7 @@ const maxRemoteFails = 3
 // Stats counts store activity; /v1/status serves them and the bench
 // harness reports them as its ckpt.* metrics.
 type Stats struct {
-	Hits          uint64 // exact-key lookups served (memory or disk)
+	Hits          uint64 // snapshots Lookup and Below served (memory or disk)
 	Misses        uint64 // exact-key lookups that found nothing
 	NearestHits   uint64 // nearest-≤ lookups served
 	NearestMisses uint64 // nearest-≤ lookups that found nothing
@@ -168,6 +168,9 @@ type Store struct {
 	// counted, not once per entry.
 	refs map[any]int
 	disk map[Key]bool
+	// held indexes each series' keys in either tier by instruction
+	// count, ascending; a key gone from both is pruned when a search meets it.
+	held map[series][]uint64
 	// trails holds each series' trajectory records.
 	trails map[series]*trail
 	// writeFails counts consecutive disk-write failures; at
@@ -187,20 +190,17 @@ type Store struct {
 // unconditionally (a nil registry yields no-op handles) and call sites
 // need no guards.
 type storeObs struct {
-	hits, misses       *obs.Counter
-	nearestHits        *obs.Counter
-	nearestMisses      *obs.Counter
-	puts, dupPuts      *obs.Counter
-	evictions          *obs.Counter
-	diskLoads          *obs.Counter
-	diskWrites         *obs.Counter
-	diskErrors         *obs.Counter
-	writeFails         *obs.Counter
-	discards           *obs.Counter
-	skips              *obs.Counter
-	remotePuts         *obs.Counter
-	remoteErrors       *obs.Counter
-	loadSecs, writeSec *obs.Histogram
+	hits, misses, nearestHits, nearestMisses      *obs.Counter
+	puts, dupPuts, evictions, discards, skips     *obs.Counter
+	diskLoads, diskWrites, diskErrors, writeFails *obs.Counter
+	remotePuts, remoteErrors                      *obs.Counter
+	loadSecs, writeSec                            *obs.Histogram
+}
+
+// count adds one to a Stats counter and to its mirror.
+func count(c *uint64, mirror *obs.Counter) {
+	*c++
+	mirror.Inc()
 }
 
 func newStoreObs(reg *obs.Registry) storeObs {
@@ -238,6 +238,7 @@ func New(opts Options) (*Store, error) {
 		lru:    list.New(),
 		refs:   make(map[any]int),
 		disk:   make(map[Key]bool),
+		held:   make(map[series][]uint64),
 		trails: make(map[series]*trail),
 		ob:     newStoreObs(opts.Obs),
 	}
@@ -252,6 +253,7 @@ func New(opts Options) (*Store, error) {
 		for _, e := range ents {
 			if k, ok := parseFilename(e.Name()); ok {
 				s.disk[k] = true
+				s.indexLocked(k)
 			}
 		}
 	}
@@ -318,6 +320,15 @@ func (s *Store) heldLocked(k Key) bool {
 	return ok || s.disk[k]
 }
 
+// indexLocked adds k to its series' index; every key either tier
+// gains comes through it.
+func (s *Store) indexLocked(k Key) {
+	idx := s.held[k.series()]
+	if i, found := slices.BinarySearch(idx, k.Instr); !found {
+		s.held[k.series()] = slices.Insert(idx, i, k.Instr)
+	}
+}
+
 // Lookup returns the snapshot for an exact key from the local tiers.
 // Snapshots are shared, immutable values: callers must only Restore from
 // them, never mutate.
@@ -325,12 +336,10 @@ func (s *Store) Lookup(k Key) (*vm.Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if snap := s.lookupLocked(k); snap != nil {
-		s.stats.Hits++
-		s.ob.hits.Inc()
+		count(&s.stats.Hits, s.ob.hits)
 		return snap, true
 	}
-	s.stats.Misses++
-	s.ob.misses.Inc()
+	count(&s.stats.Misses, s.ob.misses)
 	return nil, false
 }
 
@@ -351,8 +360,7 @@ func (s *Store) lookupLocked(k Key) *vm.Snapshot {
 			s.insertLocked(k, snap)
 			return snap
 		}
-		s.stats.DiskErrors++
-		s.ob.diskErrors.Inc()
+		count(&s.stats.DiskErrors, s.ob.diskErrors)
 		delete(s.disk, k)
 		if errors.Is(err, ErrCorrupt) && s.opts.Dir != "" {
 			// The bytes are untrustworthy no matter how often they are
@@ -381,8 +389,7 @@ func (s *Store) loadLocked(k Key) (*vm.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.stats.DiskLoads++
-	s.ob.diskLoads.Inc()
+	count(&s.stats.DiskLoads, s.ob.diskLoads)
 	return snap, nil
 }
 
@@ -420,44 +427,52 @@ func (s *Store) Discard(k Key) {
 			os.Remove(s.path(k))
 		}
 	}
-	s.stats.Discards++
-	s.ob.discards.Inc()
+	count(&s.stats.Discards, s.ob.discards)
 }
 
-// Nearest returns the stored snapshot with the largest instruction
-// count ≤ k.Instr in k's series, along with its instruction count.
+// Below returns the held snapshot with the highest instruction count
+// in [from, k.Instr] of k's series, from either tier, and that count:
+// one lock and a binary search of the series' index. A snapshot served
+// counts as a hit; finding none counts nothing.
+func (s *Store) Below(k Key, from uint64) (*vm.Snapshot, uint64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	snap, at, ok := s.belowLocked(k, from)
+	if ok {
+		count(&s.stats.Hits, s.ob.hits)
+	}
+	return snap, at, ok
+}
+
+// Nearest is Below from instruction 0, counted in the Nearest counters.
 func (s *Store) Nearest(k Key) (*vm.Snapshot, uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ser := k.series()
-	for {
-		best := uint64(0)
-		found := false
-		for mk := range s.mem {
-			if mk.series() == ser && mk.Instr <= k.Instr && (!found || mk.Instr > best) {
-				best, found = mk.Instr, true
-			}
-		}
-		for dk := range s.disk {
-			if dk.series() == ser && dk.Instr <= k.Instr && (!found || dk.Instr > best) {
-				best, found = dk.Instr, true
-			}
-		}
-		if !found {
-			s.stats.NearestMisses++
-			s.ob.nearestMisses.Inc()
-			return nil, 0, false
-		}
-		bk := k
-		bk.Instr = best
-		if snap := s.lookupLocked(bk); snap != nil {
-			s.stats.NearestHits++
-			s.ob.nearestHits.Inc()
-			return snap, best, true
-		}
-		// The best candidate was a corrupt disk entry (now dropped);
-		// try the next-lower one.
+	snap, at, ok := s.belowLocked(k, 0)
+	if ok {
+		count(&s.stats.NearestHits, s.ob.nearestHits)
+	} else {
+		count(&s.stats.NearestMisses, s.ob.nearestMisses)
 	}
+	return snap, at, ok
+}
+
+func (s *Store) belowLocked(k Key, from uint64) (*vm.Snapshot, uint64, bool) {
+	idx := s.held[k.series()]
+	i, found := slices.BinarySearch(idx, k.Instr)
+	if found {
+		i++
+	}
+	for ; i > 0 && idx[i-1] >= from; i-- {
+		k.Instr = idx[i-1]
+		if snap := s.lookupLocked(k); snap != nil {
+			return snap, k.Instr, true
+		}
+		// Evicted, discarded, or a corrupt file: prune it, try the next.
+		idx = slices.Delete(idx, i-1, i)
+		s.held[k.series()] = idx
+	}
+	return nil, 0, false
 }
 
 // Record is a trajectory record: the VM statistics Dynamic Sampling
@@ -523,8 +538,7 @@ func (s *Store) LookupRecord(k Key, every uint64) (Record, bool) {
 	if !ok || i >= uint64(len(t.recs)) || t.have[i/64]&(1<<(i%64)) == 0 {
 		return Record{}, false
 	}
-	s.stats.Skips++
-	s.ob.skips.Inc()
+	count(&s.stats.Skips, s.ob.skips)
 	return t.recs[i], true
 }
 
@@ -535,13 +549,11 @@ func (s *Store) Put(k Key, snap *vm.Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.mem[k]; ok {
-		s.stats.DupPuts++
-		s.ob.dupPuts.Inc()
+		count(&s.stats.DupPuts, s.ob.dupPuts)
 		return
 	}
 	onDisk := s.disk[k]
-	s.stats.Puts++
-	s.ob.puts.Inc()
+	count(&s.stats.Puts, s.ob.puts)
 	s.insertLocked(k, snap)
 	if s.opts.Dir != "" && !onDisk && !s.diskOff {
 		writeStart := time.Now()
@@ -556,16 +568,14 @@ func (s *Store) Put(k Key, snap *vm.Snapshot) {
 		// tiers already hold the snapshot. Nothing reads the mirror back,
 		// so the only response to a sick one is to stop sending to it.
 		if err := s.opts.Remote.Put(k, snap); err != nil {
-			s.stats.RemoteErrors++
-			s.ob.remoteErrors.Inc()
+			count(&s.stats.RemoteErrors, s.ob.remoteErrors)
 			s.remoteFails++
 			if s.remoteFails >= maxRemoteFails {
 				s.remoteOff = true
 				s.stats.RemoteOff = true
 			}
 		} else {
-			s.stats.RemotePuts++
-			s.ob.remotePuts.Inc()
+			count(&s.stats.RemotePuts, s.ob.remotePuts)
 			s.remoteFails = 0
 		}
 	}
@@ -578,7 +588,7 @@ func (s *Store) Put(k Key, snap *vm.Snapshot) {
 // them into the temp file that write commits; the decoded snapshot is
 // then dropped. The encoding is deterministic, so the file is byte for
 // byte what Put would have written, and the memory tier fills from
-// Lookup/Nearest as for any disk entry. Without a disk tier, or when the
+// Lookup and Below as for any disk entry. Without a disk tier, or when the
 // write fails, the decoded snapshot joins the memory tier as Put's
 // would. A key already held answers before r is read. An upload that
 // fails a check returns an ErrCorrupt-wrapped error and leaves nothing
@@ -589,8 +599,7 @@ func (s *Store) PutFrom(k Key, r io.Reader) error {
 	s.mu.Lock()
 	held := s.heldLocked(k)
 	if held {
-		s.stats.DupPuts++
-		s.ob.dupPuts.Inc()
+		count(&s.stats.DupPuts, s.ob.dupPuts)
 	}
 	toDisk := s.opts.Dir != "" && !s.diskOff
 	s.mu.Unlock()
@@ -627,12 +636,10 @@ func (s *Store) PutFrom(k Key, r io.Reader) error {
 	defer s.mu.Unlock()
 	if s.heldLocked(k) {
 		// A concurrent upload of k won; its bytes are these bytes.
-		s.stats.DupPuts++
-		s.ob.dupPuts.Inc()
+		count(&s.stats.DupPuts, s.ob.dupPuts)
 		return nil
 	}
-	s.stats.Puts++
-	s.ob.puts.Inc()
+	count(&s.stats.Puts, s.ob.puts)
 	if toDisk {
 		s.wroteLocked(k, writeStart, werr)
 	}
@@ -713,6 +720,7 @@ func (s *Store) insertLocked(k Key, snap *vm.Snapshot) {
 	e := &entry{key: k, snap: snap}
 	el := s.lru.PushFront(e)
 	s.mem[k] = el
+	s.indexLocked(k)
 	s.bytes += s.shareLocked(snap, +1)
 	for s.bytes > s.opts.MaxBytes && s.lru.Len() > 1 {
 		back := s.lru.Back()
@@ -723,8 +731,7 @@ func (s *Store) insertLocked(k Key, snap *vm.Snapshot) {
 		s.lru.Remove(back)
 		delete(s.mem, victim.key)
 		s.bytes -= s.shareLocked(victim.snap, -1)
-		s.stats.Evictions++
-		s.ob.evictions.Inc()
+		count(&s.stats.Evictions, s.ob.evictions)
 	}
 }
 
@@ -733,10 +740,8 @@ func (s *Store) insertLocked(k Key, snap *vm.Snapshot) {
 // degradation ladder otherwise.
 func (s *Store) wroteLocked(k Key, start time.Time, err error) {
 	if err != nil {
-		s.stats.DiskErrors++
-		s.stats.WriteFails++
-		s.ob.diskErrors.Inc()
-		s.ob.writeFails.Inc()
+		count(&s.stats.DiskErrors, s.ob.diskErrors)
+		count(&s.stats.WriteFails, s.ob.writeFails)
 		s.writeFails++
 		if s.writeFails >= maxWriteFails {
 			// Degradation ladder, rung one: the disk tier keeps
@@ -749,10 +754,10 @@ func (s *Store) wroteLocked(k Key, start time.Time, err error) {
 		return
 	}
 	s.writeFails = 0
-	s.stats.DiskWrites++
-	s.ob.diskWrites.Inc()
+	count(&s.stats.DiskWrites, s.ob.diskWrites)
 	s.ob.writeSec.Observe(time.Since(start).Seconds())
 	s.disk[k] = true
+	s.indexLocked(k)
 }
 
 // write persists k's file atomically: produce writes the serialized

@@ -25,12 +25,12 @@ package core
 //
 // A canonical session leaves a trajectory record (the three monitored
 // statistics, 24 bytes) at every interval boundary a fast burst ends
-// on, and a snapshot at every stride boundary. Between fast intervals a policy
-// reads only those statistics, so a fast interval whose end has a
-// record (or a snapshot) is skipped: the session moves, the machine
-// stays. It catches up only when something reads it (settle), from the
-// nearest snapshot ahead of it and then in base intervals; the stride
-// bounds that walk.
+// on, and a snapshot where it leaves fast mode for a canonical burst,
+// which is where a later policy wants the machine; CkptStride adds a
+// grid. Between fast intervals a policy reads only the statistics, so
+// a fast interval whose end has a record (or a grid snapshot) is
+// skipped: the session moves, the machine stays. It catches up only
+// when something reads it (settle), from the highest snapshot below it.
 //
 // Host-cost accounting stays checkpoint-blind: a skip charges the same
 // hostcost.Fast units the skipped execution would have, and
@@ -85,31 +85,32 @@ func (s *Session) noteRun(n uint64) {
 	}
 }
 
-// maybeDeposit leaves a trajectory record when a fast burst ends on a
-// canonical interval boundary, and a snapshot when a burst in any mode
-// ends on a canonical stride boundary. Contains is checked first so
-// only the first session to reach a stride boundary pays for the
-// capture; later sessions (whose state is bit-identical there) skip.
-func (s *Session) maybeDeposit(mode hostcost.Mode) {
-	if s.ckpt == nil || !s.canonical || s.executed == 0 {
-		return
-	}
-	if s.executed%s.interval != 0 || s.halted() {
+// deposit leaves a trajectory record (rec) and a snapshot (snap) at a
+// canonical interval boundary. Contains is checked first so only the
+// first session to reach a boundary pays for the capture; later
+// sessions (whose state is bit-identical there) skip.
+func (s *Session) deposit(rec, snap bool) {
+	if s.ckpt == nil || !s.canonical || s.executed == 0 || s.executed%s.interval != 0 || s.halted() {
 		return
 	}
 	k := s.ckptKey(s.executed)
-	if mode == hostcost.Fast {
+	if rec {
 		s.ckpt.PutRecord(k, s.interval, ckpt.RecordOf(s.machine.Stats()))
 	}
-	if s.executed%s.ckptEvery != 0 || s.ckpt.Contains(k) {
-		return
+	if snap && !s.ckpt.Contains(k) {
+		s.ckpt.Put(k, s.machine.Snapshot())
 	}
-	s.ckpt.Put(k, s.machine.Snapshot())
+}
+
+// maybeDeposit deposits after a burst in mode: a record after a fast
+// one, a snapshot on the stride grid.
+func (s *Session) maybeDeposit(mode hostcost.Mode) {
+	s.deposit(mode == hostcost.Fast, s.ckptEvery != 0 && s.executed%s.ckptEvery == 0)
 }
 
 // fastHit skips one fast-mode base interval when the store holds the
-// statistics at its end: a trajectory record, or else a snapshot at a
-// stride boundary. It only fires when those are provably what execution
+// statistics at its end: a trajectory record, or else a snapshot on
+// the stride grid. It only fires when those are provably what execution
 // would produce (canonical trajectory, aligned interval) and charges
 // exactly what the skipped execution would have, so results and
 // modelled cost are unchanged — only host wall-clock shrinks. The
@@ -122,7 +123,7 @@ func (s *Session) fastHit(n uint64) bool {
 	end := s.executed + n
 	k := s.ckptKey(end)
 	rec, ok := s.ckpt.LookupRecord(k, s.interval)
-	if !ok && end%s.ckptEvery == 0 {
+	if !ok && s.ckptEvery != 0 && end%s.ckptEvery == 0 {
 		var snap *vm.Snapshot
 		if snap, ok = s.ckpt.Lookup(k); ok {
 			rec = ckpt.RecordOf(snap.Stats())
@@ -138,18 +139,18 @@ func (s *Session) fastHit(n uint64) bool {
 }
 
 // settle catches the machine up with a session that skipped ahead of
-// it: it restores the nearest stride-boundary snapshot at or below the
-// session's position that is ahead of the machine, then walks the rest
-// in base intervals, depositing on the way. The walk is neither charged
-// nor observed: the skips were charged, and obs counted their
-// instructions as restored.
+// it: it restores the highest snapshot at or below the session's
+// position that is ahead of the machine, then walks the rest in base
+// intervals, depositing on the way. The walk is not charged and not
+// counted as executed (the skips were charged, and obs counted their
+// instructions as restored); ckpt_catchup_instructions_total counts it.
 func (s *Session) settle() {
 	if !s.ahead {
 		return
 	}
 	s.ahead = false
-	target := s.executed
-	for s.executed = s.restoreBelow(target); s.executed < target && !s.stopped(); {
+	target, from := s.executed, s.restoreBelow(s.executed)
+	for s.executed = from; s.executed < target && !s.stopped(); {
 		ex := s.machine.Run(s.interval, nil)
 		if ex == 0 {
 			break
@@ -157,23 +158,20 @@ func (s *Session) settle() {
 		s.executed += ex
 		s.maybeDeposit(hostcost.Fast)
 	}
+	s.ob.caughtUp(s.executed - from)
 }
 
-// restoreBelow restores the highest stride-boundary snapshot at or
-// below target that is ahead of the machine and returns the machine's
-// position. Boundaries are probed with Contains, which counts nothing,
-// so only a held key reaches the counted Lookup. A snapshot that
-// decoded cleanly but fails to restore is discarded from every tier,
-// the machine stays where it was, and the next lower boundary is tried.
+// restoreBelow restores the highest snapshot at or below target that
+// is ahead of the machine and returns the machine's position. Finding
+// none counts nothing in the store. A snapshot that decoded cleanly but
+// fails to restore is discarded from every tier, the machine stays
+// where it was, and the store is asked again.
 func (s *Session) restoreBelow(target uint64) uint64 {
 	at := s.machine.Stats().Instructions
-	for k := target - target%s.ckptEvery; k > at; k -= s.ckptEvery {
-		if !s.ckpt.Contains(s.ckptKey(k)) {
-			continue
-		}
-		snap, ok := s.ckpt.Lookup(s.ckptKey(k))
+	for {
+		snap, k, ok := s.ckpt.Below(s.ckptKey(target), at+1)
 		if !ok {
-			continue
+			return at
 		}
 		start := s.ob.now()
 		if err := s.machine.Restore(snap); err != nil {
@@ -183,7 +181,6 @@ func (s *Session) restoreBelow(target uint64) uint64 {
 		s.ob.restored(start)
 		return k
 	}
-	return at
 }
 
 // halted reads the session's position. Records and snapshots are only
@@ -202,8 +199,8 @@ func (s *Session) halted() bool { return !s.ahead && s.machine.Halted() }
 // Without an attached store this devolves to a single free run to
 // target. After a restore the session is back on the canonical
 // trajectory (checkpoints are only deposited there), so the remaining
-// gap is walked in base-interval steps, depositing at stride
-// boundaries along the way for later sessions. The walk is observed
+// gap is walked in base-interval steps, leaving records (and grid
+// snapshots) along the way for later sessions. The walk is observed
 // like any fast burst.
 func (s *Session) FastForwardVia(target uint64) uint64 {
 	if s.stopped() {

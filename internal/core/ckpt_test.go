@@ -167,9 +167,9 @@ func TestFastHitsRestoreOnce(t *testing.T) {
 
 // TestFastForwardViaMatchesFree proves the checkpoint dispatch path is
 // invisible to results: fast-forwarding through a store (depositing on
-// the way, then resuming from it) leaves the session at the same
-// architectural state and charges nothing, exactly like a store-less
-// session's single free run.
+// a stride grid on the way, then resuming from it) leaves the session
+// at the same architectural state and charges nothing, exactly like a
+// store-less session's single free run.
 func TestFastForwardViaMatchesFree(t *testing.T) {
 	ref := ckptSession(t, nil)
 	target := 10 * ref.IntervalLen()
@@ -177,7 +177,10 @@ func TestFastForwardViaMatchesFree(t *testing.T) {
 	refUnits := ref.Meter().Report(ref.Scale()).Units
 
 	store := ckpt.NewMemory()
-	a := ckptSession(t, store)
+	gridded := func() *Session {
+		return NewSession(ref.Spec(), Options{Scale: 200_000, Ckpt: store, CkptStride: 2})
+	}
+	a := gridded()
 	if ex := a.FastForwardVia(target); ex != target {
 		t.Fatalf("fast-forward advanced %d, want %d", ex, target)
 	}
@@ -185,7 +188,7 @@ func TestFastForwardViaMatchesFree(t *testing.T) {
 		t.Fatal("fast-forward walk deposited nothing")
 	}
 
-	b := ckptSession(t, store)
+	b := gridded()
 	if ex := b.FastForwardVia(target); ex != target {
 		t.Fatalf("warm fast-forward advanced %d, want %d", ex, target)
 	}
@@ -210,18 +213,20 @@ func TestFastForwardViaMatchesFree(t *testing.T) {
 
 // TestColdPrimingCountsNoMiss: priming a cold stride-1 store, as
 // check.CheckpointEquivalence does, finds no snapshot below the target
-// to restore, and scanning the stride boundaries for one must not count
-// a lookup miss per boundary (one per interval of the budget: 350 on
-// gzip at this scale).
+// to restore, and asking the store for one must not count a lookup miss
+// (the stride probe it replaced made one per interval of the budget:
+// 350 on gzip at this scale). An explicit stride keeps its grid: the
+// priming leaves one snapshot per interval it runs through.
 func TestColdPrimingCountsNoMiss(t *testing.T) {
 	spec, err := workload.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := ckpt.NewMemory()
-	NewSession(spec, Options{Scale: 50_000, Ckpt: store, CkptStride: 1}).FastForwardVia(^uint64(0))
-	if st := store.Stats(); st.Misses != 0 || st.Puts == 0 {
-		t.Errorf("cold stride-1 priming made %d lookup misses and %d puts, want 0 misses and some puts", st.Misses, st.Puts)
+	s := NewSession(spec, Options{Scale: 50_000, Ckpt: store, CkptStride: 1})
+	s.FastForwardVia(^uint64(0))
+	if st, want := store.Stats(), s.Executed()/s.IntervalLen(); st.Misses != 0 || st.Puts != want {
+		t.Errorf("cold stride-1 priming made %d lookup misses and %d puts, want 0 misses and %d puts", st.Misses, st.Puts, want)
 	}
 }
 
@@ -230,8 +235,8 @@ func TestColdPrimingCountsNoMiss(t *testing.T) {
 // RunFast calls on A's store and must skip every one: its machine does
 // not move, and at every boundary its Stat, Done and Executed equal a
 // store-off session's. B's next burst catches the machine up from the
-// snapshot below it and must leave everything as the store-off run
-// does. "timed" ends the range between two snapshots and times the next
+// snapshot below it on a stride-10 grid and must leave everything as
+// the store-off run does. "timed" ends the range between two snapshots and times the next
 // interval; "halt" runs A to the guest's halt, mid-interval, and walks
 // B there.
 func TestSkippedIntervalsCatchUp(t *testing.T) {
@@ -239,7 +244,9 @@ func TestSkippedIntervalsCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := func(store *ckpt.Store) *Session { return NewSession(spec, Options{Scale: 50_000, Ckpt: store}) }
+	open := func(store *ckpt.Store) *Session {
+		return NewSession(spec, Options{Scale: 50_000, Ckpt: store, CkptStride: 10})
+	}
 	metrics := []vm.Metric{vm.MetricCPU, vm.MetricEXC, vm.MetricIO}
 	// step makes one RunFast(L) call on b and on the store-off ref and
 	// compares what a policy reads afterwards.
@@ -272,9 +279,6 @@ func TestSkippedIntervalsCatchUp(t *testing.T) {
 		store := ckpt.NewMemory()
 		b, ref := open(store), open(nil)
 		L, stride := b.IntervalLen(), b.ckptEvery/b.IntervalLen()
-		if stride < 4 {
-			t.Fatalf("default stride is %d intervals: the catch-up would not walk", stride)
-		}
 		k := 2*stride + stride/2
 		open(store).FastForwardVia(k * L)
 		for i := uint64(0); i < k; i++ {

@@ -152,6 +152,14 @@ func (so *sessionObs) restored(start time.Time) {
 	}
 }
 
+// caughtUp observes one settle that walked n instructions.
+func (so *sessionObs) caughtUp(n uint64) {
+	if so != nil {
+		so.reg.Counter("ckpt_catchups_total").Inc()
+		so.reg.Counter("ckpt_catchup_instructions_total").Add(n)
+	}
+}
+
 // runObserved wraps one machine.Run call in mode with observation and
 // accounts the executed instructions. With obs detached it reduces to
 // the bare Run — one nil check of overhead.

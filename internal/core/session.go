@@ -43,10 +43,9 @@ type Options struct {
 	// (see ckpt.go); only host wall-clock shrinks. Nil disables
 	// checkpointing.
 	Ckpt *ckpt.Store
-	// CkptStride is the snapshot stride in base intervals (0 = auto:
-	// about 32 snapshots per workload). Records are left at every
-	// interval; the stride bounds the walk that catches a machine up
-	// with skips.
+	// CkptStride, when non-zero, adds a snapshot every CkptStride base
+	// intervals to the ones a session takes where it leaves fast mode
+	// (0: none). Records are left at every interval either way.
 	CkptStride uint64
 	// Obs mirrors execution into a metrics registry (per-mode
 	// instruction/stat/wall-clock counters, checkpoint restore timings,
@@ -94,7 +93,7 @@ type Session struct {
 
 	// Checkpoint participation (see ckpt.go).
 	ckpt      *ckpt.Store
-	ckptEvery uint64      // snapshot stride in instructions
+	ckptEvery uint64      // snapshot grid in instructions, 0 for none
 	wlHash    uint64      // workload-identity hash for checkpoint keys
 	canonical bool        // still on the canonical interval partitioning
 	ahead     bool        // skips moved the session past its machine
@@ -120,23 +119,11 @@ func NewSession(spec workload.Spec, opts Options) *Session {
 	s.ob = newSessionObs(opts.Obs, opts.Trace, spec.Name)
 	s.meter.SetObs(opts.Obs)
 	if opts.Ckpt != nil {
-		stride := opts.CkptStride
-		if stride == 0 {
-			// Default: bound the snapshot count per workload (~32) so the
-			// snapshot-copy overhead stays a small fraction of execution
-			// regardless of how many intervals the budget spans. Skips
-			// need only the per-interval records; a catch-up walks at
-			// most one stride from the snapshot below it.
-			stride = 1
-			if n := total / interval; n > 32 {
-				stride = n / 32
-			}
-		}
 		s.ckpt = opts.Ckpt
-		s.ckptEvery = stride * interval
+		s.ckptEvery = opts.CkptStride * interval
 		s.wlHash = workloadHash(img.Digest(), total, interval, opts.VM)
 	}
-	s.resetMachines()
+	s.Reset()
 	return s
 }
 
@@ -151,7 +138,11 @@ func costTable(scale int) hostcost.CostTable {
 	return t
 }
 
-func (s *Session) resetMachines() {
+// Reset rewinds the session to the start of the benchmark with cold
+// microarchitectural state. The host-cost meter is preserved: a policy
+// that replays the guest (Stratified's refinement rounds) pays for every
+// pass.
+func (s *Session) Reset() {
 	s.machine = vm.New(s.opts.VM)
 	s.machine.Load(s.img)
 	s.core = timing.NewCore(timing.DefaultConfig())
@@ -160,12 +151,6 @@ func (s *Session) resetMachines() {
 	s.canonical = true
 	s.ahead = false
 }
-
-// Reset rewinds the session to the start of the benchmark with cold
-// microarchitectural state. The host-cost meter is preserved: a policy
-// that replays the guest (Stratified's refinement rounds) pays for every
-// pass.
-func (s *Session) Reset() { s.resetMachines() }
 
 // Spec returns the benchmark being simulated.
 func (s *Session) Spec() workload.Spec { return s.spec }
@@ -239,8 +224,9 @@ func (s *Session) ResetMeter() {
 // operation goes through: refuse once the context is cancelled, clamp
 // to the remaining budget, update the canonical-trajectory flag, observe
 // the mode transition, skip a charged fast interval whose end is stored,
-// otherwise settle and run the machine under observation, charge the
-// host cost, and deposit at a canonical boundary.
+// otherwise settle, deposit where the session leaves fast mode, run the
+// machine under observation, charge the host cost, and deposit at a
+// canonical boundary.
 func (s *Session) burst(mode hostcost.Mode, n uint64, sink vm.Sink) uint64 {
 	if s.stopped() {
 		return 0
@@ -252,6 +238,9 @@ func (s *Session) burst(mode hostcost.Mode, n uint64, sink vm.Sink) uint64 {
 		return n
 	}
 	s.settle()
+	if mode != hostcost.Fast && s.lastMode == hostcost.Fast {
+		s.deposit(false, true) // where it leaves fast mode, see ckpt.go
+	}
 	ex := s.runObserved(mode, n, sink)
 	s.charge(mode, ex)
 	s.maybeDeposit(mode)

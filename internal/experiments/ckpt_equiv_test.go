@@ -26,13 +26,16 @@ func renderArtifacts(t *testing.T, r *Runner) []byte {
 // layer: every rendered cell must be byte-identical whether the
 // checkpoint store is disabled, enabled-but-empty, or pre-warmed from
 // a previous run's on-disk checkpoints. The warmed pass must actually
-// serve hits, or the equivalence would be vacuous.
+// serve hits, or the equivalence would be vacuous. No policy behind
+// these artifacts leaves fast mode for a canonical burst, so the
+// deposits come from an explicit stride grid (gzip's 350 intervals at
+// this scale, one snapshot every 10).
 func TestCheckpointEquivalence(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("three full renders are slow")
 	}
-	opts := Options{Scale: 50_000, Benchmarks: []string{"gzip", "perlbmk"}}
+	opts := Options{Scale: 50_000, Benchmarks: []string{"gzip", "perlbmk"}, CkptStride: 10}
 
 	off := opts
 	off.CkptOff = true

@@ -48,8 +48,8 @@ type Options struct {
 	CkptStore *ckpt.Store
 	// CkptOff disables checkpointing entirely.
 	CkptOff bool
-	// CkptStride is the deposit stride in base intervals (0 = auto:
-	// about 32 deposits per workload).
+	// CkptStride adds a snapshot grid, one every CkptStride base
+	// intervals (0: snapshots only where sessions leave fast mode).
 	CkptStride uint64
 	// VM overrides the VM configuration for every session the runner
 	// builds. Host-side fields only (e.g. vm.Config.EventBatch) may
