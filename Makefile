@@ -36,7 +36,9 @@ fuzz-smoke:
 # batch: every program and policy re-run across batch capacities
 # {1,3,64,4096}, bit-identical to one-event delivery. faults: rendered
 # artifacts byte-identical to a fault-free run under seeded fault
-# injection. obs: results and artifacts identical with the metrics
+# injection. ckpt: every policy identical with the checkpoint store
+# off, cold, warm and primed at stride 1, where no catch-up or dispatch
+# walks. obs: results and artifacts identical with the metrics
 # registry and trace attached. sweep: a distributed multi-worker sweep
 # (with seeded worker kills and network faults) merges to a journal
 # byte-identical to sequential execution. stats: the
@@ -46,7 +48,7 @@ fuzz-smoke:
 # contract (reduced seed sweep here; CI's statistical-validity job runs
 # the full design).
 diffcheck:
-	$(GO) run ./cmd/diffcheck -seed 1 -n 200 -legs programs,policies,batch,faults,obs,sweep,stats -stats-runs 25
+	$(GO) run ./cmd/diffcheck -seed 1 -n 200 -legs programs,policies,ckpt,batch,faults,obs,sweep,stats -stats-runs 25
 
 # Chaos-schedule exploration: CHAOS_SCHEDULES seeded fault schedules
 # (coordinator SIGKILL/restart at arbitrary WAL offsets with torn

@@ -56,7 +56,7 @@ func main() {
 	statSeed := flag.Uint64("seed", 17, "stratified/rankedset: sampling seed")
 	scale := flag.Int("scale", 2000, "workload scale divisor")
 	baseline := flag.Bool("baseline", false, "also run full timing and report error/speedup")
-	ckptStride := flag.Uint64("ckpt-stride", 0, "checkpoint deposit stride in base intervals (0 = no checkpoints); a non-zero stride keeps them in memory")
+	ckptStride := flag.Uint64("ckpt-stride", 0, "snapshot grid stride in base intervals (0 = snapshots only where a session leaves fast mode); checkpoints stay in memory")
 	timeout := flag.Duration("timeout", 0, "overall run deadline (0 = none)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sampling"
 	"repro/internal/workload"
 )
@@ -16,8 +17,9 @@ import (
 // as a sweep does, so with more than one policy some cold run must skip
 // on an earlier policy's trajectory records; the warmed passes must hit.
 // The stride-1 store holds a snapshot at every interval, so its runs
-// must skip and hit and every catch-up and dispatch must find its target
-// snapshot: a run's lookups may miss only past the guest's halt, once.
+// must skip and hit, and every catch-up and dispatch must restore at its
+// target and walk nothing: ckpt_catchup_instructions_total, on a
+// registry attached to that variant alone, stays 0.
 func CheckpointEquivalence(bench string, opts core.Options, policies []sampling.Policy) error {
 	spec, err := workload.ByName(bench)
 	if err != nil {
@@ -31,14 +33,15 @@ func CheckpointEquivalence(bench string, opts core.Options, policies []sampling.
 	if want := primer.Executed() / primer.IntervalLen(); primed.Puts != want {
 		return fmt.Errorf("check: %s: priming the stride-1 store deposited %d snapshots, want one per interval (%d)", bench, primed.Puts, want)
 	}
-	pastHalt := min(1, primer.Total()-primer.Executed()) // misses a run may make
+	withFine.Obs = obs.NewRegistry() // inert: the Results compared do not change
+	walked := withFine.Obs.Counter("ckpt_catchup_instructions_total")
 	var coldSkips uint64
 	err = comparePolicies("checkpoint equivalence", bench, opts, policies, func() []variant {
-		before, fineMisses := withStore.Ckpt.Stats().Skips, withFine.Ckpt.Stats().Misses
+		before, fineWalked := withStore.Ckpt.Stats().Skips, walked.Value()
 		tally := func() error { coldSkips += withStore.Ckpt.Stats().Skips - before; return nil }
 		exact := func() error {
-			if m := withFine.Ckpt.Stats().Misses - fineMisses; m > pastHalt {
-				return fmt.Errorf("%d snapshot lookups missed on the primed stride-1 store, want at most %d", m, pastHalt)
+			if n := walked.Value() - fineWalked; n != 0 {
+				return fmt.Errorf("catch-ups and dispatches walked %d instructions on the primed stride-1 store, want 0", n)
 			}
 			return nil
 		}

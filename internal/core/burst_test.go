@@ -21,8 +21,9 @@ var burstModes = []struct {
 	restore bool
 	run     func(s *Session, n uint64) uint64
 }{
-	// The free dispatch walk resumes from the nearest stored checkpoint
-	// rather than through fastHit, and charges nothing either way.
+	// A dispatch is a skip with no record: it resumes from the nearest
+	// stored checkpoint, charges nothing either way, and obs counts its
+	// distance as restored and its walk as a catch-up.
 	{"FastForwardVia", hostcost.Fast, false, true, func(s *Session, n uint64) uint64 { return s.FastForwardVia(s.Executed() + n) }},
 	{"RunFast", hostcost.Fast, true, true, func(s *Session, n uint64) uint64 { return s.RunFast(n) }},
 	{"RunFuncWarm", hostcost.FuncWarm, true, false, func(s *Session, n uint64) uint64 { return s.RunFuncWarm(n) }},
@@ -39,8 +40,8 @@ var burstModes = []struct {
 // TestBurstProtocolPerMode pins what one burst does in every mode, for
 // one burst on the canonical interval grid and one off it: instructions
 // executed, host-cost charge and mode-switch charge, the canonical flag,
-// the checkpoint deposit, and the observed transition and per-mode
-// instruction count. A second session over the same store then checks
+// the checkpoint deposit, and the observed transition and per-mode (or,
+// for the uncharged dispatch, restored) instruction count. A second session over the same store then checks
 // which modes may satisfy the aligned burst by a restore, and a third
 // runs the burst after a chain of three fast hits.
 func TestBurstProtocolPerMode(t *testing.T) {
@@ -104,8 +105,15 @@ func TestBurstProtocolPerMode(t *testing.T) {
 				if len(trs) != 1 || trs[0].From != "init" || trs[0].To != label || trs[0].Instr != 0 {
 					t.Errorf("transitions = %+v, want one init→%s at 0", trs, label)
 				}
-				if got := reg.Counter("vm_instructions_total", "mode", label).Value(); got != n {
-					t.Errorf("vm_instructions_total{mode=%s} = %d, want %d", label, got, n)
+				wantRun, wantRestored := n, uint64(0)
+				if !bm.charged {
+					wantRun, wantRestored = 0, n
+				}
+				if got := reg.Counter("vm_instructions_total", "mode", label).Value(); got != wantRun {
+					t.Errorf("vm_instructions_total{mode=%s} = %d, want %d", label, got, wantRun)
+				}
+				if got := reg.Counter("ckpt_restored_instructions_total").Value(); got != wantRestored {
+					t.Errorf("ckpt_restored_instructions_total = %d, want %d", got, wantRestored)
 				}
 
 				// The same burst again stays in the mode: no new transition,

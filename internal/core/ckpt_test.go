@@ -211,6 +211,82 @@ func TestFastForwardViaMatchesFree(t *testing.T) {
 	}
 }
 
+// TestDispatchRestoresCanonical: a dispatch from a session that left
+// the canonical trajectory restores a snapshot below its target, comes
+// back canonical, and deposits on its walk — a record at every
+// boundary, a snapshot on the stride grid — ending where a store-off
+// dispatch from the start does.
+func TestDispatchRestoresCanonical(t *testing.T) {
+	spec, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := ckpt.NewMemory()
+	open := func(store *ckpt.Store) *Session {
+		return NewSession(spec, Options{Scale: 200_000, Ckpt: store, CkptStride: 2})
+	}
+	s := open(store)
+	L := s.IntervalLen()
+	open(store).FastForwardVia(2 * L) // a snapshot at 2L
+	s.RunFuncWarm(L / 2)
+	if s.canonical {
+		t.Fatal("half an interval of warming left the session canonical")
+	}
+	puts := store.Stats().Puts
+	if ex := s.FastForwardVia(5 * L); s.Executed() != 5*L {
+		t.Fatalf("dispatch advanced %d to %d, want to %d", ex, s.Executed(), 5*L)
+	}
+	if !s.canonical {
+		t.Error("a dispatch that restored a snapshot left the session non-canonical")
+	}
+	if got := store.Stats().Puts - puts; got != 1 || !store.Contains(s.ckptKey(4*L)) {
+		t.Errorf("the walk 2L→5L deposited %d snapshots, want the one at 4L", got)
+	}
+	for i := uint64(3); i <= 5; i++ {
+		if _, ok := store.LookupRecord(s.ckptKey(i*L), L); !ok {
+			t.Errorf("the walk left no record at %d·L", i)
+		}
+	}
+	ref := open(nil)
+	ref.FastForwardVia(5 * L)
+	if got, want := stateOf(s.Machine()), stateOf(ref.Machine()); got != want {
+		t.Errorf("machine after the dispatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestGridSnapshotCarriesARecord: on an explicit stride grid a timed
+// burst that ends on the grid leaves a trajectory record beside its
+// snapshot, so a second session skips that interval on the record
+// alone, with no snapshot lookup and without moving its machine.
+func TestGridSnapshotCarriesARecord(t *testing.T) {
+	spec, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := ckpt.NewMemory()
+	open := func() *Session {
+		return NewSession(spec, Options{Scale: 200_000, Ckpt: store, CkptStride: 1})
+	}
+	a := open()
+	L := a.IntervalLen()
+	a.RunTimed(L)
+	if !store.Contains(a.ckptKey(L)) {
+		t.Fatal("the timed burst left no grid snapshot (vacuous)")
+	}
+	before := store.Stats()
+	b := open()
+	if ex := b.RunFast(L); ex != L {
+		t.Fatalf("RunFast ran %d, want %d", ex, L)
+	}
+	after := store.Stats()
+	if after.Skips != before.Skips+1 || after.Hits != before.Hits {
+		t.Errorf("the skip took %d records and %d snapshots, want 1 and 0", after.Skips-before.Skips, after.Hits-before.Hits)
+	}
+	if at := b.machine.Stats().Instructions; at != 0 {
+		t.Errorf("the skip moved the machine to %d", at)
+	}
+}
+
 // TestColdPrimingCountsNoMiss: priming a cold stride-1 store, as
 // check.CheckpointEquivalence does, finds no snapshot below the target
 // to restore, and asking the store for one must not count a lookup miss

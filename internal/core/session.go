@@ -45,7 +45,7 @@ type Options struct {
 	Ckpt *ckpt.Store
 	// CkptStride, when non-zero, adds a snapshot every CkptStride base
 	// intervals to the ones a session takes where it leaves fast mode
-	// (0: none). Records are left at every interval either way.
+	// (0: none). Records go beside every snapshot and after fast bursts.
 	CkptStride uint64
 	// Obs mirrors execution into a metrics registry (per-mode
 	// instruction/stat/wall-clock counters, checkpoint restore timings,
@@ -223,10 +223,11 @@ func (s *Session) ResetMeter() {
 // burst is the one body of the burst protocol every mode-switch
 // operation goes through: refuse once the context is cancelled, clamp
 // to the remaining budget, update the canonical-trajectory flag, observe
-// the mode transition, skip a charged fast interval whose end is stored,
-// otherwise settle, deposit where the session leaves fast mode, run the
-// machine under observation, charge the host cost, and deposit at a
-// canonical boundary.
+// the mode transition, skip a charged fast interval whose end is
+// recorded, otherwise settle, deposit where the session leaves fast
+// mode, run the machine under observation, charge the host cost, and
+// deposit at a canonical boundary (a record after a fast burst, a
+// record and a snapshot on the stride grid).
 func (s *Session) burst(mode hostcost.Mode, n uint64, sink vm.Sink) uint64 {
 	if s.stopped() {
 		return 0
@@ -239,11 +240,13 @@ func (s *Session) burst(mode hostcost.Mode, n uint64, sink vm.Sink) uint64 {
 	}
 	s.settle()
 	if mode != hostcost.Fast && s.lastMode == hostcost.Fast {
-		s.deposit(false, true) // where it leaves fast mode, see ckpt.go
+		s.deposit(true) // where it leaves fast mode, see ckpt.go
 	}
 	ex := s.runObserved(mode, n, sink)
 	s.charge(mode, ex)
-	s.maybeDeposit(mode)
+	if grid := s.onGrid(); grid || mode == hostcost.Fast {
+		s.deposit(grid)
+	}
 	return ex
 }
 

@@ -215,9 +215,6 @@ func (m *Machine) liveBlocks(vpn uint64) []savedBlock {
 // point; the checkpoint store keys on it.
 func (s *Snapshot) Instructions() uint64 { return s.stats.Instructions }
 
-// Stats returns the machine statistics at the snapshot point.
-func (s *Snapshot) Stats() Stats { return s.stats }
-
 // Parts reports the snapshot's separately allocated pieces by identity
 // and size: its own state (struct, phase log, console tail, dirty disk
 // sectors); the TLB line table and, if visit returned true for it, its
