@@ -20,6 +20,7 @@ import (
 	"repro/internal/smp"
 	"repro/internal/timing"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 const (
@@ -71,15 +72,7 @@ func buildProgram() *asm.Image {
 
 	c := asm.NewBuilder(codeBase)
 	c.Jmp("main")
-	// copy(r20 -> r21, r22 words), link r23
-	c.Label("copy")
-	c.Ld(24, 20, 0)
-	c.St(24, 21, 0)
-	c.I(isa.OpAddi, 20, 20, 8)
-	c.I(isa.OpAddi, 21, 21, 8)
-	c.I(isa.OpAddi, 22, 22, -1)
-	c.Br(isa.OpBne, 22, 0, "copy")
-	c.Jalr(0, 23, 0)
+	workload.EmitCopyRoutine(c, "copy") // copy(r20 -> r21, r22 words), link r23
 
 	c.Label("main")
 	c.Movi(15, arrayBase)

@@ -32,10 +32,9 @@ type machineState struct {
 }
 
 // capture snapshots the comparable state of m. When hostStats is false
-// the partition-sensitive host bookkeeping counters (translation cache,
-// software TLB) are normalised out of the statistics: the VM documents
-// that those may legitimately differ across Run partitionings and
-// snapshot restores, while everything else must not.
+// the host bookkeeping counters (translation cache, software TLB) are
+// normalised out of the statistics, for the checks that compare only
+// what the guest can observe.
 func capture(m *vm.Machine, hostStats bool) machineState {
 	st := machineState{
 		PC:            m.PC(),
@@ -65,10 +64,9 @@ func capture(m *vm.Machine, hostStats bool) machineState {
 	return st
 }
 
-// archStats strips the host-side bookkeeping counters whose values
-// depend on how a run was partitioned into Run calls or on snapshot
-// restores: translation-cache activity and software-TLB refills (and
-// the TLB-refill component of the aggregate exception count).
+// archStats strips the host-side bookkeeping counters the guest cannot
+// observe: translation-cache activity and software-TLB refills (and the
+// TLB-refill component of the aggregate exception count).
 func archStats(s vm.Stats) vm.Stats {
 	s.Exceptions = s.PageFaults + s.Syscalls
 	s.TLBRefills = 0

@@ -9,8 +9,8 @@
 // it.
 //
 // Beside the snapshots, the store keeps trajectory records: the three
-// monitored VM statistics at every canonical interval boundary a
-// session's fast burst ended on (Record). They are memory-only: never written to Dir,
+// monitored VM statistics at every interval boundary a session's fast
+// burst ended on (Record). They are memory-only: never written to Dir,
 // never mirrored to Remote, never charged against MaxBytes.
 //
 // Correctness stance: the store is a pure cache. A hit must be

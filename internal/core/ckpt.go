@@ -5,34 +5,23 @@ package core
 // without perturbing either the simulation results or the modelled
 // paper cost.
 //
-// The ground rule is that VM statistics are *partition-sensitive*: the
-// architectural state at instruction N is independent of how the run
-// was divided into Run calls, but the translation-cache counters are
-// not (stopping mid-block costs a retranslation on resume). Dynamic
-// Sampling monitors those counters, so a warm start is only
-// indistinguishable from cold execution when the stored state lies on
-// the exact trajectory the session would itself have produced.
+// The ground rule is that the machine's state at instruction N,
+// statistics included, does not depend on how the run was divided into
+// Run calls (a Run that stops inside a block leaves it for the next to
+// continue). Dynamic Sampling monitors those statistics, so every
+// session of one workload shares bit-identical machine state at every
+// instruction count, and what one deposits there serves all.
 //
-// A session therefore tracks whether it is on the *canonical*
-// trajectory: every Run call so far started at a multiple of the base
-// interval L and was exactly L long (the partitioning FullTiming,
-// Dynamic at 1M, and the SimPoint measurement pass naturally use). All
-// canonical sessions of one workload share bit-identical machine state
-// at every interval boundary, so what one deposits there serves all.
-// The first non-aligned Run call makes the session non-canonical and it
-// silently stops participating until a restore puts it back — SMARTS
-// and coarse-interval Dynamic run exactly as they would without a store.
-//
-// A canonical session leaves a trajectory record (the three monitored
+// A session leaves a trajectory record (the three monitored
 // statistics, 24 bytes) at every interval boundary a fast burst ends
 // on, and a snapshot with a record beside it where it leaves fast mode
-// for a canonical burst, which is where a later policy wants the
-// machine; CkptStride adds a grid of both. Between fast intervals a
-// policy reads only the statistics, so a fast interval whose end has a
-// record is skipped: the session moves, the machine stays. A dispatch
-// (FastForwardVia) moves the session the same way. The machine catches
-// up only when something reads it (settle), from the highest snapshot
-// below the session.
+// for a burst of one base interval that starts on a boundary, which is
+// where a later policy wants the machine; CkptStride adds a grid of
+// both. Between fast intervals a policy reads only the statistics, so
+// a fast interval whose end has a record is skipped: the session moves,
+// the machine stays. A dispatch (FastForwardVia) moves the session the
+// same way. The machine catches up only when something reads it
+// (settle), from the highest snapshot below the session.
 //
 // Host-cost accounting stays checkpoint-blind: a skip charges the same
 // hostcost.Fast units the skipped execution would have, and a dispatch
@@ -75,24 +64,12 @@ func (s *Session) ckptKey(instr uint64) ckpt.Key {
 	}
 }
 
-// noteRun updates the canonical-trajectory flag for a Run call of n
-// instructions starting at the current position. Zero-length calls
-// (exhausted budget) are ignored.
-func (s *Session) noteRun(n uint64) {
-	if n == 0 || !s.canonical {
-		return
-	}
-	if s.executed%s.interval != 0 || n != s.interval {
-		s.canonical = false
-	}
-}
-
-// deposit leaves a trajectory record at a canonical interval boundary
-// and, with snap, a snapshot beside it. Contains is checked first so
-// only the first session to reach a boundary pays for the capture;
-// later sessions (whose state is bit-identical there) skip.
+// deposit leaves a trajectory record at an interval boundary and, with
+// snap, a snapshot beside it. Contains is checked first so only the
+// first session to reach a boundary pays for the capture; later
+// sessions (whose state is bit-identical there) skip.
 func (s *Session) deposit(snap bool) {
-	if s.ckpt == nil || !s.canonical || s.executed == 0 || s.executed%s.interval != 0 || s.halted() {
+	if s.ckpt == nil || s.executed == 0 || s.executed%s.interval != 0 || s.halted() {
 		return
 	}
 	k := s.ckptKey(s.executed)
@@ -105,15 +82,14 @@ func (s *Session) deposit(snap bool) {
 // onGrid reports whether the session stands on the CkptStride grid.
 func (s *Session) onGrid() bool { return s.ckptEvery != 0 && s.executed%s.ckptEvery == 0 }
 
-// fastHit skips one fast-mode base interval when the store holds the
-// trajectory record at its end. It only fires when the record is
-// provably what execution would produce (canonical trajectory, aligned
-// interval) and charges exactly what the skipped execution would have,
-// so results and modelled cost are unchanged — only host wall-clock
-// shrinks. The session moves ahead of its machine; Stat and Done
-// answer from the record until settle catches the machine up.
+// fastHit skips one aligned fast-mode base interval when the store
+// holds the trajectory record at its end, which is what execution
+// would produce there. It charges exactly what the skipped execution
+// would have, so results and modelled cost are unchanged — only host
+// wall-clock shrinks. The session moves ahead of its machine; Stat and
+// Done answer from the record until settle catches the machine up.
 func (s *Session) fastHit(n uint64) bool {
-	if s.ckpt == nil || !s.canonical || n != s.interval || s.executed%s.interval != 0 {
+	if s.ckpt == nil || n != s.interval || s.executed%s.interval != 0 {
 		return false
 	}
 	rec, ok := s.ckpt.LookupRecord(s.ckptKey(s.executed+n), s.interval)
@@ -140,9 +116,7 @@ func (s *Session) settle() {
 	s.ahead = false
 	target, from := s.executed, s.restoreBelow(s.executed)
 	for s.executed = from; s.executed < target && !s.stopped(); {
-		n := min(s.interval, target-s.executed)
-		s.noteRun(n)
-		ex := s.machine.Run(n, nil)
+		ex := s.machine.Run(min(s.interval, target-s.executed), nil)
 		if ex == 0 {
 			break
 		}
@@ -153,12 +127,10 @@ func (s *Session) settle() {
 }
 
 // restoreBelow restores the highest snapshot at or below target that
-// is ahead of the machine and returns the machine's position. A restore
-// puts the session back on the canonical trajectory, where every
-// snapshot was taken. Finding none (or having no store) counts nothing
-// in the store. A snapshot that decoded cleanly but fails to restore is
-// discarded from every tier, the machine stays where it was, and the
-// store is asked again.
+// is ahead of the machine and returns the machine's position. Finding
+// none (or having no store) counts nothing in the store. A snapshot
+// that decoded cleanly but fails to restore is discarded from every
+// tier, the machine stays where it was, and the store is asked again.
 func (s *Session) restoreBelow(target uint64) uint64 {
 	at := s.machine.Stats().Instructions
 	for s.ckpt != nil {
@@ -172,7 +144,6 @@ func (s *Session) restoreBelow(target uint64) uint64 {
 			continue
 		}
 		s.ob.restored(start)
-		s.canonical = true
 		return k
 	}
 	return at

@@ -37,8 +37,8 @@ type Options struct {
 	// VM overrides the VM configuration.
 	VM vm.Config
 	// Ckpt attaches a checkpoint store, shared across sessions: the
-	// session deposits trajectory records and snapshots at canonical
-	// interval boundaries and transparently skips fast-mode intervals
+	// session deposits trajectory records and snapshots at interval
+	// boundaries and transparently skips fast-mode intervals
 	// whose end is stored. Results and modelled paper cost are unchanged
 	// (see ckpt.go); only host wall-clock shrinks. Nil disables
 	// checkpointing.
@@ -95,7 +95,6 @@ type Session struct {
 	ckpt      *ckpt.Store
 	ckptEvery uint64      // snapshot grid in instructions, 0 for none
 	wlHash    uint64      // workload-identity hash for checkpoint keys
-	canonical bool        // still on the canonical interval partitioning
 	ahead     bool        // skips moved the session past its machine
 	rec       ckpt.Record // the monitored statistics at executed, when ahead
 }
@@ -148,7 +147,6 @@ func (s *Session) Reset() {
 	s.core = timing.NewCore(timing.DefaultConfig())
 	s.executed = 0
 	s.lastMode = hostcost.Fast
-	s.canonical = true
 	s.ahead = false
 }
 
@@ -222,24 +220,23 @@ func (s *Session) ResetMeter() {
 
 // burst is the one body of the burst protocol every mode-switch
 // operation goes through: refuse once the context is cancelled, clamp
-// to the remaining budget, update the canonical-trajectory flag, observe
-// the mode transition, skip a charged fast interval whose end is
-// recorded, otherwise settle, deposit where the session leaves fast
-// mode, run the machine under observation, charge the host cost, and
-// deposit at a canonical boundary (a record after a fast burst, a
-// record and a snapshot on the stride grid).
+// to the remaining budget, observe the mode transition, skip a charged
+// fast interval whose end is recorded, otherwise settle, deposit where
+// the session leaves fast mode for one base interval, run the machine
+// under observation, charge the host cost, and deposit at an interval
+// boundary (a record after a fast burst, a record and a snapshot on the
+// stride grid).
 func (s *Session) burst(mode hostcost.Mode, n uint64, sink vm.Sink) uint64 {
 	if s.stopped() {
 		return 0
 	}
 	n = s.clamp(n)
-	s.noteRun(n)
 	s.ob.transition(s, mode)
 	if mode == hostcost.Fast && s.fastHit(n) {
 		return n
 	}
 	s.settle()
-	if mode != hostcost.Fast && s.lastMode == hostcost.Fast {
+	if mode != hostcost.Fast && s.lastMode == hostcost.Fast && n == s.interval {
 		s.deposit(true) // where it leaves fast mode, see ckpt.go
 	}
 	ex := s.runObserved(mode, n, sink)
@@ -251,8 +248,8 @@ func (s *Session) burst(mode hostcost.Mode, n uint64, sink vm.Sink) uint64 {
 }
 
 // RunFast executes up to n instructions at full VM speed. With a
-// checkpoint store attached, a canonical aligned interval whose end is
-// already stored is skipped instead of executed (bit-identical
+// checkpoint store attached, an aligned interval whose end is already
+// recorded is skipped instead of executed (bit-identical
 // statistics, identical charge; the machine catches up when read).
 func (s *Session) RunFast(n uint64) uint64 {
 	return s.burst(hostcost.Fast, n, nil)

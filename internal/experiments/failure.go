@@ -29,7 +29,7 @@ const (
 // injected schedule, a transient bug) may be gone.
 type CellFailure struct {
 	Bench string
-	// Policy is the execution key (policyKey), so one SimPoint pipeline
+	// Policy is the execution key (PolicyKeyOf), so one SimPoint pipeline
 	// failure covers both its accounting variants.
 	Policy string
 	// Kind is FailPanic, FailTimeout, or FailError.
@@ -79,20 +79,11 @@ func (r *Runner) Failures() []*CellFailure {
 // execution keys, so both SimPoint variants report the one pipeline
 // failure.
 func (r *Runner) FailureFor(bench, policyName string) (*CellFailure, bool) {
-	key := bench + "\x00" + executionKeyForName(policyName)
+	key := bench + "\x00" + keyOf(policyName)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.failures[key]
 	return f, ok
-}
-
-// executionKeyForName maps a policy display name to its execution key
-// (the inverse of policyKey for rendered names).
-func executionKeyForName(name string) string {
-	if name == "SimPoint" || name == "SimPoint+prof" {
-		return "SimPoint*"
-	}
-	return name
 }
 
 func sortedKeys(m map[string]*CellFailure) []string {

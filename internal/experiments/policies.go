@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"repro/internal/sampling"
 	"repro/internal/simpoint"
 	"repro/internal/vm"
@@ -48,19 +50,33 @@ func ArtifactPolicies(scale int) []sampling.Policy {
 	return append(fig89Policies(scale), StatPolicies()...)
 }
 
-// PolicyKeyOf exposes the runner's execution-key mapping: the identity
-// a measurement is memoised, journaled, and (in the distributed sweep)
-// leased under. Both SimPoint accounting variants map to "SimPoint*",
-// one pipeline execution.
-func PolicyKeyOf(p sampling.Policy) string { return policyKey(p) }
+// sharedKeys lists the execution keys that more than one policy name
+// maps to, with those names in journal order: both SimPoint accounting
+// variants come from one pipeline execution, which journals its
+// analysis before them. Every other name is its own key.
+var sharedKeys = map[string][]string{"SimPoint*": {"SimPoint", "SimPoint+prof"}}
+
+// keyOf maps a policy name to its execution key.
+func keyOf(name string) string {
+	for key, names := range sharedKeys {
+		if slices.Contains(names, name) {
+			return key
+		}
+	}
+	return name
+}
+
+// PolicyKeyOf is the identity a policy's measurement is memoised,
+// journaled, and (in the distributed sweep) leased under.
+func PolicyKeyOf(p sampling.Policy) string { return keyOf(p.Name()) }
 
 // KeyRecordNames returns the result-record policy names one execution
 // key's measurement journals, plus whether a SimPoint analysis record
 // accompanies them. The sweep coordinator uses this to decide when a
 // cell's record set is complete.
 func KeyRecordNames(key string) (results []string, analysis bool) {
-	if key == "SimPoint*" {
-		return []string{"SimPoint", "SimPoint+prof"}, true
+	if names, ok := sharedKeys[key]; ok {
+		return names, true
 	}
 	return []string{key}, false
 }

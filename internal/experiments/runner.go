@@ -134,8 +134,8 @@ type Runner struct {
 	mu         sync.Mutex
 	results    map[string]map[string]sampling.Result // bench -> policy -> result
 	analyses   map[string]simpoint.Analysis
-	inflight   map[string]*sync.WaitGroup // bench+"\x00"+policyKey
-	failures   map[string]*CellFailure    // bench+"\x00"+policyKey
+	inflight   map[string]*sync.WaitGroup // bench+"\x00"+PolicyKeyOf
+	failures   map[string]*CellFailure    // bench+"\x00"+PolicyKeyOf
 	executions int
 	jr         *jsonl.Log
 	sem        chan struct{}
@@ -351,22 +351,13 @@ func (r *Runner) CellRecords(bench, key string) []JournalRecord {
 	return out
 }
 
-// policyKey identifies the execution a policy maps to: both SimPoint
-// accounting variants come from one pipeline execution.
-func policyKey(p sampling.Policy) string {
-	if _, ok := p.(simpoint.Policy); ok {
-		return "SimPoint*"
-	}
-	return p.Name()
-}
-
 // Run executes (or returns the memoised) measurement of a policy on a
 // benchmark. Concurrent callers of the same pair share one execution.
 // A cell that exhausted its retry ladder returns (and keeps returning)
 // its *CellFailure; a cancelled Options.Context returns the
 // cancellation error without recording a failure.
 func (r *Runner) Run(bench string, p sampling.Policy) (sampling.Result, error) {
-	key := bench + "\x00" + policyKey(p)
+	key := bench + "\x00" + PolicyKeyOf(p)
 	for {
 		if res, ok := r.lookup(bench, p.Name()); ok {
 			r.ob.memoHits.Inc()
@@ -447,7 +438,7 @@ func (r *Runner) executeGuarded(bench string, p sampling.Policy, key string) (sa
 	r.ob.failed.Inc()
 	fail := &CellFailure{
 		Bench:    bench,
-		Policy:   policyKey(p),
+		Policy:   PolicyKeyOf(p),
 		Kind:     classifyAttempt(lastErr),
 		Attempts: attempts,
 		Msg:      lastErr.Error(),
@@ -466,10 +457,10 @@ func (r *Runner) executeGuarded(bench string, p sampling.Policy, key string) (sa
 func (r *Runner) attempt(ctx context.Context, bench string, p sampling.Policy, attempt int) (res sampling.Result, err error) {
 	var injected faults.Kind
 	if r.opts.Faults != nil {
-		injected = r.opts.Faults.RunFault(bench, policyKey(p), attempt)
+		injected = r.opts.Faults.RunFault(bench, PolicyKeyOf(p), attempt)
 		if injected == faults.RunError {
 			return sampling.Result{}, fmt.Errorf("%w: run-error %s/%s attempt %d",
-				faults.ErrInjected, bench, policyKey(p), attempt)
+				faults.ErrInjected, bench, PolicyKeyOf(p), attempt)
 		}
 	}
 	if r.opts.Timeout > 0 {
@@ -487,7 +478,7 @@ func (r *Runner) attempt(ctx context.Context, bench string, p sampling.Policy, a
 	}()
 	switch injected {
 	case faults.RunPanic:
-		panic(fmt.Sprintf("injected fault: run-panic %s/%s attempt %d", bench, policyKey(p), attempt))
+		panic(fmt.Sprintf("injected fault: run-panic %s/%s attempt %d", bench, PolicyKeyOf(p), attempt))
 	case faults.RunHang:
 		// Model a wedged measurement: hold the attempt until its
 		// deadline trips.

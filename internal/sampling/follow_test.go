@@ -327,16 +327,18 @@ func TestTransitionsIgnoreTheStore(t *testing.T) {
 
 // TestTwoPhaseWalkSkipsRecordedIntervals runs Stratified and then
 // RankedSet on gzip, in sequence on one store and then with none. The
-// two designs' first phase is the same canonical fast walk, and it
-// reads only the monitored statistics, so RankedSet's walk must be a
+// two designs' first phase is the same fast walk in base intervals, and
+// it reads only the monitored statistics, so RankedSet's walk must be a
 // chain of skips over the records Stratified left: Skips rises by its
 // frame length, and the machine catches up only for the partial tail
 // interval the walk still executes, where gzip halts (the Reset before
-// the measurement pass drops any lead). Stratified never leaves fast
-// mode on the canonical trajectory (its walk is all fast, and each
-// measurement pass starts with a multi-interval lead-in), so the store
-// holds no snapshot and that catch-up walks from the start without a
-// lookup. Both Results must equal the store-off runs' bit for bit.
+// the measurement pass drops any lead). The measurement pass adds the
+// one-interval fast lead-ins that end on a recorded boundary: as many as
+// RankedSet skips alone on a store of its own, whose walk recorded every
+// boundary. Stratified leaves fast mode only for two intervals of
+// detailed warming, never for one base interval, so the store holds no
+// snapshot and every catch-up walks from the start without a lookup.
+// Both Results must equal the store-off runs' bit for bit.
 func TestTwoPhaseWalkSkipsRecordedIntervals(t *testing.T) {
 	t.Parallel()
 	spec, err := workload.ByName("gzip")
@@ -363,8 +365,10 @@ func TestTwoPhaseWalkSkipsRecordedIntervals(t *testing.T) {
 	if tail == 0 {
 		t.Fatalf("the walk ends on an interval boundary (%d instructions): the tail case is not exercised", skipped.Instructions)
 	}
-	if got := after.Skips - before.Skips; got != frame {
-		t.Errorf("RankedSet skipped %d intervals, want its frame length %d", got, frame)
+	alone := ckpt.NewMemory()
+	run(policies[1], alone)
+	if got, leads := after.Skips-before.Skips, alone.Stats().Skips; got != frame+leads {
+		t.Errorf("RankedSet skipped %d intervals, want its frame length %d and the %d lead-ins it skips alone", got, frame, leads)
 	}
 	if before.Puts != 0 {
 		t.Errorf("Stratified deposited %d snapshots, want 0", before.Puts)

@@ -314,8 +314,8 @@ func (c *Coordinator) expireLocked(now time.Time) {
 
 // Claim leases one pending (unleased, incomplete) cell to a worker:
 // locality first, matrix order within. All cells of a benchmark walk one
-// canonical trajectory (core/ckpt.go deposits only from a canonical
-// session), so a benchmark kept with one worker has its checkpoints
+// trajectory (the machine's state is a function of the instruction
+// count alone), so a benchmark kept with one worker has its checkpoints
 // produced, deposited and uploaded once, and that worker's later cells
 // hit its own memory tier; two workers on one benchmark each walk it
 // cold and each upload every key. The cell chosen is the first in matrix

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,16 +42,27 @@ func fixtureProgram(b *asm.Builder) {
 }
 
 // fixtureInstr is where fixtureProgram is snapshotted: inside its third
-// round, before it halts.
+// round, before it halts, and inside a block, so the snapshot names the
+// block the next Run continues.
 const fixtureInstr = 40
 
 // TestSnapshotFromParentCommitDecodes pins the serialized snapshot
 // format, digest footer included: testdata/parent.snap was written by
-// the code before the footer hash moved to hash/fnv. It must decode,
-// re-encode to identical bytes, and equal what this code writes for
-// the same machine state. The fuzz corpus cannot catch a changed
+// the first code to write format version 2 (the resume word). It must
+// decode, re-encode to identical bytes, and equal what this code writes
+// for the same machine state. The fuzz corpus cannot catch a changed
 // footer hash — that only turns its entries into ErrCorruptSnapshot.
+// testdata/v1.snap, the same state in version 1, which has no resume
+// word, must be refused as a version skew.
 func TestSnapshotFromParentCommitDecodes(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(v1)); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("reading a version 1 snapshot: %v, want ErrSnapshotVersion", err)
+	}
+
 	fixture, err := os.ReadFile(filepath.Join("testdata", "parent.snap"))
 	if err != nil {
 		t.Fatal(err)

@@ -30,6 +30,7 @@ import (
 //	disk     device.Block.EncodeTo
 //	memory   mem.Snapshot.EncodeTo
 //	blocks   u64 count, then ascending translation-cache block PCs
+//	resume   u64 start pc of the block the next Run continues (pc: none)
 //	footer   u64 FNV-1a (hash/fnv New64a) over every preceding byte
 //
 // The footer makes corruption — truncation, a flipped bit, a stale
@@ -43,7 +44,7 @@ import (
 
 const (
 	snapMagic   = 0x4b435344 // "DSCK"
-	snapVersion = 1
+	snapVersion = 2
 
 	// maxSavedBlocks bounds the block count a decoded snapshot may
 	// claim (far above any real translation-cache capacity).
@@ -191,7 +192,7 @@ func (s *Snapshot) encodePayload(w io.Writer) error {
 		}
 	}
 	pcs[0] = uint64(len(pcs) - 1)
-	return ww.Words(pcs...)
+	return ww.Words(append(pcs, s.resume)...)
 }
 
 // ReadSnapshot deserialises a snapshot written by WriteTo, verifying
@@ -282,6 +283,10 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		blocks[i] = savedBlock{pc: pc}
 	}
 	s.code = pagesOf(blocks)
+	if err := readU64s(fr, count[:]); err != nil {
+		return nil, fmt.Errorf("vm: snapshot resume: %w", err)
+	}
+	s.resume = count[0]
 	// The footer is read around the hasher: it authenticates the
 	// payload, not itself.
 	want := h.Sum64()

@@ -61,9 +61,14 @@ func deepSnapshot(t testing.TB, m *Machine) *Snapshot {
 	if err != nil {
 		t.Fatalf("deepSnapshot: memory image: %v", err)
 	}
+	resume := m.pc
+	if m.resume != nil {
+		resume = m.resume.pc
+	}
 	return &Snapshot{
 		regs:       m.regs,
 		pc:         m.pc,
+		resume:     resume,
 		halted:     m.halted,
 		exitCode:   m.exitCode,
 		stats:      m.stats,

@@ -104,7 +104,9 @@ func pagesOf(blocks []savedBlock) (table []codePage) {
 // makes a restore *stats-exact*: Dynamic Sampling monitors the
 // translation-cache counters, so a checkpoint-resumed run must
 // reproduce the exact counter trajectory of an uninterrupted run, which
-// the previous flush-and-retranslate restore could not. Chain links are
+// the previous flush-and-retranslate restore could not. For the same
+// reason it names the block a Run stopped inside (resume), which the
+// next Run continues instead of translating afresh. Chain links are
 // not captured — they are a host-side performance shortcut that never
 // affects statistics — and re-form lazily after a restore.
 //
@@ -120,6 +122,7 @@ func pagesOf(blocks []savedBlock) (table []codePage) {
 type Snapshot struct {
 	regs       [isa.NumRegs]uint64
 	pc         uint64
+	resume     uint64 // start pc of the block the next Run continues; pc when none
 	halted     bool
 	exitCode   uint64
 	stats      Stats
@@ -160,9 +163,14 @@ func (m *Machine) Snapshot() *Snapshot {
 		clear(sh.tlbDirty)
 		sh.tlbRefills = m.stats.TLBRefills
 	}
+	resume := m.pc
+	if m.resume != nil {
+		resume = m.resume.pc
+	}
 	return &Snapshot{
 		regs:       m.regs,
 		pc:         m.pc,
+		resume:     resume,
 		halted:     m.halted,
 		exitCode:   m.exitCode,
 		stats:      m.stats,
@@ -298,6 +306,9 @@ func (m *Machine) Restore(s *Snapshot) error {
 			}
 		}
 	}
+	if !continues(code, s.resume, s.pc) {
+		return fmt.Errorf("vm: snapshot continues a block at pc=%#x that does not reach pc=%#x", s.resume, s.pc)
+	}
 	if err := m.mem.Restore(s.mem); err != nil {
 		return err
 	}
@@ -322,8 +333,23 @@ func (m *Machine) Restore(s *Snapshot) error {
 		m.reconcileTC(code)
 	}
 	m.shared.code = code
+	// With resume == pc this is the block a lookup would find, or nil.
+	m.resume = m.tc[s.resume]
 	return nil
 }
+
+// continues reports whether code holds a block starting at start that
+// the next Run can continue at pc, or start is pc itself.
+func continues(code []codePage, start, pc uint64) bool {
+	if start == pc {
+		return true
+	}
+	blocks := pageList(code, start>>mem.PageShift)
+	i, ok := slices.BinarySearchFunc(blocks, start, bySavedPC)
+	return ok && start < pc && pc <= start+uint64(len(blocks[i].insts))*isa.InstBytes
+}
+
+func bySavedPC(b savedBlock, pc uint64) int { return cmp.Compare(b.pc, pc) }
 
 // restoreTLB makes the machine's TLB array the snapshot's, copying only
 // the lines that differ from the ones the machine agrees with. It
@@ -390,7 +416,7 @@ func (m *Machine) reconcilePage(vpn uint64, want []savedBlock) {
 		if b.dead || b.pc>>mem.PageShift != vpn {
 			continue // a straddling block belongs to the page before
 		}
-		i, ok := slices.BinarySearchFunc(want, b.pc, func(sb savedBlock, pc uint64) int { return cmp.Compare(sb.pc, pc) })
+		i, ok := slices.BinarySearchFunc(want, b.pc, bySavedPC)
 		if ok && len(b.insts) == len(want[i].insts) && &b.insts[0] == &want[i].insts[0] {
 			continue
 		}

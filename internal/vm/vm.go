@@ -86,12 +86,10 @@ func (c Config) Normalized() Config {
 // on every retirement — the dispatch kind (xc), the instruction class,
 // the absolute PC-relative control-transfer target, and whether the op
 // terminates the block. Each dinst is a pure function of its
-// instruction word and address, and every field is position-independent
-// (targets are absolute), so a decoded suffix equals a fresh decode
-// from any block that covers the same addresses. The op..rs2 fields are
-// laid out contiguously in exactly the order of the corresponding Event
-// fields, so the event-mode store of the five static bytes compiles to
-// wide moves instead of five byte copies.
+// instruction word and address. The op..rs2 fields are laid out
+// contiguously in exactly the order of the corresponding Event fields,
+// so the event-mode store of the five static bytes compiles to wide
+// moves instead of five byte copies.
 type dinst struct {
 	target    uint64 // absolute pc+imm for PC-relative branches/jumps
 	imm       int32
@@ -271,6 +269,10 @@ type Machine struct {
 	tlb     []uint64
 	tlbMask uint64
 
+	// resume is the block the last Run stopped inside, nil when it
+	// stopped between blocks: the next Run continues its window at pc.
+	resume *block
+
 	// shared is what the next Snapshot may reuse and the next Restore
 	// may skip (see sharedParts). Host-side only.
 	shared sharedParts
@@ -334,6 +336,7 @@ func (m *Machine) Load(img *asm.Image) {
 	}
 	m.pc = img.Entry
 	m.halted = false
+	m.resume = nil
 }
 
 // Stats returns a copy of the machine's cumulative internal statistics.
@@ -444,61 +447,6 @@ func (m *Machine) installBlock(b *block) {
 	}
 }
 
-// decodedSuffix looks for a live translation-cache block whose decoded
-// instructions already cover pc (the mid-block resume case: a Run
-// budget expired inside a block, and the next Run re-enters at an
-// address that is interior to a still-live translation). When the
-// cached suffix provably matches what a fresh decode at pc would
-// produce, it is returned and the re-decode is skipped.
-//
-// The match conditions mirror decodeInsts' stop rules exactly:
-//
-//   - the suffix must lie entirely inside pc's page (a fresh decode
-//     stops at the page end, which can differ from the host block's);
-//   - the suffix must either end in a block-terminating op or be at
-//     least maxLen long (in which case the fresh decode would stop at
-//     the same length cap); anything shorter without a terminator was
-//     capped by the *host* block's limits and a fresh decode would
-//     keep going.
-//
-// Decoded instructions are position-independent (absolute targets), so
-// sharing the suffix storage is safe; blocks treat insts as immutable.
-// A live block's decode can go stale only if guest memory under it is
-// rewritten without invalidation — stores invalidate via codePages, so
-// the only writer that bypasses it is syscall device DMA, which
-// already executes stale whole blocks in that (unsupported) case; the
-// memo does not widen the contract.
-func (m *Machine) decodedSuffix(pc uint64, maxLen int) []dinst {
-	pageEnd := (pc &^ (mem.PageBytes - 1)) + mem.PageBytes
-	for _, b := range m.pageBlk[pc>>mem.PageShift] {
-		if b.dead || pc < b.pc {
-			continue
-		}
-		off := pc - b.pc
-		if off%isa.InstBytes != 0 {
-			continue
-		}
-		i := int(off / isa.InstBytes)
-		if i >= len(b.insts) {
-			continue
-		}
-		suffix := b.insts[i:]
-		n := len(suffix)
-		if n > maxLen {
-			suffix = suffix[:maxLen]
-			n = maxLen
-		}
-		if pc+uint64(n)*isa.InstBytes > pageEnd {
-			continue
-		}
-		if !suffix[n-1].endsBlock && n < maxLen {
-			continue
-		}
-		return suffix
-	}
-	return nil
-}
-
 // translate decodes a basic block starting at pc and installs it in the
 // translation cache.
 func (m *Machine) translate(pc uint64) *block {
@@ -506,13 +454,9 @@ func (m *Machine) translate(pc uint64) *block {
 		m.flushTC()
 	}
 	m.tlbLookup(pc >> mem.PageShift) // instruction-side translation
-	insts := m.decodedSuffix(pc, m.cfg.MaxBlockLen)
-	if insts == nil {
-		var err error
-		insts, err = decodeInsts(m.mem.Peek, pc, m.cfg.MaxBlockLen)
-		if err != nil {
-			panic(err.Error())
-		}
+	insts, err := decodeInsts(m.mem.Peek, pc, m.cfg.MaxBlockLen)
+	if err != nil {
+		panic(err.Error())
 	}
 	b := &block{pc: pc, insts: insts}
 	m.installBlock(b)
@@ -611,11 +555,10 @@ func (m *Machine) TCBlocks() int { return m.tcCount }
 // else. Run returns the number of instructions actually executed; every
 // buffered event has been delivered by the time it returns.
 //
-// Architectural behaviour is identical in both modes, independent of
-// how a long run is partitioned into Run calls, and independent of the
-// event batch capacity; only translation-cache and instruction-TLB
-// bookkeeping may differ across partitionings (resuming mid-block
-// forces a fresh translation, as in a real DBT).
+// The machine's state, statistics included, is identical in both
+// modes, independent of how a long run is partitioned into Run calls,
+// and independent of the event batch capacity: a Run whose budget ends
+// inside a block keeps that block, and the next Run continues it.
 func (m *Machine) Run(n uint64, sink Sink) uint64 {
 	if m.halted {
 		return 0
@@ -658,7 +601,9 @@ func (m *Machine) Run(n uint64, sink Sink) uint64 {
 // The per-instruction budget check is hoisted: each block iteration
 // executes a window insts[:min(len, n-executed)], so the inner loop
 // carries no budget compare. Falling off a budget-capped window leaves
-// m.pc at the next unexecuted address, where the next Run resumes.
+// m.pc at the next unexecuted address and the block in m.resume, where
+// the next Run continues with no lookup, translation or
+// instruction-TLB probe, just as this one would have with more budget.
 func (m *Machine) run(n uint64, bs Sink) uint64 {
 	var (
 		executed uint64 // instructions retired this call
@@ -669,7 +614,9 @@ func (m *Machine) run(n uint64, bs Sink) uint64 {
 		sTaken   uint64 // TakenBr delta
 		bi       int
 		batch    []Event
-		blk      *block // current block; live whenever blockLoop runs it
+		blk      *block  // current block; live whenever blockLoop runs it
+		insts    []dinst // blk's instructions from the window's start
+		pc       uint64  // address of the instruction being retired
 	)
 	regs := m.regs
 	// The load/store probes read the TLB through these locals: only
@@ -690,12 +637,17 @@ func (m *Machine) run(n uint64, bs Sink) uint64 {
 
 dispatch:
 	for executed != n {
-		blk = m.lookup(m.pc)
+		if blk = m.resume; blk != nil {
+			insts = blk.insts[(m.pc-blk.pc)/isa.InstBytes:]
+			m.resume = nil
+		} else {
+			blk = m.lookup(m.pc)
+			insts = blk.insts
+		}
+		pc = m.pc
 
 	blockLoop:
 		for {
-			insts := blk.insts
-			pc := blk.pc
 			blkDead := false
 			win := insts
 			if room := n - executed; room < uint64(len(win)) {
@@ -954,12 +906,12 @@ dispatch:
 
 			if !exited {
 				// Fell off the window end: either the budget expired
-				// mid-block (return with m.pc at the next unexecuted
-				// instruction, so that a later Run resumes there), or a
-				// length/page-capped block fell through.
+				// (return with m.pc at the next unexecuted instruction
+				// and the block kept, so that the next Run continues
+				// it), or a length/page-capped block fell through.
 				if executed == n {
-					m.pc = pc
-					continue dispatch
+					m.pc, m.resume = pc, blk
+					break dispatch
 				}
 				nextPC = pc
 			}
@@ -969,7 +921,7 @@ dispatch:
 			// block's chain memo, else through a lookup.
 			if blk.chainPC == nextPC {
 				if nb := blk.chainBlk; nb != nil && !nb.dead {
-					blk = nb
+					blk, insts, pc = nb, nb.insts, nb.pc
 					continue blockLoop
 				}
 			}
@@ -983,7 +935,7 @@ dispatch:
 			nb := m.lookup(nextPC)
 			blk.chainPC = nextPC
 			blk.chainBlk = nb
-			blk = nb
+			blk, insts, pc = nb, nb.insts, nb.pc
 		}
 	}
 	// The one return path: the budget is spent or the guest halted.

@@ -227,15 +227,7 @@ func (g *generator) build() {
 	c := g.code
 	// Static copy routine: copies r22 words from r20 to r21, link r23.
 	c.Jmp("main")
-	c.Label("copyrt")
-	c.Label("copyloop")
-	c.Ld(24, 20, 0)
-	c.St(24, 21, 0)
-	c.I(isa.OpAddi, 20, 20, 8)
-	c.I(isa.OpAddi, 21, 21, 8)
-	c.I(isa.OpAddi, 22, 22, -1)
-	c.Br(isa.OpBne, 22, isa.RegZero, "copyloop")
-	c.Jalr(isa.RegZero, 23, 0)
+	EmitCopyRoutine(c, "copyrt")
 
 	c.Label("main")
 	c.Movi(28, int64(HotBase))

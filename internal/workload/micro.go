@@ -5,6 +5,20 @@ import (
 	"repro/internal/isa"
 )
 
+// EmitCopyRoutine emits the guest copy routine at label: called with
+// Jal(23, label), it copies r22 words from r20 to r21 and returns
+// through r23, clobbering r24.
+func EmitCopyRoutine(c *asm.Builder, label string) {
+	c.Label(label)
+	c.Ld(24, 20, 0)
+	c.St(24, 21, 0)
+	c.I(isa.OpAddi, 20, 20, 8)
+	c.I(isa.OpAddi, 21, 21, 8)
+	c.I(isa.OpAddi, 22, 22, -1)
+	c.Br(isa.OpBne, 22, isa.RegZero, label)
+	c.Jalr(isa.RegZero, 23, 0)
+}
+
 // BuildKernelImage wraps a single kernel fragment in a minimal
 // dispatcher that installs it at the hot page, sets its parameter
 // registers, and calls it in an endless loop. Tests, microbenchmarks and
@@ -21,14 +35,7 @@ func BuildKernelImage(frag *Fragment, wsWords uint64, epMaskBits, epIters int) *
 	}
 
 	c.Jmp("main")
-	c.Label("copyloop")
-	c.Ld(24, 20, 0)
-	c.St(24, 21, 0)
-	c.I(isa.OpAddi, 20, 20, 8)
-	c.I(isa.OpAddi, 21, 21, 8)
-	c.I(isa.OpAddi, 22, 22, -1)
-	c.Br(isa.OpBne, 22, isa.RegZero, "copyloop")
-	c.Jalr(isa.RegZero, 23, 0)
+	EmitCopyRoutine(c, "copyloop")
 
 	c.Label("main")
 	c.Movi(28, int64(HotBase))

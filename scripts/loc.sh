@@ -13,7 +13,7 @@ count() {
 	find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' "$@" -print0 |
 		xargs -0 cat | wc -l
 }
-ceiling=18642
+ceiling=18582
 nontest=$(count -not -name '*_test.go')
 printf 'non-test Go lines outside bench/: %d (ceiling %d)\n' "$nontest" "$ceiling"
 printf 'test Go lines outside bench/:     %d\n' "$(count -name '*_test.go')"
