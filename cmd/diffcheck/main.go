@@ -9,12 +9,18 @@
 // -legs selects the checks to run, in the order given (default
 // "programs,policies"):
 //
-//	programs   every program-level check below on each generated program
-//	lockstep   fast-mode vs event-mode lockstep differencing
-//	snapshot   snapshot/restore round trip
-//	serialize  serialized (WriteTo/ReadSnapshot) round trip
-//	replay     same-partitioning replay determinism
-//	chunks     chunk-partitioning agreement
+//	programs   the lanes of lockstep, snapshot, serialize, replay and
+//	           chunks in one pass per generated program (at -chunk 1
+//	           without the chunks lane)
+//	lockstep   a machine in event mode, its events reconciled with its
+//	           statistics
+//	snapshot   a machine swapped at sync steps 2^k−1 for a fresh one
+//	           restored from its snapshot, beside the replay lane
+//	serialize  the same with the snapshot through WriteTo/ReadSnapshot
+//	replay     a second fast machine that takes and drops a snapshot at
+//	           sync steps 2^k−1
+//	chunks     a machine that runs every instruction as its own Run
+//	           (needs a -chunk above 1)
 //	policies   sampling-policy determinism per benchmark
 //	ckpt       checkpoint cache equivalence: every policy with the store
 //	           off, cold, and warmed, bit-identical each time
@@ -36,14 +42,19 @@
 //	           confidence intervals: coverage, seed determinism, journal
 //	           round trip, error targeting (-stats-runs)
 //
-// Program legs run seeds seed..seed+n-1; policy legs run the -bench
-// list at -scale. Any divergence is reported with the first differing
-// field and a disassembled window around the divergence PC, and the
-// exit status is 1; re-running with the printed command line reproduces
-// it exactly. An unknown leg name exits 2.
+// Program legs run seeds seed..seed+n-1. Each is a set of lanes in one
+// lockstep loop, compared with a fast-mode reference machine in full
+// (pc, registers, memory, disk, console, phase log, every statistic)
+// every -chunk instructions. Policy legs run the -bench list at
+// -scale. Any divergence is reported with the first differing field
+// and a disassembled window around the divergence PC, and the exit
+// status is 1; re-running with the printed command line reproduces
+// it exactly. An unknown leg name exits 2, and so does the chunks leg
+// at -chunk 1, where its lane would run the reference's own partition.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -258,6 +269,9 @@ func main() {
 	for _, run := range selected {
 		if err := run(e); err != nil {
 			fmt.Fprintf(os.Stderr, "diffcheck: %v\n", err)
+			if errors.Is(err, check.ErrOneInstructionChunk) {
+				os.Exit(2)
+			}
 			os.Exit(1)
 		}
 	}

@@ -16,11 +16,24 @@ import (
 var BatchSizes = []int{1, 3, 64, 4096}
 
 // batchLane is a counting lane on a machine with the given event-batch
-// capacity.
+// capacity, whose invariant is that it flushed exactly
+// ⌈events/capacity⌉ batches in every chunk.
 func batchLane(label string, prog *Program, o Options, batch int) *lane {
 	cfg := o.VM
 	cfg.EventBatch = batch
-	return (&lane{label: label, m: load(prog, cfg)}).counting()
+	l := (&lane{check: "batch-invariance", label: label, m: load(prog, cfg)}).counting()
+	// Delivered events and flushes at the last sync point.
+	var events, flushes uint64
+	l.invariant = func() (field, a, b string, ok bool) {
+		ran, made := l.count.Total-events, l.m.BatchFlushes()-flushes
+		events, flushes = l.count.Total, l.m.BatchFlushes()
+		c := uint64(batch)
+		if want := (ran + c - 1) / c; made != want {
+			return "batch flushes in chunk vs ⌈events/capacity⌉ (" + label + ")", fmt.Sprint(made), fmt.Sprint(want), false
+		}
+		return "", "", "", true
+	}
+	return l
 }
 
 // perEventLane is the reference lane of BatchInvariance. It shares
@@ -49,23 +62,11 @@ func perEventLane(prog *Program, o Options) *lane {
 // and Run's return: each lane must make ⌈events/capacity⌉ per chunk.
 func BatchInvariance(prog *Program, o Options) (*Divergence, error) {
 	o.setDefaults()
-	lanes, caps := []*lane{perEventLane(prog, o)}, append([]int{1}, BatchSizes...)
+	lanes := []*lane{perEventLane(prog, o)}
 	for _, bs := range BatchSizes {
 		lanes = append(lanes, batchLane(fmt.Sprintf("batch=%d", bs), prog, o, bs))
 	}
-	// Each lane's delivered events and flushes at the last sync point.
-	events, flushes := make([]uint64, len(lanes)), make([]uint64, len(lanes))
-	div, _, err := lockstep("batch-invariance", prog, o, lanes, func() (field, a, b string, ok bool) {
-		for i, l := range lanes {
-			ran, made := l.count.Total-events[i], l.m.BatchFlushes()-flushes[i]
-			events[i], flushes[i] = l.count.Total, l.m.BatchFlushes()
-			c := uint64(caps[i])
-			if want := (ran + c - 1) / c; made != want {
-				return "batch flushes in chunk vs ⌈events/capacity⌉ (" + l.label + ")", fmt.Sprint(made), fmt.Sprint(want), false
-			}
-		}
-		return "", "", "", true
-	})
+	div, _, err := lockstep(prog, o, lanes)
 	return div, err
 }
 

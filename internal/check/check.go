@@ -9,28 +9,28 @@
 //
 //   - Generate builds seeded random guest programs exercising branches,
 //     paging, self-modifying code, syscalls, and device I/O;
-//   - Lockstep runs one image through two machines — fast mode (nil
-//     Sink) vs event-generating mode — in bounded chunks and compares
-//     PC, registers, memory digest, devices, and vm.Stats at every sync
-//     point, also validating the event stream against the internal
-//     statistics;
-//   - SnapshotRoundTrip snapshots mid-run, restores into a fresh
-//     machine, resumes, and requires the final architectural state to
-//     be identical to an uninterrupted run (and the snapshot itself to
-//     be non-perturbing);
-//   - ReplayDeterminism and ChunkAgreement require runs to be
-//     reproducible and independent of how execution is partitioned
-//     into Run calls;
+//   - every program-level check is a set of lanes in one chunked
+//     lockstep loop against a reference machine in fast mode (nil Sink),
+//     each lane compared with it in full — PC, registers, memory page by
+//     page, disk, console, phase log and every vm.Stats field — at every
+//     sync point. Lockstep's lane runs in event mode and also validates
+//     the event stream against the statistics; ReplayDeterminism's is a
+//     second fast machine that takes and drops a snapshot at sync steps
+//     2^k−1; SnapshotRoundTrip's and SerializedRoundTrip's swap their
+//     machine at those steps for a fresh one restored from a snapshot of
+//     it (through the wire format for the latter), beside that replay
+//     lane; ChunkAgreement's runs each chunk as one-instruction Runs.
+//     CheckProgram runs all of them in one pass;
 //   - PolicyDeterminism replays full sampling sessions and requires
 //     every policy (FullTiming, SMARTS, SimPoint, Dynamic) to produce
 //     bit-identical Results.
 //
 // Every check has one shape — run a reference, run its variants,
 // require equality, require that the run was not vacuous — and the
-// package holds that shape once per granularity: lockstep and roundTrip
-// for generated programs, comparePolicies for sampling results,
-// compareArtifacts for rendered bundles, distSweep.Run for distributed
-// sweeps. DESIGN.md §7 tabulates the legs.
+// package holds that shape once per granularity: lockstep for generated
+// programs, comparePolicies for sampling results, compareArtifacts for
+// rendered bundles, distSweep.Run for distributed sweeps. DESIGN.md §7
+// tabulates the legs.
 //
 // A reported Divergence carries the first differing field and a
 // disassembled window around the PC where the runs disagreed, so a
@@ -44,7 +44,8 @@ import (
 	"repro/internal/vm"
 )
 
-// Options configures the differential checks.
+// Options configures the differential checks. Its zero value is the
+// standard configuration (DefaultOptions).
 type Options struct {
 	// Chunk is the sync-point granularity in instructions (default 509;
 	// deliberately prime and smaller than most loops so chunk
@@ -57,28 +58,20 @@ type Options struct {
 	// small span/TLB/TC configuration sized to the generated programs
 	// so TLB conflicts and translation-cache flushes actually occur.
 	VM vm.Config
-	// CompareHostStats includes host-side bookkeeping statistics
-	// (translation-cache and TLB counters) in lockstep and replay
-	// comparisons. It defaults to true via DefaultOptions; fault-
-	// injection tests disable it to demonstrate purely architectural
-	// divergences.
-	CompareHostStats bool
-	// Hook, when non-nil, runs after every sync point of Lockstep,
-	// ReplayDeterminism and BatchInvariance with the reference machine
-	// and the first machine compared against it. Tests use it to inject
-	// faults into one machine and prove the differ reports them.
-	Hook func(step int, fast, event *vm.Machine)
+	// Hook, when non-nil, runs after every sync point of every program
+	// leg with the reference machine and the first machine compared
+	// against it (in CheckProgram, Lockstep's event-mode machine). Tests
+	// use it to inject faults into one machine and prove the differ
+	// reports them.
+	Hook func(step int, ref, other *vm.Machine)
 }
 
 // DefaultOptions returns the standard configuration for checking
-// generated programs.
+// generated programs: the zero Options with its defaults filled in.
 func DefaultOptions() Options {
-	return Options{
-		Chunk:            509,
-		MaxInstr:         2 << 20,
-		VM:               GenVMConfig(),
-		CompareHostStats: true,
-	}
+	var o Options
+	o.setDefaults()
+	return o
 }
 
 func (o *Options) setDefaults() {
@@ -113,16 +106,6 @@ func (d *Divergence) Error() string {
 		d.Check, d.Seed, d.Step, d.Instr, d.Field, d.A, d.B, d.Window)
 }
 
-// diverged builds the Divergence every program-level check reports: the
-// window is disassembled around m's PC.
-func diverged(check string, seed uint64, m *vm.Machine, step int, instr uint64, field, a, b string) *Divergence {
-	return &Divergence{
-		Check: check, Seed: seed, Step: step, Instr: instr,
-		Field: field, A: a, B: b,
-		Window: DisasmWindow(m, m.PC(), 6, 6),
-	}
-}
-
 // ProgramReport summarises a clean CheckProgram pass.
 type ProgramReport struct {
 	Seed   uint64
@@ -130,33 +113,20 @@ type ProgramReport struct {
 	Checks []string
 }
 
-// programChecks is what CheckProgram runs once Lockstep has passed, by
-// the name ProgramReport.Checks lists.
-var programChecks = []struct {
-	name  string
-	check func(*Program, Options) (*Divergence, error)
-}{
-	{"snapshot-roundtrip", SnapshotRoundTrip},
-	{"serialized-roundtrip", SerializedRoundTrip},
-	{"replay-determinism", ReplayDeterminism},
-	{"chunk-agreement", ChunkAgreement},
-}
-
 // CheckProgram generates the program for seed and runs every
-// program-level differential check against it. It returns a nil
-// Divergence and nil error when all checks pass.
+// program-level differential check against it, in one lockstep pass
+// whose lanes are every program leg's but BatchInvariance's; at a Chunk
+// of 1 it leaves out ChunkAgreement's, which would compare nothing
+// there. It returns a nil Divergence and nil error when all checks pass.
 func CheckProgram(seed uint64, o Options) (*ProgramReport, *Divergence, error) {
 	prog := Generate(seed)
-	div, instr, err := Lockstep(prog, o)
+	mk := []func(*Program, Options) *lane{eventLane, restoreLane, wireLane, replayLane}
+	if o.Chunk != 1 {
+		mk = append(mk, chunksLane)
+	}
+	checks, div, instr, err := leg(prog, o, mk...)
 	if div != nil || err != nil {
 		return nil, div, err
 	}
-	rep := &ProgramReport{Seed: seed, Instr: instr, Checks: []string{"lockstep"}}
-	for _, c := range programChecks {
-		if div, err := c.check(prog, o); div != nil || err != nil {
-			return nil, div, err
-		}
-		rep.Checks = append(rep.Checks, c.name)
-	}
-	return rep, nil, nil
+	return &ProgramReport{Seed: seed, Instr: instr, Checks: checks}, nil, nil
 }

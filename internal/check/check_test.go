@@ -3,6 +3,7 @@ package check
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hostcost"
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/sampling"
 	"repro/internal/stats"
 	"repro/internal/vm"
@@ -118,8 +120,8 @@ func TestGeneratedProgramsExerciseSubsystems(t *testing.T) {
 	}
 }
 
-// lockstepLegs are the three checks that are one chunked lockstep loop,
-// by the Check name each reports under.
+// lockstepLegs are the program-level checks, each a set of lanes in the
+// one chunked lockstep loop, by the Check name each reports under.
 var lockstepLegs = []struct {
 	name string
 	run  func(*Program, Options) (*Divergence, error)
@@ -132,7 +134,10 @@ var lockstepLegs = []struct {
 		div, _, err := Lockstep(p, o)
 		return div, err
 	}, "reg[r15]"},
+	{"snapshot-roundtrip", SnapshotRoundTrip, "reg[r15]"},
+	{"serialized-roundtrip", SerializedRoundTrip, "reg[r15]"},
 	{"replay-determinism", ReplayDeterminism, "reg[r15]"},
+	{"chunk-agreement", ChunkAgreement, "reg[r15]"},
 	{"batch-invariance", BatchInvariance, "reg[r15] (per-event vs batch=1)"},
 }
 
@@ -176,6 +181,28 @@ func TestLockstepReportsInjectedRegisterFault(t *testing.T) {
 	}
 }
 
+// TestLockstepReportsMemoryPage: a word written behind one machine's
+// back, on a page its program never touches, is reported as that page
+// with both memories' digests.
+func TestLockstepReportsMemoryPage(t *testing.T) {
+	t.Parallel()
+	o := DefaultOptions()
+	addr := o.VM.MemSpan - 8
+	o.Hook = func(step int, ref, other *vm.Machine) {
+		if step == 0 {
+			other.Mem().Write64(addr, 1)
+		}
+	}
+	div, _, err := Lockstep(Generate(1), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("memory page %#x", addr>>mem.PageShift)
+	if div == nil || div.Field != want || !strings.HasPrefix(div.A, "digest ") || div.A == div.B {
+		t.Fatalf("write behind the machine's back reported as %v; want field %q with two digests", div, want)
+	}
+}
+
 // TestLockstepLegsNameTheBudget: a program that outruns MaxInstr is an
 // error that names the budget it outran, from every lockstep leg.
 func TestLockstepLegsNameTheBudget(t *testing.T) {
@@ -208,7 +235,7 @@ func TestBatchInvarianceReportsDroppedEvent(t *testing.T) {
 		}
 		lossy.count.OnEvents(evs)
 	})
-	div, _, err := lockstep("batch-invariance", prog, o, []*lane{perEventLane(prog, o), lossy}, nil)
+	div, _, err := lockstep(prog, o, []*lane{perEventLane(prog, o), lossy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +308,6 @@ func TestLockstepReportsMissedTCInvalidation(t *testing.T) {
 	t.Parallel()
 	prog := Generate(1)
 	o := DefaultOptions()
-	o.CompareHostStats = false // the divergence must be architectural
 	patched := isa.Encode(isa.Inst{Op: isa.OpAddi, Rd: 1, Rs1: 1, Imm: 1008})
 	injected := false
 	o.Hook = func(step int, fast, event *vm.Machine) {
@@ -316,7 +342,54 @@ func TestLockstepReportsMissedTCInvalidation(t *testing.T) {
 	if div == nil {
 		t.Fatal("differ missed a stale-translation (skipped invalidation) fault")
 	}
+	if f := div.Field; f != "pc" && !strings.HasPrefix(f, "reg[") && !strings.HasPrefix(f, "memory") {
+		t.Errorf("divergence field %q is not architectural (pc, a register or memory):\n%v", f, div)
+	}
 	t.Logf("reported divergence:\n%v", div)
+}
+
+// TestLockstepNamesStaleRestoreLane: a restore lane that swaps in the
+// snapshot it took a sync point earlier must be reported at that sync
+// point, under its own check name and label.
+func TestLockstepNamesStaleRestoreLane(t *testing.T) {
+	t.Parallel()
+	prog := Generate(1)
+	o := DefaultOptions()
+	var prev *vm.Snapshot
+	stale := &lane{check: "snapshot-roundtrip", label: "stale restore", m: load(prog, o.VM),
+		swap: func(m *vm.Machine, cfg vm.Config) (*vm.Machine, error) {
+			snap := prev
+			prev = m.Snapshot()
+			if snap == nil {
+				snap = prev
+			}
+			return restored(snap, cfg)
+		}}
+	lanes := []*lane{fastLane(prog, o), replayLane(prog, o), stale}
+	lanes[0].label = "fast"
+	div, _, err := lockstep(prog, o, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if div == nil {
+		t.Fatal("differ missed a restore from a stale snapshot")
+	}
+	if div.Check != "snapshot-roundtrip" || !strings.HasSuffix(div.Field, " (fast vs stale restore)") || div.Step != 1 {
+		t.Errorf("stale restore reported as %s at step %d, field %q; want snapshot-roundtrip at step 1 naming the lane", div.Check, div.Step, div.Field)
+	}
+}
+
+// runToHalt drives m in chunks until it halts, returning instructions
+// executed; errors if the budget is exhausted first.
+func runToHalt(m *vm.Machine, chunk, budget uint64, seed uint64) (uint64, error) {
+	var total uint64
+	for {
+		n := m.Run(chunk, nil)
+		total += n
+		if done, err := chunkEnd(m, n, total, budget, seed); done || err != nil {
+			return total, err
+		}
+	}
 }
 
 func TestPolicyDeterminism(t *testing.T) {
@@ -468,7 +541,10 @@ func TestPolicyBatchInvariance(t *testing.T) {
 // form), a tiny TLB, per-event batch delivery, and a chunk of 1 so every
 // sync point lands mid-everything. Any acceleration state that leaks
 // across a flush or a one-instruction Run boundary shows up as a
-// lockstep or replay divergence here.
+// lockstep or replay divergence here. At a chunk of 1 the chunks lane
+// would run the reference's own partition, so ChunkAgreement runs under
+// the same configuration at a chunk of 7, and both it and CheckProgram
+// must refuse or leave out the vacuous comparison at 1.
 func TestCheckProgramStressConfig(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -490,6 +566,23 @@ func TestCheckProgramStressConfig(t *testing.T) {
 		}
 		if len(rep.Checks) == 0 {
 			t.Fatalf("seed %d: no checks ran", seed)
+		}
+		for _, c := range rep.Checks {
+			if c == "chunk-agreement" {
+				t.Fatalf("seed %d: chunk-agreement reported as run at a chunk of 1", seed)
+			}
+		}
+		if _, err := ChunkAgreement(Generate(seed), opts); !errors.Is(err, ErrOneInstructionChunk) {
+			t.Fatalf("seed %d: ChunkAgreement at a chunk of 1 returned %v; want ErrOneInstructionChunk", seed, err)
+		}
+		chunked := opts
+		chunked.Chunk = 7
+		div, err = ChunkAgreement(Generate(seed), chunked)
+		if err != nil {
+			t.Fatalf("seed %d: chunk agreement at chunk 7: %v", seed, err)
+		}
+		if div != nil {
+			t.Fatalf("seed %d: chunk agreement at chunk 7:\n%v", seed, div)
 		}
 	}
 }

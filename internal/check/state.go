@@ -1,117 +1,76 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
-	"hash/fnv"
 	"reflect"
+	"slices"
 
 	"repro/internal/isa"
-	"repro/internal/mix"
+	"repro/internal/mem"
 	"repro/internal/vm"
 )
 
-// machineState is the comparable architectural state of a machine at a
-// sync point, plus (optionally) the full statistics record.
-type machineState struct {
-	PC       uint64
-	Regs     [isa.NumRegs]uint64
-	Halted   bool
-	ExitCode uint64
-
-	MemDigest  uint64
-	DiskDigest uint64
-
-	ConsoleBytes  uint64
-	ConsoleWrites uint64
-	ConsoleTail   string
-
-	PhaseLen    int
-	PhaseDigest uint64
-
-	Stats vm.Stats
-}
-
-// capture snapshots the comparable state of m. When hostStats is false
-// the host bookkeeping counters (translation cache, software TLB) are
-// normalised out of the statistics, for the checks that compare only
-// what the guest can observe.
-func capture(m *vm.Machine, hostStats bool) machineState {
-	st := machineState{
-		PC:            m.PC(),
-		Halted:        m.Halted(),
-		ExitCode:      m.ExitCode(),
-		MemDigest:     m.Mem().Digest(),
-		DiskDigest:    m.Disk().Digest(),
-		ConsoleBytes:  m.Console().BytesWritten,
-		ConsoleWrites: m.Console().Writes,
-		ConsoleTail:   string(m.Console().Tail()),
-		Stats:         m.Stats(),
+// diff returns the first field in which two live machines differ,
+// rendered for a Divergence report, or ok=true when their complete
+// state is identical: pc, registers, halt status, memory page by page,
+// disk, console, phase log and every vm.Stats field.
+func diff(a, b *vm.Machine) (field, av, bv string, ok bool) {
+	if a.PC() != b.PC() {
+		return "pc", fmt.Sprintf("%#x", a.PC()), fmt.Sprintf("%#x", b.PC()), false
 	}
 	for r := 0; r < isa.NumRegs; r++ {
-		st.Regs[r] = m.Reg(r)
-	}
-	log := m.PhaseLog()
-	st.PhaseLen = len(log)
-	h := fnv.New64a()
-	w := mix.NewWriter(h)
-	for _, pm := range log {
-		w.Words(pm.Instr, pm.Value)
-	}
-	st.PhaseDigest = h.Sum64()
-	if !hostStats {
-		st.Stats = archStats(st.Stats)
-	}
-	return st
-}
-
-// archStats strips the host-side bookkeeping counters the guest cannot
-// observe: translation-cache activity and software-TLB refills (and the
-// TLB-refill component of the aggregate exception count).
-func archStats(s vm.Stats) vm.Stats {
-	s.Exceptions = s.PageFaults + s.Syscalls
-	s.TLBRefills = 0
-	s.TCInvalidations = 0
-	s.TCTranslations = 0
-	s.TCFlushes = 0
-	return s
-}
-
-// diff returns the first differing field between two states, rendered
-// for a Divergence report, or ok=true when the states are identical.
-func (a machineState) diff(b machineState) (field, av, bv string, ok bool) {
-	if a == b {
-		return "", "", "", true
-	}
-	if a.PC != b.PC {
-		return "pc", fmt.Sprintf("%#x", a.PC), fmt.Sprintf("%#x", b.PC), false
-	}
-	for r := 0; r < isa.NumRegs; r++ {
-		if a.Regs[r] != b.Regs[r] {
+		if a.Reg(r) != b.Reg(r) {
 			return fmt.Sprintf("reg[r%d]", r),
-				fmt.Sprintf("%#x", a.Regs[r]), fmt.Sprintf("%#x", b.Regs[r]), false
+				fmt.Sprintf("%#x", a.Reg(r)), fmt.Sprintf("%#x", b.Reg(r)), false
 		}
 	}
 	switch {
-	case a.Halted != b.Halted:
-		return "halted", fmt.Sprint(a.Halted), fmt.Sprint(b.Halted), false
-	case a.ExitCode != b.ExitCode:
-		return "exitCode", fmt.Sprint(a.ExitCode), fmt.Sprint(b.ExitCode), false
-	case a.MemDigest != b.MemDigest:
-		return "memory digest", fmt.Sprintf("%#x", a.MemDigest), fmt.Sprintf("%#x", b.MemDigest), false
-	case a.DiskDigest != b.DiskDigest:
-		return "disk digest", fmt.Sprintf("%#x", a.DiskDigest), fmt.Sprintf("%#x", b.DiskDigest), false
-	case a.ConsoleBytes != b.ConsoleBytes || a.ConsoleWrites != b.ConsoleWrites || a.ConsoleTail != b.ConsoleTail:
-		return "console", fmt.Sprintf("%d bytes/%d writes", a.ConsoleBytes, a.ConsoleWrites),
-			fmt.Sprintf("%d bytes/%d writes", b.ConsoleBytes, b.ConsoleWrites), false
-	case a.PhaseLen != b.PhaseLen || a.PhaseDigest != b.PhaseDigest:
-		return "phase log", fmt.Sprintf("%d marks (%#x)", a.PhaseLen, a.PhaseDigest),
-			fmt.Sprintf("%d marks (%#x)", b.PhaseLen, b.PhaseDigest), false
+	case a.Halted() != b.Halted():
+		return "halted", fmt.Sprint(a.Halted()), fmt.Sprint(b.Halted()), false
+	case a.ExitCode() != b.ExitCode():
+		return "exitCode", fmt.Sprint(a.ExitCode()), fmt.Sprint(b.ExitCode()), false
 	}
-	// Statistics: name the first differing counter.
-	if f, av, bv := diffStats(a.Stats, b.Stats); f != "" {
+	if vpn, ok := memDiff(a.Mem(), b.Mem()); !ok {
+		return fmt.Sprintf("memory page %#x", vpn),
+			fmt.Sprintf("digest %#x", a.Mem().Digest()), fmt.Sprintf("digest %#x", b.Mem().Digest()), false
+	}
+	ca, cb := a.Console(), b.Console()
+	switch da, db := a.Disk().Digest(), b.Disk().Digest(); {
+	case da != db:
+		return "disk digest", fmt.Sprintf("%#x", da), fmt.Sprintf("%#x", db), false
+	case ca.BytesWritten != cb.BytesWritten || ca.Writes != cb.Writes || !bytes.Equal(ca.Tail(), cb.Tail()):
+		return "console", fmt.Sprintf("%d bytes/%d writes", ca.BytesWritten, ca.Writes),
+			fmt.Sprintf("%d bytes/%d writes", cb.BytesWritten, cb.Writes), false
+	case !slices.Equal(a.PhaseLog(), b.PhaseLog()):
+		return "phase log", fmt.Sprintf("%d marks", len(a.PhaseLog())), fmt.Sprintf("%d marks", len(b.PhaseLog())), false
+	}
+	if sa, sb := a.Stats(), b.Stats(); sa != sb {
+		f, av, bv := diffStats(sa, sb)
 		return "stats." + f, av, bv, false
 	}
-	return "state", "?", "?", false
+	return "", "", "", true
+}
+
+// memDiff compares two memories of one span page by page over their
+// page tables and returns the first page that is mapped in one and not
+// the other or differs in content. Leaves and pages the two share are
+// equal by identity.
+func memDiff(a, b *mem.Memory) (vpn uint64, ok bool) {
+	db := b.Raw()
+	for d, la := range a.Raw() {
+		lb := db[d]
+		if la == lb {
+			continue
+		}
+		for i, pa := range la.Pages {
+			pb := lb.Pages[i]
+			if pa != pb && (pa == nil || pb == nil || *pa != *pb) {
+				return uint64(d)<<mem.LeafShift + uint64(i), false
+			}
+		}
+	}
+	return 0, true
 }
 
 // diffStats returns the first differing Stats field by name.
